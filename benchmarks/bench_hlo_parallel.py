@@ -125,7 +125,6 @@ def run_bench(quick=False):
                 "wpa_seconds": _wpa_seconds(build),
                 "scalar_seconds":
                     build.hlo_result.phase_seconds.get("scalar", 0.0),
-                "wpa_mode": build.hlo_result.wpa_mode,
                 "wpa_peak_bytes": build.hlo_result.wpa_peak_bytes,
                 "coordinator_peak_bytes": build.hlo_result.peak_bytes,
             }
@@ -181,7 +180,6 @@ def run_bench(quick=False):
         "serial_codegen_seconds":
             serial.timings.phases.get("codegen_cmo", 0.0),
         "serial_wpa_seconds": _wpa_seconds(serial),
-        "serial_wpa_mode": serial.hlo_result.wpa_mode,
         "serial_wpa_peak_bytes": serial.hlo_result.wpa_peak_bytes,
         "serial_coordinator_peak_bytes": serial.hlo_result.peak_bytes,
         "partitioned": settings,

@@ -96,7 +96,6 @@ def _run_build(app, profile_db, cache_pools, layout, prefetch_depth,
                 if key.startswith("wpa")
             ),
             "scalar_seconds": phase_seconds.get("scalar", 0.0),
-            "wpa_mode": build.hlo_result.wpa_mode,
             "wpa_peak_bytes": build.hlo_result.wpa_peak_bytes,
             "coordinator_peak_bytes": build.hlo_result.peak_bytes,
             "image": encode_executable(build.executable),

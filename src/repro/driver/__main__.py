@@ -149,15 +149,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "Output is byte-identical either way.",
     )
     parser.add_argument(
-        "--wpa-mode", choices=("auto", "materialize", "summary"),
-        default="auto", metavar="MODE",
-        help="whole-program analysis strategy at +O4: summary runs "
-             "the thin link (cross-module decisions from routine "
-             "summaries alone; bodies load lazily per partition), "
-             "materialize loads every body up front. Output is "
-             "byte-identical either way; auto (default) = summary.",
-    )
-    parser.add_argument(
         "--repo-compress", type=int, default=6, choices=range(0, 10),
         metavar="LEVEL",
         help="zlib level for NAIM pack-repository entries "
@@ -285,7 +276,6 @@ def cmd_build(args: argparse.Namespace) -> int:
         hlo_jobs=args.hlo_jobs,
         hlo_partitions=args.partitions,
         hlo_backend=args.hlo_backend,
-        wpa_mode=args.wpa_mode,
         naim=_naim_config_from_args(args),
     )
     session = CompileSession(options, jobs=args.jobs,

@@ -554,7 +554,6 @@ class Compiler:
                 externally_callable=externally_callable,
                 externally_visible_globals=externally_visible_globals,
                 incr_session=incr_session,
-                wpa_mode=options.effective_wpa_mode,
             )
             selected: Optional[Set[str]] = None
             if result.plan is not None and (

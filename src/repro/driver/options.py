@@ -21,7 +21,6 @@ from ..vm.cost import CostModel
 
 VALID_OPT_LEVELS = (0, 1, 2, 4)
 VALID_HLO_BACKENDS = ("auto", "threads", "processes")
-VALID_WPA_MODES = ("auto", "materialize", "summary")
 
 
 class CompilerOptions:
@@ -43,7 +42,6 @@ class CompilerOptions:
         hlo_jobs: int = 1,
         hlo_partitions: Optional[int] = None,
         hlo_backend: str = "auto",
-        wpa_mode: str = "auto",
     ) -> None:
         if opt_level not in VALID_OPT_LEVELS:
             raise ValueError(
@@ -92,22 +90,6 @@ class CompilerOptions:
         #: platform supports it).  Like the two knobs above it never
         #: affects output bytes, so it stays out of :meth:`describe`.
         self.hlo_backend = hlo_backend
-        if wpa_mode not in VALID_WPA_MODES:
-            raise ValueError(
-                "wpa_mode must be one of %r" % (VALID_WPA_MODES,)
-            )
-        #: Whole-program-analysis strategy: "summary" runs the thin
-        #: WPA (decisions from routine summaries, bodies imported
-        #: lazily per partition), "materialize" walks expanded bodies,
-        #: "auto" resolves to "summary".  The two modes are
-        #: byte-identical by construction, so -- like the parallelism
-        #: knobs above -- this never enters :meth:`describe`.
-        self.wpa_mode = wpa_mode
-
-    @property
-    def effective_wpa_mode(self) -> str:
-        """The resolved WPA strategy ("auto" is "summary")."""
-        return "summary" if self.wpa_mode == "auto" else self.wpa_mode
 
     @property
     def use_partitioned_hlo(self) -> bool:

@@ -62,7 +62,6 @@ def build_summary(
     if build.hlo_result is not None:
         summary["hlo_inline_stats"] = str(build.hlo_result.inline_stats)
         summary["hlo_peak_bytes"] = build.hlo_result.peak_bytes
-        summary["wpa_mode"] = build.hlo_result.wpa_mode
         summary["wpa_peak_bytes"] = build.hlo_result.wpa_peak_bytes
         summary["wpa_phase_seconds"] = {
             key: value

@@ -1,11 +1,14 @@
 """The high-level optimizer driver.
 
-Orchestrates one CMO compilation: pools are registered with the NAIM
-loader, every routine is scanned once ("a minimum amount of analysis
-... to ensure that all information available about data accesses is
-known", §5), interprocedural facts are published, then inlining,
-cloning and the scalar pipeline run over the *selected* routines while
-everything else stays unloaded.
+Orchestrates one CMO compilation: every routine is scanned once into
+:class:`~repro.incr.summary.RoutineFacts` ("a minimum amount of
+analysis ... to ensure that all information available about data
+accesses is known", §5) and its pool retired to the NAIM loader; DFE,
+IPCP, cloning and inlining then decide from the facts alone, recording
+the body mutations they imply on a :class:`~repro.hlo.thin.WpaPlan`.
+Phase 5 replays the plan onto the real bodies and runs the scalar
+pipeline over the *selected* routines while everything else stays
+unloaded.
 
 The :class:`CmoUnit` is the authoritative container during optimization
 -- global objects (program symbol table, call graph) hold only
@@ -15,36 +18,44 @@ The :class:`CmoUnit` is the authoritative container during optimization
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
-from ..ir.callgraph import CallGraph
+from ..incr.summary import (
+    RoutineFacts,
+    compute_module_keys,
+    extract_routine_facts,
+)
+from ..ir.callgraph import CallGraph, CallGraphNode, CallSite
 from ..ir.module import Module
 from ..ir.program import Program
 from ..ir.routine import Routine
 from ..naim.config import NaimConfig
 from ..naim.loader import Loader
-from ..naim.memory import MemoryAccountant, callgraph_bytes, program_symtab_bytes
+from ..naim.memory import (
+    MemoryAccountant,
+    callgraph_bytes,
+    program_symtab_bytes,
+    routine_facts_bytes,
+)
 from ..naim.pools import Handle
 from ..naim.repository import Repository
 from ..profiles.correlate import correlate
 from ..profiles.database import ProfileDatabase
-from .analysis.modref import ModRefAnalysis, direct_modref
+from .analysis.modref import ModRefAnalysis, ModRefInfo
 from .options import HloOptions
 from .passes import OptContext, PassPipeline
 from .profile_view import ProfileView
+from .thin import WpaPlan, replay_plan
 from .transforms.branch_elim import BranchElimination
-from .transforms.clone import make_clone, plan_clones
+from .transforms.clone import apply_clones, plan_clones
 from .transforms.constprop import ConstantPropagation
 from .transforms.dce import DeadCodeElimination
-from .transforms.dfe import eliminate_dead_functions
+from .transforms.dfe import eliminate_dead_functions, reachable_routines
 from .transforms.inline import InlineEngine, InlineStats
 from .transforms.ipcp import publish_interprocedural_facts
 from .transforms.licm import LoopInvariantCodeMotion
 from .transforms.memopt import MemoryForwarding
 from .transforms.simplify import SimplifyCfg
-
-#: Accepted --wpa-mode values ("auto" resolves to "summary").
-VALID_WPA_MODES = ("auto", "materialize", "summary")
 
 
 def standard_pipeline() -> PassPipeline:
@@ -103,31 +114,23 @@ class CmoUnit:
         if handle is not None:
             handle.request_unload()
 
-    def each_routine(self) -> Iterator[Routine]:
-        """Touch routines one at a time, requesting unload after each."""
-        for name in self.routine_names():
-            routine = self.routine(name)
-            if routine is None:
-                continue
-            yield routine
-            self.unload(name)
-
-    def build_callgraph(self) -> CallGraph:
-        """Rebuild the call graph by scanning every routine once."""
+    def build_callgraph(
+        self, facts_by_name: Dict[str, RoutineFacts]
+    ) -> CallGraph:
+        """The call graph over the unit's routines, from their facts."""
         graph = CallGraph()
-        from ..ir.callgraph import CallGraphNode, CallSite
-
-        for name in self.routine_names():
+        names = self.routine_names()
+        for name in names:
             graph.nodes[name] = CallGraphNode(name, self.routine_module[name])
-        for routine in self.each_routine():
-            node = graph.nodes[routine.name]
-            for block_label, index, callee in routine.call_sites():
+        for name in names:
+            node = graph.nodes[name]
+            for site in facts_by_name[name].sites:
                 node.call_sites.append(
-                    CallSite(routine.name, block_label, index, callee)
+                    CallSite(name, site.block_label, site.index, site.callee)
                 )
-                target = graph.nodes.get(callee)
-                if target is not None and routine.name not in target.caller_names:
-                    target.caller_names.append(routine.name)
+                target = graph.nodes.get(site.callee)
+                if target is not None and name not in target.caller_names:
+                    target.caller_names.append(name)
         return graph
 
     def materialize(self, program: Program) -> Program:
@@ -176,20 +179,26 @@ class HloResult:
         #: plus per-pass WPA splits ("wpa.dfe", "wpa.callgraph",
         #: "wpa.ipcp", "wpa.clone", "wpa.inline", ...).
         self.phase_seconds: Dict[str, float] = {}
-        #: Which WPA implementation ran ("materialize" or "summary").
-        self.wpa_mode = "materialize"
         #: Peak modeled bytes at the end of the WPA phases (before any
-        #: scalar work): the number the summary-only mode keeps flat.
+        #: scalar work): flat in the number of routine bodies.
         self.wpa_peak_bytes = 0
-        #: Summary-mode only -- the recorded body-mutation plan to
-        #: replay in phase 5 (serially or inside partition workers).
-        self.plan = None
-        #: Summary-mode only -- routine name -> RoutineFacts (final,
-        #: post-simulation state).
-        self.thin_facts: Optional[Dict[str, object]] = None
+        #: The recorded body-mutation plan phase 5 replays (serially or
+        #: inside partition workers).
+        self.plan = WpaPlan()
+        #: Routine name -> RoutineFacts (final, post-decision state).
+        self.thin_facts: Dict[str, RoutineFacts] = {}
         #: Structured events (e.g. summary-cache fallbacks).
         self.events: List[Dict[str, object]] = []
         self._plan_replayed = False
+
+    @property
+    def pending_plan(self) -> Optional[WpaPlan]:
+        """The plan while its mutations still await replay, else None
+        (the bodies are final and must not be mutated again)."""
+        return None if self._plan_replayed else self.plan
+
+    def mark_plan_replayed(self) -> None:
+        self._plan_replayed = True
 
     def scalar_worklist(self) -> List[str]:
         """Routines phase 5 must process, in canonical unit order.
@@ -244,7 +253,6 @@ class HighLevelOptimizer:
         externally_callable: Optional[Set[str]] = None,
         externally_visible_globals: Optional[Set[str]] = None,
         incr_session=None,
-        wpa_mode: str = "summary",
     ) -> None:
         self.program = program
         self.options = options or HloOptions()
@@ -260,13 +268,6 @@ class HighLevelOptimizer:
         #: skips the scalar pipeline for modules whose post-inline
         #: reuse key matches a cached codegen blob.
         self.incr_session = incr_session
-        if wpa_mode not in VALID_WPA_MODES:
-            raise ValueError("unknown wpa_mode %r" % (wpa_mode,))
-        #: "summary" runs the thin whole-program phase (decisions from
-        #: facts, body mutations replayed in phase 5); "materialize"
-        #: runs the classic body-walking WPA.  Both produce
-        #: byte-identical images.
-        self.wpa_mode = "summary" if wpa_mode == "auto" else wpa_mode
 
     # -- Main entry ---------------------------------------------------------------
 
@@ -286,10 +287,7 @@ class HighLevelOptimizer:
         phase 5 -- either via :meth:`run_scalar_phase` or a partitioned
         parallel backend -- and ``materialize`` is deferred with it.
         """
-        if self.wpa_mode == "summary":
-            result = self._optimize_thin(selected_routines)
-        else:
-            result = self._optimize_materialized(selected_routines)
+        result = self._run_wpa(selected_routines)
         if run_scalar:
             self.run_scalar_phase(result, materialize=materialize)
         return result
@@ -300,187 +298,19 @@ class HighLevelOptimizer:
         timings[key] = timings.get(key, 0.0) + (now - since)
         return now
 
-    def _optimize_materialized(
+    def _run_wpa(
         self, selected_routines: Optional[Set[str]]
     ) -> HloResult:
-        """The classic WPA: phases 0-4.5 over expanded bodies."""
-        program = self.program
-        options = self.options
-        wpa_start = time.perf_counter()
-        timings: Dict[str, float] = {}
-        tick = wpa_start
+        """WPA: phases 0-4.5, decided from routine facts alone.
 
-        incr = self.incr_session
-
-        # Phase 0: dead-function elimination on the whole-program view.
-        removed: List[str] = []
-        if options.dead_function_elim_enabled and not self.externally_callable:
-            removal_log: Dict[str, List[str]] = {}
-            removed = eliminate_dead_functions(program,
-                                               removal_log=removal_log)
-            if incr is not None and removal_log:
-                incr.record_dfe(removal_log)
-        tick = self._lap(timings, "wpa.dfe", tick)
-
-        symtab = program.symtab
-        loader = Loader(
-            self.naim_config, symtab, self.accountant, self.repository
-        )
-        unit = CmoUnit(loader)
-        ctx = OptContext(symtab, options)
-        accountant = loader.accountant
-
-        # Global (always-resident) objects are accounted directly.
-        accountant.set_usage("global", "program_symtab",
-                             program_symtab_bytes(symtab))
-        callgraph = program.callgraph(rebuild=True)
-        accountant.set_usage("global", "callgraph", callgraph_bytes(callgraph))
-
-        # Phase 1: register + scan, one module at a time.  "As the code
-        # and data are read in, a minimum amount of analysis ... is done"
-        # (§5); each routine is unloaded right after its scan, so peak
-        # memory tracks the loader's working set, never the whole
-        # program.
-        direct: Dict[str, object] = {}
-        callees: Dict[str, List[str]] = {}
-        for module in program.module_list():
-            unit.add_module(module)
-            for routine in module.routine_list():
-                direct[routine.name] = direct_modref(routine)
-                callees[routine.name] = routine.callees()
-                ctx.views[routine.name] = self._initial_view(routine)
-                unit.unload(routine.name)
-            unit.symtab_handles[module.name].request_unload()
-        ctx.modref = ModRefAnalysis.from_direct(direct, callees)
-        accountant.mark("scanned")
-
-        # Attach call-site weights for inline ranking.  Weights come from
-        # the per-routine views (measured or static): a call executes as
-        # often as its containing block, and views stay correct across
-        # transforms (cloning, inlining) where raw database keys do not.
-        self._attach_view_weights(callgraph, ctx)
-        tick = self._lap(timings, "wpa.callgraph", tick)
-
-        all_names = unit.routine_names()
-        if selected_routines is None:
-            selected = set(all_names)
-        else:
-            selected = set(selected_routines) & set(all_names)
-
-        # Phase 2: interprocedural constant facts.
-        bound = publish_interprocedural_facts(
-            ctx,
-            all_names,
-            unit.routine,
-            symtab.all_global_names(),
-            externally_callable=frozenset(self.externally_callable),
-            externally_visible_globals=frozenset(
-                self.externally_visible_globals
-            ),
-        )
-        for name in all_names:
-            unit.unload(name)
-        if incr is not None and bound:
-            incr.record_ipcp_edges(bound, callgraph, unit.routine_module)
-        accountant.mark("ipcp")
-        tick = self._lap(timings, "wpa.ipcp", tick)
-
-        # Phase 3: procedure cloning (selected callers only).
-        clones = self._run_cloning(unit, ctx, program, callgraph, selected)
-        if clones:
-            callgraph = unit.build_callgraph()
-            self._attach_view_weights(callgraph, ctx)
-            accountant.set_usage("global", "callgraph",
-                                 callgraph_bytes(callgraph))
-        accountant.mark("cloned")
-        tick = self._lap(timings, "wpa.clone", tick)
-
-        # Phase 4: inlining over selected callers.
-        def _pin(name: str) -> None:
-            handle = unit.handle(name)
-            if handle is not None:
-                loader.pin(handle)
-
-        def _release(name: str) -> None:
-            handle = unit.handle(name)
-            if handle is not None:
-                loader.unpin(handle)
-                loader.reaccount(handle)
-                handle.request_unload()
-
-        engine = InlineEngine(
-            ctx,
-            callgraph,
-            unit.routine,
-            has_profiles=self.profile_db is not None,
-            pin=_pin,
-            release=_release,
-        )
-        inline_order = sorted(selected | set(clones))
-        inline_stats = engine.run(inline_order)
-        accountant.mark("inlined")
-        tick = self._lap(timings, "wpa.inline", tick)
-
-        # Phase 4.5 (incremental only): fingerprint each module's exact
-        # post-inline state -- bodies, views, consumed interprocedural
-        # facts -- and splice in cached codegen for key matches.  The
-        # whole-program phases above always re-run (they are the thin
-        # link); only the per-module phases below are skippable.
-        reused_modules: Set[str] = set()
-        if incr is not None:
-            from ..incr.summary import compute_module_keys
-
-            incr.record_inline_edges(inline_stats, unit.routine_module)
-            keys, consumed = compute_module_keys(
-                unit, ctx, selected, set(clones), incr.options_fp
-            )
-            incr.record_consumption(consumed, unit.routine_module, symtab)
-            reused_modules = incr.decide_reuse(keys)
-            accountant.mark("summarized")
-            tick = self._lap(timings, "wpa.summarize", tick)
-
-        result = HloResult(
-            program=program,
-            unit=unit,
-            ctx=ctx,
-            inline_stats=inline_stats,
-            selected=selected,
-            removed_functions=removed,
-            clones=clones,
-        )
-        result.wpa_mode = "materialize"
-        result.peak_bytes = accountant.peak
-        result.wpa_peak_bytes = accountant.peak
-        result.reused_modules = reused_modules
-        result.phase_seconds.update(timings)
-        result.phase_seconds["wpa"] = time.perf_counter() - wpa_start
-        return result
-
-    def _optimize_thin(
-        self, selected_routines: Optional[Set[str]]
-    ) -> HloResult:
-        """Summary-only WPA: phases 0-4.5 from routine facts alone.
-
-        Every cross-module decision is simulated against the enriched
-        summary graph with the exact acceptance tests and size
-        arithmetic of the materializing passes, so the decisions --
-        and therefore the final images -- are identical; the body
-        mutations they imply are recorded on a :class:`WpaPlan` and
-        replayed at phase-5 start (serially, or inside each partition
-        worker).  Bodies are retired to compact/offloaded state right
-        after the one extraction scan, so the whole-program peak is
-        bounded by summaries plus the loader working set, independent
-        of program size.
+        Every cross-module decision is made against the summary graph;
+        the body mutations the decisions imply are recorded on a
+        :class:`WpaPlan` and replayed at phase-5 start (serially, or
+        inside each partition worker).  Bodies are retired to
+        compact/offloaded state right after the one extraction scan,
+        so the whole-program peak is bounded by summaries plus the
+        loader working set, independent of program size.
         """
-        from ..incr.summary import (
-            SUMMARY_FORMAT,
-            RoutineFacts,
-            extract_routine_facts,
-        )
-        from ..naim.memory import routine_facts_bytes
-        from . import thin as thin_wpa
-        from .analysis.modref import ModRefInfo
-
         program = self.program
         options = self.options
         wpa_start = time.perf_counter()
@@ -489,11 +319,11 @@ class HighLevelOptimizer:
         incr = self.incr_session
         events: List[Dict[str, object]] = []
 
-        # Facts extraction -- the one body scan, standing in for the
-        # materializing phase-1 scan.  With an incremental session, an
-        # unchanged module's facts come from the cache after a
-        # fingerprint check against its current summary; any miss or
-        # mismatch falls back to scanning that module, with an event.
+        # Facts extraction -- the one body scan.  With an incremental
+        # session, an unchanged module's facts come from the cache
+        # after a fingerprint check against its current summary; any
+        # miss or mismatch falls back to scanning that module, with an
+        # event.
         facts_by_name: Dict[str, RoutineFacts] = {}
         use_cache = incr is not None and self.profile_db is None
         changed = set(incr.changed_modules) if incr is not None else set()
@@ -533,11 +363,11 @@ class HighLevelOptimizer:
         # Phase 0: DFE with the keep set computed on the facts graph.
         removed: List[str] = []
         if options.dead_function_elim_enabled and not self.externally_callable:
-            keep = thin_wpa.thin_reachable(facts_by_name)
+            keep = reachable_routines(facts_by_name)
             if keep is not None:
                 removal_log: Dict[str, List[str]] = {}
                 removed = eliminate_dead_functions(
-                    program, removal_log=removal_log, keep=keep
+                    program, keep, removal_log=removal_log
                 )
                 for name in removed:
                     facts_by_name.pop(name, None)
@@ -557,7 +387,7 @@ class HighLevelOptimizer:
         accountant.set_usage("global", "summaries", summary_cost)
 
         # Phase 1: register every pool, then retire it immediately --
-        # the facts already hold everything the thin phases read, so
+        # the facts already hold everything the decisions read, so
         # nothing keeps bodies expanded and the WPA working set stays
         # flat in the number of routine bodies.
         direct: Dict[str, object] = {}
@@ -582,7 +412,7 @@ class HighLevelOptimizer:
         accountant.mark("scanned")
 
         all_names = unit.routine_names()
-        callgraph = thin_wpa.build_thin_callgraph(all_names, facts_by_name)
+        callgraph = unit.build_callgraph(facts_by_name)
         accountant.set_usage("global", "callgraph", callgraph_bytes(callgraph))
         self._attach_view_weights(callgraph, ctx)
         tick = self._lap(timings, "wpa.callgraph", tick)
@@ -594,15 +424,17 @@ class HighLevelOptimizer:
 
         # Phase 2: interprocedural constant facts (plan records the
         # entry bindings; the facts mutate the way the bodies would).
-        plan = thin_wpa.WpaPlan()
-        bound = thin_wpa.thin_publish_interprocedural_facts(
+        plan = WpaPlan()
+        bound = publish_interprocedural_facts(
             ctx,
             all_names,
             facts_by_name,
             symtab.all_global_names(),
-            frozenset(self.externally_callable),
-            frozenset(self.externally_visible_globals),
             plan,
+            externally_callable=frozenset(self.externally_callable),
+            externally_visible_globals=frozenset(
+                self.externally_visible_globals
+            ),
         )
         if incr is not None and bound:
             incr.record_ipcp_edges(bound, callgraph, unit.routine_module)
@@ -611,37 +443,23 @@ class HighLevelOptimizer:
 
         # Phase 3: cloning (plan + placeholder handles + retargets).
         caller_order = [name for name in all_names if name in selected]
-        decisions = thin_wpa.thin_plan_clones(ctx, caller_order, facts_by_name)
-        clones = thin_wpa.thin_apply_clones(
+        decisions = plan_clones(ctx, caller_order, facts_by_name)
+        clones = apply_clones(
             ctx, unit, program, decisions, facts_by_name, plan
         )
         if clones:
-            callgraph = thin_wpa.build_thin_callgraph(
-                unit.routine_names(), facts_by_name
-            )
+            callgraph = unit.build_callgraph(facts_by_name)
             self._attach_view_weights(callgraph, ctx)
             accountant.set_usage("global", "callgraph",
                                  callgraph_bytes(callgraph))
         accountant.mark("cloned")
         tick = self._lap(timings, "wpa.clone", tick)
 
-        # Phase 4: the inline plan over thin bodies.
-        bodies: Dict[str, thin_wpa.ThinBody] = {}
-
-        def thin_resolve(name: str):
-            body = bodies.get(name)
-            if body is None:
-                facts = facts_by_name.get(name)
-                if facts is None:
-                    return None
-                body = thin_wpa.ThinBody(facts)
-                bodies[name] = body
-            return body
-
-        engine = thin_wpa.ThinInlineEngine(
+        # Phase 4: the inline plan.
+        engine = InlineEngine(
             ctx,
             callgraph,
-            thin_resolve,
+            facts_by_name,
             has_profiles=self.profile_db is not None,
             plan=plan,
         )
@@ -650,18 +468,16 @@ class HighLevelOptimizer:
         accountant.mark("inlined")
         tick = self._lap(timings, "wpa.inline", tick)
 
-        # Phase 4.5 (incremental only): thin reuse keys.  Evolution
-        # hashes over (original body hash, bindings, retargets, ordered
-        # splices) determine each post-replay body exactly; keys carry
-        # a "thin|" prefix so the two modes can never share cache
-        # entries across a --wpa-mode switch.
+        # Phase 4.5 (incremental only): reuse keys.  Evolution hashes
+        # over (original body hash, bindings, retargets, ordered
+        # splices) determine each post-replay body exactly.
         reused_modules: Set[str] = set()
         if incr is not None:
             incr.record_inline_edges(inline_stats, unit.routine_module)
             orig_hashes: Dict[str, str] = {}
             for summary in incr.summaries.values():
                 orig_hashes.update(summary.body_hashes)
-            keys, consumed = thin_wpa.compute_thin_module_keys(
+            keys, consumed = compute_module_keys(
                 unit,
                 ctx,
                 facts_by_name,
@@ -670,7 +486,6 @@ class HighLevelOptimizer:
                 selected,
                 set(clones),
                 incr.options_fp,
-                SUMMARY_FORMAT,
             )
             incr.record_consumption(consumed, unit.routine_module, symtab)
             reused_modules = incr.decide_reuse(keys)
@@ -686,7 +501,6 @@ class HighLevelOptimizer:
             removed_functions=removed,
             clones=clones,
         )
-        result.wpa_mode = "summary"
         result.plan = plan
         result.thin_facts = facts_by_name
         result.events = events
@@ -696,44 +510,6 @@ class HighLevelOptimizer:
         result.phase_seconds.update(timings)
         result.phase_seconds["wpa"] = time.perf_counter() - wpa_start
         return result
-
-    def _replay_thin(self, result: HloResult) -> None:
-        """Apply the recorded plan to real bodies (serial phase 5)."""
-        from .thin import replay_plan
-
-        unit = result.unit
-        loader = unit.loader
-
-        def resolve(name: str):
-            return unit.routine(name)
-
-        def adopt_clone(clone: Routine) -> None:
-            unit.add_routine(clone)
-
-        def pin(name: str) -> None:
-            handle = unit.handle(name)
-            if handle is not None:
-                loader.pin(handle)
-
-        def release(name: str) -> None:
-            handle = unit.handle(name)
-            if handle is not None:
-                loader.unpin(handle)
-                loader.reaccount(handle)
-                handle.request_unload()
-
-        replay_plan(
-            result.plan,
-            set(unit.routine_names()),
-            resolve,
-            result.ctx.views,
-            self.options,
-            adopt_clone,
-            pin=pin,
-            release=release,
-            unload=unit.unload,
-        )
-        result._plan_replayed = True
 
     def run_scalar_phase(
         self, result: HloResult, materialize: bool = True
@@ -745,16 +521,20 @@ class HighLevelOptimizer:
         byte for byte.
         """
         start = time.perf_counter()
-        if result.plan is not None and not result._plan_replayed:
-            # Summary-mode: materialize the WPA decisions onto the real
-            # bodies before any scalar work touches them.
-            self._replay_thin(result)
-            result.phase_seconds["scalar.replay"] = (
-                time.perf_counter() - start
-            )
         unit = result.unit
         ctx = result.ctx
         loader = unit.loader
+        if result.pending_plan is not None:
+            # Materialize the WPA decisions onto the real bodies before
+            # any scalar work touches them.
+            replay_plan(
+                result.plan, set(unit.routine_names()), loader,
+                unit.routine_handles, ctx.views, self.options,
+            )
+            result.mark_plan_replayed()
+            result.phase_seconds["scalar.replay"] = (
+                time.perf_counter() - start
+            )
         pipeline = standard_pipeline()
         worklist = result.scalar_worklist()
         # Issue prefetch batches a window ahead of the routine being
@@ -809,69 +589,3 @@ class HighLevelOptimizer:
                 continue
             for site in node.call_sites:
                 site.weight = view.count(site.block_label)
-
-    def _run_cloning(
-        self,
-        unit: CmoUnit,
-        ctx: OptContext,
-        program: Program,
-        callgraph: CallGraph,
-        selected: Set[str],
-    ) -> List[str]:
-        if not ctx.options.clone_enabled:
-            return []
-
-        def selected_callers() -> Iterator[Routine]:
-            for name in unit.routine_names():
-                if name in selected:
-                    routine = unit.routine(name)
-                    if routine is not None:
-                        yield routine
-                        unit.unload(name)
-
-        decisions = plan_clones(ctx, selected_callers(), unit.routine)
-        created: List[str] = []
-        serial = 0
-        for decision in decisions:
-            if len(created) >= 64:
-                break
-            callee = unit.routine(decision.callee)
-            if callee is None:
-                continue
-            module = program.modules.get(callee.module_name)
-            if module is None:
-                continue
-            clone_name = "%s::cl%d" % (decision.callee, serial)
-            serial += 1
-            clone = make_clone(callee, decision.bindings, clone_name)
-            # Register with program structures and the loader.
-            symtab_obj = unit.symtab_handles[module.name].get()
-            symtab_obj.add_routine(clone_name)
-            ctx.symtab.define_routine(clone_name, module.name)
-            unit.add_routine(clone)
-            created.append(clone_name)
-            ctx.stats.bump("clone")
-            callee_view = ctx.views.get(decision.callee)
-            if callee_view is not None:
-                ctx.views[clone_name] = ProfileView(
-                    clone_name,
-                    block_counts=callee_view.block_counts,
-                    edge_counts=callee_view.edge_counts,
-                    is_static_estimate=callee_view.is_static_estimate,
-                )
-            # Clone's effects mirror the original's.
-            if ctx.modref is not None:
-                ctx.modref.info[clone_name] = ctx.modref.for_routine(
-                    decision.callee
-                )
-            for caller_name, block_label, index in decision.sites:
-                caller = unit.routine(caller_name)
-                if caller is None:
-                    continue
-                call = caller.block(block_label).instrs[index]
-                from ..ir.instructions import Opcode
-
-                if call.op is Opcode.CALL and call.sym == decision.callee:
-                    call.sym = clone_name
-                    caller.invalidate()
-        return created

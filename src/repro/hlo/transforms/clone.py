@@ -9,18 +9,26 @@ clone's body.
 
 Clones are named ``<callee>::cl<N>``; they are module-static to the
 callee's defining module.
+
+Planning and application decide over
+:class:`~repro.incr.summary.RoutineFacts` and record a :class:`CloneOp`
+per clone on the WPA plan; :func:`make_clone` builds the real body at
+replay.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ...ir.instructions import Instr, Opcode
-from ...ir.module import Module
-from ...ir.program import ENTRY_NAME, Program
+from ...incr.summary import RoutineFacts, apply_entry_bindings
+from ...ir.program import ENTRY_NAME
 from ...ir.routine import Routine
 from ..passes import OptContext
-from .ipcp import _const_def_in_block
+from ..profile_view import ProfileView
+from .ipcp import apply_param_constants
+
+#: Most clones one link may create.
+MAX_CLONES = 64
 
 
 class CloneDecision:
@@ -51,51 +59,62 @@ class CloneDecision:
         )
 
 
-def _site_constant_bindings(
-    caller: Routine, block_label: str, index: int
-) -> Tuple[Tuple[int, int], ...]:
-    """Constant (param, value) pairs a specific call site passes."""
-    call = caller.block(block_label).instrs[index]
-    bindings = []
-    for param_index, arg_reg in enumerate(call.args):
-        value = _const_def_in_block(caller, block_label, index, arg_reg)
-        if value is not None:
-            bindings.append((param_index, value))
-    return tuple(bindings)
+class CloneOp:
+    """One clone creation plus the site retargets that aim at it."""
+
+    __slots__ = ("clone", "origin", "bindings", "retargets")
+
+    def __init__(self, clone: str, origin: str,
+                 bindings: Tuple[Tuple[int, int], ...],
+                 retargets: List[Tuple[str, str, int]]) -> None:
+        self.clone = clone
+        self.origin = origin
+        self.bindings = bindings
+        #: (caller, block_label, instr_index) with post-IPCP indexes.
+        self.retargets = retargets
 
 
 def plan_clones(
     ctx: OptContext,
-    callers: Iterable[Routine],
-    resolve: Callable[[str], Optional[Routine]],
+    caller_order: List[str],
+    facts_by_name: Dict[str, RoutineFacts],
 ) -> List[CloneDecision]:
     """Group call sites by (callee, constant signature) worth cloning."""
     options = ctx.options
     if not options.clone_enabled:
         return []
-    groups: Dict[Tuple[str, Tuple[Tuple[int, int], ...]], CloneDecision] = {}
+    groups: Dict[Tuple[str, tuple], CloneDecision] = {}
     total_sites: Dict[str, int] = {}
-    for caller in callers:
-        view = ctx.views.get(caller.name)
-        for block_label, index, callee_name in caller.call_sites():
-            if callee_name == caller.name or callee_name == ENTRY_NAME:
+    for caller_name in caller_order:
+        caller = facts_by_name.get(caller_name)
+        if caller is None:
+            continue
+        view = ctx.views.get(caller_name)
+        for site in caller.sites:
+            if site.callee == caller_name or site.callee == ENTRY_NAME:
                 continue
-            total_sites[callee_name] = total_sites.get(callee_name, 0) + 1
-            callee = resolve(callee_name)
+            total_sites[site.callee] = total_sites.get(site.callee, 0) + 1
+            callee = facts_by_name.get(site.callee)
             if callee is None or callee.n_params == 0:
                 continue
-            if callee.instr_count() > options.clone_callee_max_instrs:
+            if callee.instr_count > options.clone_callee_max_instrs:
                 continue
-            bindings = _site_constant_bindings(caller, block_label, index)
+            bindings = tuple(
+                (param_index, value)
+                for param_index, (_reg, value, _hd) in enumerate(site.args)
+                if value is not None
+            )
             if len(bindings) < options.clone_min_const_args:
                 continue
-            key = (callee_name, bindings)
-            weight = view.count(block_label) if view is not None else 0
+            key = (site.callee, bindings)
+            weight = view.count(site.block_label) if view is not None else 0
             decision = groups.get(key)
             if decision is None:
-                decision = CloneDecision(callee_name, bindings, [], 0)
+                decision = CloneDecision(site.callee, bindings, [], 0)
                 groups[key] = decision
-            decision.sites.append((caller.name, block_label, index))
+            decision.sites.append(
+                (caller_name, site.block_label, site.index)
+            )
             decision.weight += weight
     # Cloning pays off only when call sites *disagree*: if one signature
     # covers every observed site of a callee, interprocedural constant
@@ -117,63 +136,83 @@ def make_clone(callee: Routine, bindings, clone_name: str) -> Routine:
     clone = callee.copy(new_name=clone_name)
     clone.exported = False
     clone.annotations["cloned_from"] = callee.name
-    entry = clone.entry
-    for offset, (param_index, value) in enumerate(bindings):
-        entry.instrs.insert(
-            offset, Instr(Opcode.CONST, dst=param_index, imm=value)
-        )
-    clone.invalidate()
+    apply_param_constants(clone, bindings)
     return clone
 
 
 def apply_clones(
     ctx: OptContext,
-    program: Program,
+    unit,
+    program,
     decisions: List[CloneDecision],
-    resolve: Callable[[str], Optional[Routine]],
-    max_clones: int = 64,
-) -> List[Routine]:
-    """Create clone routines and retarget their call sites.
+    facts_by_name: Dict[str, RoutineFacts],
+    plan,
+) -> List[str]:
+    """Create the clones' facts and retarget their call sites.
 
-    Returns the new routines (already added to their modules; the
-    caller must re-register pools / rebuild the call graph).
+    Symbol-table entries, profile-view and mod/ref copies and pass-stat
+    bumps happen here; the body work (copying the origin, retargeting
+    call instructions) is appended to ``plan.clones`` for replay.  A
+    clone's facts are copied from the origin's *current* facts, so
+    retargets applied to the origin by earlier decisions in this loop
+    are inherited.  Returns the clone names, in creation order.
     """
-    created: List[Routine] = []
+    created: List[str] = []
     serial = 0
     for decision in decisions:
-        if len(created) >= max_clones:
+        if len(created) >= MAX_CLONES:
             break
-        callee = resolve(decision.callee)
+        callee = facts_by_name.get(decision.callee)
         if callee is None:
             continue
-        module: Optional[Module] = program.modules.get(callee.module_name)
+        module = program.modules.get(callee.module)
         if module is None:
             continue
         clone_name = "%s::cl%d" % (decision.callee, serial)
         serial += 1
-        clone = make_clone(callee, decision.bindings, clone_name)
-        module.add_routine(clone)
-        created.append(clone)
+        clone_facts = callee.copy(new_name=clone_name)
+        clone_facts.exported = False
+        apply_entry_bindings(clone_facts, list(decision.bindings))
+        facts_by_name[clone_name] = clone_facts
+
+        symtab_obj = unit.symtab_handles[module.name].get()
+        symtab_obj.add_routine(clone_name)
+        ctx.symtab.define_routine(clone_name, module.name)
+        unit.symtab_handles[module.name].request_unload()
+        # Placeholder handle: keeps the clone in the unit's canonical
+        # name order; replay registers the real body in its place.
+        unit.routine_handles[clone_name] = None
+        unit.routine_module[clone_name] = module.name
+        created.append(clone_name)
         ctx.stats.bump("clone")
-        # Clone inherits the callee's profile shape.
+        # Clone inherits the callee's profile shape and effects.
         callee_view = ctx.views.get(decision.callee)
         if callee_view is not None:
-            from ..profile_view import ProfileView
-
             ctx.views[clone_name] = ProfileView(
                 clone_name,
                 block_counts=callee_view.block_counts,
                 edge_counts=callee_view.edge_counts,
                 is_static_estimate=callee_view.is_static_estimate,
             )
+        clone_facts.view = ctx.views.get(clone_name)
+        if ctx.modref is not None:
+            ctx.modref.info[clone_name] = ctx.modref.for_routine(
+                decision.callee
+            )
+        retargets: List[Tuple[str, str, int]] = []
         for caller_name, block_label, index in decision.sites:
-            caller = resolve(caller_name)
+            caller = facts_by_name.get(caller_name)
             if caller is None:
                 continue
-            call = caller.block(block_label).instrs[index]
-            if call.op is Opcode.CALL and call.sym == decision.callee:
-                call.sym = clone_name
-                caller.invalidate()
-    if created:
-        program.invalidate()
+            for site in caller.sites:
+                if (site.block_label == block_label
+                        and site.index == index
+                        and site.callee == decision.callee):
+                    site.callee = clone_name
+                    retargets.append((caller_name, block_label, index))
+                    break
+        plan.clones.append(
+            CloneOp(clone_name, decision.callee, decision.bindings,
+                    retargets)
+        )
     return created

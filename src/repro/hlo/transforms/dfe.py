@@ -2,51 +2,48 @@
 
 With every module visible, routines unreachable from ``main`` through
 the call graph can be deleted outright -- dropping their pools from the
-loader and their code from the final image.
+loader and their code from the final image.  Reachability is decided
+on the summary call edges of :class:`~repro.incr.summary.RoutineFacts`.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Optional, Set
 
+from ...incr.summary import RoutineFacts
 from ...ir.program import ENTRY_NAME, Program
 
 
-def reachable_routines(program: Program, roots=None) -> Set[str]:
-    """Routine names reachable from the roots (default: ``main``)."""
-    graph = program.callgraph()
+def reachable_routines(
+    facts_by_name: Dict[str, RoutineFacts], roots=None
+) -> Optional[Set[str]]:
+    """Routine names reachable from the roots (default: ``main``).
+
+    Returns None when there is nothing to root the walk at: a library
+    (no entry routine), where everything is kept.
+    """
     if roots is None:
-        roots = [ENTRY_NAME] if ENTRY_NAME in graph.nodes else []
-    seen: Set[str] = set()
-    stack = [name for name in roots if name in graph.nodes]
-    seen.update(stack)
+        roots = [ENTRY_NAME]
+    stack = [name for name in roots if name in facts_by_name]
+    if not stack:
+        return None
+    seen: Set[str] = set(stack)
     while stack:
-        current = stack.pop()
-        for callee in graph.nodes[current].callees():
-            if callee in graph.nodes and callee not in seen:
+        for callee in facts_by_name[stack.pop()].callees():
+            if callee in facts_by_name and callee not in seen:
                 seen.add(callee)
                 stack.append(callee)
     return seen
 
 
 def eliminate_dead_functions(
-    program: Program, roots=None, removal_log=None, keep=None
+    program: Program, keep: Set[str], removal_log=None
 ) -> List[str]:
-    """Delete unreachable routines; returns the removed names.
+    """Delete every routine outside ``keep``; returns the removed names.
 
     ``removal_log`` (a dict) receives module -> removed names, which
     the incremental engine records as dead-import elisions.
-
-    ``keep`` short-circuits the reachability computation with a
-    pre-computed live set (the summary-only WPA phase derives it from
-    the facts graph without building a body-scanning call graph); the
-    caller is then responsible for the no-entry library guard.
     """
-    if keep is None:
-        graph = program.callgraph()
-        if roots is None and ENTRY_NAME not in graph.nodes:
-            return []  # no entry: a library; keep everything
-        keep = reachable_routines(program, roots)
     removed: List[str] = []
     for module in program.module_list():
         dead = [name for name in module.routines if name not in keep]

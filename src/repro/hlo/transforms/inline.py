@@ -8,10 +8,25 @@ size allowances; without profiles every small callee is fair game,
 which reproduces the paper's observation that pure CMO "thoroughly
 optimizes all routines" and blows up compile time and memory.
 
-NAIM cooperation: callee bodies are fetched through a resolver callback
-(the driver wires it to loader handles), and per-caller work is ordered
-by callee module so "cross-module inlines from the same pair of modules
-are processed one after another" (§4.3), maximizing loader-cache reuse.
+NAIM cooperation: the engine decides over
+:class:`~repro.incr.summary.RoutineFacts` and records each accepted
+splice as a :class:`SpliceOp` on the WPA plan, so no body is resident
+while it runs; per-caller work is ordered by callee module so
+"cross-module inlines from the same pair of modules are processed one
+after another" (§4.3), maximizing loader-cache reuse at replay, where
+:func:`splice_call` mutates the real bodies.
+
+Size arithmetic (exact, not estimated): splicing callee C into a call
+site grows the caller by::
+
+    n_params(C) + instrs(C) - probes(C) + (rets(C) if call has a dst)
+
+because the splice adds one MOV per parameter plus a JMP (replacing
+the CALL, net +n_params), copies the body minus PROBEs, and rewrites
+each RET into a JMP plus -- only when the call assigns a result -- one
+MOV/CONST.  ``probes`` and ``rets`` are invariant under C's own prior
+inlining (spliced-in bodies arrive probe-free with RETs already
+rewritten), so the recurrence stays exact as bodies grow.
 
 An optional *operation limit* caps the number of inlines performed --
 the paper's §6.3 bug-isolation hook, used by :mod:`repro.triage`.
@@ -19,18 +34,15 @@ the paper's §6.3 bug-isolation hook, used by :mod:`repro.triage`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ...incr.summary import RoutineFacts, SiteFacts
 from ...ir.basic_block import BasicBlock
 from ...ir.callgraph import CallGraph
 from ...ir.instructions import Instr, Opcode
 from ...ir.routine import Routine
 from ..passes import OptContext
 from ..profile_view import ProfileView
-
-#: Resolver: routine name -> Routine (or None if unavailable).
-Resolver = Callable[[str], Optional[Routine]]
-
 
 class InlineStats:
     """Observable inliner activity."""
@@ -240,27 +252,35 @@ class InlineCandidate:
         )
 
 
+class SpliceOp:
+    """One accepted inline; position in ``plan.splices`` is its global
+    ordinal."""
+
+    __slots__ = ("caller", "callee", "weight")
+
+    def __init__(self, caller: str, callee: str, weight: int) -> None:
+        self.caller = caller
+        self.callee = callee
+        self.weight = weight
+
+
 class InlineEngine:
-    """Plans and performs inlining over a set of routines."""
+    """Plans inlining over a set of routines' facts."""
 
     def __init__(
         self,
         ctx: OptContext,
         callgraph: CallGraph,
-        resolve: Resolver,
+        facts_by_name: Dict[str, RoutineFacts],
         has_profiles: bool,
-        pin=None,
-        release=None,
+        plan,
     ) -> None:
         self.ctx = ctx
         self.callgraph = callgraph
-        self.resolve = resolve
+        self.resolve = facts_by_name.get
         self.has_profiles = has_profiles
-        #: pin(name)/release(name): NAIM hooks so the caller being
-        #: mutated is never evicted mid-splice, and finished callers
-        #: are handed back to the loader promptly.
-        self.pin = pin or (lambda name: None)
-        self.release = release or (lambda name: None)
+        #: The WPA plan accepted splices are appended to.
+        self.plan = plan
         self.stats = InlineStats()
         self._sizes: Dict[str, int] = {}
         self._original_program_size = 0
@@ -271,8 +291,8 @@ class InlineEngine:
     def _size_of(self, name: str) -> int:
         size = self._sizes.get(name)
         if size is None:
-            routine = self.resolve(name)
-            size = routine.instr_count() if routine is not None else 1 << 30
+            facts = self.resolve(name)
+            size = facts.instr_count if facts is not None else 1 << 30
             self._sizes[name] = size
         return size
 
@@ -385,35 +405,29 @@ class InlineEngine:
             caller = self.resolve(caller_name)
             if caller is None:
                 continue
-            self.pin(caller_name)
-            try:
-                self._execute_plan(caller, plan, program_budget)
-            finally:
-                self.release(caller_name)
+            self._execute_plan(caller, plan, program_budget)
             if self.stats.hit_operation_limit:
                 break
         return self.stats
 
     def _execute_plan(
         self,
-        caller: Routine,
+        caller: RoutineFacts,
         plan: List[InlineCandidate],
         program_budget: int,
     ) -> None:
-        """Splice candidates in plan order (module-pair grouped).
+        """Accept candidates in plan order (module-pair grouped).
 
-        Only *original* caller blocks and continuation blocks are
-        scanned for sites, never cloned callee bodies -- each planned
-        candidate corresponds to one pre-existing call site.
+        Each accepted candidate consumes one summary site, advances the
+        exact size recurrence and is appended to the WPA plan;
+        ``inject_inline_bug_after`` needs no recording, replay derives
+        the injection point from the same global splice ordinal.
         """
         options = self.ctx.options
-        caller_view = self.ctx.view_for(caller)
         caller_limit = max(
             options.inline_caller_max_instrs,
             int(self._size_of(caller.name) * options.inline_routine_growth_factor),
         )
-        scannable = {block.label for block in caller.blocks}
-
         for cand in plan:
             if (
                 options.inline_operation_limit is not None
@@ -424,45 +438,51 @@ class InlineEngine:
             callee = self.resolve(cand.callee)
             if callee is None:
                 continue
-            callee_size = callee.instr_count()
+            callee_size = callee.instr_count
             if (
-                caller.instr_count() + callee_size > caller_limit
+                caller.instr_count + callee_size > caller_limit
                 or self._program_size + callee_size > program_budget
             ):
                 self.stats.rejected_growth += 1
                 continue
-            site = self._find_site(caller, cand.callee, scannable)
+            site = self._first_site(caller, cand.callee)
             if site is None:
-                continue  # an earlier transform removed the call
-            block_label, instr_index = site
-            call = caller.block(block_label).instrs[instr_index]
-            if len(call.args) != callee.n_params:
+                continue  # an earlier splice consumed the call
+            if len(site.args) != callee.n_params:
                 # Mismatched interface (paper section 6.3): leave the call
                 # for the runtime checker rather than splice garbage.
                 continue
-            callee_view = self.ctx.views.get(callee.name)
-            cont_label = splice_call(
-                caller,
-                block_label,
-                instr_index,
-                callee,
-                caller_view=caller_view,
-                callee_view=callee_view,
-                site_weight=cand.weight,
+            delta = callee.n_params + callee.instr_count - callee.probe_count
+            if site.has_dst:
+                delta += callee.ret_count
+            caller.sites.remove(site)
+            caller.instr_count += delta
+            self.plan.splices.append(
+                SpliceOp(caller.name, cand.callee, cand.weight)
             )
-            scannable.add(cont_label)
-            if (
-                options.inject_inline_bug_after is not None
-                and self.stats.performed + 1
-                == options.inject_inline_bug_after
-            ):
-                _inject_bug(caller, cont_label)
             self.stats.record(
-                caller.module_name, callee.module_name,
-                caller=caller.name, callee=callee.name,
+                caller.module, callee.module,
+                caller=caller.name, callee=cand.callee,
             )
-            self._set_size(caller.name, caller.instr_count())
-        self._set_size(caller.name, caller.instr_count())
+            self._set_size(caller.name, caller.instr_count)
+        self._set_size(caller.name, caller.instr_count)
+
+    @staticmethod
+    def _first_site(
+        caller: RoutineFacts, callee_name: str
+    ) -> Optional[SiteFacts]:
+        """First remaining summary site calling ``callee_name``.
+
+        The facts site list *is* the flat scannable order of
+        :meth:`_find_site`: a real splice keeps earlier sites in place
+        (head of the split block), preserves later ones (continuation),
+        and contributes no scannable sites from the cloned body -- so
+        dropping the consumed entry keeps both orders in lockstep.
+        """
+        for site in caller.sites:
+            if site.callee == callee_name:
+                return site
+        return None
 
     @staticmethod
     def _find_site(

@@ -13,12 +13,17 @@ Three whole-program facts are computed and published into the
   calls it);
 * **constant returns**: routines that provably return one literal value
   are recorded so callers can fold calls to pure ones.
+
+The decisions are made over :class:`~repro.incr.summary.RoutineFacts`;
+the entry bindings they imply are recorded on the WPA plan and applied
+to the real bodies by :func:`apply_param_constants` at replay.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ...incr.summary import RoutineFacts, apply_entry_bindings
 from ...ir.instructions import Instr, Opcode
 from ...ir.program import ENTRY_NAME
 from ...ir.routine import Routine
@@ -28,73 +33,25 @@ from ..passes import OptContext
 _CONFLICT = object()
 
 
-def _const_def_in_block(routine: Routine, block_label: str, upto: int,
-                        reg: int) -> Optional[int]:
-    """Value of ``reg`` at ``block[upto]`` if set by a CONST in-block."""
-    value: Optional[int] = None
-    for instr in routine.block(block_label).instrs[:upto]:
-        if instr.dst == reg:
-            value = instr.imm if instr.op is Opcode.CONST else None
-    return value
-
-
-def gather_param_constants(
-    routines: Iterable[Routine],
-    resolve: Callable[[str], Optional[Routine]],
-) -> Dict[str, List[Optional[int]]]:
-    """Map routine name -> per-parameter constant (None = not constant).
-
-    A parameter is constant when *every* call site passes the same
-    literal (a CONST definition visible in the site's own block).
-    """
-    facts: Dict[str, list] = {}
-    for caller in routines:
-        for block_label, index, callee_name in caller.call_sites():
-            callee = resolve(callee_name)
-            if callee is None:
-                continue
-            call = caller.block(block_label).instrs[index]
-            slots = facts.setdefault(callee_name, [None] * callee.n_params)
-            for param_index, arg_reg in enumerate(call.args):
-                if param_index >= len(slots):
-                    continue
-                observed = _const_def_in_block(
-                    caller, block_label, index, arg_reg
-                )
-                current = slots[param_index]
-                if observed is None:
-                    slots[param_index] = _CONFLICT
-                elif current is None:
-                    slots[param_index] = observed
-                elif current is not _CONFLICT and current != observed:
-                    slots[param_index] = _CONFLICT
-    return {
-        name: [v if isinstance(v, int) else None for v in slots]
-        for name, slots in facts.items()
-    }
-
-
 def apply_param_constants(
-    routine: Routine, constants: List[Optional[int]]
-) -> int:
-    """Materialize known-constant parameters at the routine entry."""
-    bindings = [
-        (index, value)
-        for index, value in enumerate(constants[: routine.n_params])
-        if value is not None
-    ]
-    if not bindings:
-        return 0
+    routine: Routine, bindings: Sequence[Tuple[int, int]]
+) -> None:
+    """Materialize ``(param_index, value)`` bindings at the routine entry.
+
+    The one place CONSTs are bound at an entry: IPCP replay and clone
+    creation both come through here, and
+    :func:`~repro.incr.summary.apply_entry_bindings` is its image on
+    facts.
+    """
     entry = routine.entry
     for offset, (param_index, value) in enumerate(bindings):
         entry.instrs.insert(
             offset, Instr(Opcode.CONST, dst=param_index, imm=value)
         )
     routine.invalidate()
-    return len(bindings)
 
 
-def constant_return_value(routine: Routine) -> Optional[int]:
+def constant_return_value(facts: RoutineFacts) -> Optional[int]:
     """The single literal this routine always returns, if provable.
 
     Conservative: each RET must return a register set by an in-block
@@ -102,17 +59,9 @@ def constant_return_value(routine: Routine) -> Optional[int]:
     """
     result: Optional[int] = None
     found_any = False
-    for block in routine.blocks:
-        term = block.terminator
-        if term is None or term.op is not Opcode.RET:
-            continue
+    for ret in facts.rets:
         found_any = True
-        if term.a is None:
-            value: Optional[int] = 0
-        else:
-            value = _const_def_in_block(
-                routine, block.label, len(block.instrs) - 1, term.a
-            )
+        value = 0 if ret.reg is None else ret.value
         if value is None:
             return None
         if result is None:
@@ -122,28 +71,61 @@ def constant_return_value(routine: Routine) -> Optional[int]:
     return result if found_any else None
 
 
+def gather_param_constants(
+    routine_names: Iterable[str],
+    facts_by_name: Dict[str, RoutineFacts],
+) -> Dict[str, List[Optional[int]]]:
+    """Map routine name -> per-parameter constant (None = not constant).
+
+    A parameter is constant when *every* call site passes the same
+    literal (a CONST definition visible in the site's own block).
+    """
+    slots_by: Dict[str, list] = {}
+    for name in routine_names:
+        caller = facts_by_name.get(name)
+        if caller is None:
+            continue
+        for site in caller.sites:
+            callee = facts_by_name.get(site.callee)
+            if callee is None:
+                continue
+            slots = slots_by.setdefault(site.callee,
+                                        [None] * callee.n_params)
+            for param_index, (_reg, observed, _has_def) in enumerate(
+                    site.args):
+                if param_index >= len(slots):
+                    continue
+                current = slots[param_index]
+                if observed is None:
+                    slots[param_index] = _CONFLICT
+                elif current is None:
+                    slots[param_index] = observed
+                elif current is not _CONFLICT and current != observed:
+                    slots[param_index] = _CONFLICT
+    return {
+        name: [v if isinstance(v, int) else None for v in slots]
+        for name, slots in slots_by.items()
+    }
+
+
 def publish_interprocedural_facts(
     ctx: OptContext,
     routine_names: List[str],
-    resolve: Callable[[str], Optional[Routine]],
+    facts_by_name: Dict[str, RoutineFacts],
     all_global_names: Iterable[str],
+    plan,
     externally_callable: "frozenset[str]" = frozenset(),
     externally_visible_globals: "frozenset[str]" = frozenset(),
-    fact_log: Optional[Dict[str, List[Optional[int]]]] = None,
 ) -> Dict[str, int]:
     """Fill ctx.readonly_globals / ctx.const_returns; bind const params.
 
-    ``resolve`` is called one routine at a time so the NAIM loader can
-    keep memory bounded.  Under *coarse selectivity* not every module is
-    in the CMO set, so facts that depend on seeing every caller/writer
-    are suppressed for ``externally_callable`` routines and
+    Entry bindings are appended to ``plan.bindings`` and the facts are
+    mutated the way :func:`apply_param_constants` will mutate the
+    bodies.  Under *coarse selectivity* not every module is in the CMO
+    set, so facts that depend on seeing every caller/writer are
+    suppressed for ``externally_callable`` routines and
     ``externally_visible_globals`` symbols (referenced by non-CMO
     objects).  Returns {routine_name: n params bound}.
-
-    ``fact_log`` (a dict) receives routine -> the per-parameter
-    constants materialized into it -- the lattice facts the routine's
-    module consumed from its callers, recorded for the incremental
-    engine's dependency edges.
     """
     bound: Dict[str, int] = {}
     if not ctx.options.ipcp_enabled:
@@ -155,33 +137,31 @@ def publish_interprocedural_facts(
             - set(externally_visible_globals)
         )
 
-    def routines():
-        for name in routine_names:
-            routine = resolve(name)
-            if routine is not None:
-                yield routine
-
-    param_facts = gather_param_constants(routines(), resolve)
+    param_facts = gather_param_constants(routine_names, facts_by_name)
     for name in routine_names:
         if name == ENTRY_NAME or name in externally_callable:
             continue
         constants = param_facts.get(name)
-        if constants:
-            routine = resolve(name)
-            if routine is None:
-                continue
-            count = apply_param_constants(routine, constants)
-            if count:
-                bound[name] = count
-                ctx.stats.bump("ipcp_params", count)
-                if fact_log is not None:
-                    fact_log[name] = list(constants)
-
-    for name in routine_names:
-        routine = resolve(name)
-        if routine is None:
+        facts = facts_by_name.get(name)
+        if not constants or facts is None:
             continue
-        value = constant_return_value(routine)
+        binds = [
+            (index, value)
+            for index, value in enumerate(constants[:facts.n_params])
+            if value is not None
+        ]
+        if binds:
+            bound[name] = len(binds)
+            ctx.stats.bump("ipcp_params", len(binds))
+            plan.bindings.append((name, binds))
+            apply_entry_bindings(facts, binds)
+
+    # Constant returns, over the post-binding facts.
+    for name in routine_names:
+        facts = facts_by_name.get(name)
+        if facts is None:
+            continue
+        value = constant_return_value(facts)
         if value is not None:
             ctx.const_returns[name] = value
     return bound

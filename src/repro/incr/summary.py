@@ -13,13 +13,18 @@ Two layers of fingerprinting drive the incremental engine:
   fingerprints taken *after* the whole-program phases (DFE, IPCP,
   cloning, inlining) but before the scalar pipeline and code
   generation.  The key covers everything those two expensive phases
-  can observe about a module -- post-inline routine bodies, profile
-  views, selectivity membership, and the interprocedural fact slice
-  (callee mod/ref + constant returns, readonly globals and their
-  initializers).  Equal key therefore implies byte-identical machine
-  code, so cached codegen output can be spliced in unchanged.  This
-  is the WHOPR-style split: the cheap "thin link" analysis re-runs
-  every build; only per-module optimization and codegen are skipped.
+  can observe about a module -- what determines each post-replay
+  routine body, profile views, selectivity membership, and the
+  interprocedural fact slice (callee mod/ref + constant returns,
+  readonly globals and their initializers).  Equal key therefore
+  implies byte-identical machine code, so cached codegen output can
+  be spliced in unchanged.  This is the WHOPR-style split: the cheap
+  "thin link" analysis re-runs every build; only per-module
+  optimization and codegen are skipped.
+
+The second half of the module is what that whole-program analysis
+decides from: :class:`RoutineFacts`, with :func:`extract_routine_facts`
+the only body -> facts view.
 """
 
 from __future__ import annotations
@@ -206,17 +211,29 @@ class ConsumedFacts:
 def compute_module_keys(
     unit,
     ctx,
+    facts_by_name: Dict[str, RoutineFacts],
+    orig_hashes: Dict[str, str],
+    plan,
     selected: Set[str],
     clones: Set[str],
     options_fp: str,
 ) -> Tuple[Dict[str, str], Dict[str, ConsumedFacts]]:
-    """Exact per-module reuse keys over post-inline program state.
+    """Exact per-module reuse keys over the post-WPA program state.
 
-    ``unit`` is the HLO :class:`~repro.hlo.driver.CmoUnit` after the
-    inlining phase; ``ctx`` the :class:`~repro.hlo.passes.OptContext`
-    carrying the published interprocedural facts.  Returns
-    ``(keys, consumed)``: the reuse key and the consumed-fact record
-    for every module in the unit.
+    ``unit`` is the HLO :class:`~repro.hlo.driver.CmoUnit`, ``ctx`` the
+    :class:`~repro.hlo.passes.OptContext` carrying the published
+    interprocedural facts, ``plan`` the recorded
+    :class:`~repro.hlo.thin.WpaPlan`.  Returns ``(keys, consumed)``:
+    the reuse key and the consumed-fact record for every module in the
+    unit.
+
+    Each routine gets an *evolution hash* E(r) covering everything that
+    determines its post-replay body and profile view: the original body
+    hash (or, for clones, the origin's evolution plus the creation
+    point and bindings), IPCP bindings, retargets, ordered splices with
+    the callee's own E, and the initial view.  Consumed callee/global
+    sets are computed by residual closure over the plan (spliced bodies
+    contribute their own residual calls and globals).
 
     Soundness: the scalar pipeline and LLO consume, per routine, the
     routine body, its profile view, ``ctx.modref`` / ``ctx.const_returns``
@@ -225,38 +242,105 @@ def compute_module_keys(
     here, so key equality implies the downstream phases would produce
     identical output.
     """
+    bindings_of = {name: binds for name, binds in plan.bindings}
+    splices_of: Dict[str, list] = {}
+    for op in plan.splices:
+        splices_of.setdefault(op.caller, []).append(op)
+    clone_ops = {op.clone: op for op in plan.clones}
+    # Retargets on each caller, in plan order, with the global clone
+    # sequence number (a clone's facts inherit only retargets recorded
+    # before its creation).
+    retargets_of: Dict[str, List[Tuple[int, str, int, str]]] = {}
+    clone_seq: Dict[str, int] = {}
+    for seq, op in enumerate(plan.clones):
+        clone_seq[op.clone] = seq
+        for caller, label, index in op.retargets:
+            retargets_of.setdefault(caller, []).append(
+                (seq, label, index, op.clone)
+            )
+
+    evo_memo: Dict[str, str] = {}
+
+    def evolution(name: str) -> str:
+        cached = evo_memo.get(name)
+        if cached is not None:
+            return cached
+        digest = hashlib.sha256()
+        clone_op = clone_ops.get(name)
+        if clone_op is not None:
+            digest.update(
+                ("cl|%s|%s|%d|%r|" % (
+                    clone_op.origin, evolution(clone_op.origin),
+                    clone_seq[name], clone_op.bindings,
+                )).encode("utf-8")
+            )
+        else:
+            digest.update(
+                ("o|%s|" % orig_hashes.get(name, "-")).encode("utf-8")
+            )
+        digest.update(
+            ("b:%r;" % bindings_of.get(name, [])).encode("utf-8")
+        )
+        for seq, label, index, new_callee in retargets_of.get(name, ()):
+            digest.update(
+                ("t:%d/%s/%d=%s;" % (seq, label, index, new_callee))
+                .encode("utf-8")
+            )
+        for op in splices_of.get(name, ()):
+            digest.update(
+                ("i:%s/%s/%d;" % (op.callee, evolution(op.callee),
+                                  op.weight)).encode("utf-8")
+            )
+        facts = facts_by_name.get(name)
+        digest.update(
+            view_fingerprint(facts.view if facts is not None else None)
+            .encode("utf-8")
+        )
+        value = digest.hexdigest()[:16]
+        evo_memo[name] = value
+        return value
+
+    residual_memo: Dict[str, Tuple[Set[str], Set[str]]] = {}
+
+    def residual(name: str) -> Tuple[Set[str], Set[str]]:
+        cached = residual_memo.get(name)
+        if cached is not None:
+            return cached
+        facts = facts_by_name[name]
+        callees = {site.callee for site in facts.sites}
+        globals_ = set(facts.referenced_globals)
+        residual_memo[name] = (callees, globals_)  # cycle guard
+        for op in splices_of.get(name, ()):
+            sub_callees, sub_globals = residual(op.callee)
+            callees |= sub_callees
+            globals_ |= sub_globals
+        residual_memo[name] = (callees, globals_)
+        return residual_memo[name]
+
     routines_of: Dict[str, List[str]] = {}
     for name in unit.routine_names():
         routines_of.setdefault(unit.routine_module[name], []).append(name)
-
-    keys: Dict[str, str] = {}
-    consumed: Dict[str, ConsumedFacts] = {}
     in_unit = set(unit.routine_names())
 
+    keys: Dict[str, str] = {}
+    consumed: Dict[str, "ConsumedFacts"] = {}
     for module_name, names in routines_of.items():
         digest = hashlib.sha256()
-        digest.update(("v%d|" % SUMMARY_FORMAT).encode("utf-8"))
+        # The "thin|" prefix is frozen key bytes: existing state dirs
+        # stay warm.
+        digest.update(("thin|v%d|" % SUMMARY_FORMAT).encode("utf-8"))
         digest.update(options_fp.encode("utf-8"))
         digest.update(("|%s|" % module_name).encode("utf-8"))
         facts = ConsumedFacts(module_name)
-
         for name in names:
-            routine = unit.routine(name)
-            if routine is None:
-                digest.update(("!%s;" % name).encode("utf-8"))
-                continue
             optimized = name in selected or name in clones
             digest.update(
-                ("r:%s/%d=%s+%s;" % (
-                    name, int(optimized), routine_body_hash(routine),
-                    view_fingerprint(ctx.views.get(name)),
-                )).encode("utf-8")
+                ("r:%s/%d=%s;" % (name, int(optimized), evolution(name)))
+                .encode("utf-8")
             )
-            facts.callees.update(routine.callees())
-            facts.globals.update(routine.referenced_globals())
-            unit.unload(name)
-
-        # The interprocedural fact slice this module's passes can read.
+            sub_callees, sub_globals = residual(name)
+            facts.callees.update(sub_callees)
+            facts.globals.update(sub_globals)
         for callee in sorted(facts.callees):
             modref = (
                 modref_fingerprint(ctx.modref.for_routine(callee))
@@ -279,22 +363,21 @@ def compute_module_keys(
                 ("g:%s/%d/%s;" % (global_name, int(readonly), shape))
                 .encode("utf-8")
             )
-
         keys[module_name] = digest.hexdigest()
         consumed[module_name] = facts
     return keys, consumed
 
 
-# -- Enriched per-routine facts (summary-only WPA) ------------------------------
+# -- Per-routine facts (what WPA decides from) ------------------------------
 #
-# The thin whole-program phase (``--wpa-mode summary``) runs every
-# cross-module decision -- IPCP seeds, cloning, the inline plan, DFE --
-# against these facts instead of expanded routine bodies.  The facts
-# therefore record exactly what those passes can observe: sizes, call
-# edges with per-argument constness, return constness, direct mod/ref,
-# and the initial profile view.  Argument/return constness mirrors
-# ``ipcp._const_def_in_block``: the *latest* same-block definition of
-# the register before the site, constant only when it is a CONST.
+# The whole-program phase runs every cross-module decision -- IPCP
+# seeds, cloning, the inline plan, DFE -- against these facts instead
+# of expanded routine bodies.  The facts therefore record exactly what
+# those passes can observe: sizes, call edges with per-argument
+# constness, return constness, direct mod/ref, and the initial profile
+# view.  Argument/return constness is block-local: the *latest*
+# same-block definition of the register before the site, constant only
+# when it is a CONST.
 
 
 class SiteFacts:
@@ -383,8 +466,8 @@ class RoutineFacts:
         self.instr_count = 0
         #: PROBE / RET instruction counts.  Both are invariant under the
         #: callee's own prior inlining (spliced-in bodies drop probes and
-        #: rewrite RETs to jumps), which is what makes the thin inline
-        #: size formula exact.
+        #: rewrite RETs to jumps), which is what makes the inline size
+        #: formula exact.
         self.probe_count = 0
         self.ret_count = 0
         self.sites: List[SiteFacts] = []
@@ -394,7 +477,7 @@ class RoutineFacts:
         self.mod: Set[str] = set()
         self.ref: Set[str] = set()
         self.has_calls = False
-        #: Initial profile view (measured or static estimate); the thin
+        #: Initial profile view (measured or static estimate); the WPA
         #: phases read it, they never evolve it -- view evolution happens
         #: at plan replay.
         self.view = None
@@ -485,11 +568,10 @@ class RoutineFacts:
 def extract_routine_facts(routine: Routine, view=None) -> RoutineFacts:
     """Summarize one routine body in a single pass.
 
-    Constness tracking matches ``ipcp._const_def_in_block``: walking
-    each block, the running definition map holds the latest value each
-    register was assigned in-block (a literal for CONST, None for any
-    other producer); call/RET facts read the map *before* the
-    instruction's own definition lands.
+    Constness tracking: walking each block, the running definition
+    map holds the latest value each register was assigned in-block (a
+    literal for CONST, None for any other producer); call/RET facts
+    read the map *before* the instruction's own definition lands.
     """
     facts = RoutineFacts(routine.name, routine.module_name,
                          routine.n_params, bool(routine.exported))
@@ -540,10 +622,10 @@ def apply_entry_bindings(facts: RoutineFacts, bindings) -> None:
     """Mutate facts for CONSTs inserted at the routine entry.
 
     ``bindings`` is the ordered [(dst_register, value), ...] list that
-    ``ipcp.apply_param_constants`` / ``clone.make_clone`` insert at
-    entry offsets 0..k-1.  Entry-block sites shift by k; an argument or
-    returned register with no own in-block definition now sees the
-    binding's CONST.
+    ``ipcp.apply_param_constants`` inserts at entry offsets 0..k-1
+    (for IPCP bindings and for ``clone.make_clone``).  Entry-block
+    sites shift by k; an argument or returned register with no own
+    in-block definition now sees the binding's CONST.
     """
     k = len(bindings)
     if not k:
@@ -564,19 +646,3 @@ def apply_entry_bindings(facts: RoutineFacts, bindings) -> None:
             continue
         ret.value = bound.get(ret.reg)
         ret.has_def = ret.reg in bound
-
-
-def facts_constant_return(facts: RoutineFacts) -> Optional[int]:
-    """``ipcp.constant_return_value`` over facts instead of a body."""
-    result: Optional[int] = None
-    found_any = False
-    for ret in facts.rets:
-        found_any = True
-        value = 0 if ret.reg is None else ret.value
-        if value is None:
-            return None
-        if result is None:
-            result = value
-        elif result != value:
-            return None
-    return result if found_any else None

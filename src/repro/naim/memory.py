@@ -102,11 +102,11 @@ def callgraph_bytes(callgraph: "CallGraph") -> int:
 
 
 def routine_facts_bytes(facts) -> int:
-    """Modeled bytes of one routine's thin-WPA summary record.
+    """Modeled bytes of one routine's WPA summary record.
 
-    This is what bounds the coordinator's peak under ``--wpa-mode
-    summary``: the whole-program phases keep only these (plus the
-    always-resident globals), never expanded bodies.
+    This is what bounds the coordinator's peak: the whole-program
+    phases keep only these (plus the always-resident globals), never
+    expanded bodies.
     """
     n_args = sum(len(site.args) for site in facts.sites)
     return (

@@ -48,11 +48,10 @@ class Partition:
         #: splicing preserves).
         self.routines = routines
         self.weight = weight
-        #: Summary-only WPA: non-local routine bodies this partition's
-        #: plan replay reads (splice callees and clone origins, closed
-        #: transitively).  Workers import exactly these -- read-only --
-        #: and nothing else; empty under materializing WPA and for
-        #: partitions whose replay is self-contained.
+        #: Non-local routine bodies this partition's plan replay reads
+        #: (splice callees and clone origins, closed transitively).
+        #: Workers import exactly these -- read-only -- and nothing
+        #: else; empty for partitions whose replay is self-contained.
         self.imports: List[str] = imports or []
 
     def __repr__(self) -> str:
@@ -181,11 +180,11 @@ def partition_unit(hlo_result: "HloResult",
             )
         )
 
-    # Summary-only WPA: each partition lists the callee bodies its
-    # plan replay must read from outside the partition, so workers
-    # fetch exactly (locals + imports) and no more.
-    plan = getattr(hlo_result, "plan", None)
-    if plan is not None and not hlo_result._plan_replayed:
+    # Each partition lists the callee bodies its plan replay must read
+    # from outside the partition, so workers fetch exactly (locals +
+    # imports) and no more.
+    plan = hlo_result.pending_plan
+    if plan is not None:
         for partition in partitions:
             partition.imports = plan.imports_for(partition.routines)
     return partitions

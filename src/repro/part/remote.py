@@ -171,5 +171,5 @@ class RemotePartitionRunner(PartitionRunner):
         if self.plan is not None:
             # Workers replayed their plan slices; the returned pools
             # are final bodies, so phase 5 must not replay again.
-            self.hlo_result._plan_replayed = True
+            self.hlo_result.mark_plan_replayed()
         return result

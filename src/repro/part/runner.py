@@ -107,15 +107,10 @@ class PartitionRunner:
         #: incremental reuse already applied); everything else in a
         #: partition is codegen-only.
         self.scalar_set = frozenset(hlo_result.scalar_worklist())
-        #: Summary-only WPA: the body-mutation plan each worker replays
-        #: over its locals + imports before the scalar loop (None once
-        #: bodies are already materialized).
-        self.plan = (
-            hlo_result.plan
-            if hlo_result.plan is not None
-            and not hlo_result._plan_replayed
-            else None
-        )
+        #: The body-mutation plan each worker replays over its locals +
+        #: imports before the scalar loop (None once the link side has
+        #: already replayed it).
+        self.plan = hlo_result.pending_plan
 
     # -- Entry point -------------------------------------------------------------
 
@@ -154,7 +149,7 @@ class PartitionRunner:
         for partition in partitions:
             self._fold(result, outcome.results["ltrans:p%d" % partition.index])
         if self.plan is not None:
-            self.hlo_result._plan_replayed = True
+            self.hlo_result.mark_plan_replayed()
         return result
 
     # -- Link-thread side --------------------------------------------------------
@@ -296,13 +291,17 @@ class PartitionRunner:
         ctx.readonly_globals = shared_ctx.readonly_globals
         ctx.const_returns = shared_ctx.const_returns
 
-        # Summary-only WPA: materialize this partition's slice of the
-        # plan (locals mutate; imports are read as splice callees and
-        # clone origins) before any scalar work.
+        # Materialize this partition's slice of the plan (locals
+        # mutate; imports are read as splice callees and clone origins)
+        # before any scalar work.
         names = [transfer.name for transfer in batch]
         if self.plan is not None:
             names = list(partition.routines)
-            self._replay_in_worker(partition, worker_loader, handles, ctx)
+            replay_plan(
+                self.plan,
+                set(partition.routines) | set(partition.imports),
+                worker_loader, handles, ctx.views, ctx.options,
+            )
             for transfer in imports:
                 handle = handles.pop(transfer.name, None)
                 if handle is not None:
@@ -366,39 +365,3 @@ class PartitionRunner:
             if name in ctx.views
         }
         return outcome
-
-    def _replay_in_worker(self, partition: Partition, worker_loader,
-                          handles, ctx) -> None:
-        """Replay the plan slice whose mutations land in this partition."""
-        scope = set(partition.routines) | set(partition.imports)
-
-        def resolve(name):
-            handle = handles.get(name)
-            return handle.get() if handle is not None else None
-
-        def adopt_clone(clone):
-            handles[clone.name] = worker_loader.adopt_routine(
-                clone.name, expanded=clone
-            )
-
-        def pin(name):
-            handle = handles.get(name)
-            if handle is not None:
-                worker_loader.pin(handle)
-
-        def release(name):
-            handle = handles.get(name)
-            if handle is not None:
-                worker_loader.unpin(handle)
-                worker_loader.reaccount(handle)
-                handle.request_unload()
-
-        def unload(name):
-            handle = handles.get(name)
-            if handle is not None:
-                handle.request_unload()
-
-        replay_plan(
-            self.plan, scope, resolve, ctx.views, ctx.options,
-            adopt_clone, pin=pin, release=release, unload=unload,
-        )

@@ -196,15 +196,13 @@ def _decode_naim(payload: Dict) -> NaimConfig:
 
 
 def _plan_payload(hlo_result) -> Optional[Dict]:
-    """The pending thin-WPA replay plan, or None.
+    """The pending WPA replay plan, or None.
 
     A plan ships only while it is still pending: once the link side
-    has replayed it (or under materializing WPA, where none exists),
-    workers receive final bodies and must not re-apply mutations."""
-    plan = getattr(hlo_result, "plan", None)
-    if plan is None or getattr(hlo_result, "_plan_replayed", False):
-        return None
-    return plan.to_dict()
+    has replayed it, workers receive final bodies and must not
+    re-apply mutations."""
+    plan = hlo_result.pending_plan
+    return None if plan is None else plan.to_dict()
 
 
 def encode_shared_context(hlo_result, llo_options: LloOptions,
@@ -349,9 +347,9 @@ class SharedJobContext:
         self.const_returns = dict(payload.get("const_returns", {}))
         self.scalar_set = frozenset(payload.get("scalar", ()))
         plan_payload = payload.get("plan")
-        #: Pending thin-WPA replay plan (None under materializing WPA
-        #: or when the link side already replayed).  Read-only across
-        #: jobs: replay_plan never mutates the plan itself.
+        #: Pending WPA replay plan (None when the link side already
+        #: replayed).  Read-only across jobs: replay_plan never mutates
+        #: the plan itself.
         self.plan = (
             WpaPlan.from_dict(plan_payload)
             if plan_payload is not None else None
@@ -448,47 +446,6 @@ def decode_outcome(partition, payload: Dict) -> _PartitionOutcome:
 # -- Worker-side execution ---------------------------------------------------------
 
 
-def _replay_job_plan(shared: SharedJobContext, job: Dict,
-                     worker_loader: Loader, handles: Dict,
-                     ctx: OptContext) -> None:
-    """Worker-side mirror of ``PartitionRunner._replay_in_worker``:
-    apply the thin-WPA plan slice scoped to this job's locals plus
-    its import list, creating clone bodies as needed."""
-    scope = {entry["name"] for entry in job["routines"]}
-    scope.update(entry["name"] for entry in job.get("imports") or [])
-
-    def resolve(name):
-        handle = handles.get(name)
-        return handle.get() if handle is not None else None
-
-    def adopt_clone(clone):
-        handles[clone.name] = worker_loader.adopt_routine(
-            clone.name, expanded=clone
-        )
-
-    def pin(name):
-        handle = handles.get(name)
-        if handle is not None:
-            worker_loader.pin(handle)
-
-    def release(name):
-        handle = handles.get(name)
-        if handle is not None:
-            worker_loader.unpin(handle)
-            worker_loader.reaccount(handle)
-            handle.request_unload()
-
-    def unload(name):
-        handle = handles.get(name)
-        if handle is not None:
-            handle.request_unload()
-
-    replay_plan(
-        shared.plan, scope, resolve, ctx.views, shared.hlo_options,
-        adopt_clone, pin=pin, release=release, unload=unload,
-    )
-
-
 def execute_partition_job(shared: SharedJobContext, job: Dict,
                           repository) -> Dict:
     """Run one partition exactly the way the in-process runner does.
@@ -533,7 +490,12 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
     ctx.const_returns = shared.const_returns
 
     if shared.plan is not None:
-        _replay_job_plan(shared, job, worker_loader, handles, ctx)
+        scope = set(names)
+        scope.update(entry["name"] for entry in import_entries)
+        replay_plan(
+            shared.plan, scope, worker_loader, handles, ctx.views,
+            shared.hlo_options,
+        )
         for entry in import_entries:
             handle = handles.pop(entry["name"], None)
             if handle is not None:

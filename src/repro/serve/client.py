@@ -78,7 +78,6 @@ def build_options_from_args(args, sources: Dict[str, str]) -> Dict:
         "jobs": args.jobs,
         "hlo_jobs": args.hlo_jobs,
         "hlo_backend": getattr(args, "hlo_backend", "auto"),
-        "wpa_mode": getattr(args, "wpa_mode", "auto"),
         "checked": bool(args.checked),
         "incremental": bool(getattr(args, "incremental", False)),
         "repo_compress": getattr(args, "repo_compress", 6),

@@ -99,6 +99,15 @@ def _sources_from(options: Dict) -> Dict[str, str]:
     return sources
 
 
+#: Every key a build request's options may carry.
+_BUILD_OPTION_KEYS = frozenset((
+    "sources", "opt_level", "jobs", "hlo_jobs", "partitions",
+    "hlo_backend", "checked", "incremental", "state_dir",
+    "repo_compress", "repo_segment_mb", "prefetch_depth",
+    "profile_path", "profile_feed", "profile_hot", "selectivity",
+))
+
+
 class WarmState:
     """Long-lived build state shared by every daemon request."""
 
@@ -148,6 +157,14 @@ class WarmState:
 
     def _build_config(self, options: Dict):
         """Parse wire build options -> (CompilerOptions, jobs, incr, dir)."""
+        unknown = sorted(set(options) - _BUILD_OPTION_KEYS)
+        if unknown:
+            # A stale client or a typo must not silently build with
+            # defaults.
+            raise RequestError(
+                ERR_BAD_REQUEST,
+                "unknown build option %s" % ", ".join(map(repr, unknown)),
+            )
         opt_level = options.get("opt_level", 2)
         jobs = options.get("jobs", 1)
         hlo_jobs = options.get("hlo_jobs", 1)
@@ -156,11 +173,6 @@ class WarmState:
         if not isinstance(hlo_backend, str):
             raise RequestError(
                 ERR_BAD_REQUEST, "'hlo_backend' must be a string"
-            )
-        wpa_mode = options.get("wpa_mode", "auto")
-        if not isinstance(wpa_mode, str):
-            raise RequestError(
-                ERR_BAD_REQUEST, "'wpa_mode' must be a string"
             )
         for name, value in (("jobs", jobs), ("hlo_jobs", hlo_jobs)):
             if not isinstance(value, int) or value < 1:
@@ -216,7 +228,6 @@ class WarmState:
                 hlo_jobs=hlo_jobs,
                 hlo_partitions=partitions,
                 hlo_backend=hlo_backend,
-                wpa_mode=wpa_mode,
                 naim=NaimConfig(
                     repo_compress_level=repo_compress,
                     repo_segment_bytes=repo_segment_mb * 1024 * 1024,
@@ -246,7 +257,6 @@ class WarmState:
             compiler_options.hlo_jobs,
             compiler_options.hlo_partitions,
             compiler_options.hlo_backend,
-            compiler_options.wpa_mode,
             compiler_options.naim.repo_compress_level,
             compiler_options.naim.repo_segment_bytes,
             compiler_options.naim.repo_prefetch_depth,

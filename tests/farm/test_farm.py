@@ -22,7 +22,7 @@ from repro.farm.transport import ROLE_WORKER, connect
 from repro.farm.worker import FarmWorker
 from repro.linker.objects import encode_executable
 from repro.serve.client import DaemonError
-from repro.serve.protocol import read_message
+from repro.serve.protocol import ERR_BAD_REQUEST, read_message
 from repro.synth import WorkloadConfig, generate
 
 TOKEN = "farm-test-secret"
@@ -157,6 +157,17 @@ class TestFarmByteIdentity:
                 "opt_level": 4, "hlo_jobs": 2,
             })
         assert sum(worker.jobs_done for worker in fleet) >= 3
+
+
+class TestBadOptions:
+    def test_unknown_build_option_refused_by_name(self, farm):
+        coordinator, _ = farm
+        with pytest.raises(DaemonError, match="'wpa_mode'") as excinfo:
+            farm_client(coordinator).build({
+                "sources": farm_sources(), "opt_level": 4,
+                "wpa_mode": "materialize",
+            })
+        assert excinfo.value.code == ERR_BAD_REQUEST
 
 
 class TestZeroWorkers:

@@ -1,9 +1,7 @@
-"""Tests for the standalone clone application path (non-NAIM API)."""
+"""Tests for clone creation and application (plan, apply, replay)."""
 
 from repro.frontend import compile_sources
-from repro.hlo.analysis.modref import ModRefAnalysis
-from repro.hlo.options import HloOptions
-from repro.hlo.passes import OptContext
+from repro.hlo.transforms import clone as clone_transform
 from repro.hlo.transforms.clone import apply_clones, make_clone, plan_clones
 from repro.interp import run_program
 from repro.ir import Opcode, assert_valid_program
@@ -25,17 +23,9 @@ func main() {
 }
 
 
-def setup():
-    program = compile_sources(SOURCES)
-    ctx = OptContext(program.symtab, HloOptions())
-    ctx.modref = ModRefAnalysis.analyze(program.all_routines())
-    return program, ctx
-
-
 class TestMakeClone:
     def test_bindings_at_entry(self):
-        program, _ = setup()
-        kernel = program.routine("kernel")
+        kernel = compile_sources(SOURCES).routine("kernel")
         clone = make_clone(kernel, ((0, 0),), "kernel::cl0")
         first = clone.entry.instrs[0]
         assert first.op is Opcode.CONST
@@ -44,25 +34,28 @@ class TestMakeClone:
         assert clone.annotations["cloned_from"] == "kernel"
 
     def test_original_untouched(self):
-        program, _ = setup()
-        kernel = program.routine("kernel")
+        kernel = compile_sources(SOURCES).routine("kernel")
         before = kernel.instr_count()
         make_clone(kernel, ((0, 0), (1, 9)), "kernel::cl1")
         assert kernel.instr_count() == before
 
 
 class TestApplyClones:
-    def test_end_to_end(self):
-        reference = run_program(compile_sources(SOURCES)).value
-        program, ctx = setup()
-        decisions = plan_clones(
-            ctx, program.all_routines(), program.find_routine
-        )
-        assert decisions, "disagreeing constant sites exist"
+    def decide(self, wpa):
+        harness = wpa(SOURCES)
+        decisions = plan_clones(harness.ctx, harness.names, harness.facts)
         created = apply_clones(
-            ctx, program, decisions, program.find_routine
+            harness.ctx, harness.unit, harness.program, decisions,
+            harness.facts, harness.plan,
         )
+        return harness, decisions, created
+
+    def test_end_to_end(self, wpa):
+        reference = run_program(compile_sources(SOURCES)).value
+        harness, decisions, created = self.decide(wpa)
+        assert decisions, "disagreeing constant sites exist"
         assert created
+        program = harness.replay()
         assert_valid_program(program)
         assert run_program(program).value == reference
         # The fast path now calls a clone.
@@ -70,12 +63,9 @@ class TestApplyClones:
         callee = fast.call_sites()[0][2]
         assert "::cl" in callee
 
-    def test_clone_cap(self):
-        program, ctx = setup()
-        decisions = plan_clones(
-            ctx, program.all_routines(), program.find_routine
-        )
-        created = apply_clones(
-            ctx, program, decisions, program.find_routine, max_clones=0
-        )
+    def test_clone_cap(self, wpa, monkeypatch):
+        monkeypatch.setattr(clone_transform, "MAX_CLONES", 0)
+        harness, decisions, created = self.decide(wpa)
+        assert decisions
         assert created == []
+        assert harness.plan.is_empty()

@@ -1,9 +1,9 @@
 """Unit tests for the inliner: splicing, heuristics, limits."""
 
+import pytest
+
 from repro.frontend import compile_sources
-from repro.hlo.driver import HighLevelOptimizer
 from repro.hlo.options import HloOptions
-from repro.hlo.passes import OptContext
 from repro.hlo.transforms.inline import InlineEngine, splice_call
 from repro.interp import run_program
 from repro.ir import Opcode, assert_valid_routine
@@ -113,17 +113,17 @@ func main() {
 """,
     }
 
+    @pytest.fixture(autouse=True)
+    def _harness(self, wpa):
+        self.wpa = wpa
+
     def run_engine(self, options=None, callers=None):
-        program = program_with(self.CHAIN)
-        ctx = OptContext(program.symtab, options or HloOptions())
-        graph = program.callgraph()
-        for node in graph.nodes.values():
-            for site in node.call_sites:
-                site.weight = 10
-        engine = InlineEngine(ctx, graph, program.find_routine,
-                              has_profiles=True)
+        harness = self.wpa(self.CHAIN, options)
+        engine = InlineEngine(harness.ctx, harness.callgraph(weight=10),
+                              harness.facts, has_profiles=True,
+                              plan=harness.plan)
         stats = engine.run(callers)
-        return program, stats
+        return harness.replay(), stats
 
     def test_bottom_up_inlining(self):
         reference = run_program(program_with(self.CHAIN)).value
@@ -167,7 +167,7 @@ func main() {
 
 
 class TestModulePairScheduling:
-    def test_same_module_callees_grouped(self):
+    def test_same_module_callees_grouped(self, wpa):
         sources = {
             "x": "func x1(v) { return v + 1; }\nfunc x2(v) { return v + 2; }",
             "y": "func y1(v) { return v + 3; }\nfunc y2(v) { return v + 4; }",
@@ -177,16 +177,11 @@ func main() {
 }
 """,
         }
-        program = program_with(sources)
         # Generous budgets: this test is about ordering, not limits.
-        options = HloOptions(inline_program_growth_factor=4.0)
-        ctx = OptContext(program.symtab, options)
-        graph = program.callgraph()
-        for node in graph.nodes.values():
-            for site in node.call_sites:
-                site.weight = 5
-        engine = InlineEngine(ctx, graph, program.find_routine,
-                              has_profiles=True)
+        harness = wpa(sources, HloOptions(inline_program_growth_factor=4.0))
+        engine = InlineEngine(harness.ctx, harness.callgraph(weight=5),
+                              harness.facts, has_profiles=True,
+                              plan=harness.plan)
         stats = engine.run(["main"])
         assert stats.performed == 4
         trace = stats.callee_module_trace

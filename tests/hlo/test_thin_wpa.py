@@ -1,11 +1,12 @@
-"""Summary-only WPA (the thin link): plans, import lists, fallback.
+"""The WPA plan: import closure, partition import lists, fallback.
 
-The byte-identity of summary-mode images across every jobs/backend/
-incremental setting is pinned by the property suite
+The byte-identity of images across every jobs/backend/incremental
+setting is pinned by the golden-image test
+(``tests/integration/test_determinism.py``) and the property suite
 (``tests/property/test_prop_parallel_hlo.py``); these tests cover the
-thin link's own mechanics -- the replay plan's import closure, the
+plan's own mechanics -- the replay plan's import closure, the
 per-partition import lists, the stale-summary fallback, and the
-flat-memory claim the whole refactor exists for.
+flat-memory claim deciding from summaries exists for.
 """
 
 from repro.driver.build import BuildEngine
@@ -94,13 +95,12 @@ class TestPartitionImports:
     def _thin_result(self, sources):
         program = compile_sources(sources)
         return HighLevelOptimizer(
-            program, options=HloOptions(), wpa_mode="summary"
+            program, options=HloOptions()
         ).optimize(run_scalar=False)
 
     def test_partitions_scope_closed_under_plan(self):
         result = self._thin_result(synth_sources())
-        assert result.wpa_mode == "summary"
-        assert result.plan is not None and not result._plan_replayed
+        assert result.pending_plan is result.plan
         partitions = partition_unit(result, 4)
         assert partitions, "synthetic app should partition"
         need = result.plan.import_closure()
@@ -125,21 +125,12 @@ class TestPartitionImports:
         assert len(partitions) == 1
         assert partitions[0].imports == []
 
-    def test_materialize_mode_has_no_imports(self):
-        program = compile_sources(synth_sources())
-        result = HighLevelOptimizer(
-            program, options=HloOptions(), wpa_mode="materialize"
-        ).optimize(run_scalar=False)
-        assert result.plan is None
-        for partition in partition_unit(result, 4):
-            assert partition.imports == []
-
 
 class TestSummaryFallback:
     def test_corrupt_facts_blob_falls_back_with_event(self, tmp_path):
         sources = dict(SOURCES)
         engine = BuildEngine(
-            CompilerOptions(opt_level=4, wpa_mode="summary"),
+            CompilerOptions(opt_level=4),
             incremental=True,
         )
         first, _report = engine.build(sources)
@@ -165,7 +156,7 @@ class TestSummaryFallback:
     def test_missing_facts_blob_falls_back_with_event(self):
         sources = dict(SOURCES)
         engine = BuildEngine(
-            CompilerOptions(opt_level=4, wpa_mode="summary"),
+            CompilerOptions(opt_level=4),
             incremental=True,
         )
         first, _report = engine.build(sources)
@@ -183,7 +174,7 @@ class TestFlatMemory:
     def test_wpa_peak_tracks_summaries_not_bodies(self):
         def peak_and_routines(n_modules):
             build = Compiler(CompilerOptions(
-                opt_level=4, wpa_mode="summary",
+                opt_level=4,
                 naim=NaimConfig.pinned(NaimLevel.OFFLOAD, cache_pools=4),
             )).build(synth_sources(seed=29, n_modules=n_modules))
             hlo = build.hlo_result
@@ -198,17 +189,6 @@ class TestFlatMemory:
         # The summary graph grows with routine count; bodies must not
         # contribute, so peak growth stays well under routine growth.
         assert peak_growth <= 0.5 * routine_growth, (
-            "summary-mode WPA peak grew x%.2f across x%.2f routine "
+            "WPA peak grew x%.2f across x%.2f routine "
             "growth" % (peak_growth, routine_growth)
         )
-
-    def test_summary_mode_wpa_peak_below_materialize(self):
-        sources = synth_sources(seed=29, n_modules=8)
-
-        def wpa_peak(mode):
-            return Compiler(CompilerOptions(
-                opt_level=4, wpa_mode=mode,
-                naim=NaimConfig.pinned(NaimLevel.OFFLOAD, cache_pools=4),
-            )).build(sources).hlo_result.wpa_peak_bytes
-
-        assert wpa_peak("summary") < wpa_peak("materialize")

@@ -40,6 +40,7 @@ def stub_result(module_routines, weights=None, pairs=None, reused=()):
         ctx=SimpleNamespace(views=views),
         inline_stats=SimpleNamespace(module_pairs=dict(pairs or {})),
         reused_modules=set(reused),
+        pending_plan=None,
     )
 
 

@@ -84,50 +84,19 @@ def test_parallel_composes_with_incremental(seed):
             assert encode_executable(again.executable) == reference
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=10**6),
-    n_modules=st.integers(min_value=2, max_value=7),
-)
-@settings(deadline=None, max_examples=5,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_summary_wpa_matches_materialize(seed, n_modules):
-    """The thin link changes WHEN bodies load, never the image: for
-    ANY synthetic program, summary-mode WPA is byte-identical to
-    materializing WPA at every jobs/backend setting."""
-    sources = small_app(seed, n_modules).sources
-    reference = encode_executable(
-        Compiler(
-            CompilerOptions(opt_level=4, wpa_mode="materialize")
-        ).build(sources).executable
-    )
-    for backend in BACKENDS:
-        for jobs in JOBS:
-            build = Compiler(
-                CompilerOptions(opt_level=4, hlo_jobs=jobs,
-                                hlo_backend=backend, wpa_mode="summary")
-            ).build(sources)
-            assert encode_executable(build.executable) == reference, (
-                "summary WPA diverged at hlo_jobs=%d (%s)"
-                % (jobs, backend)
-            )
-
-
 @given(seed=st.integers(min_value=0, max_value=10**6))
 @settings(deadline=None, max_examples=3,
           suppress_health_check=[HealthCheck.too_slow])
 def test_summary_wpa_composes_with_incremental(seed):
-    """Summary-mode incremental rebuilds (cold, warm no-op, and
-    changed-module) stay byte-identical to materializing builds of the
-    same sources, and the facts cache never perturbs reuse."""
+    """Incremental rebuilds (cold, warm no-op, and changed-module) stay
+    byte-identical to clean non-incremental builds of the same
+    sources, and the facts cache never perturbs reuse."""
     app = small_app(seed)
     reference = encode_executable(
-        Compiler(
-            CompilerOptions(opt_level=4, wpa_mode="materialize")
-        ).build(app.sources).executable
+        Compiler(CompilerOptions(opt_level=4)).build(app.sources).executable
     )
     engine = BuildEngine(
-        CompilerOptions(opt_level=4, hlo_jobs=2, hlo_backend="threads",
-                        wpa_mode="summary"),
+        CompilerOptions(opt_level=4, hlo_jobs=2, hlo_backend="threads"),
         incremental=True,
     )
     cold, _report = engine.build(app.sources)
@@ -138,8 +107,8 @@ def test_summary_wpa_composes_with_incremental(seed):
     assert encode_executable(warm.executable) == reference
 
     # Touch one module; the changed module re-extracts its facts, the
-    # rest feed thin WPA from the cache -- and the image still matches
-    # a from-scratch materializing build of the changed sources.
+    # rest feed WPA from the cache -- and the image still matches a
+    # from-scratch build of the changed sources.
     changed_name = sorted(app.sources)[0]
     changed = dict(app.sources)
     changed[changed_name] = (
@@ -148,9 +117,7 @@ def test_summary_wpa_composes_with_incremental(seed):
         % (seed % 97, seed % 11)
     )
     changed_reference = encode_executable(
-        Compiler(
-            CompilerOptions(opt_level=4, wpa_mode="materialize")
-        ).build(changed).executable
+        Compiler(CompilerOptions(opt_level=4)).build(changed).executable
     )
     rebuilt, _report = engine.build(changed)
     assert encode_executable(rebuilt.executable) == changed_reference

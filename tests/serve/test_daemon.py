@@ -218,6 +218,10 @@ class TestControlPlane:
         ({"sources": {}}, "empty"),
         ({"sources": {"m": "x"}, "jobs": 0}, "jobs"),
         ({"sources": {"m": "x"}, "opt_level": 9}, "opt"),
+        # A stale client (the option was removed) and a typo: named,
+        # never silently built with defaults.
+        ({"sources": {"m": "x"}, "wpa_mode": "summary"}, "'wpa_mode'"),
+        ({"sources": {"m": "x"}, "hlo_job": 4}, "'hlo_job'"),
     ])
     def test_bad_build_options_rejected(self, served, options, pattern):
         _, client = served
