@@ -1,12 +1,12 @@
-"""Partitioned parallel LTRANS: thread vs process backends vs serial.
+"""Partitioned parallel LTRANS: in-process and process transports vs serial.
 
 Builds a synthetic ~28-module program at +O4 (NAIM in OFFLOAD mode,
 so routine pools round-trip through the repository) serially, then
-with the partitioned backend on BOTH executors -- GIL-bound threads
-and worker processes fed by one shared-memory context blob -- at
+partitioned: once in the link process (what ``auto`` picks for one
+worker) and on worker processes fed by one shared-memory blob at
 ``--hlo-jobs`` 1/2/4.  Every image is byte-compared against the
 serial build; the table reports the LTRANS phase wall-clock plus the
-process backend's overheads (spawn time, published blob size).
+process transport's overheads (spawn time, published blob size).
 
 The phase being compared:
 
@@ -17,10 +17,9 @@ The phase being compared:
   (``timings["codegen_cmo"]``, which includes partitioning, blob
   publication, worker dispatch and the stats fold).
 
-Thread rows measure the structural win only (fused single-load phase,
-batched repository reads): the pipeline is pure Python, so the GIL
-bounds thread speedup near 1x regardless of jobs.  Process rows are
-where real CPU parallelism appears -- on a multi-core machine.
+The in-process row prices the wire round-trip (compact, publish,
+decode) with no parallelism to pay for it.  Process rows are where
+real CPU parallelism appears -- on a multi-core machine.
 
 ``--check`` guards against regression machine-independently: byte
 identity must hold everywhere, and the committed speedup-ratio floor
@@ -54,8 +53,9 @@ BASELINE_PATH = os.path.join(
     "baselines", "hlo_parallel_baseline.json",
 )
 
-JOBS = (1, 2, 4)
-BACKENDS = ("threads", "processes")
+#: ``(hlo_jobs, hlo_backend)`` per row: the in-process transport (what
+#: "auto" resolves one worker to), then worker processes.
+SHAPES = ((1, "auto"), (1, "processes"), (2, "processes"), (4, "processes"))
 
 #: When rewriting the baseline, record this fraction of the measured
 #: speedup as the floor (generous: machines and schedulers vary).
@@ -104,50 +104,51 @@ def run_bench(quick=False):
     rows = []
     settings = []
     byte_identical = True
-    for backend in BACKENDS:
-        for jobs in JOBS:
-            # hlo_jobs=1 alone means "serial"; pin the partition count
-            # so every row exercises the partitioned backend.
-            build = _build(app.sources, hlo_jobs=jobs, hlo_partitions=4,
-                           hlo_backend=backend)
-            if encode_executable(build.executable) != reference:
-                byte_identical = False
-            secs = _ltrans_seconds(build, serial=False)
-            stats = build.ltrans_stats or {}
-            speedup = serial_secs / secs if secs else 0.0
-            entry = {
-                "backend": backend,
-                "hlo_jobs": jobs,
-                "effective_jobs": stats.get("effective_jobs", jobs),
-                "ltrans_seconds": secs,
-                "speedup_vs_serial": speedup,
-                "prefetches": build.hlo_result.loader.stats.prefetches,
-                "wpa_seconds": _wpa_seconds(build),
-                "scalar_seconds":
-                    build.hlo_result.phase_seconds.get("scalar", 0.0),
-                "wpa_peak_bytes": build.hlo_result.wpa_peak_bytes,
-                "coordinator_peak_bytes": build.hlo_result.peak_bytes,
-            }
-            extra = ""
-            if backend == "processes":
-                entry["spawn_seconds"] = stats.get("spawn_seconds", 0.0)
-                entry["blob_bytes"] = stats.get("blob_bytes", 0)
-                entry["workers"] = stats.get("workers", 0)
-                extra = ("  [%d workers, spawn %.3fs, blob %.1fKiB]"
-                         % (entry["workers"], entry["spawn_seconds"],
-                            entry["blob_bytes"] / 1024.0))
-            settings.append(entry)
-            rows.append(
-                "  %-30s %8.3fs  (x%.2f vs serial)%s"
-                % ("%s (jobs=%d->%d)"
-                   % (backend, jobs, entry["effective_jobs"]),
-                   secs, speedup, extra)
-            )
+    for jobs, requested in SHAPES:
+        # hlo_jobs=1 alone means "serial"; pin the partition count so
+        # every row exercises the partitioned path.
+        build = _build(app.sources, hlo_jobs=jobs, hlo_partitions=4,
+                       hlo_backend=requested)
+        if encode_executable(build.executable) != reference:
+            byte_identical = False
+        secs = _ltrans_seconds(build, serial=False)
+        stats = build.ltrans_stats or {}
+        backend = stats.get("backend", requested)
+        speedup = serial_secs / secs if secs else 0.0
+        entry = {
+            "backend": backend,
+            "hlo_jobs": jobs,
+            "effective_jobs": stats.get("effective_jobs", jobs),
+            "ltrans_seconds": secs,
+            "speedup_vs_serial": speedup,
+            "prefetches": build.hlo_result.loader.stats.prefetches,
+            "wpa_seconds": _wpa_seconds(build),
+            "scalar_seconds":
+                build.hlo_result.phase_seconds.get("scalar", 0.0),
+            "wpa_peak_bytes": build.hlo_result.wpa_peak_bytes,
+            "coordinator_peak_bytes": build.hlo_result.peak_bytes,
+        }
+        extra = ""
+        if backend == "processes":
+            entry["spawn_seconds"] = stats.get("spawn_seconds", 0.0)
+            entry["blob_bytes"] = stats.get("blob_bytes", 0)
+            entry["workers"] = stats.get("workers", 0)
+            extra = ("  [%d workers, spawn %.3fs, blob %.1fKiB]"
+                     % (entry["workers"], entry["spawn_seconds"],
+                        entry["blob_bytes"] / 1024.0))
+        settings.append(entry)
+        rows.append(
+            "  %-30s %8.3fs  (x%.2f vs serial)%s"
+            % ("%s (jobs=%d->%d)"
+               % (backend, jobs, entry["effective_jobs"]),
+               secs, speedup, extra)
+        )
 
-    def best(backend):
-        speedups = [s["speedup_vs_serial"] for s in settings
-                    if s["backend"] == backend]
-        return max(speedups) if speedups else 0.0
+    best_processes = max(
+        (s["speedup_vs_serial"] for s in settings
+         if s["backend"] == "processes"),
+        default=0.0,
+    )
 
     lines = [
         "parallel LTRANS bench: %d modules, %d source lines "
@@ -161,13 +162,11 @@ def run_bench(quick=False):
            serial.timings.phases.get("codegen_cmo", 0.0)),
     ] + rows + [
         "",
-        "  best: threads x%.2f, processes x%.2f vs serial"
-        % (best("threads"), best("processes")),
+        "  best: processes x%.2f vs serial" % best_processes,
         "  outputs byte-identical across backends and jobs: %s"
         % ("yes" if byte_identical else "NO"),
-        "  note: thread rows measure the structural win only (the GIL "
-        "serializes the pure-Python pipeline); process rows scale "
-        "with cores.",
+        "  note: the in-process row pays the wire round-trip with no "
+        "parallelism; process rows scale with cores.",
     ]
     payload = {
         "quick": bool(quick),
@@ -183,8 +182,7 @@ def run_bench(quick=False):
         "serial_wpa_peak_bytes": serial.hlo_result.wpa_peak_bytes,
         "serial_coordinator_peak_bytes": serial.hlo_result.peak_bytes,
         "partitioned": settings,
-        "best_speedup_threads": best("threads"),
-        "best_speedup_processes": best("processes"),
+        "best_speedup_processes": best_processes,
         "byte_identical": byte_identical,
     }
     return "\n".join(lines), payload

@@ -34,7 +34,7 @@ from typing import Dict, List
 from ..frontend import compile_source, detect_language
 from ..ir.printer import format_module
 from .compiler import CompileSession, train as train_profile
-from .options import CompilerOptions
+from .options import VALID_HLO_BACKENDS, CompilerOptions
 from .report import build_summary, render_build_summary
 from ..profiles.database import ProfileDatabase
 
@@ -141,12 +141,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "(default: 4x --hlo-jobs)",
     )
     parser.add_argument(
-        "--hlo-backend", choices=("auto", "threads", "processes"),
+        "--hlo-backend", choices=VALID_HLO_BACKENDS,
         default="auto", metavar="BACKEND",
-        help="partitioned-LTRANS executor: threads (GIL-bound), "
-             "processes (worker processes; real CPU parallelism) or "
-             "auto (processes when >1 effective worker; default). "
-             "Output is byte-identical either way.",
+        help="where LTRANS partitions run: processes (worker "
+             "processes; real CPU parallelism) or auto (processes "
+             "when >1 effective worker, else the link process; "
+             "default). Output is byte-identical either way.",
     )
     parser.add_argument(
         "--repo-compress", type=int, default=6, choices=range(0, 10),

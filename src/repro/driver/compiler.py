@@ -122,12 +122,10 @@ class Compiler:
     def __init__(self, options: Optional[CompilerOptions] = None) -> None:
         self.options = options or CompilerOptions()
         #: When set (by the farm coordinator), partitioned LTRANS runs
-        #: are offered to this dispatcher instead of local threads; it
-        #: must answer ``ready()`` and ``runner(hlo_result,
-        #: llo_options, naim_config, jobs, events)``.  Builds fall
-        #: back to the in-process runner whenever it is absent or has
-        #: no workers, so a farm with zero workers still serves
-        #: (locally executed) builds.
+        #: use this object as the runner's transport (``put_blob`` /
+        #: ``dispatch``) whenever its ``ready()`` says it has workers;
+        #: otherwise partitions execute locally, so a farm with zero
+        #: workers still serves builds.
         self.partition_dispatcher = None
         #: When set (by the daemon's warm state), the process LTRANS
         #: backend runs its partition batches on this persistent
@@ -584,6 +582,10 @@ class Compiler:
             compiled: Dict[str, MachineRoutine] = {}
             if partitioned:
                 from ..part import PartitionRunner, partition_unit
+                from ..part.procexec import (
+                    ProcessTransport,
+                    processes_supported,
+                )
                 from ..sched.procpool import cpu_count
 
                 n_partitions = options.hlo_partitions or max(
@@ -609,52 +611,44 @@ class Compiler:
                             "cpus": cpus,
                         },
                     )
-                dispatcher = self.partition_dispatcher
-                backend = options.hlo_backend
-                if dispatcher is not None and dispatcher.ready():
-                    backend = "farm"
+                # "auto" asks for processes when they can help.
+                wants_processes = (
+                    options.hlo_backend == "processes"
+                    or effective_jobs > 1
+                )
+                transport = self.partition_dispatcher
+                if transport is not None and transport.ready():
                     # Farm workers are remote: their count is the
-                    # coordinator's business, so ship the requested
-                    # jobs figure unclamped.
-                    runner = dispatcher.runner(
-                        hlo_result,
-                        llo_options,
-                        naim_config=options.naim,
-                        jobs=requested_jobs,
+                    # coordinator's business, not effective_jobs'.
+                    backend = "farm"
+                elif wants_processes and processes_supported():
+                    backend = "processes"
+                    transport = ProcessTransport(
+                        jobs=effective_jobs,
                         events=events,
+                        pool=self.process_pool,
                     )
                 else:
-                    from ..part.procexec import (
-                        ProcessPartitionRunner,
-                        processes_supported,
-                    )
-
-                    supported = processes_supported()
-                    if backend == "auto":
-                        backend = (
-                            "processes"
-                            if effective_jobs > 1 and supported
-                            else "threads"
+                    backend = "in-process"
+                    transport = None
+                    if (options.hlo_backend == "processes"
+                            and events is not None):
+                        events.instant(
+                            "ltrans-backend-fallback", category="ltrans",
+                            args={
+                                "requested": options.hlo_backend,
+                                "effective": backend,
+                                "reason": "no worker-process support "
+                                          "on this platform",
+                            },
                         )
-                    if backend == "processes" and supported:
-                        runner = ProcessPartitionRunner(
-                            hlo_result,
-                            llo_options,
-                            naim_config=options.naim,
-                            jobs=effective_jobs,
-                            events=events,
-                            pool=self.process_pool,
-                        )
-                    else:
-                        backend = "threads"
-                        runner = PartitionRunner(
-                            hlo_result,
-                            llo_options,
-                            naim_config=options.naim,
-                            jobs=effective_jobs,
-                            events=events,
-                        )
-                run_out = runner.run(partitions)
+                run_out = PartitionRunner(
+                    hlo_result,
+                    llo_options,
+                    naim_config=options.naim,
+                    events=events,
+                    transport=transport,
+                ).run(partitions)
                 compiled = run_out.machines
                 result.llo_stats = run_out.llo_stats
                 result.ltrans_stats = {
@@ -664,13 +658,7 @@ class Compiler:
                     "partitions": len(partitions),
                 }
                 if backend == "processes":
-                    result.ltrans_stats.update({
-                        "spawn_seconds": runner.spawn_seconds,
-                        "blob_bytes": runner.blob_bytes,
-                        "workers": runner.workers_used,
-                        "crashes": runner.crashes,
-                        "requeues": runner.requeues,
-                    })
+                    result.ltrans_stats.update(transport.stats())
             else:
                 llo = LowLevelOptimizer(llo_options, accountant)
 

@@ -20,7 +20,7 @@ from ..naim.config import NaimConfig
 from ..vm.cost import CostModel
 
 VALID_OPT_LEVELS = (0, 1, 2, 4)
-VALID_HLO_BACKENDS = ("auto", "threads", "processes")
+VALID_HLO_BACKENDS = ("auto", "processes")
 
 
 class CompilerOptions:
@@ -81,14 +81,15 @@ class CompilerOptions:
         self.hlo_partitions = hlo_partitions
         if hlo_backend not in VALID_HLO_BACKENDS:
             raise ValueError(
-                "hlo_backend must be one of %r" % (VALID_HLO_BACKENDS,)
+                "hlo_backend must be one of %r, not %r"
+                % (VALID_HLO_BACKENDS, hlo_backend)
             )
-        #: Execution backend for LTRANS partitions: "threads" (the
-        #: GIL-bound in-process pool), "processes" (real CPU
-        #: parallelism via worker processes) or "auto" (processes
+        #: Where LTRANS partitions execute: "processes" (worker
+        #: processes, real CPU parallelism) or "auto" (processes
         #: whenever more than one effective worker would run and the
-        #: platform supports it).  Like the two knobs above it never
-        #: affects output bytes, so it stays out of :meth:`describe`.
+        #: platform supports them, else the link process itself).
+        #: Like the two knobs above it never affects output bytes, so
+        #: it stays out of :meth:`describe`.
         self.hlo_backend = hlo_backend
 
     @property

@@ -40,9 +40,6 @@ def build_summary(
         "n_spans": len(events.spans()) if events is not None else 0,
         "hlo_jobs": options.hlo_jobs,
         "use_partitioned_hlo": options.use_partitioned_hlo,
-        "n_ltrans_spans": (
-            len(events.spans("ltrans")) if events is not None else 0
-        ),
         "interface_problems": list(build.interface_problems),
     }
     if build.ltrans_stats is not None:
@@ -50,6 +47,7 @@ def build_summary(
         summary["hlo_effective_jobs"] = build.ltrans_stats.get(
             "effective_jobs"
         )
+        summary["hlo_partitions"] = build.ltrans_stats.get("partitions")
     if report is not None:
         summary["recompiled"] = len(report.recompiled)
         summary["reused"] = len(report.reused)
@@ -103,7 +101,7 @@ def render_build_summary(
                    % (summary["jobs"], summary["n_spans"]))
     if summary.get("use_partitioned_hlo"):
         line = ("hlo-jobs: %d workers, %d partitions"
-                % (summary["hlo_jobs"], summary["n_ltrans_spans"]))
+                % (summary["hlo_jobs"], summary.get("hlo_partitions", 0)))
         if summary.get("hlo_backend"):
             line += " (%s backend)" % summary["hlo_backend"]
         out.append(line)

@@ -45,7 +45,6 @@ from typing import Dict, List, Optional
 from ..driver.compiler import CompileSession
 from ..naim.remote import RepositoryServer
 from ..naim.repository import Repository
-from ..part.remote import RemotePartitionRunner
 from ..sched.steal import StealQueue, StealTask
 from ..serve.daemon import BuildDaemon, DaemonStartupError, _pid_alive
 from ..serve.protocol import ProtocolError, read_message, write_message
@@ -79,11 +78,10 @@ def default_farm_root() -> str:
 class FarmDispatcher:
     """Bridges a compiler's partition runs onto the farm.
 
-    Implements the two-callable contract of
-    :class:`~repro.part.remote.RemotePartitionRunner` (``put_blob`` /
-    ``dispatch``) on top of the coordinator's local pack store and
-    steal queue, plus the ``ready()`` / ``runner()`` surface the
-    compiler's ``partition_dispatcher`` hook expects."""
+    The :class:`~repro.part.runner.PartitionRunner` transport
+    (``put_blob`` / ``dispatch``) on top of the coordinator's local
+    pack store and steal queue, plus the ``ready()`` the compiler's
+    ``partition_dispatcher`` hook asks before using it."""
 
     def __init__(self, queue: StealQueue, repository: Repository,
                  job_timeout: float = 600.0) -> None:
@@ -98,14 +96,6 @@ class FarmDispatcher:
 
     def ready(self) -> bool:
         return self.queue.worker_count() > 0
-
-    def runner(self, hlo_result, llo_options, naim_config=None,
-               jobs=1, events=None) -> RemotePartitionRunner:
-        return RemotePartitionRunner(
-            hlo_result, llo_options, naim_config=naim_config,
-            jobs=jobs, events=events,
-            dispatch=self.dispatch, put_blob=self.put_blob,
-        )
 
     # -- Store access (local: the coordinator owns the repository) --------------
 

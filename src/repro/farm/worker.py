@@ -8,9 +8,9 @@ slot for artifact traffic, kept separate so a long blob fetch never
 stalls the job command stream.
 
 Each slot loops: read a command, run the partition
-(:func:`repro.part.wire.execute_partition_job` -- the exact mirror of
-the in-process runner), publish the outcome to the shared store, and
-reply with its content hash.  Decoded shared contexts are cached per
+(:func:`repro.part.wire.run_wire_job` -- the same executor every
+transport uses), publish the outcome to the shared store, and reply
+with its content hash.  Decoded shared contexts are cached per
 process (keyed by their CAS hash), so a warm rebuild's partitions
 skip symbol-table reconstruction entirely; profile views are rebuilt
 fresh per job because scalar passes mutate them.
@@ -32,23 +32,11 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from ..naim.pools import KIND_IR
-from ..naim.remote import (
-    CasBackedRepository,
-    RemoteRepository,
-    RemoteRepositoryError,
-)
-from ..part.wire import (
-    SharedJobContext,
-    decode_shared_context,
-    execute_partition_job,
-)
+from ..naim.remote import RemoteRepository, RemoteRepositoryError
+from ..part.wire import ContextCache, job_pool_keys, run_wire_job
 from ..serve.protocol import ProtocolError, read_message, write_message
 from .store import StoreClient
 from .transport import ROLE_STORE, ROLE_WORKER, AuthError, connect
-
-#: Decoded shared contexts kept per worker process.
-CONTEXT_CACHE_ENTRIES = 4
 
 
 class FarmWorker:
@@ -73,9 +61,7 @@ class FarmWorker:
         self._threads: List[threading.Thread] = []
         self._conns_lock = threading.Lock()
         self._conns: Dict[int, List] = {}
-        self._ctx_lock = threading.Lock()
-        self._ctx_cache: Dict[str, SharedJobContext] = {}
-        self._ctx_order: List[str] = []
+        self._contexts = ContextCache()
 
     # -- Lifecycle --------------------------------------------------------------
 
@@ -177,41 +163,14 @@ class FarmWorker:
 
     # -- Job execution ----------------------------------------------------------
 
-    def _shared_context(self, key: str,
-                        store: StoreClient) -> SharedJobContext:
-        with self._ctx_lock:
-            cached = self._ctx_cache.get(key)
-        if cached is not None:
-            return cached
-        shared = decode_shared_context(store.get_blob(key))
-        with self._ctx_lock:
-            if key not in self._ctx_cache:
-                self._ctx_cache[key] = shared
-                self._ctx_order.append(key)
-                while len(self._ctx_order) > CONTEXT_CACHE_ENTRIES:
-                    evicted = self._ctx_order.pop(0)
-                    self._ctx_cache.pop(evicted, None)
-            return self._ctx_cache[key]
-
     def _run_job(self, message: Dict, store: StoreClient) -> Dict:
         task = message.get("task")
         job = message.get("job") or {}
         try:
-            shared = self._shared_context(str(job["ctx"]), store)
             # Prefetch every pool blob in one batch round-trip before
-            # the loader starts touching them one by one.  Entries
-            # without a "pool" are thin-WPA clones (replay creates
-            # their bodies); "imports" are read-only replay inputs.
-            entries = (list(job["routines"])
-                       + list(job.get("imports") or []))
-            store.get_blobs([
-                entry["pool"] for entry in entries if "pool" in entry
-            ])
-            repository = CasBackedRepository(store, {
-                (KIND_IR, entry["name"]): entry["pool"]
-                for entry in entries if "pool" in entry
-            })
-            outcome = execute_partition_job(shared, job, repository)
+            # the loader starts touching them one by one.
+            store.get_blobs(job_pool_keys(job).values())
+            outcome = run_wire_job(job, store, self._contexts)
             blob = json.dumps(
                 outcome, sort_keys=True, separators=(",", ":")
             ).encode("utf-8")

@@ -4,15 +4,15 @@ The serial whole-program phases (DFE, IPCP, cloning, inlining -- the
 WPA half) stay in :mod:`repro.hlo.driver`; this package supplies the
 LTRANS half: :func:`partition_unit` splits the post-inline CMO unit
 into profile-weight-balanced partitions, and :class:`PartitionRunner`
-executes the scalar pipeline + LLO codegen for each partition on a
-worker pool, splicing results back in canonical unit order so the
-final image is byte-identical to a serial build.
+ships each partition through a transport to
+:func:`~repro.part.wire.execute_partition_job` (scalar pipeline + LLO
+codegen), splicing results back in canonical unit order so the final
+image is byte-identical to a serial build.
 
-Three executor backends share that contract: thread workers
-(:mod:`.runner`), local worker processes over one shared-memory
-context blob (:mod:`.procexec` + :mod:`.blob` -- real CPU
-parallelism past the GIL), and farm workers over TCP
-(:mod:`.remote` + :mod:`.wire`).
+One runner, one partition body, three transports: the link process
+itself (:mod:`.runner`), local worker processes over one shared-memory
+blob (:mod:`.procexec` + :mod:`.blob` -- real CPU parallelism past the
+GIL), and farm workers over TCP (:mod:`repro.farm.coordinator`).
 """
 
 from .partition import Partition, partition_unit
@@ -25,7 +25,6 @@ __all__ = [
     "PartitionRunResult",
 ]
 
-# repro.part.remote / repro.part.wire (farm dispatch) and
-# repro.part.procexec / repro.part.blob (process backend) are imported
-# directly by their users; keeping them out of this namespace avoids
-# pulling multiprocessing and the serve transport into every build.
+# repro.part.procexec / repro.part.blob (process transport) are
+# imported directly by their users; keeping them out of this namespace
+# avoids pulling multiprocessing into every partitioned build.

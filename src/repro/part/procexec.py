@@ -1,35 +1,25 @@
 """Process-parallel LTRANS: partitions executed by local child processes.
 
-The thread-backed :class:`~repro.part.runner.PartitionRunner` cannot
-scale the pure-Python scalar+LLO phase past the GIL; this backend
-runs each partition in a worker *process* instead -- the WHOPR model
-(one LTRANS process per partition) executed locally.
+The pure-Python scalar+LLO phase cannot scale past the GIL inside one
+interpreter; this transport runs each partition in a worker *process*
+instead -- the WHOPR model (one LTRANS process per partition) executed
+locally.
 
-:class:`ProcessPartitionRunner` subclasses the farm's
-:class:`~repro.part.remote.RemotePartitionRunner` and keeps its whole
-contract: ``_extract`` empties the link loader first, routines travel
-as compact NAIM bytes, the canonical shared-context blob is encoded
-*after* compaction (the PID-interning invariant), outcomes are folded
-with ``decode_outcome`` in partition index order.  Only the transport
-changes:
+:class:`ProcessTransport` is the :class:`~repro.part.runner.
+PartitionRunner` transport for that:
 
-* ``put_blob`` collects sections in memory instead of a socket CAS;
+* ``put_blob`` collects sections in memory;
 * ``dispatch`` publishes them once via :mod:`repro.part.blob` (shared
   memory, tempfile+mmap fallback) and runs the jobs on a
   :class:`~repro.sched.procpool.ProcessWorkerPool` -- either an
   ephemeral pool (cold CLI) or a persistent one injected by the
   daemon's warm state.
 
-:func:`run_partition_job` is the worker-process body: attach the
-blob (cached per process per blob), decode the shared context (cached
-per process by content hash, so a warm daemon pool skips symtab
-reconstruction exactly like a farm worker), then call the same
-:func:`~repro.part.wire.execute_partition_job` the farm runs --
-inheriting its byte-identical-output property.
-
-Because the farm already proved the wire round-trip byte-identical,
-the only new trust surface here is the transport; the property suite
-pins serial == threads == processes anyway.
+:func:`run_partition_job` is the worker-process body: attach the blob
+(cached per process per blob) and hand the job to
+:func:`~repro.part.wire.run_wire_job` with a per-process decoded-context
+cache, so a warm daemon pool skips symtab reconstruction exactly like
+a farm worker.
 """
 
 from __future__ import annotations
@@ -40,17 +30,10 @@ import signal
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
-from ..hlo.driver import HloResult
-from ..llo.driver import LloOptions
-from ..naim.config import NaimConfig
-from ..naim.pools import KIND_IR
-from ..naim.remote import CasBackedRepository
 from ..sched.events import EventLog
 from ..sched.procpool import ProcessWorkerPool, processes_available
-from .blob import AttachedBlob, attach_blob, publish_sections
-from .remote import RemotePartitionRunner
-from .wire import SharedJobContext, decode_shared_context, \
-    execute_partition_job
+from .blob import AttachedBlob, _ref_key, attach_blob, publish_sections
+from .wire import ContextCache, run_wire_job
 
 #: Test hook: when this environment variable names an existing file,
 #: the first worker process to claim it (atomically, via unlink)
@@ -58,62 +41,41 @@ from .wire import SharedJobContext, decode_shared_context, \
 #: end-to-end builds.  Unset in normal operation.
 KILL_MARKER_ENV = "REPRO_TEST_LTRANS_KILL"
 
-#: Decoded shared contexts kept per worker process (mirrors the farm
-#: worker's cache): a persistent daemon pool decodes each program
-#: state once, however many partitions and builds it serves.
-CONTEXT_CACHE_ENTRIES = 4
-
 
 def processes_supported() -> bool:
     """Whether the local process backend can run on this platform."""
     return processes_available()
 
 
-class ProcessPartitionRunner(RemotePartitionRunner):
-    """Partitioned LTRANS over local worker processes."""
-
-    DISPATCH_SPAN = "proc-dispatch"
-    # The per-partition spans come from the pool (category "ltrans",
-    # one per job); keep the dispatch envelope out of that category so
-    # span counts match the thread backend partition for partition.
-    DISPATCH_CATEGORY = "dispatch"
+class ProcessTransport:
+    """Partition jobs over local worker processes."""
 
     def __init__(
         self,
-        hlo_result: HloResult,
-        llo_options: LloOptions,
-        naim_config: Optional[NaimConfig] = None,
         jobs: int = 1,
         events: Optional[EventLog] = None,
         pool: Optional[ProcessWorkerPool] = None,
         retry_limit: int = 2,
     ) -> None:
-        super().__init__(
-            hlo_result, llo_options, naim_config, jobs=jobs, events=events,
-            dispatch=self._dispatch_local, put_blob=self._collect_blob,
-        )
+        self.jobs = max(1, jobs)
+        self.events = events
         self._sections: "OrderedDict[str, bytes]" = OrderedDict()
         self._pool = pool
-        self._owns_pool = pool is None
         self.retry_limit = retry_limit
-        #: Filled by :meth:`_dispatch_local` for bench/report use.
-        self.blob_bytes = 0
-        self.spawn_seconds = 0.0
-        self.workers_used = 0
-        self.crashes = 0
-        self.requeues = 0
+        self._stats: Dict[str, object] = {}
 
-    # -- Transport ---------------------------------------------------------------
+    def stats(self) -> Dict[str, object]:
+        """What the last :meth:`dispatch` cost (bench/report use)."""
+        return dict(self._stats)
 
-    def _collect_blob(self, data: bytes) -> str:
+    def put_blob(self, data: bytes) -> str:
         key = hashlib.sha256(data).hexdigest()
         if key not in self._sections:
             self._sections[key] = data
         return key
 
-    def _dispatch_local(self, jobs: List[Dict]) -> List[Dict]:
+    def dispatch(self, jobs: List[Dict]) -> List[Dict]:
         publication = publish_sections(self._sections)
-        self.blob_bytes = publication.size
         pool = self._pool
         if pool is None:
             pool = ProcessWorkerPool(run_partition_job,
@@ -138,13 +100,16 @@ class ProcessPartitionRunner(RemotePartitionRunner):
                 category="ltrans",
             )
         finally:
-            self.spawn_seconds = pool.spawn_seconds - spawn_before
-            self.crashes = pool.crashes - crashes_before
-            self.requeues = pool.requeues - requeues_before
-            self.workers_used = min(self.jobs, len(tasks))
+            self._stats = {
+                "blob_bytes": publication.size,
+                "spawn_seconds": pool.spawn_seconds - spawn_before,
+                "workers": min(self.jobs, len(tasks)),
+                "crashes": pool.crashes - crashes_before,
+                "requeues": pool.requeues - requeues_before,
+            }
             publication.close()
             self._sections.clear()
-            if self._owns_pool:
+            if pool is not self._pool:
                 pool.close()
         return [results["ltrans:p%d" % job["index"]] for job in jobs]
 
@@ -155,7 +120,7 @@ class ProcessPartitionRunner(RemotePartitionRunner):
 #: segment, so a cache depth of one is exactly "the current build".
 _blob_cache: Optional[AttachedBlob] = None
 
-_ctx_cache: "OrderedDict[str, SharedJobContext]" = OrderedDict()
+_contexts = ContextCache()
 
 
 class _BlobStore:
@@ -184,24 +149,6 @@ def _attached(ref: Dict) -> AttachedBlob:
     return _blob_cache
 
 
-def _ref_key(ref: Dict) -> str:
-    from .blob import _ref_key as key_fn
-
-    return key_fn(ref)
-
-
-def _shared_context(key: str, store: _BlobStore) -> SharedJobContext:
-    cached = _ctx_cache.get(key)
-    if cached is not None:
-        _ctx_cache.move_to_end(key)
-        return cached
-    shared = decode_shared_context(store.get_blob(key))
-    _ctx_cache[key] = shared
-    while len(_ctx_cache) > CONTEXT_CACHE_ENTRIES:
-        _ctx_cache.popitem(last=False)
-    return shared
-
-
 def _maybe_die_for_test(payload: Dict) -> None:
     marker = payload.get("kill_marker")
     if not marker:
@@ -216,16 +163,5 @@ def _maybe_die_for_test(payload: Dict) -> None:
 def run_partition_job(payload: Dict) -> Dict:
     """Worker-process task body (module-level: spawn-picklable)."""
     _maybe_die_for_test(payload)
-    blob = _attached(payload["blob"])
-    store = _BlobStore(blob)
-    job = payload["job"]
-    shared = _shared_context(str(job["ctx"]), store)
-    # Entries without a "pool" are thin-WPA clones (the worker-side
-    # plan replay creates their bodies); imports are extra read-only
-    # callee bodies that replay reads.
-    entries = list(job["routines"]) + list(job.get("imports") or [])
-    repository = CasBackedRepository(store, {
-        (KIND_IR, entry["name"]): entry["pool"]
-        for entry in entries if "pool" in entry
-    })
-    return execute_partition_job(shared, job, repository)
+    store = _BlobStore(_attached(payload["blob"]))
+    return run_wire_job(payload["job"], store, _contexts)

@@ -1,75 +1,103 @@
-"""The partition runner: parallel scalar pipeline + LLO codegen.
+"""The partition runner: the link side of the LTRANS half.
 
-Executes the LTRANS half of the WHOPR-style split.  Each partition
-becomes one task on a :class:`~repro.sched.executor.Executor` worker
-pool; each worker owns a private :class:`~repro.naim.loader.Loader`
-and :class:`~repro.naim.memory.MemoryAccountant` over an
-:class:`~repro.naim.repository.OverlayRepository` wrapping the shared
-link repository, so NAIM thresholds apply per worker and worker
-evictions never mutate shared state.
+One runner serves every way a partition can execute.  It pulls each
+partition's pools out of the link loader, publishes them (and the
+shared context) through a *transport*, hands the transport the job
+descriptors, and folds the outcomes back.  A transport is any object
+with
+
+* ``put_blob(data) -> key`` -- publish bytes, returning their content
+  hash;
+* ``dispatch(jobs) -> outcomes`` -- run the job descriptors through
+  :func:`~repro.part.wire.run_wire_job` somewhere and return one
+  outcome payload per job, in any order.
+
+Three exist: :class:`InProcessTransport` below (the link process
+itself, one job after another), :class:`~repro.part.procexec.
+ProcessTransport` (local worker processes over a shared-memory blob)
+and the farm's :class:`~repro.farm.coordinator.FarmDispatcher`.  All
+three execute the same function on the same bytes, so they agree by
+construction; the serial driver loop is the independent reference.
 
 Determinism: the scalar passes only mutate their own routine (plus the
 per-routine view and pass counters), and LLO compiles one routine at a
 time from that routine and its view alone, so fusing scalar + codegen
 per routine inside a partition produces exactly the machine code the
-serial two-loop driver does.  Workers return machine routines keyed by
+serial two-loop driver does.  Outcomes carry machine routines keyed by
 name; the caller splices them in canonical unit order, and all stats
 (loader, accountant, pass counters, LLO) are folded back in partition
-index order -- so every observable number is independent of worker
-interleaving, and the image is byte-identical to the serial build.
+index order -- so every observable number is independent of which
+worker finished first, and the image is byte-identical to the serial
+build.
 
-Ownership transfer: the link thread extracts each pool's payload and
-releases it from the link loader *before* workers start (offloaded
-pools stay fetchable in the shared repository), and re-adopts the
-final payloads afterwards, so ``HloResult.unit`` remains fully usable
-after a parallel run.
+Ownership transfer: the runner releases each local pool from the link
+loader *before* dispatch (offloaded pools stay fetchable in the shared
+repository), and re-adopts the final payloads afterwards, so
+``HloResult.unit`` remains fully usable after a partitioned run.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 from typing import Dict, List, Optional
 
-from ..hlo.driver import HloResult, standard_pipeline
-from ..hlo.passes import OptContext
-from ..hlo.thin import replay_plan
-from ..llo.driver import LloOptions, LloStats, LowLevelOptimizer
+from ..hlo.driver import HloResult
+from ..llo.driver import LloOptions, LloStats
 from ..naim.compaction import compact_routine
 from ..naim.config import NaimConfig
-from ..naim.loader import Loader
-from ..naim.memory import MemoryAccountant
 from ..naim.pools import KIND_IR, PoolState
-from ..naim.repository import OverlayRepository
 from ..sched.events import EventLog
-from ..sched.executor import Executor
-from ..sched.graph import TaskGraph
 from ..vm.image import MachineRoutine
 from .partition import Partition
+from .wire import (
+    ContextCache,
+    PartitionOutcome,
+    build_context_blob,
+    decode_outcome,
+    run_wire_job,
+)
 
 
-class _PoolTransfer:
-    """One routine's payload, moving between loaders."""
-
-    __slots__ = ("name", "expanded", "compact_bytes", "offloaded")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.expanded = None
-        self.compact_bytes: Optional[bytes] = None
-        self.offloaded = False
+class RemoteDispatchError(Exception):
+    """The transport returned no outcome for a partition."""
 
 
-class _PartitionOutcome:
-    """Everything one worker hands back for deterministic folding."""
+def _span(events: Optional[EventLog], name: str, category: str):
+    if events is None:
+        return contextlib.nullcontext()
+    return events.span(name, category=category)
 
-    def __init__(self, partition: Partition) -> None:
-        self.partition = partition
-        self.machines: Dict[str, MachineRoutine] = {}
-        self.returned: List[_PoolTransfer] = []
-        self.loader_stats = None
-        self.accountant: Optional[MemoryAccountant] = None
-        self.llo_stats: Optional[LloStats] = None
-        self.pass_stats = None
-        self.views: Dict[str, object] = {}
+
+class InProcessTransport:
+    """Jobs run one after another in the calling process.
+
+    What ``auto`` resolves to when worker processes cannot help (one
+    effective worker) or cannot run (no multiprocessing).  The store is
+    a dict; each job gets its own ``ltrans`` span, like a pool task."""
+
+    def __init__(self, events: Optional[EventLog] = None) -> None:
+        self.events = events
+        self.blobs: Dict[str, bytes] = {}
+        self._contexts = ContextCache()
+
+    def put_blob(self, data: bytes) -> str:
+        key = hashlib.sha256(data).hexdigest()
+        self.blobs.setdefault(key, data)
+        return key
+
+    def get_blob(self, key: str) -> bytes:
+        return self.blobs[key]
+
+    def get_blobs(self, keys) -> Dict[str, bytes]:
+        return {key: self.blobs[key] for key in keys}
+
+    def dispatch(self, jobs: List[Dict]) -> List[Dict]:
+        outcomes = []
+        for job in jobs:
+            with _span(self.events, "ltrans:p%d" % job["index"], "ltrans"):
+                outcomes.append(run_wire_job(job, self, self._contexts))
+        return outcomes
 
 
 class PartitionRunResult:
@@ -88,31 +116,25 @@ class PartitionRunResult:
 
 
 class PartitionRunner:
-    """Runs partitions of the post-WPA unit on a worker pool."""
+    """Runs partitions of the post-WPA unit over a transport."""
 
     def __init__(
         self,
         hlo_result: HloResult,
         llo_options: LloOptions,
         naim_config: Optional[NaimConfig] = None,
-        jobs: int = 1,
         events: Optional[EventLog] = None,
+        transport=None,
     ) -> None:
         self.hlo_result = hlo_result
         self.llo_options = llo_options
         self.naim_config = naim_config or NaimConfig()
-        self.jobs = max(1, jobs)
         self.events = events
+        self.transport = transport or InProcessTransport(events)
         #: Routines the scalar pipeline must visit (selectivity and
         #: incremental reuse already applied); everything else in a
         #: partition is codegen-only.
         self.scalar_set = frozenset(hlo_result.scalar_worklist())
-        #: The body-mutation plan each worker replays over its locals +
-        #: imports before the scalar loop (None once the link side has
-        #: already replayed it).
-        self.plan = hlo_result.pending_plan
-
-    # -- Entry point -------------------------------------------------------------
 
     def run(self, partitions: List[Partition]) -> PartitionRunResult:
         result = PartitionRunResult()
@@ -122,103 +144,94 @@ class PartitionRunner:
 
         # Imports are copied out before locals are *released*: a body
         # one partition imports is usually another partition's local.
-        import_batches = [
-            self._extract_imports(partition) for partition in partitions
+        # After the second loop the unit is empty until _fold re-adopts
+        # the workers' final payloads.
+        import_entries = [
+            [self._ship(name, release=False) for name in partition.imports]
+            for partition in partitions
         ]
-        transfers = [self._extract(partition) for partition in partitions]
+        jobs: List[Dict] = []
+        for partition, imports in zip(partitions, import_entries):
+            job = {
+                "index": partition.index,
+                "weight": partition.weight,
+                "routines": [
+                    self._ship(name, release=True)
+                    for name in partition.routines
+                ],
+            }
+            if imports:
+                job["imports"] = imports
+            jobs.append(job)
 
-        graph = TaskGraph()
-        for partition, batch, imports in zip(
-            partitions, transfers, import_batches
-        ):
+        # Encode the shared context only after every routine has been
+        # compacted: compaction interns symbols on demand, and the
+        # workers rebuild the symtab from the shipped PID order, so the
+        # snapshot must come last to cover every reference in the
+        # compact IR.  build_context_blob caches the canonical bytes on
+        # the link repository, so warm rebuilds of an unchanged program
+        # skip the re-encode.
+        context_key = self.transport.put_blob(build_context_blob(
+            self.hlo_result, self.llo_options, self.naim_config,
+            self.scalar_set,
+        ))
+        for job in jobs:
+            job["ctx"] = context_key
 
-            def run_partition(_inputs, partition=partition, batch=batch,
-                              imports=imports):
-                return self._run_partition(partition, batch, imports)
+        with _span(self.events, "ltrans-dispatch", "dispatch"):
+            outcomes = self.transport.dispatch(jobs)
 
-            graph.add("ltrans:p%d" % partition.index, run_partition,
-                      category="ltrans")
-        executor = Executor(jobs=self.jobs, events=self.events)
-        outcome = executor.run(graph)
-        if not outcome.ok:
-            outcome.raise_first()
-
-        # Fold every worker's results back in partition index order, so
-        # stats and accounting are deterministic regardless of which
-        # worker finished first.
+        # Fold in partition index order, so stats and accounting are
+        # deterministic regardless of which worker finished first.
+        by_index = {
+            payload.get("index"): payload
+            for payload in outcomes if isinstance(payload, dict)
+        }
         for partition in partitions:
-            self._fold(result, outcome.results["ltrans:p%d" % partition.index])
-        if self.plan is not None:
-            self.hlo_result.mark_plan_replayed()
+            payload = by_index.get(partition.index)
+            if payload is None:
+                raise RemoteDispatchError(
+                    "no outcome for partition %d" % partition.index
+                )
+            self._fold(result, decode_outcome(partition, payload))
+        # Workers replayed their plan slices; the returned pools are
+        # final bodies, so phase 5 must not replay again.
+        self.hlo_result.mark_plan_replayed()
         return result
 
-    # -- Link-thread side --------------------------------------------------------
+    def _ship(self, name: str, release: bool) -> Dict:
+        """Publish one routine's compact IR; returns its job entry.
 
-    def _extract(self, partition: Partition) -> List[_PoolTransfer]:
-        """Pull partition pools out of the link loader (payload + state).
-
-        Offloaded payloads stay behind in the shared repository; the
-        worker's overlay reads them from there.
+        Locals (``release``) leave the link loader; imports are
+        read-only callee bodies for the worker's plan replay and stay
+        owned by it (several partitions may import the same routine).
+        Everything travels as compact bytes -- the codec round-trip
+        gives every worker a private expanded copy.  A WPA clone has
+        no body yet (the worker's replay creates it): its entry
+        carries no ``"pool"``.
         """
-        unit = self.hlo_result.unit
         loader = self.hlo_result.loader
-        batch: List[_PoolTransfer] = []
-        for name in partition.routines:
-            handle = unit.handle(name)
-            if handle is None:
-                continue
+        handle = self.hlo_result.unit.handle(name)
+        data = None
+        if handle is not None:
             pool = handle.pool
-            transfer = _PoolTransfer(name)
-            if pool.state is PoolState.EXPANDED:
-                if pool.expanded is None:
-                    continue
-                transfer.expanded = pool.expanded
-            elif pool.state is PoolState.COMPACT:
-                transfer.compact_bytes = pool.compact_bytes
+            if pool.state is PoolState.COMPACT:
+                data = pool.compact_bytes
             elif pool.state is PoolState.OFFLOADED:
-                transfer.offloaded = True
-            loader.release(handle)
-            batch.append(transfer)
-        return batch
-
-    def _extract_imports(self, partition: Partition) -> List[_PoolTransfer]:
-        """Copy the partition's import payloads without releasing them.
-
-        Imports are read-only callee bodies for the worker's plan
-        replay; the link loader keeps ownership (several partitions may
-        import the same routine).  Payloads travel as compact bytes --
-        the codec round-trip gives every worker a private expanded
-        copy, so worker-side binding replay on an imported body never
-        touches a shared object.
-        """
-        if not partition.imports:
-            return []
-        unit = self.hlo_result.unit
-        symtab = self.hlo_result.ctx.symtab
-        batch: List[_PoolTransfer] = []
-        for name in partition.imports:
-            handle = unit.handle(name)
-            if handle is None:
-                continue  # a clone: the worker's replay creates it
-            pool = handle.pool
-            transfer = _PoolTransfer(name)
-            if pool.state is PoolState.EXPANDED:
-                if pool.expanded is None:
-                    continue
-                transfer.compact_bytes = compact_routine(
-                    pool.expanded, symtab
+                data = loader.repository.fetch(KIND_IR, name)
+            elif pool.expanded is not None:
+                data = compact_routine(
+                    pool.expanded, self.hlo_result.ctx.symtab
                 )
-            elif pool.state is PoolState.COMPACT:
-                transfer.compact_bytes = pool.compact_bytes
-            elif pool.state is PoolState.OFFLOADED:
-                transfer.offloaded = True
-            batch.append(transfer)
-        return batch
+        if data is None:
+            return {"name": name}
+        if release:
+            loader.release(handle)
+        return {"name": name, "pool": self.transport.put_blob(data)}
 
     def _fold(self, result: PartitionRunResult,
-              outcome: _PartitionOutcome) -> None:
+              outcome: PartitionOutcome) -> None:
         hlo_result = self.hlo_result
-        unit = hlo_result.unit
         loader = hlo_result.loader
 
         result.machines.update(outcome.machines)
@@ -228,140 +241,8 @@ class PartitionRunner:
         hlo_result.ctx.stats.merge(outcome.pass_stats)
         hlo_result.ctx.views.update(outcome.views)
 
-        # Re-adopt final pool payloads so the unit stays usable (and
-        # mirrors the serial end state: optimized routines behind
-        # unload-requested handles).
-        for transfer in outcome.returned:
-            if transfer.expanded is not None:
-                handle = loader.adopt_routine(
-                    transfer.name, expanded=transfer.expanded
-                )
-                handle.request_unload()
-            elif transfer.compact_bytes is not None:
-                handle = loader.adopt_routine(
-                    transfer.name, compact_bytes=transfer.compact_bytes
-                )
-            else:
-                continue
-            unit.routine_handles[transfer.name] = handle
-
-    # -- Worker side -------------------------------------------------------------
-
-    def _run_partition(
-        self, partition: Partition, batch: List[_PoolTransfer],
-        imports: List[_PoolTransfer] = (),
-    ) -> _PartitionOutcome:
-        hlo_result = self.hlo_result
-        shared_ctx = hlo_result.ctx
-        worker_loader = Loader(
-            self.naim_config,
-            shared_ctx.symtab,
-            MemoryAccountant(),
-            OverlayRepository(hlo_result.loader.repository),
-        )
-        handles = {}
-        for transfer in batch:
-            handles[transfer.name] = worker_loader.adopt_routine(
-                transfer.name,
-                expanded=transfer.expanded,
-                compact_bytes=transfer.compact_bytes,
-                offloaded=transfer.offloaded,
+        # Re-adopt final pool payloads so the unit stays usable.
+        for name, compact_bytes in outcome.returned:
+            hlo_result.unit.routine_handles[name] = loader.adopt_routine(
+                name, compact_bytes=compact_bytes
             )
-        for transfer in imports:
-            handles[transfer.name] = worker_loader.adopt_routine(
-                transfer.name,
-                compact_bytes=transfer.compact_bytes,
-                offloaded=transfer.offloaded,
-            )
-        # Warm offloaded pools a window ahead of the optimization loop:
-        # the pipeline fetches + decodes the next routines' pools on a
-        # background thread while this one is being compiled.
-        depth = worker_loader.config.repo_prefetch_depth
-        if depth:
-            worker_loader.prefetch(
-                handles[t.name] for t in batch[:depth]
-            )
-
-        # Private context: views/stats are written per routine; the
-        # symbol table, mod/ref info and interprocedural facts are
-        # shared read-only.
-        ctx = OptContext(shared_ctx.symtab, shared_ctx.options,
-                         shared_ctx.modref)
-        ctx.views = dict(shared_ctx.views)
-        ctx.readonly_globals = shared_ctx.readonly_globals
-        ctx.const_returns = shared_ctx.const_returns
-
-        # Materialize this partition's slice of the plan (locals
-        # mutate; imports are read as splice callees and clone origins)
-        # before any scalar work.
-        names = [transfer.name for transfer in batch]
-        if self.plan is not None:
-            names = list(partition.routines)
-            replay_plan(
-                self.plan,
-                set(partition.routines) | set(partition.imports),
-                worker_loader, handles, ctx.views, ctx.options,
-            )
-            for transfer in imports:
-                handle = handles.pop(transfer.name, None)
-                if handle is not None:
-                    worker_loader.release(handle)
-
-        llo = LowLevelOptimizer(self.llo_options, worker_loader.accountant)
-        pipeline = standard_pipeline()
-        outcome = _PartitionOutcome(partition)
-
-        for index, name in enumerate(names):
-            if depth:
-                worker_loader.prefetch(
-                    handles[other]
-                    for other in names[index + 1:index + 1 + depth]
-                    if other in handles
-                )
-            handle = handles.get(name)
-            if handle is None:
-                continue
-            routine = handle.get()
-            if routine is None:
-                continue
-            if name in self.scalar_set:
-                worker_loader.pin(handle)
-                pipeline.run_routine(routine, ctx)
-                worker_loader.unpin(handle)
-                worker_loader.reaccount(handle)
-            outcome.machines[name] = llo.compile_routine(
-                routine, ctx.views.get(name)
-            )
-            handle.request_unload()
-        worker_loader.stop_prefetch()
-        worker_loader.accountant.mark("ltrans:p%d" % partition.index)
-
-        # Package final pool payloads for re-adoption, then release so
-        # the merged accountant doesn't double-count resident pools.
-        for name in names:
-            handle = handles.get(name)
-            if handle is None:
-                continue
-            pool = handle.pool
-            returned = _PoolTransfer(name)
-            if pool.state is PoolState.EXPANDED:
-                returned.expanded = pool.expanded
-            elif pool.state is PoolState.COMPACT:
-                returned.compact_bytes = pool.compact_bytes
-            elif pool.state is PoolState.OFFLOADED:
-                returned.compact_bytes = worker_loader.repository.fetch(
-                    KIND_IR, name
-                )
-            worker_loader.release(handle)
-            outcome.returned.append(returned)
-
-        outcome.loader_stats = worker_loader.stats
-        outcome.accountant = worker_loader.accountant
-        outcome.llo_stats = llo.stats
-        outcome.pass_stats = ctx.stats
-        outcome.views = {
-            name: ctx.views[name]
-            for name in names
-            if name in ctx.views
-        }
-        return outcome

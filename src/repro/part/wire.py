@@ -16,21 +16,25 @@ from primitives that already round-trip deterministically:
 * each **outcome** -- machine code via
   :func:`~repro.linker.objects.encode_machine_routines`, final pool
   payloads, and the worker's loader/accountant/LLO/pass statistics --
-  as a JSON object the coordinator folds back with the *same*
-  ``_fold`` the in-process runner uses, in partition index order, so
-  every observable number is independent of which host ran what.
+  as a JSON object :class:`~repro.part.runner.PartitionRunner` folds
+  back in partition index order, so every observable number is
+  independent of which host ran what.
 
-:func:`execute_partition_job` is the worker-side mirror of
-:meth:`~repro.part.runner.PartitionRunner._run_partition`: same
-private loader over an overlay, same prefetch window, same pin /
-scalar / codegen / unload sequence -- so farm images are byte-for-byte
-the images the single-process build produces.
+:func:`execute_partition_job` is the one partition body in the tree:
+private loader over an overlay, prefetch window, plan replay, pin /
+scalar / codegen / unload per routine, package.  Every transport (link
+process, worker processes, farm workers) reaches it through
+:func:`run_wire_job`, so partitioned images agree with each other by
+construction; the serial driver loop stays separate as the reference
+they are all compared against.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import threading
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..hlo.analysis.modref import ModRefAnalysis, ModRefInfo
@@ -40,16 +44,22 @@ from ..hlo.thin import WpaPlan, replay_plan
 from ..hlo.passes import OptContext, PassStats
 from ..hlo.profile_view import ProfileView
 from ..ir.symbols import GlobalVar, ProgramSymbolTable
-from ..linker.objects import decode_machine_routines, encode_machine_routines
+from ..linker.objects import (
+    LinkError,
+    decode_machine_routines,
+    encode_machine_routines,
+)
 from ..llo.driver import LloOptions, LloStats, LowLevelOptimizer
-from ..naim.compaction import compact_routine
+from ..naim.compaction import CompactionError, compact_routine
 from ..naim.config import NaimConfig, NaimLevel
 from ..naim.loader import Loader, LoaderStats
 from ..naim.memory import MemoryAccountant
 from ..naim.pools import KIND_IR, PoolState
+from ..naim.remote import CasBackedRepository
 from ..naim.repository import OverlayRepository
 from ..serve.protocol import decode_bytes, encode_bytes
-from .runner import _PartitionOutcome, _PoolTransfer
+from ..vm.image import MachineRoutine
+from .partition import Partition
 
 #: Version tag inside the shared-context blob; a worker rejects
 #: contexts it does not speak rather than miscompiling them.
@@ -369,6 +379,36 @@ def decode_shared_context(data: bytes) -> SharedJobContext:
     return SharedJobContext(payload)
 
 
+#: Decoded shared contexts an executor keeps: a persistent daemon pool
+#: or farm worker decodes each program state once, however many
+#: partitions and builds it serves.
+CONTEXT_CACHE_ENTRIES = 4
+
+
+class ContextCache:
+    """LRU of decoded shared contexts, keyed by their content hash.
+
+    Safe across threads (a farm worker's job slots share one); the
+    decode itself runs outside the lock."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[str, SharedJobContext]" = OrderedDict()
+
+    def get(self, key: str, store) -> SharedJobContext:
+        with self._lock:
+            cached = self._entries.get(key)
+            if cached is not None:
+                self._entries.move_to_end(key)
+                return cached
+        shared = decode_shared_context(store.get_blob(key))
+        with self._lock:
+            shared = self._entries.setdefault(key, shared)
+            while len(self._entries) > CONTEXT_CACHE_ENTRIES:
+                self._entries.popitem(last=False)
+        return shared
+
+
 # -- Statistics --------------------------------------------------------------------
 
 
@@ -419,18 +459,45 @@ def _decode_llo_stats(payload: Dict) -> LloStats:
 # -- Outcomes ----------------------------------------------------------------------
 
 
-def decode_outcome(partition, payload: Dict) -> _PartitionOutcome:
-    """Rehydrate a worker's reply into the exact shape
-    :meth:`PartitionRunner._fold` consumes."""
-    outcome = _PartitionOutcome(partition)
-    machines = decode_machine_routines(
-        decode_bytes(payload["machines_b64"])
-    )
+class PartitionOutcome:
+    """Everything one partition hands back for deterministic folding."""
+
+    def __init__(self) -> None:
+        self.machines: Dict[str, MachineRoutine] = {}
+        #: ``(routine name, final compact pool bytes)`` in unit order.
+        self.returned: List[Tuple[str, bytes]] = []
+        self.loader_stats: Optional[LoaderStats] = None
+        self.accountant: Optional[MemoryAccountant] = None
+        self.llo_stats: Optional[LloStats] = None
+        self.pass_stats: Optional[PassStats] = None
+        self.views: Dict[str, ProfileView] = {}
+
+
+def decode_outcome(partition: Partition, payload: Dict) -> PartitionOutcome:
+    """Rehydrate a worker's reply into the shape
+    :meth:`PartitionRunner._fold` consumes.
+
+    The reply comes from another process or host: anything malformed
+    raises :class:`WireError` naming the partition."""
+    outcome = PartitionOutcome()
+    try:
+        if payload["index"] != partition.index:
+            raise ValueError("reply is for partition %r" % payload["index"])
+        machines = decode_machine_routines(
+            decode_bytes(payload["machines_b64"])
+        )
+        outcome.returned = [
+            (name, decode_bytes(blob))
+            for name, blob in payload.get("returned", [])
+        ]
+    except (KeyError, TypeError, AttributeError, ValueError,
+            CompactionError, LinkError) as exc:
+        # ValueError covers binascii.Error (undecodable base64).
+        raise WireError(
+            "malformed outcome for partition %d: %s: %s"
+            % (partition.index, type(exc).__name__, exc)
+        )
     outcome.machines = {machine.name: machine for machine in machines}
-    for name, blob in payload.get("returned", []):
-        transfer = _PoolTransfer(name)
-        transfer.compact_bytes = decode_bytes(blob)
-        outcome.returned.append(transfer)
     outcome.loader_stats = _decode_loader_stats(
         payload.get("loader_stats", {})
     )
@@ -446,15 +513,38 @@ def decode_outcome(partition, payload: Dict) -> _PartitionOutcome:
 # -- Worker-side execution ---------------------------------------------------------
 
 
+def job_pool_keys(job: Dict) -> Dict[Tuple[str, str], str]:
+    """``(KIND_IR, name) -> CAS key`` for every body a job ships.
+
+    Entries without a ``"pool"`` are WPA clones (the plan replay
+    creates their bodies); ``"imports"`` are read-only replay inputs."""
+    entries = list(job["routines"]) + list(job.get("imports") or [])
+    return {
+        (KIND_IR, entry["name"]): entry["pool"]
+        for entry in entries if "pool" in entry
+    }
+
+
+def run_wire_job(job: Dict, store, contexts: ContextCache) -> Dict:
+    """Execute one job descriptor against a blob store.
+
+    ``store`` answers ``get_blob(key)`` / ``get_blobs(keys)`` for the
+    keys the link side published; this is the whole executor side of
+    every transport."""
+    shared = contexts.get(str(job["ctx"]), store)
+    repository = CasBackedRepository(store, job_pool_keys(job))
+    return execute_partition_job(shared, job, repository)
+
+
 def execute_partition_job(shared: SharedJobContext, job: Dict,
                           repository) -> Dict:
-    """Run one partition exactly the way the in-process runner does.
+    """Run one partition: adopt, replay, scalar + codegen, package.
 
     ``repository`` supplies every routine's compact IR under
     ``(KIND_IR, name)`` (see :class:`~repro.naim.remote.
-    CasBackedRepository`); the mirror of ``_run_partition`` below
-    keeps the pin / scalar / codegen / unload sequence -- and with it
-    byte-identical machine code."""
+    CasBackedRepository`).  The per-routine pin / scalar / codegen /
+    unload sequence is the serial driver's, fused per routine --
+    hence byte-identical machine code."""
     index = job["index"]
     names: List[str] = [entry["name"] for entry in job["routines"]]
     worker_loader = Loader(

@@ -306,9 +306,7 @@ class WarmState:
             artifact_cache=self.artifact_cache,
             warm=True,
         )
-        if compiler_options.use_partitioned_hlo and (
-            compiler_options.hlo_backend in ("auto", "processes")
-        ):
+        if compiler_options.use_partitioned_hlo:
             session.compiler.process_pool = self.process_pool()
         return session
 

@@ -14,13 +14,15 @@ import time
 
 import pytest
 
-from repro.driver.compiler import CompileSession
+from repro.driver.compiler import Compiler, CompileSession
 from repro.driver.options import CompilerOptions
 from repro.farm.client import FarmClient
 from repro.farm.coordinator import FarmCoordinator
 from repro.farm.transport import ROLE_WORKER, connect
 from repro.farm.worker import FarmWorker
 from repro.linker.objects import encode_executable
+from repro.part.procexec import processes_supported
+from repro.sched.events import EventLog
 from repro.serve.client import DaemonError
 from repro.serve.protocol import ERR_BAD_REQUEST, read_message
 from repro.synth import WorkloadConfig, generate
@@ -157,6 +159,46 @@ class TestFarmByteIdentity:
                 "opt_level": 4, "hlo_jobs": 2,
             })
         assert sum(worker.jobs_done for worker in fleet) >= 3
+
+
+class TestTransportsAgree:
+    """One runner, three transports: same image, same folded stats,
+    and each transport's own span shape."""
+
+    #: transport -> (compiler options, ``ltrans`` spans it records per
+    #: partition: local executors one each, the coordinator none --
+    #: farm workers keep their own clocks).
+    SHAPES = {
+        "in-process": (dict(hlo_jobs=1), 1),
+        "processes": (dict(hlo_jobs=2, hlo_backend="processes"), 1),
+        "farm": (dict(hlo_jobs=2), 0),
+    }
+
+    @pytest.mark.parametrize("transport", sorted(SHAPES))
+    def test_image_stats_and_spans(self, farm, transport):
+        if transport == "processes" and not processes_supported():
+            pytest.skip("no multiprocessing here")
+        coordinator, _ = farm
+        sources = farm_sources(seed=38)
+        serial = Compiler(CompilerOptions(opt_level=4)).build(sources)
+        shape, spans_per_partition = self.SHAPES[transport]
+        compiler = Compiler(
+            CompilerOptions(opt_level=4, hlo_partitions=4, **shape)
+        )
+        if transport == "farm":
+            compiler.partition_dispatcher = coordinator.dispatcher
+        log = EventLog()
+        build = compiler.build(sources, events=log)
+
+        assert build.ltrans_stats["backend"] == transport
+        assert build.ltrans_stats["partitions"] == 4
+        assert (encode_executable(build.executable)
+                == encode_executable(serial.executable))
+        assert (build.hlo_result.ctx.stats.counts
+                == serial.hlo_result.ctx.stats.counts)
+        assert repr(build.llo_stats) == repr(serial.llo_stats)
+        assert len(log.spans("ltrans")) == 4 * spans_per_partition
+        assert len(log.spans("dispatch")) == 1
 
 
 class TestBadOptions:

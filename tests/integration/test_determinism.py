@@ -169,6 +169,14 @@ def image_hash(build):
     return hashlib.sha256(encode_executable(build.executable)).hexdigest()
 
 
+#: Compiler options per non-incremental execution shape.
+GOLDEN_SHAPES = {
+    "serial": {},
+    "in-process": dict(hlo_partitions=8),
+    "processes": dict(hlo_jobs=2, hlo_backend="processes"),
+}
+
+
 def golden_image_hashes(row, shape):
     """SHA-256 of every image the given execution shape produces."""
     sources, profile_db = golden_inputs(row)
@@ -177,17 +185,13 @@ def golden_image_hashes(row, shape):
         cold, _report = engine.build(sources, profile_db=profile_db)
         warm, _report = engine.build(sources, profile_db=profile_db)
         return [image_hash(cold), image_hash(warm)]
-    extra = {}
-    if shape != "serial":
-        extra = dict(hlo_jobs=2, hlo_backend=shape)
-    build = Compiler(golden_options(row, **extra)).build(
+    build = Compiler(golden_options(row, **GOLDEN_SHAPES[shape])).build(
         sources, profile_db=profile_db
     )
     return [image_hash(build)]
 
 
-@pytest.mark.parametrize("shape",
-                         ["serial", "threads", "processes", "incremental"])
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SHAPES) + ["incremental"])
 @pytest.mark.parametrize("row", sorted(GOLDEN_ROWS))
 def test_golden_image(row, shape):
     with open(GOLDEN_PATH) as handle:

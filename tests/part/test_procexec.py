@@ -1,11 +1,13 @@
-"""Integration tests for the local process LTRANS backend.
+"""Integration tests for the local process LTRANS transport.
 
-The contract mirrors the thread runner's: for every backend, jobs and
-partitions setting the +O4 image is byte-identical to the serial
-build.  On top of that the process backend must clamp oversubscribed
-job counts (announcing it once on the event log), survive a worker
-SIGKILLed mid-partition, and reuse an injected persistent pool the
-way the daemon's warm state does.
+For every backend, jobs and partitions setting the +O4 image is
+byte-identical to the serial build (the image/stats/span comparison
+across all three transports lives in tests/farm/test_farm.py, next to
+the farm fixture).  On top of that the process transport must clamp
+oversubscribed job counts (announcing it once on the event log),
+survive a worker SIGKILLed mid-partition, reuse an injected persistent
+pool the way the daemon's warm state does, and say so when it was
+asked for but cannot run.
 """
 
 import pytest
@@ -16,7 +18,6 @@ from repro.linker.objects import encode_executable
 from repro.naim.config import NaimConfig, NaimLevel
 from repro.part.procexec import (
     KILL_MARKER_ENV,
-    ProcessPartitionRunner,
     processes_supported,
     run_partition_job,
 )
@@ -48,14 +49,6 @@ def build(sources, events=None, **option_kwargs):
 
 
 class TestByteIdentity:
-    def test_processes_match_serial_and_threads(self):
-        sources = app_sources()
-        reference = encode_executable(build(sources).executable)
-        threads = build(sources, hlo_jobs=2, hlo_backend="threads")
-        processes = build(sources, hlo_jobs=2, hlo_backend="processes")
-        assert encode_executable(threads.executable) == reference
-        assert encode_executable(processes.executable) == reference
-
     def test_partition_sweep(self):
         sources = app_sources(seed=42)
         reference = encode_executable(build(sources).executable)
@@ -75,18 +68,18 @@ class TestByteIdentity:
                          hlo_backend="processes")
         assert encode_executable(parallel.executable) == reference
 
-    def test_folded_stats_match_threads(self):
+    def test_folded_peak_is_deterministic_and_transport_blind(self):
+        # Every transport folds isolated per-partition accountants, so
+        # for one partitioning the modeled peak is the same number
+        # whoever ran the partitions, run after run.
         sources = app_sources(seed=44)
-        threads = build(sources, hlo_jobs=2, hlo_backend="threads")
-        processes = build(sources, hlo_jobs=2, hlo_backend="processes")
-        assert (threads.hlo_result.ctx.stats.counts
-                == processes.hlo_result.ctx.stats.counts)
-        assert repr(threads.llo_stats) == repr(processes.llo_stats)
-        # Peak memory is an execution property, not an output one
-        # (threads share one live accountant; processes fold isolated
-        # per-partition peaks) -- but it must be deterministic.
-        again = build(sources, hlo_jobs=2, hlo_backend="processes")
-        assert again.accountant.peak == processes.accountant.peak
+        in_process = build(sources, hlo_jobs=1, hlo_partitions=8)
+        processes = build(sources, hlo_jobs=2, hlo_partitions=8,
+                          hlo_backend="processes")
+        again = build(sources, hlo_jobs=2, hlo_partitions=8,
+                      hlo_backend="processes")
+        assert (in_process.accountant.peak == processes.accountant.peak
+                == again.accountant.peak)
 
 
 class TestBackendSelection:
@@ -96,21 +89,50 @@ class TestBackendSelection:
         assert processes.ltrans_stats["backend"] == "processes"
         assert processes.ltrans_stats["blob_bytes"] > 0
         assert processes.ltrans_stats["workers"] >= 1
-        threads = build(sources, hlo_jobs=2, hlo_backend="threads")
-        assert threads.ltrans_stats["backend"] == "threads"
-        assert "blob_bytes" not in threads.ltrans_stats
+        in_process = build(sources, hlo_jobs=1, hlo_partitions=4)
+        assert in_process.ltrans_stats["backend"] == "in-process"
+        assert "blob_bytes" not in in_process.ltrans_stats
 
-    def test_auto_resolves_to_a_real_backend(self):
+    def test_auto_resolves_from_effective_jobs(self):
         sources = app_sources(seed=45)
         result = build(sources, hlo_jobs=2, hlo_backend="auto")
-        assert result.ltrans_stats["backend"] in ("threads", "processes")
+        expected = "processes" if cpu_count() > 1 else "in-process"
+        assert result.ltrans_stats["backend"] == expected
+        # One effective worker: processes cannot help.
+        clamped = build(sources, hlo_jobs=4, hlo_partitions=1)
+        assert clamped.ltrans_stats["backend"] == "in-process"
+
+    def test_explicit_processes_without_support_falls_back_loudly(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.part.procexec.processes_supported",
+                            lambda: False)
+        sources = app_sources(seed=45)
+        reference = encode_executable(build(sources).executable)
+        log = EventLog()
+        result = build(sources, events=log, hlo_jobs=2,
+                       hlo_partitions=4, hlo_backend="processes")
+        assert encode_executable(result.executable) == reference
+        assert result.ltrans_stats["backend"] == "in-process"
+        fallbacks = [e for e in log.events
+                     if e.name == "ltrans-backend-fallback"]
+        assert len(fallbacks) == 1
+        assert fallbacks[0].args["requested"] == "processes"
+        assert fallbacks[0].args["effective"] == "in-process"
+        assert fallbacks[0].args["reason"]
+        # "auto" choosing the link process is not a fallback.
+        quiet = EventLog()
+        build(sources, events=quiet, hlo_jobs=2, hlo_partitions=4)
+        assert not [e for e in quiet.events
+                    if e.name == "ltrans-backend-fallback"]
 
     def test_serial_build_has_no_ltrans_stats(self):
         assert build(app_sources(seed=45)).ltrans_stats is None
 
-    def test_invalid_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["fibers", "threads"])
+    def test_invalid_backend_rejected(self, backend):
         with pytest.raises(ValueError, match="hlo_backend"):
-            CompilerOptions(opt_level=4, hlo_backend="fibers")
+            CompilerOptions(opt_level=4, hlo_backend=backend)
 
     def test_backend_stays_out_of_describe(self):
         # Like hlo_jobs: an execution knob, not an output fingerprint.
@@ -139,17 +161,16 @@ class TestClamping:
         assert not [e for e in log.events
                     if e.name == "hlo-jobs-clamped"]
 
-    def test_span_counts_match_thread_backend(self):
-        # One "ltrans" span per partition on both backends, so the
-        # printed "hlo-jobs: N workers, M partitions" line agrees.
+    def test_span_counts_match_in_process_transport(self):
+        # One "ltrans" span per partition on both local transports, so
+        # the printed "hlo-jobs: N workers, M partitions" line agrees.
         sources = app_sources(seed=46)
-        thread_log, process_log = EventLog(), EventLog()
-        build(sources, events=thread_log, hlo_jobs=2, hlo_partitions=4,
-              hlo_backend="threads")
+        local_log, process_log = EventLog(), EventLog()
+        build(sources, events=local_log, hlo_jobs=1, hlo_partitions=4)
         build(sources, events=process_log, hlo_jobs=2, hlo_partitions=4,
               hlo_backend="processes")
         assert (len(process_log.spans("ltrans"))
-                == len(thread_log.spans("ltrans")) == 4)
+                == len(local_log.spans("ltrans")) == 4)
 
 
 class TestCrashRecovery:
@@ -195,14 +216,10 @@ class TestPersistentPool:
 
 
 class TestRunnerSurface:
-    def test_dispatch_span_outside_ltrans_category(self):
-        assert ProcessPartitionRunner.DISPATCH_CATEGORY != "ltrans"
-
-    def test_runner_requires_wireable_result(self):
+    def test_unit_stays_usable(self):
         sources = app_sources(seed=49)
         built = build(sources, hlo_jobs=2, hlo_backend="processes")
-        # The post-run unit is fully re-adopted (same invariant the
-        # thread and farm runners guarantee).
+        # The post-run unit is fully re-adopted, whatever the transport.
         unit = built.hlo_result.unit
         for name in unit.routine_names():
             assert unit.routine(name) is not None

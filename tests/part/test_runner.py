@@ -1,4 +1,6 @@
-"""Integration tests for the partitioned LTRANS backend.
+"""Integration tests for the partition runner on its in-process
+transport (``hlo_jobs=1`` with a partition count; the process and farm
+transports have their own files).
 
 The load-bearing property: for any jobs/partitions setting, a +O4
 build's image is byte-identical to the serial build, and every folded
@@ -47,8 +49,8 @@ class TestByteIdentity:
         sources = app_sources()
         reference = encode_executable(build(sources).executable)
         for partitions in (1, 3, 7, 16):
-            parallel = build(sources, hlo_jobs=2,
-                             hlo_partitions=partitions)
+            parallel = build(sources, hlo_partitions=partitions)
+            assert parallel.ltrans_stats["backend"] == "in-process"
             assert encode_executable(parallel.executable) == reference
 
     def test_identical_under_naim_offload(self):
@@ -57,7 +59,7 @@ class TestByteIdentity:
         reference = encode_executable(
             build(sources, naim=naim()).executable
         )
-        parallel = build(sources, naim=naim(), hlo_jobs=4)
+        parallel = build(sources, naim=naim(), hlo_partitions=16)
         assert encode_executable(parallel.executable) == reference
         # Workers warmed their offloaded pools in batches.
         assert parallel.hlo_result.loader.stats.prefetches > 0
@@ -69,14 +71,14 @@ class TestByteIdentity:
             build(sources, profile_db, selectivity_percent=60).executable
         )
         parallel = build(sources, profile_db, selectivity_percent=60,
-                         hlo_jobs=3)
+                         hlo_partitions=12)
         assert encode_executable(parallel.executable) == reference
 
 
 class TestDeterministicFolding:
     def test_stats_independent_of_interleaving(self):
         sources = app_sources(seed=13)
-        first = build(sources, hlo_jobs=4)
+        first = build(sources, hlo_partitions=16)
         second = build(sources, hlo_jobs=4)
         assert (first.hlo_result.loader.stats.as_dict()
                 == second.hlo_result.loader.stats.as_dict())
@@ -87,7 +89,7 @@ class TestDeterministicFolding:
     def test_pass_stats_match_serial(self):
         sources = app_sources(seed=13)
         serial = build(sources)
-        parallel = build(sources, hlo_jobs=4)
+        parallel = build(sources, hlo_partitions=16)
         assert (serial.hlo_result.ctx.stats.counts
                 == parallel.hlo_result.ctx.stats.counts)
         assert repr(serial.llo_stats) == repr(parallel.llo_stats)
@@ -98,7 +100,7 @@ class TestUnitAfterRun:
         """Ownership transfer round-trips: optimized routines are
         re-adopted into the link loader after the parallel run."""
         sources = app_sources()
-        parallel = build(sources, hlo_jobs=2)
+        parallel = build(sources, hlo_partitions=8)
         unit = parallel.hlo_result.unit
         for name in unit.routine_names():
             routine = unit.routine(name)

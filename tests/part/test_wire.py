@@ -1,9 +1,8 @@
-"""Partition serialization: the farm's wire format, verified in-process.
+"""Partition serialization: the wire format, verified in-process.
 
-A loopback dispatcher drives :class:`RemotePartitionRunner` with
-``execute_partition_job`` running in the same process -- every encode/
-decode/execute step of real farm dispatch, minus the sockets -- and the
-resulting images must be byte-identical to the local runner's.
+The in-process transport runs every encode/decode/execute step of real
+process or farm dispatch, minus the pipes and sockets -- and the
+resulting images must be byte-identical to the serial build's.
 """
 
 import json
@@ -12,20 +11,18 @@ import pytest
 
 from repro.driver.compiler import Compiler, train
 from repro.driver.options import CompilerOptions
-from repro.farm.store import cas_key
 from repro.linker.objects import encode_executable
 from repro.naim.config import NaimConfig
-from repro.naim.pools import KIND_IR
-from repro.naim.remote import CasBackedRepository
-from repro.part.remote import RemoteDispatchError, RemotePartitionRunner
+from repro.part import Partition
+from repro.part.runner import InProcessTransport, RemoteDispatchError
 from repro.llo.driver import LloOptions
 from repro.part.wire import (
     WIRE_VERSION,
     WireError,
     build_context_blob,
+    decode_outcome,
     decode_shared_context,
     encode_shared_context,
-    execute_partition_job,
 )
 from repro.synth import WorkloadConfig, generate
 
@@ -43,63 +40,19 @@ def app_sources(seed=21, n_modules=6):
     return generate(config).sources
 
 
-class LoopbackStore:
-    """put/get blob surface of the farm store, in a dict."""
+class ReversedTransport(InProcessTransport):
+    """Outcomes in any order are fine: the runner folds by index."""
 
     def __init__(self):
-        self.blobs = {}
-        self.puts = 0
-
-    def put_blob(self, data):
-        key = cas_key(data)
-        if key not in self.blobs:
-            self.blobs[key] = data
-            self.puts += 1
-        return key
-
-    def get_blob(self, key):
-        return self.blobs[key]
-
-    def get_blobs(self, keys):
-        return {key: self.blobs[key] for key in keys}
-
-
-class LoopbackDispatcher:
-    """The coordinator's dispatcher contract, executed inline."""
-
-    def __init__(self):
-        self.store = LoopbackStore()
-        self.jobs_seen = 0
+        super().__init__()
+        self.outcomes = []
 
     def ready(self):
         return True
 
-    def runner(self, hlo_result, llo_options, naim_config=None,
-               jobs=1, events=None):
-        return RemotePartitionRunner(
-            hlo_result, llo_options, naim_config=naim_config,
-            jobs=jobs, events=events,
-            dispatch=self.dispatch, put_blob=self.store.put_blob,
-        )
-
     def dispatch(self, jobs):
-        outcomes = []
-        for job in jobs:
-            self.jobs_seen += 1
-            shared = decode_shared_context(
-                self.store.get_blob(job["ctx"])
-            )
-            entries = (list(job["routines"])
-                       + list(job.get("imports") or []))
-            repository = CasBackedRepository(self.store, {
-                (KIND_IR, entry["name"]): entry["pool"]
-                for entry in entries if "pool" in entry
-            })
-            outcomes.append(
-                execute_partition_job(shared, job, repository)
-            )
-        # Any order is fine: the runner folds by partition index.
-        return list(reversed(outcomes))
+        self.outcomes = list(reversed(super().dispatch(jobs)))
+        return self.outcomes
 
 
 def build(sources, profile_db=None, dispatcher=None, **option_kwargs):
@@ -113,22 +66,14 @@ def build(sources, profile_db=None, dispatcher=None, **option_kwargs):
 
 
 class TestLoopbackByteIdentity:
-    def test_dispatched_image_matches_local(self):
-        sources = app_sources()
-        reference = encode_executable(
-            build(sources, hlo_jobs=2).executable
-        )
-        dispatcher = LoopbackDispatcher()
-        remote = build(sources, dispatcher=dispatcher, hlo_jobs=2)
-        assert encode_executable(remote.executable) == reference
-        assert dispatcher.jobs_seen > 0
-
-    def test_dispatched_image_matches_serial(self):
+    def test_outcomes_in_any_order_match_serial(self):
         sources = app_sources(seed=22)
         reference = encode_executable(build(sources).executable)
-        remote = build(sources, dispatcher=LoopbackDispatcher(),
+        dispatcher = ReversedTransport()
+        remote = build(sources, dispatcher=dispatcher,
                        hlo_jobs=2, hlo_partitions=5)
         assert encode_executable(remote.executable) == reference
+        assert len(dispatcher.outcomes) == 5
 
     def test_identical_with_profiles_and_selectivity(self):
         sources = app_sources(seed=23)
@@ -138,26 +83,18 @@ class TestLoopbackByteIdentity:
                   selectivity_percent=60).executable
         )
         remote = build(sources, profile_db,
-                       dispatcher=LoopbackDispatcher(),
+                       dispatcher=ReversedTransport(),
                        hlo_jobs=2, selectivity_percent=60)
         assert encode_executable(remote.executable) == reference
-
-    def test_folded_stats_deterministic(self):
-        sources = app_sources(seed=24)
-        local = build(sources, hlo_jobs=2)
-        remote = build(sources, dispatcher=LoopbackDispatcher(),
-                       hlo_jobs=2)
-        assert remote.llo_stats.instructions == local.llo_stats.instructions
-        assert remote.llo_stats.routines == local.llo_stats.routines
 
 
 class TestSharedContext:
     def _encode(self, seed=25):
         sources = app_sources(seed=seed)
-        dispatcher = LoopbackDispatcher()
+        dispatcher = ReversedTransport()
         build(sources, dispatcher=dispatcher, hlo_jobs=2)
         # The context blob the build published:
-        for blob in dispatcher.store.blobs.values():
+        for blob in dispatcher.blobs.values():
             try:
                 payload = json.loads(blob.decode("utf-8"))
             except (UnicodeDecodeError, ValueError):
@@ -257,20 +194,31 @@ class TestContextBlobCache:
 
 
 class TestRunnerContract:
-    def test_requires_both_callables(self):
-        sources = app_sources(seed=26)
-        built = build(sources, hlo_jobs=2)
-        with pytest.raises(ValueError, match="required"):
-            RemotePartitionRunner(
-                built.hlo_result, None, dispatch=None, put_blob=None
-            )
-
     def test_missing_outcome_raises(self):
         sources = app_sources(seed=27)
 
-        class DroppyDispatcher(LoopbackDispatcher):
+        class DroppyTransport(ReversedTransport):
             def dispatch(self, jobs):
                 return super().dispatch(jobs)[1:]  # lose one outcome
 
         with pytest.raises(RemoteDispatchError, match="no outcome"):
-            build(sources, dispatcher=DroppyDispatcher(), hlo_jobs=2)
+            build(sources, dispatcher=DroppyTransport(), hlo_jobs=2)
+
+    @pytest.mark.parametrize("damage", [
+        lambda reply: reply.pop("machines_b64"),
+        lambda reply: reply.pop("index"),
+        lambda reply: reply.update(machines_b64="not base64!"),
+        lambda reply: reply.update(machines_b64="AAAA"),
+        lambda reply: reply.update(returned=[["f", "A"]]),
+    ])
+    def test_garbage_outcome_rejected(self, damage):
+        dispatcher = ReversedTransport()
+        build(app_sources(seed=26), dispatcher=dispatcher,
+              hlo_jobs=2, hlo_partitions=2)
+        reply = dict(dispatcher.outcomes[0])
+        partition = Partition(reply["index"], [], [], 1)
+        decode_outcome(partition, reply)  # intact: accepted
+        damage(reply)
+        with pytest.raises(WireError,
+                           match="partition %d" % partition.index):
+            decode_outcome(partition, reply)

@@ -1,9 +1,10 @@
 """Property tests for the partitioned parallel LTRANS backend.
 
-The invariant: for ANY synthetic program, a +O4 build with
-``hlo_jobs`` in {1, 2, 4} produces an image byte-identical to the
-serial build -- on BOTH executor backends (threads and worker
-processes), with and without summary-based incremental CMO.
+The invariant: for ANY synthetic program, a partitioned +O4 build
+produces an image byte-identical to the serial build -- on BOTH local
+transports (the link process at several partition counts, worker
+processes at several job counts), with and without summary-based
+incremental CMO.
 """
 
 from __future__ import annotations
@@ -17,8 +18,13 @@ from repro.driver.options import CompilerOptions
 from repro.linker.objects import encode_executable
 from repro.synth import WorkloadConfig, generate
 
-JOBS = (1, 2, 4)
-BACKENDS = ("threads", "processes")
+#: Option sets per local transport: the in-process one has no worker
+#: count to vary, so it varies the partition count instead.
+BACKENDS = {
+    "in-process": [dict(hlo_partitions=n) for n in (1, 3, 8)],
+    "processes": [dict(hlo_jobs=jobs, hlo_backend="processes")
+                  for jobs in (1, 2, 4)],
+}
 
 
 def small_app(seed, n_modules=5):
@@ -44,14 +50,13 @@ def test_parallel_image_matches_serial(seed, n_modules):
     sources = small_app(seed, n_modules).sources
     serial = Compiler(CompilerOptions(opt_level=4)).build(sources)
     reference = encode_executable(serial.executable)
-    for backend in BACKENDS:
-        for jobs in JOBS:
+    for backend, shapes in BACKENDS.items():
+        for shape in shapes:
             build = Compiler(
-                CompilerOptions(opt_level=4, hlo_jobs=jobs,
-                                hlo_backend=backend)
+                CompilerOptions(opt_level=4, **shape)
             ).build(sources)
             assert encode_executable(build.executable) == reference, (
-                "hlo_jobs=%d (%s) diverged from serial" % (jobs, backend)
+                "%r (%s) diverged from serial" % (shape, backend)
             )
 
 
@@ -65,11 +70,10 @@ def test_parallel_composes_with_incremental(seed):
     serial, serial_report = serial_engine.build(app.sources)
     reference = encode_executable(serial.executable)
 
-    for backend in BACKENDS:
-        for jobs in JOBS[1:]:
+    for backend, shapes in BACKENDS.items():
+        for shape in shapes[1:]:
             engine = BuildEngine(
-                CompilerOptions(opt_level=4, hlo_jobs=jobs,
-                                hlo_backend=backend),
+                CompilerOptions(opt_level=4, **shape),
                 incremental=True,
             )
             build, report = engine.build(app.sources)
@@ -96,7 +100,7 @@ def test_summary_wpa_composes_with_incremental(seed):
         Compiler(CompilerOptions(opt_level=4)).build(app.sources).executable
     )
     engine = BuildEngine(
-        CompilerOptions(opt_level=4, hlo_jobs=2, hlo_backend="threads"),
+        CompilerOptions(opt_level=4, hlo_partitions=8),
         incremental=True,
     )
     cold, _report = engine.build(app.sources)

@@ -218,9 +218,10 @@ class TestControlPlane:
         ({"sources": {}}, "empty"),
         ({"sources": {"m": "x"}, "jobs": 0}, "jobs"),
         ({"sources": {"m": "x"}, "opt_level": 9}, "opt"),
-        # A stale client (the option was removed) and a typo: named,
-        # never silently built with defaults.
+        # A stale client (the option or value was removed) and a typo:
+        # named, never silently built with defaults.
         ({"sources": {"m": "x"}, "wpa_mode": "summary"}, "'wpa_mode'"),
+        ({"sources": {"m": "x"}, "hlo_backend": "threads"}, "'threads'"),
         ({"sources": {"m": "x"}, "hlo_job": 4}, "'hlo_job'"),
     ])
     def test_bad_build_options_rejected(self, served, options, pattern):
@@ -295,14 +296,18 @@ class TestProcessPool:
             warm = client.build(self._options(calc_sources))
         assert warm["image"] == cold_image(calc_sources)
 
-    def test_thread_backend_build_skips_the_pool(self, tmp_path,
-                                                 calc_sources):
+    def test_in_process_build_skips_the_pool(self, tmp_path,
+                                             calc_sources):
         with running_daemon(tmp_path) as (_, client):
-            options = self._options(calc_sources)
-            options["hlo_backend"] = "threads"
+            options = dict(self._options(calc_sources),
+                           hlo_jobs=1, hlo_backend="auto")
             result = client.build(options)
-            assert result["summary"]["hlo_backend"] == "threads"
-            assert client.status()["process_pool"] is None
+            assert result["summary"]["hlo_backend"] == "in-process"
+            assert result["image"] == cold_image(calc_sources)
+            # The daemon offers its pool; one effective worker never
+            # spawns into it.
+            pool = client.status()["process_pool"]
+            assert pool["spawned"] == 0 and pool["tasks_done"] == 0
 
     def test_drain_closes_the_pool(self, tmp_path, calc_sources):
         with running_daemon(tmp_path) as (daemon, client):
