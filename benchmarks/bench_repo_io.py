@@ -1,17 +1,17 @@
-"""Repository I/O: pack-file segments vs the legacy per-file layout.
+"""Repository I/O: the pack-file repository under offload pressure.
 
 Runs the Figure 5 offload workload (gcc-like app, NAIM pinned to
 OFFLOAD with a small pool cache, so the build is dominated by
-repository traffic) twice: once on the legacy one-file-per-pool layout
-with synchronous fetches, once on the pack-segment layout with
-compression and the background prefetch pipeline.  Reports wall-clock,
-bytes written/read, and fetch/store counts, and asserts:
+repository traffic) on an on-disk pack repository with compression and
+the background prefetch pipeline, and once more on an in-memory
+repository.  Reports wall-clock, bytes written/read, and fetch/store
+counts, and asserts:
 
-* output images are byte-identical across the two layouts (always --
-  the repository is a cache of relocatable bytes, never a semantic
-  input);
-* in full mode, packed+compressed writes at least halve ``bytes_written``
-  and the offload-phase wall-clock improves by >= 30%;
+* the on-disk build's image is byte-identical to the in-memory build's
+  (always -- the repository is a cache of relocatable bytes, never a
+  semantic input);
+* the workload exercised the repository: stores, fetches and identical
+  re-store skips are all non-zero;
 * the batched IL codec decodes the workload's routine pools at least
   2x faster than the reference per-field codec, from byte-identical
   relocatable images (full mode; always reported).
@@ -48,10 +48,6 @@ from repro.naim.intern import InternPool
 from repro.synth.config import spec_like_suite
 from repro.synth.generator import generate
 
-#: Full-mode acceptance bars (ISSUE 5): pack must at least halve the
-#: bytes hitting disk and cut >= 30% of the offload build's wall time.
-MIN_WRITE_REDUCTION = 2.0
-MIN_TIME_IMPROVEMENT = 0.30
 #: Full-mode acceptance bar (ISSUE 7): batched decode vs reference.
 MIN_DECODE_SPEEDUP = 2.0
 
@@ -65,16 +61,9 @@ def _workload(scale):
     return app, profile_db
 
 
-def _run_build(app, profile_db, cache_pools, layout, prefetch_depth,
-               compress_level):
-    naim = NaimConfig(
-        level=NaimLevel.OFFLOAD,
-        cache_pools=cache_pools,
-        repo_layout=layout,
-        repo_prefetch_depth=prefetch_depth,
-        repo_compress_level=compress_level,
-    )
-    repo_dir = tempfile.mkdtemp(prefix="repo_io_%s_" % layout)
+def _run_build(app, profile_db, cache_pools, on_disk):
+    naim = NaimConfig(level=NaimLevel.OFFLOAD, cache_pools=cache_pools)
+    repo_dir = tempfile.mkdtemp(prefix="repo_io_") if on_disk else None
     try:
         options = CompilerOptions(
             opt_level=4, pbo=True, naim=naim, hlo=_aggressive_hlo(),
@@ -88,7 +77,7 @@ def _run_build(app, profile_db, cache_pools, layout, prefetch_depth,
         loader_stats = build.hlo_result.loader.stats
         phase_seconds = build.hlo_result.phase_seconds
         return {
-            "layout": layout,
+            "repository": "pack" if on_disk else "in-memory",
             "seconds": seconds,
             "hlo_seconds": build.timings.phases.get("hlo", 0.0),
             "wpa_seconds": sum(
@@ -110,7 +99,8 @@ def _run_build(app, profile_db, cache_pools, layout, prefetch_depth,
             "prefetch_hits": loader_stats.prefetch_hits,
         }
     finally:
-        shutil.rmtree(repo_dir, ignore_errors=True)
+        if repo_dir is not None:
+            shutil.rmtree(repo_dir, ignore_errors=True)
 
 
 def _codec_bench(app, repeats=3):
@@ -170,34 +160,19 @@ def run_bench(mode="full"):
     cache_pools = 2 if mode == "smoke" else 4
     app, profile_db = _workload(scale)
 
-    legacy = _run_build(app, profile_db, cache_pools, "files",
-                        prefetch_depth=0, compress_level=0)
-    packed = _run_build(app, profile_db, cache_pools, "pack",
-                        prefetch_depth=1, compress_level=6)
+    memory = _run_build(app, profile_db, cache_pools, on_disk=False)
+    packed = _run_build(app, profile_db, cache_pools, on_disk=True)
 
-    assert packed["image"] == legacy["image"], (
-        "pack layout changed output bytes"
+    assert packed["image"] == memory["image"], (
+        "the on-disk repository changed output bytes"
     )
-    assert packed["stores"] > 0 and packed["fetches"] > 0, (
+    assert (packed["stores"] > 0 and packed["fetches"] > 0
+            and packed["store_skips"] > 0), (
         "workload did not exercise the repository"
     )
 
-    write_reduction = (legacy["bytes_written"] / packed["bytes_written"]
-                       if packed["bytes_written"] else float("inf"))
-    time_improvement = (
-        (legacy["seconds"] - packed["seconds"]) / legacy["seconds"]
-        if legacy["seconds"] else 0.0
-    )
     codec = _codec_bench(app)
     if mode == "full":
-        assert write_reduction >= MIN_WRITE_REDUCTION, (
-            "pack writes %.2fx less than per-file (need >= %.1fx)"
-            % (write_reduction, MIN_WRITE_REDUCTION)
-        )
-        assert time_improvement >= MIN_TIME_IMPROVEMENT, (
-            "pack saves %.0f%% wall-clock (need >= %.0f%%)"
-            % (100 * time_improvement, 100 * MIN_TIME_IMPROVEMENT)
-        )
         assert codec["decode_speedup"] >= MIN_DECODE_SPEEDUP, (
             "batched decode is %.2fx the reference codec "
             "(need >= %.1fx)"
@@ -214,18 +189,16 @@ def run_bench(mode="full"):
         "repository I/O bench (%s): gcc-like x%.1f, OFFLOAD, "
         "cache_pools=%d" % (mode, scale, cache_pools),
         "",
-        row("per-file (legacy)", legacy),
+        row("in-memory", memory),
         row("pack+zlib+prefetch", packed),
         "",
-        "  bytes_written reduction: %.2fx" % write_reduction,
-        "  wall-clock improvement:  %.1f%%" % (100 * time_improvement),
         "  pack segments: %d, index bytes written: %d, "
         "identical re-stores skipped: %d"
         % (packed["segments"], packed["index_bytes_written"],
            packed["store_skips"]),
         "  prefetches issued/hit: %d/%d"
         % (packed["prefetches"], packed["prefetch_hits"]),
-        "  images byte-identical across layouts: yes",
+        "  image byte-identical to the in-memory build: yes",
         "  codec decode (%d routines, %d B relocatable): "
         "reference %.3fs vs batched %.3fs -> %.2fx"
         % (codec["routines"], codec["relocatable_bytes"],
@@ -238,9 +211,7 @@ def run_bench(mode="full"):
         "scale": scale,
         "cache_pools": cache_pools,
         "byte_identical": True,
-        "write_reduction": write_reduction,
-        "time_improvement": time_improvement,
-        "legacy": {k: v for k, v in legacy.items() if k != "image"},
+        "in_memory": {k: v for k, v in memory.items() if k != "image"},
         "pack": {k: v for k, v in packed.items() if k != "image"},
         "codec": codec,
     }

@@ -34,7 +34,13 @@ from typing import Dict, List
 from ..frontend import compile_source, detect_language
 from ..ir.printer import format_module
 from .compiler import CompileSession, train as train_profile
-from .options import VALID_HLO_BACKENDS, CompilerOptions
+from .options import (
+    add_build_flags,
+    at_least_one,
+    build_request,
+    flag_type,
+    parse_build_request,
+)
 from .report import build_summary, render_build_summary
 from ..profiles.database import ProfileDatabase
 
@@ -54,131 +60,6 @@ def _read_sources(paths: List[str]) -> Dict[str, str]:
     return sources
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1, rejected with a clear message.
-
-    Validating at the parser keeps ``-j 0`` (and friends) to a
-    one-line usage error instead of a traceback from deep inside the
-    scheduler or the options constructor.
-    """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected a positive integer, got %r" % text
-        )
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            "must be >= 1 (got %d)" % value
-        )
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected an integer >= 0, got %r" % text
-        )
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0 (got %d)" % value)
-    return value
-
-
-def _naim_config_from_args(args: argparse.Namespace):
-    """NaimConfig carrying the repository I/O knobs (None = defaults)."""
-    from ..naim.config import NaimConfig
-
-    defaults = NaimConfig()
-    compress = getattr(args, "repo_compress", defaults.repo_compress_level)
-    segment_mb = getattr(args, "repo_segment_mb",
-                         defaults.repo_segment_bytes // (1024 * 1024))
-    depth = getattr(args, "prefetch_depth", defaults.repo_prefetch_depth)
-    if (compress == defaults.repo_compress_level
-            and segment_mb * 1024 * 1024 == defaults.repo_segment_bytes
-            and depth == defaults.repo_prefetch_depth):
-        return None
-    return NaimConfig(
-        repo_compress_level=compress,
-        repo_segment_bytes=segment_mb * 1024 * 1024,
-        repo_prefetch_depth=depth,
-    )
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("files", nargs="+", help="MLL source files")
-    parser.add_argument(
-        "-O", dest="opt_level", type=int, default=2, choices=(0, 1, 2, 4),
-        help="optimization level (4 = link-time CMO)",
-    )
-    parser.add_argument(
-        "-P", dest="profile", default=None, metavar="DB.json",
-        help="profile database to use (+P)",
-    )
-    parser.add_argument(
-        "--selectivity", type=float, default=None, metavar="PCT",
-        help="coarse-grained selectivity percentage (needs -P)",
-    )
-    parser.add_argument("--checked", action="store_true",
-                        help="fail the build on interface mismatches")
-    parser.add_argument(
-        "-j", "--jobs", type=_positive_int, default=1, metavar="N",
-        help="compile-task workers (1 = serial; output is identical)",
-    )
-    parser.add_argument(
-        "--trace-out", default=None, metavar="TRACE.json",
-        help="write a Chrome trace_event JSON of the build",
-    )
-    parser.add_argument(
-        "--hlo-jobs", type=_positive_int, default=1, metavar="N",
-        help="workers for the partitioned link-time optimization "
-             "backend (1 = serial; output is byte-identical)",
-    )
-    parser.add_argument(
-        "--partitions", type=_positive_int, default=None, metavar="N",
-        help="partition count for the parallel backend "
-             "(default: 4x --hlo-jobs)",
-    )
-    parser.add_argument(
-        "--hlo-backend", choices=VALID_HLO_BACKENDS,
-        default="auto", metavar="BACKEND",
-        help="where LTRANS partitions run: processes (worker "
-             "processes; real CPU parallelism) or auto (processes "
-             "when >1 effective worker, else the link process; "
-             "default). Output is byte-identical either way.",
-    )
-    parser.add_argument(
-        "--repo-compress", type=int, default=6, choices=range(0, 10),
-        metavar="LEVEL",
-        help="zlib level for NAIM pack-repository entries "
-             "(0 disables compression; default 6)",
-    )
-    parser.add_argument(
-        "--repo-segment-mb", type=_positive_int, default=8, metavar="MB",
-        help="pack-repository segment rollover size in MiB (default 8)",
-    )
-    parser.add_argument(
-        "--prefetch-depth", type=_nonnegative_int, default=1, metavar="N",
-        help="routines fetched ahead by the loader's background "
-             "prefetch pipeline (0 = synchronous fetches; default 1)",
-    )
-    parser.add_argument(
-        "--profile-feed", default=None, metavar="NAME",
-        help="join the daemon's named continuous-profile feed: the "
-             "build uses the feed's live decayed database and the "
-             "selectivity controller's current threshold, and "
-             "registers the project for ingest-triggered "
-             "re-optimization (needs --daemon or --farm)",
-    )
-    parser.add_argument(
-        "--profile-hot", action="store_true",
-        help="profile the compiler's own hot paths during the build "
-             "(cProfile; slower, output unchanged) and print a flat "
-             "report",
-    )
-
-
 def _print_summary(summary: Dict[str, object]) -> None:
     out_lines, err_lines = render_build_summary(summary)
     for line in out_lines:
@@ -194,15 +75,12 @@ def _print_run(result) -> None:
 
 
 def _daemon_build(args: argparse.Namespace, sources: Dict[str, str],
-                  client=None) -> int:
-    """One build via the daemon; assumes a daemon answered the ping."""
+                  client) -> int:
+    """One build via a daemon or farm coordinator that is listening."""
     from ..linker.objects import decode_executable
-    from ..serve.client import DaemonClient, build_options_from_args
     from ..vm.machine import run_image
 
-    if client is None:
-        client = DaemonClient.from_env()
-    result = client.build(build_options_from_args(args, sources))
+    result = client.build(build_request(args, sources))
     _print_summary(result["summary"])
     hot = (result.get("stats") or {}).get("hot_profile")
     if hot:
@@ -221,7 +99,12 @@ def _daemon_build(args: argparse.Namespace, sources: Dict[str, str],
 
 def cmd_build(args: argparse.Namespace) -> int:
     sources = _read_sources(args.files)
-    incremental = args.incremental or args.state_dir is not None
+    if args.selectivity is not None and not (
+        args.profile_path or args.profile_feed
+    ):
+        print("--selectivity %g ignored: coarse-grained selection needs "
+              "a profile (-P or --profile-feed)" % args.selectivity,
+              file=sys.stderr)
 
     if args.farm:
         # An explicit endpoint is a promise, not a hint: a farm the
@@ -232,13 +115,17 @@ def cmd_build(args: argparse.Namespace) -> int:
         from ..farm.transport import resolve_token
         from ..serve.client import DaemonError
 
+        if args.trace_out:
+            print("--trace-out %s ignored: a --farm build runs on the "
+                  "coordinator, the trace lives server-side"
+                  % args.trace_out, file=sys.stderr)
         client = FarmClient(
             args.farm,
             token=resolve_token(args.farm_token,
                                 root=default_farm_root()),
         )
         try:
-            return _daemon_build(args, sources, client=client)
+            return _daemon_build(args, sources, client)
         except DaemonError as exc:
             print("farm: %s" % exc, file=sys.stderr)
             return 1
@@ -252,7 +139,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         client = DaemonClient.from_env()
         if client.available():
             try:
-                return _daemon_build(args, sources)
+                return _daemon_build(args, sources, client)
             except DaemonError as exc:
                 print("daemon: %s; building in-process" % exc,
                       file=sys.stderr)
@@ -264,29 +151,22 @@ def cmd_build(args: argparse.Namespace) -> int:
         print("--profile-feed %s ignored: no daemon answered, feeds "
               "need --daemon or --farm" % args.profile_feed,
               file=sys.stderr)
+        args.profile_feed = None
 
+    # The same parse a daemon or coordinator applies to the request it
+    # receives, so the three cannot configure a build differently.
+    config = parse_build_request(build_request(args, sources))
     profile_db = None
-    if args.profile:
-        profile_db = ProfileDatabase.load(args.profile)
-    options = CompilerOptions(
-        opt_level=args.opt_level,
-        pbo=profile_db is not None,
-        selectivity_percent=args.selectivity,
-        checked=args.checked,
-        hlo_jobs=args.hlo_jobs,
-        hlo_partitions=args.partitions,
-        hlo_backend=args.hlo_backend,
-        naim=_naim_config_from_args(args),
-    )
-    session = CompileSession(options, jobs=args.jobs,
-                             incremental=incremental,
-                             state_dir=args.state_dir)
+    if config.profile_path:
+        profile_db = ProfileDatabase.load(config.profile_path)
+    session = CompileSession.from_config(config)
     build, report, _stats = session.build(
-        sources, profile_db=profile_db, profile_hot=args.profile_hot,
+        sources, profile_db=profile_db, profile_hot=config.profile_hot,
     )
     _print_summary(build_summary(
-        options, len(sources), build, report=report, events=session.events,
-        jobs=args.jobs, incremental=session.incremental,
+        session.options, len(sources), build, report=report,
+        events=session.events, jobs=session.jobs,
+        incremental=session.incremental,
     ))
     if _stats.hot_profile:
         from ..bench.profile_hooks import render_hot_report
@@ -345,19 +225,15 @@ def main(argv=None) -> int:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     build_parser = subparsers.add_parser("build", help="compile and link")
-    _add_common(build_parser)
+    build_parser.add_argument("files", nargs="+", help="MLL source files")
+    add_build_flags(build_parser)
+    # Flags that never leave the client:
+    build_parser.add_argument(
+        "--trace-out", default=None, metavar="TRACE.json",
+        help="write a Chrome trace_event JSON of the build",
+    )
     build_parser.add_argument("--run", action="store_true",
                               help="execute the image after linking")
-    build_parser.add_argument(
-        "--incremental", action="store_true",
-        help="summary-based incremental CMO: reuse cached per-module "
-             "codegen when consumed cross-module facts are unchanged",
-    )
-    build_parser.add_argument(
-        "--state-dir", default=None, metavar="DIR",
-        help="persist incremental state (objects, summaries, codegen "
-             "cache) in DIR across runs; implies --incremental",
-    )
     build_parser.add_argument(
         "--emit-image", default=None, metavar="IMAGE.bin",
         help="write the encoded executable image to a file "
@@ -386,7 +262,8 @@ def main(argv=None) -> int:
     train_parser.add_argument("files", nargs="+", help="MLL source files")
     train_parser.add_argument("-o", dest="output", default="profile.json",
                               help="output database path")
-    train_parser.add_argument("--runs", type=_positive_int, default=1,
+    train_parser.add_argument("--runs", type=flag_type(int, at_least_one),
+                              default=1,
                               help="training runs to merge")
     train_parser.set_defaults(func=cmd_train)
 

@@ -865,6 +865,14 @@ class CompileSession:
             )
             self.compiler = self.engine.compiler
 
+    @classmethod
+    def from_config(cls, config, **kwargs) -> "CompileSession":
+        """The session a :class:`~.options.BuildConfig` asks for -- the
+        one constructor behind the cold CLI, the daemon and the farm."""
+        return cls(config.compiler_options(), jobs=config.jobs,
+                   incremental=config.incremental,
+                   state_dir=config.state_dir, **kwargs)
+
     # -- Per-build hygiene -----------------------------------------------------------
 
     def reset_build_counters(self) -> None:

@@ -150,11 +150,8 @@ class FarmState(WarmState):
         self.dispatcher = dispatcher
         super().__init__(root, cache_bytes=cache_bytes)
 
-    def _make_session(self, compiler_options, jobs, incremental,
-                      state_dir) -> CompileSession:
-        session = super()._make_session(
-            compiler_options, jobs, incremental, state_dir
-        )
+    def _make_session(self, config) -> CompileSession:
+        session = super()._make_session(config)
         session.compiler.partition_dispatcher = self.dispatcher
         return session
 

@@ -25,8 +25,6 @@ from .memory import (
 from .pools import KIND_IR, KIND_SYMTAB, Handle, Pool, PoolState
 from .prefetch import PrefetchPipeline
 from .repository import (
-    LAYOUT_FILES,
-    LAYOUT_PACK,
     OverlayRepository,
     Repository,
     RepositoryError,
@@ -62,6 +60,4 @@ __all__ = [
     "PrefetchPipeline",
     "Repository",
     "RepositoryError",
-    "LAYOUT_FILES",
-    "LAYOUT_PACK",
 ]

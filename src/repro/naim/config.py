@@ -50,7 +50,6 @@ class NaimConfig:
         repo_compress_min_bytes: int = 512,
         repo_segment_bytes: int = 8 * 1024 * 1024,
         repo_prefetch_depth: int = 1,
-        repo_layout: str = "pack",
     ) -> None:
         self.physical_memory_bytes = physical_memory_bytes
         self.level = level
@@ -76,11 +75,6 @@ class NaimConfig:
         #: How many routines ahead the loader's background prefetch
         #: pipeline runs (0 = synchronous fetches only).
         self.repo_prefetch_depth = repo_prefetch_depth
-        if repo_layout not in ("pack", "files"):
-            raise ValueError("repo_layout must be 'pack' or 'files'")
-        #: On-disk layout; ``files`` is the legacy one-file-per-pool
-        #: baseline (kept for the repository I/O benchmark).
-        self.repo_layout = repo_layout
 
     # -- Derived policy -------------------------------------------------------
 

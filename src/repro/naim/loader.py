@@ -187,8 +187,8 @@ class Loader:
         """Remove a pool entirely (routine deleted by dead-function elim).
 
         Also discards the pool's repository entry so dead-function
-        pools do not linger on disk until the next prune.  In the pack
-        layout the discard marks the entry dead rather than deleting
+        pools do not linger on disk until the next prune.  On disk
+        the discard marks the entry dead rather than deleting
         bytes; the dead bytes are surfaced through the accountant's
         reclaimable gauge so nothing leaks silently until compaction.
         """

@@ -8,10 +8,10 @@ the paper's stated advantage over the Convex Application Compiler's
 monolithic repository.  Each pool is an independent entry, so reading
 one routine never drags the rest of the program in.
 
-Storage layouts:
+Storage:
 
-* ``pack`` (default on disk) -- pools are appended to large segment
-  files (:mod:`repro.naim.packfile`) with an in-memory offset index.
+* on disk -- pools are appended to large segment files
+  (:mod:`repro.naim.packfile`) with an in-memory offset index.
   Sealed segments carry a footer index and are read through ``mmap``,
   so a fetch is an index lookup plus a slice of the page cache -- no
   per-pool open/read/close.  Entries above a size threshold are
@@ -19,12 +19,13 @@ Storage layouts:
   raw).  Discarded and overwritten entries are marked dead in the
   index and their bytes reported as reclaimable until
   :meth:`compact_segments` rewrites the live set.
-* ``files`` -- the legacy one-file-per-pool layout
-  (``<kind>__<name>.pool``), kept as the baseline for the repository
-  I/O benchmark and for reading state directories written by older
-  versions (:meth:`reindex` adopts ``.pool`` files in either layout).
 * in-memory (``in_memory=True``) -- a dict, backing unit tests and
   the partition workers' private overlays.
+
+Directories written before the pack format hold one
+``<kind>__<name>.pool`` file per pool; :meth:`Repository.reindex`
+migrates those into the active segment and unlinks them, so no read or
+write path knows they exist.
 """
 
 from __future__ import annotations
@@ -44,21 +45,11 @@ from .packfile import (
     SEGMENT_MAGIC,
 )
 
-#: Characters stored verbatim in legacy pool filenames.  ``_`` is *not*
-#: safe: it is the escape lead-in, so escaped text can never contain
-#: the ``__`` kind/name separator by accident.
-_SAFE_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.-"
-)
-
 _SEGMENT_RE = re.compile(r"^seg-(\d{5,})\.pack$")
 
 #: Tombstone flag: a frame recording a discard, so dead entries stay
 #: dead across a reopen + reindex.  Tombstones carry no payload.
 FLAG_TOMBSTONE = 0x02
-
-LAYOUT_PACK = "pack"
-LAYOUT_FILES = "files"
 
 
 class RepositoryError(Exception):
@@ -142,25 +133,23 @@ class Repository:
         self,
         directory: Optional[str] = None,
         in_memory: bool = False,
-        layout: str = LAYOUT_PACK,
         compress_level: int = 6,
         compress_min_bytes: int = 512,
         segment_bytes: int = 8 * 1024 * 1024,
     ) -> None:
-        if layout not in (LAYOUT_PACK, LAYOUT_FILES):
-            raise ValueError("unknown repository layout %r" % layout)
         self._directory = directory
         self._owned_directory: Optional[str] = None
         self._in_memory = in_memory
-        self.layout = layout
         self.compress_level = compress_level
         self.compress_min_bytes = compress_min_bytes
         self.segment_bytes = max(64 * 1024, segment_bytes)
         self._mem: Dict[Tuple[str, str], bytes] = {}
         self._known: Dict[Tuple[str, str], int] = {}
-        #: key -> (segment, PackEntry) for pack entries; a key present
-        #: in ``_known`` but absent here lives in a legacy ``.pool``
-        #: file (or in ``_mem``).
+        #: key -> (segment, PackEntry) for every on-disk pool.  A pair
+        #: looked up under the lock stays readable after it is released:
+        #: a sealed segment's mmap outlives any index swap (compaction
+        #: retires it but keeps the mapping open), and the active
+        #: segment's handle is never closed while the repository is open.
         self._located: Dict[Tuple[str, str], Tuple[_Segment, PackEntry]] = {}
         self._segments: Dict[int, _Segment] = {}
         self._active: Optional[_Segment] = None
@@ -216,7 +205,6 @@ class Repository:
         return cls(
             directory=directory,
             in_memory=directory is None,
-            layout=getattr(config, "repo_layout", LAYOUT_PACK),
             compress_level=config.repo_compress_level,
             compress_min_bytes=config.repo_compress_min_bytes,
             segment_bytes=config.repo_segment_bytes,
@@ -253,20 +241,9 @@ class Repository:
         return self._directory
 
     @staticmethod
-    def _escape(text: str) -> str:
-        """Collision-free filename encoding of an arbitrary name.
-
-        Unsafe characters become ``_xxxx`` (four hex digits), so
-        distinct names always map to distinct filenames.  The encoding
-        is reversible (see :meth:`_parse_filename`), which is what
-        makes :meth:`reindex` possible for the files layout.
-        """
-        return "".join(
-            ch if ch in _SAFE_CHARS else "_%04x" % ord(ch) for ch in text
-        )
-
-    @staticmethod
     def _unescape(text: str) -> str:
+        """Decode a legacy filename part: ``_xxxx`` (four hex digits)
+        stands for one character, everything else for itself."""
         out = []
         position = 0
         while position < len(text):
@@ -283,12 +260,9 @@ class Repository:
         return "".join(out)
 
     @classmethod
-    def _filename(cls, kind: str, name: str) -> str:
-        return "%s__%s.pool" % (cls._escape(kind), cls._escape(name))
-
-    @classmethod
     def _parse_filename(cls, filename: str) -> Optional[Tuple[str, str]]:
-        """Invert :meth:`_filename`; None for foreign/legacy files."""
+        """``<kind>__<name>.pool`` -> (kind, name); None for foreign
+        files."""
         if not filename.endswith(".pool"):
             return None
         stem = filename[: -len(".pool")]
@@ -301,9 +275,6 @@ class Repository:
             return cls._unescape(kind_part), cls._unescape(name_part)
         except ValueError:
             return None
-
-    def _path(self, kind: str, name: str) -> str:
-        return os.path.join(self._ensure_directory(), self._filename(kind, name))
 
     def _segment_path(self, segment_id: int) -> str:
         return os.path.join(
@@ -386,15 +357,6 @@ class Repository:
                 self._mem[key] = data
                 self.epoch += 1
             return
-        if self.layout == LAYOUT_FILES:
-            with self._lock:
-                self.stores += 1
-                self.bytes_written += len(data)
-                self._known[key] = len(data)
-                self.epoch += 1
-            with open(self._path(kind, name), "wb") as handle:
-                handle.write(data)
-            return
         stored, flags = packfile.encode_payload(
             data, self.compress_level, self.compress_min_bytes
         )
@@ -425,9 +387,6 @@ class Repository:
             entry = self._append_frame(segment, kind, name, stored,
                                        len(data), flags)
             self._kill_entry(key)
-            if key in self._known and key not in self._located:
-                # Superseding a legacy .pool (or in-memory) copy.
-                self._mem.pop(key, None)
             self._located[key] = (segment, entry)
             self._known[key] = len(data)
             self.stores += 1
@@ -435,56 +394,30 @@ class Repository:
             self.epoch += 1
             self._maybe_roll()
 
-    def _resolve(self, key: Tuple[str, str]):
-        """Index lookup -> a self-contained read plan (lock held).
-
-        The plan stays valid after the lock is released: a sealed
-        segment's mmap outlives any index swap (compaction retires it
-        but keeps the mapping open), and the active segment's handle
-        is never closed while the repository is open.
-        """
-        located = self._located.get(key)
-        if located is None:
-            return None
-        segment, entry = located
-        return (segment, entry)
-
     def fetch(self, kind: str, name: str):
         """Bytes-like payload of one pool.
 
         For uncompressed entries in sealed pack segments this is a
-        zero-copy ``memoryview`` over the segment mmap (compressed or
-        legacy entries come back as ``bytes``).  A live view pins its
+        zero-copy ``memoryview`` over the segment mmap (compressed
+        entries come back as ``bytes``).  A live view pins its
         mapping across compaction -- retired segments are only closed
         by :meth:`release_retired` once every view is gone -- so
         callers may hold the view as long as they like, but should
         drop it promptly to let retired segments actually release.
         """
         key = (kind, name)
-        plan = None
         with self._lock:
             if key not in self._known:
                 raise KeyError("repository has no %s pool %r" % (kind, name))
             self.fetches += 1
-            if not self._in_memory and self.layout == LAYOUT_PACK:
-                plan = self._resolve(key)
-                if plan is not None:
-                    self.bytes_read += plan[1].stored_len
-        if self._in_memory:
-            data = self._mem[key]
-            with self._lock:
+            if self._in_memory:
+                data = self._mem[key]
                 self.bytes_read += len(data)
-            return data
-        if plan is not None:
-            segment, entry = plan
-            span = segment.read_span(entry.payload_offset, entry.stored_len)
-            return packfile.decode_payload_view(span, entry.flags)
-        # Legacy .pool file (adopted by reindex, or files layout).
-        with open(self._path(kind, name), "rb") as handle:
-            data = handle.read()
-        with self._lock:
-            self.bytes_read += len(data)
-        return data
+                return data
+            segment, entry = self._located[key]
+            self.bytes_read += entry.stored_len
+        span = segment.read_span(entry.payload_offset, entry.stored_len)
+        return packfile.decode_payload_view(span, entry.flags)
 
     def fetch_many(
         self, keys: Iterable[Tuple[str, str]]
@@ -504,80 +437,56 @@ class Repository:
         settled while resolving, so concurrent batches never interleave
         half-updated totals.
         """
-        wanted: List[Tuple[str, str]] = []
         plans: Dict[Tuple[str, str], Tuple[_Segment, PackEntry]] = {}
         mem: Dict[Tuple[str, str], bytes] = {}
         with self._lock:
             self.batch_fetches += 1
-            total = 0
+            total = hits = 0
             for key in keys:
                 if key not in self._known:
                     continue
-                wanted.append(key)
+                hits += 1
                 if self._in_memory:
                     data = self._mem[key]
                     mem[key] = data
                     total += len(data)
-                    continue
-                plan = (self._resolve(key)
-                        if self.layout == LAYOUT_PACK else None)
-                if plan is not None:
-                    plans[key] = plan
-                    total += plan[1].stored_len
                 else:
-                    total += self._known[key]
-            self.fetches += len(wanted)
+                    plans[key] = self._located[key]
+                    total += plans[key][1].stored_len
+            self.fetches += hits
             self.bytes_read += total
         if self._in_memory:
             return mem
         out: Dict[Tuple[str, str], bytes] = {}
-        for key in wanted:
-            plan = plans.get(key)
-            if plan is not None:
-                segment, entry = plan
-                span = segment.read_span(entry.payload_offset,
-                                         entry.stored_len)
-                out[key] = packfile.decode_payload_view(span, entry.flags)
-            else:
-                with open(self._path(*key), "rb") as handle:
-                    out[key] = handle.read()
+        for key, (segment, entry) in plans.items():
+            span = segment.read_span(entry.payload_offset, entry.stored_len)
+            out[key] = packfile.decode_payload_view(span, entry.flags)
         return out
 
     def discard(self, kind: str, name: str) -> bool:
         """Drop one pool if present; returns whether it existed.
 
-        In the pack layout the entry is marked dead in the index and a
-        tombstone frame is appended (so the discard survives a reopen
-        + reindex); the bytes stay on disk -- counted in
+        On disk the entry is marked dead in the index and a tombstone
+        frame is appended (so the discard survives a reopen +
+        reindex); the bytes stay on disk -- counted in
         ``reclaimable_bytes`` -- until :meth:`compact_segments`.
         """
         key = (kind, name)
-        unlink_legacy = False
         with self._lock:
             if key not in self._known:
                 return False
             del self._known[key]
             self._mem.pop(key, None)
             self.epoch += 1
-            if not self._in_memory and self.layout == LAYOUT_PACK:
-                if key in self._located:
-                    self._kill_entry(key)
-                    segment = self._active_segment()
-                    tombstone = self._append_frame(
-                        segment, kind, name, b"", 0, FLAG_TOMBSTONE
-                    )
-                    self.index_bytes_written += tombstone.frame_len
-                    self.reclaimable_bytes += tombstone.frame_len
-                    self._maybe_roll()
-                else:
-                    unlink_legacy = True  # adopted .pool file
-            elif not self._in_memory:
-                unlink_legacy = True
-        if unlink_legacy:
-            try:
-                os.unlink(self._path(kind, name))
-            except OSError:
-                pass
+            if not self._in_memory:
+                self._kill_entry(key)
+                segment = self._active_segment()
+                tombstone = self._append_frame(
+                    segment, kind, name, b"", 0, FLAG_TOMBSTONE
+                )
+                self.index_bytes_written += tombstone.frame_len
+                self.reclaimable_bytes += tombstone.frame_len
+                self._maybe_roll()
         return True
 
     # -- Reindex / recovery ---------------------------------------------------------
@@ -593,9 +502,15 @@ class Repository:
         is recovered by scanning its entry frames, keeping the
         CRC-verified prefix.  Damage descriptions are collected in
         ``reindex_errors``; with ``strict=True`` any damage raises
-        :class:`RepositoryError` instead.  Legacy one-file-per-pool
-        entries are adopted in either layout.  Returns the number of
+        :class:`RepositoryError` instead.  Returns the number of
         indexed pools.
+
+        Legacy ``<kind>__<name>.pool`` files are migrated: each one
+        whose key no pack entry holds is stored into the active
+        segment, then unlinked (a key the pack already holds wins and
+        the stale file is just unlinked).  A crash between the append
+        and the unlink leaves both, which the next reindex resolves the
+        same way.
         """
         if self._in_memory or self._directory is None:
             return len(self._known)
@@ -613,23 +528,24 @@ class Repository:
                     pool_files.append(entry)
             for segment_id in sorted(segment_ids):
                 self._reindex_segment(segment_id)
-            for entry in pool_files:
-                parsed = self._parse_filename(entry)
-                if parsed is None:
-                    continue
-                try:
-                    size = os.path.getsize(
-                        os.path.join(self._directory, entry)
-                    )
-                except OSError:
-                    continue
-                self._known.setdefault(parsed, size)
-            if strict and self.reindex_errors:
-                raise RepositoryError(
-                    "repository index rebuild found damage: "
-                    + "; ".join(self.reindex_errors)
-                )
-            return len(self._known)
+        for entry in pool_files:
+            key = self._parse_filename(entry)
+            if key is None:
+                continue
+            path = os.path.join(self._directory, entry)
+            try:
+                if key not in self._located:
+                    with open(path, "rb") as handle:
+                        self.store(key[0], key[1], handle.read())
+                os.unlink(path)
+            except OSError as exc:
+                self.reindex_errors.append("%s: %s" % (entry, exc))
+        if strict and self.reindex_errors:
+            raise RepositoryError(
+                "repository index rebuild found damage: "
+                + "; ".join(self.reindex_errors)
+            )
+        return len(self._known)
 
     def _reindex_segment(self, segment_id: int) -> None:
         """Index one existing segment file (lock held)."""
@@ -721,7 +637,7 @@ class Repository:
         mapped files alive until the mapping goes away.
         """
         with self._lock:
-            if self._in_memory or self.layout != LAYOUT_PACK:
+            if self._in_memory:
                 return 0
             if not self._segments:
                 return 0

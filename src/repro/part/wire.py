@@ -63,8 +63,9 @@ from .partition import Partition
 
 #: Version tag inside the shared-context blob; a worker rejects
 #: contexts it does not speak rather than miscompiling them.
-#: v2 added the optional thin-WPA replay plan and job import lists.
-WIRE_VERSION = 2
+#: v2 added the optional thin-WPA replay plan and job import lists;
+#: v3 ships only the NAIM fields a worker's loader reads.
+WIRE_VERSION = 3
 
 
 class WireError(Exception):
@@ -168,40 +169,30 @@ def _decode_modref(payload: Optional[Dict]) -> Optional[ModRefAnalysis]:
     return analysis
 
 
+#: The NaimConfig fields a worker's loader reads, shipped under their
+#: own names (``level`` and ``cache_pools`` need converting and ride
+#: alongside).  Worker repositories are in-memory overlays, so the
+#: pack-file tuning never applies there and is not shipped.
+_NAIM_WIRE_FIELDS = (
+    "physical_memory_bytes", "ir_compact_fraction", "st_compact_fraction",
+    "offload_fraction", "cache_fraction", "avg_pool_bytes_hint",
+    "repo_prefetch_depth",
+)
+
+
 def _naim_payload(config: NaimConfig) -> Dict:
-    return {
-        "physical_memory_bytes": config.physical_memory_bytes,
-        "level": None if config.level is None else int(config.level),
-        "ir_compact_fraction": config.ir_compact_fraction,
-        "st_compact_fraction": config.st_compact_fraction,
-        "offload_fraction": config.offload_fraction,
-        "cache_pools": config._cache_pools,
-        "cache_fraction": config.cache_fraction,
-        "avg_pool_bytes_hint": config.avg_pool_bytes_hint,
-        "repo_compress_level": config.repo_compress_level,
-        "repo_compress_min_bytes": config.repo_compress_min_bytes,
-        "repo_segment_bytes": config.repo_segment_bytes,
-        "repo_prefetch_depth": config.repo_prefetch_depth,
-        "repo_layout": config.repo_layout,
-    }
+    payload = {name: getattr(config, name) for name in _NAIM_WIRE_FIELDS}
+    payload["level"] = None if config.level is None else int(config.level)
+    payload["cache_pools"] = config._cache_pools
+    return payload
 
 
 def _decode_naim(payload: Dict) -> NaimConfig:
-    level = payload.get("level")
+    level = payload["level"]
     return NaimConfig(
-        physical_memory_bytes=payload["physical_memory_bytes"],
         level=None if level is None else NaimLevel(level),
-        ir_compact_fraction=payload["ir_compact_fraction"],
-        st_compact_fraction=payload["st_compact_fraction"],
-        offload_fraction=payload["offload_fraction"],
-        cache_pools=payload.get("cache_pools"),
-        cache_fraction=payload["cache_fraction"],
-        avg_pool_bytes_hint=payload["avg_pool_bytes_hint"],
-        repo_compress_level=payload["repo_compress_level"],
-        repo_compress_min_bytes=payload["repo_compress_min_bytes"],
-        repo_segment_bytes=payload["repo_segment_bytes"],
-        repo_prefetch_depth=payload["repo_prefetch_depth"],
-        repo_layout=payload["repo_layout"],
+        cache_pools=payload["cache_pools"],
+        **{name: payload[name] for name in _NAIM_WIRE_FIELDS}
     )
 
 

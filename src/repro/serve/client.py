@@ -67,37 +67,6 @@ class DaemonError(Exception):
         self.code = code
 
 
-def build_options_from_args(args, sources: Dict[str, str]) -> Dict:
-    """Wire build options for one ``repro.driver build`` invocation.
-
-    Sources travel by value; the profile travels by path (client and
-    daemon share a machine -- the socket is UNIX-domain)."""
-    options: Dict = {
-        "sources": sources,
-        "opt_level": args.opt_level,
-        "jobs": args.jobs,
-        "hlo_jobs": args.hlo_jobs,
-        "hlo_backend": getattr(args, "hlo_backend", "auto"),
-        "checked": bool(args.checked),
-        "incremental": bool(getattr(args, "incremental", False)),
-        "repo_compress": getattr(args, "repo_compress", 6),
-        "repo_segment_mb": getattr(args, "repo_segment_mb", 8),
-        "prefetch_depth": getattr(args, "prefetch_depth", 1),
-        "profile_hot": bool(getattr(args, "profile_hot", False)),
-    }
-    if args.partitions is not None:
-        options["partitions"] = args.partitions
-    if args.selectivity is not None:
-        options["selectivity"] = args.selectivity
-    if args.profile:
-        options["profile_path"] = os.path.abspath(args.profile)
-    if getattr(args, "state_dir", None) is not None:
-        options["state_dir"] = os.path.abspath(args.state_dir)
-    if getattr(args, "profile_feed", None):
-        options["profile_feed"] = args.profile_feed
-    return options
-
-
 class DaemonClient:
     """One client of a running build daemon.
 

@@ -26,11 +26,10 @@ import json
 import os
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..driver.compiler import CompileSession
-from ..driver.options import CompilerOptions
-from ..naim.config import NaimConfig
+from ..driver.options import BuildConfig, parse_build_request
 from ..driver.report import build_summary
 from ..frontend import compile_source, detect_language
 from ..ir.printer import format_module
@@ -99,15 +98,6 @@ def _sources_from(options: Dict) -> Dict[str, str]:
     return sources
 
 
-#: Every key a build request's options may carry.
-_BUILD_OPTION_KEYS = frozenset((
-    "sources", "opt_level", "jobs", "hlo_jobs", "partitions",
-    "hlo_backend", "checked", "incremental", "state_dir",
-    "repo_compress", "repo_segment_mb", "prefetch_depth",
-    "profile_path", "profile_feed", "profile_hot", "selectivity",
-))
-
-
 class WarmState:
     """Long-lived build state shared by every daemon request."""
 
@@ -155,92 +145,7 @@ class WarmState:
 
     # -- Sessions ----------------------------------------------------------------
 
-    def _build_config(self, options: Dict):
-        """Parse wire build options -> (CompilerOptions, jobs, incr, dir)."""
-        unknown = sorted(set(options) - _BUILD_OPTION_KEYS)
-        if unknown:
-            # A stale client or a typo must not silently build with
-            # defaults.
-            raise RequestError(
-                ERR_BAD_REQUEST,
-                "unknown build option %s" % ", ".join(map(repr, unknown)),
-            )
-        opt_level = options.get("opt_level", 2)
-        jobs = options.get("jobs", 1)
-        hlo_jobs = options.get("hlo_jobs", 1)
-        partitions = options.get("partitions")
-        hlo_backend = options.get("hlo_backend", "auto")
-        if not isinstance(hlo_backend, str):
-            raise RequestError(
-                ERR_BAD_REQUEST, "'hlo_backend' must be a string"
-            )
-        for name, value in (("jobs", jobs), ("hlo_jobs", hlo_jobs)):
-            if not isinstance(value, int) or value < 1:
-                raise RequestError(
-                    ERR_BAD_REQUEST, "'%s' must be an integer >= 1" % name
-                )
-        if partitions is not None and (
-            not isinstance(partitions, int) or partitions < 1
-        ):
-            raise RequestError(
-                ERR_BAD_REQUEST, "'partitions' must be an integer >= 1"
-            )
-        state_dir = options.get("state_dir")
-        if state_dir is not None and not isinstance(state_dir, str):
-            raise RequestError(ERR_BAD_REQUEST, "'state_dir' must be a path")
-        incremental = bool(options.get("incremental")) or (
-            state_dir is not None
-        )
-        repo_compress = options.get("repo_compress", 6)
-        repo_segment_mb = options.get("repo_segment_mb", 8)
-        prefetch_depth = options.get("prefetch_depth", 1)
-        for name, value in (
-            ("repo_compress", repo_compress),
-            ("repo_segment_mb", repo_segment_mb),
-            ("prefetch_depth", prefetch_depth),
-        ):
-            if not isinstance(value, int) or value < 0:
-                raise RequestError(
-                    ERR_BAD_REQUEST, "'%s' must be an integer >= 0" % name
-                )
-        if repo_segment_mb < 1:
-            raise RequestError(
-                ERR_BAD_REQUEST, "'repo_segment_mb' must be >= 1"
-            )
-        profile_feed = options.get("profile_feed")
-        if profile_feed is not None and (
-            not isinstance(profile_feed, str) or not profile_feed
-        ):
-            raise RequestError(
-                ERR_BAD_REQUEST, "'profile_feed' must be a non-empty string"
-            )
-        try:
-            compiler_options = CompilerOptions(
-                opt_level=opt_level,
-                # A feed build is a PBO build from day one, even while
-                # the feed's database is still empty: the session's
-                # identity (and its incremental fingerprints) must not
-                # flip when the first profile batch arrives.
-                pbo=options.get("profile_path") is not None
-                or profile_feed is not None,
-                selectivity_percent=options.get("selectivity"),
-                checked=bool(options.get("checked")),
-                hlo_jobs=hlo_jobs,
-                hlo_partitions=partitions,
-                hlo_backend=hlo_backend,
-                naim=NaimConfig(
-                    repo_compress_level=repo_compress,
-                    repo_segment_bytes=repo_segment_mb * 1024 * 1024,
-                    repo_prefetch_depth=prefetch_depth,
-                ),
-            )
-        except ValueError as exc:
-            raise RequestError(ERR_BAD_REQUEST, str(exc))
-        if state_dir is not None:
-            state_dir = os.path.abspath(state_dir)
-        return compiler_options, jobs, incremental, state_dir
-
-    def session_for(self, options: Dict) -> CompileSession:
+    def session_for(self, config: BuildConfig) -> CompileSession:
         """The warm session serving this build configuration.
 
         Distinct configurations get distinct sessions (a session pins
@@ -248,30 +153,13 @@ class WarmState:
         configuration reuse the existing one -- that reuse is the
         entire point of the daemon.
         """
-        compiler_options, jobs, incremental, state_dir = (
-            self._build_config(options)
-        )
-        key = (
-            compiler_options.describe(),
-            compiler_options.checked,
-            compiler_options.hlo_jobs,
-            compiler_options.hlo_partitions,
-            compiler_options.hlo_backend,
-            compiler_options.naim.repo_compress_level,
-            compiler_options.naim.repo_segment_bytes,
-            compiler_options.naim.repo_prefetch_depth,
-            jobs,
-            incremental,
-            state_dir or "",
-        )
+        key = config.session_key()
         with self._lock:
             session = self._sessions.get(key)
             if session is not None:
                 self.session_reuses += 1
                 return session
-            session = self._make_session(
-                compiler_options, jobs, incremental, state_dir
-            )
+            session = self._make_session(config)
             self._sessions[key] = session
             self.sessions_created += 1
             return session
@@ -293,20 +181,13 @@ class WarmState:
                 self._process_pool = ProcessWorkerPool(run_partition_job)
             return self._process_pool
 
-    def _make_session(self, compiler_options, jobs: int,
-                      incremental: bool,
-                      state_dir: Optional[str]) -> CompileSession:
+    def _make_session(self, config: BuildConfig) -> CompileSession:
         """Hook: subclasses decorate freshly created sessions (the
         farm coordinator attaches its partition dispatcher here)."""
-        session = CompileSession(
-            compiler_options,
-            jobs=jobs,
-            incremental=incremental,
-            state_dir=state_dir,
-            artifact_cache=self.artifact_cache,
-            warm=True,
+        session = CompileSession.from_config(
+            config, artifact_cache=self.artifact_cache, warm=True
         )
-        if compiler_options.use_partitioned_hlo:
+        if session.options.use_partitioned_hlo:
             session.compiler.process_pool = self.process_pool()
         return session
 
@@ -331,21 +212,23 @@ class WarmState:
 
     def _execute_build(self, options: Dict, progress) -> Dict:
         sources = _sources_from(options)
+        try:
+            config = parse_build_request(options)
+        except ValueError as exc:
+            raise RequestError(ERR_BAD_REQUEST, str(exc))
         profile_db = None
-        profile_path = options.get("profile_path")
-        if profile_path is not None:
+        if config.profile_path is not None:
             try:
-                profile_db = ProfileDatabase.load(profile_path)
+                profile_db = ProfileDatabase.load(config.profile_path)
             except (OSError, ValueError) as exc:
                 raise RequestError(
                     ERR_BAD_REQUEST,
-                    "unreadable profile %r: %s" % (profile_path, exc),
+                    "unreadable profile %r: %s" % (config.profile_path, exc),
                 )
         feed = None
         selectivity_override = None
-        feed_name = options.get("profile_feed")
-        if feed_name is not None:
-            feed = self._feed_for(options)
+        if config.profile_feed is not None:
+            feed = self._feed_for(config)
             snapshot = feed.snapshot()
             if snapshot is not None:
                 # Live fleet data outranks any on-disk training profile,
@@ -353,13 +236,13 @@ class WarmState:
                 # the warm session's own options stay untouched.
                 profile_db = snapshot
                 selectivity_override = feed.controller.current
-        session = self.session_for(options)
+        session = self.session_for(config)
         if progress is not None:
             progress("building", warm_builds=session.builds)
         try:
             result, report, stats = session.build(
                 sources, profile_db=profile_db,
-                profile_hot=bool(options.get("profile_hot")),
+                profile_hot=config.profile_hot,
                 selectivity_percent=selectivity_override,
             )
         except RequestError:
@@ -398,17 +281,14 @@ class WarmState:
             }
         return response
 
-    def _feed_for(self, options: Dict):
+    def _feed_for(self, config: BuildConfig):
         """The feed a build registers with, configured on first touch."""
         controller = None
-        selectivity = options.get("selectivity")
-        if selectivity is not None:
+        if config.selectivity is not None:
             controller = SelectivityController(
-                initial_percent=float(selectivity)
+                initial_percent=float(config.selectivity)
             )
-        return self.profiles.feed(
-            options["profile_feed"], controller=controller
-        )
+        return self.profiles.feed(config.profile_feed, controller=controller)
 
     def _housekeep(self, session: CompileSession) -> None:
         # Between-requests housekeeping: fold dead pack-segment frames

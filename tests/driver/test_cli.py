@@ -62,6 +62,42 @@ class TestBuild:
         with pytest.raises(SystemExit):
             main(["build"] + source_files + ["-O", "3"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--selectivity", "150"],
+        # Removed with PR 14 (no Repository was ever built from them).
+        ["--repo-compress", "0"],
+        ["--repo-segment-mb", "1"],
+        ["--prefetch-depth", "2"],
+    ])
+    def test_rejected_value_is_a_usage_error(self, source_files, capsys,
+                                             flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["build"] + source_files + flags)
+        assert excinfo.value.code == 2
+        error_lines = [line for line in capsys.readouterr().err.splitlines()
+                       if not line.startswith(("usage:", " "))]
+        assert len(error_lines) == 1 and "error:" in error_lines[0]
+
+    def test_selectivity_without_a_profile_says_it_is_ignored(
+            self, source_files, capsys):
+        assert main(
+            ["build"] + source_files + ["-O", "4", "--selectivity", "20"]
+        ) == 0
+        assert "--selectivity 20 ignored" in capsys.readouterr().err
+
+    def test_trace_out_with_farm_says_it_is_ignored(
+            self, source_files, capsys, tmp_path):
+        trace = str(tmp_path / "trace.json")
+        # Nothing listens on port 1: the build fails, after the warning.
+        assert main(
+            ["build"] + source_files
+            + ["--farm", "127.0.0.1:1", "--farm-token", "t",
+               "--trace-out", trace]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "--trace-out %s ignored" % trace in err
+        assert not os.path.exists(trace)
+
     def test_duplicate_module_names(self, tmp_path):
         a = tmp_path / "x.mll"
         a.write_text("func main() { return 1; }")

@@ -268,4 +268,4 @@ class TestCliFlags:
         source.write_text("func main() { return 1; }")
         with pytest.raises(SystemExit):
             main(["build", str(source), "-j", "0"])
-        assert "must be >= 1" in capsys.readouterr().err
+        assert "must be an integer >= 1" in capsys.readouterr().err

@@ -201,7 +201,7 @@ class TestCliValidation:
         with pytest.raises(SystemExit) as excinfo:
             main(["build", str(source), flag, value])
         assert excinfo.value.code == 2  # argparse usage error
-        assert "must be >= 1" in capsys.readouterr().err
+        assert "must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["-j", "--hlo-jobs", "--partitions"])
     def test_non_integer_rejected(self, tmp_path, capsys, flag):
@@ -211,7 +211,7 @@ class TestCliValidation:
         source.write_text("func main() { return 1; }")
         with pytest.raises(SystemExit):
             main(["build", str(source), flag, "two"])
-        assert "positive integer" in capsys.readouterr().err
+        assert "must be an integer >= 1" in capsys.readouterr().err
 
     def test_train_runs_validated(self, tmp_path, capsys):
         from repro.driver.__main__ import main
@@ -220,4 +220,4 @@ class TestCliValidation:
         source.write_text("func main() { return 1; }")
         with pytest.raises(SystemExit):
             main(["train", str(source), "--runs", "0"])
-        assert "must be >= 1" in capsys.readouterr().err
+        assert "must be an integer >= 1" in capsys.readouterr().err

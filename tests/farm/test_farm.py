@@ -202,12 +202,17 @@ class TestTransportsAgree:
 
 
 class TestBadOptions:
-    def test_unknown_build_option_refused_by_name(self, farm):
+    # The coordinator shares the daemon's request parser; the full
+    # matrix is tests/serve/test_daemon.py::test_bad_build_options_rejected.
+    @pytest.mark.parametrize("option, value", [
+        ("wpa_mode", "materialize"),  # unknown key (stale client)
+        ("checked", "no"),  # wrong type for a known key
+    ])
+    def test_bad_build_option_refused_by_name(self, farm, option, value):
         coordinator, _ = farm
-        with pytest.raises(DaemonError, match="'wpa_mode'") as excinfo:
+        with pytest.raises(DaemonError, match="'%s'" % option) as excinfo:
             farm_client(coordinator).build({
-                "sources": farm_sources(), "opt_level": 4,
-                "wpa_mode": "materialize",
+                "sources": farm_sources(), "opt_level": 4, option: value,
             })
         assert excinfo.value.code == ERR_BAD_REQUEST
 

@@ -4,7 +4,13 @@ import os
 
 import pytest
 
-from repro.naim.repository import LAYOUT_FILES, Repository
+from repro.naim.repository import Repository
+
+
+def write_pool_file(directory, filename, data):
+    """A legacy one-file-per-pool entry, as pre-pack versions wrote it."""
+    with open(os.path.join(str(directory), filename), "wb") as handle:
+        handle.write(data)
 
 
 class TestInMemory:
@@ -46,13 +52,6 @@ class TestOnDisk:
         files = os.listdir(str(tmp_path))
         assert len(files) == 1 and files[0].endswith(".pack")
 
-    def test_round_trip_files_layout(self, tmp_path):
-        repo = Repository(directory=str(tmp_path), layout=LAYOUT_FILES)
-        repo.store("ir", "mod::fn", b"\x00\x01\x02")
-        assert repo.fetch("ir", "mod::fn") == b"\x00\x01\x02"
-        files = os.listdir(str(tmp_path))
-        assert len(files) == 1 and files[0].endswith(".pool")
-
     def test_kinds_are_disjoint(self, tmp_path):
         repo = Repository(directory=str(tmp_path))
         repo.store("ir", "x", b"IR")
@@ -80,38 +79,30 @@ class TestOnDisk:
         assert repo.fetch("ir", "a::b::cl0") == b"clone"
 
 
-class TestFilenameEncoding:
-    """The legacy one-file-per-pool layout's name escaping."""
+class TestLegacyFilenames:
+    """Adopting the pre-pack one-file-per-pool names: every character
+    outside ``[A-Za-z0-9.-]`` was written as ``_xxxx`` (hex)."""
 
-    def test_similar_names_do_not_collide(self, tmp_path):
-        """Historical bug: ``x:`` and ``x_c`` (or any escaped/literal
-        pair) used to map to the same file and clobber each other."""
-        repo = Repository(directory=str(tmp_path), layout=LAYOUT_FILES)
-        repo.store("ir", "x:", b"colon")
-        repo.store("ir", "x_c", b"underscore")
-        repo.store("ir", "x c", b"space")
-        assert repo.fetch("ir", "x:") == b"colon"
-        assert repo.fetch("ir", "x_c") == b"underscore"
-        assert repo.fetch("ir", "x c") == b"space"
-        assert len(os.listdir(str(tmp_path))) == 3
-
-    def test_kind_name_boundary_unambiguous(self, tmp_path):
-        """(``a_b``, ``c``) and (``a``, ``b_c``) must be distinct
-        entries -- the separator can't be forged from name text."""
-        repo = Repository(directory=str(tmp_path), layout=LAYOUT_FILES)
-        repo.store("a_b", "c", b"first")
-        repo.store("a", "b_c", b"second")
-        assert repo.fetch("a_b", "c") == b"first"
-        assert repo.fetch("a", "b_c") == b"second"
-
-    def test_escape_roundtrip(self):
-        for name in ["plain", "x:", "x_c", "a::b::cl0", "m/n\\o",
-                     "sp ace", "_", "__", "café", ""]:
-            assert Repository._unescape(Repository._escape(name)) == name
-
-    def test_unescape_rejects_truncated_escape(self):
-        with pytest.raises(ValueError):
-            Repository._unescape("_00")
+    @pytest.mark.parametrize("filename, key", [
+        ("ir__plain.pool", ("ir", "plain")),
+        # ``x:``, ``x_c`` and ``x c`` were three files: three pools.
+        ("ir__x_003a.pool", ("ir", "x:")),
+        ("ir__x_005fc.pool", ("ir", "x_c")),
+        ("ir__x_0020c.pool", ("ir", "x c")),
+        # The kind/name separator can't be forged from name text.
+        ("a_005fb__c.pool", ("a_b", "c")),
+        ("a__b_005fc.pool", ("a", "b_c")),
+        ("ir__a_003a_003ab_003a_003acl0.pool", ("ir", "a::b::cl0")),
+        ("ir__m_002fn_005co.pool", ("ir", "m/n\\o")),
+        ("ir___005f_005f.pool", ("ir", "__")),
+        ("ir__caf_00e9.pool", ("ir", "café")),
+        ("ir__.pool", ("ir", "")),
+        ("ir__x_00.pool", None),  # truncated escape
+        ("README.pool", None),  # no kind/name separator
+        ("ir__x.pack", None),
+    ])
+    def test_parse_filename(self, filename, key):
+        assert Repository._parse_filename(filename) == key
 
 
 class TestDiscardAndReindex:
@@ -126,13 +117,18 @@ class TestDiscardAndReindex:
         assert repo.dead_entries == 1
         assert not repo.discard("ir", "f")  # second discard is a no-op
 
-    def test_discard_files_layout_unlinks(self, tmp_path):
-        repo = Repository(directory=str(tmp_path), layout=LAYOUT_FILES)
-        repo.store("ir", "f", b"data")
+    def test_discard_of_migrated_pool_stays_discarded(self, tmp_path):
+        write_pool_file(tmp_path, "ir__f.pool", b"data")
+        repo = Repository(directory=str(tmp_path))
+        repo.reindex()
         assert repo.discard("ir", "f")
         assert not repo.contains("ir", "f")
-        assert os.listdir(str(tmp_path)) == []
         assert not repo.discard("ir", "f")
+        repo.close()
+        # No .pool file is left behind to resurrect it on reopen.
+        assert os.listdir(str(tmp_path)) == ["seg-00000.pack"]
+        reopened = Repository(directory=str(tmp_path))
+        assert reopened.reindex() == 0
 
     def test_discard_in_memory(self):
         repo = Repository(in_memory=True)
@@ -152,14 +148,14 @@ class TestDiscardAndReindex:
         assert reader.fetch("ir", "mod::fn") == b"payload"
         assert reader.fetch("mach", "deadbeef") == b"blob"
 
-    def test_reindex_skips_foreign_files(self, tmp_path):
-        with open(os.path.join(str(tmp_path), "README.pool"), "w") as fh:
-            fh.write("no separator")
-        with open(os.path.join(str(tmp_path), "notes.txt"), "w") as fh:
-            fh.write("not a pool file")
+    def test_reindex_leaves_foreign_files_alone(self, tmp_path):
+        foreign = ["README.pool", "ir__x_00.pool", "notes.txt"]
+        for name in foreign:  # no separator, truncated escape, not a pool
+            write_pool_file(tmp_path, name, b"not ours")
         repo = Repository(directory=str(tmp_path))
         assert repo.reindex() == 0
-        assert len(repo) == 0
+        assert len(repo) == 0 and not repo.reindex_errors
+        assert sorted(os.listdir(str(tmp_path))) == foreign
 
 
 class TestFetchMany:

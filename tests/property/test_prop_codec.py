@@ -193,8 +193,7 @@ class TestZeroCopyViewLifetime:
     def _packed_repo(self, tmp_path):
         # compress_level=0 so fetches return mmap-backed memoryviews.
         return Repository(directory=str(tmp_path / "repo"),
-                          layout="pack", compress_level=0,
-                          segment_bytes=64 * 1024)
+                          compress_level=0, segment_bytes=64 * 1024)
 
     def test_view_survives_compaction(self, tmp_path):
         repository = self._packed_repo(tmp_path)

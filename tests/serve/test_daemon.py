@@ -223,6 +223,20 @@ class TestControlPlane:
         ({"sources": {"m": "x"}, "wpa_mode": "summary"}, "'wpa_mode'"),
         ({"sources": {"m": "x"}, "hlo_backend": "threads"}, "'threads'"),
         ({"sources": {"m": "x"}, "hlo_job": 4}, "'hlo_job'"),
+        ({"sources": {"m": "x"}, "repo_compress": 0}, "'repo_compress'"),
+        ({"sources": {"m": "x"}, "repo_segment_mb": 1},
+         "'repo_segment_mb'"),
+        ({"sources": {"m": "x"}, "prefetch_depth": 2}, "'prefetch_depth'"),
+        # Every knob is strict about type: a truthy string is not a
+        # boolean, a boolean or a float is not an integer, and a number
+        # is not a path (it used to open that file descriptor).
+        ({"sources": {"m": "x"}, "checked": "no"}, "'checked'"),
+        ({"sources": {"m": "x"}, "incremental": "false"}, "'incremental'"),
+        ({"sources": {"m": "x"}, "profile_hot": "no"}, "'profile_hot'"),
+        ({"sources": {"m": "x"}, "jobs": True}, "'jobs'"),
+        ({"sources": {"m": "x"}, "opt_level": 4.0}, "'opt_level'"),
+        ({"sources": {"m": "x"}, "selectivity": "x"}, "'selectivity'"),
+        ({"sources": {"m": "x"}, "profile_path": 7}, "'profile_path'"),
     ])
     def test_bad_build_options_rejected(self, served, options, pattern):
         _, client = served
