@@ -61,11 +61,7 @@ def build_summary(
         summary["hlo_inline_stats"] = str(build.hlo_result.inline_stats)
         summary["hlo_peak_bytes"] = build.hlo_result.peak_bytes
         summary["wpa_peak_bytes"] = build.hlo_result.wpa_peak_bytes
-        summary["wpa_phase_seconds"] = {
-            key: value
-            for key, value in build.hlo_result.phase_seconds.items()
-            if key.startswith("wpa")
-        }
+        summary["hlo_phase_seconds"] = dict(build.hlo_result.phase_seconds)
     return summary
 
 
@@ -113,4 +109,13 @@ def render_build_summary(
         out.append("hlo: %s, peak memory %s"
                    % (summary["hlo_inline_stats"],
                       fmt_bytes(summary["hlo_peak_bytes"])))
+    passes = [
+        (phase[len("scalar."):], seconds)
+        for phase, seconds in summary.get("hlo_phase_seconds", {}).items()
+        if phase.startswith("scalar.") and phase != "scalar.replay"
+    ]
+    if passes:
+        # Costliest first; summed over workers when LTRANS is partitioned.
+        passes.sort(key=lambda item: (-item[1], item[0]))
+        out.append("scalar: " + ", ".join("%s %.2fs" % item for item in passes))
     return out, err

@@ -136,9 +136,9 @@ class FarmDispatcher:
         outcomes = []
         for task in tasks:
             reply = replies[task.task_id]
-            outcomes.append(
-                json.loads(self.get_blob(reply["outcome_key"]))
-            )
+            outcome = json.loads(self.get_blob(reply["outcome_key"]))
+            outcome["pass_seconds"] = reply.get("pass_seconds", {})
+            outcomes.append(outcome)
         return outcomes
 
 

@@ -171,12 +171,16 @@ class FarmWorker:
             # the loader starts touching them one by one.
             store.get_blobs(job_pool_keys(job).values())
             outcome = run_wire_job(job, store, self._contexts)
+            # Timings ride in the reply: the stored outcome stays a
+            # function of the job, so a rebuild's identical put dedups.
+            pass_seconds = outcome.pop("pass_seconds")
             blob = json.dumps(
                 outcome, sort_keys=True, separators=(",", ":")
             ).encode("utf-8")
             outcome_key = store.put_blob(blob)
             self.jobs_done += 1
-            return {"ok": True, "task": task, "outcome_key": outcome_key}
+            return {"ok": True, "task": task, "outcome_key": outcome_key,
+                    "pass_seconds": pass_seconds}
         except Exception as exc:  # noqa: BLE001 - report, don't die
             self.jobs_failed += 1
             return {

@@ -22,6 +22,11 @@ _PRECEDENCE = [
     ["*", "/", "%"],
 ]
 
+#: Binary operator -> binding power (its level above; higher binds tighter).
+_BINDING_POWER = {
+    op: power for power, ops in enumerate(_PRECEDENCE) for op in ops
+}
+
 
 class Parser:
     """Parses one MLL source file into a :class:`ModuleAST`."""
@@ -257,16 +262,20 @@ class Parser:
 
     # -- Expressions ------------------------------------------------------------
 
-    def _parse_expr(self, level: int = 0) -> ast.Expr:
-        if level >= len(_PRECEDENCE):
-            return self._parse_unary()
-        left = self._parse_expr(level + 1)
-        ops = _PRECEDENCE[level]
-        while self.current.kind is TokKind.OP and self.current.text in ops:
-            op_token = self.advance()
-            right = self._parse_expr(level + 1)
-            left = ast.BinaryExpr(op_token.text, left, right, op_token.line)
-        return left
+    def _parse_expr(self, min_power: int = 0) -> ast.Expr:
+        """Precedence climbing: operators at least as tight as
+        ``min_power``, left-associative."""
+        left = self._parse_unary()
+        while True:
+            token = self.current
+            if token.kind is not TokKind.OP:
+                return left
+            power = _BINDING_POWER.get(token.text)
+            if power is None or power < min_power:
+                return left
+            self.advance()
+            right = self._parse_expr(power + 1)
+            left = ast.BinaryExpr(token.text, left, right, token.line)
 
     def _parse_unary(self) -> ast.Expr:
         token = self.current

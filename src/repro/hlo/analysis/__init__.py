@@ -1,21 +1,17 @@
 """HLO analyses (derived data: recomputed, never incrementally updated)."""
 
-from .cfg import predecessor_map, reachable_labels, reverse_postorder
-from .dominators import dominates, dominator_tree_children, immediate_dominators
-from .liveness import LivenessInfo, block_use_def, live_regs_after, liveness
+from .cfg import reachable_labels, reverse_postorder
+from .dominators import dominates, immediate_dominators
+from .liveness import LivenessInfo, liveness
 from .loops import Loop, find_loops, loop_depths
 from .modref import ModRefAnalysis, ModRefInfo, direct_modref
 
 __all__ = [
-    "predecessor_map",
     "reachable_labels",
     "reverse_postorder",
     "dominates",
-    "dominator_tree_children",
     "immediate_dominators",
     "LivenessInfo",
-    "block_use_def",
-    "live_regs_after",
     "liveness",
     "Loop",
     "find_loops",

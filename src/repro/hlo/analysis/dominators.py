@@ -2,55 +2,53 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
+from ...ir.derived import derived_analysis
 from ...ir.routine import Routine
 from .cfg import reverse_postorder
 
 
+@derived_analysis("idom", cfg_shaped=True)
 def immediate_dominators(routine: Routine) -> Dict[str, Optional[str]]:
     """Map block label -> immediate dominator label (entry -> None).
 
     Unreachable blocks are absent from the result.
     """
+    rpo = reverse_postorder(routine)
+    index = {label: i for i, label in enumerate(rpo)}
+    preds = routine.predecessors()
+    entry = routine.entry.label
+    idom: Dict[str, Optional[str]] = {entry: entry}
 
-    def compute() -> Dict[str, Optional[str]]:
-        rpo = reverse_postorder(routine)
-        index = {label: i for i, label in enumerate(rpo)}
-        preds = routine.predecessors()
-        entry = routine.entry.label
-        idom: Dict[str, Optional[str]] = {entry: entry}
+    def intersect(a: str, b: str) -> str:
+        while a != b:
+            while index[a] > index[b]:
+                a = idom[a]  # type: ignore[assignment]
+            while index[b] > index[a]:
+                b = idom[b]  # type: ignore[assignment]
+        return a
 
-        def intersect(a: str, b: str) -> str:
-            while a != b:
-                while index[a] > index[b]:
-                    a = idom[a]  # type: ignore[assignment]
-                while index[b] > index[a]:
-                    b = idom[b]  # type: ignore[assignment]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for label in rpo:
-                if label == entry:
-                    continue
-                candidates = [
-                    p for p in preds[label] if p in idom and p in index
-                ]
-                if not candidates:
-                    continue
-                new_idom = candidates[0]
-                for other in candidates[1:]:
-                    new_idom = intersect(new_idom, other)
-                if idom.get(label) != new_idom:
-                    idom[label] = new_idom
-                    changed = True
-        result = dict(idom)
-        result[entry] = None
-        return result
-
-    return routine.derived.get("idom", compute)
+    changed = True
+    while changed:
+        changed = False
+        for label in rpo:
+            if label == entry:
+                continue
+            candidates = [
+                p for p in preds[label] if p in idom and p in index
+            ]
+            if not candidates:
+                continue
+            new_idom = candidates[0]
+            for other in candidates[1:]:
+                new_idom = intersect(new_idom, other)
+            if idom.get(label) != new_idom:
+                idom[label] = new_idom
+                changed = True
+    result = dict(idom)
+    result[entry] = None
+    return result
 
 
 def dominates(routine: Routine, a: str, b: str) -> bool:
@@ -62,13 +60,3 @@ def dominates(routine: Routine, a: str, b: str) -> bool:
             return True
         current = idom.get(current)
     return False
-
-
-def dominator_tree_children(routine: Routine) -> Dict[str, List[str]]:
-    """Map label -> labels it immediately dominates."""
-    idom = immediate_dominators(routine)
-    children: Dict[str, List[str]] = {label: [] for label in idom}
-    for label, parent in idom.items():
-        if parent is not None:
-            children[parent].append(label)
-    return children

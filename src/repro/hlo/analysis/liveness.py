@@ -1,96 +1,45 @@
-"""Virtual-register liveness analysis (backward dataflow)."""
+"""Virtual-register liveness analysis (backward dataflow over masks)."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, NamedTuple
 
+from ...ir.derived import derived_analysis
+from ...ir.liveness import solve_liveness
 from ...ir.routine import Routine
 from .cfg import reverse_postorder
 
 
-class LivenessInfo:
-    """Per-block live-in/live-out register sets."""
+class LivenessInfo(NamedTuple):
+    """Per-block register masks: bit *r* stands for virtual register
+    *r* (:func:`repro.ir.liveness.regs_in` lists a mask's registers)."""
 
-    __slots__ = ("live_in", "live_out", "use", "defs")
-
-    def __init__(
-        self,
-        live_in: Dict[str, Set[int]],
-        live_out: Dict[str, Set[int]],
-        use: Dict[str, Set[int]],
-        defs: Dict[str, Set[int]],
-    ) -> None:
-        self.live_in = live_in
-        self.live_out = live_out
-        self.use = use
-        self.defs = defs
+    live_in: Dict[str, int]
+    live_out: Dict[str, int]
+    use: Dict[str, int]
+    defs: Dict[str, int]
 
 
-def block_use_def(routine: Routine) -> Tuple[Dict[str, Set[int]], Dict[str, Set[int]]]:
-    """Upward-exposed uses and definitions per block."""
-    use: Dict[str, Set[int]] = {}
-    defs: Dict[str, Set[int]] = {}
+@derived_analysis("liveness", cfg_shaped=False)
+def liveness(routine: Routine) -> LivenessInfo:
+    """Compute (and cache) live-in/out masks for every block."""
+    use: Dict[str, int] = {}
+    defs: Dict[str, int] = {}
+    successors = {}
     for block in routine.blocks:
-        block_use: Set[int] = set()
-        block_def: Set[int] = set()
+        block_use = block_def = 0
         for instr in block.instrs:
-            for reg in instr.uses():
-                if reg not in block_def:
-                    block_use.add(reg)
-            dst = instr.defines()
-            if dst is not None:
-                block_def.add(dst)
+            block_use |= instr.use_mask() & ~block_def
+            if instr.dst is not None:
+                block_def |= 1 << instr.dst
         use[block.label] = block_use
         defs[block.label] = block_def
-    return use, defs
-
-
-def liveness(routine: Routine) -> LivenessInfo:
-    """Compute (and cache) live-in/out sets for every block."""
-
-    def compute() -> LivenessInfo:
-        use, defs = block_use_def(routine)
-        live_in: Dict[str, Set[int]] = {b.label: set() for b in routine.blocks}
-        live_out: Dict[str, Set[int]] = {b.label: set() for b in routine.blocks}
-        order = list(reversed(reverse_postorder(routine)))
-        # Include unreachable blocks so the verifier-facing passes see them.
-        order.extend(
-            block.label for block in routine.blocks if block.label not in set(order)
-        )
-        changed = True
-        while changed:
-            changed = False
-            for label in order:
-                block = routine.block(label)
-                out: Set[int] = set()
-                for succ in block.successors():
-                    out |= live_in[succ]
-                new_in = use[label] | (out - defs[label])
-                if out != live_out[label] or new_in != live_in[label]:
-                    live_out[label] = out
-                    live_in[label] = new_in
-                    changed = True
-        return LivenessInfo(live_in, live_out, use, defs)
-
-    return routine.derived.get("liveness", compute)
-
-
-def live_regs_after(routine: Routine, label: str) -> List[Set[int]]:
-    """Registers live *after* each instruction of block ``label``.
-
-    Returned list is parallel to the block's instruction list.  Used by
-    dead-code elimination and the register allocator.
-    """
-    info = liveness(routine)
-    block = routine.block(label)
-    live = set(info.live_out[label])
-    after: List[Set[int]] = [set() for _ in block.instrs]
-    for index in range(len(block.instrs) - 1, -1, -1):
-        after[index] = set(live)
-        instr = block.instrs[index]
-        dst = instr.defines()
-        if dst is not None:
-            live.discard(dst)
-        for reg in instr.uses():
-            live.add(reg)
-    return after
+        successors[block.label] = block.successors()
+    order = list(reversed(reverse_postorder(routine)))
+    # Include unreachable blocks so the verifier-facing passes see them.
+    reached = set(order)
+    order.extend(
+        block.label for block in routine.blocks if block.label not in reached
+    )
+    live_in, live_out = solve_liveness(order, use, defs, successors)
+    return LivenessInfo(live_in, live_out, use, defs)

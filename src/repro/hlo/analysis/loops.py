@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
+from ...ir.derived import derived_analysis
 from ...ir.routine import Routine
 from .cfg import reachable_labels
 from .dominators import dominates
@@ -24,51 +25,51 @@ class Loop:
     def depth_key(self) -> Tuple[int, str]:
         return (len(self.body), self.header)
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Loop) and (
+            (self.header, self.body, self.back_edges)
+            == (other.header, other.body, other.back_edges)
+        )
+
     def __repr__(self) -> str:
         return "<Loop header=%s blocks=%d>" % (self.header, len(self.body))
 
 
+@derived_analysis("loops", cfg_shaped=True)
 def find_loops(routine: Routine) -> List[Loop]:
     """All natural loops, merged by shared header, cached as derived data."""
-
-    def compute() -> List[Loop]:
-        reachable = reachable_labels(routine)
-        preds = routine.predecessors()
-        loops: Dict[str, Loop] = {}
-        for block in routine.blocks:
-            if block.label not in reachable:
-                continue
-            for succ in block.successors():
-                if succ in reachable and dominates(routine, succ, block.label):
-                    loop = loops.setdefault(succ, Loop(succ))
-                    loop.back_edges.append((block.label, succ))
-                    # Collect the loop body: nodes reaching the latch
-                    # without passing through the header.
-                    stack = [block.label]
-                    while stack:
-                        label = stack.pop()
-                        if label in loop.body:
-                            continue
-                        loop.body.add(label)
-                        stack.extend(
-                            p for p in preds[label] if p in reachable
-                        )
-        return sorted(loops.values(), key=Loop.depth_key)
-
-    return routine.derived.get("loops", compute)
+    reachable = reachable_labels(routine)
+    preds = routine.predecessors()
+    loops: Dict[str, Loop] = {}
+    for block in routine.blocks:
+        if block.label not in reachable:
+            continue
+        for succ in block.successors():
+            if succ in reachable and dominates(routine, succ, block.label):
+                loop = loops.setdefault(succ, Loop(succ))
+                loop.back_edges.append((block.label, succ))
+                # Collect the loop body: nodes reaching the latch
+                # without passing through the header.
+                stack = [block.label]
+                while stack:
+                    label = stack.pop()
+                    if label in loop.body:
+                        continue
+                    loop.body.add(label)
+                    stack.extend(
+                        p for p in preds[label] if p in reachable
+                    )
+    return sorted(loops.values(), key=Loop.depth_key)
 
 
+@derived_analysis("loop_depths", cfg_shaped=True)
 def loop_depths(routine: Routine) -> Dict[str, int]:
     """Map block label -> loop nesting depth (0 outside any loop).
 
     Static profile estimation uses this when no dynamic profile exists.
     """
-
-    def compute() -> Dict[str, int]:
-        depths = {block.label: 0 for block in routine.blocks}
-        for loop in find_loops(routine):
-            for label in loop.body:
-                depths[label] += 1
-        return depths
-
-    return routine.derived.get("loop_depths", compute)
+    depths = {block.label: 0 for block in routine.blocks}
+    for loop in find_loops(routine):
+        for label in loop.body:
+            depths[label] += 1
+    return depths

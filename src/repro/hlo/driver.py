@@ -25,7 +25,7 @@ from ..incr.summary import (
     compute_module_keys,
     extract_routine_facts,
 )
-from ..ir.callgraph import CallGraph, CallGraphNode, CallSite
+from ..ir.callgraph import CallGraph, CallGraphNode
 from ..ir.module import Module
 from ..ir.program import Program
 from ..ir.routine import Routine
@@ -123,14 +123,8 @@ class CmoUnit:
         for name in names:
             graph.nodes[name] = CallGraphNode(name, self.routine_module[name])
         for name in names:
-            node = graph.nodes[name]
             for site in facts_by_name[name].sites:
-                node.call_sites.append(
-                    CallSite(name, site.block_label, site.index, site.callee)
-                )
-                target = graph.nodes.get(site.callee)
-                if target is not None and name not in target.caller_names:
-                    target.caller_names.append(name)
+                graph.add_site(name, site.block_label, site.index, site.callee)
         return graph
 
     def materialize(self, program: Program) -> Program:
@@ -177,7 +171,9 @@ class HloResult:
         #: whole-program phases 0-4.5, "scalar" = phase 5 when run
         #: serially by :meth:`HighLevelOptimizer.run_scalar_phase`),
         #: plus per-pass WPA splits ("wpa.dfe", "wpa.callgraph",
-        #: "wpa.ipcp", "wpa.clone", "wpa.inline", ...).
+        #: "wpa.ipcp", "wpa.clone", "wpa.inline", ...) and per-pass
+        #: scalar splits ("scalar.constprop", "scalar.licm", ...; summed
+        #: over the workers when phase 5 ran partitioned).
         self.phase_seconds: Dict[str, float] = {}
         #: Peak modeled bytes at the end of the WPA phases (before any
         #: scalar work): flat in the number of routine bodies.
@@ -199,6 +195,11 @@ class HloResult:
 
     def mark_plan_replayed(self) -> None:
         self._plan_replayed = True
+
+    def record_pass_seconds(self) -> None:
+        """Publish what :class:`PassStats` timed as ``scalar.<pass>``."""
+        for name, seconds in self.ctx.stats.seconds.items():
+            self.phase_seconds["scalar." + name] = seconds
 
     def scalar_worklist(self) -> List[str]:
         """Routines phase 5 must process, in canonical unit order.
@@ -569,6 +570,7 @@ class HighLevelOptimizer:
 
         result.peak_bytes = loader.accountant.peak
         result.phase_seconds["scalar"] = time.perf_counter() - start
+        result.record_pass_seconds()
         if materialize:
             unit.materialize(result.program)
 

@@ -9,6 +9,7 @@ the program symbol table, mod/ref analysis, profile views and options.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, Optional
 
 from ..ir.routine import Routine
@@ -20,14 +21,21 @@ from .profile_view import ProfileView
 
 
 class PassStats:
-    """Counts of transformations applied, per pass name."""
+    """Transformations applied and wall-clock seconds spent, per pass
+    name (seconds count every run of a pass, changed or not)."""
 
     def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
+        self.seconds: Dict[str, float] = {}
 
-    def bump(self, pass_name: str, amount: int = 1) -> None:
+    def bump(self, pass_name: str, amount: int = 1,
+             seconds: float = 0.0) -> None:
         if amount:
             self.counts[pass_name] = self.counts.get(pass_name, 0) + amount
+        if seconds:
+            self.seconds[pass_name] = (
+                self.seconds.get(pass_name, 0.0) + seconds
+            )
 
     def get(self, pass_name: str) -> int:
         return self.counts.get(pass_name, 0)
@@ -37,6 +45,8 @@ class PassStats:
         workers run with private stats, folded back in order)."""
         for pass_name, count in other.counts.items():
             self.bump(pass_name, count)
+        for pass_name, seconds in other.seconds.items():
+            self.bump(pass_name, 0, seconds)
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -82,7 +92,12 @@ class RoutinePass:
     name = "pass"
 
     def run(self, routine: Routine, ctx: OptContext) -> bool:
-        """Transform ``routine``; return True when anything changed."""
+        """Transform ``routine``; return True when anything changed.
+
+        The pass invalidates what it made stale: ``invalidate_instrs()``
+        if it left terminators and the block list alone, else
+        ``invalidate()``.  Checked builds verify what it kept.
+        """
         raise NotImplementedError
 
 
@@ -95,16 +110,22 @@ class PassPipeline:
     def run_routine(self, routine: Routine, ctx: OptContext) -> int:
         """Optimize one routine; returns total change count."""
         total_changes = 0
+        stats = ctx.stats
+        clock = time.perf_counter
         for _ in range(ctx.options.max_pass_iterations):
             changed = False
             for phase in self.passes:
-                if phase.run(routine, ctx):
+                start = clock()
+                phase_changed = phase.run(routine, ctx)
+                stats.bump(
+                    phase.name, 1 if phase_changed else 0, clock() - start
+                )
+                if phase_changed:
                     changed = True
                     total_changes += 1
-                    ctx.stats.bump(phase.name)
-                    routine.invalidate()
                     if ctx.options.checked:
                         assert_valid_routine(routine)
+                        routine.derived.verify(routine)
             if not changed:
                 break
         return total_changes

@@ -17,7 +17,7 @@ Also consumes interprocedural facts published in the context:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ...ir.instructions import (
     BINARY_OPS,
@@ -30,139 +30,124 @@ from ...ir.routine import Routine
 from ..analysis.cfg import reverse_postorder
 from ..passes import OptContext, RoutinePass
 
-# Lattice: None = TOP (no info yet); _BOT = conflicting; int = constant.
-_BOT = object()
+# The lattice, sparsely.  A state maps the registers known to hold a
+# constant to that constant; a register it lacks is BOTTOM (conflicting
+# or unknown), and a block that has no state yet is TOP everywhere.  An
+# entry state knows nothing, so states stay as small as the number of
+# constants in flight, not the number of virtual registers.
+_State = Dict[int, int]
+
+#: Sweeps of the solver before it gives up and reports no information.
+_MAX_SWEEPS = 50
 
 
-def _meet(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a is _BOT or b is _BOT or a != b:
-        return _BOT
-    return a
+def _value_after(instr: Instr, values: _State, ctx: OptContext) -> Optional[int]:
+    """The constant ``instr`` leaves in its ``dst`` given the constants
+    in ``values``, or None.  The one abstract step: the solver's
+    transfer function and the rewrite walk both advance through it."""
+    op = instr.op
+    if op is Opcode.CONST:
+        return instr.imm
+    if op is Opcode.MOV:
+        return values.get(instr.a)
+    if op in BINARY_OPS:
+        a = values.get(instr.a)
+        b = values.get(instr.b)
+        if a is None or b is None:
+            return None
+        return fold_binary(op, a, b)
+    if op is Opcode.NEG or op is Opcode.NOT:
+        a = values.get(instr.a)
+        return None if a is None else fold_unary(op, a)
+    if op is Opcode.LOADG:
+        return _readonly_value(instr.sym, ctx)
+    if op is Opcode.CALL:
+        return ctx.const_returns.get(instr.sym)
+    return None
 
 
-class _BlockEnv:
-    """Register -> lattice value during the rewrite walk of one block."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Dict[int, object]) -> None:
-        self.values = values
-
-    def const_of(self, reg: int) -> Optional[int]:
-        value = self.values.get(reg, _BOT)
-        return value if isinstance(value, int) else None
-
-    def set(self, reg: int, value) -> None:
-        self.values[reg] = value
-
-
-def _transfer_block(
-    routine: Routine, label: str, in_values: Dict[int, object], ctx: OptContext
-) -> Dict[int, object]:
+def _transfer_block(instrs: List[Instr], in_values: _State,
+                    ctx: OptContext) -> _State:
     """Abstractly execute a block, returning the out-state."""
     values = dict(in_values)
-    for instr in routine.block(label).instrs:
+    for instr in instrs:
         dst = instr.dst
-        op = instr.op
-        if op is Opcode.CONST:
-            values[dst] = instr.imm
-        elif op is Opcode.MOV:
-            values[dst] = values.get(instr.a, _BOT)
-        elif op in (Opcode.NEG, Opcode.NOT):
-            a = values.get(instr.a, _BOT)
-            values[dst] = fold_unary(op, a) if isinstance(a, int) else _BOT
-        elif op in BINARY_OPS:
-            a = values.get(instr.a, _BOT)
-            b = values.get(instr.b, _BOT)
-            if isinstance(a, int) and isinstance(b, int):
-                values[dst] = fold_binary(op, a, b)
-            else:
-                values[dst] = _BOT
-        elif op is Opcode.LOADG:
-            values[dst] = _readonly_value(instr.sym, ctx)
-        elif op is Opcode.CALL:
-            if dst is not None:
-                values[dst] = _const_return_value(instr.sym, ctx)
-        elif dst is not None:
-            values[dst] = _BOT
+        if dst is None:
+            continue
+        value = _value_after(instr, values, ctx)
+        if value is not None:
+            values[dst] = value
+        elif dst in values:
+            del values[dst]
     return values
 
 
-def _readonly_value(sym: str, ctx: OptContext):
+def _readonly_value(sym: str, ctx: OptContext) -> Optional[int]:
     if sym in ctx.readonly_globals and ctx.symtab.has_global(sym):
         var = ctx.symtab.lookup_global(sym)
         if not var.is_array:
             return var.init[0]
-    return _BOT
-
-
-def _const_return_value(callee: str, ctx: OptContext):
-    value = ctx.const_returns.get(callee)
-    return value if value is not None else _BOT
+    return None
 
 
 def compute_block_inputs(
     routine: Routine, ctx: OptContext
-) -> Dict[str, Dict[int, object]]:
-    """Fixed-point dataflow: per-block entry lattice states."""
+) -> Dict[str, _State]:
+    """Fixed-point dataflow: per-block entry states, reachable blocks
+    only.  Each state is a fresh dict the caller may consume."""
     rpo = reverse_postorder(routine)
     preds = routine.predecessors()
     entry_label = routine.entry.label
-    in_states: Dict[str, Dict[int, object]] = {label: {} for label in rpo}
-    # Entry: parameters (and everything else) unknown.
-    in_states[entry_label] = {reg: _BOT for reg in range(routine.next_reg)}
+    # None = not visited yet (TOP).
+    in_states: Dict[str, Optional[_State]] = dict.fromkeys(rpo)
+    in_states[entry_label] = {}
+    out_states: Dict[str, _State] = {}
 
-    out_states: Dict[str, Dict[int, object]] = {}
     changed = True
-    iterations = 0
-    while changed and iterations < 50:
+    sweeps = 0
+    while changed and sweeps < _MAX_SWEEPS:
         changed = False
-        iterations += 1
+        sweeps += 1
         for label in rpo:
             if label != entry_label:
-                merged: Dict[int, object] = {}
-                first = True
+                # Meet: what every processed predecessor agrees on.
+                merged: Optional[_State] = None
                 for pred in preds[label]:
                     pred_out = out_states.get(pred)
                     if pred_out is None:
                         continue
-                    if first:
+                    if merged is None:
                         merged = dict(pred_out)
-                        first = False
                     else:
-                        for reg in list(merged):
-                            merged[reg] = _meet(merged[reg], pred_out.get(reg))
-                        for reg in pred_out:
-                            if reg not in merged:
-                                merged[reg] = pred_out[reg]
-                if merged != in_states[label]:
-                    in_states[label] = merged
-                    changed = True
-            new_out = _transfer_block(routine, label, in_states[label], ctx)
-            if out_states.get(label) != new_out:
-                out_states[label] = new_out
-                changed = True
+                        for reg in [
+                            reg for reg, value in merged.items()
+                            if pred_out.get(reg) != value
+                        ]:
+                            del merged[reg]
+                if merged is None:
+                    merged = {}
+                if merged == in_states[label]:
+                    continue  # same input, same output
+                in_states[label] = merged
+            elif label in out_states:
+                continue  # the entry state never changes
+            new_out = _transfer_block(
+                routine.block(label).instrs, in_states[label], ctx
+            )
+            out_states[label] = new_out
+            changed = True
     if changed:
         # Iteration bound hit before the fixed point: fall back to
         # "no information" rather than risk an unsound rewrite.
-        return {
-            label: {reg: _BOT for reg in range(routine.next_reg)}
-            for label in rpo
-        }
+        return {label: {} for label in rpo}
     return in_states
 
 
-def _algebraic(instr: Instr, env: _BlockEnv) -> Optional[Instr]:
-    """Identity rewrites when one operand is a known constant."""
+def _algebraic(instr: Instr, a_const: Optional[int],
+               b_const: Optional[int]) -> Optional[Instr]:
+    """Identity rewrites of a binary op when one operand is a known
+    constant (``a_const``/``b_const``; None when unknown)."""
     op = instr.op
-    if op not in BINARY_OPS:
-        return None
-    a_const = env.const_of(instr.a)
-    b_const = env.const_of(instr.b)
     dst = instr.dst
     # x + 0, x - 0, x | 0, x ^ 0, x << 0, x >> 0
     if b_const == 0 and op in (Opcode.ADD, Opcode.SUB, Opcode.OR, Opcode.XOR,
@@ -180,14 +165,15 @@ def _algebraic(instr: Instr, env: _BlockEnv) -> Optional[Instr]:
         a_const == 0 and op in (Opcode.MUL, Opcode.AND, Opcode.DIV, Opcode.MOD)
     ):
         return Instr(Opcode.CONST, dst=dst, imm=0)
-    # x - x, x ^ x
-    if instr.a == instr.b and op in (Opcode.SUB, Opcode.XOR):
-        return Instr(Opcode.CONST, dst=dst, imm=0)
-    # x == x, x <= x, x >= x / x != x, x < x, x > x
-    if instr.a == instr.b and op in (Opcode.EQ, Opcode.LE, Opcode.GE):
-        return Instr(Opcode.CONST, dst=dst, imm=1)
-    if instr.a == instr.b and op in (Opcode.NE, Opcode.LT, Opcode.GT):
-        return Instr(Opcode.CONST, dst=dst, imm=0)
+    if instr.a == instr.b:
+        # x - x, x ^ x
+        if op in (Opcode.SUB, Opcode.XOR):
+            return Instr(Opcode.CONST, dst=dst, imm=0)
+        # x == x, x <= x, x >= x / x != x, x < x, x > x
+        if op in (Opcode.EQ, Opcode.LE, Opcode.GE):
+            return Instr(Opcode.CONST, dst=dst, imm=1)
+        if op in (Opcode.NE, Opcode.LT, Opcode.GT):
+            return Instr(Opcode.CONST, dst=dst, imm=0)
     return None
 
 
@@ -202,20 +188,22 @@ class ConstantPropagation(RoutinePass):
         in_states = compute_block_inputs(routine, ctx)
         modref = ctx.modref
         changed = False
+        folded_branch = False
 
         for block in routine.blocks:
-            if block.label not in in_states:
-                continue  # unreachable; simplify will drop it
-            env = _BlockEnv(dict(in_states[block.label]))
-            copies: Dict[int, int] = {}  # local copy propagation: dst -> src
+            # Unreachable blocks have no state; simplify will drop them.
+            values = in_states.get(block.label)
+            if values is None:
+                continue
+            # Local copy propagation: dst -> the register it copies, and
+            # the reverse map that finds a source's copies when it dies.
+            # Sources are never copies themselves (chains are resolved
+            # on insertion).
+            copies: Dict[int, int] = {}
+            copied_to: Dict[int, List[int]] = {}
+            instrs = block.instrs
 
-            def kill_copies(reg: int) -> None:
-                copies.pop(reg, None)
-                for dst_reg in [d for d, s in copies.items() if s == reg]:
-                    del copies[dst_reg]
-
-            for index, instr in enumerate(block.instrs):
-                # Local copy propagation on uses.
+            for index, instr in enumerate(instrs):
                 if copies:
                     remap = {
                         reg: copies[reg]
@@ -228,87 +216,65 @@ class ConstantPropagation(RoutinePass):
 
                 op = instr.op
                 dst = instr.dst
-                new_instr: Optional[Instr] = None
+                if dst is None:
+                    # Writes no register: both maps stand.  Only a
+                    # branch can still fold.
+                    if op is Opcode.BR:
+                        cond = values.get(instr.a)
+                        if cond is not None:
+                            target = instr.targets[0 if cond else 1]
+                            instrs[index] = Instr(
+                                Opcode.JMP, targets=(target,)
+                            )
+                            changed = folded_branch = True
+                    continue
 
-                if op in BINARY_OPS:
-                    a = env.const_of(instr.a)
-                    b = env.const_of(instr.b)
-                    if a is not None and b is not None:
-                        new_instr = Instr(
-                            Opcode.CONST, dst=dst, imm=fold_binary(op, a, b)
-                        )
-                    else:
-                        new_instr = _algebraic(instr, env)
-                elif op in (Opcode.NEG, Opcode.NOT):
-                    a = env.const_of(instr.a)
-                    if a is not None:
-                        new_instr = Instr(
-                            Opcode.CONST, dst=dst, imm=fold_unary(op, a)
-                        )
-                elif op is Opcode.MOV:
-                    a = env.const_of(instr.a)
-                    if a is not None:
-                        new_instr = Instr(Opcode.CONST, dst=dst, imm=a)
-                elif op is Opcode.LOADG:
-                    value = _readonly_value(instr.sym, ctx)
-                    if isinstance(value, int):
-                        new_instr = Instr(Opcode.CONST, dst=dst, imm=value)
-                elif op is Opcode.CALL:
-                    value = _const_return_value(instr.sym, ctx)
-                    if (
-                        isinstance(value, int)
-                        and dst is not None
-                        and modref is not None
-                        and modref.for_routine(instr.sym).is_pure()
+                # Fold to the constant the abstract step predicts (a
+                # call only when the callee is also pure), else try the
+                # algebraic identities.
+                value = _value_after(instr, values, ctx)
+                if value is not None:
+                    if op is not Opcode.CONST and (
+                        op is not Opcode.CALL
+                        or (modref is not None
+                            and modref.for_routine(instr.sym).is_pure())
                     ):
-                        new_instr = Instr(Opcode.CONST, dst=dst, imm=value)
-                elif op is Opcode.BR:
-                    cond = env.const_of(instr.a)
-                    if cond is not None:
-                        target = instr.targets[0] if cond else instr.targets[1]
-                        new_instr = Instr(Opcode.JMP, targets=(target,))
+                        instrs[index] = instr = Instr(
+                            Opcode.CONST, dst=dst, imm=value
+                        )
+                        changed = True
+                elif op in BINARY_OPS:
+                    a = values.get(instr.a)
+                    b = values.get(instr.b)
+                    if a is not None or b is not None or instr.a == instr.b:
+                        rewritten = _algebraic(instr, a, b)
+                        if rewritten is not None:
+                            instrs[index] = instr = rewritten
+                            changed = True
+                            value = _value_after(instr, values, ctx)
 
-                if new_instr is not None:
-                    block.instrs[index] = new_instr
-                    instr = new_instr
-                    changed = True
-
-                # Update local copy map and abstract env.
+                # The old value of dst dies: so do its copy and every
+                # copy *of* it.
+                if copies:
+                    source = copies.pop(dst, None)
+                    if source is not None:
+                        copied_to[source].remove(dst)
+                    for copy in copied_to.pop(dst, ()):
+                        del copies[copy]
                 if instr.op is Opcode.MOV:
-                    kill_copies(instr.dst)
                     source = copies.get(instr.a, instr.a)
-                    if source != instr.dst:
-                        copies[instr.dst] = source
-                elif instr.dst is not None:
-                    kill_copies(instr.dst)
+                    if source != dst:
+                        copies[dst] = source
+                        copied_to.setdefault(source, []).append(dst)
 
-                # Abstract step (mirrors _transfer_block, one instr).
-                if instr.op is Opcode.CONST:
-                    env.set(instr.dst, instr.imm)
-                elif instr.op is Opcode.MOV:
-                    env.set(instr.dst, env.values.get(instr.a, _BOT))
-                elif instr.op in (Opcode.NEG, Opcode.NOT):
-                    a = env.const_of(instr.a)
-                    env.set(
-                        instr.dst,
-                        fold_unary(instr.op, a) if a is not None else _BOT,
-                    )
-                elif instr.op in BINARY_OPS:
-                    a = env.const_of(instr.a)
-                    b = env.const_of(instr.b)
-                    env.set(
-                        instr.dst,
-                        fold_binary(instr.op, a, b)
-                        if a is not None and b is not None
-                        else _BOT,
-                    )
-                elif instr.op is Opcode.LOADG:
-                    env.set(instr.dst, _readonly_value(instr.sym, ctx))
-                elif instr.op is Opcode.CALL and instr.dst is not None:
-                    env.set(instr.dst, _const_return_value(instr.sym, ctx))
-                elif instr.dst is not None:
-                    env.set(instr.dst, _BOT)
+                if value is not None:
+                    values[dst] = value
+                elif dst in values:
+                    del values[dst]
 
-        if changed:
+        if folded_branch:
             routine.invalidate()
+        elif changed:
+            # No terminator moved: the CFG-shaped results stand.
+            routine.invalidate_instrs()
         return changed

@@ -8,9 +8,9 @@ enables across module boundaries.
 
 from __future__ import annotations
 
-from ...ir.instructions import Opcode
+from ...ir.instructions import SIDE_EFFECT_OPS, TERMINATORS, Opcode
 from ...ir.routine import Routine
-from ..analysis.liveness import live_regs_after
+from ..analysis.liveness import liveness
 from ..passes import OptContext, RoutinePass
 
 
@@ -21,43 +21,42 @@ class DeadCodeElimination(RoutinePass):
         if not ctx.options.dce_enabled:
             return False
         modref = ctx.modref
+        live_out = liveness(routine).live_out
         changed = False
         for block in routine.blocks:
-            after = live_regs_after(routine, block.label)
-            kept = []
-            block_changed = False
-            for index, instr in enumerate(block.instrs):
-                if instr.is_terminator():
-                    kept.append(instr)
-                    continue
+            # Walk backwards with the registers live *after* the
+            # instruction at hand.  Removed instructions still feed
+            # their uses into the mask: what they kept alive dies in
+            # the next round, once liveness is recomputed without them.
+            live = live_out[block.label]
+            instrs = block.instrs
+            dead = set()
+            for index in range(len(instrs) - 1, -1, -1):
+                instr = instrs[index]
+                op = instr.op
                 dst = instr.dst
-                removable = False
-                if instr.op is Opcode.MOV and instr.dst == instr.a:
-                    removable = True
-                elif dst is not None and dst not in after[index]:
-                    if not instr.has_side_effects():
-                        removable = True
-                    elif (
-                        instr.op is Opcode.CALL
+                if op in TERMINATORS:
+                    pass
+                elif op is Opcode.MOV and dst == instr.a:
+                    dead.add(index)
+                elif dst is None or not live >> dst & 1:
+                    # Nobody reads the (possibly absent) result.
+                    if (dst is not None and op not in SIDE_EFFECT_OPS) or (
+                        op is Opcode.CALL
                         and modref is not None
                         and modref.for_routine(instr.sym).is_pure()
                     ):
-                        removable = True
-                elif (
-                    dst is None
-                    and instr.op is Opcode.CALL
-                    and modref is not None
-                    and modref.for_routine(instr.sym).is_pure()
-                ):
-                    # Pure call whose (absent) result nobody reads.
-                    removable = True
-                if removable:
-                    block_changed = True
-                    changed = True
-                else:
-                    kept.append(instr)
-            if block_changed:
-                block.instrs = kept
+                        dead.add(index)
+                if dst is not None:
+                    live &= ~(1 << dst)
+                live |= instr.use_mask()
+            if dead:
+                block.instrs = [
+                    instr for index, instr in enumerate(instrs)
+                    if index not in dead
+                ]
+                changed = True
         if changed:
-            routine.invalidate()
+            # Only non-terminators went: the CFG-shaped results stand.
+            routine.invalidate_instrs()
         return changed

@@ -107,15 +107,16 @@ class LoopInvariantCodeMotion(RoutinePass):
             return False
         changed = False
         # One loop per sweep, innermost first (find_loops sorts by body
-        # size ascending); loop structure is recomputed after every
-        # hoist because preheader insertion changes the CFG.
+        # size ascending).  Hoisting moves non-terminators only; where
+        # it had to insert a preheader, _ensure_preheader has already
+        # dropped the CFG-shaped results too.
         for _ in range(16):
             hoisted = False
             for loop in find_loops(routine):
                 if self._hoist_from_loop(routine, loop, ctx):
                     changed = True
                     hoisted = True
-                    routine.invalidate()
+                    routine.invalidate_instrs()
                     break
             if not hoisted:
                 break
@@ -124,28 +125,49 @@ class LoopInvariantCodeMotion(RoutinePass):
     def _hoist_from_loop(
         self, routine: Routine, loop: Loop, ctx: OptContext
     ) -> bool:
-        live_in_header: Set[int] = liveness(routine).live_in.get(
-            loop.header, set()
-        )
+        # Only expensive operations earn a loop-carried register (see
+        # _prune_for_pressure): a loop without one has nothing to hoist.
+        if not any(
+            instr.op in _EXPENSIVE_COST
+            for label in loop.body
+            for instr in routine.block(label).instrs
+        ):
+            return False
+        live_in_header = liveness(routine).live_in.get(loop.header, 0)
         def_counts = _loop_definitions(routine, loop)
-
         # Invariant registers grow as we commit to hoisting their defs.
         invariant_defs: List[Tuple[str, int]] = []  # (label, index)
+        planned_defs: Set[Tuple[str, int]] = set()
         invariant_regs: Set[int] = set()
+
+        def is_hoistable(instr: Instr) -> bool:
+            dst = instr.dst
+            if dst is None or def_counts.get(dst, 0) != 1:
+                return False
+            if live_in_header >> dst & 1:
+                return False
+            if instr.op is Opcode.LOADG:
+                if _loop_may_write(routine, loop, ctx, instr.sym):
+                    return False
+            elif instr.op not in _PURE_OPS:
+                return False
+            return all(
+                reg in invariant_regs or not def_counts.get(reg, 0)
+                for reg in instr.uses()
+            )
+
         planned = True
         while planned:
             planned = False
             for label in sorted(loop.body):
                 block = routine.block(label)
                 for index, instr in enumerate(block.instrs):
-                    if (label, index) in invariant_defs:
-                        continue
-                    if not self._is_hoistable(
-                        instr, routine, loop, ctx, def_counts,
-                        live_in_header, invariant_regs,
+                    if (label, index) in planned_defs or not is_hoistable(
+                        instr
                     ):
                         continue
                     invariant_defs.append((label, index))
+                    planned_defs.add((label, index))
                     invariant_regs.add(instr.dst)
                     planned = True
 
@@ -242,35 +264,6 @@ class LoopInvariantCodeMotion(RoutinePass):
                 if feeder is not None and feeder not in kept:
                     stack.append(feeder)
         return [pos for pos in invariant_defs if pos in kept]
-
-    def _is_hoistable(
-        self,
-        instr: Instr,
-        routine: Routine,
-        loop: Loop,
-        ctx: OptContext,
-        def_counts: Dict[int, int],
-        live_in_header: Set[int],
-        invariant_regs: Set[int],
-    ) -> bool:
-        if instr.dst is None:
-            return False
-        if def_counts.get(instr.dst, 0) != 1:
-            return False
-        if instr.dst in live_in_header:
-            return False
-        if instr.op in _PURE_OPS:
-            pass
-        elif instr.op is Opcode.LOADG:
-            if _loop_may_write(routine, loop, ctx, instr.sym):
-                return False
-        else:
-            return False
-        for reg in instr.uses():
-            defined_in_loop = def_counts.get(reg, 0) > 0
-            if defined_in_loop and reg not in invariant_regs:
-                return False
-        return True
 
 
 def _dependency_order(instrs: List[Instr]) -> List[Instr]:

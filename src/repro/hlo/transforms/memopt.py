@@ -29,6 +29,12 @@ from ...ir.routine import Routine
 from ..passes import OptContext, RoutinePass
 
 
+#: The opcodes that read, write or may clobber global memory.
+_MEMORY_OPS = frozenset({
+    Opcode.LOADG, Opcode.STOREG, Opcode.LOADE, Opcode.STOREE, Opcode.CALL
+})
+
+
 class MemoryForwarding(RoutinePass):
     name = "memopt"
 
@@ -57,11 +63,13 @@ class MemoryForwarding(RoutinePass):
                 # Any register definition invalidates facts about the old
                 # value that register held.
                 dst = instr.dst
-                if dst is not None:
+                if dst is not None and known:
                     stale = [s for s, reg in known.items() if reg == dst]
                     for sym in stale:
                         del known[sym]
 
+                if original_op not in _MEMORY_OPS:
+                    continue
                 if original_op is Opcode.STOREG:
                     previous = pending_store.get(original_sym)
                     if previous is not None:
@@ -104,5 +112,6 @@ class MemoryForwarding(RoutinePass):
                     if idx not in dead_indices
                 ]
         if changed:
-            routine.invalidate()
+            # Loads and stores only: the CFG-shaped results stand.
+            routine.invalidate_instrs()
         return changed

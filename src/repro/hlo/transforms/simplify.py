@@ -93,15 +93,10 @@ class SimplifyCfg(RoutinePass):
     def run(self, routine: Routine, ctx: OptContext) -> bool:
         if not ctx.options.simplify_enabled:
             return False
-        changed = False
-        if thread_trivial_jumps(routine, ctx):
-            routine.invalidate()
-            changed = True
-        if remove_unreachable_blocks(routine, ctx):
-            changed = True
-        if merge_block_chains(routine, ctx):
-            routine.invalidate()
-            changed = True
+        # Each helper invalidates what it changed.
+        changed = thread_trivial_jumps(routine, ctx)
+        changed |= remove_unreachable_blocks(routine, ctx)
+        changed |= merge_block_chains(routine, ctx)
         # Degenerate conditional branches become jumps.
         for block in routine.blocks:
             term = block.terminator

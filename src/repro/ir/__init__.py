@@ -12,7 +12,6 @@ from .errors import IRError, ParseError, SymbolError, VerifierError
 from .instructions import (
     BINARY_OPS,
     COMMUTATIVE_OPS,
-    COMPARE_OPS,
     TERMINATORS,
     UNARY_OPS,
     Instr,
@@ -50,7 +49,6 @@ __all__ = [
     "VerifierError",
     "BINARY_OPS",
     "COMMUTATIVE_OPS",
-    "COMPARE_OPS",
     "TERMINATORS",
     "UNARY_OPS",
     "Instr",

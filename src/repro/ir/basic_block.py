@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import VerifierError
-from .instructions import Instr, Opcode
+from .instructions import TERMINATORS, Instr, Opcode
 
 
 class BasicBlock:
@@ -27,8 +27,9 @@ class BasicBlock:
     @property
     def terminator(self) -> Optional[Instr]:
         """The block's terminator instruction, or None if unterminated."""
-        if self.instrs and self.instrs[-1].is_terminator():
-            return self.instrs[-1]
+        instrs = self.instrs
+        if instrs and instrs[-1].op in TERMINATORS:
+            return instrs[-1]
         return None
 
     def is_terminated(self) -> bool:
@@ -36,10 +37,12 @@ class BasicBlock:
 
     def successors(self) -> Tuple[str, ...]:
         """Labels of successor blocks (empty for RET / unterminated)."""
-        term = self.terminator
-        if term is None or term.op is Opcode.RET:
-            return ()
-        return term.targets
+        instrs = self.instrs
+        if instrs:
+            last = instrs[-1]
+            if last.op is Opcode.BR or last.op is Opcode.JMP:
+                return last.targets
+        return ()
 
     def body(self) -> List[Instr]:
         """Instructions excluding the terminator."""

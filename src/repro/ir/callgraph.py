@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .program import Program
@@ -68,10 +68,25 @@ class CallGraphNode:
 
 
 class CallGraph:
-    """Static call graph with optional profile weights on call sites."""
+    """Static call graph with optional profile weights on call sites.
+
+    Add edges through :meth:`add_site` only: it keeps ``caller_names``
+    in step and drops the reachability memo.
+    """
+
+    #: Edges one :meth:`is_recursive` search may walk before it gives
+    #: up and assumes the worst.
+    RECURSION_SEARCH_LIMIT = 10000
 
     def __init__(self) -> None:
         self.nodes: Dict[str, CallGraphNode] = {}
+        #: Routines :meth:`is_recursive` called recursive because the
+        #: search ran into its limit, not because it found a cycle.
+        self.assumed_recursive: Set[str] = set()
+        # Memo over the current edge set: distinct callees per node,
+        # and the answer per routine already asked about.
+        self._callees: Optional[Dict[str, List[str]]] = None
+        self._recursive: Dict[str, bool] = {}
 
     @staticmethod
     def build(program: "Program") -> "CallGraph":
@@ -81,15 +96,23 @@ class CallGraph:
                 graph.nodes[routine.name] = CallGraphNode(routine.name, module.name)
         for module in program.module_list():
             for routine in module.routine_list():
-                node = graph.nodes[routine.name]
                 for block_label, index, callee in routine.call_sites():
-                    node.call_sites.append(
-                        CallSite(routine.name, block_label, index, callee)
-                    )
-                    target = graph.nodes.get(callee)
-                    if target is not None and routine.name not in target.caller_names:
-                        target.caller_names.append(routine.name)
+                    graph.add_site(routine.name, block_label, index, callee)
         return graph
+
+    def add_site(
+        self, caller: str, block_label: str, instr_index: int, callee: str
+    ) -> None:
+        """Append a call site to ``caller``'s node (which must exist)."""
+        self.nodes[caller].call_sites.append(
+            CallSite(caller, block_label, instr_index, callee)
+        )
+        target = self.nodes.get(callee)
+        if target is not None and caller not in target.caller_names:
+            target.caller_names.append(caller)
+        self._callees = None
+        self._recursive.clear()
+        self.assumed_recursive.clear()
 
     # -- Queries ------------------------------------------------------------
 
@@ -115,19 +138,28 @@ class CallGraph:
             key=lambda s: (-s.weight, s.caller, s.block_label, s.instr_index),
         )
 
-    def is_recursive(self, name: str, _limit: int = 10000) -> bool:
-        """True if ``name`` can reach itself through call edges."""
+    def is_recursive(self, name: str) -> bool:
+        """True if ``name`` can reach itself through call edges, or the
+        search for that gave up (see :attr:`assumed_recursive`)."""
+        answer = self._recursive.get(name)
+        if answer is None:
+            answer = self._recursive[name] = self._reaches_itself(name)
+        return answer
+
+    def _reaches_itself(self, name: str) -> bool:
+        callees = self._callees
+        if callees is None:
+            callees = self._callees = {
+                node.name: node.callees() for node in self.nodes.values()
+            }
         stack = [name]
         seen = set()
         steps = 0
         while stack:
-            current = stack.pop()
-            node = self.nodes.get(current)
-            if node is None:
-                continue
-            for callee in node.callees():
+            for callee in callees.get(stack.pop(), ()):
                 steps += 1
-                if steps > _limit:
+                if steps > self.RECURSION_SEARCH_LIMIT:
+                    self.assumed_recursive.add(name)
                     return True  # assume the worst on huge graphs
                 if callee == name:
                     return True

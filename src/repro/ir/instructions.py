@@ -98,6 +98,11 @@ class Opcode(enum.Enum):
     # Instrumentation probe (inserted by +I); increments counter `imm`.
     PROBE = "probe"
 
+    # Members are singletons, so identity is a sound hash; Enum's own
+    # hashes the member *name* in Python on every ``op in BINARY_OPS``
+    # or ``table[op]``, the hottest query the optimizer makes.
+    __hash__ = object.__hash__
+
 
 #: Opcodes of the form dst <- a OP b.
 BINARY_OPS = frozenset(
@@ -127,10 +132,10 @@ UNARY_OPS = frozenset({Opcode.NEG, Opcode.NOT, Opcode.MOV})
 #: Opcodes that end a basic block.
 TERMINATORS = frozenset({Opcode.RET, Opcode.BR, Opcode.JMP})
 
-#: Comparison opcodes (result is 0 or 1).
-COMPARE_OPS = frozenset(
-    {Opcode.EQ, Opcode.NE, Opcode.LT, Opcode.LE, Opcode.GT, Opcode.GE}
-)
+#: Opcodes that cannot be removed even when their result is dead.
+SIDE_EFFECT_OPS = TERMINATORS | {
+    Opcode.STOREG, Opcode.STOREE, Opcode.CALL, Opcode.PROBE
+}
 
 #: Commutative binary opcodes.
 COMMUTATIVE_OPS = frozenset(
@@ -238,13 +243,6 @@ class Instr:
     def is_terminator(self) -> bool:
         return self.op in TERMINATORS
 
-    def is_call(self) -> bool:
-        return self.op is Opcode.CALL
-
-    def defines(self) -> Optional[int]:
-        """The virtual register this instruction writes, if any."""
-        return self.dst
-
     def uses(self) -> Iterator[int]:
         """Yield every virtual register this instruction reads."""
         if self.a is not None:
@@ -254,17 +252,20 @@ class Instr:
         for arg in self.args:
             yield arg
 
+    def use_mask(self) -> int:
+        """:meth:`uses` as a bitmask (bit *r* = virtual register *r*)."""
+        mask = 0
+        if self.a is not None:
+            mask = 1 << self.a
+        if self.b is not None:
+            mask |= 1 << self.b
+        for arg in self.args:
+            mask |= 1 << arg
+        return mask
+
     def has_side_effects(self) -> bool:
         """True when the instruction cannot be removed even if dead."""
-        return self.op in (
-            Opcode.STOREG,
-            Opcode.STOREE,
-            Opcode.CALL,
-            Opcode.RET,
-            Opcode.BR,
-            Opcode.JMP,
-            Opcode.PROBE,
-        )
+        return self.op in SIDE_EFFECT_OPS
 
     def replace_uses(self, mapping: "dict[int, int]") -> None:
         """Rewrite used registers in place through ``mapping``."""

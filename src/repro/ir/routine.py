@@ -5,9 +5,24 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .basic_block import BasicBlock
-from .derived import DerivedCache
+from .derived import DerivedCache, derived_analysis
 from .errors import IRError
 from .instructions import Instr, Opcode
+
+
+@derived_analysis("block_map", cfg_shaped=True)
+def _block_map(routine: "Routine") -> Dict[str, BasicBlock]:
+    return {block.label: block for block in routine.blocks}
+
+
+@derived_analysis("preds", cfg_shaped=True)
+def _predecessors(routine: "Routine") -> Dict[str, List[str]]:
+    preds: Dict[str, List[str]] = {b.label: [] for b in routine.blocks}
+    for block in routine.blocks:
+        for succ in block.successors():
+            if succ in preds:
+                preds[succ].append(block.label)
+    return preds
 
 
 class Routine:
@@ -82,11 +97,8 @@ class Routine:
 
     def block(self, label: str) -> BasicBlock:
         """Find a block by label (derived-cached map)."""
-        mapping: Dict[str, BasicBlock] = self.derived.get(
-            "block_map", lambda: {b.label: b for b in self.blocks}
-        )
         try:
-            return mapping[label]
+            return _block_map(self)[label]
         except KeyError:
             raise IRError("no block %r in routine %s" % (label, self.name))
 
@@ -114,18 +126,14 @@ class Routine:
         """Drop all derived analysis results (call after any mutation)."""
         self.derived.invalidate()
 
+    def invalidate_instrs(self) -> None:
+        """Drop the results that read straight-line instructions (call
+        after a rewrite that touched no terminator and no block list)."""
+        self.derived.invalidate_instrs()
+
     def predecessors(self) -> Dict[str, List[str]]:
         """Map block label -> predecessor labels (derived)."""
-
-        def compute() -> Dict[str, List[str]]:
-            preds: Dict[str, List[str]] = {b.label: [] for b in self.blocks}
-            for block in self.blocks:
-                for succ in block.successors():
-                    if succ in preds:
-                        preds[succ].append(block.label)
-            return preds
-
-        return self.derived.get("preds", compute)
+        return _predecessors(self)
 
     # -- Queries --------------------------------------------------------------
 

@@ -22,6 +22,7 @@ import enum
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..hlo.profile_view import ProfileView
+from ..ir.liveness import regs_in, solve_liveness
 from ..vm.isa import (
     ALLOCATABLE_REGS,
     REG_RV,
@@ -61,103 +62,75 @@ class _Interval:
         self.end = -1
         self.weight = 0
 
-    def extend(self, pos: int) -> None:
-        if pos < self.start:
-            self.start = pos
-        if pos > self.end:
-            self.end = pos
+
+_DEFINING_OPS = (MOp.LDI, MOp.MOVR, MOp.ALU3, MOp.ALU2, MOp.LDG, MOp.LDX,
+                 MOp.LDS, MOp.CALL)
 
 
 def _defines(instr: MInstr) -> Optional[int]:
-    if instr.op in (MOp.LDI, MOp.MOVR, MOp.ALU3, MOp.ALU2, MOp.LDG, MOp.LDX,
-                    MOp.LDS, MOp.CALL):
-        return instr.rd
-    return None
+    return instr.rd if instr.op in _DEFINING_OPS else None
 
 
-def _block_liveness(lir: LirRoutine) -> Tuple[Dict[str, Set[int]],
-                                              Dict[str, Set[int]]]:
-    """Live-in / live-out virtual registers per LIR block."""
-    use: Dict[str, Set[int]] = {}
-    defs: Dict[str, Set[int]] = {}
-    for block in lir.blocks:
-        block_use: Set[int] = set()
-        block_def: Set[int] = set()
-        for instr in block.instrs:
-            for reg in instr.reads():
-                if reg not in block_def:
-                    block_use.add(reg)
-            dst = _defines(instr)
-            if dst is not None:
-                block_def.add(dst)
-        term = block.terminator
-        if term is not None and term.reg is not None:
-            if term.reg not in block_def:
-                block_use.add(term.reg)
-        use[block.label] = block_use
-        defs[block.label] = block_def
-
-    live_in: Dict[str, Set[int]] = {b.label: set() for b in lir.blocks}
-    live_out: Dict[str, Set[int]] = {b.label: set() for b in lir.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for block in reversed(lir.blocks):
-            label = block.label
-            out: Set[int] = set()
-            if block.terminator is not None:
-                for succ in block.terminator.successors():
-                    out |= live_in.get(succ, set())
-            new_in = use[label] | (out - defs[label])
-            if out != live_out[label] or new_in != live_in[label]:
-                live_out[label] = out
-                live_in[label] = new_in
-                changed = True
-    return live_in, live_out
-
-
-def _build_intervals(
-    lir: LirRoutine,
-    live_in: Dict[str, Set[int]],
-    live_out: Dict[str, Set[int]],
-    view: Optional[ProfileView],
-) -> Dict[int, _Interval]:
+def _live_intervals(
+    lir: LirRoutine, view: Optional[ProfileView]
+) -> Tuple[Dict[int, _Interval], int]:
+    """The live interval of every virtual register, and the mask of the
+    registers live across some block boundary."""
     intervals: Dict[int, _Interval] = {}
 
-    def interval(vreg: int) -> _Interval:
+    def touch(vreg: int, pos: int, weight: int) -> None:
         item = intervals.get(vreg)
         if item is None:
-            item = _Interval(vreg)
-            intervals[vreg] = item
-        return item
+            item = intervals[vreg] = _Interval(vreg)
+        if pos < item.start:
+            item.start = pos
+        if pos > item.end:
+            item.end = pos
+        item.weight += weight
 
+    # One walk numbers the instructions, records every read and write,
+    # and gathers the per-block masks the liveness kernel wants.
+    use: Dict[str, int] = {}
+    defs: Dict[str, int] = {}
+    successors: Dict[str, Tuple[str, ...]] = {}
+    bounds: List[Tuple[str, int, int]] = []
     pos = 0
     for block in lir.blocks:
         block_start = pos
-        block_weight = view.count(block.label) if view is not None else 1
-        block_weight = max(block_weight, 1)
-        for vreg in live_in[block.label]:
-            interval(vreg).extend(block_start)
+        weight = max(view.count(block.label), 1) if view is not None else 1
+        block_use = block_def = 0
         for instr in block.instrs:
             for reg in instr.reads():
-                item = interval(reg)
-                item.extend(pos)
-                item.weight += block_weight
+                block_use |= (1 << reg) & ~block_def
+                touch(reg, pos, weight)
             dst = _defines(instr)
             if dst is not None:
-                item = interval(dst)
-                item.extend(pos)
-                item.weight += block_weight
+                block_def |= 1 << dst
+                touch(dst, pos, weight)
             pos += 1
         term = block.terminator
         if term is not None and term.reg is not None:
-            item = interval(term.reg)
-            item.extend(pos)
-            item.weight += block_weight
-        for vreg in live_out[block.label]:
-            interval(vreg).extend(pos)
+            block_use |= (1 << term.reg) & ~block_def
+            touch(term.reg, pos, weight)
+        use[block.label] = block_use
+        defs[block.label] = block_def
+        successors[block.label] = (
+            term.successors() if term is not None else ()
+        )
+        bounds.append((block.label, block_start, pos))
         pos += 1  # terminator slot
-    return intervals
+
+    live_in, live_out = solve_liveness(
+        [block.label for block in reversed(lir.blocks)], use, defs, successors
+    )
+    crossing = 0
+    for label, block_start, block_end in bounds:
+        for vreg in regs_in(live_in[label]):
+            touch(vreg, block_start, 0)
+        for vreg in regs_in(live_out[label]):
+            touch(vreg, block_end, 0)
+        crossing |= live_in[label] | live_out[label]
+    return intervals, crossing
 
 
 def _linear_scan(
@@ -219,16 +192,13 @@ def allocate(
     physical condition registers and return plumbing is materialized
     (value moved to R0 before every ``ret``).
     """
-    live_in, live_out = _block_liveness(lir)
-    intervals = _build_intervals(lir, live_in, live_out, view)
+    intervals, crossing = _live_intervals(lir, view)
 
     forced_spill: Set[int] = set()
     if mode is AllocMode.NAIVE:
         forced_spill = set(intervals)
     elif mode is AllocMode.LOCAL:
-        for label in live_in:
-            forced_spill |= live_in[label]
-            forced_spill |= live_out[label]
+        forced_spill = set(regs_in(crossing))
 
     scannable = [iv for v, iv in intervals.items() if v not in forced_spill]
     assignment, scan_spilled = _linear_scan(
@@ -247,32 +217,29 @@ def allocate(
             slot_of[vreg] = next_slot
             next_slot += 1
 
-    def phys(vreg: int) -> Optional[int]:
-        return assignment.get(vreg)
+    phys = assignment.get
+    new_instrs: List[MInstr] = []
+
+    def operand(vreg: int, scratch: int) -> Optional[int]:
+        """The physical register to read ``vreg`` from; a spilled one
+        is first reloaded into ``scratch``."""
+        if vreg not in spilled:
+            return phys(vreg)
+        new_instrs.append(MInstr(MOp.LDS, rd=scratch, imm=slot_of[vreg]))
+        return scratch
 
     for block in lir.blocks:
-        new_instrs: List[MInstr] = []
+        new_instrs = []
         for instr in block.instrs:
-            scratch_iter = iter((REG_SCRATCH_A, REG_SCRATCH_B))
-            reload_map: Dict[int, int] = {}
-            # Reload spilled sources.
-            for reg in dict.fromkeys(instr.reads()):
-                if reg in spilled:
-                    scratch = reload_map.get(reg)
-                    if scratch is None:
-                        scratch = next(scratch_iter)
-                        reload_map[reg] = scratch
-                        new_instrs.append(
-                            MInstr(MOp.LDS, rd=scratch, imm=slot_of[reg])
-                        )
-            if instr.rs1 is not None and instr.rs1 in reload_map:
-                instr.rs1 = reload_map[instr.rs1]
-            elif instr.rs1 is not None:
-                instr.rs1 = phys(instr.rs1)
-            if instr.rs2 is not None and instr.rs2 in reload_map:
-                instr.rs2 = reload_map[instr.rs2]
-            elif instr.rs2 is not None:
-                instr.rs2 = phys(instr.rs2)
+            rs1, rs2 = instr.rs1, instr.rs2
+            if rs1 is not None:
+                instr.rs1 = operand(rs1, REG_SCRATCH_A)
+            if rs2 == rs1:
+                instr.rs2 = instr.rs1
+            elif rs2 is not None:
+                instr.rs2 = operand(
+                    rs2, REG_SCRATCH_B if rs1 in spilled else REG_SCRATCH_A
+                )
 
             dst = _defines(instr)
             if instr.op is MOp.CALL:

@@ -197,6 +197,7 @@ class PartitionRunner:
         # Workers replayed their plan slices; the returned pools are
         # final bodies, so phase 5 must not replay again.
         self.hlo_result.mark_plan_replayed()
+        self.hlo_result.record_pass_seconds()
         return result
 
     def _ship(self, name: str, release: bool) -> Dict:

@@ -496,6 +496,7 @@ def decode_outcome(partition: Partition, payload: Dict) -> PartitionOutcome:
     outcome.llo_stats = _decode_llo_stats(payload.get("llo_stats", {}))
     stats = PassStats()
     stats.counts = dict(payload.get("pass_counts", {}))
+    stats.seconds = dict(payload.get("pass_seconds", {}))
     outcome.pass_stats = stats
     outcome.views = _decode_views(payload.get("views", {}))
     return outcome
@@ -638,6 +639,7 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
             "peak_working_bytes": llo.stats.peak_working_bytes,
         },
         "pass_counts": dict(ctx.stats.counts),
+        "pass_seconds": dict(ctx.stats.seconds),
         "views": _views_payload({
             name: ctx.views[name]
             for name in names if name in ctx.views

@@ -7,6 +7,7 @@ import pytest
 from repro.driver.compiler import Compiler, train
 from repro.driver.options import CompilerOptions
 from repro.frontend import compile_sources
+from repro.hlo.options import HloOptions
 from repro.interp import run_program
 
 #: A three-module program with cross-module calls, globals, statics,
@@ -56,6 +57,26 @@ func main() {
 }
 """,
 }
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--hlo-checked", action="store_true",
+        help="make HloOptions.checked default to True: every pipeline the "
+             "suite runs verifies the IR and the derived data each pass "
+             "kept, after each pass",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("--hlo-checked"):
+        original = HloOptions.__init__
+
+        def init(self, *args, **kwargs):
+            kwargs.setdefault("checked", True)
+            original(self, *args, **kwargs)
+
+        HloOptions.__init__ = init
 
 
 @pytest.fixture(scope="session")

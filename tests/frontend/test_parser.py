@@ -86,6 +86,32 @@ class TestExpressions:
         expr = func.body[0].value
         assert expr.op == "-" and expr.left.op == "-"
 
+    def test_every_precedence_level_nests_in_order(self):
+        func = parse_func(
+            "return a || b && c | d ^ e & f == g < h << i + j * k;"
+        )
+        expr = func.body[0].value
+        for op in ("||", "&&", "|", "^", "&", "==", "<", "<<", "+", "*"):
+            assert isinstance(expr, ast.BinaryExpr) and expr.op == op
+            assert isinstance(expr.left, ast.NameExpr)
+            expr = expr.right
+        assert isinstance(expr, ast.NameExpr) and expr.name == "k"
+
+    def test_tighter_operator_on_the_left_closes_first(self):
+        func = parse_func("return a * b + c == d;")
+        expr = func.body[0].value
+        assert expr.op == "=="
+        assert expr.left.op == "+" and expr.left.left.op == "*"
+
+    def test_same_level_operators_associate_left(self):
+        func = parse_func("return a * b / c % d;")
+        expr = func.body[0].value
+        assert (expr.op, expr.left.op, expr.left.left.op) == ("%", "/", "*")
+        func = parse_func("return a - -b - c;")
+        expr = func.body[0].value
+        assert expr.op == "-" and expr.left.op == "-"
+        assert isinstance(expr.left.right, ast.UnaryExpr)
+
 
 class TestStatements:
     def test_var_decl(self):

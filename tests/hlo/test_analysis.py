@@ -2,14 +2,11 @@
 
 from repro.frontend import compile_source
 from repro.hlo.analysis.cfg import reachable_labels, reverse_postorder
-from repro.hlo.analysis.dominators import (
-    dominates,
-    dominator_tree_children,
-    immediate_dominators,
-)
-from repro.hlo.analysis.liveness import live_regs_after, liveness
+from repro.hlo.analysis.dominators import dominates, immediate_dominators
+from repro.hlo.analysis.liveness import liveness
 from repro.hlo.analysis.loops import find_loops, loop_depths
 from repro.ir import IRBuilder, Instr, Opcode, Routine
+from repro.ir.liveness import regs_in
 
 
 def routine_from(source, name):
@@ -72,18 +69,21 @@ class TestDominators:
             if block.label != entry and block.label in idom:
                 assert dominates(routine, entry, block.label)
 
-    def test_dominator_tree_children(self):
+    def test_immediate_dominators_form_a_tree(self):
         routine = routine_from(LOOP_SRC, "f")
-        children = dominator_tree_children(routine)
-        total_children = sum(len(c) for c in children.values())
-        assert total_children == len(children) - 1  # tree property
+        idom = immediate_dominators(routine)
+        assert [b for b, parent in idom.items() if parent is None] == [
+            routine.entry.label
+        ]
+        for label in idom:  # every chain ends at the entry
+            assert dominates(routine, routine.entry.label, label)
 
 
 class TestLiveness:
     def test_param_live_at_entry_when_used(self):
         routine = routine_from("func f(a) { return a + 1; }", "f")
         info = liveness(routine)
-        assert 0 in info.live_in[routine.entry.label]
+        assert 0 in regs_in(info.live_in[routine.entry.label])
 
     def test_dead_value_not_live(self):
         routine = Routine("g", n_params=0)
@@ -92,9 +92,13 @@ class TestLiveness:
         live = builder.const(1)
         builder.ret(live)
         routine = builder.finish()
-        after = live_regs_after(routine, routine.entry.label)
-        assert dead not in after[0]
-        assert live in after[1]
+        info = liveness(routine)
+        label = routine.entry.label
+        # Neither value crosses a block boundary; only the returned one
+        # is read at all.
+        assert info.live_out[label] == 0
+        assert regs_in(info.defs[label]) == [dead, live]
+        assert info.use[label] == 0 and info.live_in[label] == 0
 
     def test_loop_carried_liveness(self):
         routine = routine_from(LOOP_SRC, "f")

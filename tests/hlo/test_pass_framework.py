@@ -5,7 +5,8 @@ import pytest
 from repro.frontend import compile_sources
 from repro.hlo.options import HloOptions
 from repro.hlo.passes import OptContext, PassPipeline, PassStats, RoutinePass
-from repro.ir import VerifierError
+from repro.hlo.analysis.dominators import immediate_dominators
+from repro.ir import Instr, IRError, Opcode, VerifierError
 
 
 class _CountingPass(RoutinePass):
@@ -28,6 +29,21 @@ class _BreakingPass(RoutinePass):
 
     def run(self, routine, ctx):
         routine.blocks[0].instrs.pop()  # drop the terminator
+        return True
+
+
+class _UnderDeclaringPass(RoutinePass):
+    """Folds the entry branch but declares an instruction-only rewrite."""
+
+    name = "underdeclaring"
+
+    def run(self, routine, ctx):
+        term = routine.entry.terminator
+        if term.op is not Opcode.BR:
+            return False
+        immediate_dominators(routine)
+        routine.entry.instrs[-1] = Instr(Opcode.JMP, targets=term.targets[:1])
+        routine.invalidate_instrs()
         return True
 
 
@@ -76,6 +92,29 @@ class TestPipeline:
             PassPipeline([_BreakingPass()]).run_routine(
                 program.routine("main"), ctx
             )
+
+    def test_checked_mode_catches_stale_derived_data(self):
+        program = compile_sources(
+            {"m": "func main() { var a = 1; if (a) { a = 2; } return a; }"}
+        )
+        ctx = OptContext(program.symtab, HloOptions(checked=True))
+        with pytest.raises(IRError, match="stale derived result"):
+            PassPipeline([_UnderDeclaringPass()]).run_routine(
+                program.routine("main"), ctx
+            )
+
+    def test_pass_seconds_recorded_for_every_run(self):
+        program, ctx = make_ctx()
+        PassPipeline([_CountingPass(fires=1)]).run_routine(
+            program.routine("main"), ctx
+        )
+        assert ctx.stats.get("counting") == 1  # one run changed something
+        assert ctx.stats.seconds["counting"] > 0  # both runs were timed
+        other = PassStats()
+        other.bump("counting", 2, seconds=1.5)
+        ctx.stats.merge(other)
+        assert ctx.stats.get("counting") == 3
+        assert ctx.stats.seconds["counting"] > 1.5
 
     def test_unchecked_mode_does_not_verify(self):
         program, ctx = make_ctx(HloOptions(checked=False,

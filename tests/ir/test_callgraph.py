@@ -1,7 +1,7 @@
 """Unit tests for the call graph."""
 
 from repro.frontend import compile_sources
-from repro.ir.callgraph import CallGraph
+from repro.ir.callgraph import CallGraph, CallGraphNode
 
 SOURCES = {
     "m1": """
@@ -63,6 +63,77 @@ class TestRecursion:
         assert not g.is_recursive("leaf")
         assert not g.is_recursive("middle")
         assert not g.is_recursive("main")
+
+
+def reaches_itself_by_fresh_search(graph, name, limit=10000):
+    """The un-memoized search ``is_recursive`` used to run per query."""
+    stack = [name]
+    seen = set()
+    steps = 0
+    while stack:
+        node = graph.nodes.get(stack.pop())
+        if node is None:
+            continue
+        for callee in node.callees():
+            steps += 1
+            if steps > limit:
+                return True
+            if callee == name:
+                return True
+            if callee not in seen:
+                seen.add(callee)
+                stack.append(callee)
+    return False
+
+
+class TestRecursionMemo:
+    def synth_graph(self):
+        from repro.synth import WorkloadConfig, generate
+
+        app = generate(WorkloadConfig(
+            "cg", n_modules=6, routines_per_module=5, n_features=3,
+            dispatch_count=20, input_size=8, seed=5,
+        ))
+        return CallGraph.build(compile_sources(app.sources))
+
+    def test_memo_answers_what_a_fresh_search_answers(self):
+        for g in (graph(), self.synth_graph()):
+            for _ in range(2):  # second round is served from the memo
+                for name in g.nodes:
+                    assert g.is_recursive(name) == (
+                        reaches_itself_by_fresh_search(g, name)
+                    ), name
+            assert not g.assumed_recursive
+
+    def test_new_edge_drops_the_memo(self):
+        g = graph()
+        assert not g.is_recursive("leaf")
+        assert not g.is_recursive("middle")
+        g.add_site("leaf", "entry0", 0, "middle")  # leaf -> middle -> leaf
+        assert g.is_recursive("leaf")
+        assert g.is_recursive("middle")
+        assert "leaf" in g.node("middle").caller_names
+
+    def test_edges_of_a_late_node_drop_the_memo(self):
+        g = graph()
+        g.add_site("leaf", "entry0", 0, "late")  # callee not defined yet
+        assert not g.is_recursive("leaf")
+        g.nodes["late"] = CallGraphNode("late", "m3")
+        g.add_site("late", "entry0", 0, "leaf")
+        assert g.is_recursive("leaf")
+
+    def test_search_limit_assumes_recursive_and_says_so(self):
+        g = graph()
+        g.RECURSION_SEARCH_LIMIT = 2
+        for name in g.nodes:
+            assert g.is_recursive(name) == reaches_itself_by_fresh_search(
+                g, name, limit=2
+            ), name
+        # main walks more than two edges without meeting itself.
+        assert g.is_recursive("main")
+        assert g.assumed_recursive == {"main"}
+        # Found cycles and short exhaustive searches are not assumptions.
+        assert g.is_recursive("recur") and not g.is_recursive("leaf")
 
 
 class TestOrdering:

@@ -85,14 +85,16 @@ class TestFolding:
 
 
 class TestInstr:
-    def test_uses_and_defines(self):
+    def test_uses(self):
         instr = Instr(Opcode.ADD, dst=3, a=1, b=2)
-        assert instr.defines() == 3
         assert list(instr.uses()) == [1, 2]
+        assert instr.use_mask() == 0b110
 
     def test_call_uses_args(self):
         instr = Instr(Opcode.CALL, dst=5, sym="f", args=(1, 2, 3))
         assert sorted(instr.uses()) == [1, 2, 3]
+        assert instr.use_mask() == 0b1110
+        assert Instr(Opcode.CONST, dst=0, imm=4).use_mask() == 0
 
     def test_replace_uses(self):
         instr = Instr(Opcode.CALL, dst=5, sym="f", args=(1, 2))
