@@ -413,6 +413,9 @@ class Compiler:
                         code_objects,
                         use_db,
                         result,
+                        cmo_objects=[
+                            o for o in il_objects if o.module_name in cmo_set
+                        ],
                         incr_state=incr_state,
                         events=events,
                         selectivity_percent=selectivity_percent,
@@ -489,16 +492,19 @@ class Compiler:
         code_objects: List[ObjectFile],
         profile_db: Optional[ProfileDatabase],
         result: BuildResult,
+        cmo_objects: List[ObjectFile],
         incr_state=None,
         events: Optional[EventLog] = None,
         selectivity_percent: Optional[float] = None,
     ) -> List[MachineRoutine]:
         """Route the CMO module set through HLO, then LLO each routine.
 
-        With ``incr_state``, module summaries are fingerprinted before
-        HLO, consumption is recorded during it, and codegen splices
-        cached machine routines (in unit order, so layout is
-        unchanged) for every module whose reuse key hit.
+        ``cmo_modules`` are working copies of ``cmo_objects``' IL.  With
+        ``incr_state``, the objects' module summaries (hashed once per
+        object, not per link) are compared before HLO, consumption is
+        recorded during it, and codegen splices cached machine routines
+        (in unit order, so layout is unchanged) for every module whose
+        reuse key hit.
 
         With ``hlo_jobs > 1`` (or an explicit ``hlo_partitions``), the
         scalar pipeline + codegen run on the partitioned LTRANS
@@ -515,7 +521,8 @@ class Compiler:
 
             with _Timer(result.timings, "incr_summaries"):
                 incr_session = incr_state.begin_link(
-                    cmo_modules, options_fingerprint(options)
+                    [obj.summary() for obj in cmo_objects],
+                    options_fingerprint(options),
                 )
 
         externally_callable: Set[str] = set()

@@ -19,6 +19,11 @@ from .compiler import BuildResult
 from .options import CompilerOptions
 
 
+#: ``hlo_phase_seconds`` keys of the ``wpa:`` line, in pipeline order.
+_WPA_LINE = ("wpa.scan", "wpa.callgraph", "wpa.ipcp", "wpa.clone",
+             "wpa.inline", "wpa.summarize", "scalar.replay")
+
+
 def build_summary(
     options: CompilerOptions,
     n_modules: int,
@@ -109,9 +114,19 @@ def render_build_summary(
         out.append("hlo: %s, peak memory %s"
                    % (summary["hlo_inline_stats"],
                       fmt_bytes(summary["hlo_peak_bytes"])))
+    phase_seconds = summary.get("hlo_phase_seconds", {})
+    # The serial slice in pipeline order; phases that did not run
+    # (summarize without an incremental session, replay when LTRANS
+    # workers do it) are left out.
+    serial = [
+        (phase.split(".", 1)[1], phase_seconds[phase])
+        for phase in _WPA_LINE if phase in phase_seconds
+    ]
+    if serial:
+        out.append("wpa: " + ", ".join("%s %.3fs" % item for item in serial))
     passes = [
         (phase[len("scalar."):], seconds)
-        for phase, seconds in summary.get("hlo_phase_seconds", {}).items()
+        for phase, seconds in phase_seconds.items()
         if phase.startswith("scalar.") and phase != "scalar.replay"
     ]
     if passes:

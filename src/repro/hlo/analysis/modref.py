@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set
 
+from ...ir.callgraph import strongly_connected_components
 from ...ir.instructions import Opcode
 from ...ir.routine import Routine
 
@@ -64,7 +65,8 @@ def direct_modref(routine: Routine) -> ModRefInfo:
 
 
 class ModRefAnalysis:
-    """Whole-program mod/ref solved to a fixed point over the call graph."""
+    """Whole-program mod/ref: the least fixed point over the call graph,
+    solved component by component on its condensation."""
 
     def __init__(self) -> None:
         self.info: Dict[str, ModRefInfo] = {}
@@ -88,33 +90,42 @@ class ModRefAnalysis:
         routine at a time (touch, scan, unload) so the whole program is
         never expanded at once.
         """
-        analysis = ModRefAnalysis()
-        # Transitive closure must not mutate the caller's direct facts.
-        for name, info in direct.items():
-            merged = ModRefInfo()
-            merged.mod = set(info.mod)
-            merged.ref = set(info.ref)
-            merged.unknown = info.unknown
-            merged.has_calls = info.has_calls
-            analysis.info[name] = merged
-
-        changed = True
-        while changed:
-            changed = False
-            for name, info in analysis.info.items():
-                if info.unknown:
-                    continue
-                for callee in callees.get(name, []):
-                    callee_info = analysis.info.get(callee)
+        solved: Dict[str, ModRefInfo] = {}
+        edges = {name: callees.get(name, ()) for name in direct}
+        # Callees first, so every callee outside the component being
+        # solved already holds its final answer: one visit per
+        # component reaches the least fixed point.
+        for component in strongly_connected_components(edges):
+            members = set(component)
+            mod: Set[str] = set()
+            ref: Set[str] = set()
+            unknown = False
+            for name in component:
+                info = direct[name]
+                mod |= info.mod
+                ref |= info.ref
+                unknown = unknown or info.unknown
+                for callee in edges[name]:
+                    if callee in members:
+                        continue
+                    callee_info = solved.get(callee)
                     if callee_info is None or callee_info.unknown:
-                        info.unknown = True
-                        changed = True
-                        break
-                    before = (len(info.mod), len(info.ref))
-                    info.mod |= callee_info.mod
-                    info.ref |= callee_info.ref
-                    if (len(info.mod), len(info.ref)) != before:
-                        changed = True
+                        unknown = True
+                    else:
+                        mod |= callee_info.mod
+                        ref |= callee_info.ref
+            for name in component:
+                info = direct[name]
+                merged = ModRefInfo()
+                merged.has_calls = info.has_calls
+                merged.unknown = unknown
+                # Nothing reads the sets of an unbounded routine; it
+                # keeps its own direct ones, whatever the visit order.
+                merged.mod = set(info.mod if unknown else mod)
+                merged.ref = set(info.ref if unknown else ref)
+                solved[name] = merged
+        analysis = ModRefAnalysis()
+        analysis.info = {name: solved[name] for name in direct}
         return analysis
 
     # -- Queries ------------------------------------------------------------

@@ -183,7 +183,7 @@ class HloResult:
         self.plan = WpaPlan()
         #: Routine name -> RoutineFacts (final, post-decision state).
         self.thin_facts: Dict[str, RoutineFacts] = {}
-        #: Structured events (e.g. summary-cache fallbacks).
+        #: Structured events (summary-cache and machine-blob fallbacks).
         self.events: List[Dict[str, object]] = []
         self._plan_replayed = False
 
@@ -201,6 +201,16 @@ class HloResult:
         for name, seconds in self.ctx.stats.seconds.items():
             self.phase_seconds["scalar." + name] = seconds
 
+    def compiled_routines(self) -> List[str]:
+        """Routines codegen will compile, in canonical unit order: all
+        of every module whose cached codegen is not reused (the whole
+        unit without an incremental session)."""
+        routine_module = self.unit.routine_module
+        return [
+            name for name in self.unit.routine_names()
+            if routine_module.get(name) not in self.reused_modules
+        ]
+
     def scalar_worklist(self) -> List[str]:
         """Routines phase 5 must process, in canonical unit order.
 
@@ -210,14 +220,10 @@ class HloResult:
         downstream splicing must preserve.
         """
         clone_set = set(self.clones)
-        names: List[str] = []
-        for name in self.unit.routine_names():
-            if name not in self.selected and name not in clone_set:
-                continue
-            if self.unit.routine_module.get(name) in self.reused_modules:
-                continue
-            names.append(name)
-        return names
+        return [
+            name for name in self.compiled_routines()
+            if name in self.selected or name in clone_set
+        ]
 
     @property
     def views(self) -> Dict[str, ProfileView]:
@@ -490,6 +496,7 @@ class HighLevelOptimizer:
             )
             incr.record_consumption(consumed, unit.routine_module, symtab)
             reused_modules = incr.decide_reuse(keys)
+            events.extend(incr.events)
             accountant.mark("summarized")
             tick = self._lap(timings, "wpa.summarize", tick)
 
@@ -519,7 +526,8 @@ class HighLevelOptimizer:
 
         This is the reference (LTRANS) half of the phase split; the
         partitioned backend in :mod:`repro.part` must match its output
-        byte for byte.
+        byte for byte.  Bodies of reused modules outside the replay
+        scope stay as the frontend left them: nothing compiles them.
         """
         start = time.perf_counter()
         unit = result.unit
@@ -527,10 +535,12 @@ class HighLevelOptimizer:
         loader = unit.loader
         if result.pending_plan is not None:
             # Materialize the WPA decisions onto the real bodies before
-            # any scalar work touches them.
+            # any scalar work touches them.  Codegen compiles every
+            # routine of a module that is not reused, selected or not.
             replay_plan(
-                result.plan, set(unit.routine_names()), loader,
-                unit.routine_handles, ctx.views, self.options,
+                result.plan,
+                result.plan.replay_scope(result.compiled_routines()),
+                loader, unit.routine_handles, ctx.views, self.options,
             )
             result.mark_plan_replayed()
             result.phase_seconds["scalar.replay"] = (

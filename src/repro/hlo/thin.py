@@ -118,14 +118,23 @@ class WpaPlan:
 
         return need
 
+    def replay_scope(self, routines) -> Set[str]:
+        """The one replay-scope rule: the routines that will be compiled,
+        closed under :meth:`import_closure`.
+
+        Serial phase 5 replays over this set; a partition worker over
+        its locals plus :meth:`imports_for` -- the same set, split into
+        what it owns and what it only reads.
+        """
+        scope = set(routines)
+        need = self.import_closure()
+        for name in routines:
+            scope |= need(name)
+        return scope
+
     def imports_for(self, routines) -> List[str]:
         """Sorted import list for one partition's routine set."""
-        local = set(routines)
-        need = self.import_closure()
-        imports: Set[str] = set()
-        for name in routines:
-            imports |= need(name)
-        return sorted(imports - local)
+        return sorted(self.replay_scope(routines) - set(routines))
 
 
 # -- Replay --------------------------------------------------------------------
@@ -143,14 +152,15 @@ def replay_plan(
 
     ``handles`` maps routine name -> NAIM loader :class:`Handle` (None
     for a clone whose body does not exist yet); created clones are
-    adopted into it.  Serially ``scope`` is every unit routine; a
-    partition worker passes its locals plus the partition's import
-    list.  Determinism: replay applied to any scope closed under the
-    plan's import relation produces, for each routine in scope, the
-    same body and view as a whole-program replay -- bindings and
-    retargets are per-routine, and splices touch only the caller while
-    reading a callee whose own replay (earlier in global order) has
-    finished.
+    adopted into it.  ``scope`` is :meth:`WpaPlan.replay_scope` of what
+    the caller will compile: serially every routine of a module whose
+    codegen is not reused, in a partition worker its locals (the job
+    carries the scope as locals plus import list).  Determinism: replay
+    applied to any scope closed under the plan's import relation
+    produces, for each routine in scope, the same body and view as a
+    whole-program replay -- bindings and retargets are per-routine, and
+    splices touch only the caller while reading a callee whose own
+    replay (earlier in global order) has finished.
 
     The caller being spliced into is pinned so it is never evicted
     mid-splice, and every body is handed back to the loader as soon as

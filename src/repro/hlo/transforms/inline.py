@@ -52,9 +52,6 @@ class InlineStats:
         self.rejected_size = 0
         self.rejected_growth = 0
         self.rejected_recursive = 0
-        #: Of those, callees only *assumed* recursive: the call-graph
-        #: search hit its limit before it found or ruled out a cycle.
-        self.assumed_recursive = 0
         self.rejected_cold = 0
         self.hit_operation_limit = False
         #: Every inline performed, in order: (caller, callee).
@@ -343,8 +340,6 @@ class InlineEngine:
                 continue  # external / unavailable
             if self.callgraph.is_recursive(callee):
                 self.stats.rejected_recursive += 1
-                if callee in self.callgraph.assumed_recursive:
-                    self.stats.assumed_recursive += 1
                 continue
             weight = site.weight
             hot = self.has_profiles and weight >= hot_cutoff

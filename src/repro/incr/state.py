@@ -9,6 +9,10 @@ builds, stored in a NAIM :class:`~repro.naim.repository.Repository`
 * each module's post-inline reuse key, and
 * one cached codegen blob (machine routines) per reuse key.
 
+Beside the repository the state keeps, per reuse key, the machine
+routines it last encoded or decoded: a blob is content-keyed, so a
+warm process never decodes the same key twice.
+
 :class:`IncrLinkSession` is the scratchpad for one link: the compiler
 driver opens it with the current module set, the HLO driver records
 consumption edges and decides reuse against the cached blobs, the
@@ -101,6 +105,9 @@ class IncrLinkSession:
         #: committed as ``summ`` blobs keyed by the module's summary
         #: fingerprint so the next build can skip body scans.
         self.module_facts: Dict[str, List[dict]] = {}
+        #: Structured events this link raised (``machine-blob-fallback``);
+        #: the HLO driver folds them into ``HloResult.events``.
+        self.events: List[Dict[str, object]] = []
 
     # -- Thin-WPA facts cache -------------------------------------------------------
 
@@ -197,16 +204,27 @@ class IncrLinkSession:
     def decide_reuse(self, module_keys: Dict[str, str]) -> Set[str]:
         """Modules whose cached codegen blob matches the exact key.
 
-        The blob is decoded *now*: a module is only reused once its
-        machine routines are in hand, so a corrupt or missing blob
-        degrades to a fresh compile instead of a broken skip.
+        The machine routines are in hand *now*: a module is only reused
+        once they are, so a corrupt or missing blob degrades to a fresh
+        compile instead of a broken skip.  A key the previous link
+        committed for the same module must still have its blob; when it
+        does not, or does not decode, a ``machine-blob-fallback`` event
+        says so (a new key without a blob is an ordinary miss).
         """
         self.module_keys = dict(module_keys)
         self.reused_modules = set()
         self.cached_machines = {}
+        committed = self.state.module_keys
         for module_name, key in module_keys.items():
-            machines = self.state.load_machines(key)
+            machines, reason = self.state.load_machines(key)
             if machines is None:
+                if reason == "corrupt" or committed.get(module_name) == key:
+                    self.events.append({
+                        "event": "machine-blob-fallback",
+                        "module": module_name,
+                        "key": key,
+                        "reason": reason,
+                    })
                 continue
             self.reused_modules.add(module_name)
             self.cached_machines[module_name] = {
@@ -228,6 +246,10 @@ class IncrementalState:
         self.module_keys: Dict[str, str] = {}
         self.options_fp = ""
         self.last_report: Optional[IncrLinkReport] = None
+        #: reuse key -> the machine routines of that ``mach`` blob, as
+        #: last encoded or decoded.  Shared between links and read-only:
+        #: the linker copies every instruction before relocating it.
+        self._machines: Dict[str, list] = {}
         if directory is not None:
             self.repository.reindex()
         self._load_index()
@@ -270,21 +292,36 @@ class IncrementalState:
 
     # -- Machine-code blobs -----------------------------------------------------------
 
-    def load_machines(self, key: str) -> Optional[list]:
+    def load_machines(self, key: str):
+        """The machine routines cached under ``key``.
+
+        Returns ``(machines, None)``, or ``(None, reason)`` -- reason in
+        {"missing", "corrupt"} -- when the module must be recompiled.
+        The list is shared with every other link that reuses the key:
+        callers must not mutate it or its routines.  The repository
+        stays the authority: a key it no longer contains is a miss even
+        if its routines are still resident here.
+        """
         if not self.repository.contains(_MACHINE_KIND, key):
-            return None
-        try:
-            return decode_machine_routines(
-                self.repository.fetch(_MACHINE_KIND, key)
-            )
-        except Exception:
-            self.repository.discard(_MACHINE_KIND, key)
-            return None
+            self._machines.pop(key, None)
+            return None, "missing"
+        machines = self._machines.get(key)
+        if machines is None:
+            try:
+                machines = decode_machine_routines(
+                    self.repository.fetch(_MACHINE_KIND, key)
+                )
+            except Exception:
+                self.repository.discard(_MACHINE_KIND, key)
+                return None, "corrupt"
+            self._machines[key] = machines
+        return machines, None
 
     def store_machines(self, key: str, machines: list) -> None:
         self.repository.store(
             _MACHINE_KIND, key, encode_machine_routines(machines)
         )
+        self._machines[key] = machines
 
     # -- Session lifecycle ------------------------------------------------------------
 
@@ -296,12 +333,12 @@ class IncrementalState:
         for one link describe that link only."""
         self.repository.reset_counters()
 
-    def begin_link(self, modules, options_fp: str) -> IncrLinkSession:
-        """Open a session for one link of ``modules`` (pre-HLO copies)."""
+    def begin_link(self, summaries, options_fp: str) -> IncrLinkSession:
+        """Open a session for one link of the modules ``summaries``
+        (:class:`ModuleSummary`, one per CMO module) describe."""
         session = IncrLinkSession(self, options_fp)
         session.summaries = {
-            module.name: ModuleSummary.from_module(module)
-            for module in modules
+            summary.module_name: summary for summary in summaries
         }
         previous_fps = {
             name: ModuleSummary.from_dict(data).fingerprint()
@@ -385,6 +422,10 @@ class IncrementalState:
         for kind, name in list(self.repository._known):
             if kind == _MACHINE_KIND and name not in live:
                 self.repository.discard(kind, name)
+        self._machines = {
+            key: machines for key, machines in self._machines.items()
+            if key in live
+        }
         self.repository.maybe_compact()
 
     def close(self) -> None:

@@ -2,10 +2,74 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .program import Program
+
+
+def strongly_connected_components(
+    successors: Mapping[str, Sequence[str]]
+) -> List[List[str]]:
+    """Tarjan's condensation of ``{name: successors}``, iteratively.
+
+    Components come out successors-first (a component is emitted only
+    after every component it can reach), which for a call graph is
+    callees before callers.  Successors that are not keys -- callees
+    outside the unit -- are not part of the graph.  Linear in nodes
+    plus edges.
+    """
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    on_stack: Set[str] = set()
+    stack: List[str] = []
+    components: List[List[str]] = []
+    for root in successors:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work: List[Tuple[str, Iterator[str]]] = [
+            (root, iter(successors[root]))
+        ]
+        while work:
+            name, pending = work[-1]
+            for succ in pending:
+                if succ not in successors:
+                    continue
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(successors[succ])))
+                    break
+                if succ in on_stack and index[succ] < low[name]:
+                    low[name] = index[succ]
+            else:
+                work.pop()
+                if work and low[name] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[name]
+                if low[name] == index[name]:
+                    component: List[str] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == name:
+                            break
+                    components.append(component)
+    return components
 
 
 class CallSite:
@@ -71,22 +135,13 @@ class CallGraph:
     """Static call graph with optional profile weights on call sites.
 
     Add edges through :meth:`add_site` only: it keeps ``caller_names``
-    in step and drops the reachability memo.
+    in step and drops the recursion memo.
     """
-
-    #: Edges one :meth:`is_recursive` search may walk before it gives
-    #: up and assumes the worst.
-    RECURSION_SEARCH_LIMIT = 10000
 
     def __init__(self) -> None:
         self.nodes: Dict[str, CallGraphNode] = {}
-        #: Routines :meth:`is_recursive` called recursive because the
-        #: search ran into its limit, not because it found a cycle.
-        self.assumed_recursive: Set[str] = set()
-        # Memo over the current edge set: distinct callees per node,
-        # and the answer per routine already asked about.
-        self._callees: Optional[Dict[str, List[str]]] = None
-        self._recursive: Dict[str, bool] = {}
+        # Memo over the current edge set: every routine on a cycle.
+        self._recursive: Optional[Set[str]] = None
 
     @staticmethod
     def build(program: "Program") -> "CallGraph":
@@ -110,9 +165,7 @@ class CallGraph:
         target = self.nodes.get(callee)
         if target is not None and caller not in target.caller_names:
             target.caller_names.append(caller)
-        self._callees = None
-        self._recursive.clear()
-        self.assumed_recursive.clear()
+        self._recursive = None
 
     # -- Queries ------------------------------------------------------------
 
@@ -139,34 +192,21 @@ class CallGraph:
         )
 
     def is_recursive(self, name: str) -> bool:
-        """True if ``name`` can reach itself through call edges, or the
-        search for that gave up (see :attr:`assumed_recursive`)."""
-        answer = self._recursive.get(name)
-        if answer is None:
-            answer = self._recursive[name] = self._reaches_itself(name)
-        return answer
+        """True if ``name`` can reach itself through call edges."""
+        if self._recursive is None:
+            self._recursive = self._routines_on_cycles()
+        return name in self._recursive
 
-    def _reaches_itself(self, name: str) -> bool:
-        callees = self._callees
-        if callees is None:
-            callees = self._callees = {
-                node.name: node.callees() for node in self.nodes.values()
-            }
-        stack = [name]
-        seen = set()
-        steps = 0
-        while stack:
-            for callee in callees.get(stack.pop(), ()):
-                steps += 1
-                if steps > self.RECURSION_SEARCH_LIMIT:
-                    self.assumed_recursive.add(name)
-                    return True  # assume the worst on huge graphs
-                if callee == name:
-                    return True
-                if callee not in seen:
-                    seen.add(callee)
-                    stack.append(callee)
-        return False
+    def _routines_on_cycles(self) -> Set[str]:
+        """One SCC pass: members of a multi-node component, or self-callers."""
+        callees = {node.name: node.callees() for node in self.nodes.values()}
+        recursive: Set[str] = set()
+        for component in strongly_connected_components(callees):
+            if len(component) > 1:
+                recursive.update(component)
+            elif component[0] in callees[component[0]]:
+                recursive.add(component[0])
+        return recursive
 
     def topo_order_bottom_up(self) -> List[str]:
         """Routine names ordered callees-before-callers (cycles broken).

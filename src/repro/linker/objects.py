@@ -80,6 +80,7 @@ class ObjectFile:
         self.source_lines = source_lines
         #: Human-readable note of how this object was compiled.
         self.opt_summary = opt_summary
+        self._summary = None
 
     # -- Symbol queries -----------------------------------------------------------
 
@@ -97,6 +98,17 @@ class ObjectFile:
 
     def external_references(self) -> Set[str]:
         return set(self.referenced_routines) | set(self.referenced_globals)
+
+    def summary(self):
+        """The IL module's :class:`~repro.incr.summary.ModuleSummary`,
+        computed once per object: links work on copies of ``il_module``,
+        so an object the build engine reuses is never hashed again."""
+        if self._summary is None:
+            from ..incr.summary import ModuleSummary  # incr imports us
+
+            assert self.il_module is not None
+            self._summary = ModuleSummary.from_module(self.il_module)
+        return self._summary
 
     # -- Construction helpers --------------------------------------------------------
 

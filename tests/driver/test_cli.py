@@ -57,6 +57,12 @@ class TestBuild:
         assert main(["build"] + source_files + ["-O", "4", "--run"]) == 0
         out = capsys.readouterr().out
         assert "+O4" in out and "hlo:" in out
+        # The serial slice, in pipeline order (no incremental session:
+        # nothing to summarize).
+        (wpa_line,) = [l for l in out.splitlines() if l.startswith("wpa: ")]
+        assert [part.split()[0] for part in wpa_line[5:].split(", ")] == [
+            "scan", "callgraph", "ipcp", "clone", "inline", "replay"
+        ]
 
     def test_bad_level_rejected(self, source_files):
         with pytest.raises(SystemExit):

@@ -7,7 +7,7 @@ import json
 from repro.frontend import compile_source
 from repro.incr.depgraph import KIND_INLINE
 from repro.incr.state import IncrementalState
-from repro.incr.summary import SUMMARY_FORMAT
+from repro.incr.summary import SUMMARY_FORMAT, ModuleSummary
 from repro.llo.driver import LowLevelOptimizer
 from repro.sched.artifacts import PIPELINE_EPOCH
 
@@ -17,8 +17,11 @@ MODULES = {
 }
 
 
-def _modules():
-    return [compile_source(text, name) for name, text in MODULES.items()]
+def _summaries():
+    return [
+        ModuleSummary.from_module(compile_source(text, name))
+        for name, text in MODULES.items()
+    ]
 
 
 def _machines():
@@ -32,7 +35,7 @@ def _machines():
 def _committed_state(directory=None):
     """A state with one committed link: summaries, an edge, one blob."""
     state = IncrementalState(directory=directory)
-    session = state.begin_link(_modules(), "opts-fp")
+    session = state.begin_link(_summaries(), "opts-fp")
     assert session.first_build
     session.deps.add("beta", "alpha", KIND_INLINE, item="one")
     session.module_keys = {"alpha": "key-alpha", "beta": "key-beta"}
@@ -44,14 +47,14 @@ def _committed_state(directory=None):
 class TestSessionLifecycle:
     def test_first_build_predicts_everything_dirty(self):
         state = IncrementalState()
-        session = state.begin_link(_modules(), "opts-fp")
+        session = state.begin_link(_summaries(), "opts-fp")
         assert session.first_build
         assert session.predicted_dirty == sorted(MODULES)
         assert session.changed_modules == sorted(MODULES)
 
     def test_unchanged_rebuild_predicts_nothing(self):
         state = _committed_state()
-        session = state.begin_link(_modules(), "opts-fp")
+        session = state.begin_link(_summaries(), "opts-fp")
         assert not session.first_build
         assert session.changed_modules == []
         assert session.predicted_dirty == []
@@ -59,8 +62,11 @@ class TestSessionLifecycle:
     def test_edit_propagates_along_edges(self):
         state = _committed_state()
         edited = [
-            compile_source(MODULES["alpha"].replace("1", "9"), "alpha"),
-            compile_source(MODULES["beta"], "beta"),
+            ModuleSummary.from_module(compile_source(text, name))
+            for name, text in (
+                ("alpha", MODULES["alpha"].replace("1", "9")),
+                ("beta", MODULES["beta"]),
+            )
         ]
         session = state.begin_link(edited, "opts-fp")
         assert session.changed_modules == ["alpha"]
@@ -69,13 +75,13 @@ class TestSessionLifecycle:
 
     def test_options_change_forces_first_build(self):
         state = _committed_state()
-        session = state.begin_link(_modules(), "other-fp")
+        session = state.begin_link(_summaries(), "other-fp")
         assert session.first_build
         assert session.predicted_dirty == sorted(MODULES)
 
     def test_report_contents(self):
         state = IncrementalState()
-        session = state.begin_link(_modules(), "opts-fp")
+        session = state.begin_link(_summaries(), "opts-fp")
         session.module_keys = {"alpha": "ka", "beta": "kb"}
         session.reused_modules = {"alpha"}
         session.fresh_machines = {"beta": []}
@@ -91,28 +97,40 @@ class TestMachineBlobs:
         state = IncrementalState()
         machines = _machines()
         state.store_machines("key-1", machines)
-        loaded = state.load_machines("key-1")
-        assert loaded is not None
+        loaded, reason = state.load_machines("key-1")
+        assert reason is None
         assert [m.name for m in loaded] == [m.name for m in machines]
 
     def test_missing_key(self):
-        assert IncrementalState().load_machines("absent") is None
+        assert IncrementalState().load_machines("absent") == (
+            None, "missing"
+        )
 
     def test_corrupt_blob_degrades_to_miss(self):
         state = IncrementalState()
         state.repository.store("mach", "key-bad", b"not a machine blob")
-        assert state.load_machines("key-bad") is None
+        assert state.load_machines("key-bad") == (None, "corrupt")
         # And the corrupt blob is discarded, not retried forever.
         assert not state.repository.contains("mach", "key-bad")
+        assert state.load_machines("key-bad") == (None, "missing")
+
+    def test_resident_routines_never_outlive_the_blob(self):
+        state = IncrementalState()
+        state.store_machines("key-1", _machines())
+        state.repository.discard("mach", "key-1")
+        assert state.load_machines("key-1") == (None, "missing")
+        # Nor does a later blob under the same key get the old list.
+        state.repository.store("mach", "key-1", b"not a machine blob")
+        assert state.load_machines("key-1") == (None, "corrupt")
 
     def test_commit_prunes_unreferenced_blobs(self):
         state = _committed_state()
         state.store_machines("stale-key", _machines())
-        session = state.begin_link(_modules(), "opts-fp")
+        session = state.begin_link(_summaries(), "opts-fp")
         session.module_keys = {"alpha": "key-alpha", "beta": "key-beta"}
         state.commit(session)
-        assert state.load_machines("stale-key") is None
-        assert state.load_machines("key-alpha") is not None
+        assert state.load_machines("stale-key") == (None, "missing")
+        assert state.load_machines("key-alpha")[0] is not None
 
 
 class TestPersistence:
@@ -126,7 +144,7 @@ class TestPersistence:
         }
         assert reloaded.deps.dirty_modules(["alpha"]) == {"alpha", "beta"}
         assert reloaded.options_fp == "opts-fp"
-        assert reloaded.load_machines("key-alpha") is not None
+        assert reloaded.load_machines("key-alpha")[0] is not None
 
     def test_epoch_mismatch_invalidates(self, tmp_path):
         directory = str(tmp_path / "incr")
@@ -163,4 +181,4 @@ class TestPersistence:
         state.close()
         reloaded = IncrementalState(directory=directory)
         assert reloaded.summaries == {}
-        assert reloaded.begin_link(_modules(), "opts-fp").first_build
+        assert reloaded.begin_link(_summaries(), "opts-fp").first_build

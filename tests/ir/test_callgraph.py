@@ -65,19 +65,15 @@ class TestRecursion:
         assert not g.is_recursive("main")
 
 
-def reaches_itself_by_fresh_search(graph, name, limit=10000):
-    """The un-memoized search ``is_recursive`` used to run per query."""
+def reaches_itself_by_fresh_search(graph, name):
+    """The search ``is_recursive`` used to run per routine asked about."""
     stack = [name]
     seen = set()
-    steps = 0
     while stack:
         node = graph.nodes.get(stack.pop())
         if node is None:
             continue
         for callee in node.callees():
-            steps += 1
-            if steps > limit:
-                return True
             if callee == name:
                 return True
             if callee not in seen:
@@ -103,7 +99,6 @@ class TestRecursionMemo:
                     assert g.is_recursive(name) == (
                         reaches_itself_by_fresh_search(g, name)
                     ), name
-            assert not g.assumed_recursive
 
     def test_new_edge_drops_the_memo(self):
         g = graph()
@@ -122,18 +117,21 @@ class TestRecursionMemo:
         g.add_site("late", "entry0", 0, "leaf")
         assert g.is_recursive("leaf")
 
-    def test_search_limit_assumes_recursive_and_says_so(self):
-        g = graph()
-        g.RECURSION_SEARCH_LIMIT = 2
-        for name in g.nodes:
-            assert g.is_recursive(name) == reaches_itself_by_fresh_search(
-                g, name, limit=2
-            ), name
-        # main walks more than two edges without meeting itself.
-        assert g.is_recursive("main")
-        assert g.assumed_recursive == {"main"}
-        # Found cycles and short exhaustive searches are not assumptions.
-        assert g.is_recursive("recur") and not g.is_recursive("leaf")
+    def test_a_graph_past_the_old_search_limit_is_answered_exactly(self):
+        # A complete DAG: 150 routines, 11 175 edges, no cycle.  The
+        # per-routine search used to stop after 10 000 edges and call
+        # the first routines recursive.
+        g = CallGraph()
+        names = ["r%d" % i for i in range(150)]
+        for name in names:
+            g.nodes[name] = CallGraphNode(name, "m")
+        for i, name in enumerate(names):
+            for callee in names[i + 1:]:
+                g.add_site(name, "entry0", 0, callee)
+        assert sum(len(n.call_sites) for n in g.nodes.values()) > 10000
+        assert not any(g.is_recursive(name) for name in names)
+        g.add_site(names[-1], "entry0", 0, names[0])  # close the cycle
+        assert all(g.is_recursive(name) for name in names)
 
 
 class TestOrdering:

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from repro.driver.build import BuildEngine
 from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
+from repro.ir.symbols import ProgramSymbolTable
 from repro.linker.objects import encode_executable
+from repro.naim.compaction import compact_routine
 from repro.synth import WorkloadConfig, generate
 
 
@@ -114,3 +116,35 @@ def test_rebuilt_image_behaves_like_clean_build(seed):
     assert result.run(inputs=inputs).value == (
         clean_build.run(inputs=inputs).value
     )
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    edits=st.lists(st.integers(min_value=0, max_value=10**6),
+                   min_size=1, max_size=3),
+)
+@settings(deadline=None, max_examples=6,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_scoped_replay_compiles_what_a_whole_unit_replay_would(seed, edits):
+    """A rebuild replays the WPA plan only over what it will compile
+    (closed under the plan's imports); a clean build replays it over the
+    whole unit.  Every routine the rebuild compiles must come out of
+    replay + scalar with the same compact bytes either way."""
+    app = small_app(seed)
+    engine = BuildEngine(CompilerOptions(opt_level=4), incremental=True)
+    engine.build(app.sources)
+    sources = dict(app.sources)
+    module_names = sorted(sources)
+    for victim in edits:
+        name = module_names[victim % len(module_names)]
+        sources[name] = perturb(sources[name]) or sources[name]
+        result, _report = engine.build(sources)
+        scoped = result.hlo_result
+        whole = clean_image(sources)[0].hlo_result
+        assert scoped.unit.routine_names() == whole.unit.routine_names()
+        for routine_name in scoped.compiled_routines():
+            assert compact_routine(
+                scoped.unit.routine(routine_name), ProgramSymbolTable()
+            ) == compact_routine(
+                whole.unit.routine(routine_name), ProgramSymbolTable()
+            ), routine_name
