@@ -377,8 +377,18 @@ class Compiler:
             global_vars.extend(var.copy() for var in obj.defined_globals())
 
         if il_objects:
-            # Work on copies: objects must survive relinking unchanged.
-            il_modules = [obj.il_module.copy() for obj in il_objects]
+            if options.hlo.checked:
+                for obj in il_objects:
+                    obj.summary()  # hashed before anything can edit it
+            # Objects must survive relinking unchanged, and the engine
+            # hashes each once: the link restructures views and borrows
+            # the bodies, which HLO privatises where it edits them.
+            # Derived data an earlier link left on a body is dropped, so
+            # what a pool is modeled to hold does not depend on history.
+            il_modules = [obj.il_module.view() for obj in il_objects]
+            for module in il_modules:
+                for routine in module.routines.values():
+                    routine.invalidate()
 
             with _Timer(result.timings, "interface_check"):
                 il_program = Program(il_modules)
@@ -484,6 +494,9 @@ class Compiler:
                 layout_order=layout_order,
                 probe_table=result.probe_table,
             )
+        if options.hlo.checked:
+            for obj in il_objects:
+                obj.verify_il_unchanged()
 
     def _link_time_cmo(
         self,
@@ -499,7 +512,8 @@ class Compiler:
     ) -> List[MachineRoutine]:
         """Route the CMO module set through HLO, then LLO each routine.
 
-        ``cmo_modules`` are working copies of ``cmo_objects``' IL.  With
+        ``cmo_modules`` are per-link views of ``cmo_objects``' IL (own
+        structure, borrowed bodies).  With
         ``incr_state``, the objects' module summaries (hashed once per
         object, not per link) are compared before HLO, consumption is
         recorded during it, and codegen splices cached machine routines

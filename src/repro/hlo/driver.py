@@ -330,13 +330,15 @@ class HighLevelOptimizer:
         # session, an unchanged module's facts come from the cache
         # after a fingerprint check against its current summary; any
         # miss or mismatch falls back to scanning that module, with an
-        # event.
+        # event.  Facts that were all loaded are not recorded for
+        # commit: they are the blob the repository already holds.
         facts_by_name: Dict[str, RoutineFacts] = {}
         use_cache = incr is not None and self.profile_db is None
         changed = set(incr.changed_modules) if incr is not None else set()
         for module in program.module_list():
             routines = module.routine_list()
             cached_by_name: Dict[str, RoutineFacts] = {}
+            all_loaded = False
             if use_cache and not incr.first_build \
                     and module.name not in changed:
                 loaded, reason = incr.load_facts(module.name)
@@ -347,17 +349,17 @@ class HighLevelOptimizer:
                         "reason": reason,
                     })
                 else:
-                    for data in loaded:
-                        facts = RoutineFacts.from_dict(data)
-                        cached_by_name[facts.name] = facts
+                    all_loaded = True
+                    cached_by_name = {facts.name: facts for facts in loaded}
             for routine in routines:
                 facts = cached_by_name.get(routine.name)
                 if facts is None:
+                    all_loaded = False
                     facts = extract_routine_facts(
                         routine, view=self._initial_view(routine)
                     )
                 facts_by_name[routine.name] = facts
-            if use_cache:
+            if use_cache and not all_loaded:
                 incr.record_facts(
                     module.name,
                     [facts_by_name[r.name].to_dict() for r in routines],
@@ -526,8 +528,11 @@ class HighLevelOptimizer:
 
         This is the reference (LTRANS) half of the phase split; the
         partitioned backend in :mod:`repro.part` must match its output
-        byte for byte.  Bodies of reused modules outside the replay
-        scope stay as the frontend left them: nothing compiles them.
+        byte for byte.  Registered bodies are borrowed (the linker
+        registers its objects' IL), so the replay scope -- everything
+        replay, the passes and codegen will edit -- is privatised first;
+        bodies of reused modules outside it stay as the frontend left
+        them, and stay the caller's: nothing compiles them.
         """
         start = time.perf_counter()
         unit = result.unit
@@ -537,9 +542,13 @@ class HighLevelOptimizer:
             # Materialize the WPA decisions onto the real bodies before
             # any scalar work touches them.  Codegen compiles every
             # routine of a module that is not reused, selected or not.
+            scope = result.plan.replay_scope(result.compiled_routines())
+            for name in scope:
+                handle = unit.handle(name)
+                if handle is not None:
+                    loader.privatize(handle)
             replay_plan(
-                result.plan,
-                result.plan.replay_scope(result.compiled_routines()),
+                result.plan, scope,
                 loader, unit.routine_handles, ctx.views, self.options,
             )
             result.mark_plan_replayed()

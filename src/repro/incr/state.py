@@ -38,7 +38,7 @@ from .depgraph import (
     KIND_IPCP,
     CrossModuleDeps,
 )
-from .summary import SUMMARY_FORMAT, ModuleSummary
+from .summary import SUMMARY_FORMAT, ModuleSummary, RoutineFacts
 
 _INDEX_KIND = "incr"
 _INDEX_NAME = "index"
@@ -85,8 +85,10 @@ class IncrLinkSession:
     def __init__(self, state: "IncrementalState", options_fp: str) -> None:
         self.state = state
         self.options_fp = options_fp
-        #: Current build's summaries (module name -> ModuleSummary).
+        #: Current build's summaries (module name -> ModuleSummary) and
+        #: their fingerprints, hashed once when the link opens.
         self.summaries: Dict[str, ModuleSummary] = {}
+        self.fingerprints: Dict[str, str] = {}
         self.changed_modules: List[str] = []
         self.predicted_dirty: List[str] = []
         self.first_build = False
@@ -101,9 +103,11 @@ class IncrLinkSession:
         #: module -> machine routines in unit order (fresh codegen).
         self.fresh_machines: Dict[str, List[object]] = {}
         self.dfe_removed: Dict[str, List[str]] = {}
-        #: module -> pristine extraction-time facts dicts (thin WPA);
-        #: committed as ``summ`` blobs keyed by the module's summary
-        #: fingerprint so the next build can skip body scans.
+        #: module -> pristine extraction-time facts dicts (thin WPA), for
+        #: the modules this link scanned; committed as ``summ`` blobs
+        #: keyed by the module's summary fingerprint so the next build
+        #: can skip body scans.  A module whose facts were all loaded
+        #: has no entry: its blob is already what commit would write.
         self.module_facts: Dict[str, List[dict]] = {}
         #: Structured events this link raised (``machine-blob-fallback``);
         #: the HLO driver folds them into ``HloResult.events``.
@@ -118,17 +122,19 @@ class IncrLinkSession:
     def load_facts(self, module_name: str):
         """Cached facts for a module, verified against its fingerprint.
 
-        Returns ``(facts_dicts, None)`` on a verified hit, or
-        ``(None, reason)`` -- reason in {"missing", "corrupt",
-        "fingerprint-mismatch"} -- when the thin phase must fall back to
-        scanning that module's bodies.  The check compares the recorded
-        fingerprint against the *current* module summary, so a stale
-        blob (pack-repo entry from an older body) can never feed wrong
-        sizes or call edges into the whole-program decisions.
+        Returns ``(facts, None)`` -- one :class:`RoutineFacts` per
+        routine -- on a verified hit, or ``(None, reason)`` -- reason in
+        {"missing", "corrupt", "fingerprint-mismatch"} -- when the thin
+        phase must fall back to scanning that module's bodies.  The
+        check compares the recorded fingerprint against the *current*
+        module summary, so a stale blob (pack-repo entry from an older
+        body) can never feed wrong sizes or call edges into the
+        whole-program decisions; a payload that parses as JSON but not
+        as facts is corrupt like any other.
         """
-        summary = self.summaries.get(module_name)
+        fingerprint = self.fingerprints.get(module_name)
         state = self.state
-        if summary is None or not state.repository.contains(
+        if fingerprint is None or not state.repository.contains(
             _FACTS_KIND, module_name
         ):
             return None, "missing"
@@ -140,15 +146,16 @@ class IncrLinkSession:
             )
             if data.get("format") != SUMMARY_FORMAT:
                 return None, "fingerprint-mismatch"
-            if data.get("fingerprint") != summary.fingerprint():
+            if data.get("fingerprint") != fingerprint:
                 return None, "fingerprint-mismatch"
             routines = data["routines"]
             if not isinstance(routines, list):
                 raise ValueError("bad facts payload")
+            facts = [RoutineFacts.from_dict(item) for item in routines]
         except Exception:
             state.repository.discard(_FACTS_KIND, module_name)
             return None, "corrupt"
-        return routines, None
+        return facts, None
 
     # -- Recording hooks (called from the HLO driver) ------------------------------
 
@@ -240,15 +247,17 @@ class IncrementalState:
         self.repository = Repository(
             directory=directory, in_memory=directory is None
         )
-        #: Previous build's summaries, serialized form.
+        #: Previous build's summaries, serialized form, and the
+        #: fingerprint of each (all ``begin_link`` compares).
         self.summaries: Dict[str, dict] = {}
+        self.summary_fingerprints: Dict[str, str] = {}
         self.deps = CrossModuleDeps()
         self.module_keys: Dict[str, str] = {}
         self.options_fp = ""
         self.last_report: Optional[IncrLinkReport] = None
         #: reuse key -> the machine routines of that ``mach`` blob, as
-        #: last encoded or decoded.  Shared between links and read-only:
-        #: the linker copies every instruction before relocating it.
+        #: last encoded or decoded.  Shared between links and with the
+        #: images built from them: machine routines are immutable.
         self._machines: Dict[str, list] = {}
         if directory is not None:
             self.repository.reindex()
@@ -272,6 +281,13 @@ class IncrementalState:
         ):
             return  # older compiler version: invalidate wholesale
         self.summaries = data.get("summaries", {})
+        # An index written before fingerprints were kept lacks them.
+        stored = data.get("summary_fingerprints") or {}
+        self.summary_fingerprints = {
+            name: stored.get(name)
+            or ModuleSummary.from_dict(summary).fingerprint()
+            for name, summary in self.summaries.items()
+        }
         self.deps = CrossModuleDeps.from_list(data.get("deps", []))
         self.module_keys = data.get("module_keys", {})
         self.options_fp = data.get("options_fp", "")
@@ -282,6 +298,7 @@ class IncrementalState:
             "format": SUMMARY_FORMAT,
             "options_fp": self.options_fp,
             "summaries": self.summaries,
+            "summary_fingerprints": self.summary_fingerprints,
             "deps": self.deps.to_list(),
             "module_keys": self.module_keys,
         }
@@ -340,16 +357,17 @@ class IncrementalState:
         session.summaries = {
             summary.module_name: summary for summary in summaries
         }
-        previous_fps = {
-            name: ModuleSummary.from_dict(data).fingerprint()
-            for name, data in self.summaries.items()
+        session.fingerprints = {
+            name: summary.fingerprint()
+            for name, summary in session.summaries.items()
         }
+        previous_fps = self.summary_fingerprints
         session.first_build = (
             not previous_fps or options_fp != self.options_fp
         )
         changed = [
-            name for name, summary in session.summaries.items()
-            if previous_fps.get(name) != summary.fingerprint()
+            name for name, fingerprint in session.fingerprints.items()
+            if previous_fps.get(name) != fingerprint
         ]
         dropped = [
             name for name in previous_fps if name not in session.summaries
@@ -371,26 +389,32 @@ class IncrementalState:
             if key is not None:
                 self.store_machines(key, machines)
 
+        fingerprints = session.fingerprints
         for module_name, facts_dicts in session.module_facts.items():
-            summary = session.summaries.get(module_name)
-            if summary is None:
+            fingerprint = fingerprints.get(module_name)
+            if fingerprint is None:
                 continue
             self.repository.store(
                 _FACTS_KIND, module_name,
                 json.dumps({
                     "format": SUMMARY_FORMAT,
-                    "fingerprint": summary.fingerprint(),
+                    "fingerprint": fingerprint,
                     "routines": facts_dicts,
                 }, sort_keys=True).encode("utf-8"),
             )
-        for kind, name in list(self.repository._known):
-            if kind == _FACTS_KIND and name not in session.summaries:
-                self.repository.discard(kind, name)
+        for name in self.repository.names(_FACTS_KIND):
+            if name not in session.summaries:
+                self.repository.discard(_FACTS_KIND, name)
 
+        # Equal fingerprints mean equal serialized summaries.
+        previous_fps = self.summary_fingerprints
         self.summaries = {
-            name: summary.to_dict()
+            name: self.summaries[name]
+            if previous_fps.get(name) == fingerprints[name]
+            else summary.to_dict()
             for name, summary in session.summaries.items()
         }
+        self.summary_fingerprints = dict(fingerprints)
         self.deps = session.deps
         self.module_keys = dict(session.module_keys)
         self.options_fp = session.options_fp
@@ -419,9 +443,9 @@ class IncrementalState:
         state does not grow monotonically across incremental builds.
         """
         live = set(self.module_keys.values())
-        for kind, name in list(self.repository._known):
-            if kind == _MACHINE_KIND and name not in live:
-                self.repository.discard(kind, name)
+        for name in self.repository.names(_MACHINE_KIND):
+            if name not in live:
+                self.repository.discard(_MACHINE_KIND, name)
         self._machines = {
             key: machines for key, machines in self._machines.items()
             if key in live
@@ -434,6 +458,5 @@ class IncrementalState:
     def __repr__(self) -> str:
         return "<IncrementalState %d modules, %d deps, %d cached blobs>" % (
             len(self.summaries), len(self.deps),
-            sum(1 for kind, _ in self.repository._known
-                if kind == _MACHINE_KIND),
+            len(self.repository.names(_MACHINE_KIND)),
         )

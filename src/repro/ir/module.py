@@ -92,6 +92,18 @@ class Module:
             routine.module_name = self.name
         return clone
 
+    def view(self) -> "Module":
+        """A module a link may restructure without touching this one.
+
+        The routine dict and symbol table are the view's own (dead
+        function elimination and cloning edit them); the :class:`Routine`
+        bodies are shared, so whoever mutates one must copy it first.
+        """
+        clone = Module(self.name, source_lines=self._explicit_source_lines)
+        clone.symtab = self.symtab.copy()
+        clone.routines = dict(self.routines)
+        return clone
+
     def __repr__(self) -> str:
         return "<Module %s (%d routines, %d lines)>" % (
             self.name,

@@ -78,7 +78,10 @@ def build_image(
 
     ``layout_order`` (from :mod:`repro.linker.clustering`) controls the
     code-address assignment; routines not mentioned go after the
-    ordered ones, in input order.
+    ordered ones, in input order.  ``machine_routines`` are read, never
+    written: ``image.code`` holds their own ``MInstr`` objects except at
+    :meth:`~repro.vm.image.MachineRoutine.reloc_sites`, where it holds
+    relocated copies.
     """
     check_duplicate_symbols(machine_routines, global_vars)
     by_name = {routine.name: routine for routine in machine_routines}
@@ -113,6 +116,9 @@ def build_image(
     image.entry_addr = 0
     code: List[MInstr] = list(stub)
 
+    # Machine routines are immutable and outlive the link (resident in
+    # the incremental state, or part of a code object): the image
+    # shares their instructions and owns only what relocation rewrites.
     base_of: Dict[str, int] = {}
     for name in order:
         base_of[name] = len(code)
@@ -126,15 +132,18 @@ def build_image(
         )
         image.routine_meta[name] = meta
         image.meta_by_addr[meta.addr] = meta
-        code.extend(instr.copy() for instr in routine.instrs)
+        code.extend(routine.instrs)
     image.layout_order = list(order)
 
     # -- Relocation -------------------------------------------------------------------
     for name in order:
         base = base_of[name]
-        size = image.routine_meta[name].size
-        for offset in range(base, base + size):
-            _relocate(code[offset], base, base_of, image, name, offset)
+        routine = by_name[name]
+        instrs = routine.instrs
+        for index in routine.reloc_sites():
+            instr = instrs[index].copy()
+            _relocate(instr, base, base_of, image, name, base + index)
+            code[base + index] = instr
     # Relocate the startup stub's call.
     _relocate(code[0], 0, base_of, image, "<stub>", 0)
 
@@ -157,6 +166,8 @@ def _relocate(
     routine_name: str,
     offset: int,
 ) -> None:
+    """Resolve one :data:`~repro.vm.isa.RELOCATED_OPS` instruction in
+    place (the caller owns ``instr``)."""
     op = instr.op
     if op in (MOp.BT, MOp.BF, MOp.J):
         if instr.imm is None:

@@ -25,8 +25,15 @@ from ..ir.module import Module
 from ..ir.routine import Routine
 from ..ir.symbols import GlobalVar, ProgramSymbolTable
 from ..naim.compaction import (
+    OPCODE_WIRE_INDEX,
+    OPCODE_WIRE_LIST,
+    CompactionError,
     Reader,
     Writer,
+    _pack_varints,
+    _string_at,
+    _uv,
+    _uv_cont,
     compact_routine,
     uncompact_routine,
 )
@@ -34,11 +41,12 @@ from ..vm.image import Executable, MachineRoutine, RoutineMeta
 from ..vm.isa import MInstr, MOp
 
 _OBJ_VERSION = 1
+# ALU sub-opcodes reuse the IL wire numbering (OPCODE_WIRE_*).
 _MOP_LIST = list(MOp)
-_MOP_INDEX = {op: i for i, op in enumerate(_MOP_LIST)}
-
-# Reuse the IL wire numbering for ALU sub-opcodes.
-from ..naim.compaction import OPCODE_WIRE_INDEX, OPCODE_WIRE_LIST
+# Wire fields keyed by the members' string values: a str caches its
+# hash, ``Enum.__hash__`` is a Python-level call per instruction.
+_MOP_FIELD = {op.value: i for i, op in enumerate(_MOP_LIST)}
+_SUBOP_FIELD = {op.value: i + 1 for op, i in OPCODE_WIRE_INDEX.items()}
 
 KIND_CODE = "code"
 KIND_IL = "il"
@@ -101,14 +109,31 @@ class ObjectFile:
 
     def summary(self):
         """The IL module's :class:`~repro.incr.summary.ModuleSummary`,
-        computed once per object: links work on copies of ``il_module``,
-        so an object the build engine reuses is never hashed again."""
+        computed once per object: links borrow ``il_module``'s bodies
+        and copy the ones they edit, so an object the build engine
+        reuses is never hashed again."""
         if self._summary is None:
             from ..incr.summary import ModuleSummary  # incr imports us
 
             assert self.il_module is not None
             self._summary = ModuleSummary.from_module(self.il_module)
         return self._summary
+
+    def verify_il_unchanged(self) -> None:
+        """Re-hash ``il_module`` against :meth:`summary` (checked links).
+
+        A link that edited a borrowed body in place would poison every
+        later link of this object: its summary is never computed again.
+        """
+        from ..incr.summary import ModuleSummary
+
+        assert self.il_module is not None
+        fresh = ModuleSummary.from_module(self.il_module).fingerprint()
+        if fresh != self.summary().fingerprint():
+            raise LinkError(
+                "the IL of object %s changed under a link that only "
+                "borrowed it" % self.module_name
+            )
 
     # -- Construction helpers --------------------------------------------------------
 
@@ -298,28 +323,48 @@ class ObjectFile:
 
 
 def _encode_machine_routine(writer: Writer, machine: MachineRoutine) -> None:
-    writer.string_ref(machine.name)
-    writer.string_ref(machine.source_module)
-    writer.u(machine.n_params)
-    writer.u(machine.frame_size)
-    writer.u(len(machine.instrs))
-    for instr in machine.instrs:
-        writer.u(_MOP_INDEX[instr.op])
-        writer.u(0 if instr.subop is None else OPCODE_WIRE_INDEX[instr.subop] + 1)
-        writer.opt_reg(instr.rd)
-        writer.opt_reg(instr.rs1)
-        writer.opt_reg(instr.rs2)
-        if instr.imm is None:
-            writer.u(0)
+    """Append one routine to ``writer``: every field an unsigned varint,
+    collected into one flat run and packed in a single batch (the
+    per-field statement of the layout is
+    ``tests/linker/reference_machine_codec.py``)."""
+    sref = writer.string_index
+    instrs = machine.instrs
+    vals: List[int] = [
+        sref(machine.name),
+        sref(machine.source_module),
+        machine.n_params,
+        machine.frame_size,
+        len(instrs),
+    ]
+    extend = vals.extend
+    mop_field = _MOP_FIELD
+    subop_field = _SUBOP_FIELD
+    for instr in instrs:
+        subop = instr.subop
+        rd = instr.rd
+        rs1 = instr.rs1
+        rs2 = instr.rs2
+        imm = instr.imm
+        imm2 = instr.imm2
+        imm2 = 0 if imm2 is None else imm2 + 1
+        sym = instr.sym
+        extend((
+            mop_field[instr.op._value_],
+            0 if subop is None else subop_field[subop._value_],
+            0 if rd is None else rd + 1,
+            0 if rs1 is None else rs1 + 1,
+            0 if rs2 is None else rs2 + 1,
+        ))
+        if imm is None:
+            if sym is None:
+                extend((0, imm2, 0))
+            else:
+                extend((0, imm2, 1, sref(sym)))
+        elif sym is None:
+            extend((1, (imm << 1) ^ (imm >> 63), imm2, 0))
         else:
-            writer.u(1)
-            writer.s(instr.imm)
-        writer.u(0 if instr.imm2 is None else instr.imm2 + 1)
-        if instr.sym is None:
-            writer.u(0)
-        else:
-            writer.u(1)
-            writer.string_ref(instr.sym)
+            extend((1, (imm << 1) ^ (imm >> 63), imm2, 1, sref(sym)))
+    writer.buf += _pack_varints(vals)
 
 
 def encode_machine_routines(machines: List[MachineRoutine]) -> bytes:
@@ -414,8 +459,8 @@ def decode_executable(data: bytes) -> Executable:
 
 
 def _encode_minstr(writer: Writer, instr: MInstr) -> None:
-    writer.u(_MOP_INDEX[instr.op])
-    writer.u(0 if instr.subop is None else OPCODE_WIRE_INDEX[instr.subop] + 1)
+    writer.u(_MOP_FIELD[instr.op.value])
+    writer.u(0 if instr.subop is None else _SUBOP_FIELD[instr.subop.value])
     writer.opt_reg(instr.rd)
     writer.opt_reg(instr.rs1)
     writer.opt_reg(instr.rs2)
@@ -450,27 +495,115 @@ def _decode_minstr(reader: Reader) -> MInstr:
 
 
 def _decode_machine_routine(reader: Reader) -> MachineRoutine:
-    name = reader.string_ref()
-    source_module = reader.string_ref()
-    n_params = reader.u()
-    frame_size = reader.u()
-    count = reader.u()
-    instrs: List[MInstr] = []
-    for _ in range(count):
-        op = _MOP_LIST[reader.u()]
-        subop_raw = reader.u()
-        subop = None if subop_raw == 0 else OPCODE_WIRE_LIST[subop_raw - 1]
-        rd = reader.opt_reg()
-        rs1 = reader.opt_reg()
-        rs2 = reader.opt_reg()
-        imm = reader.s() if reader.u() else None
-        imm2_raw = reader.u()
-        imm2 = None if imm2_raw == 0 else imm2_raw - 1
-        sym = reader.string_ref() if reader.u() else None
-        instrs.append(
-            MInstr(op, subop=subop, rd=rd, rs1=rs1, rs2=rs2, imm=imm,
-                   imm2=imm2, sym=sym)
-        )
+    """Inverse of :func:`_encode_machine_routine`, at ``reader.pos``.
+
+    Batched like the IL codec: a local cursor over the buffer, one-byte
+    varint fast path, instructions built by slot stores.  Running off
+    the buffer or naming an opcode or string that does not exist is a
+    :class:`CompactionError` with ``offset`` and ``field``.
+    """
+    buf = reader.data
+    strings = reader.strings
+    pos = reader.pos
+    field = "machine routine header"
+    try:
+        at = pos
+        index, pos = _uv(buf, pos)
+        name = _string_at(strings, index, at, "machine routine name")
+        at = pos
+        index, pos = _uv(buf, pos)
+        source_module = _string_at(strings, index, at, "source module")
+        n_params, pos = _uv(buf, pos)
+        frame_size, pos = _uv(buf, pos)
+        count, pos = _uv(buf, pos)
+
+        field = "machine instruction"
+        mops = _MOP_LIST
+        n_mops = len(mops)
+        subops = OPCODE_WIRE_LIST
+        n_subops = len(subops)
+        cont = _uv_cont
+        new = object.__new__
+        instr_cls = MInstr
+        instrs: List[MInstr] = []
+        append = instrs.append
+        for _ in range(count):
+            instr = new(instr_cls)
+            at = pos
+            v = buf[pos]
+            pos += 1
+            if v & 0x80:
+                v, pos = cont(buf, pos, v)
+            if v >= n_mops:
+                raise CompactionError(
+                    "bad machine opcode %d at offset %d" % (v, at),
+                    offset=at, field="machine opcode",
+                )
+            instr.op = mops[v]
+            at = pos
+            v = buf[pos]
+            pos += 1
+            if v & 0x80:
+                v, pos = cont(buf, pos, v)
+            if v > n_subops:
+                raise CompactionError(
+                    "bad ALU sub-opcode %d at offset %d" % (v, at),
+                    offset=at, field="machine sub-opcode",
+                )
+            instr.subop = subops[v - 1] if v else None
+            v = buf[pos]
+            pos += 1
+            if v & 0x80:
+                v, pos = cont(buf, pos, v)
+            instr.rd = v - 1 if v else None
+            v = buf[pos]
+            pos += 1
+            if v & 0x80:
+                v, pos = cont(buf, pos, v)
+            instr.rs1 = v - 1 if v else None
+            v = buf[pos]
+            pos += 1
+            if v & 0x80:
+                v, pos = cont(buf, pos, v)
+            instr.rs2 = v - 1 if v else None
+            v = buf[pos]
+            pos += 1
+            if v & 0x80:
+                v, pos = cont(buf, pos, v)
+            if v:
+                v = buf[pos]
+                pos += 1
+                if v & 0x80:
+                    v, pos = cont(buf, pos, v)
+                instr.imm = (v >> 1) ^ -(v & 1)
+            else:
+                instr.imm = None
+            v = buf[pos]
+            pos += 1
+            if v & 0x80:
+                v, pos = cont(buf, pos, v)
+            instr.imm2 = v - 1 if v else None
+            v = buf[pos]
+            pos += 1
+            if v & 0x80:
+                v, pos = cont(buf, pos, v)
+            if v:
+                at = pos
+                v = buf[pos]
+                pos += 1
+                if v & 0x80:
+                    v, pos = cont(buf, pos, v)
+                instr.sym = _string_at(strings, v, at, "machine symbol")
+            else:
+                instr.sym = None
+            instr.target = None
+            append(instr)
+    except IndexError:
+        raise CompactionError(
+            "truncated %s (buffer end at offset %d)" % (field, len(buf)),
+            offset=len(buf), field=field,
+        ) from None
+    reader.pos = pos
     return MachineRoutine(
         name, instrs, n_params=n_params, frame_size=frame_size,
         source_module=source_module

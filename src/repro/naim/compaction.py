@@ -162,13 +162,17 @@ class Writer:
         """Optional register: 0 = absent, else reg+1."""
         self.u(0 if reg is None else reg + 1)
 
-    def string_ref(self, text: str) -> None:
+    def string_index(self, text: str) -> int:
+        """The string-table index of ``text``, interning it if new."""
         index = self._string_index.get(text)
         if index is None:
             index = len(self.strings)
             self.strings.append(text)
             self._string_index[text] = index
-        self.u(index)
+        return index
+
+    def string_ref(self, text: str) -> None:
+        self.u(self.string_index(text))
 
     def finish(self) -> bytes:
         """Emit string table header + body."""

@@ -139,6 +139,7 @@ class Loader:
         if key in self._pools:
             raise ValueError("pool %s:%s already registered" % (kind, name))
         pool = Pool(kind, name, obj)
+        pool.borrowed = True
         self._clock += 1
         pool.last_touch = self._clock  # registration counts as a touch
         self._pools[key] = pool
@@ -383,6 +384,26 @@ class Loader:
             return
         self._compact_pool(pool, offload=level >= NaimLevel.OFFLOAD)
 
+    def privatize(self, handle: Handle) -> None:
+        """Give a routine pool a body of its own before it is mutated.
+
+        A registered body is borrowed: whoever registered it may hand
+        the same object to the next link.  Reading it is free; a client
+        about to edit it calls this first and the pool swaps in a copy
+        (the lender's body gives up the derived data this loader's
+        clients computed on it: nobody here reads it again).  A pool
+        compacted or offloaded since registration needs nothing, the
+        codec hands back a fresh object, and neither does an adopted
+        one.
+        """
+        pool = handle.pool
+        if pool.borrowed:
+            pool.borrowed = False
+            lent = pool.expanded
+            if lent is not None:
+                pool.expanded = lent.copy()
+                lent.invalidate()
+
     def pin(self, handle: Handle) -> None:
         """Exempt a pool from eviction (mutating clients must pin)."""
         pool = handle.pool
@@ -503,6 +524,7 @@ class Loader:
             data = compact_symtab(pool.expanded, self.symtab)
         self.stats.compactions += 1
         pool.expanded = None
+        pool.borrowed = False
         pool.unload_pending = False
         self._expanded_add(pool, -1)
         if offload:

@@ -52,6 +52,7 @@ class Pool:
         "unload_pending",
         "last_touch",
         "pinned",
+        "borrowed",
     )
 
     def __init__(
@@ -71,6 +72,10 @@ class Pool:
         self.last_touch = 0
         #: Pinned pools are never unloaded (actively being transformed).
         self.pinned = False
+        #: ``expanded`` is still the object the client registered, which
+        #: the client may share with others (the linker registers
+        #: object-file IL); see :meth:`Loader.privatize`.
+        self.borrowed = False
 
     # -- Sizing ---------------------------------------------------------------
 

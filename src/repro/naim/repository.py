@@ -731,6 +731,11 @@ class Repository:
     def contains(self, kind: str, name: str) -> bool:
         return (kind, name) in self._known
 
+    def names(self, kind: str) -> List[str]:
+        """Names of the live pools of one kind (a snapshot)."""
+        with self._lock:
+            return [name for known, name in self._known if known == kind]
+
     def stored_size(self, kind: str, name: str) -> int:
         """Raw (uncompressed) size of one pool."""
         return self._known.get((kind, name), 0)

@@ -135,6 +135,10 @@ class PartitionRunner:
         #: incremental reuse already applied); everything else in a
         #: partition is codegen-only.
         self.scalar_set = frozenset(hlo_result.scalar_worklist())
+        #: routine name -> blob key of its compact IR, for one ``run``:
+        #: a body k partitions import (and one owns) is compacted,
+        #: hashed and published once, not k + 1 times.
+        self._blob_keys: Dict[str, str] = {}
 
     def run(self, partitions: List[Partition]) -> PartitionRunResult:
         result = PartitionRunResult()
@@ -146,6 +150,7 @@ class PartitionRunner:
         # one partition imports is usually another partition's local.
         # After the second loop the unit is empty until _fold re-adopts
         # the workers' final payloads.
+        self._blob_keys = {}
         import_entries = [
             [self._ship(name, release=False) for name in partition.imports]
             for partition in partitions
@@ -213,9 +218,10 @@ class PartitionRunner:
         """
         loader = self.hlo_result.loader
         handle = self.hlo_result.unit.handle(name)
-        data = None
-        if handle is not None:
+        key = self._blob_keys.get(name)
+        if key is None and handle is not None:
             pool = handle.pool
+            data = None
             if pool.state is PoolState.COMPACT:
                 data = pool.compact_bytes
             elif pool.state is PoolState.OFFLOADED:
@@ -224,11 +230,13 @@ class PartitionRunner:
                 data = compact_routine(
                     pool.expanded, self.hlo_result.ctx.symtab
                 )
-        if data is None:
+            if data is not None:
+                key = self._blob_keys[name] = self.transport.put_blob(data)
+        if key is None:
             return {"name": name}
         if release:
             loader.release(handle)
-        return {"name": name, "pool": self.transport.put_blob(data)}
+        return {"name": name, "pool": key}
 
     def _fold(self, result: PartitionRunResult,
               outcome: PartitionOutcome) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .isa import MInstr
+from .isa import RELOCATED_OPS, MInstr
 
 
 class MachineRoutine:
@@ -15,9 +15,15 @@ class MachineRoutine:
     symbolic (``sym``).  ``frame_size`` counts i64 frame slots: the
     first ``n_params`` slots hold incoming arguments, the rest are
     spill slots.
+
+    Immutable once emitted or decoded: the incremental state keeps a
+    routine resident across links and every image built from it shares
+    its ``MInstr`` objects, so nothing may edit ``instrs`` or an
+    instruction in it afterwards.
     """
 
-    __slots__ = ("name", "instrs", "n_params", "frame_size", "source_module")
+    __slots__ = ("name", "instrs", "n_params", "frame_size", "source_module",
+                 "_reloc_sites")
 
     def __init__(
         self,
@@ -32,6 +38,19 @@ class MachineRoutine:
         self.n_params = n_params
         self.frame_size = frame_size
         self.source_module = source_module
+        self._reloc_sites: Optional[Tuple[int, ...]] = None
+
+    def reloc_sites(self) -> Tuple[int, ...]:
+        """Indices of the instructions the linker rewrites
+        (:data:`~repro.vm.isa.RELOCATED_OPS`), scanned once."""
+        sites = self._reloc_sites
+        if sites is None:
+            relocated = RELOCATED_OPS
+            sites = self._reloc_sites = tuple(
+                index for index, instr in enumerate(self.instrs)
+                if instr.op in relocated
+            )
+        return sites
 
     def __len__(self) -> int:
         return len(self.instrs)

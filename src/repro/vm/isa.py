@@ -62,6 +62,13 @@ class MOp(enum.Enum):
     HALT = "halt"  # stop the machine (image epilogue)
 
 
+#: Opcodes whose operands the linker resolves (branch offsets become
+#: absolute, ``sym`` becomes a code or data address); every other
+#: instruction enters an image exactly as LLO emitted it.
+RELOCATED_OPS = (MOp.BT, MOp.BF, MOp.J, MOp.CALL,
+                 MOp.LDG, MOp.STG, MOp.LDX, MOp.STX)
+
+
 class MInstr:
     """One machine instruction.
 
@@ -96,7 +103,8 @@ class MInstr:
         self.target = target
 
     def copy(self) -> "MInstr":
-        clone = MInstr(self.op)
+        clone = object.__new__(MInstr)
+        clone.op = self.op
         clone.subop = self.subop
         clone.rd = self.rd
         clone.rs1 = self.rs1

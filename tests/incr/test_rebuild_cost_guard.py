@@ -5,12 +5,18 @@ After a one-module edit on a warm :class:`BuildEngine`, the work done
 no cached machine code is decoded again, only the recompiled object is
 summarised, plan replay stays inside the import closure of what will be
 compiled, and the call graph is condensed once however often it is
-asked about recursion.  Each assertion fails on the code it replaced
-(decode per reused module, hash per module, whole-unit replay, one
-search per callee).
+asked about recursion.  Nor is anything copied or re-encoded in defence:
+the linker copies relocation sites only, object IL is copied only
+inside the replay scope, facts are serialised and summaries parsed only
+for what changed.  Each assertion fails on the code it replaced (decode
+per reused module, hash per module, whole-unit replay, one search per
+callee, a copy per instruction, a deep copy per object, a ``summ``
+re-encode per module, a summary parse per module).
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -20,9 +26,11 @@ import repro.ir.callgraph as callgraph
 from repro.driver.build import BuildEngine
 from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
-from repro.incr.summary import ModuleSummary
+from repro.incr.summary import ModuleSummary, RoutineFacts
+from repro.ir.routine import Routine
 from repro.linker.objects import encode_executable
 from repro.naim.pools import KIND_IR
+from repro.vm.isa import RELOCATED_OPS, MInstr
 from repro.synth import WorkloadConfig, generate
 from synth_edits import bump
 
@@ -131,3 +139,139 @@ def test_one_callgraph_build_costs_one_scc_pass(warm, monkeypatch):
         for name in graph.nodes:
             graph.is_recursive(name)
     assert condense.calls == 1
+
+
+def _clean_image(sources):
+    return encode_executable(
+        Compiler(CompilerOptions(opt_level=4)).build(sources).executable
+    )
+
+
+def test_the_linker_copies_relocation_sites_only(warm, monkeypatch):
+    engine, sources, _victim = warm
+    copied = []
+    real_copy = MInstr.copy
+
+    def copy(self):
+        copied.append(self.op)
+        return real_copy(self)
+
+    monkeypatch.setattr(MInstr, "copy", copy)
+    result, report = engine.build(sources)
+    assert report.cmo_reused
+    code = result.executable.code
+    # The startup stub's call is the linker's own: patched, not copied.
+    sites = sum(1 for instr in code[1:] if instr.op in RELOCATED_OPS)
+    assert 0 < sites < len(code) - 2
+    assert len(copied) == sites
+    assert set(copied) <= set(RELOCATED_OPS)
+    assert encode_executable(result.executable) == _clean_image(sources)
+
+
+def test_object_il_is_copied_only_inside_the_replay_scope(warm, monkeypatch):
+    engine, sources, _victim = warm
+    privatised = []
+    real_copy = Routine.copy
+
+    def copy(self, new_name=None):
+        if new_name is None:  # a clone is a new routine, not a defence
+            privatised.append(self.name)
+        return real_copy(self, new_name)
+
+    monkeypatch.setattr(Routine, "copy", copy)
+    result, _report = engine.build(sources)
+    hlo = result.hlo_result
+    assert hlo.reused_modules
+    scope = hlo.plan.replay_scope(hlo.compiled_routines())
+    assert privatised, "nothing was privatised: the guard guards nothing"
+    assert len(privatised) == len(set(privatised)) <= len(scope)
+    assert set(privatised) <= scope
+    outside = set(hlo.unit.routine_names()) - scope
+    assert outside, "the edit's scope is the whole program"
+    assert encode_executable(result.executable) == _clean_image(sources)
+
+
+def _damage_delete(repository, module):
+    repository.discard("summ", module)
+
+
+def _damage_bit_flip(repository, module):
+    # The high bit of any byte of a JSON document leaves no valid UTF-8.
+    blob = bytearray(repository.fetch("summ", module))
+    blob[len(blob) // 2] ^= 0x80
+    repository.store("summ", module, bytes(blob))
+
+
+def _damage_drop_a_field(repository, module):
+    # Still JSON, still the right format and fingerprint: not facts.
+    data = json.loads(bytes(repository.fetch("summ", module)))
+    del data["routines"][0]["has_calls"]
+    repository.store("summ", module, json.dumps(data).encode("utf-8"))
+
+
+@pytest.mark.parametrize("damage, reason", [
+    pytest.param(None, None, id="intact"),
+    pytest.param(_damage_delete, "missing", id="deleted"),
+    pytest.param(_damage_bit_flip, "corrupt", id="bit-flipped"),
+    pytest.param(_damage_drop_a_field, "corrupt", id="field-dropped"),
+])
+def test_facts_are_serialised_for_scanned_modules_only(
+        warm, monkeypatch, damage, reason):
+    """Only the edited module's facts are encoded and stored; a module
+    whose ``summ`` blob was lost or damaged between builds is scanned
+    again, says so, and gets its blob back."""
+    engine, sources, victim = warm
+    repository = engine.incr_state.repository
+    expected = {victim}
+    if damage is not None:
+        target = sorted(
+            name for name in sources if name not in (victim, "main")
+        )[0]
+        damage(repository, target)
+        expected.add(target)
+
+    serialised = set()
+    real_to_dict = RoutineFacts.to_dict
+
+    def to_dict(self):
+        serialised.add(self.module)
+        return real_to_dict(self)
+
+    monkeypatch.setattr(RoutineFacts, "to_dict", to_dict)
+    stored = []
+    real_store = repository.store
+
+    def store(kind, name, data):
+        stored.append((kind, name))
+        return real_store(kind, name, data)
+
+    monkeypatch.setattr(repository, "store", store)
+    result, _report = engine.build(sources)
+    assert serialised == expected
+    assert sorted(n for kind, n in stored if kind == "summ") == sorted(expected)
+    fallbacks = [event for event in result.hlo_result.events
+                 if event.get("event") == "summary-fallback"]
+    if damage is None:
+        assert not fallbacks
+    else:
+        assert fallbacks == [{"event": "summary-fallback",
+                              "module": target, "reason": reason}]
+        assert repository.contains("summ", target)
+    assert encode_executable(result.executable) == _clean_image(sources)
+
+    # The next link finds every blob in place again.
+    serialised.clear()
+    result, report = engine.build(sources)
+    assert not serialised
+    assert report.cmo_reoptimized == []
+    assert not [event for event in result.hlo_result.events
+                if event.get("event") == "summary-fallback"]
+
+
+def test_begin_link_parses_no_stored_summary(warm, monkeypatch):
+    engine, sources, victim = warm
+    parse = Counter(ModuleSummary.from_dict)
+    monkeypatch.setattr(ModuleSummary, "from_dict", staticmethod(parse))
+    result, _report = engine.build(sources)
+    assert result.incr_report.changed_modules == [victim]
+    assert parse.calls == 0

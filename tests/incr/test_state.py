@@ -146,6 +146,30 @@ class TestPersistence:
         assert reloaded.options_fp == "opts-fp"
         assert reloaded.load_machines("key-alpha")[0] is not None
 
+    def test_index_without_fingerprints_stays_warm(self, tmp_path):
+        """What the index looked like before fingerprints were kept
+        beside the summaries: same epoch, same format, still warm."""
+        directory = str(tmp_path / "incr")
+        state = _committed_state(directory=directory)
+        kept = dict(state.summary_fingerprints)
+        assert kept == {
+            summary.module_name: summary.fingerprint()
+            for summary in _summaries()
+        }
+        index = json.loads(
+            state.repository.fetch("incr", "index").decode("utf-8")
+        )
+        del index["summary_fingerprints"]
+        state.repository.store(
+            "incr", "index", json.dumps(index).encode("utf-8")
+        )
+        state.close()
+        reloaded = IncrementalState(directory=directory)
+        assert reloaded.summary_fingerprints == kept
+        session = reloaded.begin_link(_summaries(), "opts-fp")
+        assert not session.first_build
+        assert session.changed_modules == []
+
     def test_epoch_mismatch_invalidates(self, tmp_path):
         directory = str(tmp_path / "incr")
         state = _committed_state(directory=directory)

@@ -58,6 +58,21 @@ class TestModule:
         assert module.routines["f"].blocks[0].instrs[0].imm == 1
         assert module.symtab.globals["x"].init == (3,)
 
+    def test_view_owns_its_structure_and_borrows_the_bodies(self):
+        module = Module("m", source_lines=7)
+        module.define_global("x", init=[3])
+        module.add_routine(simple_routine("f"))
+        module.add_routine(simple_routine("g"))
+        view = module.view()
+        assert view.name == "m" and view.source_lines == 7
+        assert view.routines["f"] is module.routines["f"]
+        del view.routines["g"]
+        view.symtab.routine_names.remove("g")
+        view.symtab.globals["x"].init = (9,)
+        assert list(module.routines) == ["f", "g"]
+        assert module.symtab.routine_names == ["f", "g"]
+        assert module.symtab.globals["x"].init == (3,)
+
 
 class TestProgram:
     def test_routine_resolution(self):

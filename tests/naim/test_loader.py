@@ -227,6 +227,32 @@ class TestOwnershipTransfer:
             loader.release(handle)
         assert loader.accountant.category_total("ir") == 0
 
+    def test_privatize_copies_a_registered_body_once(self):
+        _, loader, handles = make_loader(NaimLevel.OFF)
+        borrowed = handles["f0"].get()
+        loader.privatize(handles["f0"])
+        private = handles["f0"].get()
+        assert private is not borrowed
+        assert private.instr_count() == borrowed.instr_count()
+        loader.privatize(handles["f0"])
+        assert handles["f0"].get() is private
+
+    def test_privatize_leaves_a_decoded_body_alone(self):
+        _, loader, handles = make_loader(NaimLevel.IR_COMPACT, cache_pools=1)
+        loader.evict(handles["f0"])
+        assert handles["f0"].peek_state() is PoolState.COMPACT
+        decoded = handles["f0"].get()
+        loader.privatize(handles["f0"])
+        assert handles["f0"].get() is decoded
+
+    def test_privatize_leaves_an_adopted_body_alone(self):
+        program, loader, handles = make_loader(NaimLevel.OFF)
+        routine = handles["f0"].get()
+        loader.release(handles["f0"])
+        handle = loader.adopt_routine("f0", expanded=routine)
+        loader.privatize(handle)
+        assert handle.get() is routine
+
     def test_adopt_expanded(self):
         program, loader, handles = make_loader(NaimLevel.OFF)
         routine = handles["f0"].get()

@@ -59,6 +59,16 @@ class TestOnDisk:
         assert repo.fetch("ir", "x") == b"IR"
         assert repo.fetch("symtab", "x") == b"ST"
 
+    def test_names_lists_the_live_pools_of_one_kind(self, tmp_path):
+        repo = Repository(directory=str(tmp_path))
+        repo.store("ir", "x", b"IR")
+        repo.store("ir", "y", b"IR")
+        repo.store("symtab", "x", b"ST")
+        repo.discard("ir", "y")
+        assert repo.names("ir") == ["x"]
+        assert repo.names("symtab") == ["x"]
+        assert repo.names("mach") == []
+
     def test_owned_tempdir_cleanup(self):
         repo = Repository()
         repo.store("ir", "f", b"data")

@@ -115,6 +115,36 @@ class TestUnitAfterRun:
         covered = sorted(r for p in partitions for r in p.routines)
         assert covered == sorted(hlo_result.unit.routine_names())
 
+    def test_a_body_shipped_twice_is_compacted_once(self, monkeypatch):
+        """A body some partitions import and one owns is encoded once
+        per run -- not once per job entry that carries it."""
+        import repro.part.runner as runner
+
+        encoded = []
+        real = runner.compact_routine
+
+        def counting(routine, symtab):
+            encoded.append(routine.name)
+            return real(routine, symtab)
+
+        monkeypatch.setattr(runner, "compact_routine", counting)
+        shipped = []
+        real_run = runner.PartitionRunner.run
+
+        def run(self, partitions):
+            for partition in partitions:
+                shipped.extend(partition.imports + partition.routines)
+            return real_run(self, partitions)
+
+        monkeypatch.setattr(runner.PartitionRunner, "run", run)
+        sources = app_sources()
+        parallel = build(sources, hlo_partitions=8)
+        assert len(shipped) > len(set(shipped)), "nothing is shipped twice"
+        assert encoded and len(encoded) == len(set(encoded))
+        assert encode_executable(parallel.executable) == encode_executable(
+            build(sources).executable
+        )
+
 
 class TestOptionsGuards:
     def test_hlo_jobs_not_in_describe(self):
