@@ -10,8 +10,8 @@ counts, and asserts:
 * the on-disk build's image is byte-identical to the in-memory build's
   (always -- the repository is a cache of relocatable bytes, never a
   semantic input);
-* the workload exercised the repository: stores, fetches and identical
-  re-store skips are all non-zero;
+* the workload exercised the repository: stores, fetches and clean
+  evictions are all non-zero;
 * the batched IL codec decodes the workload's routine pools at least
   2x faster than the reference per-field codec, from byte-identical
   relocatable images (full mode; always reported).
@@ -97,6 +97,7 @@ def _run_build(app, profile_db, cache_pools, on_disk):
             "segments": stats["segments"],
             "prefetches": loader_stats.prefetches,
             "prefetch_hits": loader_stats.prefetch_hits,
+            "clean_evictions": loader_stats.clean_evictions,
         }
     finally:
         if repo_dir is not None:
@@ -167,7 +168,7 @@ def run_bench(mode="full"):
         "the on-disk repository changed output bytes"
     )
     assert (packed["stores"] > 0 and packed["fetches"] > 0
-            and packed["store_skips"] > 0), (
+            and packed["clean_evictions"] > 0), (
         "workload did not exercise the repository"
     )
 
@@ -193,9 +194,9 @@ def run_bench(mode="full"):
         row("pack+zlib+prefetch", packed),
         "",
         "  pack segments: %d, index bytes written: %d, "
-        "identical re-stores skipped: %d"
+        "clean evictions (no encode, no store): %d"
         % (packed["segments"], packed["index_bytes_written"],
-           packed["store_skips"]),
+           packed["clean_evictions"]),
         "  prefetches issued/hit: %d/%d"
         % (packed["prefetches"], packed["prefetch_hits"]),
         "  image byte-identical to the in-memory build: yes",

@@ -524,6 +524,10 @@ class Compiler:
         scalar pipeline + codegen run on the partitioned LTRANS
         backend (:mod:`repro.part`); the serial WPA phases and the
         splice order are unchanged, so output bytes are identical.
+        Either way a routine is optimized, compiled and its pool
+        retired in one visit (``CmoUnit.release_spent``): where NAIM is
+        engaged, the unit lists names and holds no bodies when this
+        returns.
         """
         options = self.options
         accountant = result.accountant
@@ -583,7 +587,7 @@ class Compiler:
             hlo_result = hlo.optimize(
                 selected_routines=selected,
                 materialize=False,
-                run_scalar=not partitioned,
+                run_scalar=False,
             )
         result.hlo_result = hlo_result
         if events is not None:
@@ -594,13 +598,26 @@ class Compiler:
                 )
 
         llo_options = LloOptions(2, use_profile=profile_db is not None)
+        compiled: Dict[str, MachineRoutine] = {}
+        if not partitioned:
+            # The serial reference: one fused scalar + codegen loop,
+            # its seconds split between the two phases it interleaves.
+            llo = LowLevelOptimizer(llo_options, accountant)
+            start = time.perf_counter()
+            compiled = hlo.run_scalar_phase(
+                hlo_result, materialize=False, codegen=llo.compile_routine
+            )
+            elapsed = time.perf_counter() - start
+            scalar_seconds = hlo_result.phase_seconds["scalar"]
+            result.timings.add("hlo", scalar_seconds)
+            result.timings.add("codegen_cmo", elapsed - scalar_seconds)
+            result.llo_stats = llo.stats
         with _Timer(result.timings, "codegen_cmo"):
             unit = hlo_result.unit
             cached = (
                 incr_session.cached_machines if incr_session is not None
                 else {}
             )
-            compiled: Dict[str, MachineRoutine] = {}
             if partitioned:
                 from ..part import PartitionRunner, partition_unit
                 from ..part.procexec import (
@@ -680,8 +697,6 @@ class Compiler:
                 }
                 if backend == "processes":
                     result.ltrans_stats.update(transport.stats())
-            else:
-                llo = LowLevelOptimizer(llo_options, accountant)
 
             machines: List[MachineRoutine] = []
             fresh_by_module: Dict[str, List[MachineRoutine]] = {}
@@ -695,24 +710,13 @@ class Compiler:
                     machine = cached[module_name].get(name)
                     if machine is not None:
                         machines.append(machine)
-                    unit.unload(name)
+                    unit.release_spent(name)
                     continue
-                if partitioned:
-                    machine = compiled.get(name)
-                    if machine is None:
-                        continue
-                else:
-                    routine = unit.routine(name)
-                    if routine is None:
-                        continue
-                    machine = llo.compile_routine(
-                        routine, hlo_result.views.get(name)
-                    )
-                    unit.unload(name)
+                machine = compiled.get(name)
+                if machine is None:
+                    continue
                 machines.append(machine)
                 fresh_by_module.setdefault(module_name, []).append(machine)
-            if not partitioned:
-                result.llo_stats = llo.stats
 
         if incr_session is not None:
             incr_session.fresh_machines = fresh_by_module

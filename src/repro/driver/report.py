@@ -67,6 +67,7 @@ def build_summary(
         summary["hlo_peak_bytes"] = build.hlo_result.peak_bytes
         summary["wpa_peak_bytes"] = build.hlo_result.wpa_peak_bytes
         summary["hlo_phase_seconds"] = dict(build.hlo_result.phase_seconds)
+        summary["naim_loader"] = build.hlo_result.loader.stats.as_dict()
     return summary
 
 
@@ -133,4 +134,17 @@ def render_build_summary(
         # Costliest first; summed over workers when LTRANS is partitioned.
         passes.sort(key=lambda item: (-item[1], item[0]))
         out.append("scalar: " + ", ".join("%s %.2fs" % item for item in passes))
+    loader = summary.get("naim_loader")
+    if loader is not None:
+        # What the codec and the repository were paid for (summed over
+        # workers when LTRANS is partitioned); all zeros but the last
+        # two on a build small enough that NAIM never engaged.
+        out.append(
+            "naim: %d encodes, %d clean evictions, %d decodes, %d fetches, "
+            "%d spent bodies released, cache hit ratio %.3f"
+            % (loader["compactions"], loader["clean_evictions"],
+               loader["uncompactions"], loader["repository_fetches"],
+               loader["released_spent"],
+               loader["cache_hits"] / max(loader["touches"], 1))
+        )
     return out, err

@@ -8,7 +8,9 @@ IPCP, cloning and inlining then decide from the facts alone, recording
 the body mutations they imply on a :class:`~repro.hlo.thin.WpaPlan`.
 Phase 5 replays the plan onto the real bodies and runs the scalar
 pipeline over the *selected* routines while everything else stays
-unloaded.
+unloaded; given a code generator it compiles each routine while its
+body is still expanded and retires the pool, so that where NAIM is
+engaged a finished unit lists names and holds no bodies.
 
 The :class:`CmoUnit` is the authoritative container during optimization
 -- global objects (program symbol table, call graph) hold only
@@ -18,7 +20,7 @@ The :class:`CmoUnit` is the authoritative container during optimization
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from ..incr.summary import (
     RoutineFacts,
@@ -29,7 +31,7 @@ from ..ir.callgraph import CallGraph, CallGraphNode
 from ..ir.module import Module
 from ..ir.program import Program
 from ..ir.routine import Routine
-from ..naim.config import NaimConfig
+from ..naim.config import NaimConfig, NaimLevel
 from ..naim.loader import Loader
 from ..naim.memory import (
     MemoryAccountant,
@@ -109,10 +111,23 @@ class CmoUnit:
     def routine_names(self) -> List[str]:
         return list(self.routine_handles)
 
-    def unload(self, name: str) -> None:
+    def release_spent(self, name: str) -> None:
+        """Retire a routine's body: its machine code exists (or is
+        reused), and nothing reads the IL again.
+
+        Honors the thresholded level the way :meth:`Loader.evict` does:
+        once NAIM is engaged the pool is released (the unit keeps the
+        name, the handle stops answering); below the first threshold
+        this is a plain unload request -- nothing was going to be
+        encoded, and a small link keeps what it always kept.
+        """
         handle = self.routine_handles.get(name)
-        if handle is not None:
+        if handle is None:
+            return
+        if self.loader.effective_level() is NaimLevel.OFF:
             handle.request_unload()
+        else:
+            self.loader.release_spent(handle)
 
     def build_callgraph(
         self, facts_by_name: Dict[str, RoutineFacts]
@@ -169,7 +184,8 @@ class HloResult:
         self.reused_modules: Set[str] = set()
         #: Wall-clock seconds per driver phase ("wpa" = serial
         #: whole-program phases 0-4.5, "scalar" = phase 5 when run
-        #: serially by :meth:`HighLevelOptimizer.run_scalar_phase`),
+        #: serially by :meth:`HighLevelOptimizer.run_scalar_phase`,
+        #: without the seconds its ``codegen`` callback took),
         #: plus per-pass WPA splits ("wpa.dfe", "wpa.callgraph",
         #: "wpa.ipcp", "wpa.clone", "wpa.inline", ...) and per-pass
         #: scalar splits ("scalar.constprop", "scalar.licm", ...; summed
@@ -386,7 +402,8 @@ class HighLevelOptimizer:
 
         symtab = program.symtab
         loader = Loader(
-            self.naim_config, symtab, self.accountant, self.repository
+            self.naim_config, symtab, self.accountant, self.repository,
+            checked=options.checked,
         )
         unit = CmoUnit(loader)
         ctx = OptContext(symtab, options)
@@ -522,8 +539,13 @@ class HighLevelOptimizer:
         return result
 
     def run_scalar_phase(
-        self, result: HloResult, materialize: bool = True
-    ) -> None:
+        self,
+        result: HloResult,
+        materialize: bool = True,
+        codegen: Optional[
+            Callable[[Routine, Optional[ProfileView]], object]
+        ] = None,
+    ) -> Dict[str, object]:
         """Phase 5: run the scalar pipeline over the worklist, serially.
 
         This is the reference (LTRANS) half of the phase split; the
@@ -533,8 +555,21 @@ class HighLevelOptimizer:
         replay, the passes and codegen will edit -- is privatised first;
         bodies of reused modules outside it stay as the frontend left
         them, and stay the caller's: nothing compiles them.
+
+        With ``codegen`` (``LowLevelOptimizer.compile_routine``) the
+        loop is fused per routine, in the order
+        :func:`repro.part.wire.execute_partition_job` uses: each of
+        :meth:`HloResult.compiled_routines` is touched once, optimized
+        if the worklist names it, compiled while still expanded, and
+        retired (:meth:`CmoUnit.release_spent`) -- a spent body is
+        never encoded back.  Returns
+        routine name -> what ``codegen`` returned (empty without one);
+        ``phase_seconds["scalar"]`` leaves the callback's seconds out.
+        A unit compiled this way cannot be materialized once NAIM has
+        engaged.
         """
-        start = time.perf_counter()
+        clock = time.perf_counter
+        start = clock()
         unit = result.unit
         ctx = result.ctx
         loader = unit.loader
@@ -542,6 +577,7 @@ class HighLevelOptimizer:
             # Materialize the WPA decisions onto the real bodies before
             # any scalar work touches them.  Codegen compiles every
             # routine of a module that is not reused, selected or not.
+            loader.phase = "replay"
             scope = result.plan.replay_scope(result.compiled_routines())
             for name in scope:
                 handle = unit.handle(name)
@@ -552,46 +588,53 @@ class HighLevelOptimizer:
                 loader, unit.routine_handles, ctx.views, self.options,
             )
             result.mark_plan_replayed()
-            result.phase_seconds["scalar.replay"] = (
-                time.perf_counter() - start
-            )
+            result.phase_seconds["scalar.replay"] = clock() - start
+        loader.phase = "scalar"
         pipeline = standard_pipeline()
         worklist = result.scalar_worklist()
+        scalar = set(worklist)
+        names = worklist if codegen is None else result.compiled_routines()
+        handles = [unit.handle(name) for name in names]
         # Issue prefetch batches a window ahead of the routine being
         # optimized, so repository fetch + decode of offloaded pools
         # overlaps with scalar optimization instead of stalling it.
         depth = loader.config.repo_prefetch_depth
         if depth:
             loader.prefetch(
-                handle for handle in (
-                    unit.handle(ahead) for ahead in worklist[:depth]
-                ) if handle is not None
+                handle for handle in handles[:depth] if handle is not None
             )
-        for index, name in enumerate(worklist):
+        machines: Dict[str, object] = {}
+        codegen_seconds = 0.0
+        for index, (name, handle) in enumerate(zip(names, handles)):
             if depth:
                 loader.prefetch(
-                    handle for handle in (
-                        unit.handle(ahead)
-                        for ahead in worklist[index + 1:index + 1 + depth]
-                    ) if handle is not None
+                    ahead for ahead in handles[index + 1:index + 1 + depth]
+                    if ahead is not None
                 )
-            routine = unit.routine(name)
+            routine = handle.get() if handle is not None else None
             if routine is None:
                 continue
-            handle = unit.handle(name)
-            loader.pin(handle)
-            pipeline.run_routine(routine, ctx)
-            loader.unpin(handle)
-            loader.reaccount(handle)
-            handle.request_unload()
+            if name in scalar:
+                loader.pin(handle)
+                pipeline.run_routine(routine, ctx)
+                loader.unpin(handle)
+                loader.reaccount(handle)
+            if codegen is None:
+                handle.request_unload()
+                continue
+            tick = clock()
+            machines[name] = codegen(routine, ctx.views.get(name))
+            codegen_seconds += clock() - tick
+            unit.release_spent(name)
         loader.stop_prefetch()
         loader.accountant.mark("optimized")
 
         result.peak_bytes = loader.accountant.peak
-        result.phase_seconds["scalar"] = time.perf_counter() - start
+        result.phase_seconds["scalar"] = clock() - start - codegen_seconds
         result.record_pass_seconds()
         if materialize:
             unit.materialize(result.program)
+        return machines
 
     # -- Helpers ---------------------------------------------------------------------
 

@@ -16,6 +16,12 @@ terminators (``block_map``, ``preds``, ``rpo``, ``idom``, ``loops`` ...)
 and survive :meth:`DerivedCache.invalidate_instrs`, what a rewrite of
 straight-line instructions calls; the rest (``liveness``) do not.  Any
 other mutation, and every NAIM unload, drops both (:meth:`invalidate`).
+
+Because every mutator must call one of the two, the calls double as the
+routine's *mutation signal*: :attr:`DerivedCache.mutations` counts
+them, and the NAIM loader compares it with the count at decode time to
+tell a body that was only read from one whose bytes may have changed
+(docs/naim_internals.md, "Who encodes when").
 """
 
 from __future__ import annotations
@@ -57,7 +63,8 @@ class DerivedCache:
     invalidate the class of results that read what was mutated.
     """
 
-    __slots__ = ("_cfg", "_instr", "recompute_count", "invalidate_count")
+    __slots__ = ("_cfg", "_instr", "recompute_count", "invalidate_count",
+                 "mutations")
 
     def __init__(self) -> None:
         self._cfg: Dict[str, Any] = {}
@@ -66,6 +73,9 @@ class DerivedCache:
         self.recompute_count = 0
         #: Number of invalidations that dropped something.
         self.invalidate_count = 0
+        #: Number of invalidation calls, whether or not anything was
+        #: cached: the routine was (or may have been) mutated that often.
+        self.mutations = 0
 
     def get(
         self, key: str, compute: Callable[[], Any], cfg_shaped: bool = False
@@ -79,6 +89,7 @@ class DerivedCache:
 
     def invalidate(self) -> None:
         """Drop every derived result (on CFG mutation or unload)."""
+        self.mutations += 1
         if self._cfg or self._instr:
             self.invalidate_count += 1
             self._cfg.clear()
@@ -87,6 +98,7 @@ class DerivedCache:
     def invalidate_instrs(self) -> None:
         """Drop the results that read straight-line instructions (the
         terminators and the block list were left alone)."""
+        self.mutations += 1
         if self._instr:
             self.invalidate_count += 1
             self._instr.clear()

@@ -11,7 +11,7 @@ from .compaction import (
     zigzag_encode,
 )
 from .config import NaimConfig, NaimLevel
-from .loader import Loader, LoaderStats
+from .loader import Loader, LoaderStats, UnsignalledMutationError
 from .memory import (
     CostTable,
     MemoryAccountant,
@@ -22,7 +22,14 @@ from .memory import (
     llo_working_bytes,
     program_symtab_bytes,
 )
-from .pools import KIND_IR, KIND_SYMTAB, Handle, Pool, PoolState
+from .pools import (
+    KIND_IR,
+    KIND_SYMTAB,
+    Handle,
+    Pool,
+    PoolState,
+    ReleasedPoolError,
+)
 from .prefetch import PrefetchPipeline
 from .repository import (
     OverlayRepository,
@@ -43,6 +50,7 @@ __all__ = [
     "NaimLevel",
     "Loader",
     "LoaderStats",
+    "UnsignalledMutationError",
     "CostTable",
     "MemoryAccountant",
     "callgraph_bytes",
@@ -56,6 +64,7 @@ __all__ = [
     "Handle",
     "Pool",
     "PoolState",
+    "ReleasedPoolError",
     "OverlayRepository",
     "PrefetchPipeline",
     "Repository",

@@ -12,6 +12,13 @@ Behaviour reproduced from the paper:
   thresholds, so small compilations pay nothing;
 * every state transition updates the memory accountant, which is how
   Figures 4 and 5 get their memory axes.
+
+One rule bounds what the codec is paid for: a routine pool is encoded
+only if its bytes may differ from what the repository holds.  A body
+decoded from the repository and not invalidated since
+(:meth:`Pool.unchanged_since_fetch`) is evicted by dropping the object,
+and a body nothing will read again is released, not unloaded
+(docs/naim_internals.md, "Who encodes when").
 """
 
 from __future__ import annotations
@@ -29,9 +36,33 @@ from .compaction import (
 )
 from .config import NaimConfig, NaimLevel
 from .memory import MemoryAccountant
-from .pools import KIND_IR, KIND_SYMTAB, Handle, Pool, PoolState
+from .pools import (
+    KIND_IR,
+    KIND_SYMTAB,
+    Handle,
+    Pool,
+    PoolState,
+    ReleasedPoolError,
+)
 from .prefetch import PrefetchPipeline
 from .repository import Repository
+
+
+class UnsignalledMutationError(Exception):
+    """Checked builds: a body the loader took for clean no longer
+    encodes to the repository's bytes.
+
+    Some mutator edited ``routine`` during ``phase`` without calling
+    ``invalidate()`` / ``invalidate_instrs()``; an unchecked build
+    would have dropped the body and silently lost the edit."""
+
+    def __init__(self, routine: str, phase: str) -> None:
+        super().__init__(
+            "routine %s was mutated during %s without invalidate(): its "
+            "clean eviction would lose the edit" % (routine, phase)
+        )
+        self.routine = routine
+        self.phase = phase
 
 
 class LoaderStats:
@@ -51,6 +82,12 @@ class LoaderStats:
         self.prefetch_hits = 0
         #: Pools dropped outright (dead-function elimination).
         self.drops = 0
+        #: Evictions that dropped an unmutated body the repository
+        #: already held: no encode, no store (not in ``compactions``).
+        self.clean_evictions = 0
+        #: Pools released because their machine code exists (or is
+        #: reused) and nothing reads the body again.
+        self.released_spent = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -90,6 +127,7 @@ class Loader:
         symtab: ProgramSymbolTable,
         accountant: Optional[MemoryAccountant] = None,
         repository: Optional[Repository] = None,
+        checked: bool = False,
     ) -> None:
         self.config = config
         self.symtab = symtab
@@ -101,6 +139,12 @@ class Loader:
             Repository(in_memory=True)
         )
         self.stats = LoaderStats()
+        #: Checked builds (``HloOptions.checked``) re-encode every clean
+        #: eviction and compare it with the repository's bytes.
+        self.checked = checked
+        #: What the client is doing, for diagnostics; clients set it at
+        #: their phase boundaries.
+        self.phase = "wpa"
         self._pools: Dict[Tuple[str, str], Pool] = {}
         self._clock = 0
         # Counts of expanded, unpinned pools by kind (cache-capacity
@@ -195,8 +239,6 @@ class Loader:
         """
         pool = handle.pool
         self.release(handle)
-        if self._prefetcher is not None:
-            self._prefetcher.discard(pool.key())
         self.repository.discard(pool.kind, pool.name)
         self.stats.drops += 1
         self._update_repo_gauges()
@@ -211,15 +253,29 @@ class Loader:
 
         Used to transfer ownership: partition workers adopt the pool
         under their own loader, so its offloaded bytes (if any) must
-        stay fetchable from the shared repository.
+        stay fetchable from the shared repository.  The handle stops
+        answering (:class:`ReleasedPoolError`), and a decode the
+        prefetch pipeline staged for the pool is discarded with it.
         """
         pool = handle.pool
         if self._pools.pop(pool.key(), None) is not None:
             if pool.state is PoolState.EXPANDED and not pool.pinned:
                 self._expanded_add(pool, -1)
+        if self._prefetcher is not None:
+            self._prefetcher.discard(pool.key())
         pool.expanded = None
         pool.compact_bytes = None
+        pool.clean_at = None
+        pool.unload_pending = False
+        pool.state = PoolState.RELEASED
         self.accountant.set_usage(pool.kind, pool.name, 0)
+
+    def release_spent(self, handle: Handle) -> None:
+        """Release a routine whose machine code exists (or is reused):
+        nothing reads its IL again, so encoding it back would be paid
+        for nobody."""
+        self.release(handle)
+        self.stats.released_spent += 1
 
     # -- Client API -----------------------------------------------------------------
 
@@ -236,8 +292,12 @@ class Loader:
             self._note_use(pool)
             return pool.expanded
 
+        if pool.state is PoolState.RELEASED:
+            raise ReleasedPoolError(pool.kind, pool.name)
+
     # -- expand from prefetch staging, compact bytes, or disk --
-        if pool.state is PoolState.OFFLOADED:
+        from_repository = pool.state is PoolState.OFFLOADED
+        if from_repository:
             staged = (self._prefetcher.take(pool.key())
                       if self._prefetcher is not None else None)
             if staged is not None:
@@ -273,6 +333,12 @@ class Loader:
             pool.compact_bytes = None
         pool.state = PoolState.EXPANDED
         pool.unload_pending = False
+        if pool.kind == KIND_IR:
+            # The repository holds exactly what this body was decoded
+            # from: until a mutator invalidates it, eviction is free.
+            pool.clean_at = (
+                pool.expanded.derived.mutations if from_repository else None
+            )
         if not pool.pinned:
             self._expanded_add(pool, 1)
             self._note_use(pool)
@@ -516,27 +582,46 @@ class Loader:
 
     def _compact_pool(self, pool: Pool, offload: bool) -> None:
         assert pool.state is PoolState.EXPANDED and pool.expanded is not None
-        if pool.kind == KIND_IR:
-            routine = pool.expanded
-            routine.invalidate()  # derived data is never persisted
-            data = compact_routine(routine, self.symtab)
+        # Clean eviction: the repository already holds these bytes, so
+        # the body is dropped without the codec.  Bytes that would stay
+        # in memory (no offload) are the modeled footprint: encoded.
+        clean = (
+            offload and pool.kind == KIND_IR and pool.unchanged_since_fetch()
+        )
+        if clean:
+            if self.checked:
+                self._check_clean(pool)
+            self.stats.clean_evictions += 1
         else:
-            data = compact_symtab(pool.expanded, self.symtab)
-        self.stats.compactions += 1
+            if pool.kind == KIND_IR:
+                routine = pool.expanded
+                routine.invalidate()  # derived data is never persisted
+                data = compact_routine(routine, self.symtab)
+            else:
+                data = compact_symtab(pool.expanded, self.symtab)
+            self.stats.compactions += 1
         pool.expanded = None
+        pool.clean_at = None
         pool.borrowed = False
         pool.unload_pending = False
         self._expanded_add(pool, -1)
         if offload:
-            self.repository.store(pool.kind, pool.name, data)
-            self.stats.offloads += 1
+            if not clean:
+                self.repository.store(pool.kind, pool.name, data)
+                self.stats.offloads += 1
+                self._update_repo_gauges()
             pool.compact_bytes = None
             pool.state = PoolState.OFFLOADED
-            self._update_repo_gauges()
         else:
             pool.compact_bytes = data
             pool.state = PoolState.COMPACT
         self._account(pool)
+
+    def _check_clean(self, pool: Pool) -> None:
+        """The checked-mode oracle of the clean rule: encode anyway."""
+        stored = self.repository.fetch(pool.kind, pool.name)
+        if compact_routine(pool.expanded, self.symtab) != bytes(stored):
+            raise UnsignalledMutationError(pool.name, self.phase)
 
     # -- Introspection ---------------------------------------------------------------
 

@@ -7,6 +7,9 @@ one module's symbol table.  Pools move between three states:
 * ``COMPACT`` -- relocatable byte string, resident in memory;
 * ``OFFLOADED`` -- relocatable bytes live only in the disk repository.
 
+A pool its loader has let go of is ``RELEASED``: its handle no longer
+answers (:class:`ReleasedPoolError`).
+
 Downward references (from global objects to transitory ones) go through
 :class:`Handle` objects, which "track the status of the more transitory
 object, so that if a reference is made to a relocatable object, the
@@ -33,6 +36,24 @@ class PoolState(enum.Enum):
     EXPANDED = "expanded"
     COMPACT = "compact"
     OFFLOADED = "offloaded"
+    #: The loader forgot the pool (ownership moved, or the body is spent).
+    RELEASED = "released"
+
+
+class ReleasedPoolError(KeyError):
+    """A handle was read after its loader released the pool.
+
+    Whatever the repository still holds under the pool's name is the
+    last body that was *stored*, not the last one that existed, so the
+    loader refuses rather than fetch it."""
+
+    def __init__(self, kind: str, name: str) -> None:
+        super().__init__(kind, name)
+        self.kind = kind
+        self.name = name
+
+    def __str__(self) -> str:
+        return "pool %s:%s was released by its loader" % (self.kind, self.name)
 
 
 #: Pool kinds.
@@ -53,6 +74,7 @@ class Pool:
         "last_touch",
         "pinned",
         "borrowed",
+        "clean_at",
     )
 
     def __init__(
@@ -76,6 +98,19 @@ class Pool:
         #: the client may share with others (the linker registers
         #: object-file IL); see :meth:`Loader.privatize`.
         self.borrowed = False
+        #: ``expanded.derived.mutations`` when ``expanded`` was decoded
+        #: from the bytes the repository holds under this pool's name;
+        #: None when the repository does not hold this body (routine
+        #: pools only; see :meth:`unchanged_since_fetch`).
+        self.clean_at: Optional[int] = None
+
+    def unchanged_since_fetch(self) -> bool:
+        """True when the repository's bytes still describe ``expanded``:
+        it was decoded from them and no mutator has invalidated it."""
+        return (
+            self.clean_at is not None
+            and self.expanded.derived.mutations == self.clean_at
+        )
 
     # -- Sizing ---------------------------------------------------------------
 
@@ -89,7 +124,7 @@ class Pool:
         if self.state is PoolState.COMPACT:
             assert self.compact_bytes is not None
             return len(self.compact_bytes)
-        return 0  # OFFLOADED
+        return 0  # OFFLOADED, RELEASED
 
     def key(self):
         return (self.kind, self.name)

@@ -32,8 +32,9 @@ build.
 
 Ownership transfer: the runner releases each local pool from the link
 loader *before* dispatch (offloaded pools stay fetchable in the shared
-repository), and re-adopts the final payloads afterwards, so
-``HloResult.unit`` remains fully usable after a partitioned run.
+repository).  Nothing comes back but machine code and statistics: a
+compiled body is spent, so after a partitioned run -- as after the
+serial loop -- ``HloResult.unit`` lists names and holds no bodies.
 """
 
 from __future__ import annotations
@@ -148,8 +149,6 @@ class PartitionRunner:
 
         # Imports are copied out before locals are *released*: a body
         # one partition imports is usually another partition's local.
-        # After the second loop the unit is empty until _fold re-adopts
-        # the workers' final payloads.
         self._blob_keys = {}
         import_entries = [
             [self._ship(name, release=False) for name in partition.imports]
@@ -199,8 +198,8 @@ class PartitionRunner:
                     "no outcome for partition %d" % partition.index
                 )
             self._fold(result, decode_outcome(partition, payload))
-        # Workers replayed their plan slices; the returned pools are
-        # final bodies, so phase 5 must not replay again.
+        # Workers replayed their plan slices: phase 5 must not replay
+        # again.
         self.hlo_result.mark_plan_replayed()
         self.hlo_result.record_pass_seconds()
         return result
@@ -249,9 +248,3 @@ class PartitionRunner:
         loader.accountant.merge(outcome.accountant)
         hlo_result.ctx.stats.merge(outcome.pass_stats)
         hlo_result.ctx.views.update(outcome.views)
-
-        # Re-adopt final pool payloads so the unit stays usable.
-        for name, compact_bytes in outcome.returned:
-            hlo_result.unit.routine_handles[name] = loader.adopt_routine(
-                name, compact_bytes=compact_bytes
-            )

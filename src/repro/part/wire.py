@@ -14,15 +14,16 @@ from primitives that already round-trip deterministically:
 * each **routine's IR** as NAIM compact bytes (the same encoding the
   offload repository stores), shipped as content-addressed blobs.
 * each **outcome** -- machine code via
-  :func:`~repro.linker.objects.encode_machine_routines`, final pool
-  payloads, and the worker's loader/accountant/LLO/pass statistics --
+  :func:`~repro.linker.objects.encode_machine_routines` and the
+  worker's loader/accountant/LLO/pass statistics, no IL (a compiled
+  body is spent: nothing on the link side reads it again) --
   as a JSON object :class:`~repro.part.runner.PartitionRunner` folds
   back in partition index order, so every observable number is
   independent of which host ran what.
 
 :func:`execute_partition_job` is the one partition body in the tree:
 private loader over an overlay, prefetch window, plan replay, pin /
-scalar / codegen / unload per routine, package.  Every transport (link
+scalar / codegen / release per routine, package.  Every transport (link
 process, worker processes, farm workers) reaches it through
 :func:`run_wire_job`, so partitioned images agree with each other by
 construction; the serial driver loop stays separate as the reference
@@ -50,11 +51,11 @@ from ..linker.objects import (
     encode_machine_routines,
 )
 from ..llo.driver import LloOptions, LloStats, LowLevelOptimizer
-from ..naim.compaction import CompactionError, compact_routine
+from ..naim.compaction import CompactionError
 from ..naim.config import NaimConfig, NaimLevel
 from ..naim.loader import Loader, LoaderStats
 from ..naim.memory import MemoryAccountant
-from ..naim.pools import KIND_IR, PoolState
+from ..naim.pools import KIND_IR
 from ..naim.remote import CasBackedRepository
 from ..naim.repository import OverlayRepository
 from ..serve.protocol import decode_bytes, encode_bytes
@@ -64,7 +65,11 @@ from .partition import Partition
 #: Version tag inside the shared-context blob; a worker rejects
 #: contexts it does not speak rather than miscompiling them.
 #: v2 added the optional thin-WPA replay plan and job import lists;
-#: v3 ships only the NAIM fields a worker's loader reads.
+#: v3 ships only the NAIM fields a worker's loader reads.  The version
+#: guards this blob, not the reply: replies carry no IL, and a v3 worker
+#: that still sends its final bodies (``"returned"``) is understood --
+#: :func:`decode_outcome` never required the field and does not read it
+#: -- so a farm mixing the two works without a v4.
 WIRE_VERSION = 3
 
 
@@ -455,8 +460,6 @@ class PartitionOutcome:
 
     def __init__(self) -> None:
         self.machines: Dict[str, MachineRoutine] = {}
-        #: ``(routine name, final compact pool bytes)`` in unit order.
-        self.returned: List[Tuple[str, bytes]] = []
         self.loader_stats: Optional[LoaderStats] = None
         self.accountant: Optional[MemoryAccountant] = None
         self.llo_stats: Optional[LloStats] = None
@@ -477,10 +480,6 @@ def decode_outcome(partition: Partition, payload: Dict) -> PartitionOutcome:
         machines = decode_machine_routines(
             decode_bytes(payload["machines_b64"])
         )
-        outcome.returned = [
-            (name, decode_bytes(blob))
-            for name, blob in payload.get("returned", [])
-        ]
     except (KeyError, TypeError, AttributeError, ValueError,
             CompactionError, LinkError) as exc:
         # ValueError covers binascii.Error (undecodable base64).
@@ -535,8 +534,10 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
     ``repository`` supplies every routine's compact IR under
     ``(KIND_IR, name)`` (see :class:`~repro.naim.remote.
     CasBackedRepository`).  The per-routine pin / scalar / codegen /
-    unload sequence is the serial driver's, fused per routine --
-    hence byte-identical machine code."""
+    release sequence is the serial driver's
+    (:meth:`~repro.hlo.driver.HighLevelOptimizer.run_scalar_phase`)
+    -- hence byte-identical machine code -- and like it leaves no
+    body behind: the reply carries machine code and statistics."""
     index = job["index"]
     names: List[str] = [entry["name"] for entry in job["routines"]]
     worker_loader = Loader(
@@ -544,6 +545,7 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
         shared.symtab,
         MemoryAccountant(),
         OverlayRepository(repository),
+        checked=shared.hlo_options.checked,
     )
     # Entries without a "pool" are thin-WPA clones: no body exists yet,
     # the plan replay below creates it.  Imports are read-only callee
@@ -572,6 +574,7 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
     ctx.const_returns = shared.const_returns
 
     if shared.plan is not None:
+        worker_loader.phase = "replay"
         scope = set(names)
         scope.update(entry["name"] for entry in import_entries)
         replay_plan(
@@ -583,6 +586,7 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
             if handle is not None:
                 worker_loader.release(handle)
 
+    worker_loader.phase = "scalar"
     llo = LowLevelOptimizer(shared.llo_options, worker_loader.accountant)
     pipeline = standard_pipeline()
     machines: List = []
@@ -606,29 +610,13 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
             worker_loader.unpin(handle)
             worker_loader.reaccount(handle)
         machines.append(llo.compile_routine(routine, ctx.views.get(name)))
-        handle.request_unload()
+        worker_loader.release_spent(handle)
     worker_loader.stop_prefetch()
     worker_loader.accountant.mark("ltrans:p%d" % index)
-
-    returned: List[Tuple[str, str]] = []
-    for name in names:
-        handle = handles.get(name)
-        if handle is None:
-            continue
-        pool = handle.pool
-        if pool.state is PoolState.EXPANDED:
-            data = compact_routine(pool.expanded, shared.symtab)
-        elif pool.state is PoolState.COMPACT:
-            data = pool.compact_bytes
-        else:
-            data = worker_loader.repository.fetch(KIND_IR, name)
-        worker_loader.release(handle)
-        returned.append((name, encode_bytes(data)))
 
     return {
         "index": index,
         "machines_b64": encode_bytes(encode_machine_routines(machines)),
-        "returned": [[name, blob] for name, blob in returned],
         "loader_stats": worker_loader.stats.as_dict(),
         "accountant": _accountant_payload(worker_loader.accountant),
         "llo_stats": {

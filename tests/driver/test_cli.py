@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -63,6 +64,14 @@ class TestBuild:
         assert [part.split()[0] for part in wpa_line[5:].split(", ")] == [
             "scan", "callgraph", "ipcp", "clone", "inline", "replay"
         ]
+        # What the loader paid the codec for: nothing, on a program
+        # this small (NAIM never engages).
+        (naim_line,) = [l for l in out.splitlines() if l.startswith("naim: ")]
+        assert re.match(
+            r"naim: 0 encodes, 0 clean evictions, 0 decodes, 0 fetches, "
+            r"\d+ spent bodies released, cache hit ratio ",
+            naim_line,
+        )
 
     def test_bad_level_rejected(self, source_files):
         with pytest.raises(SystemExit):

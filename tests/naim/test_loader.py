@@ -8,7 +8,9 @@ from repro.naim import (
     NaimConfig,
     NaimLevel,
     PoolState,
+    ReleasedPoolError,
     Repository,
+    UnsignalledMutationError,
 )
 
 
@@ -26,12 +28,13 @@ def make_program(n_routines=12):
     return compile_sources(sources)
 
 
-def make_loader(level, cache_pools=3, n_routines=12):
+def make_loader(level, cache_pools=3, n_routines=12, checked=False):
     program = make_program(n_routines)
     loader = Loader(
         NaimConfig.pinned(level, cache_pools=cache_pools),
         program.symtab,
         repository=Repository(in_memory=True),
+        checked=checked,
     )
     handles = {
         routine.name: loader.register_routine(routine)
@@ -124,6 +127,127 @@ class TestCache:
         handles[name].request_unload()
         assert handles[name].peek_state() is not PoolState.EXPANDED
         assert handles[name].get().source_lines == 777
+
+
+def offloaded_loader(checked=False):
+    """A loader whose every routine but the newest sits in the
+    repository, and one of those handles."""
+    _, loader, handles = make_loader(
+        NaimLevel.OFFLOAD, cache_pools=1, checked=checked
+    )
+    loader.request_unload_all()
+    victim = next(
+        h for h in sorted(handles.values(), key=lambda h: h.name)
+        if h.peek_state() is PoolState.OFFLOADED
+    )
+    return loader, handles, victim
+
+
+class TestCleanEvictions:
+    """A body crosses the codec only when its bytes may have changed:
+    the mutation signal is ``invalidate()`` / ``invalidate_instrs()``."""
+
+    def test_a_body_that_was_only_read_is_dropped_not_encoded(self):
+        loader, _, victim = offloaded_loader()
+        repository = loader.repository
+        encodes, stores = loader.stats.compactions, repository.stores
+        skips = repository.store_skips
+        assert victim.get().instr_count() > 0  # decoded, read...
+        victim.get().predecessors()  # ...and analysed
+        loader.evict(victim)
+        assert victim.peek_state() is PoolState.OFFLOADED
+        assert loader.stats.clean_evictions == 1
+        assert loader.stats.compactions == encodes
+        assert (repository.stores, repository.store_skips) == (stores, skips)
+        assert victim.pool.resident_bytes() == 0
+        assert victim.get().name == victim.name  # still fetchable
+
+    @pytest.mark.parametrize(
+        "signal", ["invalidate", "invalidate_instrs"]
+    )
+    def test_an_invalidated_body_is_encoded_and_stored(self, signal):
+        loader, _, victim = offloaded_loader()
+        encodes = loader.stats.compactions
+        routine = victim.get()
+        routine.source_lines = 777
+        getattr(routine, signal)()
+        loader.evict(victim)
+        assert loader.stats.clean_evictions == 0
+        assert loader.stats.compactions == encodes + 1
+        assert victim.get().source_lines == 777
+
+    def test_a_prefetched_body_is_clean_too(self):
+        loader, _, victim = offloaded_loader()
+        loader.prefetch([victim])
+        assert loader.prefetch_wait(timeout=30.0)
+        victim.get()
+        assert loader.stats.prefetch_hits == 1
+        loader.evict(victim)
+        loader.stop_prefetch()
+        assert loader.stats.clean_evictions == 1
+
+    def test_bytes_held_in_memory_keep_todays_behaviour(self):
+        """Below OFFLOAD the compact bytes are the modeled memory: a
+        clean body still becomes a COMPACT pool holding them."""
+        loader, _, victim = offloaded_loader()
+        victim.get()
+        loader.config.level = NaimLevel.IR_COMPACT
+        loader.evict(victim)
+        assert victim.peek_state() is PoolState.COMPACT
+        assert loader.stats.clean_evictions == 0
+        assert victim.pool.resident_bytes() > 0
+        # Decoded from memory, not from the repository: not clean.
+        loader.config.level = NaimLevel.OFFLOAD
+        victim.get()
+        loader.evict(victim)
+        assert loader.stats.clean_evictions == 0
+
+    def test_checked_loader_names_the_mutator_that_forgot(self):
+        loader, _, victim = offloaded_loader(checked=True)
+        loader.phase = "replay"
+        victim.get().source_lines = 777  # no invalidate()
+        with pytest.raises(UnsignalledMutationError) as raised:
+            loader.evict(victim)
+        assert raised.value.routine == victim.name
+        assert raised.value.phase == "replay"
+        assert victim.name in str(raised.value)
+
+    def test_checked_loader_accepts_a_clean_eviction(self):
+        loader, _, victim = offloaded_loader(checked=True)
+        victim.get().predecessors()
+        loader.evict(victim)
+        assert loader.stats.clean_evictions == 1
+
+
+class TestReleasedHandles:
+    def test_a_released_expanded_pool_does_not_answer(self):
+        _, loader, handles = make_loader(NaimLevel.OFF)
+        loader.release(handles["f0"])
+        assert handles["f0"].peek_state() is PoolState.RELEASED
+        with pytest.raises(KeyError) as raised:
+            handles["f0"].get()
+        assert isinstance(raised.value, ReleasedPoolError)
+        assert "ir:f0" in str(raised.value)
+
+    def test_a_released_offloaded_pool_is_not_refetched(self):
+        """The repository's copy is the last body *stored*; handing it
+        to a late reader would pass off pre-scalar IL as current."""
+        loader, _, victim = offloaded_loader()
+        loader.release_spent(victim)
+        fetches = loader.repository.fetches
+        with pytest.raises(ReleasedPoolError):
+            victim.get()
+        assert loader.repository.fetches == fetches
+        assert loader.stats.released_spent == 1
+
+    def test_release_discards_a_staged_prefetch(self):
+        loader, handles, victim = offloaded_loader()
+        loader.prefetch(handles.values())
+        assert loader.prefetch_wait(timeout=30.0)
+        staged = loader.prefetch_staged()
+        loader.release(victim)
+        loader.stop_prefetch()
+        assert loader.prefetch_staged() == staged - 1
 
 
 class TestPinning:

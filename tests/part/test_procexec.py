@@ -214,12 +214,3 @@ class TestPersistentPool:
         # prove the run happened in workers that have been reaped.
         assert result.ltrans_stats["workers"] >= 1
 
-
-class TestRunnerSurface:
-    def test_unit_stays_usable(self):
-        sources = app_sources(seed=49)
-        built = build(sources, hlo_jobs=2, hlo_backend="processes")
-        # The post-run unit is fully re-adopted, whatever the transport.
-        unit = built.hlo_result.unit
-        for name in unit.routine_names():
-            assert unit.routine(name) is not None

@@ -7,13 +7,18 @@ build's image is byte-identical to the serial build, and every folded
 statistic is deterministic (independent of worker interleaving).
 """
 
+import re
+
 import pytest
 
+from repro.driver.build import BuildEngine
 from repro.driver.compiler import Compiler, train
 from repro.driver.options import CompilerOptions
 from repro.linker.objects import encode_executable
 from repro.naim.config import NaimConfig, NaimLevel
+from repro.naim.pools import KIND_IR, ReleasedPoolError
 from repro.part import partition_unit
+from repro.part.procexec import processes_supported
 from repro.synth import WorkloadConfig, generate
 
 
@@ -95,17 +100,81 @@ class TestDeterministicFolding:
         assert repr(serial.llo_stats) == repr(parallel.llo_stats)
 
 
+def _offload():
+    return NaimConfig.pinned(NaimLevel.OFFLOAD, cache_pools=2)
+
+
+def _incremental_rebuild(sources, **option_kwargs):
+    """The result of a warm rebuild after a one-module edit: most
+    modules reuse cached code, the edited one is compiled."""
+    engine = BuildEngine(
+        CompilerOptions(opt_level=4, **option_kwargs), incremental=True
+    )
+    engine.build(sources)
+    edited = dict(sources)
+    victim = sorted(name for name in edited if name != "main")[0]
+    edited[victim] = re.sub(
+        r"\* (\d+) \+", lambda m: "* %d +" % (int(m.group(1)) + 1),
+        edited[victim], count=1,
+    )
+    result, report = engine.build(edited)
+    assert report.cmo_reused and report.cmo_reoptimized
+    return result
+
+
+SHAPES = {
+    "serial": build,
+    "in-process": lambda sources, **kw: build(
+        sources, hlo_partitions=8, **kw
+    ),
+    "processes": lambda sources, **kw: build(
+        sources, hlo_jobs=2, hlo_backend="processes", **kw
+    ),
+    "incremental": _incremental_rebuild,
+}
+
+
 class TestUnitAfterRun:
-    def test_unit_stays_usable(self):
-        """Ownership transfer round-trips: optimized routines are
-        re-adopted into the link loader after the parallel run."""
-        sources = app_sources()
-        parallel = build(sources, hlo_partitions=8)
-        unit = parallel.hlo_result.unit
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_the_unit_is_spent_after_codegen(self, shape):
+        """Once machine code exists nothing reads a routine's IL again,
+        so where NAIM is engaged no loop hands it back: the unit still
+        lists every name, but no pool holds a body and no handle
+        answers -- least of all with the stale pre-scalar bytes the
+        repository may still hold."""
+        if shape == "processes" and not processes_supported():
+            pytest.skip("no multiprocessing here")
+        hlo_result = SHAPES[shape](app_sources(), naim=_offload()).hlo_result
+        unit = hlo_result.unit
+        assert unit.routine_names()
+        assert not [
+            pool for pool in hlo_result.loader.pools()
+            if pool.kind == KIND_IR
+        ]
+        released = 0
         for name in unit.routine_names():
-            routine = unit.routine(name)
-            assert routine is not None
-            assert routine.name == name
+            if unit.handle(name) is None:
+                # A clone the link loader never held: its body existed
+                # only in the worker that replayed it, or (its module
+                # being reused) not at all.
+                assert name in hlo_result.clones and shape != "serial"
+                continue
+            with pytest.raises(ReleasedPoolError) as raised:
+                unit.routine(name)
+            assert raised.value.name == name
+            released += 1
+        # Workers' releases (clones included) fold into the link stats.
+        spent = hlo_result.loader.stats.released_spent
+        assert released <= spent <= len(unit.routine_names())
+
+    def test_below_the_threshold_the_serial_unit_keeps_its_bodies(self):
+        """NAIM not engaged: the link loader unloads nothing, spent or
+        not (``CmoUnit.release_spent`` degrades like ``Loader.evict``)."""
+        hlo_result = build(app_sources()).hlo_result
+        unit = hlo_result.unit
+        for name in unit.routine_names():
+            assert unit.routine(name).name == name
+        assert hlo_result.loader.stats.released_spent == 0
 
     def test_partitions_cover_the_unit(self):
         sources = app_sources()

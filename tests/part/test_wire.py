@@ -209,7 +209,6 @@ class TestRunnerContract:
         lambda reply: reply.pop("index"),
         lambda reply: reply.update(machines_b64="not base64!"),
         lambda reply: reply.update(machines_b64="AAAA"),
-        lambda reply: reply.update(returned=[["f", "A"]]),
     ])
     def test_garbage_outcome_rejected(self, damage):
         dispatcher = ReversedTransport()
@@ -222,3 +221,23 @@ class TestRunnerContract:
         with pytest.raises(WireError,
                            match="partition %d" % partition.index):
             decode_outcome(partition, reply)
+
+    def test_an_older_workers_reply_still_decodes(self):
+        """A worker sends no IL back (tests/naim/
+        test_roundtrip_cost_guard.py).  That did not move
+        ``WIRE_VERSION``: the context blob is what the version guards,
+        and a coordinator that meets an older worker's reply (final IL
+        under ``"returned"``) reads the machine code and statistics and
+        leaves the IL alone -- a mixed farm works."""
+        dispatcher = ReversedTransport()
+        build(app_sources(seed=26), dispatcher=dispatcher,
+              hlo_jobs=2, hlo_partitions=2)
+        reply = dict(dispatcher.outcomes[0])
+        assert "returned" not in reply
+        partition = Partition(reply["index"], [], [], 1)
+        new = decode_outcome(partition, reply)
+        old = decode_outcome(
+            partition, dict(reply, returned=[["f", "not even base64"]])
+        )
+        assert sorted(old.machines) == sorted(new.machines)
+        assert old.loader_stats.as_dict() == new.loader_stats.as_dict()

@@ -8,6 +8,7 @@ rebuild reuses every module's cached codegen.
 
 from __future__ import annotations
 
+import contextlib
 import re
 
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +19,7 @@ from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
 from repro.ir.symbols import ProgramSymbolTable
 from repro.linker.objects import encode_executable
+from repro.llo.driver import LowLevelOptimizer
 from repro.naim.compaction import compact_routine
 from repro.synth import WorkloadConfig, generate
 
@@ -45,6 +47,24 @@ def perturb(source):
         count=1,
     )
     return edited if count else None
+
+
+@contextlib.contextmanager
+def bodies_entering_codegen():
+    """Routine name -> canonical compact bytes of the IL each
+    ``compile_routine`` call of the enclosed builds was handed."""
+    bodies = {}
+    compile_routine = LowLevelOptimizer.compile_routine
+
+    def recording(self, routine, view=None):
+        bodies[routine.name] = compact_routine(routine, ProgramSymbolTable())
+        return compile_routine(self, routine, view)
+
+    LowLevelOptimizer.compile_routine = recording
+    try:
+        yield bodies
+    finally:
+        LowLevelOptimizer.compile_routine = compile_routine
 
 
 def clean_image(sources):
@@ -129,7 +149,9 @@ def test_scoped_replay_compiles_what_a_whole_unit_replay_would(seed, edits):
     """A rebuild replays the WPA plan only over what it will compile
     (closed under the plan's imports); a clean build replays it over the
     whole unit.  Every routine the rebuild compiles must come out of
-    replay + scalar with the same compact bytes either way."""
+    replay + scalar with the same compact bytes either way.  Compiled
+    bodies are released, so they are read where they are last alive:
+    on their way into codegen."""
     app = small_app(seed)
     engine = BuildEngine(CompilerOptions(opt_level=4), incremental=True)
     engine.build(app.sources)
@@ -138,13 +160,12 @@ def test_scoped_replay_compiles_what_a_whole_unit_replay_would(seed, edits):
     for victim in edits:
         name = module_names[victim % len(module_names)]
         sources[name] = perturb(sources[name]) or sources[name]
-        result, _report = engine.build(sources)
+        with bodies_entering_codegen() as scoped_bodies:
+            result, _report = engine.build(sources)
+        with bodies_entering_codegen() as whole_bodies:
+            whole = clean_image(sources)[0].hlo_result
         scoped = result.hlo_result
-        whole = clean_image(sources)[0].hlo_result
         assert scoped.unit.routine_names() == whole.unit.routine_names()
-        for routine_name in scoped.compiled_routines():
-            assert compact_routine(
-                scoped.unit.routine(routine_name), ProgramSymbolTable()
-            ) == compact_routine(
-                whole.unit.routine(routine_name), ProgramSymbolTable()
-            ), routine_name
+        assert sorted(scoped_bodies) == sorted(scoped.compiled_routines())
+        for routine_name, body in scoped_bodies.items():
+            assert body == whole_bodies[routine_name], routine_name
