@@ -72,6 +72,18 @@ class _Timer:
         self.timings.add(self.phase, time.perf_counter() - self.start)
 
 
+def _forward_hlo_events(events: Optional[EventLog], hlo_events,
+                        category: str) -> None:
+    """Put the HLO's structured events on the build's event log."""
+    if events is None:
+        return
+    for event in hlo_events:
+        events.instant(
+            str(event.get("event", "hlo")), category=category,
+            args=dict(event),
+        )
+
+
 class BuildResult:
     """Everything a build produces."""
 
@@ -590,12 +602,8 @@ class Compiler:
                 run_scalar=False,
             )
         result.hlo_result = hlo_result
-        if events is not None:
-            for event in hlo_result.events:
-                events.instant(
-                    str(event.get("event", "hlo")), category="wpa",
-                    args=dict(event),
-                )
+        wpa_events = len(hlo_result.events)
+        _forward_hlo_events(events, hlo_result.events, "wpa")
 
         llo_options = LloOptions(2, use_profile=profile_db is not None)
         compiled: Dict[str, MachineRoutine] = {}
@@ -697,6 +705,10 @@ class Compiler:
                 }
                 if backend == "processes":
                     result.ltrans_stats.update(transport.stats())
+            # What the scalar phase added, serial or partitioned.
+            _forward_hlo_events(
+                events, hlo_result.events[wpa_events:], "scalar"
+            )
 
             machines: List[MachineRoutine] = []
             fresh_by_module: Dict[str, List[MachineRoutine]] = {}

@@ -67,6 +67,9 @@ def build_summary(
         summary["hlo_peak_bytes"] = build.hlo_result.peak_bytes
         summary["wpa_peak_bytes"] = build.hlo_result.wpa_peak_bytes
         summary["hlo_phase_seconds"] = dict(build.hlo_result.phase_seconds)
+        pass_stats = build.hlo_result.ctx.stats
+        summary["scalar_runs"] = sum(pass_stats.runs.values())
+        summary["scalar_skips"] = sum(pass_stats.skips.values())
         summary["naim_loader"] = build.hlo_result.loader.stats.as_dict()
     return summary
 
@@ -131,9 +134,15 @@ def render_build_summary(
         if phase.startswith("scalar.") and phase != "scalar.replay"
     ]
     if passes:
-        # Costliest first; summed over workers when LTRANS is partitioned.
+        # Costliest first, then how many pass executions that was and
+        # how many more the pipeline proved unnecessary; all summed
+        # over workers when LTRANS is partitioned.
         passes.sort(key=lambda item: (-item[1], item[0]))
-        out.append("scalar: " + ", ".join("%s %.2fs" % item for item in passes))
+        out.append(
+            "scalar: " + ", ".join("%s %.2fs" % item for item in passes)
+            + "; %d runs, %d skipped"
+            % (summary.get("scalar_runs", 0), summary.get("scalar_skips", 0))
+        )
     loader = summary.get("naim_loader")
     if loader is not None:
         # What the codec and the repository were paid for (summed over

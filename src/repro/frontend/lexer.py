@@ -8,7 +8,7 @@ The IL is language-neutral; HLO never sees MLL constructs (paper §3).
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List, NamedTuple
+from typing import List, NamedTuple
 
 from .errors import FrontendError
 
@@ -122,8 +122,3 @@ def tokenize(source: str) -> List[Token]:
 
     tokens.append(Token(TokKind.EOF, "", line, col))
     return tokens
-
-
-def token_stream(source: str) -> Iterator[Token]:
-    """Generator variant of :func:`tokenize`."""
-    return iter(tokenize(source))

@@ -199,7 +199,8 @@ class HloResult:
         self.plan = WpaPlan()
         #: Routine name -> RoutineFacts (final, post-decision state).
         self.thin_facts: Dict[str, RoutineFacts] = {}
-        #: Structured events (summary-cache and machine-blob fallbacks).
+        #: Structured events (summary-cache and machine-blob fallbacks,
+        #: scalar pipelines that hit the iteration cap).
         self.events: List[Dict[str, object]] = []
         self._plan_replayed = False
 
@@ -212,10 +213,21 @@ class HloResult:
     def mark_plan_replayed(self) -> None:
         self._plan_replayed = True
 
-    def record_pass_seconds(self) -> None:
-        """Publish what :class:`PassStats` timed as ``scalar.<pass>``."""
-        for name, seconds in self.ctx.stats.seconds.items():
+    def record_pass_stats(self) -> None:
+        """Publish what :class:`PassStats` holds once the scalar phase
+        is over (here or folded back from partition workers): the
+        seconds as ``scalar.<pass>`` phases, and one
+        ``scalar-iteration-cap`` event per routine whose pipeline ran
+        out of iterations while still changing."""
+        stats = self.ctx.stats
+        for name, seconds in stats.seconds.items():
             self.phase_seconds["scalar." + name] = seconds
+        for name in stats.capped:
+            self.events.append({
+                "event": "scalar-iteration-cap",
+                "routine": name,
+                "iterations": self.ctx.options.max_pass_iterations,
+            })
 
     def compiled_routines(self) -> List[str]:
         """Routines codegen will compile, in canonical unit order: all
@@ -631,7 +643,7 @@ class HighLevelOptimizer:
 
         result.peak_bytes = loader.accountant.peak
         result.phase_seconds["scalar"] = clock() - start - codegen_seconds
-        result.record_pass_seconds()
+        result.record_pass_stats()
         if materialize:
             unit.materialize(result.program)
         return machines

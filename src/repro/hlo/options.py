@@ -80,7 +80,9 @@ class HloOptions:
         self.readonly_global_promotion = readonly_global_promotion
 
         self.max_pass_iterations = max_pass_iterations
-        #: Run the IR verifier after every pass (debug builds).
+        #: Debug builds: verify the IR and the derived data each pass
+        #: kept, after every pass, and run every pass the pipeline would
+        #: have skipped to see that it changes nothing.
         self.checked = checked
 
     def copy(self, **overrides) -> "HloOptions":

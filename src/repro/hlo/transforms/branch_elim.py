@@ -17,7 +17,14 @@ from typing import Dict, Optional, Tuple
 from ...ir.instructions import Instr, Opcode
 from ...ir.routine import Routine
 from ..analysis.dominators import immediate_dominators
-from ..passes import OptContext, RoutinePass
+from ..passes import (
+    CFG,
+    EMPTIED,
+    PROPAGATED,
+    REWRITTEN,
+    OptContext,
+    RoutinePass,
+)
 
 
 def _reg_redefined(routine: Routine, label: str, reg: int) -> bool:
@@ -31,15 +38,25 @@ def _reg_redefined(routine: Routine, label: str, reg: int) -> bool:
 class BranchElimination(RoutinePass):
     name = "branch_elim"
 
-    def run(self, routine: Routine, ctx: OptContext) -> bool:
+    #: Reads the CFG and its dominators, each branch's condition
+    #: register (``PROPAGATED`` renames it), which blocks are a lone
+    #: branch (``EMPTIED``) and which blocks define a condition register
+    #: on the way down from the branch that pinned it.  ``REMOVED``
+    #: cannot clear such a definition: the branch below reads the
+    #: register, so a dead definition of it on that single-predecessor
+    #: chain is followed, before the branch, by another definition --
+    #: in the same block, where the answer stays "redefined", or in a
+    #: block the walk up from the branch rejects first.
+    enabled_by = CFG | PROPAGATED | REWRITTEN | EMPTIED
+
+    def run(self, routine: Routine, ctx: OptContext) -> int:
         if not ctx.options.branch_elim_enabled:
-            return False
-        changed = False
-        changed |= self._branch_to_branch(routine)
+            return 0
+        changed = self._branch_to_branch(routine)
         changed |= self._dominated_branches(routine)
         if changed:
             routine.invalidate()
-        return changed
+        return CFG if changed else 0
 
     # -- Branch-to-branch threading ------------------------------------------------
 

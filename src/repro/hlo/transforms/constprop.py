@@ -28,7 +28,7 @@ from ...ir.instructions import (
 )
 from ...ir.routine import Routine
 from ..analysis.cfg import reverse_postorder
-from ..passes import OptContext, RoutinePass
+from ..passes import CFG, PROPAGATED, REWRITTEN, OptContext, RoutinePass
 
 # The lattice, sparsely.  A state maps the registers known to hold a
 # constant to that constant; a register it lacks is BOTTOM (conflicting
@@ -182,13 +182,37 @@ class ConstantPropagation(RoutinePass):
 
     name = "constprop"
 
-    def run(self, routine: Routine, ctx: OptContext) -> bool:
+    #: What a rewrite depends on is the solved value of each operand it
+    #: reads, the block-local copy relation and whether two operands
+    #: are the same register.
+    #:
+    #: * ``CFG``: an edge fewer sharpens the meet, a merged block
+    #:   lengthens the reach of a copy.
+    #: * ``REWRITTEN``: a new move or constant (memopt's forwarded
+    #:   load, the algebraic fold below) is one the solver has not
+    #:   seen; an unclean deletion may have ended a copy's kill.
+    #: * ``PROPAGATED`` is this pass's own and it is idempotent under
+    #:   it: a renamed operand has its copy's value, a folded
+    #:   instruction computes the constant the solver gave it, an
+    #:   algebraic move was unknown before and after, so a second
+    #:   solve returns the same states; the second walk meets the same
+    #:   moves (with operands already at their roots, which are never
+    #:   copies themselves), builds the same copy relation and finds
+    #:   every use renamed, every known value folded and no identity
+    #:   left that the first walk did not try.
+    #: * ``REMOVED``: a deleted definition was dead, so no use it
+    #:   could reach exists and the solved value of every operand that
+    #:   is read stands; and it ended no copy, because no move that
+    #:   stayed above it in its block reads its register.
+    #: * ``EMPTIED`` changes no instruction that is left.
+    enabled_by = CFG | REWRITTEN
+
+    def run(self, routine: Routine, ctx: OptContext) -> int:
         if not ctx.options.constprop_enabled:
-            return False
+            return 0
         in_states = compute_block_inputs(routine, ctx)
         modref = ctx.modref
-        changed = False
-        folded_branch = False
+        kinds = 0
 
         for block in routine.blocks:
             # Unreachable blocks have no state; simplify will drop them.
@@ -212,7 +236,7 @@ class ConstantPropagation(RoutinePass):
                     }
                     if remap:
                         instr.replace_uses(remap)
-                        changed = True
+                        kinds |= PROPAGATED
 
                 op = instr.op
                 dst = instr.dst
@@ -226,7 +250,7 @@ class ConstantPropagation(RoutinePass):
                             instrs[index] = Instr(
                                 Opcode.JMP, targets=(target,)
                             )
-                            changed = folded_branch = True
+                            kinds |= CFG
                     continue
 
                 # Fold to the constant the abstract step predicts (a
@@ -242,7 +266,7 @@ class ConstantPropagation(RoutinePass):
                         instrs[index] = instr = Instr(
                             Opcode.CONST, dst=dst, imm=value
                         )
-                        changed = True
+                        kinds |= PROPAGATED
                 elif op in BINARY_OPS:
                     a = values.get(instr.a)
                     b = values.get(instr.b)
@@ -250,8 +274,13 @@ class ConstantPropagation(RoutinePass):
                         rewritten = _algebraic(instr, a, b)
                         if rewritten is not None:
                             instrs[index] = instr = rewritten
-                            changed = True
                             value = _value_after(instr, values, ctx)
+                            # A constant here (x * 0, x - x) is news to
+                            # the solver: other blocks have yet to
+                            # hear of it.
+                            kinds |= (
+                                PROPAGATED if value is None else REWRITTEN
+                            )
 
                 # The old value of dst dies: so do its copy and every
                 # copy *of* it.
@@ -272,9 +301,9 @@ class ConstantPropagation(RoutinePass):
                 elif dst in values:
                     del values[dst]
 
-        if folded_branch:
+        if kinds & CFG:
             routine.invalidate()
-        elif changed:
+        elif kinds:
             # No terminator moved: the CFG-shaped results stand.
             routine.invalidate_instrs()
-        return changed
+        return kinds

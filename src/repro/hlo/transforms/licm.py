@@ -27,7 +27,7 @@ from ...ir.instructions import BINARY_OPS, Instr, Opcode
 from ...ir.routine import Routine
 from ..analysis.liveness import liveness
 from ..analysis.loops import Loop, find_loops
-from ..passes import OptContext, RoutinePass
+from ..passes import EVERY_KIND, OptContext, RoutinePass
 
 _PURE_OPS = BINARY_OPS | {Opcode.CONST, Opcode.MOV, Opcode.NEG, Opcode.NOT}
 
@@ -102,9 +102,16 @@ _EXPENSIVE_COST = {
 class LoopInvariantCodeMotion(RoutinePass):
     name = "licm"
 
-    def run(self, routine: Routine, ctx: OptContext) -> bool:
+    #: Hoistability is syntactic: a register defined once in the loop,
+    #: operands defined nowhere in it, the destination not live into
+    #: the header.  Even ``REMOVED`` can turn two definitions into one
+    #: or drop the use that kept a register live around the back edge,
+    #: and ``EMPTIED`` never comes alone: nothing is excluded.
+    enabled_by = EVERY_KIND
+
+    def run(self, routine: Routine, ctx: OptContext) -> int:
         if not ctx.options.licm_enabled:
-            return False
+            return 0
         changed = False
         # One loop per sweep, innermost first (find_loops sorts by body
         # size ascending).  Hoisting moves non-terminators only; where
@@ -120,7 +127,10 @@ class LoopInvariantCodeMotion(RoutinePass):
                     break
             if not hoisted:
                 break
-        return changed
+        # A hoist moves instructions between blocks, may empty one and
+        # may add a preheader; the sweep cap above can also stop short.
+        # Claim nothing.
+        return EVERY_KIND if changed else 0
 
     def _hoist_from_loop(
         self, routine: Routine, loop: Loop, ctx: OptContext

@@ -26,7 +26,13 @@ from typing import Dict, Set
 
 from ...ir.instructions import Instr, Opcode
 from ...ir.routine import Routine
-from ..passes import OptContext, RoutinePass
+from ..passes import (
+    CFG,
+    PROPAGATED,
+    REWRITTEN,
+    OptContext,
+    RoutinePass,
+)
 
 
 #: The opcodes that read, write or may clobber global memory.
@@ -38,7 +44,20 @@ _MEMORY_OPS = frozenset({
 class MemoryForwarding(RoutinePass):
     name = "memopt"
 
-    def run(self, routine: Routine, ctx: OptContext) -> bool:
+    #: One forward walk per block over the loads, stores and calls, the
+    #: register each store writes from and every destination (a
+    #: definition ends what its register was known to hold).  ``CFG``
+    #: can merge two blocks into one walk; ``PROPAGATED`` renames the
+    #: register a store writes from and folds loads of read-only
+    #: globals away; ``REWRITTEN`` covers this pass's own forwarding (a
+    #: forwarded load stops counting as a reader of the store before
+    #: it) and deletions that were not clean.  ``REMOVED`` deletes
+    #: neither a load, a store nor a call, and no definition that ended
+    #: a "register holds global" fact: every walk sees what it saw.
+    #: ``EMPTIED`` says nothing about the instructions that are left.
+    enabled_by = CFG | PROPAGATED | REWRITTEN
+
+    def run(self, routine: Routine, ctx: OptContext) -> int:
         modref = ctx.modref
         changed = False
         for block in routine.blocks:
@@ -114,4 +133,8 @@ class MemoryForwarding(RoutinePass):
         if changed:
             # Loads and stores only: the CFG-shaped results stand.
             routine.invalidate_instrs()
-        return changed
+        # A forwarded load is a new move for constprop; a dropped store
+        # no longer reads its register (dce) or pins it live into a
+        # loop (licm).  A dropped store is followed by another in its
+        # block, so no block is left empty.
+        return REWRITTEN if changed else 0

@@ -8,7 +8,7 @@ from typing import Dict, Set
 from ...ir.instructions import Instr, Opcode
 from ...ir.routine import Routine
 from ..analysis.cfg import reachable_labels
-from ..passes import OptContext, RoutinePass
+from ..passes import CFG, EMPTIED, OptContext, RoutinePass
 
 
 def remove_unreachable_blocks(routine: Routine, ctx: OptContext) -> bool:
@@ -90,9 +90,16 @@ class SimplifyCfg(RoutinePass):
 
     name = "simplify"
 
-    def run(self, routine: Routine, ctx: OptContext) -> bool:
+    #: Everything below reads terminators, their targets and the block
+    #: list (``CFG``) and one fact about the rest: whether a block is a
+    #: lone jump (``EMPTIED``).  It looks at no other instruction and at
+    #: no operand, so ``PROPAGATED``, ``REWRITTEN`` and ``REMOVED``,
+    #: which by definition leave both alone, cannot give it work.
+    enabled_by = CFG | EMPTIED
+
+    def run(self, routine: Routine, ctx: OptContext) -> int:
         if not ctx.options.simplify_enabled:
-            return False
+            return 0
         # Each helper invalidates what it changed.
         changed = thread_trivial_jumps(routine, ctx)
         changed |= remove_unreachable_blocks(routine, ctx)
@@ -109,4 +116,4 @@ class SimplifyCfg(RoutinePass):
                 changed = True
         if changed:
             routine.invalidate()
-        return changed
+        return CFG if changed else 0

@@ -19,6 +19,8 @@ call return-value register (see :mod:`repro.vm.isa`).
 from __future__ import annotations
 
 import enum
+from bisect import insort
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..hlo.profile_view import ProfileView
@@ -31,7 +33,7 @@ from ..vm.isa import (
     MInstr,
     MOp,
 )
-from .lir import LirRoutine
+from .lir import LirRoutine, defined_reg
 
 
 class AllocMode(enum.Enum):
@@ -61,14 +63,6 @@ class _Interval:
         self.start = 1 << 60
         self.end = -1
         self.weight = 0
-
-
-_DEFINING_OPS = (MOp.LDI, MOp.MOVR, MOp.ALU3, MOp.ALU2, MOp.LDG, MOp.LDX,
-                 MOp.LDS, MOp.CALL)
-
-
-def _defines(instr: MInstr) -> Optional[int]:
-    return instr.rd if instr.op in _DEFINING_OPS else None
 
 
 def _live_intervals(
@@ -103,7 +97,7 @@ def _live_intervals(
             for reg in instr.reads():
                 block_use |= (1 << reg) & ~block_def
                 touch(reg, pos, weight)
-            dst = _defines(instr)
+            dst = defined_reg(instr)
             if dst is not None:
                 block_def |= 1 << dst
                 touch(dst, pos, weight)
@@ -140,29 +134,31 @@ def _linear_scan(
     """Classic linear scan; returns (vreg->phys, spilled vregs)."""
     assignment: Dict[int, int] = {}
     spilled: Set[int] = set()
+    # Both kept in order as they change: the lowest free register
+    # first, the active intervals by (end, vreg).
     free = list(ALLOCATABLE_REGS)
-    active: List[_Interval] = []  # sorted by end
+    heapify(free)
+    active: List[Tuple[int, int, _Interval]] = []
 
     for current in sorted(intervals, key=lambda iv: (iv.start, iv.vreg)):
-        # Expire old intervals.
-        still_active = []
-        for item in active:
-            if item.end < current.start:
-                free.append(assignment[item.vreg])
-            else:
-                still_active.append(item)
-        active = still_active
-        free.sort()
+        # Expire old intervals: a prefix of the active list.
+        expired = 0
+        for end, vreg, _ in active:
+            if end >= current.start:
+                break
+            heappush(free, assignment[vreg])
+            expired += 1
+        if expired:
+            del active[:expired]
 
         if free:
-            reg = free.pop(0)
-            assignment[current.vreg] = reg
-            active.append(current)
-            active.sort(key=lambda iv: (iv.end, iv.vreg))
+            assignment[current.vreg] = heappop(free)
+            insort(active, (current.end, current.vreg, current))
             continue
 
         # Choose a spill victim among active + current.
-        candidates = active + [current]
+        candidates = [item for _, _, item in active]
+        candidates.append(current)
         if weighted:
             victim = min(candidates, key=lambda iv: (iv.weight, -iv.end,
                                                      iv.vreg))
@@ -172,11 +168,9 @@ def _linear_scan(
             spilled.add(current.vreg)
         else:
             spilled.add(victim.vreg)
-            reg = assignment.pop(victim.vreg)
-            active.remove(victim)
-            assignment[current.vreg] = reg
-            active.append(current)
-            active.sort(key=lambda iv: (iv.end, iv.vreg))
+            active.remove((victim.end, victim.vreg, victim))
+            assignment[current.vreg] = assignment.pop(victim.vreg)
+            insort(active, (current.end, current.vreg, current))
     return assignment, spilled
 
 
@@ -241,7 +235,7 @@ def allocate(
                     rs2, REG_SCRATCH_B if rs1 in spilled else REG_SCRATCH_A
                 )
 
-            dst = _defines(instr)
+            dst = defined_reg(instr)
             if instr.op is MOp.CALL:
                 # CALL's rd is the virtual destination of the return
                 # value, which the machine leaves in R0.

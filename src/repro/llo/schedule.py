@@ -9,24 +9,13 @@ for the PA-8000.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..vm.isa import MInstr, MOp
-from .lir import LirBlock, LirRoutine
+from .lir import LirBlock, LirRoutine, defined_reg
 
 _LOADS = (MOp.LDG, MOp.LDX, MOp.LDS)
 _GLOBAL_MEM = (MOp.LDG, MOp.LDX, MOp.STG, MOp.STX)
 _FRAME_MEM = (MOp.LDS, MOp.STS)
 _STORES = (MOp.STG, MOp.STX, MOp.STS)
-
-
-def _defines(instr: MInstr) -> Optional[int]:
-    if instr.op in (MOp.LDI, MOp.MOVR, MOp.ALU3, MOp.ALU2, MOp.LDG, MOp.LDX,
-                    MOp.LDS):
-        return instr.rd
-    if instr.op is MOp.CALL:
-        return instr.rd  # virtual return-value destination
-    return None
 
 
 def _independent(a: MInstr, b: MInstr) -> bool:
@@ -56,8 +45,8 @@ def _independent(a: MInstr, b: MInstr) -> bool:
         return False
 
     # Register dependences.
-    a_def = _defines(a)
-    b_def = _defines(b)
+    a_def = defined_reg(a)
+    b_def = defined_reg(b)
     if a_def is not None and (b_def == a_def or a_def in set(b.reads())):
         return False
     if b_def is not None and b_def in set(a.reads()):

@@ -201,7 +201,7 @@ class PartitionRunner:
         # Workers replayed their plan slices: phase 5 must not replay
         # again.
         self.hlo_result.mark_plan_replayed()
-        self.hlo_result.record_pass_seconds()
+        self.hlo_result.record_pass_stats()
         return result
 
     def _ship(self, name: str, release: bool) -> Dict:

@@ -496,6 +496,11 @@ def decode_outcome(partition: Partition, payload: Dict) -> PartitionOutcome:
     stats = PassStats()
     stats.counts = dict(payload.get("pass_counts", {}))
     stats.seconds = dict(payload.get("pass_seconds", {}))
+    # Optional: a worker that predates the scheduled pipeline sends none.
+    schedule = payload.get("pass_schedule", {})
+    stats.runs = dict(schedule.get("runs", {}))
+    stats.skips = dict(schedule.get("skips", {}))
+    stats.capped = list(schedule.get("capped", ()))
     outcome.pass_stats = stats
     outcome.views = _decode_views(payload.get("views", {}))
     return outcome
@@ -628,6 +633,11 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
         },
         "pass_counts": dict(ctx.stats.counts),
         "pass_seconds": dict(ctx.stats.seconds),
+        "pass_schedule": {
+            "runs": dict(ctx.stats.runs),
+            "skips": dict(ctx.stats.skips),
+            "capped": list(ctx.stats.capped),
+        },
         "views": _views_payload({
             name: ctx.views[name]
             for name in names if name in ctx.views

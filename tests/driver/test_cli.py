@@ -64,6 +64,13 @@ class TestBuild:
         assert [part.split()[0] for part in wpa_line[5:].split(", ")] == [
             "scan", "callgraph", "ipcp", "clone", "inline", "replay"
         ]
+        # Per-pass seconds, then the executions the pipeline made and
+        # the ones it could prove unnecessary.
+        (scalar_line,) = [
+            l for l in out.splitlines() if l.startswith("scalar: ")
+        ]
+        counts = re.search(r"; (\d+) runs, (\d+) skipped$", scalar_line)
+        assert counts and int(counts.group(1)) > 0 and int(counts.group(2)) > 0
         # What the loader paid the codec for: nothing, on a program
         # this small (NAIM never engages).
         (naim_line,) = [l for l in out.splitlines() if l.startswith("naim: ")]

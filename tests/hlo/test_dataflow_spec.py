@@ -88,7 +88,7 @@ def assert_dce_agrees(routine, ctx):
     before = {b.label: list(b.instrs) for b in routine.blocks}
     clone = routine.copy()
     changed = DeadCodeElimination().run(clone, ctx)
-    assert changed == bool(expected)
+    assert bool(changed) == bool(expected)
     for block in clone.blocks:
         gone = set(expected.get(block.label, ()))
         kept = [

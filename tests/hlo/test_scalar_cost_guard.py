@@ -6,12 +6,20 @@ CFG-shaped analyses may be recomputed only when the CFG changed.  CI
 runs this file by name next to the ``benchmarks/perf`` smoke.
 """
 
+from functools import reduce
+from operator import or_
+
 from repro.frontend import compile_sources
 from repro.hlo.analysis.liveness import liveness
 from repro.hlo.analysis.modref import ModRefAnalysis
 from repro.hlo.driver import standard_pipeline
 from repro.hlo.options import HloOptions
-from repro.hlo.passes import OptContext
+from repro.hlo.passes import (
+    REWRITTEN,
+    OptContext,
+    PassPipeline,
+    PassStats,
+)
 from repro.hlo.transforms.constprop import compute_block_inputs
 from repro.ir import BasicBlock, Instr, Opcode, Routine
 from repro.ir.derived import DerivedCache
@@ -174,3 +182,95 @@ def test_guard_notices_a_blanket_invalidation():
             self.invalidate()
 
     assert over_budget(run_pipeline_watched(BlanketWatch))
+
+
+# -- Pass executions ---------------------------------------------------------------
+#
+# The pipeline re-runs a pass only when a kind of change that enables
+# it was reported since the pass last ran.  Counted per routine on the
+# same synth program: before the scheduler every routine that changed
+# at all ran at least 12 (one changing round, one confirming round).
+
+N_PASSES = 6
+
+
+def _union(kinds):
+    return reduce(or_, kinds, 0)
+
+
+class Recorded:
+    """A pass of the standard pipeline that also remembers what it
+    reported, run by run."""
+
+    def __init__(self, phase):
+        self.phase = phase
+        self.name = phase.name
+        self.enabled_by = phase.enabled_by
+        self.reported = []
+
+    def run(self, routine, ctx):
+        kinds = self.phase.run(routine, ctx)
+        self.reported.append(kinds)
+        return kinds
+
+
+def executions_per_routine():
+    """(routine, runs, skips, changes per pass, kinds reported in the
+    first round by pipeline slot) for every routine of the program."""
+    app = generate(WorkloadConfig(
+        "guard", n_modules=5, routines_per_module=4, n_features=3,
+        dispatch_count=40, input_size=16, seed=23,
+    ))
+    program = compile_sources(app.sources)
+    ctx = OptContext(program.symtab, HloOptions())
+    ctx.modref = ModRefAnalysis.analyze(program.all_routines())
+    rows = []
+    for routine in program.all_routines():
+        passes = [Recorded(phase) for phase in standard_pipeline().passes]
+        ctx.stats = PassStats()
+        PassPipeline(passes).run_routine(routine, ctx)
+        rows.append((
+            routine.name,
+            sum(ctx.stats.runs.values()),
+            sum(ctx.stats.skips.values()),
+            dict(ctx.stats.counts),
+            [phase.reported[0] for phase in passes],
+        ))
+    return rows
+
+
+def test_pass_executions_follow_what_the_first_round_reported():
+    rows = executions_per_routine()
+    enabled_by = [phase.enabled_by for phase in standard_pipeline().passes]
+    clean = 0
+    for name, runs, skips, counts, first_round in rows:
+        if sum(counts.values()) != sum(1 for kinds in first_round if kinds):
+            continue  # a later round changed something: not this guard's
+        # One more run for each pass that something at or after its own
+        # slot enabled, and nothing else.
+        reruns = sum(
+            1 for slot in range(N_PASSES)
+            if enabled_by[slot] & _union(first_round[slot:])
+        )
+        assert runs == N_PASSES + reruns, name
+        # ... of the confirming round the exhaustive loop would have run.
+        assert runs + skips == (2 * N_PASSES if counts else N_PASSES), name
+        if set(counts) <= {"simplify", "constprop", "dce"} and not (
+            _union(first_round) & REWRITTEN
+        ):
+            # The common case: folding, then clean deletions.  Only
+            # simplify (after its own CFG change) and licm (after the
+            # deletions) may look again.
+            clean += 1
+            assert runs <= N_PASSES + 2, name
+    assert clean > len(rows) // 2  # the common case is the common case
+
+
+def test_a_routine_nothing_changes_runs_each_pass_once():
+    program = compile_sources({"m": "func main() { return 1; }"})
+    ctx = OptContext(program.symtab, HloOptions())
+    total = standard_pipeline().run_routine(program.routine("main"), ctx)
+    # A quiet first round is its own confirmation.
+    assert total == 0
+    assert sum(ctx.stats.runs.values()) == N_PASSES
+    assert ctx.stats.skips == {}

@@ -192,7 +192,8 @@ def test_a_worker_reply_carries_no_il(monkeypatch):
     for reply in replies:
         assert sorted(reply) == [
             "accountant", "index", "llo_stats", "loader_stats",
-            "machines_b64", "pass_counts", "pass_seconds", "views",
+            "machines_b64", "pass_counts", "pass_schedule", "pass_seconds",
+            "views",
         ]
     # Nor does a worker encode a body it has compiled (another job may
     # well import that routine and replay it for itself).

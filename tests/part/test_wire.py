@@ -241,3 +241,29 @@ class TestRunnerContract:
         )
         assert sorted(old.machines) == sorted(new.machines)
         assert old.loader_stats.as_dict() == new.loader_stats.as_dict()
+
+    def test_a_reply_without_the_pass_schedule_still_decodes(self):
+        """Executions, skips and capped routines ride in an optional
+        key: a worker that predates the scheduled pipeline sends none,
+        ``WIRE_VERSION`` did not move, and the rest of its statistics
+        fold as before."""
+        assert WIRE_VERSION == 3
+        dispatcher = ReversedTransport()
+        result = build(app_sources(seed=26), dispatcher=dispatcher,
+                       hlo_jobs=2, hlo_partitions=2)
+        reply = dict(dispatcher.outcomes[0])
+        partition = Partition(reply["index"], [], [], 1)
+        new = decode_outcome(partition, reply).pass_stats
+        assert sum(new.runs.values()) > 0 and sum(new.skips.values()) > 0
+        old = decode_outcome(
+            partition,
+            {k: v for k, v in reply.items() if k != "pass_schedule"},
+        ).pass_stats
+        assert (old.runs, old.skips, old.capped) == ({}, {}, [])
+        assert old.counts == new.counts and old.seconds == new.seconds
+        # The link side sums what every partition reported.
+        folded = result.hlo_result.ctx.stats
+        assert sum(folded.runs.values()) == sum(
+            sum(outcome["pass_schedule"]["runs"].values())
+            for outcome in dispatcher.outcomes
+        )
