@@ -80,7 +80,7 @@ def _cold_cli_build(paths, image_path):
     start = time.perf_counter()
     subprocess.run(
         [sys.executable, "-m", "repro.driver", "build", *paths,
-         "-O", "4", "-j", "2", "--hlo-jobs", "2",
+         "-O", "4", "--hlo-jobs", "2",
          "--emit-image", image_path],
         check=True, env=_cli_env(), stdout=subprocess.DEVNULL,
     )
@@ -283,8 +283,7 @@ def run_bench(quick=False):
     workdir = tempfile.mkdtemp(prefix="bench-farm-")
     try:
         paths = _write_sources(app, workdir)
-        options = {"sources": app.sources, "opt_level": 4,
-                   "jobs": 2, "hlo_jobs": 2}
+        options = {"sources": app.sources, "opt_level": 4, "hlo_jobs": 2}
 
         # Cold CLI: the reference image and the baseline latency.
         image_path = os.path.join(workdir, "cold.bin")
@@ -319,7 +318,7 @@ def run_bench(quick=False):
     total_builds = N_CLIENTS * builds_per_client
     lines = [
         "compile farm bench: %d modules, %d source lines "
-        "(+O4, -j2, --hlo-jobs 2; %d clients x %d build(s))"
+        "(+O4, --hlo-jobs 2; %d clients x %d build(s))"
         % (len(app.sources), app.source_lines(), N_CLIENTS,
            builds_per_client),
         "",

@@ -72,7 +72,7 @@ def _cold_cli_build(paths, image_path):
     start = time.perf_counter()
     subprocess.run(
         [sys.executable, "-m", "repro.driver", "build", *paths,
-         "-O", "4", "-j", "2", "--emit-image", image_path],
+         "-O", "4", "--emit-image", image_path],
         check=True, env=_cli_env(), stdout=subprocess.DEVNULL,
     )
     return time.perf_counter() - start
@@ -105,7 +105,7 @@ def run_bench(quick=False):
     workdir = tempfile.mkdtemp(prefix="bench-serve-")
     try:
         paths = _write_sources(app, workdir)
-        options = {"sources": app.sources, "opt_level": 4, "jobs": 2}
+        options = {"sources": app.sources, "opt_level": 4}
 
         # Cold: one subprocess per build.
         image_path = os.path.join(workdir, "cold.bin")
@@ -168,7 +168,7 @@ def run_bench(quick=False):
     )
 
     lines = [
-        "build daemon bench: %d modules, %d source lines (+O4, -j2)"
+        "build daemon bench: %d modules, %d source lines (+O4)"
         % (len(app.sources), app.source_lines()),
         "",
         "  %-34s %8.3fs mean of %d" % (

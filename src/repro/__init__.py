@@ -38,7 +38,7 @@ from .ir import Module, Program, Routine
 from .linker.objects import ObjectFile
 from .naim.config import NaimConfig, NaimLevel
 from .profiles.database import ProfileDatabase
-from .sched import ArtifactCache, EventLog, Executor, TaskGraph
+from .sched import ArtifactCache, EventLog
 from .triage import isolate_failing_modules, isolate_inline_operation
 from .vm.cost import CostModel
 from .vm.machine import Machine, MachineResult, run_image
@@ -51,8 +51,6 @@ __all__ = [
     "RebuildReport",
     "ArtifactCache",
     "EventLog",
-    "Executor",
-    "TaskGraph",
     "BuildResult",
     "Compiler",
     "train",

@@ -165,7 +165,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     )
     _print_summary(build_summary(
         session.options, len(sources), build, report=report,
-        events=session.events, jobs=session.jobs,
         incremental=session.incremental,
     ))
     if _stats.hot_profile:

@@ -13,13 +13,12 @@ trade-off the paper explicitly chose over a persistent program
 database ("the disadvantage is that no persistent program library is
 available to minimize re-compilation").
 
-Builds are scheduled through :mod:`repro.sched`: per-module compile
-tasks form a DAG feeding one link task, dispatched on ``jobs`` workers
-(serial at ``jobs=1``, byte-identical output either way).  A shared
+A build is a loop: compile each module in source order, collecting
+failures instead of stopping at the first, then link.  A shared
 :class:`~repro.sched.ArtifactCache` memoizes compiled objects by
 content -- ``hash(module, language, options, source)`` -- across
 engine instances, generalizing the per-engine fingerprint dict, and
-every task emits trace events into the engine's
+every step emits trace events into the engine's
 :class:`~repro.sched.EventLog`.
 """
 
@@ -34,8 +33,6 @@ from ..naim.memory import MemoryAccountant
 from ..profiles.database import ProfileDatabase
 from ..sched.artifacts import ArtifactCache
 from ..sched.events import EventLog
-from ..sched.executor import Executor, TaskError
-from ..sched.graph import TaskGraph
 from .compiler import BuildResult, Compiler
 from .options import CompilerOptions
 
@@ -81,18 +78,25 @@ class RebuildReport:
         return text + ">"
 
 
-class BuildError(TaskError):
+class BuildError(Exception):
     """A build failed; every module's diagnostic is collected.
 
-    ``failures`` maps task id (``compile:<module>``) to the exception;
-    ``cancelled`` lists tasks skipped because a dependency failed (the
-    link, for a compile failure); ``report`` records what the healthy
-    modules did before the failure surfaced.
+    ``failures`` maps step id (``compile:<module>``, or ``link``) to
+    the exception; ``cancelled`` lists steps skipped because of them
+    (the link, for a compile failure); ``report`` records what the
+    healthy modules did before the failure surfaced.
     """
 
-    def __init__(self, failures, cancelled, report: RebuildReport) -> None:
-        super().__init__(failures, cancelled)
+    def __init__(self, failures: Dict[str, Exception], cancelled: List[str],
+                 report: RebuildReport) -> None:
+        self.failures = failures
+        self.cancelled = cancelled
         self.report = report
+        super().__init__(
+            "%d task(s) failed (%d cancelled): %s"
+            % (len(failures), len(cancelled),
+               "; ".join("%s: %s" % item for item in failures.items()))
+        )
 
 
 class BuildEngine:
@@ -100,9 +104,8 @@ class BuildEngine:
 
     ``object_dir=None`` keeps objects in memory; a directory persists
     them as ``.o`` files across engine instances (a real make-style
-    workspace).  ``jobs`` sets the compile-task worker count (or pass
-    a preconfigured ``scheduler``); ``artifact_cache`` plugs in a
-    shared content-addressed object store.
+    workspace).  ``artifact_cache`` plugs in a shared
+    content-addressed object store.
 
     ``incremental=True`` turns on summary-based incremental CMO: the
     link records per-module summaries, dependency edges and codegen
@@ -118,9 +121,7 @@ class BuildEngine:
         self,
         options: Optional[CompilerOptions] = None,
         object_dir: Optional[str] = None,
-        jobs: int = 1,
         artifact_cache: Optional[ArtifactCache] = None,
-        scheduler: Optional[Executor] = None,
         events: Optional[EventLog] = None,
         incremental: bool = False,
         state_dir: Optional[str] = None,
@@ -140,11 +141,7 @@ class BuildEngine:
                 directory=os.path.join(state_dir, "incr-cmo")
                 if state_dir is not None else None
             )
-        if scheduler is not None:
-            self.scheduler = scheduler
-        else:
-            self.scheduler = Executor(jobs=jobs, events=events)
-        self.events = self.scheduler.events
+        self.events = events if events is not None else EventLog()
         #: module name -> (fingerprint, object).
         self._cache: Dict[str, Tuple[str, ObjectFile]] = {}
         if object_dir is not None:
@@ -189,7 +186,7 @@ class BuildEngine:
             if os.path.exists(path):
                 os.unlink(path)
 
-    # -- Compile tasks -----------------------------------------------------------
+    # -- Compiling one module ----------------------------------------------------
 
     def _artifact_key(self, name: str, text: str) -> str:
         return ArtifactCache.key(
@@ -270,58 +267,43 @@ class BuildEngine:
             self._drop(stale)
             report.removed.append(stale)
 
-        graph = TaskGraph()
-        compile_ids = []
+        failures: Dict[str, Exception] = {}
+        compiled = []
         for name, text in sources.items():
-            task_id = "compile:%s" % name
-
-            def run(_inputs, name=name, text=text):
-                return self._compile_module(name, text, profile_db)
-
-            graph.add(task_id, run, category="compile")
-            compile_ids.append(task_id)
-
-        def link(inputs):
-            objects = [inputs[task_id][0] for task_id in compile_ids]
-            return self.compiler.link(objects, profile_db,
-                                      incr_state=self.incr_state,
-                                      events=self.events,
-                                      selectivity_percent=selectivity_percent)
-
-        graph.add("link", link, deps=compile_ids, category="link")
-        outcome = self.scheduler.run(graph)
-
-        # Report in source order, independent of completion order.
-        for name in sources:
-            compiled = outcome.results.get("compile:%s" % name)
-            if compiled is None:
+            step = "compile:%s" % name
+            try:
+                with self.events.span(step, "compile"):
+                    obj, how, accountant, llo_stats = self._compile_module(
+                        name, text, profile_db
+                    )
+            except Exception as exc:  # collected: siblings still compile
+                failures[step] = exc
                 continue
-            how = compiled[1]
+            compiled.append((obj, accountant, llo_stats))
             if how == "recompiled":
                 report.recompiled.append(name)
             else:
                 report.reused.append(name)
+        if failures:
+            raise BuildError(failures, ["link"], report)
 
-        if not outcome.ok:
-            raise BuildError(outcome.failures, outcome.cancelled, report)
-
-        result: BuildResult = outcome.results["link"]
+        try:
+            with self.events.span("link", "link"):
+                result = self.compiler.link(
+                    [obj for obj, _accountant, _stats in compiled],
+                    profile_db,
+                    incr_state=self.incr_state,
+                    events=self.events,
+                    selectivity_percent=selectivity_percent,
+                )
+        except Exception as exc:
+            raise BuildError({"link": exc}, [], report) from exc
         if result.incr_report is not None:
             report.cmo_reused = list(result.incr_report.reused)
             report.cmo_reoptimized = list(result.incr_report.reoptimized)
             report.cmo_predicted_dirty = list(
                 result.incr_report.predicted_dirty
             )
-        # Fold per-worker codegen stats into the linked result.
-        for name in sources:
-            _obj, _how, accountant, llo_stats = (
-                outcome.results["compile:%s" % name]
-            )
-            if accountant is not None:
-                result.accountant.merge(accountant)
-            if llo_stats is not None:
-                if result.llo_stats is None:
-                    result.llo_stats = llo_stats
-                else:
-                    result.llo_stats.merge(llo_stats)
+        for _obj, accountant, llo_stats in compiled:
+            result.merge_codegen(accountant, llo_stats)
         return result, report

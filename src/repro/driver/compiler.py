@@ -27,8 +27,6 @@ from ..llo.driver import LloOptions, LloStats, LowLevelOptimizer
 from ..naim.memory import MemoryAccountant
 from ..naim.repository import Repository
 from ..sched.events import EventLog
-from ..sched.executor import Executor
-from ..sched.graph import TaskGraph
 from ..profiles.correlate import correlate
 from ..profiles.database import ProfileDatabase
 from ..profiles.probes import ProbeTable, instrument_program
@@ -112,6 +110,21 @@ class BuildResult:
         #: -- image bytes are identical across backends.
         self.ltrans_stats: Optional[Dict[str, object]] = None
 
+    def merge_codegen(self, accountant: Optional[MemoryAccountant],
+                      llo_stats: Optional[LloStats]) -> None:
+        """Fold one module's separate-compilation accounting in.
+
+        Both builders call this once per module in source order, so
+        the merged peaks and counters do not depend on the builder.
+        """
+        if accountant is not None:
+            self.accountant.merge(accountant)
+        if llo_stats is not None:
+            if self.llo_stats is None:
+                self.llo_stats = llo_stats
+            else:
+                self.llo_stats.merge(llo_stats)
+
     def run(self, inputs=None, cost_model=None,
             max_instructions: int = 200_000_000) -> MachineResult:
         """Execute the built image on the VM."""
@@ -180,10 +193,9 @@ class Compiler:
     ):
         """:meth:`compile_object`, also returning the codegen stats.
 
-        The scheduler's per-module compile tasks run with a private
-        ``accountant`` each; the driver merges them afterwards in
-        source order, so parallel builds report the same numbers as
-        serial ones.
+        The builders compile each module with a private
+        ``accountant`` and fold it in with
+        :meth:`BuildResult.merge_codegen`.
         """
         if self.options.is_cmo:
             # Fat object: IL dumped directly (paper §3).
@@ -233,104 +245,52 @@ class Compiler:
         self,
         sources: Sources,
         profile_db: Optional[ProfileDatabase] = None,
-        jobs: int = 1,
         events: Optional[EventLog] = None,
-        scheduler: Optional[Executor] = None,
         selectivity_percent: Optional[float] = None,
     ) -> BuildResult:
         """Frontend + compile + link in one call.
 
-        Per-module frontend and codegen tasks are dispatched through a
-        :class:`~repro.sched.TaskGraph` on ``jobs`` workers (or a
-        caller-supplied ``scheduler``); the link stays serial.  Output
-        is byte-identical for every ``jobs`` value.  ``events``
-        collects start/finish/error spans for every task, exportable
-        as a Chrome trace.
+        Every frontend runs in source order, then every module's
+        object, then the link; the first failure is raised as is.
+        ``events`` collects a span per step, exportable as a Chrome
+        trace.
         """
         result = BuildResult()
         result.options_used = self.options.describe()
-        executor = scheduler if scheduler is not None else (
-            Executor(jobs=jobs, events=events)
-        )
-
-        graph = TaskGraph()
+        if events is None:
+            events = EventLog()
         if isinstance(sources, dict):
-            names = list(sources)
-            for name, text in sources.items():
-
-                def run_frontend(_inputs, name=name, text=text):
-                    start = time.perf_counter()
-                    module = self.frontend(name, text)
-                    return module, time.perf_counter() - start
-
-                graph.add("frontend:%s" % name, run_frontend,
-                          category="frontend")
+            named = list(sources.items())
         else:
-            modules_in = list(sources)
-            names = [module.name for module in modules_in]
-            for module in modules_in:
+            named = [(module.name, module) for module in sources]
 
-                def run_premade(_inputs, module=module):
-                    return module, 0.0
+        modules: List[Module] = []
+        with _Timer(result.timings, "frontend"):
+            for name, source in named:
+                with events.span("frontend:%s" % name, "frontend"):
+                    if not isinstance(source, Module):
+                        source = self.frontend(name, source)
+                modules.append(source)
+        result.source_lines = sum(m.source_lines for m in modules)
 
-                graph.add("frontend:%s" % module.name, run_premade,
-                          category="frontend")
+        if self.options.instrument:
+            self._build_instrumented(modules, result)
+            return result
 
-        instrument = self.options.instrument
-        if not instrument:
-            for name in names:
-
-                def run_compile(inputs, name=name):
-                    module, _secs = inputs["frontend:%s" % name]
-                    start = time.perf_counter()
+        with _Timer(result.timings, "compile"):
+            for module in modules:
+                with events.span("compile:%s" % module.name, "compile"):
                     accountant = MemoryAccountant()
                     obj, stats = self.compile_object_with_stats(
                         module, profile_db,
                         fingerprint=ObjectFile.fingerprint(module.name),
                         accountant=accountant,
                     )
-                    return (obj, time.perf_counter() - start,
-                            accountant, stats)
-
-                graph.add("compile:%s" % name, run_compile,
-                          deps=["frontend:%s" % name], category="compile")
-
-        outcome = executor.run(graph)
-        if not outcome.ok:
-            outcome.raise_first()
-
-        modules = []
-        frontend_seconds = 0.0
-        for name in names:
-            module, seconds = outcome.results["frontend:%s" % name]
-            modules.append(module)
-            frontend_seconds += seconds
-        result.timings.add("frontend", frontend_seconds)
-        result.source_lines = sum(m.source_lines for m in modules)
-
-        if instrument:
-            self._build_instrumented(modules, result)
-            return result
-
-        objects = []
-        compile_seconds = 0.0
-        for name in names:
-            obj, seconds, accountant, stats = (
-                outcome.results["compile:%s" % name]
-            )
-            objects.append(obj)
-            compile_seconds += seconds
-            result.accountant.merge(accountant)
-            if stats is not None:
-                if result.llo_stats is None:
-                    result.llo_stats = stats
-                else:
-                    result.llo_stats.merge(stats)
-        result.timings.add("compile", compile_seconds)
-        result.objects = objects
-        with executor.events.span("link", "link"):
-            self.link_into(objects, profile_db, result,
-                           events=executor.events,
+                result.objects.append(obj)
+                result.merge_codegen(accountant, stats)
+        with events.span("link", "link"):
+            self.link_into(result.objects, profile_db, result,
+                           events=events,
                            selectivity_percent=selectivity_percent)
         return result
 
@@ -840,14 +800,14 @@ class CompileSession:
     """A reusable, process-resident build entry point.
 
     One session pins down everything that makes two builds comparable
-    -- the :class:`CompilerOptions`, the worker counts, and (for
+    -- the :class:`CompilerOptions` and (for
     incremental builds) the :class:`~repro.driver.build.BuildEngine`
     with its object cache and :class:`~repro.incr.IncrementalState`.
     The cold CLI creates a throwaway session per invocation; the build
     daemon keeps sessions warm across requests and projects.  Both go
     through :meth:`build`, which is how daemon builds stay
-    byte-identical to cold CLI builds at every ``jobs`` / ``hlo_jobs``
-    / ``incremental`` setting.
+    byte-identical to cold CLI builds at every ``hlo_jobs`` /
+    ``incremental`` setting.
 
     ``warm=True`` routes even non-incremental builds through a
     :class:`BuildEngine`, so repeat builds reuse fingerprint-matched
@@ -869,16 +829,12 @@ class CompileSession:
     def __init__(
         self,
         options: Optional[CompilerOptions] = None,
-        jobs: int = 1,
         incremental: bool = False,
         state_dir: Optional[str] = None,
         artifact_cache=None,
         warm: bool = False,
     ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         self.options = options or CompilerOptions()
-        self.jobs = jobs
         self.incremental = bool(incremental or state_dir is not None)
         self.state_dir = state_dir
         self.artifact_cache = artifact_cache
@@ -894,7 +850,6 @@ class CompileSession:
 
             self.engine = BuildEngine(
                 self.options,
-                jobs=jobs,
                 artifact_cache=artifact_cache,
                 events=self.events,
                 incremental=self.incremental,
@@ -906,7 +861,7 @@ class CompileSession:
     def from_config(cls, config, **kwargs) -> "CompileSession":
         """The session a :class:`~.options.BuildConfig` asks for -- the
         one constructor behind the cold CLI, the daemon and the farm."""
-        return cls(config.compiler_options(), jobs=config.jobs,
+        return cls(config.compiler_options(),
                    incremental=config.incremental,
                    state_dir=config.state_dir, **kwargs)
 
@@ -962,7 +917,7 @@ class CompileSession:
                     )
                 else:
                     result = self.compiler.build(
-                        sources, profile_db=profile_db, jobs=self.jobs,
+                        sources, profile_db=profile_db,
                         events=self.events,
                         selectivity_percent=selectivity_percent,
                     )
@@ -1030,8 +985,8 @@ class CompileSession:
             self.engine.incr_state.close()
 
     def __repr__(self) -> str:
-        return "<CompileSession %s jobs=%d%s builds=%d>" % (
-            self.options.describe(), self.jobs,
+        return "<CompileSession %s%s builds=%d>" % (
+            self.options.describe(),
             " incremental" if self.incremental else "", self.builds,
         )
 

@@ -203,8 +203,6 @@ BUILD_KNOBS = (
          "--profile-feed)", "PCT"),
     Knob("checked", ("--checked",), bool, _boolean, False, True,
          "fail the build on interface mismatches"),
-    Knob("jobs", ("-j", "--jobs"), int, at_least_one, 1, True,
-         "compile-task workers (1 = serial; output is identical)", "N"),
     Knob("hlo_jobs", ("--hlo-jobs",), int, at_least_one, 1, True,
          "workers for the partitioned link-time optimization backend "
          "(1 = serial; output is byte-identical)", "N"),

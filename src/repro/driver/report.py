@@ -11,10 +11,9 @@ render it through :func:`render_build_summary`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..naim.memory import fmt_bytes
-from ..sched.events import EventLog
 from .compiler import BuildResult
 from .options import CompilerOptions
 
@@ -29,8 +28,6 @@ def build_summary(
     n_modules: int,
     build: BuildResult,
     report=None,
-    events: Optional[EventLog] = None,
-    jobs: int = 1,
     incremental: bool = False,
 ) -> Dict[str, object]:
     """Reduce one finished build to a JSON-safe summary dict."""
@@ -40,9 +37,7 @@ def build_summary(
         "source_lines": build.source_lines,
         "code_size": build.executable.code_size() if build.executable else 0,
         "total_seconds": build.timings.total(),
-        "jobs": jobs,
         "incremental": incremental,
-        "n_spans": len(events.spans()) if events is not None else 0,
         "hlo_jobs": options.hlo_jobs,
         "use_partitioned_hlo": options.use_partitioned_hlo,
         "interface_problems": list(build.interface_problems),
@@ -101,12 +96,15 @@ def render_build_summary(
                 % (summary["cmo_reused"], summary["cmo_reoptimized"],
                    ", ".join(summary.get("cmo_changed", [])) or "-")
             )
-    if summary.get("jobs", 1) > 1:
-        out.append("jobs: %d workers, %d tasks"
-                   % (summary["jobs"], summary["n_spans"]))
     if summary.get("use_partitioned_hlo"):
-        line = ("hlo-jobs: %d workers, %d partitions"
-                % (summary["hlo_jobs"], summary.get("hlo_partitions", 0)))
+        # The workers that ran, and the request when the clamp to
+        # partitions and CPUs cut it.
+        requested = summary["hlo_jobs"]
+        effective = summary.get("hlo_effective_jobs", requested)
+        line = "hlo-jobs: %d workers" % effective
+        if effective != requested:
+            line += " of %d requested" % requested
+        line += ", %d partitions" % summary.get("hlo_partitions", 0)
         if summary.get("hlo_backend"):
             line += " (%s backend)" % summary["hlo_backend"]
         out.append(line)

@@ -9,7 +9,7 @@ The plan is *replayed* against real bodies at the start of phase 5
 (serially, or inside each partition worker) through the transforms'
 own mutation code (``apply_param_constants``, ``make_clone``,
 ``splice_call``).  One decision procedure plus a deterministic replay
-is what makes images byte-identical at every jobs/backend/incremental
+is what makes images byte-identical at every hlo-jobs/backend/incremental
 setting.
 
 The payoff is the paper's Figure 4 claim pushed to its limit: WPA time

@@ -398,8 +398,9 @@ def encode_executable(executable) -> bytes:
     Covers everything observable about the image -- code, data segment,
     entry point, routine/data address maps, layout order -- so two
     images are behaviourally identical iff their encodings are equal.
-    This is the witness for the scheduler's determinism guarantee
-    (parallel and serial builds must produce byte-identical images).
+    This is the witness for the driver's determinism guarantee (serial
+    and partitioned, cold and warm builds must produce byte-identical
+    images).
     """
     writer = Writer()
     writer.u(len(executable.code))

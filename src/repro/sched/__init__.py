@@ -1,25 +1,17 @@
-"""Build orchestration: task DAG, parallel executor, artifact cache,
-build-event tracing.
+"""Build support: artifact cache, build-event tracing, worker pools.
 
-The paper's framework makes cross-module optimization *scale*; this
-package makes the surrounding build scale the same way GCC's WHOPR
-does -- per-module frontend/codegen work is embarrassingly parallel,
-so the driver models a build as a task DAG (per-module compile tasks
-feeding one link task), dispatches ready tasks onto a worker pool, and
-memoizes compiled objects in a content-addressed artifact cache shared
-across build engines.  Every task emits structured build events that
-export as Chrome ``trace_event`` JSON.
-
-Layering: ``graph`` (pure DAG) <- ``executor`` (worker pool) and
-``artifacts``/``events`` (storage / telemetry); ``repro.driver`` wires
-them into :class:`~repro.driver.build.BuildEngine` and
-:meth:`~repro.driver.compiler.Compiler.build`.
+A build is a loop over its modules (see
+:class:`~repro.driver.build.BuildEngine` and
+:meth:`~repro.driver.compiler.Compiler.build`); what this package adds
+around it is a content-addressed artifact cache shared across build
+engines, structured build events that export as Chrome
+``trace_event`` JSON, and the process-level parallelism the partitioned
+link-time backend uses: a persistent worker-process pool (``procpool``)
+and the farm's work-stealing queue (``steal``).
 """
 
 from .artifacts import PIPELINE_EPOCH, ArtifactCache, CacheStats
 from .events import BuildEvent, EventLog
-from .executor import ExecutionOutcome, Executor, TaskError
-from .graph import Task, TaskGraph, TaskState
 from .steal import StealQueue, StealTask, TaskFailure
 
 __all__ = [
@@ -28,12 +20,6 @@ __all__ = [
     "CacheStats",
     "BuildEvent",
     "EventLog",
-    "ExecutionOutcome",
-    "Executor",
-    "TaskError",
-    "Task",
-    "TaskGraph",
-    "TaskState",
     "StealQueue",
     "StealTask",
     "TaskFailure",

@@ -1,19 +1,19 @@
 """Build-event tracing.
 
-Every scheduled task emits structured start/finish/cache-hit/error
+Every build step emits structured start/finish/cache-hit/error
 events with wall-clock spans.  The log exports two ways:
 
 * :meth:`EventLog.to_chrome_trace` -- Chrome ``trace_event`` JSON
   (load in ``chrome://tracing`` / Perfetto); complete events
   (``"ph": "X"``) for spans, instants (``"ph": "i"``) for cache hits
-  and errors, with one row per worker;
+  and errors, with one row per worker lane;
 * :meth:`EventLog.summary` -- a text report alongside
   :class:`~repro.driver.compiler.BuildTimings`: per-category totals,
   slowest tasks, cache hits.
 
 Timestamps are ``perf_counter`` microseconds relative to the log's
-creation; appends are lock-protected so worker threads can emit
-concurrently.
+creation; appends are lock-protected because daemon builds log from
+their request threads.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ class EventLog:
     def __init__(self) -> None:
         self._epoch = time.perf_counter()
         self._lock = threading.Lock()
-        self._local = threading.local()
         self.events: List[BuildEvent] = []
 
     def now_us(self) -> int:
@@ -114,37 +113,13 @@ class EventLog:
         with self._lock:
             self.events.append(event)
 
-    # -- Per-thread default worker ------------------------------------------------
-
-    def set_worker(self, worker: int) -> None:
-        """Bind this thread's default worker lane.
-
-        Executor worker threads (and partition runners) call this so
-        spans emitted deep inside a task -- where no worker id is in
-        scope -- still land on the right trace row.
-        """
-        self._local.worker = worker
-
-    def current_worker(self) -> int:
-        return getattr(self._local, "worker", 0)
-
-    def span(self, name: str, category: str = "task",
-             worker: Optional[int] = None,
+    def span(self, name: str, category: str = "task", worker: int = 0,
              args: Optional[Dict[str, object]] = None) -> _Span:
-        """``with log.span("compile:m1", "compile"): ...``
-
-        ``worker=None`` uses the thread's bound lane (see
-        :meth:`set_worker`).
-        """
-        if worker is None:
-            worker = self.current_worker()
+        """``with log.span("compile:m1", "compile"): ...``"""
         return _Span(self, name, category, worker, args)
 
-    def instant(self, name: str, category: str = "event",
-                worker: Optional[int] = None,
+    def instant(self, name: str, category: str = "event", worker: int = 0,
                 args: Optional[Dict[str, object]] = None) -> None:
-        if worker is None:
-            worker = self.current_worker()
         self.append(BuildEvent(name, category, "instant", self.now_us(),
                                0, worker, args))
 

@@ -1,7 +1,6 @@
 """A persistent pool of worker *processes* for CPU-bound tasks.
 
-The thread-backed :class:`~repro.sched.executor.Executor` is the
-right tool for tasks that release the GIL (I/O, subprocesses); the
+Threads only help tasks that release the GIL (I/O, subprocesses); the
 partitioned LTRANS phase is pure Python and fully GIL-serialized, so
 ``--hlo-jobs 4`` on threads buys zero CPU parallelism (see
 BENCH_hlo_parallel.json before this backend existed: 1.05x best

@@ -8,7 +8,7 @@ open instead:
 * one shared, disk-backed :class:`~repro.sched.ArtifactCache` for
   object compiles across every project;
 * one :class:`~repro.driver.compiler.CompileSession` per distinct
-  (options, jobs, incremental, state dir) configuration -- each owns a
+  (options, incremental, state dir) configuration -- each owns a
   :class:`~repro.driver.build.BuildEngine` whose object fingerprint
   cache, :class:`~repro.incr.IncrementalState` and NAIM repository
   index stay loaded between requests.
@@ -149,7 +149,7 @@ class WarmState:
         """The warm session serving this build configuration.
 
         Distinct configurations get distinct sessions (a session pins
-        its options and worker counts); repeat requests with the same
+        its options); repeat requests with the same
         configuration reuse the existing one -- that reuse is the
         entire point of the daemon.
         """
@@ -255,7 +255,6 @@ class WarmState:
         self._housekeep(session)
         summary = build_summary(
             session.options, len(sources), result, report=report,
-            events=session.events, jobs=session.jobs,
             incremental=session.incremental,
         )
         image = encode_executable(result.executable)
@@ -271,8 +270,7 @@ class WarmState:
                 routine_module=_routine_module_of(result),
                 cmo_modules=_cmo_modules_of(result),
                 deployed_percent=selectivity_override,
-                options={"describe": session.options.describe(),
-                         "jobs": session.jobs},
+                options={"describe": session.options.describe()},
             ))
             response["profile_feed"] = {
                 "feed": feed.name,
@@ -364,8 +362,7 @@ class WarmState:
             "rebuilt": True,
             "summary": build_summary(
                 session.options, len(project.sources), result,
-                report=report, events=session.events, jobs=session.jobs,
-                incremental=session.incremental,
+                report=report, incremental=session.incremental,
             ),
             "image_b64": encode_bytes(encode_executable(result.executable)),
             "reoptimized": list(result.cmo_reoptimized_modules or []),
@@ -419,7 +416,6 @@ class WarmState:
             sessions = [
                 {
                     "options": session.options.describe(),
-                    "jobs": session.jobs,
                     "incremental": session.incremental,
                     "state_dir": session.state_dir,
                     "builds": session.builds,

@@ -22,7 +22,6 @@ SAMPLES = {
     "profile_path": (["-P", "/p/a.json"], "/p/a.json", "/p/b.json", 7),
     "selectivity": (["--selectivity", "20.2"], 20.2, 20.4, "x"),
     "checked": (["--checked"], True, False, "no"),
-    "jobs": (["-j", "2"], 2, 1, True),
     "hlo_jobs": (["--hlo-jobs", "2"], 2, 3, 2.0),
     "partitions": (["--partitions", "4"], 4, 8, "4"),
     "hlo_backend": (["--hlo-backend", "processes"], "processes", "auto", 1),

@@ -80,6 +80,17 @@ class TestBuild:
             naim_line,
         )
 
+    def test_hlo_jobs_line_shows_the_workers_that_ran(self, source_files,
+                                                      capsys):
+        # One partition leaves work for one worker, however many asked.
+        assert main(["build"] + source_files + [
+            "-O", "4", "--hlo-jobs", "64", "--partitions", "1",
+        ]) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("hlo-jobs: ")]
+        assert line == ("hlo-jobs: 1 workers of 64 requested, 1 partitions "
+                        "(in-process backend)")
+
     def test_bad_level_rejected(self, source_files):
         with pytest.raises(SystemExit):
             main(["build"] + source_files + ["-O", "3"])
@@ -90,6 +101,8 @@ class TestBuild:
         ["--repo-compress", "0"],
         ["--repo-segment-mb", "1"],
         ["--prefetch-depth", "2"],
+        # Removed with the compile-task thread pool.
+        ["-j", "2"],
     ])
     def test_rejected_value_is_a_usage_error(self, source_files, capsys,
                                              flags):

@@ -43,10 +43,9 @@ def farm_sources(seed=31):
     return generate(config).sources
 
 
-def cold_image(sources, jobs=1, hlo_jobs=1, incremental=False,
-               state_dir=None):
+def cold_image(sources, hlo_jobs=1, incremental=False, state_dir=None):
     session = CompileSession(
-        CompilerOptions(opt_level=4, hlo_jobs=hlo_jobs), jobs=jobs,
+        CompilerOptions(opt_level=4, hlo_jobs=hlo_jobs),
         incremental=incremental, state_dir=state_dir,
     )
     result, _, _ = session.build(sources)
@@ -127,12 +126,11 @@ class TestFarmByteIdentity:
         sources = farm_sources(seed=32)
         client = farm_client(coordinator)
         result = client.build({
-            "sources": sources, "opt_level": 4,
-            "jobs": 2, "hlo_jobs": 2,
+            "sources": sources, "opt_level": 4, "hlo_jobs": 2,
             "state_dir": str(tmp_path / "warm"),
         })
         cold = cold_image(
-            sources, jobs=2, hlo_jobs=2, incremental=True,
+            sources, hlo_jobs=2, incremental=True,
             state_dir=str(tmp_path / "cold"),
         )
         assert result["image"] == cold
@@ -207,6 +205,7 @@ class TestBadOptions:
     @pytest.mark.parametrize("option, value", [
         ("wpa_mode", "materialize"),  # unknown key (stale client)
         ("checked", "no"),  # wrong type for a known key
+        ("jobs", 2),  # removed with the compile-task thread pool
     ])
     def test_bad_build_option_refused_by_name(self, farm, option, value):
         coordinator, _ = farm
