@@ -55,6 +55,7 @@ def build_summary(
         summary["cmo_reused"] = len(build.incr_report.reused)
         summary["cmo_reoptimized"] = len(build.incr_report.reoptimized)
         summary["cmo_changed"] = list(build.incr_report.changed_modules)
+        summary["cmo_wpa"] = build.incr_report.describe_wpa()
     if build.plan is not None and options.selectivity_percent is not None:
         summary["plan"] = str(build.plan)
     if build.hlo_result is not None:
@@ -90,12 +91,15 @@ def render_build_summary(
                    % (summary.get("recompiled", 0),
                       summary.get("reused", 0)))
         if "cmo_reused" in summary:
-            out.append(
+            line = (
                 "incremental cmo: %d modules reused, %d reoptimized "
                 "(changed: %s)"
                 % (summary["cmo_reused"], summary["cmo_reoptimized"],
                    ", ".join(summary.get("cmo_changed", [])) or "-")
             )
+            if "cmo_wpa" in summary:
+                line += "; wpa %s" % summary["cmo_wpa"]
+            out.append(line)
     if summary.get("use_partitioned_hlo"):
         # The workers that ran, and the request when the clamp to
         # partitions and CPUs cut it.

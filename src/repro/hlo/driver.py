@@ -5,7 +5,9 @@ Orchestrates one CMO compilation: every routine is scanned once into
 analysis ... to ensure that all information available about data
 accesses is known", §5) and its pool retired to the NAIM loader; DFE,
 IPCP, cloning and inlining then decide from the facts alone, recording
-the body mutations they imply on a :class:`~repro.hlo.thin.WpaPlan`.
+the body mutations they imply on a :class:`~repro.hlo.thin.WpaPlan`
+(or, in an incremental link whose WPA inputs equal the last link's,
+apply that link's stored :class:`~repro.hlo.thin.WpaOutcome`).
 Phase 5 replays the plan onto the real bodies and runs the scalar
 pipeline over the *selected* routines while everything else stays
 unloaded; given a code generator it compiles each routine while its
@@ -47,14 +49,17 @@ from .analysis.modref import ModRefAnalysis, ModRefInfo
 from .options import HloOptions
 from .passes import OptContext, PassPipeline
 from .profile_view import ProfileView
-from .thin import WpaPlan, replay_plan
+from .thin import WpaOutcome, WpaPlan, replay_plan
 from .transforms.branch_elim import BranchElimination
-from .transforms.clone import apply_clones, plan_clones
+from .transforms.clone import CloneDecision, apply_clones, plan_clones
 from .transforms.constprop import ConstantPropagation
 from .transforms.dce import DeadCodeElimination
 from .transforms.dfe import eliminate_dead_functions, reachable_routines
-from .transforms.inline import InlineEngine, InlineStats
-from .transforms.ipcp import publish_interprocedural_facts
+from .transforms.inline import InlineEngine, InlineStats, apply_splices
+from .transforms.ipcp import (
+    apply_param_bindings,
+    publish_interprocedural_facts,
+)
 from .transforms.licm import LoopInvariantCodeMotion
 from .transforms.memopt import MemoryForwarding
 from .transforms.simplify import SimplifyCfg
@@ -197,6 +202,8 @@ class HloResult:
         #: The recorded body-mutation plan phase 5 replays (serially or
         #: inside partition workers).
         self.plan = WpaPlan()
+        #: module -> routines dead-function elimination removed.
+        self.removal_log: Dict[str, List[str]] = {}
         #: Routine name -> RoutineFacts (final, post-decision state).
         self.thin_facts: Dict[str, RoutineFacts] = {}
         #: Structured events (summary-cache and machine-blob fallbacks,
@@ -212,6 +219,12 @@ class HloResult:
 
     def mark_plan_replayed(self) -> None:
         self._plan_replayed = True
+
+    def outcome(self) -> WpaOutcome:
+        """What the WPA decided, in the form a later link can apply."""
+        return WpaOutcome(self.plan, self.removal_log,
+                          self.ctx.const_returns, self.ctx.readonly_globals,
+                          self.inline_stats)
 
     def record_pass_stats(self) -> None:
         """Publish what :class:`PassStats` holds once the scalar phase
@@ -272,6 +285,11 @@ class HloResult:
             len(self.removed_functions),
             len(self.selected),
         )
+
+
+class WpaReuseMismatchError(RuntimeError):
+    """A checked link applied a stored WPA outcome that a fresh decision
+    over the same inputs does not reproduce."""
 
 
 class HighLevelOptimizer:
@@ -345,6 +363,12 @@ class HighLevelOptimizer:
         compact/offloaded state right after the one extraction scan,
         so the whole-program peak is bounded by summaries plus the
         loader working set, independent of program size.
+
+        With an incremental session and no profile, a link whose WPA
+        inputs hash to the digest of the last committed link applies
+        that link's stored outcome through the same apply functions
+        (``eliminate_dead_functions``, ``apply_param_bindings``,
+        ``apply_clones``, ``apply_splices``) and builds no call graph.
         """
         program = self.program
         options = self.options
@@ -397,19 +421,39 @@ class HighLevelOptimizer:
         )
         tick = self._lap(timings, "wpa.scan", tick)
 
+        # Where the facts cache serves, so may the last link's outcome:
+        # equal WPA inputs decide equally, so phases 0-4 apply what is
+        # stored instead of deciding (``stored`` is None: decide).
+        stored: Optional[WpaOutcome] = None
+        reference: Optional[HighLevelOptimizer] = None
+        if use_cache:
+            stored = self._stored_outcome(facts_by_name, selected_routines)
+            if stored is not None and options.checked:
+                reference = self._reference(program)
+            tick = self._lap(timings, "wpa.summarize", tick)
+        elif incr is not None:
+            incr.wpa_reason = "profile"
+
         # Phase 0: DFE with the keep set computed on the facts graph.
         removed: List[str] = []
-        if options.dead_function_elim_enabled and not self.externally_callable:
-            keep = reachable_routines(facts_by_name)
-            if keep is not None:
-                removal_log: Dict[str, List[str]] = {}
-                removed = eliminate_dead_functions(
-                    program, keep, removal_log=removal_log
+        removal_log: Dict[str, List[str]] = {}
+        keep: Optional[Set[str]] = None
+        if stored is not None:
+            if stored.removed:
+                keep = set(facts_by_name).difference(
+                    *stored.removed.values()
                 )
-                for name in removed:
-                    facts_by_name.pop(name, None)
-                if incr is not None and removal_log:
-                    incr.record_dfe(removal_log)
+        elif options.dead_function_elim_enabled \
+                and not self.externally_callable:
+            keep = reachable_routines(facts_by_name)
+        if keep is not None:
+            removed = eliminate_dead_functions(
+                program, keep, removal_log=removal_log
+            )
+            for name in removed:
+                facts_by_name.pop(name, None)
+            if incr is not None and removal_log:
+                incr.record_dfe(removal_log)
         tick = self._lap(timings, "wpa.dfe", tick)
 
         symtab = program.symtab
@@ -450,9 +494,12 @@ class HighLevelOptimizer:
         accountant.mark("scanned")
 
         all_names = unit.routine_names()
-        callgraph = unit.build_callgraph(facts_by_name)
-        accountant.set_usage("global", "callgraph", callgraph_bytes(callgraph))
-        self._attach_view_weights(callgraph, ctx)
+        callgraph: Optional[CallGraph] = None
+        if stored is None:
+            callgraph = unit.build_callgraph(facts_by_name)
+            accountant.set_usage("global", "callgraph",
+                                 callgraph_bytes(callgraph))
+            self._attach_view_weights(callgraph, ctx)
         tick = self._lap(timings, "wpa.callgraph", tick)
 
         if selected_routines is None:
@@ -463,29 +510,42 @@ class HighLevelOptimizer:
         # Phase 2: interprocedural constant facts (plan records the
         # entry bindings; the facts mutate the way the bodies would).
         plan = WpaPlan()
-        bound = publish_interprocedural_facts(
-            ctx,
-            all_names,
-            facts_by_name,
-            symtab.all_global_names(),
-            plan,
-            externally_callable=frozenset(self.externally_callable),
-            externally_visible_globals=frozenset(
-                self.externally_visible_globals
-            ),
-        )
-        if incr is not None and bound:
-            incr.record_ipcp_edges(bound, callgraph, unit.routine_module)
+        if stored is None:
+            bound = publish_interprocedural_facts(
+                ctx,
+                all_names,
+                facts_by_name,
+                symtab.all_global_names(),
+                plan,
+                externally_callable=frozenset(self.externally_callable),
+                externally_visible_globals=frozenset(
+                    self.externally_visible_globals
+                ),
+            )
+            if incr is not None and bound:
+                incr.record_ipcp_edges(bound, callgraph, unit.routine_module)
+        else:
+            apply_param_bindings(
+                ctx, facts_by_name, stored.plan.bindings, plan
+            )
+            ctx.readonly_globals = stored.readonly_globals
+            ctx.const_returns = stored.const_returns
         accountant.mark("ipcp")
         tick = self._lap(timings, "wpa.ipcp", tick)
 
         # Phase 3: cloning (plan + placeholder handles + retargets).
-        caller_order = [name for name in all_names if name in selected]
-        decisions = plan_clones(ctx, caller_order, facts_by_name)
+        if stored is None:
+            caller_order = [name for name in all_names if name in selected]
+            decisions = plan_clones(ctx, caller_order, facts_by_name)
+        else:
+            decisions = [
+                CloneDecision(op.origin, op.bindings, op.retargets, 0)
+                for op in stored.plan.clones
+            ]
         clones = apply_clones(
             ctx, unit, program, decisions, facts_by_name, plan
         )
-        if clones:
+        if clones and stored is None:
             callgraph = unit.build_callgraph(facts_by_name)
             self._attach_view_weights(callgraph, ctx)
             accountant.set_usage("global", "callgraph",
@@ -494,27 +554,40 @@ class HighLevelOptimizer:
         tick = self._lap(timings, "wpa.clone", tick)
 
         # Phase 4: the inline plan.
-        engine = InlineEngine(
-            ctx,
-            callgraph,
-            facts_by_name,
-            has_profiles=self.profile_db is not None,
-            plan=plan,
-        )
-        inline_order = sorted(selected | set(clones))
-        inline_stats = engine.run(inline_order)
+        if stored is None:
+            engine = InlineEngine(
+                ctx,
+                callgraph,
+                facts_by_name,
+                has_profiles=self.profile_db is not None,
+                plan=plan,
+            )
+            inline_order = sorted(selected | set(clones))
+            inline_stats = engine.run(inline_order)
+        else:
+            inline_stats = InlineStats()
+            apply_splices(facts_by_name, stored.plan.splices, plan,
+                          inline_stats)
+            inline_stats.take_verdicts(stored.inline_stats)
         accountant.mark("inlined")
         tick = self._lap(timings, "wpa.inline", tick)
 
         # Phase 4.5 (incremental only): reuse keys.  Evolution hashes
         # over (original body hash, bindings, retargets, ordered
-        # splices) determine each post-replay body exactly.
+        # splices) determine each post-replay body exactly.  A link
+        # that applied the stored outcome derives them only for the
+        # modules the edit reaches; the rest keep their committed keys.
         reused_modules: Set[str] = set()
+        keys: Dict[str, str] = {}
+        orig_hashes: Dict[str, str] = {}
         if incr is not None:
-            incr.record_inline_edges(inline_stats, unit.routine_module)
-            orig_hashes: Dict[str, str] = {}
             for summary in incr.summaries.values():
                 orig_hashes.update(summary.body_hashes)
+            rekeyed: Optional[Set[str]] = None
+            if stored is None:
+                incr.record_inline_edges(inline_stats, unit.routine_module)
+            else:
+                rekeyed = incr.rekeyed_modules(unit, plan)
             keys, consumed = compute_module_keys(
                 unit,
                 ctx,
@@ -524,7 +597,12 @@ class HighLevelOptimizer:
                 selected,
                 set(clones),
                 incr.options_fp,
+                modules=rekeyed,
             )
+            if stored is not None:
+                keys = incr.carry_forward(
+                    keys, dict.fromkeys(unit.routine_module.values())
+                )
             incr.record_consumption(consumed, unit.routine_module, symtab)
             reused_modules = incr.decide_reuse(keys)
             events.extend(incr.events)
@@ -541,6 +619,7 @@ class HighLevelOptimizer:
             clones=clones,
         )
         result.plan = plan
+        result.removal_log = removal_log
         result.thin_facts = facts_by_name
         result.events = events
         result.peak_bytes = accountant.peak
@@ -548,7 +627,88 @@ class HighLevelOptimizer:
         result.reused_modules = reused_modules
         result.phase_seconds.update(timings)
         result.phase_seconds["wpa"] = time.perf_counter() - wpa_start
+        if reference is not None:
+            self._check_reuse(reference, selected_routines, result, keys,
+                              orig_hashes)
+        if use_cache and stored is None:
+            incr.record_wpa(result.outcome().to_dict())
         return result
+
+    def _stored_outcome(
+        self,
+        facts_by_name: Dict[str, RoutineFacts],
+        selected_routines: Optional[Set[str]],
+    ) -> Optional[WpaOutcome]:
+        """The incremental session's stored outcome for this link's WPA
+        inputs, parsed; None when this link must decide."""
+        incr = self.incr_session
+        program = self.program
+        data = incr.lookup_wpa(
+            [
+                (module.name,
+                 [facts_by_name[name] for name in module.routines])
+                for module in program.module_list()
+            ],
+            program.symtab.all_global_names(),
+            selected_routines,
+            self.externally_callable,
+            self.externally_visible_globals,
+        )
+        if data is None:
+            return None
+        try:
+            return WpaOutcome.from_dict(data)
+        except Exception:
+            incr.reject_wpa()
+            return None
+
+    def _reference(self, program: Program) -> "HighLevelOptimizer":
+        """A deciding optimizer over a view of ``program`` as it is now
+        (own routine dicts and symbol tables, shared bodies, which the
+        WPA only reads), for a checked link to compare against."""
+        return HighLevelOptimizer(
+            Program(module.view() for module in program.module_list()),
+            options=self.options,
+            naim_config=NaimConfig.pinned(NaimLevel.OFF),
+            externally_callable=self.externally_callable,
+            externally_visible_globals=self.externally_visible_globals,
+        )
+
+    def _check_reuse(
+        self,
+        reference: "HighLevelOptimizer",
+        selected_routines: Optional[Set[str]],
+        result: HloResult,
+        keys: Dict[str, str],
+        orig_hashes: Dict[str, str],
+    ) -> None:
+        """Decide again beside the applied outcome; raise
+        :class:`WpaReuseMismatchError` on any difference in what the WPA
+        hands on: the outcome, the pass counters, a reuse key."""
+        decided = reference._run_wpa(selected_routines)
+        decided_keys, _consumed = compute_module_keys(
+            decided.unit, decided.ctx, decided.thin_facts, orig_hashes,
+            decided.plan, decided.selected, set(decided.clones),
+            self.incr_session.options_fp,
+        )
+        applied = result.outcome().to_dict()
+        expected = decided.outcome().to_dict()
+        differences = [
+            field for field in sorted(expected)
+            if applied[field] != expected[field]
+        ]
+        if result.ctx.stats.counts != decided.ctx.stats.counts:
+            differences.append("pass stats")
+        differences.extend(
+            "reuse key of %s" % name
+            for name in sorted(set(keys) | set(decided_keys))
+            if keys.get(name) != decided_keys.get(name)
+        )
+        if differences:
+            raise WpaReuseMismatchError(
+                "the stored WPA outcome differs from a fresh decision: "
+                + ", ".join(differences)
+            )
 
     def run_scalar_phase(
         self,

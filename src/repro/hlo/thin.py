@@ -24,7 +24,13 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..ir.instructions import Opcode
 from .profile_view import ProfileView
 from .transforms.clone import CloneOp, make_clone
-from .transforms.inline import InlineEngine, SpliceOp, _inject_bug, splice_call
+from .transforms.inline import (
+    InlineEngine,
+    InlineStats,
+    SpliceOp,
+    _inject_bug,
+    splice_call,
+)
 from .transforms.ipcp import apply_param_constants
 
 
@@ -135,6 +141,52 @@ class WpaPlan:
     def imports_for(self, routines) -> List[str]:
         """Sorted import list for one partition's routine set."""
         return sorted(self.replay_scope(routines) - set(routines))
+
+
+class WpaOutcome:
+    """Everything the WPA decided: the plan plus the decisions that
+    leave no body mutation (the dead-function removals per module, the
+    published constant returns and read-only globals, the inliner's
+    counters).  A link whose WPA inputs equal a stored outcome's applies
+    it instead of deciding again."""
+
+    __slots__ = ("plan", "removed", "const_returns", "readonly_globals",
+                 "inline_stats")
+
+    def __init__(self, plan: WpaPlan, removed: Dict[str, List[str]],
+                 const_returns: Dict[str, int],
+                 readonly_globals: Set[str],
+                 inline_stats: InlineStats) -> None:
+        self.plan = plan
+        #: module -> routines dead-function elimination deleted.
+        self.removed = removed
+        self.const_returns = const_returns
+        self.readonly_globals = readonly_globals
+        self.inline_stats = inline_stats
+
+    def to_dict(self) -> dict:
+        return {
+            "plan": self.plan.to_dict(),
+            "removed": {
+                module: list(names) for module, names in self.removed.items()
+            },
+            # Pairs, not an object: the publication order is kept.
+            "const_returns": [
+                [name, value] for name, value in self.const_returns.items()
+            ],
+            "readonly_globals": sorted(self.readonly_globals),
+            "inline_stats": self.inline_stats.to_dict(),
+        }
+
+    @staticmethod
+    def from_dict(data: dict) -> "WpaOutcome":
+        return WpaOutcome(
+            WpaPlan.from_dict(data["plan"]),
+            {module: list(names) for module, names in data["removed"].items()},
+            {name: int(value) for name, value in data["const_returns"]},
+            set(data["readonly_globals"]),
+            InlineStats.from_dict(data["inline_stats"]),
+        )
 
 
 # -- Replay --------------------------------------------------------------------

@@ -74,6 +74,58 @@ class InlineStats:
         if callee:
             self.consumed_bodies.setdefault(caller_module, set()).add(callee)
 
+    #: The counters a splice does not drive: what the planner turned down.
+    _REJECTIONS = ("rejected_size", "rejected_growth", "rejected_recursive",
+                   "rejected_cold")
+
+    def take_verdicts(self, other: "InlineStats") -> None:
+        """Adopt ``other``'s rejection counters and operation-limit flag
+        (a link that applies a stored plan re-counts only its splices)."""
+        for field in self._REJECTIONS:
+            setattr(self, field, getattr(other, field))
+        self.hit_operation_limit = other.hit_operation_limit
+
+    def to_dict(self) -> dict:
+        return {
+            "performed": self.performed,
+            "rejected_size": self.rejected_size,
+            "rejected_growth": self.rejected_growth,
+            "rejected_recursive": self.rejected_recursive,
+            "rejected_cold": self.rejected_cold,
+            "hit_operation_limit": self.hit_operation_limit,
+            "performed_list": [list(pair) for pair in self.performed_list],
+            "module_pairs": [
+                [caller, callee, count]
+                for (caller, callee), count in self.module_pairs.items()
+            ],
+            "callee_module_trace": list(self.callee_module_trace),
+            "consumed_bodies": {
+                module: sorted(bodies)
+                for module, bodies in self.consumed_bodies.items()
+            },
+        }
+
+    @staticmethod
+    def from_dict(data: dict) -> "InlineStats":
+        stats = InlineStats()
+        stats.performed = int(data["performed"])
+        for field in InlineStats._REJECTIONS:
+            setattr(stats, field, int(data[field]))
+        stats.hit_operation_limit = bool(data["hit_operation_limit"])
+        stats.performed_list = [
+            (caller, callee) for caller, callee in data["performed_list"]
+        ]
+        stats.module_pairs = {
+            (caller, callee): int(count)
+            for caller, callee, count in data["module_pairs"]
+        }
+        stats.callee_module_trace = list(data["callee_module_trace"])
+        stats.consumed_bodies = {
+            module: set(bodies)
+            for module, bodies in data["consumed_bodies"].items()
+        }
+        return stats
+
     def cross_module_count(self) -> int:
         return sum(
             count for (cm, km), count in self.module_pairs.items() if cm != km
@@ -264,6 +316,47 @@ class SpliceOp:
         self.weight = weight
 
 
+def splice_facts(
+    caller: RoutineFacts,
+    callee: RoutineFacts,
+    site: SiteFacts,
+    weight: int,
+    plan,
+    stats: InlineStats,
+) -> None:
+    """Accept one splice: the caller's facts consume ``site`` and grow
+    by the exact size recurrence, the splice takes the next global
+    ordinal on ``plan`` and ``stats`` counts it."""
+    delta = callee.n_params + callee.instr_count - callee.probe_count
+    if site.has_dst:
+        delta += callee.ret_count
+    caller.sites.remove(site)
+    caller.instr_count += delta
+    plan.splices.append(SpliceOp(caller.name, callee.name, weight))
+    stats.record(caller.module, callee.module,
+                 caller=caller.name, callee=callee.name)
+
+
+def apply_splices(
+    facts_by_name: Dict[str, RoutineFacts],
+    splices: List[SpliceOp],
+    plan,
+    stats: InlineStats,
+) -> None:
+    """Accept splices an earlier link decided, in their ordinal order,
+    each at the first remaining site (as :meth:`InlineEngine.run`
+    found it)."""
+    for op in splices:
+        caller = facts_by_name[op.caller]
+        site = InlineEngine._first_site(caller, op.callee)
+        if site is None:
+            raise ValueError(
+                "no site of %s left in %s" % (op.callee, op.caller)
+            )
+        splice_facts(caller, facts_by_name[op.callee], site, op.weight,
+                     plan, stats)
+
+
 class InlineEngine:
     """Plans inlining over a set of routines' facts."""
 
@@ -452,18 +545,8 @@ class InlineEngine:
                 # Mismatched interface (paper section 6.3): leave the call
                 # for the runtime checker rather than splice garbage.
                 continue
-            delta = callee.n_params + callee.instr_count - callee.probe_count
-            if site.has_dst:
-                delta += callee.ret_count
-            caller.sites.remove(site)
-            caller.instr_count += delta
-            self.plan.splices.append(
-                SpliceOp(caller.name, cand.callee, cand.weight)
-            )
-            self.stats.record(
-                caller.module, callee.module,
-                caller=caller.name, callee=cand.callee,
-            )
+            splice_facts(caller, callee, site, cand.weight, self.plan,
+                         self.stats)
             self._set_size(caller.name, caller.instr_count)
         self._set_size(caller.name, caller.instr_count)
 

@@ -108,6 +108,24 @@ def gather_param_constants(
     }
 
 
+def apply_param_bindings(
+    ctx: OptContext,
+    facts_by_name: Dict[str, RoutineFacts],
+    bindings: Sequence[Tuple[str, List[Tuple[int, int]]]],
+    plan,
+) -> Dict[str, int]:
+    """Record decided entry bindings on ``plan`` and mutate the facts
+    the way :func:`apply_param_constants` will mutate the bodies.
+    Returns {routine_name: n params bound}."""
+    bound: Dict[str, int] = {}
+    for name, binds in bindings:
+        bound[name] = len(binds)
+        ctx.stats.bump("ipcp_params", len(binds))
+        plan.bindings.append((name, binds))
+        apply_entry_bindings(facts_by_name[name], binds)
+    return bound
+
+
 def publish_interprocedural_facts(
     ctx: OptContext,
     routine_names: List[str],
@@ -127,9 +145,8 @@ def publish_interprocedural_facts(
     ``externally_visible_globals`` symbols (referenced by non-CMO
     objects).  Returns {routine_name: n params bound}.
     """
-    bound: Dict[str, int] = {}
     if not ctx.options.ipcp_enabled:
-        return bound
+        return {}
 
     if ctx.options.readonly_global_promotion and ctx.modref is not None:
         ctx.readonly_globals = (
@@ -138,6 +155,7 @@ def publish_interprocedural_facts(
         )
 
     param_facts = gather_param_constants(routine_names, facts_by_name)
+    bindings: List[Tuple[str, List[Tuple[int, int]]]] = []
     for name in routine_names:
         if name == ENTRY_NAME or name in externally_callable:
             continue
@@ -151,10 +169,8 @@ def publish_interprocedural_facts(
             if value is not None
         ]
         if binds:
-            bound[name] = len(binds)
-            ctx.stats.bump("ipcp_params", len(binds))
-            plan.bindings.append((name, binds))
-            apply_entry_bindings(facts, binds)
+            bindings.append((name, binds))
+    bound = apply_param_bindings(ctx, facts_by_name, bindings, plan)
 
     # Constant returns, over the post-binding facts.
     for name in routine_names:

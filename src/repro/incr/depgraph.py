@@ -76,6 +76,15 @@ class CrossModuleDeps:
     def __len__(self) -> int:
         return len(self._edges)
 
+    def without(self, consumers: Set[str], kinds) -> "CrossModuleDeps":
+        """A copy less the ``kinds`` edges of ``consumers``."""
+        deps = CrossModuleDeps()
+        deps._edges = {
+            edge for edge in self._edges
+            if edge.consumer not in consumers or edge.kind not in kinds
+        }
+        return deps
+
     def consumers_of(self, producer: str) -> Set[str]:
         return {e.consumer for e in self._edges if e.producer == producer}
 
@@ -89,11 +98,14 @@ class CrossModuleDeps:
         returned set consumed no fact that a changed module produced,
         so their reuse keys are expected to hold.
         """
+        consumers: Dict[str, Set[str]] = {}
+        for edge in self._edges:
+            consumers.setdefault(edge.producer, set()).add(edge.consumer)
         dirty: Set[str] = set(changed)
         frontier = list(dirty)
         while frontier:
             producer = frontier.pop()
-            for consumer in self.consumers_of(producer):
+            for consumer in consumers.get(producer, ()):
                 if consumer not in dirty:
                     dirty.add(consumer)
                     frontier.append(consumer)

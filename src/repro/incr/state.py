@@ -6,8 +6,10 @@ builds, stored in a NAIM :class:`~repro.naim.repository.Repository`
 
 * the previous build's :class:`ModuleSummary` per CMO module,
 * the recorded :class:`CrossModuleDeps` edge set,
-* each module's post-inline reuse key, and
-* one cached codegen blob (machine routines) per reuse key.
+* each module's post-inline reuse key,
+* one cached codegen blob (machine routines) per reuse key, and
+* the last link's WPA outcome, under a digest of everything that WPA
+  read (a link with the same digest applies it instead of deciding).
 
 Beside the repository the state keeps, per reuse key, the machine
 routines it last encoded or decoded: a blob is content-keyed, so a
@@ -22,8 +24,9 @@ atomically replaces the persistent state and prunes stale blobs.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..linker.objects import (
     decode_machine_routines,
@@ -46,6 +49,45 @@ _MACHINE_KIND = "mach"
 #: Per-module thin-WPA facts blobs (summary-only WPA reuses them for
 #: unchanged modules instead of re-scanning bodies).
 _FACTS_KIND = "summ"
+#: The last deciding link's WPA outcome (one blob).
+_WPA_KIND = "wpa"
+_WPA_NAME = "outcome"
+_WPA_FORMAT = 1
+
+
+def _digest(*parts: str) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\x00")
+    return digest.hexdigest()[:16]
+
+
+def facts_digest(facts_dicts: List[dict]) -> str:
+    """Canonical digest of one module's facts (its ``summ`` routines
+    list)."""
+    return _digest(json.dumps(facts_dicts, sort_keys=True))
+
+
+def encode_wpa_blob(inputs: dict, outcome: dict) -> bytes:
+    """One header line (the inputs digest and its parts, the body's
+    checksum), then the outcome."""
+    body = json.dumps(outcome, sort_keys=True).encode("utf-8")
+    header = dict(inputs, format=_WPA_FORMAT,
+                  sum=hashlib.sha256(body).hexdigest()[:16])
+    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body
+
+
+def decode_wpa_blob(data: bytes) -> Tuple[dict, dict]:
+    """``(header, outcome)``; raises on any damage."""
+    head, _newline, body = bytes(data).partition(b"\n")
+    header = json.loads(head.decode("utf-8"))
+    if header["format"] != _WPA_FORMAT or (
+        header["sum"] != hashlib.sha256(body).hexdigest()[:16]
+    ):
+        raise ValueError("bad wpa blob")
+    header["facts"] = [(name, value) for name, value in header["facts"]]
+    return header, json.loads(body.decode("utf-8"))
 
 
 class IncrLinkReport:
@@ -65,16 +107,27 @@ class IncrLinkReport:
         self.edge_counts: Dict[str, int] = {}
         #: Routines dropped by dead-function elimination, per module.
         self.dfe_removed: Dict[str, List[str]] = {}
+        #: "reused": the WPA applied the stored outcome; "decided": it
+        #: ran, for ``wpa_reason``.
+        self.wpa = "decided"
+        self.wpa_reason = ""
 
     def reuse_fraction(self) -> float:
         total = len(self.reused) + len(self.reoptimized)
         return len(self.reused) / total if total else 0.0
 
+    def describe_wpa(self) -> str:
+        """``reused`` or ``decided (<reason>)``."""
+        if self.wpa_reason:
+            return "%s (%s)" % (self.wpa, self.wpa_reason)
+        return self.wpa
+
     def __repr__(self) -> str:
         return ("<IncrLinkReport reused=%d reoptimized=%d changed=%r "
-                "predicted=%r%s>") % (
+                "predicted=%r wpa=%s%s>") % (
             len(self.reused), len(self.reoptimized),
             self.changed_modules, self.predicted_dirty,
+            self.describe_wpa(),
             " first-build" if self.first_build else "",
         )
 
@@ -109,15 +162,29 @@ class IncrLinkSession:
         #: can skip body scans.  A module whose facts were all loaded
         #: has no entry: its blob is already what commit would write.
         self.module_facts: Dict[str, List[dict]] = {}
-        #: Structured events this link raised (``machine-blob-fallback``);
-        #: the HLO driver folds them into ``HloResult.events``.
+        #: module -> :func:`facts_digest`, for the modules this link
+        #: scanned.
+        self.facts_digests: Dict[str, str] = {}
+        #: Structured events this link raised (``machine-blob-fallback``,
+        #: ``wpa-outcome-fallback``); the HLO driver folds them into
+        #: ``HloResult.events``.
         self.events: List[Dict[str, object]] = []
+        #: Which WPA ran ("reused" / "decided") and, when it decided,
+        #: why it could not reuse.
+        self.wpa = "decided"
+        self.wpa_reason = ""
+        #: The digest of this link's WPA inputs and its parts.
+        self.wpa_inputs: Optional[dict] = None
+        #: A deciding link's outcome (``WpaOutcome.to_dict``), stored
+        #: at commit under ``wpa_inputs``.
+        self.wpa_outcome: Optional[dict] = None
 
     # -- Thin-WPA facts cache -------------------------------------------------------
 
     def record_facts(self, module_name: str, facts_dicts: List[dict]) -> None:
         """Stash one module's pristine (pre-mutation) facts for commit."""
         self.module_facts[module_name] = facts_dicts
+        self.facts_digests[module_name] = facts_digest(facts_dicts)
 
     def load_facts(self, module_name: str):
         """Cached facts for a module, verified against its fingerprint.
@@ -156,6 +223,128 @@ class IncrLinkSession:
             state.repository.discard(_FACTS_KIND, module_name)
             return None, "corrupt"
         return facts, None
+
+    # -- Stored WPA outcome ---------------------------------------------------------
+
+    def lookup_wpa(
+        self,
+        modules: Iterable[Tuple[str, List[RoutineFacts]]],
+        global_names: List[str],
+        selected: Optional[Set[str]],
+        externally_callable: Set[str],
+        externally_visible_globals: Set[str],
+    ) -> Optional[dict]:
+        """The stored outcome, when this link's WPA inputs equal those
+        of the last committed link; else None, with ``wpa_reason`` set.
+
+        ``modules`` is (module name, pristine facts in unit order) per
+        module, in program order.  The digest covers the options
+        (``options_fp``, the selection set, ``externally_callable``),
+        each module's facts digest in module order, and the globals
+        (each module's summary shapes with initializer hashes, the
+        program's global names, ``externally_visible_globals``).  A
+        module this link did not scan takes its facts digest from the
+        stored header, which the index vouches for; only without one is
+        it hashed again.  A blob the index promised that is gone or
+        damaged raises a ``wpa-outcome-fallback`` event.
+        """
+        state = self.state
+        header, outcome, problem = state.load_wpa()
+        if problem is not None and state.wpa_digest is not None:
+            self.events.append({
+                "event": "wpa-outcome-fallback", "reason": problem,
+            })
+        vouched = header is not None and header["digest"] == state.wpa_digest
+        stored_facts = dict(header["facts"]) if vouched else {}
+        facts = []
+        for name, routines in modules:
+            value = self.facts_digests.get(name) or stored_facts.get(name)
+            if value is None:
+                value = facts_digest([item.to_dict() for item in routines])
+            facts.append((name, value))
+        options = _digest(
+            self.options_fp,
+            "*" if selected is None else " ".join(sorted(selected)),
+            " ".join(sorted(externally_callable)),
+        )
+        shapes = [
+            "%s:%s=%d/%d/%s" % (name, var, size, int(exported), init)
+            for name, _routines in facts
+            for var, (size, exported, init)
+            in sorted(self.summaries[name].globals.items())
+        ]
+        globals_ = _digest(
+            " ".join(shapes), " ".join(global_names),
+            " ".join(sorted(externally_visible_globals)),
+        )
+        digest = _digest(options, globals_,
+                         " ".join("%s=%s" % pair for pair in facts))
+        self.wpa_inputs = {"digest": digest, "options": options,
+                           "globals": globals_, "facts": facts}
+        if self.first_build:
+            self.wpa_reason = (
+                "options" if state.summary_fingerprints else "first-build"
+            )
+        elif header is None:
+            self.wpa_reason = problem
+        elif vouched and digest == header["digest"]:
+            self.wpa = "reused"
+            return outcome
+        else:
+            self.wpa_reason = _why_inputs_differ(header, self.wpa_inputs)
+        return None
+
+    def reject_wpa(self) -> None:
+        """The stored outcome did not parse: drop it and decide."""
+        self.state.repository.discard(_WPA_KIND, _WPA_NAME)
+        self.events.append({
+            "event": "wpa-outcome-fallback", "reason": "corrupt",
+        })
+        self.wpa = "decided"
+        self.wpa_reason = "corrupt"
+
+    def record_wpa(self, outcome: dict) -> None:
+        """A deciding link's outcome, stored at commit."""
+        self.wpa_outcome = outcome
+
+    def rekeyed_modules(self, unit, plan) -> Set[str]:
+        """Modules whose reuse key a reusing link must derive again: the
+        ones holding a routine whose body hash changed, or that splices
+        or clones one (transitively, per the plan), and any the last
+        link committed no key for.  Every other key is the committed
+        one: the inputs it hashes are equal."""
+        previous = self.state.summaries
+        edited: Set[str] = set()
+        for module_name in self.changed_modules:
+            before = previous.get(module_name, {}).get("body_hashes", {})
+            for name, value in self.summaries[module_name].body_hashes.items():
+                if before.get(name) != value:
+                    edited.add(name)
+        committed = self.state.module_keys
+        need = plan.import_closure()
+        rekeyed: Set[str] = set()
+        for name, module_name in unit.routine_module.items():
+            if module_name in rekeyed:
+                continue
+            if (module_name not in committed or name in edited
+                    or not edited.isdisjoint(need(name))):
+                rekeyed.add(module_name)
+        return rekeyed
+
+    def carry_forward(self, fresh_keys: Dict[str, str],
+                      module_order: Iterable[str]) -> Dict[str, str]:
+        """A reusing link's keys: ``fresh_keys`` for the modules it
+        re-keyed, the committed key for every other one; and the
+        committed dependency edges, less the fact and global edges of
+        the re-keyed modules (their consumption is recorded again)."""
+        committed = self.state.module_keys
+        self.deps = self.state.deps.without(
+            set(fresh_keys), (KIND_FACT, KIND_GLOBAL)
+        )
+        return {
+            name: fresh_keys[name] if name in fresh_keys else committed[name]
+            for name in module_order
+        }
 
     # -- Recording hooks (called from the HLO driver) ------------------------------
 
@@ -240,6 +429,24 @@ class IncrLinkSession:
         return self.reused_modules
 
 
+def _why_inputs_differ(header: dict, inputs: dict) -> str:
+    """The ``wpa_reason`` of a stored outcome for other inputs."""
+    if header["options"] != inputs["options"]:
+        return "options"
+    then = {name: (index, value)
+            for index, (name, value) in enumerate(header["facts"])}
+    now = {name: (index, value)
+           for index, (name, value) in enumerate(inputs["facts"])}
+    changed = sorted(
+        name for name in set(then) | set(now) if then.get(name) != now.get(name)
+    )
+    if changed:
+        return "facts-changed: " + ", ".join(changed)
+    if header["globals"] != inputs["globals"]:
+        return "globals"
+    return "stale"
+
+
 class IncrementalState:
     """Summary/dep/codegen state persisted across CMO links."""
 
@@ -254,6 +461,9 @@ class IncrementalState:
         self.deps = CrossModuleDeps()
         self.module_keys: Dict[str, str] = {}
         self.options_fp = ""
+        #: The WPA-inputs digest of the last committed link, when it
+        #: left its outcome in the ``wpa`` blob (None: no blob vouched).
+        self.wpa_digest: Optional[str] = None
         self.last_report: Optional[IncrLinkReport] = None
         #: reuse key -> the machine routines of that ``mach`` blob, as
         #: last encoded or decoded.  Shared between links and with the
@@ -291,6 +501,8 @@ class IncrementalState:
         self.deps = CrossModuleDeps.from_list(data.get("deps", []))
         self.module_keys = data.get("module_keys", {})
         self.options_fp = data.get("options_fp", "")
+        # An index written before the stored WPA outcome vouches for none.
+        self.wpa_digest = data.get("wpa")
 
     def _save_index(self) -> None:
         data = {
@@ -301,11 +513,28 @@ class IncrementalState:
             "summary_fingerprints": self.summary_fingerprints,
             "deps": self.deps.to_list(),
             "module_keys": self.module_keys,
+            "wpa": self.wpa_digest,
         }
         self.repository.store(
             _INDEX_KIND, _INDEX_NAME,
             json.dumps(data, sort_keys=True).encode("utf-8"),
         )
+
+    # -- The stored WPA outcome ------------------------------------------------------
+
+    def load_wpa(self):
+        """``(header, outcome, None)``, or ``(None, None, reason)`` --
+        reason in {"missing", "corrupt"}; a corrupt blob is dropped."""
+        if not self.repository.contains(_WPA_KIND, _WPA_NAME):
+            return None, None, "missing"
+        try:
+            header, outcome = decode_wpa_blob(
+                self.repository.fetch(_WPA_KIND, _WPA_NAME)
+            )
+        except Exception:
+            self.repository.discard(_WPA_KIND, _WPA_NAME)
+            return None, None, "corrupt"
+        return header, outcome, None
 
     # -- Machine-code blobs -----------------------------------------------------------
 
@@ -406,6 +635,19 @@ class IncrementalState:
             if name not in session.summaries:
                 self.repository.discard(_FACTS_KIND, name)
 
+        # The WPA outcome: a deciding link leaves its own, a reusing one
+        # leaves the blob it applied, any other (a link with a profile
+        # decides without the facts cache) leaves none.
+        if session.wpa_outcome is not None:
+            self.repository.store(
+                _WPA_KIND, _WPA_NAME,
+                encode_wpa_blob(session.wpa_inputs, session.wpa_outcome),
+            )
+            self.wpa_digest = session.wpa_inputs["digest"]
+        elif session.wpa != "reused":
+            self.repository.discard(_WPA_KIND, _WPA_NAME)
+            self.wpa_digest = None
+
         # Equal fingerprints mean equal serialized summaries.
         previous_fps = self.summary_fingerprints
         self.summaries = {
@@ -432,6 +674,8 @@ class IncrementalState:
         )
         report.edge_counts = session.deps.by_kind()
         report.dfe_removed = session.dfe_removed
+        report.wpa = session.wpa
+        report.wpa_reason = session.wpa_reason
         self.last_report = report
         return report
 

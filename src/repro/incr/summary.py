@@ -217,6 +217,7 @@ def compute_module_keys(
     selected: Set[str],
     clones: Set[str],
     options_fp: str,
+    modules: Optional[Set[str]] = None,
 ) -> Tuple[Dict[str, str], Dict[str, ConsumedFacts]]:
     """Exact per-module reuse keys over the post-WPA program state.
 
@@ -225,7 +226,7 @@ def compute_module_keys(
     interprocedural facts, ``plan`` the recorded
     :class:`~repro.hlo.thin.WpaPlan`.  Returns ``(keys, consumed)``:
     the reuse key and the consumed-fact record for every module in the
-    unit.
+    unit (or in ``modules``, when given).
 
     Each routine gets an *evolution hash* E(r) covering everything that
     determines its post-replay body and profile view: the original body
@@ -319,8 +320,10 @@ def compute_module_keys(
 
     routines_of: Dict[str, List[str]] = {}
     for name in unit.routine_names():
-        routines_of.setdefault(unit.routine_module[name], []).append(name)
-    in_unit = set(unit.routine_names())
+        module_name = unit.routine_module[name]
+        if modules is None or module_name in modules:
+            routines_of.setdefault(module_name, []).append(name)
+    in_unit = unit.routine_module
 
     keys: Dict[str, str] = {}
     consumed: Dict[str, "ConsumedFacts"] = {}

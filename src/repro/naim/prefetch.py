@@ -40,12 +40,10 @@ class PrefetchPipeline:
         self,
         repository,
         decode: Callable[[str, bytes], object],
-        batch_limit: int = 64,
     ) -> None:
         self._repository = repository
         #: decode(kind, compact_bytes) -> expanded object.
         self._decode = decode
-        self._batch_limit = batch_limit
         self._cond = threading.Condition()
         self._queue: List[List[Key]] = []
         self._inflight: Set[Key] = set()
@@ -157,7 +155,7 @@ class PrefetchPipeline:
                     self._cond.wait()
                 if self._stop:
                     return
-                batch = self._queue.pop(0)[:self._batch_limit]
+                batch = self._queue.pop(0)
             # Fetch + decode outside the condition lock: the repository
             # has its own locking, and decode is the expensive part the
             # pipeline exists to overlap.

@@ -210,8 +210,9 @@ def test_modeled_memory_does_not_depend_on_what_earlier_links_left(tmp_path):
 
 def test_a_state_dir_from_before_this_format_addition_is_reused_warm(tmp_path):
     """No epoch moved: an index written without the stored summary
-    fingerprints (every state dir older than them) is warm, links the
-    clean image, and is written back with them."""
+    fingerprints and without a stored WPA outcome (every state dir older
+    than them) is warm, links the clean image, and is written back with
+    both; the next link applies the stored outcome."""
     sources = dict(_app().sources)
     victim = sorted(name for name in sources if name != "main")[2]
     state_dir = str(tmp_path / "state")
@@ -221,8 +222,10 @@ def test_a_state_dir_from_before_this_format_addition_is_reused_warm(tmp_path):
     repository = older.incr_state.repository
     index = json.loads(bytes(repository.fetch("incr", "index")))
     assert index.pop("summary_fingerprints")
+    assert index.pop("wpa")
     repository.store("incr", "index",
                       json.dumps(index, sort_keys=True).encode("utf-8"))
+    repository.discard("wpa", "outcome")
     older.incr_state.close()
 
     sources[victim] = bump(sources[victim])
@@ -231,10 +234,21 @@ def test_a_state_dir_from_before_this_format_addition_is_reused_warm(tmp_path):
     assert report.cmo_reoptimized == [victim]
     assert len(report.cmo_reused) == len(sources) - 1
     assert _image(result) == _image(Compiler(options).build(sources))
+    # Nothing promised an outcome: an ordinary miss, no fallback event.
+    assert result.incr_report.describe_wpa() == "decided (missing)"
+    assert not [event for event in result.hlo_result.events
+                if event.get("event") == "wpa-outcome-fallback"]
     index = json.loads(bytes(engine.incr_state.repository.fetch(
         "incr", "index"
     )))
     assert set(index["summary_fingerprints"]) == set(sources)
+    assert index["wpa"]
+
+    sources[victim] = bump(sources[victim])
+    result, report = engine.build(sources)
+    assert result.incr_report.wpa == "reused"
+    assert report.cmo_reoptimized == [victim]
+    assert _image(result) == _image(Compiler(options).build(sources))
     engine.incr_state.close()
 
 

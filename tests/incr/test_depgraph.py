@@ -93,3 +93,55 @@ class TestSerialization:
         assert DepEdge("a", "b", KIND_INLINE, "f") != (
             DepEdge("a", "b", KIND_FACT, "f")
         )
+
+
+def reference_dirty_modules(deps, changed):
+    """The closure as it was first written: one scan of every edge per
+    module popped."""
+    dirty = set(changed)
+    frontier = list(dirty)
+    while frontier:
+        producer = frontier.pop()
+        for consumer in deps.consumers_of(producer):
+            if consumer not in dirty:
+                dirty.add(consumer)
+                frontier.append(consumer)
+    return dirty
+
+
+class TestDirtyPropagationMatchesTheReference:
+    def test_on_random_graphs(self):
+        import random
+
+        kinds = (KIND_INLINE, KIND_IPCP, KIND_FACT, KIND_GLOBAL)
+        for seed in range(40):
+            rng = random.Random(seed)
+            names = ["m%d" % index for index in range(rng.randint(1, 25))]
+            deps = CrossModuleDeps()
+            for _ in range(rng.randint(0, 80)):
+                deps.add(rng.choice(names), rng.choice(names),
+                         rng.choice(kinds), item="s%d" % rng.randint(0, 9))
+            for _ in range(5):
+                changed = rng.sample(names, rng.randint(0, len(names)))
+                # A dropped module may be named that no edge mentions.
+                changed.append("gone")
+                assert deps.dirty_modules(changed) == (
+                    reference_dirty_modules(deps, changed)
+                )
+
+    def test_on_the_edit_loop_graph(self):
+        from repro.driver.build import BuildEngine
+        from repro.driver.options import CompilerOptions
+        from repro.synth import full_suite, generate
+
+        app = generate(full_suite()["mcad1_like"].scaled(0.6))
+        engine = BuildEngine(CompilerOptions(opt_level=4), incremental=True)
+        engine.build(dict(app.sources))
+        deps = engine.incr_state.deps
+        assert len(deps) > 100
+        for name in sorted(app.sources):
+            assert deps.dirty_modules([name]) == (
+                reference_dirty_modules(deps, [name])
+            )
+        everything = sorted(app.sources)
+        assert deps.dirty_modules(everything) == set(everything)

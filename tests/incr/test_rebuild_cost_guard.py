@@ -28,11 +28,11 @@ from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
 from repro.incr.summary import ModuleSummary, RoutineFacts
 from repro.ir.routine import Routine
-from repro.linker.objects import encode_executable
+from repro.linker.objects import ObjectFile, encode_executable
 from repro.naim.pools import KIND_IR
 from repro.vm.isa import RELOCATED_OPS, MInstr
 from repro.synth import WorkloadConfig, generate
-from synth_edits import bump
+from synth_edits import bump, bump_call_argument
 
 
 class Counter:
@@ -43,6 +43,22 @@ class Counter:
     def __call__(self, *args, **kwargs):
         self.calls += 1
         return self.fn(*args, **kwargs)
+
+
+def uncounted(monkeypatch, owner, name, counters):
+    """Wrap ``owner.name`` so that calls the ``counters`` see while it
+    runs are not counted (the extra work of a checked link)."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        before = [counter.calls for counter in counters]
+        try:
+            return real(*args, **kwargs)
+        finally:
+            for counter, calls in zip(counters, before):
+                counter.calls = calls
+
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 @pytest.fixture
@@ -80,6 +96,8 @@ def test_an_edit_summarises_only_the_recompiled_object(warm, monkeypatch):
     engine, sources, victim = warm
     summarise = Counter(ModuleSummary.from_module)
     monkeypatch.setattr(ModuleSummary, "from_module", staticmethod(summarise))
+    # A checked link re-hashes every object it borrowed, by design.
+    uncounted(monkeypatch, ObjectFile, "verify_il_unchanged", [summarise])
     result, report = engine.build(sources)
     assert report.recompiled == [victim]
     assert summarise.calls == 1
@@ -121,13 +139,17 @@ def test_replay_expands_nothing_outside_the_import_closure(warm, monkeypatch):
 
 
 def test_one_callgraph_build_costs_one_scc_pass(warm, monkeypatch):
-    engine, sources, _victim = warm
+    engine, sources, victim = warm
+    # A link that decides builds the call graph: pass a new constant, so
+    # the facts change and the stored WPA outcome does not apply.
+    sources[victim] = bump_call_argument(sources[victim])
     condense = Counter(callgraph.strongly_connected_components)
     monkeypatch.setattr(callgraph, "strongly_connected_components", condense)
     build = Counter(hlo_driver.CmoUnit.build_callgraph)
     monkeypatch.setattr(hlo_driver.CmoUnit, "build_callgraph",
                         lambda *args: build(*args))
     result, _report = engine.build(sources)
+    assert result.incr_report.wpa == "decided"
     assert result.hlo_result.inline_stats.performed
     assert 1 <= condense.calls <= build.calls
 
@@ -275,3 +297,130 @@ def test_begin_link_parses_no_stored_summary(warm, monkeypatch):
     result, _report = engine.build(sources)
     assert result.incr_report.changed_modules == [victim]
     assert parse.calls == 0
+
+
+# -- The stored WPA outcome ----------------------------------------------------
+
+
+def test_a_fact_preserving_edit_decides_nothing(warm, monkeypatch):
+    """The edit leaves every routine's facts as they were: the link
+    applies the stored WPA outcome, so no decision procedure runs, only
+    the modules the edit reaches are keyed again, and no outcome is
+    stored (the one in the repository is this link's)."""
+    import repro.hlo.transforms.ipcp as ipcp
+    from repro.hlo.transforms.inline import InlineEngine
+
+    engine, sources, _victim = warm
+    deciders = {
+        "reachable_routines": (hlo_driver, "reachable_routines"),
+        "gather_param_constants": (ipcp, "gather_param_constants"),
+        "plan_clones": (hlo_driver, "plan_clones"),
+    }
+    counters = {}
+    for label, (owner, name) in deciders.items():
+        counters[label] = Counter(getattr(owner, name))
+        monkeypatch.setattr(owner, name, counters[label])
+    counters["InlineEngine.run"] = Counter(InlineEngine.run)
+    monkeypatch.setattr(InlineEngine, "run",
+                        lambda *args: counters["InlineEngine.run"](*args))
+    counters["build_callgraph"] = Counter(hlo_driver.CmoUnit.build_callgraph)
+    monkeypatch.setattr(hlo_driver.CmoUnit, "build_callgraph",
+                        lambda *args: counters["build_callgraph"](*args))
+    keyed = []
+    keys = Counter(hlo_driver.compute_module_keys)
+
+    def compute_module_keys(*args, **kwargs):
+        keyed.append(kwargs.get("modules"))
+        return keys(*args, **kwargs)
+
+    monkeypatch.setattr(hlo_driver, "compute_module_keys",
+                        compute_module_keys)
+    # A checked link also decides, to compare: that is not this link's.
+    uncounted(monkeypatch, hlo_driver.HighLevelOptimizer, "_check_reuse",
+              list(counters.values()) + [keys])
+    repository = engine.incr_state.repository
+    stored = []
+    real_store = repository.store
+
+    def store(kind, name, data):
+        stored.append(kind)
+        return real_store(kind, name, data)
+
+    monkeypatch.setattr(repository, "store", store)
+    result, report = engine.build(sources)
+    assert result.incr_report.wpa == "reused"
+    assert {label: counter.calls for label, counter in counters.items()} == (
+        dict.fromkeys(counters, 0)
+    )
+    assert keys.calls == 1
+    assert keyed[0] == set(report.cmo_reoptimized)
+    assert report.cmo_reused
+    assert "wpa" not in stored
+    assert encode_executable(result.executable) == _clean_image(sources)
+
+
+def _wpa_blob(repository):
+    head, _newline, body = bytes(
+        repository.fetch("wpa", "outcome")
+    ).partition(b"\n")
+    return json.loads(head), body
+
+
+def _damage_wpa_delete(repository):
+    repository.discard("wpa", "outcome")
+
+
+def _damage_wpa_bit_flip(repository):
+    blob = bytearray(repository.fetch("wpa", "outcome"))
+    blob[len(blob) // 2] ^= 0x80
+    repository.store("wpa", "outcome", bytes(blob))
+
+
+def _damage_wpa_drop_a_field(repository):
+    header, body = _wpa_blob(repository)
+    outcome = json.loads(body)
+    del outcome["inline_stats"]
+    repository.store("wpa", "outcome", json.dumps(header).encode("utf-8")
+                     + b"\n" + json.dumps(outcome).encode("utf-8"))
+
+
+def _damage_wpa_stale_digest(repository):
+    # Well formed, but stored for inputs this link does not have.
+    header, body = _wpa_blob(repository)
+    header["digest"] = "0" * 16
+    repository.store("wpa", "outcome",
+                     json.dumps(header).encode("utf-8") + b"\n" + body)
+
+
+@pytest.mark.parametrize("damage, reason, event", [
+    pytest.param(_damage_wpa_delete, "missing", True, id="deleted"),
+    pytest.param(_damage_wpa_bit_flip, "corrupt", True, id="bit-flipped"),
+    pytest.param(_damage_wpa_drop_a_field, "corrupt", True,
+                 id="field-dropped"),
+    pytest.param(_damage_wpa_stale_digest, "stale", False,
+                 id="digest-stale"),
+])
+def test_a_lost_or_damaged_wpa_outcome_is_decided_again(
+        warm, damage, reason, event):
+    """The link whose stored outcome was lost, damaged or is not its own
+    runs the full WPA, links the clean image and writes the outcome
+    back; a blob the index promised and the link cannot read says so."""
+    engine, sources, _victim = warm
+    repository = engine.incr_state.repository
+    damage(repository)
+    result, report = engine.build(sources)
+    assert result.incr_report.wpa == "decided"
+    assert result.incr_report.wpa_reason == reason
+    fallbacks = [e for e in result.hlo_result.events
+                 if e.get("event") == "wpa-outcome-fallback"]
+    assert fallbacks == ([{"event": "wpa-outcome-fallback",
+                           "reason": reason}] if event else [])
+    assert report.cmo_reused
+    assert encode_executable(result.executable) == _clean_image(sources)
+    assert repository.contains("wpa", "outcome")
+
+    result, report = engine.build(sources)
+    assert result.incr_report.wpa == "reused"
+    assert report.cmo_reoptimized == []
+    assert not [e for e in result.hlo_result.events
+                if e.get("event") == "wpa-outcome-fallback"]

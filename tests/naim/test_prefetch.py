@@ -33,6 +33,19 @@ class TestPipeline:
         assert pipe.staged_raw_bytes() == 3
         pipe.close()
 
+    def test_a_request_of_seventy_pools_is_fetched_whole(self):
+        keys = [("ir", "r%02d" % index) for index in range(70)]
+        repo = _repo_with({key: key[1].encode() for key in keys})
+        pipe = PrefetchPipeline(repo, _decode)
+        assert pipe.request(keys) == 70
+        assert pipe.wait(timeout=10)
+        assert pipe.staged() == 70
+        assert pipe.pending() == 0
+        assert pipe.take(keys[-1], timeout=1.5) == (
+            "decoded", "ir", keys[-1][1].encode()
+        )
+        pipe.close()
+
     def test_duplicate_requests_queue_once(self):
         repo = _repo_with({("ir", "a"): b"aa"})
         pipe = PrefetchPipeline(repo, _decode)
