@@ -363,8 +363,7 @@ class Compiler:
                     routine.invalidate()
 
             with _Timer(result.timings, "interface_check"):
-                il_program = Program(il_modules)
-                result.interface_problems = check_interfaces(il_program)
+                result.interface_problems = check_interfaces(il_objects)
                 if result.interface_problems and options.checked:
                     raise LinkError(
                         "interface mismatches: %s"
@@ -465,6 +464,7 @@ class Compiler:
                 global_vars,
                 layout_order=layout_order,
                 probe_table=result.probe_table,
+                checked=options.hlo.checked,
             )
         if options.hlo.checked:
             for obj in il_objects:

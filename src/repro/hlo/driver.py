@@ -393,7 +393,7 @@ class HighLevelOptimizer:
             all_loaded = False
             if use_cache and not incr.first_build \
                     and module.name not in changed:
-                loaded, reason = incr.load_facts(module.name)
+                loaded, reason = incr.load_facts(module.name, options.checked)
                 if loaded is None:
                     events.append({
                         "event": "summary-fallback",

@@ -60,6 +60,12 @@ class ProfileView:
         }
         return ProfileView(routine.name, counts, is_static_estimate=True)
 
+    def copy(self) -> "ProfileView":
+        return ProfileView(
+            self.routine_name, self.block_counts, self.edge_counts,
+            self.is_static_estimate, self.stale,
+        )
+
     # -- Queries ------------------------------------------------------------------
 
     def count(self, label: str) -> int:

@@ -90,6 +90,39 @@ def decode_wpa_blob(data: bytes) -> Tuple[dict, dict]:
     return header, json.loads(body.decode("utf-8"))
 
 
+class ResidentFactsMismatchError(RuntimeError):
+    """A checked link parsed a ``summ`` blob again and got other facts
+    than the state kept from parsing the same bytes."""
+
+
+def _parse_facts(blob: bytes, fingerprint: str) -> Optional[List[RoutineFacts]]:
+    """The facts of one ``summ`` blob; None when it was written for
+    another format or fingerprint; raises on damage."""
+    data = json.loads(blob.decode("utf-8"))
+    if data.get("format") != SUMMARY_FORMAT:
+        return None
+    if data.get("fingerprint") != fingerprint:
+        return None
+    routines = data["routines"]
+    if not isinstance(routines, list):
+        raise ValueError("bad facts payload")
+    return [RoutineFacts.from_dict(item) for item in routines]
+
+
+def _verify_resident(module_name: str, resident: List[RoutineFacts],
+                     blob: bytes, fingerprint: str) -> None:
+    """Parse ``blob`` again and compare with the resident facts
+    (checked links)."""
+    parsed = _parse_facts(blob, fingerprint)
+    if parsed is None or [item.to_dict() for item in resident] != [
+        item.to_dict() for item in parsed
+    ]:
+        raise ResidentFactsMismatchError(
+            "the resident facts of %s differ from its summ blob"
+            % module_name
+        )
+
+
 class IncrLinkReport:
     """What one incremental link did, for humans and benchmarks."""
 
@@ -186,18 +219,24 @@ class IncrLinkSession:
         self.module_facts[module_name] = facts_dicts
         self.facts_digests[module_name] = facts_digest(facts_dicts)
 
-    def load_facts(self, module_name: str):
+    def load_facts(self, module_name: str, checked: bool = False):
         """Cached facts for a module, verified against its fingerprint.
 
         Returns ``(facts, None)`` -- one :class:`RoutineFacts` per
-        routine -- on a verified hit, or ``(None, reason)`` -- reason in
-        {"missing", "corrupt", "fingerprint-mismatch"} -- when the thin
-        phase must fall back to scanning that module's bodies.  The
-        check compares the recorded fingerprint against the *current*
-        module summary, so a stale blob (pack-repo entry from an older
-        body) can never feed wrong sizes or call edges into the
-        whole-program decisions; a payload that parses as JSON but not
-        as facts is corrupt like any other.
+        routine, the caller's to mutate -- on a verified hit, or
+        ``(None, reason)`` -- reason in {"missing", "corrupt",
+        "fingerprint-mismatch"} -- when the thin phase must fall back to
+        scanning that module's bodies.  The check compares the recorded
+        fingerprint against the *current* module summary, so a stale
+        blob (pack-repo entry from an older body) can never feed wrong
+        sizes or call edges into the whole-program decisions; a payload
+        that parses as JSON but not as facts is corrupt like any other.
+
+        The blob is fetched on every call; its parse is not repeated:
+        the state keeps each module's parsed facts with the bytes and
+        fingerprint they came from, and hands out copies while both are
+        equal.  ``checked`` parses again beside that and raises
+        :class:`ResidentFactsMismatchError` on any difference.
         """
         fingerprint = self.fingerprints.get(module_name)
         state = self.state
@@ -205,24 +244,24 @@ class IncrLinkSession:
             _FACTS_KIND, module_name
         ):
             return None, "missing"
+        resident = state.parsed_facts.get(module_name)
         try:
-            data = json.loads(
-                bytes(
-                    state.repository.fetch(_FACTS_KIND, module_name)
-                ).decode("utf-8")
-            )
-            if data.get("format") != SUMMARY_FORMAT:
-                return None, "fingerprint-mismatch"
-            if data.get("fingerprint") != fingerprint:
-                return None, "fingerprint-mismatch"
-            routines = data["routines"]
-            if not isinstance(routines, list):
-                raise ValueError("bad facts payload")
-            facts = [RoutineFacts.from_dict(item) for item in routines]
+            blob = bytes(state.repository.fetch(_FACTS_KIND, module_name))
+            if resident is not None and resident[:2] == (fingerprint, blob):
+                facts = resident[2]
+            else:
+                resident = None
+                facts = _parse_facts(blob, fingerprint)
+                if facts is None:
+                    return None, "fingerprint-mismatch"
+                state.parsed_facts[module_name] = (fingerprint, blob, facts)
         except Exception:
+            state.parsed_facts.pop(module_name, None)
             state.repository.discard(_FACTS_KIND, module_name)
             return None, "corrupt"
-        return facts, None
+        if resident is not None and checked:
+            _verify_resident(module_name, facts, blob, fingerprint)
+        return [item.copy() for item in facts], None
 
     # -- Stored WPA outcome ---------------------------------------------------------
 
@@ -469,6 +508,10 @@ class IncrementalState:
         #: last encoded or decoded.  Shared between links and with the
         #: images built from them: machine routines are immutable.
         self._machines: Dict[str, list] = {}
+        #: module -> (fingerprint, ``summ`` blob bytes, the facts parsed
+        #: from them), for the blobs ``load_facts`` parsed.  Never handed
+        #: out: a link mutates its facts, so it gets copies.
+        self.parsed_facts: Dict[str, Tuple[str, bytes, List[RoutineFacts]]] = {}
         if directory is not None:
             self.repository.reindex()
         self._load_index()
@@ -634,6 +677,10 @@ class IncrementalState:
         for name in self.repository.names(_FACTS_KIND):
             if name not in session.summaries:
                 self.repository.discard(_FACTS_KIND, name)
+        self.parsed_facts = {
+            name: parsed for name, parsed in self.parsed_facts.items()
+            if name in session.summaries and name not in session.module_facts
+        }
 
         # The WPA outcome: a deciding link leaves its own, a reusing one
         # leaves the blob it applied, any other (a link with a profile

@@ -493,7 +493,8 @@ class RoutineFacts:
         return list(seen)
 
     def copy(self, new_name: Optional[str] = None) -> "RoutineFacts":
-        """Deep copy (cloning simulation)."""
+        """Deep copy, the profile view included (cloning simulation,
+        and the private facts a link gets of resident ones)."""
         dup = RoutineFacts(new_name or self.name, self.module,
                            self.n_params, self.exported)
         dup.instr_count = self.instr_count
@@ -512,7 +513,7 @@ class RoutineFacts:
         dup.mod = set(self.mod)
         dup.ref = set(self.ref)
         dup.has_calls = self.has_calls
-        dup.view = self.view
+        dup.view = None if self.view is None else self.view.copy()
         return dup
 
     # -- Serialization (facts cache blobs) ------------------------------------

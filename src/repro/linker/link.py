@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..ir.program import ENTRY_NAME, Program
+from ..ir.program import ENTRY_NAME
 from ..ir.symbols import GlobalVar
 from ..profiles.probes import ProbeTable
 from ..vm.image import Executable, MachineRoutine, ProbeInfo, RoutineMeta
 from ..vm.isa import MInstr, MOp
-from .objects import LinkError
+from .objects import LinkError, ObjectFile
 
 
 def check_duplicate_symbols(
@@ -37,33 +37,29 @@ def check_duplicate_symbols(
         seen_globals[var.name] = var.defining_module
 
 
-def check_interfaces(program: Program) -> List[str]:
+def check_interfaces(objects: List[ObjectFile]) -> List[str]:
     """The link-time interface checker the paper advocates (§6.3).
 
-    Compares every IL call site's argument count against the callee's
-    declared parameter count.  Returns human-readable mismatch
-    descriptions (empty = clean).
+    Compares every call site of the IL ``objects`` against the callee's
+    declared parameter count, in object, routine and block order, and
+    returns human-readable mismatch descriptions (empty = clean).  A
+    callee no IL object defines is skipped: unresolved symbols are
+    reported elsewhere.  Each object computes its sites and arities once
+    (:meth:`ObjectFile.interface`), so a relink costs a dict lookup per
+    site and walks no IL.
     """
+    arity: Dict[str, int] = {}
+    for obj in objects:
+        arity.update(obj.interface()[0])
     problems: List[str] = []
-    table = program.symtab
-    for module in program.module_list():
-        for routine in module.routine_list():
-            for block in routine.blocks:
-                for _, instr in block.calls():
-                    callee_name = instr.sym
-                    if not table.has_routine(callee_name):
-                        continue  # unresolved symbols reported elsewhere
-                    callee = program.routine(callee_name)
-                    if len(instr.args) != callee.n_params:
-                        problems.append(
-                            "%s calls %s with %d args (expects %d)"
-                            % (
-                                routine.name,
-                                callee_name,
-                                len(instr.args),
-                                callee.n_params,
-                            )
-                        )
+    for obj in objects:
+        for caller, callee, nargs in obj.interface()[1]:
+            expected = arity.get(callee)
+            if expected is not None and expected != nargs:
+                problems.append(
+                    "%s calls %s with %d args (expects %d)"
+                    % (caller, callee, nargs, expected)
+                )
     return problems
 
 
@@ -73,6 +69,7 @@ def build_image(
     entry: str = ENTRY_NAME,
     layout_order: Optional[List[str]] = None,
     probe_table: Optional[ProbeTable] = None,
+    checked: bool = False,
 ) -> Executable:
     """Assemble the final executable image.
 
@@ -81,7 +78,12 @@ def build_image(
     ordered ones, in input order.  ``machine_routines`` are read, never
     written: ``image.code`` holds their own ``MInstr`` objects except at
     :meth:`~repro.vm.image.MachineRoutine.reloc_sites`, where it holds
-    relocated copies.
+    relocated copies.  Those copies are kept on the routine
+    (``MachineRoutine.linked``) with the relocation environment they were
+    made for, and the next image that places the routine in an equal
+    environment shares them: nothing may edit ``image.code``.
+    ``checked`` relocates a memoized routine again beside the memo and
+    raises :class:`LinkError` on any difference.
     """
     check_duplicate_symbols(machine_routines, global_vars)
     by_name = {routine.name: routine for routine in machine_routines}
@@ -114,36 +116,25 @@ def build_image(
     # -- Startup stub: call entry, halt. -----------------------------------------------
     stub = [MInstr(MOp.CALL, sym=entry), MInstr(MOp.HALT)]
     image.entry_addr = 0
-    code: List[MInstr] = list(stub)
 
-    # Machine routines are immutable and outlive the link (resident in
-    # the incremental state, or part of a code object): the image
-    # shares their instructions and owns only what relocation rewrites.
     base_of: Dict[str, int] = {}
+    address = len(stub)
     for name in order:
-        base_of[name] = len(code)
+        base_of[name] = address
         routine = by_name[name]
+        size = len(routine.instrs)
         meta = RoutineMeta(
-            name,
-            routine.n_params,
-            routine.frame_size,
-            base_of[name],
-            len(routine.instrs),
+            name, routine.n_params, routine.frame_size, address, size
         )
         image.routine_meta[name] = meta
-        image.meta_by_addr[meta.addr] = meta
-        code.extend(routine.instrs)
+        image.meta_by_addr[address] = meta
+        address += size
     image.layout_order = list(order)
 
     # -- Relocation -------------------------------------------------------------------
+    code: List[MInstr] = stub
     for name in order:
-        base = base_of[name]
-        routine = by_name[name]
-        instrs = routine.instrs
-        for index in routine.reloc_sites():
-            instr = instrs[index].copy()
-            _relocate(instr, base, base_of, image, name, base + index)
-            code[base + index] = instr
+        code.extend(_linked(by_name[name], base_of, image, checked))
     # Relocate the startup stub's call.
     _relocate(code[0], 0, base_of, image, "<stub>", 0)
 
@@ -156,6 +147,76 @@ def build_image(
             for p in probe_table.probes
         ]
     return image
+
+
+def _linked(
+    routine: MachineRoutine,
+    base_of: Dict[str, int],
+    image: Executable,
+    checked: bool,
+) -> List[MInstr]:
+    """``routine``'s instructions relocated at ``base_of[routine.name]``.
+
+    Relocation reads the routine's base and, per symbolic site, the
+    callee's base or the global's address (and, for LDX/STX, its size):
+    that is the environment.  An equal environment relocates equally,
+    so the copies the last link made for it are reused; any other one
+    relocates afresh (and raises what relocation raises) and replaces
+    the memo.
+    """
+    calls, data, sized = routine.reloc_symbols()
+    env = (
+        base_of[routine.name],
+        *map(base_of.get, calls),
+        *map(image.data_addr.get, data),
+        *map(image.data_size.get, sized),
+    )
+    memo = routine.linked
+    if memo is not None and memo[0] == env:
+        if checked:
+            _verify_memo(routine, memo[1], base_of, image)
+        return memo[1]
+    instrs = _relocated(routine, base_of, image)
+    routine.linked = (env, instrs)
+    return instrs
+
+
+def _relocated(
+    routine: MachineRoutine, base_of: Dict[str, int], image: Executable
+) -> List[MInstr]:
+    """A new list of ``routine``'s instructions with a relocated copy at
+    each relocation site."""
+    name = routine.name
+    base = base_of[name]
+    instrs = list(routine.instrs)
+    for index in routine.reloc_sites():
+        instr = instrs[index].copy()
+        _relocate(instr, base, base_of, image, name, base + index)
+        instrs[index] = instr
+    return instrs
+
+
+def _verify_memo(
+    routine: MachineRoutine,
+    kept: List[MInstr],
+    base_of: Dict[str, int],
+    image: Executable,
+) -> None:
+    """Relocate ``routine`` again and compare with the memo (checked)."""
+    fresh = _relocated(routine, base_of, image)
+    if len(kept) != len(fresh) or any(
+        old is not new and _fields(old) != _fields(new)
+        for old, new in zip(kept, fresh)
+    ):
+        raise LinkError(
+            "the relocated code of %s differs from a fresh relocation "
+            "in the same environment" % routine.name
+        )
+
+
+def _fields(instr: MInstr) -> tuple:
+    return (instr.op, instr.subop, instr.rd, instr.rs1, instr.rs2,
+            instr.imm, instr.imm2, instr.sym, instr.target)
 
 
 def _relocate(

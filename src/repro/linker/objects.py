@@ -19,7 +19,7 @@ table; no global PIDs -- a private symbol table scopes the encoding).
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.module import Module
 from ..ir.routine import Routine
@@ -89,6 +89,9 @@ class ObjectFile:
         #: Human-readable note of how this object was compiled.
         self.opt_summary = opt_summary
         self._summary = None
+        self._interface: Optional[
+            Tuple[Dict[str, int], Tuple[Tuple[str, str, int], ...]]
+        ] = None
 
     # -- Symbol queries -----------------------------------------------------------
 
@@ -118,6 +121,29 @@ class ObjectFile:
             assert self.il_module is not None
             self._summary = ModuleSummary.from_module(self.il_module)
         return self._summary
+
+    def interface(
+        self,
+    ) -> Tuple[Dict[str, int], Tuple[Tuple[str, str, int], ...]]:
+        """What the link-time interface check reads of the IL module:
+        each routine's parameter count, and every call site as
+        ``(caller, callee, nargs)`` in routine, block and instruction
+        order.  Computed once per object from its own IL (not from
+        :meth:`summary`, so a cold build hashes nothing for it); like the
+        summary it stays valid because links only borrow ``il_module``.
+        """
+        if self._interface is None:
+            assert self.il_module is not None
+            arities: Dict[str, int] = {}
+            sites: List[Tuple[str, str, int]] = []
+            for routine in self.il_module.routine_list():
+                name = routine.name
+                arities[name] = routine.n_params
+                for block in routine.blocks:
+                    for _, instr in block.calls():
+                        sites.append((name, instr.sym, len(instr.args)))
+            self._interface = (arities, tuple(sites))
+        return self._interface
 
     def verify_il_unchanged(self) -> None:
         """Re-hash ``il_module`` against :meth:`summary` (checked links).

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .isa import RELOCATED_OPS, MInstr
+from .isa import RELOCATED_OPS, MInstr, MOp
+
+_CALL, _LDG, _STG, _LDX, _STX = MOp.CALL, MOp.LDG, MOp.STG, MOp.LDX, MOp.STX
 
 
 class MachineRoutine:
@@ -20,10 +22,16 @@ class MachineRoutine:
     routine resident across links and every image built from it shares
     its ``MInstr`` objects, so nothing may edit ``instrs`` or an
     instruction in it afterwards.
+
+    ``linked`` is the linker's memo, not part of the routine: the
+    relocation environment of the last link that placed it and the
+    instruction list that link relocated against it (see
+    :func:`repro.linker.link.build_image`).  It is replaced as one
+    tuple, so a concurrent link reads an environment with its own list.
     """
 
     __slots__ = ("name", "instrs", "n_params", "frame_size", "source_module",
-                 "_reloc_sites")
+                 "_reloc_sites", "_reloc_symbols", "linked")
 
     def __init__(
         self,
@@ -39,18 +47,43 @@ class MachineRoutine:
         self.frame_size = frame_size
         self.source_module = source_module
         self._reloc_sites: Optional[Tuple[int, ...]] = None
+        self._reloc_symbols: Optional[Tuple[Tuple[str, ...], ...]] = None
+        self.linked: Optional[Tuple[tuple, List[MInstr]]] = None
 
     def reloc_sites(self) -> Tuple[int, ...]:
         """Indices of the instructions the linker rewrites
         (:data:`~repro.vm.isa.RELOCATED_OPS`), scanned once."""
-        sites = self._reloc_sites
-        if sites is None:
-            relocated = RELOCATED_OPS
-            sites = self._reloc_sites = tuple(
-                index for index, instr in enumerate(self.instrs)
-                if instr.op in relocated
-            )
-        return sites
+        if self._reloc_sites is None:
+            self._scan_relocations()
+        return self._reloc_sites
+
+    def reloc_symbols(self) -> Tuple[Tuple[str, ...], ...]:
+        """``(callees, globals, arrays)``: the symbols of the relocation
+        sites that call, address a global, and bound an array access
+        (LDX/STX also take the array's size), in site order, scanned
+        once."""
+        if self._reloc_symbols is None:
+            self._scan_relocations()
+        return self._reloc_symbols
+
+    def _scan_relocations(self) -> None:
+        # Members are compared by identity: ``Enum.__hash__`` is a
+        # Python-level call per lookup.
+        relocated = RELOCATED_OPS
+        sites, calls, data, sized = [], [], [], []
+        for index, instr in enumerate(self.instrs):
+            op = instr.op
+            if op in relocated:
+                sites.append(index)
+                if op is _CALL:
+                    calls.append(instr.sym)
+                elif op is _LDX or op is _STX:
+                    data.append(instr.sym)
+                    sized.append(instr.sym)
+                elif op is _LDG or op is _STG:
+                    data.append(instr.sym)
+        self._reloc_sites = tuple(sites)
+        self._reloc_symbols = (tuple(calls), tuple(data), tuple(sized))
 
     def __len__(self) -> int:
         return len(self.instrs)

@@ -5,13 +5,16 @@ After a one-module edit on a warm :class:`BuildEngine`, the work done
 no cached machine code is decoded again, only the recompiled object is
 summarised, plan replay stays inside the import closure of what will be
 compiled, and the call graph is condensed once however often it is
-asked about recursion.  Nor is anything copied or re-encoded in defence:
-the linker copies relocation sites only, object IL is copied only
-inside the replay scope, facts are serialised and summaries parsed only
-for what changed.  Each assertion fails on the code it replaced (decode
+asked about recursion.  Nor is anything copied, re-encoded or re-parsed
+in defence: the linker copies only the relocation sites of routines
+whose relocation environment changed, object IL is copied only inside
+the replay scope, facts are serialised and summaries and ``summ`` blobs
+parsed only for what changed, and no link walks the IL of an object it
+already checked.  Each assertion fails on the code it replaced (decode
 per reused module, hash per module, whole-unit replay, one search per
-callee, a copy per instruction, a deep copy per object, a ``summ``
-re-encode per module, a summary parse per module).
+callee, a copy per instruction or per site, a deep copy per object, a
+``summ`` re-encode or re-parse per module, a summary parse per module,
+an interface walk per link).
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ import json
 
 import pytest
 
+import repro.driver.compiler as compiler_module
 import repro.hlo.driver as hlo_driver
 import repro.incr.state as incr_state
 import repro.ir.callgraph as callgraph
+import repro.linker.link as link
 from repro.driver.build import BuildEngine
 from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
@@ -43,6 +48,21 @@ class Counter:
     def __call__(self, *args, **kwargs):
         self.calls += 1
         return self.fn(*args, **kwargs)
+
+
+def uncounted_list(monkeypatch, owner, name, recorded):
+    """Wrap ``owner.name`` so that what it appends to ``recorded`` while
+    it runs is taken out again (the extra work of a checked link)."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        before = len(recorded)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            del recorded[before:]
+
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 def uncounted(monkeypatch, owner, name, counters):
@@ -169,8 +189,38 @@ def _clean_image(sources):
     )
 
 
-def test_the_linker_copies_relocation_sites_only(warm, monkeypatch):
-    engine, sources, _victim = warm
+def _relocation_environment(routine, image):
+    """What relocating ``routine`` into ``image`` reads: its base, and
+    per symbolic site the callee's base or the global's address and,
+    for an array access, its size."""
+    calls, data, sized = routine.reloc_symbols()
+    meta = image.routine_meta
+    return (
+        meta[routine.name].addr,
+        *(meta[name].addr for name in calls),
+        *(image.data_addr[name] for name in data),
+        *(image.data_size[name] for name in sized),
+    )
+
+
+def _watch_linked_routines(monkeypatch):
+    """Record each routine the next link places, with the environment
+    its relocation memo was made for (None: no memo)."""
+    placed = []
+    real_build_image = compiler_module.build_image
+
+    def build_image(machine_routines, *args, **kwargs):
+        placed.extend(
+            (routine, routine.linked and routine.linked[0])
+            for routine in machine_routines
+        )
+        return real_build_image(machine_routines, *args, **kwargs)
+
+    monkeypatch.setattr(compiler_module, "build_image", build_image)
+    return placed
+
+
+def _count_copies(monkeypatch):
     copied = []
     real_copy = MInstr.copy
 
@@ -179,15 +229,82 @@ def test_the_linker_copies_relocation_sites_only(warm, monkeypatch):
         return real_copy(self)
 
     monkeypatch.setattr(MInstr, "copy", copy)
+    # A checked link relocates every memoized routine again, to compare.
+    uncounted_list(monkeypatch, link, "_verify_memo", copied)
+    return copied
+
+
+def test_the_linker_copies_relocation_sites_only(warm, monkeypatch):
+    """Only the relocation sites of routines whose relocation
+    environment changed are copied: new machine code, and code whose
+    base, callee bases or globals moved."""
+    engine, sources, _victim = warm
+    placed = _watch_linked_routines(monkeypatch)
+    copied = _count_copies(monkeypatch)
     result, report = engine.build(sources)
     assert report.cmo_reused
-    code = result.executable.code
+    image = result.executable
     # The startup stub's call is the linker's own: patched, not copied.
-    sites = sum(1 for instr in code[1:] if instr.op in RELOCATED_OPS)
-    assert 0 < sites < len(code) - 2
-    assert len(copied) == sites
+    sites = sum(1 for instr in image.code[1:] if instr.op in RELOCATED_OPS)
+    assert 0 < sites < len(image.code) - 2
+    moved = sum(
+        len(routine.reloc_sites()) for routine, before in placed
+        if before != _relocation_environment(routine, image)
+    )
+    assert 0 < moved < sites
+    assert len(copied) == moved
     assert set(copied) <= set(RELOCATED_OPS)
+    assert encode_executable(image) == _clean_image(sources)
+
+
+def test_a_no_op_rebuild_copies_parses_and_walks_nothing(warm, monkeypatch):
+    """Relinking what the last link linked reuses every relocated copy,
+    every parsed ``summ`` blob and every object's interface table."""
+    from repro.ir.basic_block import BasicBlock
+
+    engine, sources, _victim = warm
+    engine.build(sources)  # the fixture's edit rewrites one summ blob
+    engine.build(sources)  # which this link parses
+    copied = _count_copies(monkeypatch)
+    parse = Counter(RoutineFacts.from_dict)
+    monkeypatch.setattr(RoutineFacts, "from_dict", staticmethod(parse))
+    walks = Counter(BasicBlock.calls)
+    monkeypatch.setattr(BasicBlock, "calls", lambda *args: walks(*args))
+    # A checked link parses every resident blob again, to compare.
+    uncounted(monkeypatch, incr_state, "_verify_resident", [parse])
+    result, report = engine.build(sources)
+    assert report.recompiled == [] and report.cmo_reoptimized == []
+    assert (len(copied), parse.calls, walks.calls) == (0, 0, 0)
     assert encode_executable(result.executable) == _clean_image(sources)
+
+
+def test_a_link_parses_only_the_summ_blob_the_last_link_rewrote(
+        warm, monkeypatch):
+    """A one-module, length-preserving edit rewrites that module's
+    ``summ`` blob; the next link parses that blob and no other."""
+    engine, sources, victim = warm
+    engine.build(sources)  # the fixture's edit rewrites victim's blob
+    other = sorted(name for name in sources
+                   if name not in (victim, "main"))[0]
+    sources[other] = bump(sources[other])
+    parsed = []
+    real_from_dict = RoutineFacts.from_dict
+
+    def from_dict(data):
+        parsed.append(data["module"])
+        return real_from_dict(data)
+
+    monkeypatch.setattr(RoutineFacts, "from_dict", staticmethod(from_dict))
+    uncounted_list(monkeypatch, incr_state, "_verify_resident", parsed)
+    for edited, rewrote in ((other, victim), (None, other)):
+        del parsed[:]
+        result, report = engine.build(sources)
+        assert result.incr_report.changed_modules == (
+            [edited] if edited else []
+        )
+        expected = len(engine.incr_state.parsed_facts[rewrote][2])
+        assert parsed == [rewrote] * expected
+        assert encode_executable(result.executable) == _clean_image(sources)
 
 
 def test_object_il_is_copied_only_inside_the_replay_scope(warm, monkeypatch):
@@ -252,14 +369,16 @@ def test_facts_are_serialised_for_scanned_modules_only(
         damage(repository, target)
         expected.add(target)
 
-    serialised = set()
+    serialised = []
     real_to_dict = RoutineFacts.to_dict
 
     def to_dict(self):
-        serialised.add(self.module)
+        serialised.append(self.module)
         return real_to_dict(self)
 
     monkeypatch.setattr(RoutineFacts, "to_dict", to_dict)
+    # A checked link compares resident facts with a fresh parse.
+    uncounted_list(monkeypatch, incr_state, "_verify_resident", serialised)
     stored = []
     real_store = repository.store
 
@@ -269,7 +388,7 @@ def test_facts_are_serialised_for_scanned_modules_only(
 
     monkeypatch.setattr(repository, "store", store)
     result, _report = engine.build(sources)
-    assert serialised == expected
+    assert set(serialised) == expected
     assert sorted(n for kind, n in stored if kind == "summ") == sorted(expected)
     fallbacks = [event for event in result.hlo_result.events
                  if event.get("event") == "summary-fallback"]
@@ -282,7 +401,7 @@ def test_facts_are_serialised_for_scanned_modules_only(
     assert encode_executable(result.executable) == _clean_image(sources)
 
     # The next link finds every blob in place again.
-    serialised.clear()
+    del serialised[:]
     result, report = engine.build(sources)
     assert not serialised
     assert report.cmo_reoptimized == []

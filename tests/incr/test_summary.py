@@ -8,6 +8,7 @@ from repro.hlo.analysis.modref import ModRefInfo
 from repro.hlo.profile_view import ProfileView
 from repro.incr.summary import (
     ModuleSummary,
+    extract_routine_facts,
     modref_fingerprint,
     options_fingerprint,
     routine_body_hash,
@@ -147,3 +148,21 @@ class TestModuleSummary:
         assert restored.body_hashes == summary.body_hashes
         assert restored.globals == summary.globals
         assert restored.fingerprint() == summary.fingerprint()
+
+
+class TestRoutineFactsCopy:
+    def test_the_copy_owns_its_profile_view(self):
+        routine = _routine(MOD_A, "a", "bump")
+        facts = extract_routine_facts(
+            routine, view=ProfileView.static_estimate(routine)
+        )
+        before = facts.to_dict()
+        dup = facts.copy()
+        assert dup.to_dict() == before
+        assert dup.view is not facts.view
+        label = routine.blocks[0].label
+        dup.view.merge_blocks(label, label)
+        dup.view.set_edge("x", "y", 7)
+        dup.sites.clear()
+        dup.mod.add("elsewhere")
+        assert facts.to_dict() == before

@@ -93,6 +93,10 @@ class TestObjectFiles:
             ObjectFile("m", "weird")
 
 
+def _il_objects(program):
+    return [ObjectFile.from_il_module(m) for m in program.module_list()]
+
+
 class TestInterfaceChecker:
     def test_detects_cross_module_mismatch(self):
         program = compile_sources(
@@ -101,13 +105,13 @@ class TestInterfaceChecker:
                 "b": "func main() { return f(1); }",
             }
         )
-        problems = check_interfaces(program)
+        problems = check_interfaces(_il_objects(program))
         assert len(problems) == 1
         assert "f" in problems[0] and "1 args" in problems[0]
 
     def test_clean_program(self, calc_sources):
         program = compile_sources(calc_sources)
-        assert check_interfaces(program) == []
+        assert check_interfaces(_il_objects(program)) == []
 
 
 class TestClustering:
