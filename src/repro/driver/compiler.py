@@ -356,11 +356,12 @@ class Compiler:
             # hashes each once: the link restructures views and borrows
             # the bodies, which HLO privatises where it edits them.
             # Derived data an earlier link left on a body is dropped, so
-            # what a pool is modeled to hold does not depend on history.
+            # what a pool is modeled to hold does not depend on history;
+            # the body is unchanged, so its remembered size stays valid.
             il_modules = [obj.il_module.view() for obj in il_objects]
             for module in il_modules:
                 for routine in module.routines.values():
-                    routine.invalidate()
+                    routine.derived.drop()
 
             with _Timer(result.timings, "interface_check"):
                 result.interface_problems = check_interfaces(il_objects)

@@ -29,6 +29,7 @@ from ..incr.summary import (
     compute_module_keys,
     extract_routine_facts,
 )
+from ..incr.state import decode_wpa_blob
 from ..ir.callgraph import CallGraph, CallGraphNode
 from ..ir.module import Module
 from ..ir.program import Program
@@ -51,7 +52,13 @@ from .passes import OptContext, PassPipeline
 from .profile_view import ProfileView
 from .thin import WpaOutcome, WpaPlan, replay_plan
 from .transforms.branch_elim import BranchElimination
-from .transforms.clone import CloneDecision, apply_clones, plan_clones
+from .transforms.clone import (
+    CloneDecision,
+    apply_clones,
+    clone_facts,
+    plan_clones,
+    register_clones,
+)
 from .transforms.constprop import ConstantPropagation
 from .transforms.dce import DeadCodeElimination
 from .transforms.dfe import eliminate_dead_functions, reachable_routines
@@ -204,8 +211,13 @@ class HloResult:
         self.plan = WpaPlan()
         #: module -> routines dead-function elimination removed.
         self.removal_log: Dict[str, List[str]] = {}
-        #: Routine name -> RoutineFacts (final, post-decision state).
+        #: Routine name -> RoutineFacts (final, post-decision state;
+        #: read-only: a link that applied a stored WPA outcome shares
+        #: them with the incremental state).
         self.thin_facts: Dict[str, RoutineFacts] = {}
+        #: ``ctx.views`` holds the incremental state's view objects
+        #: (:class:`AppliedWpa`): phase 5 copies the ones it edits.
+        self.views_shared = False
         #: Structured events (summary-cache and machine-blob fallbacks,
         #: scalar pipelines that hit the iteration cap).
         self.events: List[Dict[str, object]] = []
@@ -292,6 +304,123 @@ class WpaReuseMismatchError(RuntimeError):
     over the same inputs does not reproduce."""
 
 
+class AppliedWpaMismatchError(RuntimeError):
+    """A checked link found the applied WPA state the incremental state
+    kept different from applying the stored outcome again."""
+
+
+def _summary_cost(facts_by_name: Dict[str, RoutineFacts]) -> int:
+    return sum(routine_facts_bytes(facts) for facts in facts_by_name.values())
+
+
+def _views_and_modref(facts_by_name: Dict[str, RoutineFacts]):
+    """Each routine's initial profile view, and the whole-program
+    mod/ref solved from the facts' direct sets and call edges."""
+    views: Dict[str, ProfileView] = {}
+    direct: Dict[str, ModRefInfo] = {}
+    callees: Dict[str, List[str]] = {}
+    for name, facts in facts_by_name.items():
+        info = ModRefInfo()
+        info.mod = set(facts.mod)
+        info.ref = set(facts.ref)
+        info.has_calls = facts.has_calls
+        direct[name] = info
+        callees[name] = facts.callees()
+        views[name] = facts.view
+    return views, ModRefAnalysis.from_direct(direct, callees)
+
+
+class AppliedWpa:
+    """What applying one stored :class:`WpaOutcome` to a program's
+    pristine facts gives, apart from this link's program and unit: the
+    dead-function keep set, the post-apply facts (clones included), the
+    views and mod/ref the scalar phase reads, the plan, the clone names,
+    the inliner's counters and the pass-stat counts applying bumped.
+
+    The incremental state keeps one between links under the outcome
+    bytes it was derived from (equal bytes and equal WPA inputs give an
+    equal one).  It is shared, so nothing may mutate it: the facts,
+    mod/ref, plan and counters are only read after the WPA, and the
+    views the replay and the scalar passes edit are copied at the
+    replay scope first (:meth:`HighLevelOptimizer.run_scalar_phase`).
+    """
+
+    __slots__ = ("outcome", "summary_cost", "keep", "facts", "views",
+                 "modref", "plan", "clones", "inline_stats", "counts")
+
+    @staticmethod
+    def derive(outcome: WpaOutcome, facts_by_name: Dict[str, RoutineFacts],
+               summary_cost: int, symtab, modules: Set[str]) -> "AppliedWpa":
+        """Apply ``outcome`` to ``facts_by_name`` (pristine facts in
+        unit order, mutated and kept) through the apply code a deciding
+        link runs after deciding; ``modules`` are the program's."""
+        applied = AppliedWpa()
+        applied.outcome = outcome
+        applied.summary_cost = summary_cost
+        applied.keep = None
+        if outcome.removed:
+            applied.keep = set(facts_by_name).difference(
+                *outcome.removed.values()
+            )
+            for name in list(facts_by_name):
+                if name not in applied.keep:
+                    del facts_by_name[name]
+        ctx = OptContext(symtab)  # its views, mod/ref and stats are kept
+        ctx.views, ctx.modref = _views_and_modref(facts_by_name)
+        plan = WpaPlan()
+        apply_param_bindings(ctx, facts_by_name, outcome.plan.bindings, plan)
+        applied.counts = dict(ctx.stats.counts)
+        applied.clones = clone_facts(
+            ctx,
+            [CloneDecision(op.origin, op.bindings, op.retargets, 0)
+             for op in outcome.plan.clones],
+            facts_by_name, plan, modules,
+        )
+        inline_stats = InlineStats()
+        apply_splices(facts_by_name, outcome.plan.splices, plan,
+                      inline_stats)
+        inline_stats.take_verdicts(outcome.inline_stats)
+        applied.facts = facts_by_name
+        applied.views = ctx.views
+        applied.modref = ctx.modref
+        applied.plan = plan
+        applied.inline_stats = inline_stats
+        return applied
+
+    def differences(self, other: "AppliedWpa") -> List[str]:
+        """The fields in which ``other`` differs from this one."""
+
+        def views(applied):
+            return [
+                (name, None if view is None else (
+                    view.is_static_estimate, view.block_counts,
+                    view.edge_counts))
+                for name, view in applied.views.items()
+            ]
+
+        def modref(applied):
+            return [
+                (name, info.unknown, info.has_calls, sorted(info.mod),
+                 sorted(info.ref))
+                for name, info in applied.modref.info.items()
+            ]
+
+        fields = {
+            "outcome": lambda a: a.outcome.to_dict(),
+            "summary cost": lambda a: a.summary_cost,
+            "keep set": lambda a: a.keep,
+            "facts": lambda a: [f.to_dict() for f in a.facts.values()],
+            "views": views,
+            "modref": modref,
+            "plan": lambda a: a.plan.to_dict(),
+            "clones": lambda a: a.clones,
+            "inline stats": lambda a: a.inline_stats.to_dict(),
+            "pass stats": lambda a: a.counts,
+        }
+        return [name for name, read in fields.items()
+                if read(self) != read(other)]
+
+
 class HighLevelOptimizer:
     """Runs CMO over a program (or a subset of its routines)."""
 
@@ -366,9 +495,11 @@ class HighLevelOptimizer:
 
         With an incremental session and no profile, a link whose WPA
         inputs hash to the digest of the last committed link applies
-        that link's stored outcome through the same apply functions
-        (``eliminate_dead_functions``, ``apply_param_bindings``,
-        ``apply_clones``, ``apply_splices``) and builds no call graph.
+        that link's stored outcome instead (:meth:`_applied_outcome`)
+        and builds no call graph: it takes the facts, mod/ref, clones,
+        plan and inline counters applying it gives, and does per link
+        only what edits this link's program and unit (dead-function
+        elimination, registration, clone symbols).
         """
         program = self.program
         options = self.options
@@ -383,8 +514,11 @@ class HighLevelOptimizer:
         # after a fingerprint check against its current summary; any
         # miss or mismatch falls back to scanning that module, with an
         # event.  Facts that were all loaded are not recorded for
-        # commit: they are the blob the repository already holds.
+        # commit: they are the blob the repository already holds, and
+        # they are the state's (``resident`` names them): copied before
+        # anything here mutates them.
         facts_by_name: Dict[str, RoutineFacts] = {}
+        resident: List[str] = []
         use_cache = incr is not None and self.profile_db is None
         changed = set(incr.changed_modules) if incr is not None else set()
         for module in program.module_list():
@@ -410,39 +544,44 @@ class HighLevelOptimizer:
                     facts = extract_routine_facts(
                         routine, view=self._initial_view(routine)
                     )
+                else:
+                    resident.append(routine.name)
                 facts_by_name[routine.name] = facts
             if use_cache and not all_loaded:
                 incr.record_facts(
                     module.name,
                     [facts_by_name[r.name].to_dict() for r in routines],
                 )
-        summary_cost = sum(
-            routine_facts_bytes(facts) for facts in facts_by_name.values()
-        )
         tick = self._lap(timings, "wpa.scan", tick)
 
         # Where the facts cache serves, so may the last link's outcome:
         # equal WPA inputs decide equally, so phases 0-4 apply what is
-        # stored instead of deciding (``stored`` is None: decide).
-        stored: Optional[WpaOutcome] = None
+        # stored instead of deciding (``applied`` is None: decide).
+        applied: Optional[AppliedWpa] = None
         reference: Optional[HighLevelOptimizer] = None
         if use_cache:
-            stored = self._stored_outcome(facts_by_name, selected_routines)
-            if stored is not None and options.checked:
+            applied = self._applied_outcome(
+                facts_by_name, resident, selected_routines, bool(events)
+            )
+            if applied is not None and options.checked:
                 reference = self._reference(program)
             tick = self._lap(timings, "wpa.summarize", tick)
         elif incr is not None:
             incr.wpa_reason = "profile"
+        if applied is None:
+            for name in resident:
+                facts_by_name[name] = facts_by_name[name].copy()
+            summary_cost = _summary_cost(facts_by_name)
+        else:
+            facts_by_name = applied.facts
+            summary_cost = applied.summary_cost
 
         # Phase 0: DFE with the keep set computed on the facts graph.
         removed: List[str] = []
         removal_log: Dict[str, List[str]] = {}
         keep: Optional[Set[str]] = None
-        if stored is not None:
-            if stored.removed:
-                keep = set(facts_by_name).difference(
-                    *stored.removed.values()
-                )
+        if applied is not None:
+            keep = applied.keep
         elif options.dead_function_elim_enabled \
                 and not self.externally_callable:
             keep = reachable_routines(facts_by_name)
@@ -450,8 +589,9 @@ class HighLevelOptimizer:
             removed = eliminate_dead_functions(
                 program, keep, removal_log=removal_log
             )
-            for name in removed:
-                facts_by_name.pop(name, None)
+            if applied is None:
+                for name in removed:
+                    facts_by_name.pop(name, None)
             if incr is not None and removal_log:
                 incr.record_dfe(removal_log)
         tick = self._lap(timings, "wpa.dfe", tick)
@@ -472,30 +612,23 @@ class HighLevelOptimizer:
         # the facts already hold everything the decisions read, so
         # nothing keeps bodies expanded and the WPA working set stays
         # flat in the number of routine bodies.
-        direct: Dict[str, object] = {}
-        callees: Dict[str, List[str]] = {}
         for module in program.module_list():
             unit.symtab_handles[module.name] = loader.register_symtab(
                 module.symtab
             )
             for routine in module.routine_list():
-                handle = unit.add_routine(routine)
-                facts = facts_by_name[routine.name]
-                info = ModRefInfo()
-                info.mod = set(facts.mod)
-                info.ref = set(facts.ref)
-                info.has_calls = facts.has_calls
-                direct[routine.name] = info
-                callees[routine.name] = facts.callees()
-                ctx.views[routine.name] = facts.view
-                loader.evict(handle)
+                loader.evict(unit.add_routine(routine))
             unit.symtab_handles[module.name].request_unload()
-        ctx.modref = ModRefAnalysis.from_direct(direct, callees)
+        if applied is None:
+            ctx.views, ctx.modref = _views_and_modref(facts_by_name)
+        else:
+            ctx.views = dict(applied.views)
+            ctx.modref = applied.modref
         accountant.mark("scanned")
 
         all_names = unit.routine_names()
         callgraph: Optional[CallGraph] = None
-        if stored is None:
+        if applied is None:
             callgraph = unit.build_callgraph(facts_by_name)
             accountant.set_usage("global", "callgraph",
                                  callgraph_bytes(callgraph))
@@ -509,8 +642,8 @@ class HighLevelOptimizer:
 
         # Phase 2: interprocedural constant facts (plan records the
         # entry bindings; the facts mutate the way the bodies would).
-        plan = WpaPlan()
-        if stored is None:
+        if applied is None:
+            plan = WpaPlan()
             bound = publish_interprocedural_facts(
                 ctx,
                 all_names,
@@ -525,36 +658,34 @@ class HighLevelOptimizer:
             if incr is not None and bound:
                 incr.record_ipcp_edges(bound, callgraph, unit.routine_module)
         else:
-            apply_param_bindings(
-                ctx, facts_by_name, stored.plan.bindings, plan
-            )
-            ctx.readonly_globals = stored.readonly_globals
-            ctx.const_returns = stored.const_returns
+            plan = applied.plan
+            ctx.readonly_globals = applied.outcome.readonly_globals
+            ctx.const_returns = applied.outcome.const_returns
+            for name, count in applied.counts.items():
+                ctx.stats.bump(name, count)
         accountant.mark("ipcp")
         tick = self._lap(timings, "wpa.ipcp", tick)
 
         # Phase 3: cloning (plan + placeholder handles + retargets).
-        if stored is None:
+        if applied is None:
             caller_order = [name for name in all_names if name in selected]
             decisions = plan_clones(ctx, caller_order, facts_by_name)
+            clones = apply_clones(
+                ctx, unit, program, decisions, facts_by_name, plan
+            )
+            if clones:
+                callgraph = unit.build_callgraph(facts_by_name)
+                self._attach_view_weights(callgraph, ctx)
+                accountant.set_usage("global", "callgraph",
+                                     callgraph_bytes(callgraph))
         else:
-            decisions = [
-                CloneDecision(op.origin, op.bindings, op.retargets, 0)
-                for op in stored.plan.clones
-            ]
-        clones = apply_clones(
-            ctx, unit, program, decisions, facts_by_name, plan
-        )
-        if clones and stored is None:
-            callgraph = unit.build_callgraph(facts_by_name)
-            self._attach_view_weights(callgraph, ctx)
-            accountant.set_usage("global", "callgraph",
-                                 callgraph_bytes(callgraph))
+            clones = list(applied.clones)
+            register_clones(ctx, unit, clones, facts_by_name)
         accountant.mark("cloned")
         tick = self._lap(timings, "wpa.clone", tick)
 
         # Phase 4: the inline plan.
-        if stored is None:
+        if applied is None:
             engine = InlineEngine(
                 ctx,
                 callgraph,
@@ -565,10 +696,7 @@ class HighLevelOptimizer:
             inline_order = sorted(selected | set(clones))
             inline_stats = engine.run(inline_order)
         else:
-            inline_stats = InlineStats()
-            apply_splices(facts_by_name, stored.plan.splices, plan,
-                          inline_stats)
-            inline_stats.take_verdicts(stored.inline_stats)
+            inline_stats = applied.inline_stats
         accountant.mark("inlined")
         tick = self._lap(timings, "wpa.inline", tick)
 
@@ -584,7 +712,7 @@ class HighLevelOptimizer:
             for summary in incr.summaries.values():
                 orig_hashes.update(summary.body_hashes)
             rekeyed: Optional[Set[str]] = None
-            if stored is None:
+            if applied is None:
                 incr.record_inline_edges(inline_stats, unit.routine_module)
             else:
                 rekeyed = incr.rekeyed_modules(unit, plan)
@@ -599,7 +727,7 @@ class HighLevelOptimizer:
                 incr.options_fp,
                 modules=rekeyed,
             )
-            if stored is not None:
+            if applied is not None:
                 keys = incr.carry_forward(
                     keys, dict.fromkeys(unit.routine_module.values())
                 )
@@ -621,6 +749,7 @@ class HighLevelOptimizer:
         result.plan = plan
         result.removal_log = removal_log
         result.thin_facts = facts_by_name
+        result.views_shared = applied is not None
         result.events = events
         result.peak_bytes = accountant.peak
         result.wpa_peak_bytes = accountant.peak
@@ -630,17 +759,29 @@ class HighLevelOptimizer:
         if reference is not None:
             self._check_reuse(reference, selected_routines, result, keys,
                               orig_hashes)
-        if use_cache and stored is None:
+        if use_cache and applied is None:
             incr.record_wpa(result.outcome().to_dict())
         return result
 
-    def _stored_outcome(
+    def _applied_outcome(
         self,
         facts_by_name: Dict[str, RoutineFacts],
+        resident: List[str],
         selected_routines: Optional[Set[str]],
-    ) -> Optional[WpaOutcome]:
-        """The incremental session's stored outcome for this link's WPA
-        inputs, parsed; None when this link must decide."""
+        fell_back: bool,
+    ) -> Optional["AppliedWpa"]:
+        """What applying the incremental session's stored outcome for
+        this link's WPA inputs gives; None when this link must decide.
+
+        ``facts_by_name`` holds every routine's pristine facts, the
+        ``resident`` ones the state's own (read here, copied before they
+        are applied to).  The state keeps the last link's
+        :class:`AppliedWpa` under the outcome bytes it was derived from,
+        and a link that applies the same bytes takes it as it is, unless
+        one of its modules fell back on a scan (``fell_back``); a
+        checked link derives it again beside and raises
+        :class:`AppliedWpaMismatchError` on any difference.
+        """
         incr = self.incr_session
         program = self.program
         data = incr.lookup_wpa(
@@ -656,11 +797,49 @@ class HighLevelOptimizer:
         )
         if data is None:
             return None
+        kept = incr.kept_wpa(fell_back)
+        if kept is not None:
+            if self.options.checked:
+                self._verify_applied(kept, facts_by_name, resident)
+            return kept
         try:
-            return WpaOutcome.from_dict(data)
+            outcome = WpaOutcome.from_dict(data)
         except Exception:
             incr.reject_wpa()
             return None
+        summary_cost = _summary_cost(facts_by_name)
+        for name in resident:
+            facts_by_name[name] = facts_by_name[name].copy()
+        applied = AppliedWpa.derive(outcome, facts_by_name, summary_cost,
+                                    program.symtab, set(program.modules))
+        incr.keep_wpa(applied)
+        return applied
+
+    def _verify_applied(
+        self,
+        kept: "AppliedWpa",
+        facts_by_name: Dict[str, RoutineFacts],
+        resident: List[str],
+    ) -> None:
+        """Apply the stored outcome again, to copies of this link's
+        facts, and compare with what the state kept (checked links)."""
+        _header, data = decode_wpa_blob(self.incr_session.wpa_blob)
+        borrowed = set(resident)
+        facts = {
+            name: item.copy() if name in borrowed else item
+            for name, item in facts_by_name.items()
+        }
+        program = self.program
+        fresh = AppliedWpa.derive(
+            WpaOutcome.from_dict(data), facts, _summary_cost(facts),
+            program.symtab, set(program.modules),
+        )
+        differences = kept.differences(fresh)
+        if differences:
+            raise AppliedWpaMismatchError(
+                "the resident applied WPA state differs from applying the "
+                "stored outcome again: " + ", ".join(differences)
+            )
 
     def _reference(self, program: Program) -> "HighLevelOptimizer":
         """A deciding optimizer over a view of ``program`` as it is now
@@ -724,7 +903,8 @@ class HighLevelOptimizer:
         partitioned backend in :mod:`repro.part` must match its output
         byte for byte.  Registered bodies are borrowed (the linker
         registers its objects' IL), so the replay scope -- everything
-        replay, the passes and codegen will edit -- is privatised first;
+        replay, the passes and codegen will edit -- is privatised first,
+        bodies and (when :attr:`HloResult.views_shared`) profile views;
         bodies of reused modules outside it stay as the frontend left
         them, and stay the caller's: nothing compiles them.
 
@@ -751,10 +931,13 @@ class HighLevelOptimizer:
             # routine of a module that is not reused, selected or not.
             loader.phase = "replay"
             scope = result.plan.replay_scope(result.compiled_routines())
+            views = ctx.views
             for name in scope:
                 handle = unit.handle(name)
                 if handle is not None:
                     loader.privatize(handle)
+                if result.views_shared and views.get(name) is not None:
+                    views[name] = views[name].copy()
             replay_plan(
                 result.plan, scope,
                 loader, unit.routine_handles, ctx.views, self.options,

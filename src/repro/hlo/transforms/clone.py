@@ -148,14 +148,32 @@ def apply_clones(
     facts_by_name: Dict[str, RoutineFacts],
     plan,
 ) -> List[str]:
-    """Create the clones' facts and retarget their call sites.
+    """Create the clones' facts and retarget their call sites
+    (:func:`clone_facts`), then give them symbols and unit slots
+    (:func:`register_clones`).  Returns the clone names, in creation
+    order."""
+    created = clone_facts(ctx, decisions, facts_by_name, plan,
+                          set(program.modules))
+    register_clones(ctx, unit, created, facts_by_name)
+    return created
 
-    Symbol-table entries, profile-view and mod/ref copies and pass-stat
-    bumps happen here; the body work (copying the origin, retargeting
-    call instructions) is appended to ``plan.clones`` for replay.  A
-    clone's facts are copied from the origin's *current* facts, so
-    retargets applied to the origin by earlier decisions in this loop
-    are inherited.  Returns the clone names, in creation order.
+
+def clone_facts(
+    ctx: OptContext,
+    decisions: List[CloneDecision],
+    facts_by_name: Dict[str, RoutineFacts],
+    plan,
+    modules,
+) -> List[str]:
+    """The facts half of cloning: each clone's facts, profile view and
+    mod/ref copy, and the retargets of its sites.
+
+    The body work (copying the origin, retargeting call instructions)
+    is appended to ``plan.clones`` for replay.  A clone's facts are
+    copied from the origin's *current* facts, so retargets applied to
+    the origin by earlier decisions in this loop are inherited.  A
+    callee outside ``modules`` is not cloned.  Returns the clone names,
+    in creation order.
     """
     created: List[str] = []
     serial = 0
@@ -163,28 +181,15 @@ def apply_clones(
         if len(created) >= MAX_CLONES:
             break
         callee = facts_by_name.get(decision.callee)
-        if callee is None:
-            continue
-        module = program.modules.get(callee.module)
-        if module is None:
+        if callee is None or callee.module not in modules:
             continue
         clone_name = "%s::cl%d" % (decision.callee, serial)
         serial += 1
-        clone_facts = callee.copy(new_name=clone_name)
-        clone_facts.exported = False
-        apply_entry_bindings(clone_facts, list(decision.bindings))
-        facts_by_name[clone_name] = clone_facts
-
-        symtab_obj = unit.symtab_handles[module.name].get()
-        symtab_obj.add_routine(clone_name)
-        ctx.symtab.define_routine(clone_name, module.name)
-        unit.symtab_handles[module.name].request_unload()
-        # Placeholder handle: keeps the clone in the unit's canonical
-        # name order; replay registers the real body in its place.
-        unit.routine_handles[clone_name] = None
-        unit.routine_module[clone_name] = module.name
+        cloned = callee.copy(new_name=clone_name)
+        cloned.exported = False
+        apply_entry_bindings(cloned, list(decision.bindings))
+        facts_by_name[clone_name] = cloned
         created.append(clone_name)
-        ctx.stats.bump("clone")
         # Clone inherits the callee's profile shape and effects.
         callee_view = ctx.views.get(decision.callee)
         if callee_view is not None:
@@ -194,7 +199,7 @@ def apply_clones(
                 edge_counts=callee_view.edge_counts,
                 is_static_estimate=callee_view.is_static_estimate,
             )
-        clone_facts.view = ctx.views.get(clone_name)
+        cloned.view = ctx.views.get(clone_name)
         if ctx.modref is not None:
             ctx.modref.info[clone_name] = ctx.modref.for_routine(
                 decision.callee
@@ -216,3 +221,24 @@ def apply_clones(
                     retargets)
         )
     return created
+
+
+def register_clones(
+    ctx: OptContext,
+    unit,
+    clones: List[str],
+    facts_by_name: Dict[str, RoutineFacts],
+) -> None:
+    """The link's half of cloning: each clone's symbol-table entries, a
+    placeholder handle that keeps it in the unit's canonical name order
+    (replay registers the real body in its place), and its pass-stat
+    bump."""
+    for clone_name in clones:
+        module_name = facts_by_name[clone_name].module
+        symtab_obj = unit.symtab_handles[module_name].get()
+        symtab_obj.add_routine(clone_name)
+        ctx.symtab.define_routine(clone_name, module_name)
+        unit.symtab_handles[module_name].request_unload()
+        unit.routine_handles[clone_name] = None
+        unit.routine_module[clone_name] = module_name
+        ctx.stats.bump("clone")

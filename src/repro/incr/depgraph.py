@@ -76,6 +76,10 @@ class CrossModuleDeps:
     def __len__(self) -> int:
         return len(self._edges)
 
+    def edges_set(self) -> "frozenset[DepEdge]":
+        """The edges, unordered (cheap to compare)."""
+        return frozenset(self._edges)
+
     def without(self, consumers: Set[str], kinds) -> "CrossModuleDeps":
         """A copy less the ``kinds`` edges of ``consumers``."""
         deps = CrossModuleDeps()

@@ -211,6 +211,8 @@ class IncrLinkSession:
         #: A deciding link's outcome (``WpaOutcome.to_dict``), stored
         #: at commit under ``wpa_inputs``.
         self.wpa_outcome: Optional[dict] = None
+        #: The ``wpa/outcome`` bytes this link reuses (None: it decides).
+        self.wpa_blob: Optional[bytes] = None
 
     # -- Thin-WPA facts cache -------------------------------------------------------
 
@@ -223,7 +225,8 @@ class IncrLinkSession:
         """Cached facts for a module, verified against its fingerprint.
 
         Returns ``(facts, None)`` -- one :class:`RoutineFacts` per
-        routine, the caller's to mutate -- on a verified hit, or
+        routine, the state's own: read them, copy what you mutate -- on
+        a verified hit, or
         ``(None, reason)`` -- reason in {"missing", "corrupt",
         "fingerprint-mismatch"} -- when the thin phase must fall back to
         scanning that module's bodies.  The check compares the recorded
@@ -234,7 +237,7 @@ class IncrLinkSession:
 
         The blob is fetched on every call; its parse is not repeated:
         the state keeps each module's parsed facts with the bytes and
-        fingerprint they came from, and hands out copies while both are
+        fingerprint they came from, and hands them out while both are
         equal.  ``checked`` parses again beside that and raises
         :class:`ResidentFactsMismatchError` on any difference.
         """
@@ -261,7 +264,7 @@ class IncrLinkSession:
             return None, "corrupt"
         if resident is not None and checked:
             _verify_resident(module_name, facts, blob, fingerprint)
-        return [item.copy() for item in facts], None
+        return facts, None
 
     # -- Stored WPA outcome ---------------------------------------------------------
 
@@ -288,7 +291,7 @@ class IncrLinkSession:
         damaged raises a ``wpa-outcome-fallback`` event.
         """
         state = self.state
-        header, outcome, problem = state.load_wpa()
+        blob, header, outcome, problem = state.load_wpa()
         if problem is not None and state.wpa_digest is not None:
             self.events.append({
                 "event": "wpa-outcome-fallback", "reason": problem,
@@ -328,6 +331,7 @@ class IncrLinkSession:
             self.wpa_reason = problem
         elif vouched and digest == header["digest"]:
             self.wpa = "reused"
+            self.wpa_blob = blob
             return outcome
         else:
             self.wpa_reason = _why_inputs_differ(header, self.wpa_inputs)
@@ -341,6 +345,24 @@ class IncrLinkSession:
         })
         self.wpa = "decided"
         self.wpa_reason = "corrupt"
+        self.wpa_blob = None
+
+    def kept_wpa(self, fell_back: bool):
+        """The applied WPA state the last link kept
+        (:class:`~repro.hlo.driver.AppliedWpa`), when this link applies
+        the very ``wpa/outcome`` bytes it was derived from and
+        ``fell_back`` is false (every module's facts came from its
+        ``summ`` blob or from scanning an edited module); else None."""
+        kept = self.state.applied_wpa
+        if (kept is None or fell_back or self.wpa_blob is None
+                or kept[0] != self.wpa_blob):
+            return None
+        return kept[1]
+
+    def keep_wpa(self, applied) -> None:
+        """Keep what this link derived from applying its stored outcome,
+        for the next link that applies the same bytes."""
+        self.state.applied_wpa = (self.wpa_blob, applied)
 
     def record_wpa(self, outcome: dict) -> None:
         """A deciding link's outcome, stored at commit."""
@@ -490,8 +512,12 @@ class IncrementalState:
     """Summary/dep/codegen state persisted across CMO links."""
 
     def __init__(self, directory: Optional[str] = None) -> None:
+        # Level 1: every link that changes the index rewrites all of it,
+        # and a process reads it once (about 4x faster than level 6,
+        # a fifth larger; any level decodes).
         self.repository = Repository(
-            directory=directory, in_memory=directory is None
+            directory=directory, in_memory=directory is None,
+            compress_level=1,
         )
         #: Previous build's summaries, serialized form, and the
         #: fingerprint of each (all ``begin_link`` compares).
@@ -509,9 +535,23 @@ class IncrementalState:
         #: images built from them: machine routines are immutable.
         self._machines: Dict[str, list] = {}
         #: module -> (fingerprint, ``summ`` blob bytes, the facts parsed
-        #: from them), for the blobs ``load_facts`` parsed.  Never handed
-        #: out: a link mutates its facts, so it gets copies.
+        #: from them), for the blobs ``load_facts`` parsed.  Read, never
+        #: mutated: a link that mutates facts copies them.
         self.parsed_facts: Dict[str, Tuple[str, bytes, List[RoutineFacts]]] = {}
+        #: (``wpa/outcome`` bytes, header, outcome) of the last blob
+        #: :meth:`load_wpa` parsed.
+        self._wpa_parsed: Optional[Tuple[bytes, dict, dict]] = None
+        #: (``wpa/outcome`` bytes, the
+        #: :class:`~repro.hlo.driver.AppliedWpa` the last link that
+        #: applied them derived); None after a link that decided.
+        self.applied_wpa: Optional[Tuple[bytes, object]] = None
+        #: The index text last loaded or stored (a link that changes
+        #: nothing in it stores nothing), and the encoded pieces it was
+        #: assembled from: module -> (summary fingerprint, JSON text),
+        #: and (the dependency edges, their JSON text).
+        self._index_text: Optional[bytes] = None
+        self._summary_texts: Dict[str, Tuple[str, str]] = {}
+        self._deps_text: Optional[Tuple[frozenset, str]] = None
         if directory is not None:
             self.repository.reindex()
         self._load_index()
@@ -522,11 +562,8 @@ class IncrementalState:
         if not self.repository.contains(_INDEX_KIND, _INDEX_NAME):
             return
         try:
-            data = json.loads(
-                bytes(
-                    self.repository.fetch(_INDEX_KIND, _INDEX_NAME)
-                ).decode("utf-8")
-            )
+            text = bytes(self.repository.fetch(_INDEX_KIND, _INDEX_NAME))
+            data = json.loads(text.decode("utf-8"))
         except Exception:
             return  # unreadable state: behave like a first build
         if data.get("epoch") != PIPELINE_EPOCH or (
@@ -546,38 +583,78 @@ class IncrementalState:
         self.options_fp = data.get("options_fp", "")
         # An index written before the stored WPA outcome vouches for none.
         self.wpa_digest = data.get("wpa")
+        self._index_text = text
 
     def _save_index(self) -> None:
-        data = {
-            "epoch": PIPELINE_EPOCH,
-            "format": SUMMARY_FORMAT,
-            "options_fp": self.options_fp,
-            "summaries": self.summaries,
-            "summary_fingerprints": self.summary_fingerprints,
-            "deps": self.deps.to_list(),
-            "module_keys": self.module_keys,
-            "wpa": self.wpa_digest,
+        """Store the index, unless it is the text the repository holds."""
+        text = self.index_bytes()
+        if text == self._index_text and self.repository.contains(
+            _INDEX_KIND, _INDEX_NAME
+        ):
+            return
+        self.repository.store(_INDEX_KIND, _INDEX_NAME, text)
+        self._index_text = text
+
+    def index_bytes(self) -> bytes:
+        """The index as ``json.dumps(index, sort_keys=True)`` would
+        write it, encoding only the module summaries whose fingerprint
+        moved, and the dependency edges when they changed, since the
+        last call; the rest is text that call made."""
+        texts: Dict[str, Tuple[str, str]] = {}
+        for name in sorted(self.summaries):
+            fingerprint = self.summary_fingerprints[name]
+            text = self._summary_texts.get(name)
+            if text is None or text[0] != fingerprint:
+                text = (fingerprint,
+                        json.dumps(self.summaries[name], sort_keys=True))
+            texts[name] = text
+        self._summary_texts = texts
+        edges = self.deps.edges_set()
+        if self._deps_text is None or self._deps_text[0] != edges:
+            self._deps_text = (edges, json.dumps(self.deps.to_list()))
+
+        def join(open_, items, close):
+            return open_ + ", ".join(items) + close
+
+        parts = {
+            "epoch": json.dumps(PIPELINE_EPOCH),
+            "format": json.dumps(SUMMARY_FORMAT),
+            "options_fp": json.dumps(self.options_fp),
+            "summaries": join("{", (
+                "%s: %s" % (json.dumps(name), text)
+                for name, (_fingerprint, text) in texts.items()
+            ), "}"),
+            "summary_fingerprints": json.dumps(self.summary_fingerprints,
+                                               sort_keys=True),
+            "deps": self._deps_text[1],
+            "module_keys": json.dumps(self.module_keys, sort_keys=True),
+            "wpa": json.dumps(self.wpa_digest),
         }
-        self.repository.store(
-            _INDEX_KIND, _INDEX_NAME,
-            json.dumps(data, sort_keys=True).encode("utf-8"),
-        )
+        return join("{", (
+            "%s: %s" % (json.dumps(key), parts[key]) for key in sorted(parts)
+        ), "}").encode("utf-8")
 
     # -- The stored WPA outcome ------------------------------------------------------
 
     def load_wpa(self):
-        """``(header, outcome, None)``, or ``(None, None, reason)`` --
-        reason in {"missing", "corrupt"}; a corrupt blob is dropped."""
+        """``(blob, header, outcome, None)``, or ``(None, None, None,
+        reason)`` -- reason in {"missing", "corrupt"}; a corrupt blob is
+        dropped.  The blob is fetched on every call and parsed only when
+        its bytes differ from the last ones parsed (header and outcome
+        are shared with that call: read them, do not mutate them)."""
         if not self.repository.contains(_WPA_KIND, _WPA_NAME):
-            return None, None, "missing"
+            return None, None, None, "missing"
         try:
-            header, outcome = decode_wpa_blob(
-                self.repository.fetch(_WPA_KIND, _WPA_NAME)
-            )
+            blob = bytes(self.repository.fetch(_WPA_KIND, _WPA_NAME))
+            parsed = self._wpa_parsed
+            if parsed is None or parsed[0] != blob:
+                parsed = (blob,) + decode_wpa_blob(blob)
+                self._wpa_parsed = parsed
         except Exception:
+            self._wpa_parsed = None
             self.repository.discard(_WPA_KIND, _WPA_NAME)
-            return None, None, "corrupt"
-        return header, outcome, None
+            return None, None, None, "corrupt"
+        return parsed + (None,)
 
     # -- Machine-code blobs -----------------------------------------------------------
 
@@ -694,6 +771,8 @@ class IncrementalState:
         elif session.wpa != "reused":
             self.repository.discard(_WPA_KIND, _WPA_NAME)
             self.wpa_digest = None
+        if session.wpa != "reused":
+            self.applied_wpa = None
 
         # Equal fingerprints mean equal serialized summaries.
         previous_fps = self.summary_fingerprints

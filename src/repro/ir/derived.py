@@ -95,6 +95,14 @@ class DerivedCache:
             self._cfg.clear()
             self._instr.clear()
 
+    def drop(self) -> None:
+        """Drop every derived result of a body that did not change (a
+        link handing a borrowed body back): no mutation is signalled."""
+        if self._cfg or self._instr:
+            self.invalidate_count += 1
+            self._cfg.clear()
+            self._instr.clear()
+
     def invalidate_instrs(self) -> None:
         """Drop the results that read straight-line instructions (the
         terminators and the block list were left alone)."""

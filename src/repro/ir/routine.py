@@ -49,6 +49,7 @@ class Routine:
         "next_reg",
         "derived",
         "annotations",
+        "_sized",
     )
 
     def __init__(
@@ -73,6 +74,9 @@ class Routine:
         self.derived = DerivedCache()
         #: Free-form optimizer annotations (e.g. "inlined_from").
         self.annotations: Dict[str, object] = {}
+        #: (``derived.mutations``, instruction count) of the last
+        #: :meth:`sized_instr_count` walk.
+        self._sized: Optional[Tuple[int, int]] = None
 
     # -- Block management ---------------------------------------------------
 
@@ -161,6 +165,18 @@ class Routine:
 
     def instr_count(self) -> int:
         return sum(len(block) for block in self.blocks)
+
+    def sized_instr_count(self) -> int:
+        """:meth:`instr_count`, walked once per mutation signal: the
+        count is kept with :attr:`DerivedCache.mutations` and reused
+        while that is unchanged (every mutator calls :meth:`invalidate`
+        or :meth:`invalidate_instrs`, which is what the NAIM loader's
+        clean evictions already trust)."""
+        mutations = self.derived.mutations
+        sized = self._sized
+        if sized is None or sized[0] != mutations:
+            sized = self._sized = (mutations, self.instr_count())
+        return sized[1]
 
     def referenced_globals(self) -> List[str]:
         """Distinct global symbols touched, in first-occurrence order."""

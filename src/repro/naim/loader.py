@@ -50,19 +50,29 @@ from .repository import Repository
 
 class UnsignalledMutationError(Exception):
     """Checked builds: a body the loader took for clean no longer
-    encodes to the repository's bytes.
+    encodes to the repository's bytes, or no longer has the instruction
+    count it was last sized with.
 
     Some mutator edited ``routine`` during ``phase`` without calling
     ``invalidate()`` / ``invalidate_instrs()``; an unchecked build
-    would have dropped the body and silently lost the edit."""
+    would have dropped the body and silently lost the edit, or kept
+    accounting its old size."""
 
     def __init__(self, routine: str, phase: str) -> None:
         super().__init__(
             "routine %s was mutated during %s without invalidate(): its "
-            "clean eviction would lose the edit" % (routine, phase)
+            "clean eviction would lose the edit, its modeled size is "
+            "stale" % (routine, phase)
         )
         self.routine = routine
         self.phase = phase
+
+
+def _verify_size(routine: Routine, phase: str) -> None:
+    """Checked builds: the remembered instruction count the accountant
+    sized ``routine`` with is the one a walk gives."""
+    if routine.sized_instr_count() != routine.instr_count():
+        raise UnsignalledMutationError(routine.name, phase)
 
 
 class LoaderStats:
@@ -468,7 +478,7 @@ class Loader:
             lent = pool.expanded
             if lent is not None:
                 pool.expanded = lent.copy()
-                lent.invalidate()
+                lent.derived.drop()
 
     def pin(self, handle: Handle) -> None:
         """Exempt a pool from eviction (mutating clients must pin)."""
@@ -491,6 +501,8 @@ class Loader:
 
     def _account(self, pool: Pool) -> None:
         self.accountant.set_usage(pool.kind, pool.name, pool.resident_bytes())
+        if self.checked and pool.kind == KIND_IR and pool.expanded is not None:
+            _verify_size(pool.expanded, self.phase)
 
     def reaccount(self, handle: Handle) -> None:
         """Re-measure a pool after its object was mutated (e.g. inlining)."""

@@ -66,8 +66,9 @@ class CostTable:
 
 
 def expanded_routine_bytes(routine: "Routine") -> int:
-    """Modeled bytes of a routine's expanded IR."""
-    n_instr = routine.instr_count()
+    """Modeled bytes of a routine's expanded IR.  An unchanged body is
+    sized without walking it (:meth:`Routine.sized_instr_count`)."""
+    n_instr = routine.sized_instr_count()
     n_blocks = len(routine.blocks)
     cost = (
         CostTable.EXPANDED_ROUTINE

@@ -57,11 +57,11 @@ class PackEntry:
     """One entry's location and framing metadata inside a segment."""
 
     __slots__ = ("kind", "name", "offset", "payload_offset", "raw_len",
-                 "stored_len", "flags")
+                 "stored_len", "flags", "crc")
 
     def __init__(self, kind: str, name: str, offset: int,
                  payload_offset: int, raw_len: int, stored_len: int,
-                 flags: int) -> None:
+                 flags: int, crc: Optional[int] = None) -> None:
         self.kind = kind
         self.name = name
         #: Offset of the entry frame within the segment file.
@@ -71,6 +71,9 @@ class PackEntry:
         self.raw_len = raw_len
         self.stored_len = stored_len
         self.flags = flags
+        #: CRC-32 of the stored payload, as its frame records it (None
+        #: until read: footers do not repeat it).
+        self.crc = crc
 
     @property
     def compressed(self) -> bool:
@@ -175,8 +178,13 @@ def decode_entry_at(buf, pos: int, verify_crc: bool = True,
             "payload CRC mismatch for %s:%s at offset %d" % (kind, name, pos)
         )
     entry = PackEntry(kind, name, pos, payload_offset, raw_len,
-                      stored_len, flags)
+                      stored_len, flags, crc)
     return entry, next_pos
+
+
+def frame_crc(header) -> int:
+    """The payload CRC-32 an entry frame's header records."""
+    return _FRAME.unpack(bytes(header[:FRAME_BYTES]))[6]
 
 
 # -- Footers ------------------------------------------------------------------------

@@ -34,6 +34,7 @@ import os
 import re
 import tempfile
 import threading
+import zlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import packfile
@@ -118,6 +119,23 @@ class _Segment:
                 pass
             self.handle = None
         return True
+
+
+def _verified_span(segment: _Segment, entry: PackEntry):
+    """The stored payload of ``entry``, checked against the CRC-32 its
+    frame records; raises :class:`RepositoryError` when they differ (a
+    damaged raw entry would otherwise be returned as if intact)."""
+    span = segment.read_span(entry.payload_offset, entry.stored_len)
+    crc = entry.crc
+    if crc is None:  # indexed from a footer: read the frame's once
+        crc = entry.crc = packfile.frame_crc(
+            segment.read_span(entry.offset, packfile.FRAME_BYTES)
+        )
+    if zlib.crc32(span) != crc:
+        raise RepositoryError(
+            "pack entry %s:%s fails its CRC check" % (entry.kind, entry.name)
+        )
+    return span
 
 
 class Repository:
@@ -308,7 +326,7 @@ class Repository:
         segment.size += len(frame)
         payload_offset = offset + len(frame) - len(stored)
         entry = PackEntry(kind, name, offset, payload_offset, raw_len,
-                          len(stored), flags)
+                          len(stored), flags, packfile.frame_crc(frame))
         segment.entries.append(entry)
         return entry
 
@@ -404,6 +422,10 @@ class Repository:
         by :meth:`release_retired` once every view is gone -- so
         callers may hold the view as long as they like, but should
         drop it promptly to let retired segments actually release.
+
+        On disk the stored payload is checked against the CRC-32 its
+        frame records: a damaged entry raises :class:`RepositoryError`
+        instead of coming back as if intact.
         """
         key = (kind, name)
         with self._lock:
@@ -416,8 +438,8 @@ class Repository:
                 return data
             segment, entry = self._located[key]
             self.bytes_read += entry.stored_len
-        span = segment.read_span(entry.payload_offset, entry.stored_len)
-        return packfile.decode_payload_view(span, entry.flags)
+        return packfile.decode_payload_view(_verified_span(segment, entry),
+                                            entry.flags)
 
     def fetch_many(
         self, keys: Iterable[Tuple[str, str]]
@@ -435,7 +457,8 @@ class Repository:
         batch as one ``batch_fetches``.  The lock is taken **once per
         batch**: every counter (including exact ``bytes_read``) is
         settled while resolving, so concurrent batches never interleave
-        half-updated totals.
+        half-updated totals.  Each payload is CRC-checked as in
+        :meth:`fetch`.
         """
         plans: Dict[Tuple[str, str], Tuple[_Segment, PackEntry]] = {}
         mem: Dict[Tuple[str, str], bytes] = {}
@@ -459,8 +482,9 @@ class Repository:
             return mem
         out: Dict[Tuple[str, str], bytes] = {}
         for key, (segment, entry) in plans.items():
-            span = segment.read_span(entry.payload_offset, entry.stored_len)
-            out[key] = packfile.decode_payload_view(span, entry.flags)
+            out[key] = packfile.decode_payload_view(
+                _verified_span(segment, entry), entry.flags
+            )
         return out
 
     def discard(self, kind: str, name: str) -> bool:
@@ -663,6 +687,7 @@ class Repository:
                     old_entry.kind, old_entry.name, offset,
                     old_entry.payload_offset + shift, old_entry.raw_len,
                     old_entry.stored_len, old_entry.flags,
+                    packfile.frame_crc(frame),
                 )
                 segment.entries.append(entry)
                 new_located[key] = (segment, entry)

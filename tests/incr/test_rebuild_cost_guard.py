@@ -10,11 +10,15 @@ in defence: the linker copies only the relocation sites of routines
 whose relocation environment changed, object IL is copied only inside
 the replay scope, facts are serialised and summaries and ``summ`` blobs
 parsed only for what changed, and no link walks the IL of an object it
-already checked.  Each assertion fails on the code it replaced (decode
-per reused module, hash per module, whole-unit replay, one search per
+already checked.  A link that applies the stored WPA outcome the last
+link applied copies, solves and parses none of it again, sizes no
+unchanged body by walking it, and stores only the index pieces that
+changed.  Each assertion fails on the code it replaced (decode per
+reused module, hash per module, whole-unit replay, one search per
 callee, a copy per instruction or per site, a deep copy per object, a
 ``summ`` re-encode or re-parse per module, a summary parse per module,
-an interface walk per link).
+an interface walk per link, a facts copy per routine and a mod/ref
+solution per link, a walk per body, an index store per link).
 """
 
 from __future__ import annotations
@@ -28,9 +32,13 @@ import repro.hlo.driver as hlo_driver
 import repro.incr.state as incr_state
 import repro.ir.callgraph as callgraph
 import repro.linker.link as link
+import repro.naim.loader as loader_module
 from repro.driver.build import BuildEngine
 from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
+from repro.hlo.analysis.modref import ModRefAnalysis
+from repro.hlo.profile_view import ProfileView
+from repro.hlo.thin import WpaOutcome
 from repro.incr.summary import ModuleSummary, RoutineFacts
 from repro.ir.routine import Routine
 from repro.linker.objects import ObjectFile, encode_executable
@@ -257,9 +265,74 @@ def test_the_linker_copies_relocation_sites_only(warm, monkeypatch):
     assert encode_executable(image) == _clean_image(sources)
 
 
+def _count_applied_wpa_work(monkeypatch, engine):
+    """Counters of what applying the stored WPA outcome re-derives:
+    facts copies, profile-view copies, mod/ref solutions, outcome
+    parses, instruction walks (by routine) and repository stores (by
+    kind).  The checked-link extras that derive, decide, size or hash
+    again beside the link are not counted."""
+    counters = {
+        "RoutineFacts.copy": Counter(RoutineFacts.copy),
+        "ProfileView.copy": Counter(ProfileView.copy),
+        "ModRefAnalysis.from_direct": Counter(ModRefAnalysis.from_direct),
+        "WpaOutcome.from_dict": Counter(WpaOutcome.from_dict),
+    }
+    for label in ("RoutineFacts.copy", "ProfileView.copy"):
+        owner = RoutineFacts if label.startswith("R") else ProfileView
+        monkeypatch.setattr(
+            owner, "copy",
+            lambda *args, counter=counters[label], **kwargs:
+            counter(*args, **kwargs),
+        )
+    for owner, label in ((ModRefAnalysis, "ModRefAnalysis.from_direct"),
+                         (WpaOutcome, "WpaOutcome.from_dict")):
+        monkeypatch.setattr(owner, label.split(".")[1],
+                            staticmethod(counters[label]))
+    walked = []
+    real_instr_count = Routine.instr_count
+
+    def instr_count(self):
+        walked.append(self.name)
+        return real_instr_count(self)
+
+    monkeypatch.setattr(Routine, "instr_count", instr_count)
+    repository = engine.incr_state.repository
+    stored = []
+    real_store = repository.store
+
+    def store(kind, name, data):
+        stored.append(kind)
+        return real_store(kind, name, data)
+
+    monkeypatch.setattr(repository, "store", store)
+    extras = [
+        (hlo_driver.HighLevelOptimizer, "_verify_applied"),
+        (hlo_driver.HighLevelOptimizer, "_check_reuse"),
+        (loader_module, "_verify_size"),
+        (ObjectFile, "verify_il_unchanged"),
+    ]
+    for owner, name in extras:
+        real = getattr(owner, name)
+
+        def extra(*args, real=real, **kwargs):
+            before = [counter.calls for counter in counters.values()]
+            walks = len(walked)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                for counter, calls in zip(counters.values(), before):
+                    counter.calls = calls
+                del walked[walks:]
+
+        monkeypatch.setattr(owner, name, extra)
+    return counters, walked, stored
+
+
 def test_a_no_op_rebuild_copies_parses_and_walks_nothing(warm, monkeypatch):
     """Relinking what the last link linked reuses every relocated copy,
-    every parsed ``summ`` blob and every object's interface table."""
+    every parsed ``summ`` blob, every object's interface table, what
+    applying the stored WPA outcome gave and every body's size, and
+    stores nothing."""
     from repro.ir.basic_block import BasicBlock
 
     engine, sources, _victim = warm
@@ -272,10 +345,71 @@ def test_a_no_op_rebuild_copies_parses_and_walks_nothing(warm, monkeypatch):
     monkeypatch.setattr(BasicBlock, "calls", lambda *args: walks(*args))
     # A checked link parses every resident blob again, to compare.
     uncounted(monkeypatch, incr_state, "_verify_resident", [parse])
+    counters, walked, stored = _count_applied_wpa_work(monkeypatch, engine)
     result, report = engine.build(sources)
     assert report.recompiled == [] and report.cmo_reoptimized == []
+    assert result.incr_report.wpa == "reused"
     assert (len(copied), parse.calls, walks.calls) == (0, 0, 0)
+    assert {label: counter.calls for label, counter in counters.items()} == (
+        dict.fromkeys(counters, 0)
+    )
+    hlo = result.hlo_result
+    scope = hlo.plan.replay_scope(hlo.compiled_routines())
+    assert [name for name in walked if name not in scope] == []
+    assert stored == []
     assert encode_executable(result.executable) == _clean_image(sources)
+
+
+def test_a_fact_preserving_edit_copies_facts_and_views_of_the_replay_scope_only(
+        warm, monkeypatch):
+    """An edit that leaves every routine's facts alone takes what
+    applying the stored WPA outcome gave from the last link: no facts
+    copy, parse or mod/ref solution for the modules it did not touch;
+    what replay and the scalar passes edit (the views of the replay
+    scope) is copied, nothing else; and only the edited module's index
+    entries change."""
+    engine, sources, victim = warm
+    encoded = dict(engine.incr_state._summary_texts)
+    counters, walked, stored = _count_applied_wpa_work(monkeypatch, engine)
+    result, report = engine.build(sources)
+    assert result.incr_report.wpa == "reused"
+    assert report.recompiled == [victim]
+    assert [name for name, text in engine.incr_state._summary_texts.items()
+            if text is not encoded.get(name)] == [victim]
+    hlo = result.hlo_result
+    scope = hlo.plan.replay_scope(hlo.compiled_routines())
+    assert scope, "the edit compiles nothing: the guard guards nothing"
+    assert counters["RoutineFacts.copy"].calls <= len(scope)
+    assert 0 < counters["ProfileView.copy"].calls <= len(scope)
+    assert counters["ModRefAnalysis.from_direct"].calls == 0
+    assert counters["WpaOutcome.from_dict"].calls == 0
+    assert stored.count("incr") == 1
+    assert encode_executable(result.executable) == _clean_image(sources)
+
+
+def test_the_index_is_the_text_json_would_write(warm):
+    """What ``commit`` stores is ``json.dumps(index, sort_keys=True)``,
+    assembled from the pieces it keeps, so a compiler that writes it in
+    one piece reads it, and writes the same bytes."""
+    from repro.incr.summary import SUMMARY_FORMAT
+    from repro.sched.artifacts import PIPELINE_EPOCH
+
+    engine, sources, _victim = warm
+    engine.build(sources)
+    state = engine.incr_state
+    index = {
+        "epoch": PIPELINE_EPOCH,
+        "format": SUMMARY_FORMAT,
+        "options_fp": state.options_fp,
+        "summaries": state.summaries,
+        "summary_fingerprints": state.summary_fingerprints,
+        "deps": state.deps.to_list(),
+        "module_keys": state.module_keys,
+        "wpa": state.wpa_digest,
+    }
+    expected = json.dumps(index, sort_keys=True).encode("utf-8")
+    assert bytes(state.repository.fetch("incr", "index")) == expected
+    assert state.index_bytes() == expected
 
 
 def test_a_link_parses_only_the_summ_blob_the_last_link_rewrote(
@@ -377,8 +511,11 @@ def test_facts_are_serialised_for_scanned_modules_only(
         return real_to_dict(self)
 
     monkeypatch.setattr(RoutineFacts, "to_dict", to_dict)
-    # A checked link compares resident facts with a fresh parse.
+    # A checked link compares resident facts with a fresh parse, and the
+    # resident applied WPA state with a fresh application.
     uncounted_list(monkeypatch, incr_state, "_verify_resident", serialised)
+    uncounted_list(monkeypatch, hlo_driver.HighLevelOptimizer,
+                   "_verify_applied", serialised)
     stored = []
     real_store = repository.store
 
