@@ -32,16 +32,17 @@ import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests", "naim"))
 
 from conftest import save_json, save_result
-
-from repro.frontend import compile_sources
-from repro.naim.compaction import (
-    compact_routine,
+from reference_codec import (
     compact_routine_reference,
-    uncompact_routine,
     uncompact_routine_reference,
 )
+
+from repro.frontend import compile_sources
+from repro.naim.compaction import compact_routine, uncompact_routine
 from repro.naim.intern import InternPool
 from repro.synth import WorkloadConfig, generate
 

@@ -7,6 +7,9 @@ the scalar pipeline, inlining, code generation and the VM itself.
 Run: ``pytest benchmarks/bench_micro.py --benchmark-only``
 """
 
+import os
+import sys
+
 import pytest
 
 from repro.driver.compiler import Compiler, train
@@ -17,14 +20,17 @@ from repro.hlo.driver import standard_pipeline
 from repro.hlo.passes import OptContext
 from repro.interp import run_program
 from repro.naim import Loader, NaimConfig, NaimLevel, Repository
-from repro.naim.compaction import (
-    compact_routine,
-    compact_routine_reference,
-    uncompact_routine,
-    uncompact_routine_reference,
-)
+from repro.naim.compaction import compact_routine, uncompact_routine
 from repro.naim.intern import InternPool
 from repro.synth import WorkloadConfig, generate
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests", "naim"))
+
+from reference_codec import (  # noqa: E402
+    compact_routine_reference,
+    uncompact_routine_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -84,20 +90,6 @@ def test_codec_batched_decode(benchmark, program):
     def decode_all():
         for blob in blobs:
             uncompact_routine(blob, symtab, intern=intern)
-
-    benchmark(decode_all)
-
-
-def test_codec_lazy_decode(benchmark, program):
-    """Lazy decode: locate blocks/annotations, no instruction build."""
-    symtab = program.symtab
-    blobs = [compact_routine(routine, symtab)
-             for routine in program.all_routines()]
-    intern = InternPool()
-
-    def decode_all():
-        for blob in blobs:
-            uncompact_routine(blob, symtab, intern=intern, lazy=True)
 
     benchmark(decode_all)
 

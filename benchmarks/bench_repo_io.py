@@ -28,8 +28,14 @@ import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests", "naim"))
 
 from conftest import save_json, save_result
+from reference_codec import (
+    compact_routine_reference,
+    uncompact_routine_reference,
+)
 
 from repro.bench.figures import _aggressive_hlo
 from repro.driver.compiler import Compiler, train
@@ -37,12 +43,7 @@ from repro.driver.options import CompilerOptions
 from repro.frontend import compile_source, detect_language
 from repro.ir.symbols import ProgramSymbolTable
 from repro.linker.objects import encode_executable
-from repro.naim.compaction import (
-    compact_routine,
-    compact_routine_reference,
-    uncompact_routine,
-    uncompact_routine_reference,
-)
+from repro.naim.compaction import compact_routine, uncompact_routine
 from repro.naim.config import NaimConfig, NaimLevel
 from repro.naim.intern import InternPool
 from repro.synth.config import spec_like_suite

@@ -536,9 +536,7 @@ class Compiler:
         cmo_program = Program(cmo_modules)
         repository = None
         if options.repository_dir is not None:
-            repository = Repository.from_config(
-                options.repository_dir, options.naim
-            )
+            repository = Repository(directory=options.repository_dir)
         with _Timer(result.timings, "hlo"):
             hlo = HighLevelOptimizer(
                 cmo_program,

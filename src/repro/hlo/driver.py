@@ -950,22 +950,17 @@ class HighLevelOptimizer:
         scalar = set(worklist)
         names = worklist if codegen is None else result.compiled_routines()
         handles = [unit.handle(name) for name in names]
-        # Issue prefetch batches a window ahead of the routine being
-        # optimized, so repository fetch + decode of offloaded pools
-        # overlaps with scalar optimization instead of stalling it.
-        depth = loader.config.repo_prefetch_depth
-        if depth:
-            loader.prefetch(
-                handle for handle in handles[:depth] if handle is not None
-            )
+        # Prefetch the next routine while this one is optimized, so
+        # repository fetch + decode of offloaded pools overlaps with
+        # scalar optimization instead of stalling it.
+        loader.prefetch(handle for handle in handles[:1] if handle is not None)
         machines: Dict[str, object] = {}
         codegen_seconds = 0.0
         for index, (name, handle) in enumerate(zip(names, handles)):
-            if depth:
-                loader.prefetch(
-                    ahead for ahead in handles[index + 1:index + 1 + depth]
-                    if ahead is not None
-                )
+            loader.prefetch(
+                ahead for ahead in handles[index + 1:index + 2]
+                if ahead is not None
+            )
             routine = handle.get() if handle is not None else None
             if routine is None:
                 continue

@@ -20,32 +20,29 @@ only objects reachable from the routine root survive the round trip.
 The encoding uses LEB128 varints with zigzag for signed values; compact
 sizes reported to the memory accountant are the real encoded lengths.
 
-Two codec implementations share the one wire format:
+The codec is *batched*: ``compact_routine`` collects a whole
+routine's field values and emits them in bulk runs, and
+``uncompact_routine`` consumes them through an opcode-shape dispatch
+table instead of a per-opcode if-chain.  Roughly 95% of encoded values
+fit in one byte, so the encoder flushes maximal ``0..127`` runs through
+``bytes()`` in C (measured faster than an equivalent
+``struct.Struct("<NB")`` pack because no format object needs sizing per
+run) and the decoder inlines the one-byte fast path.  Decode is always
+eager: every block and annotation is materialized when the pool is.
 
-* the **reference codec** (:class:`Writer`/:class:`Reader` plus the
-  ``*_reference`` entry points) emits one varint per call and reads
-  like a format specification;
-* the **batched codec** (the default ``compact_routine`` /
-  ``uncompact_routine``) collects a whole routine's field values and
-  emits/consumes them in bulk runs, with an opcode-shape dispatch
-  table instead of the per-opcode if-chain.  It exists purely for
-  speed: roughly 95% of encoded values fit in one byte, so the
-  encoder flushes maximal ``0..127`` runs through ``bytes()`` in C
-  (measured faster than an equivalent ``struct.Struct("<NB")`` pack
-  because no format object needs sizing per run) and the decoder
-  inlines the one-byte fast path.
-
-The two must be byte-identical on every input; the dual-codec property
-test (``tests/property/test_prop_codec.py``) and the ``perf-smoke`` CI
-job enforce that.  ``uncompact_routine`` additionally supports *lazy
-materialization* (``lazy=True``): block bodies and annotations are
-located but not decoded until first touched, so a touch that only
-reads routine metadata never pays per-instruction decode.
+The per-field codec it replaced lives on as the format specification in
+``tests/naim/reference_codec.py`` (on :class:`Writer` / :class:`Reader`,
+which the object-file format uses too); the dual-codec property test
+(``tests/property/test_prop_codec.py``) and the ``perf-smoke`` CI job
+hold the two byte-identical.  Malformed bytes -- truncation, a bad
+opcode, label or string index, invalid UTF-8 in the string table -- are
+a :class:`CompactionError` naming the field and offset; a PID the
+program symbol table does not know is its ``SymbolError``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.basic_block import BasicBlock
 from ..ir.instructions import Instr, Opcode
@@ -203,18 +200,8 @@ class Reader:
         version = self.u()
         if version != _VERSION:
             raise CompactionError("bad relocatable version %d" % version)
-        count = self.u()
-        self.strings: List[str] = []
-        for _ in range(count):
-            length = self.u()
-            raw = self.data[self.pos : self.pos + length]
-            if len(raw) != length:
-                raise CompactionError(
-                    "truncated string table at offset %d" % self.pos,
-                    offset=self.pos, field="string table",
-                )
-            self.strings.append(raw.decode("utf-8"))
-            self.pos += length
+        self.strings, self.pos = _read_string_table(data, self.pos,
+                                                    bytes.decode)
 
     def u(self) -> int:
         result = 0
@@ -293,8 +280,6 @@ _SHAPE_BY_CODE = tuple(
 )
 _SHAPE_BY_OP = {op: _SHAPE_BY_CODE[code]
                 for op, code in _OPCODE_INDEX.items()}
-#: Fixed varint field count per shape (CALL is variable: marked -1).
-_NFIELDS_BY_SHAPE = (2, 2, 3, 2, 2, 3, 3, -1, 1, 3, 1, 1)
 
 _NEW = object.__new__
 
@@ -393,212 +378,45 @@ def _uv_cont(buf: bytes, pos: int, first: int):
         shift += 7
 
 
-# -- Reference per-instruction codec ------------------------------------------
+def _read_string_table(buf: bytes, pos: int,
+                       decode: Callable[[bytes], str]) -> Tuple[List[str], int]:
+    """Read the string table at ``pos``; returns (strings, next position).
 
-
-def _encode_instr(
-    writer: Writer,
-    instr: Instr,
-    label_index: Dict[str, int],
-    symtab: ProgramSymbolTable,
-) -> None:
-    code = _OPCODE_INDEX[instr.op]
-    writer.u(code)
-    op = instr.op
-    if op is Opcode.CONST:
-        writer.u(instr.dst)
-        writer.s(instr.imm)
-    elif op in (Opcode.MOV, Opcode.NEG, Opcode.NOT):
-        writer.u(instr.dst)
-        writer.u(instr.a)
-    elif code in _BINARY_SET:
-        writer.u(instr.dst)
-        writer.u(instr.a)
-        writer.u(instr.b)
-    elif op is Opcode.LOADG:
-        writer.u(instr.dst)
-        writer.u(symtab.pid_of(instr.sym))
-    elif op is Opcode.STOREG:
-        writer.u(symtab.pid_of(instr.sym))
-        writer.u(instr.a)
-    elif op is Opcode.LOADE:
-        writer.u(instr.dst)
-        writer.u(symtab.pid_of(instr.sym))
-        writer.u(instr.a)
-    elif op is Opcode.STOREE:
-        writer.u(symtab.pid_of(instr.sym))
-        writer.u(instr.a)
-        writer.u(instr.b)
-    elif op is Opcode.CALL:
-        writer.opt_reg(instr.dst)
-        writer.u(symtab.pid_of(instr.sym))
-        writer.u(len(instr.args))
-        for arg in instr.args:
-            writer.u(arg)
-    elif op is Opcode.RET:
-        writer.opt_reg(instr.a)
-    elif op is Opcode.BR:
-        writer.u(instr.a)
-        writer.u(label_index[instr.targets[0]])
-        writer.u(label_index[instr.targets[1]])
-    elif op is Opcode.JMP:
-        writer.u(label_index[instr.targets[0]])
-    elif op is Opcode.PROBE:
-        writer.u(instr.imm)
-    else:  # pragma: no cover
-        raise CompactionError("unencodable opcode %s" % op)
-
-
-def _decode_instr(
-    reader: Reader, labels: List[str], symtab: ProgramSymbolTable
-) -> Instr:
-    at = reader.pos
-    code = reader.u()
+    The table is a count, then that many length-prefixed UTF-8 strings;
+    ``decode`` is ``bytes.decode`` or an :class:`InternPool`'s ``utf8``.
+    Running off the buffer and invalid UTF-8 are both a
+    :class:`CompactionError` on the ``"string table"`` field.
+    """
+    strings: List[str] = []
+    append = strings.append
     try:
-        op = _OPCODE_LIST[code]
-    except IndexError:
-        raise CompactionError("bad opcode %d at offset %d" % (code, at),
-                              offset=at, field="opcode")
-    if op is Opcode.CONST:
-        return Instr(op, dst=reader.u(), imm=reader.s())
-    if op in (Opcode.MOV, Opcode.NEG, Opcode.NOT):
-        return Instr(op, dst=reader.u(), a=reader.u())
-    if code in _BINARY_SET:
-        return Instr(op, dst=reader.u(), a=reader.u(), b=reader.u())
-    if op is Opcode.LOADG:
-        return Instr(op, dst=reader.u(), sym=symtab.name_of(reader.u()))
-    if op is Opcode.STOREG:
-        return Instr(op, sym=symtab.name_of(reader.u()), a=reader.u())
-    if op is Opcode.LOADE:
-        return Instr(op, dst=reader.u(), sym=symtab.name_of(reader.u()),
-                     a=reader.u())
-    if op is Opcode.STOREE:
-        return Instr(op, sym=symtab.name_of(reader.u()), a=reader.u(),
-                     b=reader.u())
-    if op is Opcode.CALL:
-        dst = reader.opt_reg()
-        sym = symtab.name_of(reader.u())
-        nargs = reader.u()
-        args = tuple(reader.u() for _ in range(nargs))
-        return Instr(op, dst=dst, sym=sym, args=args)
-    if op is Opcode.RET:
-        return Instr(op, a=reader.opt_reg())
-    if op is Opcode.BR:
-        a = reader.u()
-        t0 = _label_at(reader, labels)
-        t1 = _label_at(reader, labels)
-        return Instr(op, a=a, targets=(t0, t1))
-    if op is Opcode.JMP:
-        return Instr(op, targets=(_label_at(reader, labels),))
-    if op is Opcode.PROBE:
-        return Instr(op, imm=reader.u())
-    raise CompactionError("undecodable opcode %s" % op)  # pragma: no cover
-
-
-def _label_at(reader: Reader, labels: List[str]) -> str:
-    at = reader.pos
-    index = reader.u()
-    try:
-        return labels[index]
+        count, pos = _uv(buf, pos)
+        for _ in range(count):
+            length, pos = _uv(buf, pos)
+            end = pos + length
+            raw = buf[pos:end]
+            if len(raw) != length:
+                raise CompactionError(
+                    "truncated string table at offset %d" % pos,
+                    offset=pos, field="string table",
+                )
+            append(decode(raw))
+            pos = end
     except IndexError:
         raise CompactionError(
-            "bad label index %d at offset %d" % (index, at),
-            offset=at, field="label index",
-        )
+            "truncated string table (buffer end at offset %d)" % len(buf),
+            offset=len(buf), field="string table",
+        ) from None
+    except UnicodeDecodeError as exc:
+        at = pos + exc.start
+        raise CompactionError(
+            "invalid UTF-8 in string table at offset %d" % at,
+            offset=at, field="string table",
+        ) from None
+    return strings, pos
 
 
-# -- Routine compaction (reference codec) -------------------------------------
-
-
-def compact_routine_reference(
-    routine: Routine, symtab: ProgramSymbolTable
-) -> bytes:
-    """Reference encoder: one :class:`Writer` call per field.
-
-    This is the format specification; :func:`compact_routine` must
-    produce identical bytes (the dual-codec differential test holds
-    them together).
-    """
-    writer = Writer()
-    writer.u(symtab.pid_of(routine.name))
-    writer.string_ref(routine.module_name)
-    writer.u(1 if routine.exported else 0)
-    writer.u(routine.n_params)
-    writer.u(routine.next_reg)
-    writer.u(routine.source_lines)
-    writer.string_ref(routine.source_language)
-
-    labels = routine.block_labels()
-    label_index = {label: i for i, label in enumerate(labels)}
-    writer.u(len(labels))
-    for label in labels:
-        writer.string_ref(label)
-    for block in routine.blocks:
-        writer.u(len(block.instrs))
-        for instr in block.instrs:
-            _encode_instr(writer, instr, label_index, symtab)
-
-    annotations = sorted(
-        (key, value)
-        for key, value in routine.annotations.items()
-        if isinstance(value, (int, str))
-    )
-    writer.u(len(annotations))
-    for key, value in annotations:
-        writer.string_ref(key)
-        if isinstance(value, int):
-            writer.u(0)
-            writer.s(value)
-        else:
-            writer.u(1)
-            writer.string_ref(value)
-    return writer.finish()
-
-
-def uncompact_routine_reference(
-    data, symtab: ProgramSymbolTable
-) -> Routine:
-    """Reference decoder (one :class:`Reader` call per field)."""
-    reader = Reader(data)
-    name = symtab.name_of(reader.u())
-    module_name = reader.string_ref()
-    exported = bool(reader.u())
-    n_params = reader.u()
-    next_reg = reader.u()
-    source_lines = reader.u()
-    source_language = reader.string_ref()
-
-    routine = Routine(
-        name,
-        module_name=module_name,
-        n_params=n_params,
-        exported=exported,
-        source_lines=source_lines,
-        source_language=source_language,
-    )
-    n_blocks = reader.u()
-    labels = [reader.string_ref() for _ in range(n_blocks)]
-    for label in labels:
-        block = BasicBlock(label)
-        n_instrs = reader.u()
-        for _ in range(n_instrs):
-            block.instrs.append(_decode_instr(reader, labels, symtab))
-        routine.blocks.append(block)
-    routine.next_reg = next_reg
-
-    n_annotations = reader.u()
-    for _ in range(n_annotations):
-        key = reader.string_ref()
-        kind = reader.u()
-        if kind == 0:
-            routine.annotations[key] = reader.s()
-        else:
-            routine.annotations[key] = reader.string_ref()
-    routine.invalidate()
-    return routine
-
-
-# -- Routine compaction (batched codec, the default) --------------------------
+# -- Routine compaction ---------------------------------------------------------
 
 
 def compact_routine(routine: Routine, symtab: ProgramSymbolTable) -> bytes:
@@ -606,7 +424,7 @@ def compact_routine(routine: Routine, symtab: ProgramSymbolTable) -> bytes:
 
     Symbol references are swizzled to PIDs; block labels become indices;
     derived data is *not* represented (recompute-on-demand discipline).
-    Byte-identical to :func:`compact_routine_reference`, but batched:
+    Byte-identical to the per-field reference encoder, but batched:
     the whole routine's varint values are collected into one flat run
     and flushed through :func:`_pack_varints`.
     """
@@ -710,7 +528,7 @@ def _decode_instr_run(buf: bytes, pos: int, count: int, labels: List[str],
     (skipping ``Instr.__init__``), and opcode dispatch goes through
     the shape table.  Buffer underrun surfaces as ``IndexError`` and
     is converted to a structured :class:`CompactionError` by the
-    callers (they know the enclosing field).
+    caller (it knows the enclosing field).
     """
     ops = _OPCODE_LIST
     n_ops = _N_OPCODES
@@ -977,52 +795,6 @@ def _decode_instr_run(buf: bytes, pos: int, count: int, labels: List[str],
     return pos
 
 
-def _skip_instr_run(buf: bytes, pos: int, count: int) -> int:
-    """Advance past ``count`` encoded instructions without decoding.
-
-    Powers lazy block materialization: locating a block's byte span
-    costs a varint walk but no object construction, no swizzling and
-    no zigzag work.
-    """
-    n_ops = _N_OPCODES
-    shapes = _SHAPE_BY_CODE
-    nfields = _NFIELDS_BY_SHAPE
-    cont = _uv_cont
-    for _ in range(count):
-        at = pos
-        code = buf[pos]
-        pos += 1
-        if code & 0x80:
-            code, pos = cont(buf, pos, code)
-        if code >= n_ops:
-            raise CompactionError("bad opcode %d at offset %d" % (code, at),
-                                  offset=at, field="opcode")
-        fields = nfields[shapes[code]]
-        if fields < 0:  # CALL: dst, sym, then nargs args
-            byte = buf[pos]
-            pos += 1
-            while byte & 0x80:
-                byte = buf[pos]
-                pos += 1
-            byte = buf[pos]
-            pos += 1
-            while byte & 0x80:
-                byte = buf[pos]
-                pos += 1
-            nargs = buf[pos]
-            pos += 1
-            if nargs & 0x80:
-                nargs, pos = cont(buf, pos, nargs)
-            fields = nargs
-        for _f in range(fields):
-            byte = buf[pos]
-            pos += 1
-            while byte & 0x80:
-                byte = buf[pos]
-                pos += 1
-    return pos
-
-
 def _string_at(strings: List[str], index: int, pos: int,
                field: str) -> str:
     try:
@@ -1051,305 +823,10 @@ def _decode_annotations(buf: bytes, pos: int, count: int,
     return pos
 
 
-class _LazyInstrs(list):
-    """Block body decoded on first access (cold-block laziness).
-
-    A real ``list`` subclass so every consumer works unchanged; the
-    instruction run is located during uncompaction but only decoded
-    when something actually reads or mutates the block.  ``__len__``
-    answers from the encoded count without decoding, which keeps the
-    memory accountant's ``instr_count`` walk free for cold blocks.
-    """
-
-    __slots__ = ("_lazy",)
-
-    def __init__(self, buf: bytes, start: int, count: int,
-                 labels: List[str], symtab: ProgramSymbolTable) -> None:
-        list.__init__(self)
-        self._lazy = (buf, start, count, labels, symtab)
-
-    def _force(self) -> None:
-        state = self._lazy
-        if state is None:
-            return
-        self._lazy = None
-        buf, start, count, labels, symtab = state
-        out: List[Instr] = []
-        try:
-            _decode_instr_run(buf, start, count, labels, symtab, out)
-        except IndexError:
-            raise CompactionError(
-                "truncated relocatable data in instruction stream "
-                "(buffer end at offset %d)" % len(buf),
-                offset=len(buf), field="instruction stream",
-            ) from None
-        list.extend(self, out)
-
-    def materialized(self) -> bool:
-        return self._lazy is None
-
-    def __len__(self):
-        state = self._lazy
-        if state is None:
-            return list.__len__(self)
-        return state[2]
-
-    def __iter__(self):
-        self._force()
-        return list.__iter__(self)
-
-    def __reversed__(self):
-        self._force()
-        return list.__reversed__(self)
-
-    def __getitem__(self, index):
-        self._force()
-        return list.__getitem__(self, index)
-
-    def __setitem__(self, index, value):
-        self._force()
-        list.__setitem__(self, index, value)
-
-    def __delitem__(self, index):
-        self._force()
-        list.__delitem__(self, index)
-
-    def __contains__(self, value):
-        self._force()
-        return list.__contains__(self, value)
-
-    def __eq__(self, other):
-        self._force()
-        return list.__eq__(self, other)
-
-    def __ne__(self, other):
-        self._force()
-        return list.__ne__(self, other)
-
-    def __lt__(self, other):
-        self._force()
-        return list.__lt__(self, other)
-
-    def __le__(self, other):
-        self._force()
-        return list.__le__(self, other)
-
-    def __gt__(self, other):
-        self._force()
-        return list.__gt__(self, other)
-
-    def __ge__(self, other):
-        self._force()
-        return list.__ge__(self, other)
-
-    __hash__ = None
-
-    def __add__(self, other):
-        self._force()
-        return list.__add__(self, other)
-
-    def __radd__(self, other):
-        self._force()
-        return other + list(self)
-
-    def __iadd__(self, other):
-        self._force()
-        list.extend(self, other)
-        return self
-
-    def __mul__(self, n):
-        self._force()
-        return list.__mul__(self, n)
-
-    __rmul__ = __mul__
-
-    def __imul__(self, n):
-        self._force()
-        return list.__imul__(self, n)
-
-    def append(self, value):
-        self._force()
-        list.append(self, value)
-
-    def extend(self, values):
-        self._force()
-        list.extend(self, values)
-
-    def insert(self, index, value):
-        self._force()
-        list.insert(self, index, value)
-
-    def remove(self, value):
-        self._force()
-        list.remove(self, value)
-
-    def pop(self, index=-1):
-        self._force()
-        return list.pop(self, index)
-
-    def clear(self):
-        self._lazy = None
-        list.clear(self)
-
-    def index(self, *args):
-        self._force()
-        return list.index(self, *args)
-
-    def count(self, value):
-        self._force()
-        return list.count(self, value)
-
-    def sort(self, **kwargs):
-        self._force()
-        list.sort(self, **kwargs)
-
-    def reverse(self):
-        self._force()
-        list.reverse(self)
-
-    def copy(self):
-        self._force()
-        return list(self)
-
-    def __repr__(self):
-        if self._lazy is not None:
-            return "<lazy instrs (%d undecoded)>" % self._lazy[2]
-        return list.__repr__(self)
-
-    def __reduce__(self):
-        self._force()
-        return (list, (list(self),))
-
-
-class _LazyAnnotations(dict):
-    """Annotation map decoded on first access.
-
-    Same discipline as :class:`_LazyInstrs`; ``__len__`` (and hence
-    truthiness) answers from the encoded entry count.  Note CPython's
-    ``dict(d)``/``{**d}`` honour an overridden ``keys``/``__iter__``
-    on dict *subclasses*, so copies made by ``Routine.copy`` see the
-    decoded content.
-    """
-
-    __slots__ = ("_lazy",)
-
-    def __init__(self, buf: bytes, start: int, count: int,
-                 strings: List[str]) -> None:
-        dict.__init__(self)
-        self._lazy = (buf, start, count, strings)
-
-    def _force(self) -> None:
-        state = self._lazy
-        if state is None:
-            return
-        self._lazy = None
-        buf, start, count, strings = state
-        try:
-            _decode_annotations(buf, start, count, strings, self)
-        except IndexError:
-            raise CompactionError(
-                "truncated relocatable data in annotations "
-                "(buffer end at offset %d)" % len(buf),
-                offset=len(buf), field="annotations",
-            ) from None
-
-    def materialized(self) -> bool:
-        return self._lazy is None
-
-    def __len__(self):
-        state = self._lazy
-        if state is None:
-            return dict.__len__(self)
-        return state[2]
-
-    def __bool__(self):
-        return self.__len__() > 0
-
-    def __getitem__(self, key):
-        self._force()
-        return dict.__getitem__(self, key)
-
-    def __setitem__(self, key, value):
-        self._force()
-        dict.__setitem__(self, key, value)
-
-    def __delitem__(self, key):
-        self._force()
-        dict.__delitem__(self, key)
-
-    def __contains__(self, key):
-        self._force()
-        return dict.__contains__(self, key)
-
-    def __iter__(self):
-        self._force()
-        return dict.__iter__(self)
-
-    def __eq__(self, other):
-        self._force()
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        self._force()
-        return dict.__ne__(self, other)
-
-    __hash__ = None
-
-    def get(self, key, default=None):
-        self._force()
-        return dict.get(self, key, default)
-
-    def setdefault(self, key, default=None):
-        self._force()
-        return dict.setdefault(self, key, default)
-
-    def pop(self, *args):
-        self._force()
-        return dict.pop(self, *args)
-
-    def popitem(self):
-        self._force()
-        return dict.popitem(self)
-
-    def update(self, *args, **kwargs):
-        self._force()
-        dict.update(self, *args, **kwargs)
-
-    def clear(self):
-        self._lazy = None
-        dict.clear(self)
-
-    def keys(self):
-        self._force()
-        return dict.keys(self)
-
-    def values(self):
-        self._force()
-        return dict.values(self)
-
-    def items(self):
-        self._force()
-        return dict.items(self)
-
-    def copy(self):
-        self._force()
-        return dict(self)
-
-    def __repr__(self):
-        if self._lazy is not None:
-            return "<lazy annotations (%d undecoded)>" % self._lazy[2]
-        return dict.__repr__(self)
-
-    def __reduce__(self):
-        self._force()
-        return (dict, (dict(self),))
-
-
 def uncompact_routine(
     data,
     symtab: ProgramSymbolTable,
     intern: Optional[InternPool] = None,
-    lazy: bool = False,
 ) -> Routine:
     """Rebuild an expanded routine from relocatable bytes (eager swizzle).
 
@@ -1361,11 +838,6 @@ def uncompact_routine(
     ``intern`` routes string-table decodes through a per-repository
     :class:`~repro.naim.intern.InternPool`, so hot strings (module
     names, labels, annotation keys) are decoded once per session.
-
-    With ``lazy=True`` block bodies and annotations are located but
-    not decoded; each materializes on first touch.  Routine metadata
-    (name, params, labels, block/instruction counts) is always eager,
-    so memory accounting and CFG-shape queries stay free.
     """
     buf = data if data.__class__ is bytes else bytes(data)
     section = "header"
@@ -1373,22 +845,9 @@ def uncompact_routine(
         version, pos = _uv(buf, 0)
         if version != _VERSION:
             raise CompactionError("bad relocatable version %d" % version)
-        count, pos = _uv(buf, pos)
-        section = "string table"
-        decode = intern.utf8 if intern is not None else _decode_utf8
-        strings: List[str] = []
-        strings_append = strings.append
-        for _ in range(count):
-            length, pos = _uv(buf, pos)
-            end = pos + length
-            raw = buf[pos:end]
-            if len(raw) != length:
-                raise CompactionError(
-                    "truncated string table at offset %d" % pos,
-                    offset=pos, field="string table",
-                )
-            strings_append(decode(raw))
-            pos = end
+        strings, pos = _read_string_table(
+            buf, pos, intern.utf8 if intern is not None else bytes.decode
+        )
 
         section = "routine header"
         pid, pos = _uv(buf, pos)
@@ -1429,38 +888,21 @@ def uncompact_routine(
         blocks_append = routine.blocks.append
         new = _NEW
         block_cls = BasicBlock
-        if lazy:
-            for label in labels:
-                n_instrs, pos = _uv(buf, pos)
-                start = pos
-                pos = _skip_instr_run(buf, pos, n_instrs)
-                block = new(block_cls)
-                block.label = label
-                block.instrs = _LazyInstrs(buf, start, n_instrs, labels,
-                                           symtab)
-                blocks_append(block)
-        else:
-            for label in labels:
-                n_instrs, pos = _uv(buf, pos)
-                block = new(block_cls)
-                block.label = label
-                instrs: List[Instr] = []
-                pos = _decode_instr_run(buf, pos, n_instrs, labels, symtab,
-                                        instrs)
-                block.instrs = instrs
-                blocks_append(block)
+        for label in labels:
+            n_instrs, pos = _uv(buf, pos)
+            block = new(block_cls)
+            block.label = label
+            instrs: List[Instr] = []
+            pos = _decode_instr_run(buf, pos, n_instrs, labels, symtab,
+                                    instrs)
+            block.instrs = instrs
+            blocks_append(block)
         routine.next_reg = next_reg
 
         section = "annotations"
         n_annotations, pos = _uv(buf, pos)
-        if n_annotations:
-            if lazy:
-                routine.annotations = _LazyAnnotations(
-                    buf, pos, n_annotations, strings
-                )
-            else:
-                _decode_annotations(buf, pos, n_annotations, strings,
-                                    routine.annotations)
+        _decode_annotations(buf, pos, n_annotations, strings,
+                            routine.annotations)
         routine.invalidate()
         return routine
     except IndexError:
@@ -1471,39 +913,7 @@ def uncompact_routine(
         ) from None
 
 
-def _decode_utf8(raw: bytes) -> str:
-    return raw.decode("utf-8")
-
-
 # -- Module symbol-table compaction -------------------------------------------------
-
-
-def compact_symtab_reference(
-    symtab: ModuleSymbolTable, program: ProgramSymbolTable
-) -> bytes:
-    """Reference encoder for module symbol tables (format spec)."""
-    writer = Writer()
-    writer.string_ref(symtab.module_name)
-    writer.u(len(symtab.globals))
-    for var in symtab.globals.values():
-        writer.u(program.pid_of(var.name))
-        writer.u(var.size)
-        writer.u(1 if var.exported else 0)
-        # Run-length encode trailing zeros: most arrays are zero-filled.
-        init = list(var.init)
-        significant = len(init)
-        while significant and init[significant - 1] == 0:
-            significant -= 1
-        writer.u(significant)
-        for value in init[:significant]:
-            writer.s(value)
-    writer.u(len(symtab.routine_names))
-    for name in symtab.routine_names:
-        writer.u(program.pid_of(name))
-    writer.u(len(symtab.extern_refs))
-    for name in symtab.extern_refs:
-        writer.u(program.pid_of(name))
-    return writer.finish()
 
 
 def compact_symtab(symtab: ModuleSymbolTable,
@@ -1544,32 +954,6 @@ def compact_symtab(symtab: ModuleSymbolTable,
     return _finish_batched(strings, vals)
 
 
-def uncompact_symtab_reference(
-    data, program: ProgramSymbolTable
-) -> ModuleSymbolTable:
-    """Reference decoder for module symbol tables."""
-    reader = Reader(data)
-    symtab = ModuleSymbolTable(reader.string_ref())
-    n_globals = reader.u()
-    for _ in range(n_globals):
-        name = program.name_of(reader.u())
-        size = reader.u()
-        exported = bool(reader.u())
-        significant = reader.u()
-        init = [reader.s() for _ in range(significant)]
-        init.extend([0] * (size - significant))
-        var = GlobalVar(name, size=size, init=init, exported=exported)
-        symtab.define_global(var)
-        var.defining_module = symtab.module_name
-    n_routines = reader.u()
-    for _ in range(n_routines):
-        symtab.routine_names.append(program.name_of(reader.u()))
-    n_externs = reader.u()
-    for _ in range(n_externs):
-        symtab.extern_refs.append(program.name_of(reader.u()))
-    return symtab
-
-
 def uncompact_symtab(
     data,
     program: ProgramSymbolTable,
@@ -1582,21 +966,9 @@ def uncompact_symtab(
         version, pos = _uv(buf, 0)
         if version != _VERSION:
             raise CompactionError("bad relocatable version %d" % version)
-        count, pos = _uv(buf, pos)
-        section = "string table"
-        decode = intern.utf8 if intern is not None else _decode_utf8
-        strings: List[str] = []
-        for _ in range(count):
-            length, pos = _uv(buf, pos)
-            end = pos + length
-            raw = buf[pos:end]
-            if len(raw) != length:
-                raise CompactionError(
-                    "truncated string table at offset %d" % pos,
-                    offset=pos, field="string table",
-                )
-            strings.append(decode(raw))
-            pos = end
+        strings, pos = _read_string_table(
+            buf, pos, intern.utf8 if intern is not None else bytes.decode
+        )
 
         section = "symtab body"
         names = program._name_by_pid

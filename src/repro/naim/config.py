@@ -46,10 +46,6 @@ class NaimConfig:
         cache_pools: Optional[int] = None,
         cache_fraction: float = 0.20,
         avg_pool_bytes_hint: int = 64 * 1024,
-        repo_compress_level: int = 6,
-        repo_compress_min_bytes: int = 512,
-        repo_segment_bytes: int = 8 * 1024 * 1024,
-        repo_prefetch_depth: int = 1,
     ) -> None:
         self.physical_memory_bytes = physical_memory_bytes
         self.level = level
@@ -62,19 +58,6 @@ class NaimConfig:
         self._cache_pools = cache_pools
         self.cache_fraction = cache_fraction
         self.avg_pool_bytes_hint = avg_pool_bytes_hint
-        if not 0 <= repo_compress_level <= 9:
-            raise ValueError("repo_compress_level must be within [0, 9]")
-        if repo_prefetch_depth < 0:
-            raise ValueError("repo_prefetch_depth must be >= 0")
-        #: Pack-repository zlib level (0 disables compression).
-        self.repo_compress_level = repo_compress_level
-        #: Entries below this raw size are stored uncompressed.
-        self.repo_compress_min_bytes = repo_compress_min_bytes
-        #: Pack-segment rollover size.
-        self.repo_segment_bytes = repo_segment_bytes
-        #: How many routines ahead the loader's background prefetch
-        #: pipeline runs (0 = synchronous fetches only).
-        self.repo_prefetch_depth = repo_prefetch_depth
 
     # -- Derived policy -------------------------------------------------------
 

@@ -326,19 +326,8 @@ class Loader:
                 pool.state = PoolState.COMPACT
         if pool.state is not PoolState.EXPANDED:
             assert pool.compact_bytes is not None
-            intern = getattr(self.repository, "intern", None)
-            if pool.kind == KIND_IR:
-                # Lazy: block bodies and annotations materialize on
-                # first real touch, so metadata-only touches (memory
-                # accounting, CFG shape) skip per-instruction decode.
-                pool.expanded = uncompact_routine(
-                    pool.compact_bytes, self.symtab,
-                    intern=intern, lazy=True,
-                )
-            else:
-                pool.expanded = uncompact_symtab(
-                    pool.compact_bytes, self.symtab, intern=intern
-                )
+            pool.expanded = self._decode_pool_bytes(pool.kind,
+                                                    pool.compact_bytes)
             self.stats.uncompactions += 1
             pool.compact_bytes = None
         pool.state = PoolState.EXPANDED
@@ -385,13 +374,13 @@ class Loader:
         return queued
 
     def _decode_pool_bytes(self, kind: str, data: bytes):
-        """Pipeline decode hook: compact bytes -> expanded object.
+        """Compact bytes -> expanded object, eagerly: the one decode of
+        both ``touch`` and the prefetch pipeline.
 
-        Runs on the background thread; only reads the (frozen during
-        phase 5) program symbol table.  Decode stays *eager* here --
-        the point of the pipeline is paying the per-instruction work
-        off-thread, so a lazily staged pool would just defer it back
-        onto the consumer.
+        On the pipeline's background thread it only reads the program
+        symbol table, which is frozen during the scalar phase.  Every
+        block is decoded here, so damaged bytes fail at the touch, not
+        inside whichever pass first reads the bad block.
         """
         intern = getattr(self.repository, "intern", None)
         if kind == KIND_IR:

@@ -217,17 +217,6 @@ class Repository:
         #: is never reset by :meth:`reset_counters`.
         self.epoch = 0
 
-    @classmethod
-    def from_config(cls, directory: Optional[str], config) -> "Repository":
-        """A repository tuned by a :class:`NaimConfig`."""
-        return cls(
-            directory=directory,
-            in_memory=directory is None,
-            compress_level=config.repo_compress_level,
-            compress_min_bytes=config.repo_compress_min_bytes,
-            segment_bytes=config.repo_segment_bytes,
-        )
-
     def reset_counters(self) -> None:
         """Zero the operation counters without touching stored pools.
 

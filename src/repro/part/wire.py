@@ -65,12 +65,13 @@ from .partition import Partition
 #: Version tag inside the shared-context blob; a worker rejects
 #: contexts it does not speak rather than miscompiling them.
 #: v2 added the optional thin-WPA replay plan and job import lists;
-#: v3 ships only the NAIM fields a worker's loader reads.  The version
-#: guards this blob, not the reply: replies carry no IL, and a v3 worker
-#: that still sends its final bodies (``"returned"``) is understood --
-#: :func:`decode_outcome` never required the field and does not read it
-#: -- so a farm mixing the two works without a v4.
-WIRE_VERSION = 3
+#: v3 ships only the NAIM fields a worker's loader reads; v4 drops the
+#: prefetch depth from them (a worker always prefetches one routine
+#: ahead).  The version guards this blob, not the reply: replies carry
+#: no IL, and a worker that still sends its final bodies
+#: (``"returned"``) is understood -- :func:`decode_outcome` never
+#: required the field and does not read it.
+WIRE_VERSION = 4
 
 
 class WireError(Exception):
@@ -176,12 +177,10 @@ def _decode_modref(payload: Optional[Dict]) -> Optional[ModRefAnalysis]:
 
 #: The NaimConfig fields a worker's loader reads, shipped under their
 #: own names (``level`` and ``cache_pools`` need converting and ride
-#: alongside).  Worker repositories are in-memory overlays, so the
-#: pack-file tuning never applies there and is not shipped.
+#: alongside).
 _NAIM_WIRE_FIELDS = (
     "physical_memory_bytes", "ir_compact_fraction", "st_compact_fraction",
     "offload_fraction", "cache_fraction", "avg_pool_bytes_hint",
-    "repo_prefetch_depth",
 )
 
 
@@ -567,11 +566,11 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
             handles[entry["name"]] = worker_loader.adopt_routine(
                 entry["name"], offloaded=True
             )
-    depth = worker_loader.config.repo_prefetch_depth
-    if depth:
-        worker_loader.prefetch(
-            handles[name] for name in names[:depth] if name in handles
-        )
+    # Prefetch one routine ahead of the loop below, as the serial
+    # scalar phase does: the first one now, overlapping the replay.
+    worker_loader.prefetch(
+        handles[name] for name in names[:1] if name in handles
+    )
 
     ctx = OptContext(shared.symtab, shared.hlo_options, shared.modref)
     ctx.views = shared.fresh_views()
@@ -597,12 +596,10 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
     machines: List = []
 
     for position, name in enumerate(names):
-        if depth:
-            worker_loader.prefetch(
-                handles[other]
-                for other in names[position + 1:position + 1 + depth]
-                if other in handles
-            )
+        worker_loader.prefetch(
+            handles[other] for other in names[position + 1:position + 2]
+            if other in handles
+        )
         handle = handles.get(name)
         if handle is None:
             continue

@@ -15,6 +15,7 @@ from repro.naim.compaction import (
     zigzag_decode,
     zigzag_encode,
 )
+from repro.naim.intern import InternPool
 
 SOURCES = {
     "lib": """
@@ -174,7 +175,7 @@ class TestStructuredErrors:
         from repro.ir.instructions import Instr, Opcode
         from repro.ir.routine import Routine
         from repro.ir.symbols import ProgramSymbolTable
-        from repro.naim.compaction import uncompact_routine_reference
+        from reference_codec import uncompact_routine_reference
 
         symtab = ProgramSymbolTable()
         routine = Routine("jumper")
@@ -190,6 +191,36 @@ class TestStructuredErrors:
             with pytest.raises(CompactionError) as excinfo:
                 decode(bytes(data), symtab)
             assert "label index" in str(excinfo.value)
+
+    @pytest.mark.parametrize("decoder, interned", [
+        ("routine", False), ("routine", True),
+        ("symtab", False), ("symtab", True),
+        ("reader", False),  # Reader takes no InternPool
+    ])
+    def test_a_damaged_string_table_is_structured(self, decoder, interned):
+        prog = program()
+        symtab = prog.symtab
+        intern = InternPool() if interned else None
+        decode = {
+            "routine": lambda data: uncompact_routine(data, symtab,
+                                                      intern=intern),
+            "symtab": lambda data: uncompact_symtab(data, symtab,
+                                                    intern=intern),
+            "reader": Reader,
+        }[decoder]
+        data = compact_symtab(prog.modules["lib"].symtab, symtab)
+        # version, count, length, then the first string's first byte.
+        assert data[:2] == bytes([2, 1]) and data[3:6] == b"lib"
+        bad = bytearray(data)
+        bad[3] = 0xFF
+        with pytest.raises(CompactionError) as excinfo:
+            decode(bytes(bad))
+        assert excinfo.value.field == "string table"
+        assert excinfo.value.offset == 3
+        for cut in range(2, 6):  # inside the table: truncated
+            with pytest.raises(CompactionError) as excinfo:
+                decode(data[:cut])
+            assert excinfo.value.field == "string table"
 
     def test_reader_underflow_is_structured(self):
         with pytest.raises(CompactionError) as excinfo:
@@ -209,55 +240,3 @@ class TestStructuredErrors:
             uncompact_routine(memoryview(data), prog.symtab), routine
         )
         assert Reader(memoryview(data)).strings == Reader(data).strings
-
-
-class TestLazyMaterialization:
-    def _round_trip(self, lazy=True):
-        prog = program()
-        routine = prog.routine("widget")
-        routine.annotations["inline_cost"] = 17
-        routine.annotations["origin"] = "test"
-        data = compact_routine(routine, prog.symtab)
-        return routine, uncompact_routine(data, prog.symtab, lazy=lazy)
-
-    def test_len_does_not_force_decode(self):
-        original, lazy = self._round_trip()
-        # instr_count (the memory accountant's walk) answers from the
-        # encoded counts without materializing any block body.
-        assert lazy.instr_count() == original.instr_count()
-        assert all(not block.instrs.materialized()
-                   for block in lazy.blocks)
-        assert len(lazy.annotations) == 2
-        assert not lazy.annotations.materialized()
-
-    def test_access_forces_and_matches(self):
-        original, lazy = self._round_trip()
-        assert routines_equal(lazy, original)  # forces every block
-        assert all(block.instrs.materialized() for block in lazy.blocks)
-        assert lazy.annotations["inline_cost"] == 17
-        assert lazy.annotations.materialized()
-
-    def test_copy_preserves_lazy_annotations(self):
-        _, lazy = self._round_trip()
-        clone = lazy.copy()
-        assert dict(clone.annotations) == {
-            "inline_cost": 17, "origin": "test",
-        }
-
-    def test_lazy_recompacts_byte_identically(self):
-        prog = program()
-        routine = prog.routine("widget")
-        data = compact_routine(routine, prog.symtab)
-        lazy = uncompact_routine(data, prog.symtab, lazy=True)
-        assert compact_routine(lazy, prog.symtab) == data
-
-    def test_mutation_forces_then_applies(self):
-        from repro.ir.instructions import Instr, Opcode
-
-        _, lazy = self._round_trip()
-        block = lazy.blocks[0]
-        count = len(block.instrs)
-        block.instrs.append(Instr(Opcode.RET, a=None))
-        assert len(block.instrs) == count + 1
-        lazy.annotations["new"] = 1
-        assert lazy.annotations["new"] == 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.frontend import compile_sources
 from repro.naim import (
+    KIND_IR,
     Loader,
     NaimConfig,
     NaimLevel,
@@ -12,6 +13,7 @@ from repro.naim import (
     Repository,
     UnsignalledMutationError,
 )
+from repro.naim.compaction import routines_equal
 
 
 def make_program(n_routines=12):
@@ -452,3 +454,50 @@ class TestPrefetch:
         _, loader, handles = make_loader(NaimLevel.OFF)
         assert loader.prefetch(handles.values()) == 0
         assert loader.repository.batch_fetches == 0
+
+
+class TestOneDecoder:
+    """``touch`` and the prefetch pipeline decode a pool the same way:
+    every block, eagerly, into plain lists."""
+
+    def test_a_corrupt_offloaded_pool_fails_at_touch(self):
+        from repro.ir.basic_block import BasicBlock
+        from repro.ir.instructions import Instr, Opcode
+        from repro.ir.routine import Routine
+        from repro.ir.symbols import ProgramSymbolTable
+        from repro.naim.compaction import CompactionError, compact_routine
+
+        symtab = ProgramSymbolTable()
+        routine = Routine("jumper")
+        block = BasicBlock("entry")
+        block.instrs.append(Instr(Opcode.JMP, targets=("entry",)))
+        routine.blocks.append(block)
+        data = bytearray(compact_routine(routine, symtab))
+        # The final varints are the JMP's label index (0) followed by
+        # the annotation count; corrupt the label index.
+        assert data[-2] == 0
+        data[-2] = 0x7F
+        loader = Loader(NaimConfig.pinned(NaimLevel.OFFLOAD), symtab,
+                        repository=Repository(in_memory=True))
+        loader.repository.store(KIND_IR, "jumper", bytes(data))
+        handle = loader.adopt_routine("jumper", offloaded=True)
+        with pytest.raises(CompactionError) as excinfo:
+            handle.get()
+        assert excinfo.value.field == "label index"
+
+    def test_touch_and_prefetch_decode_the_same_plain_lists(self):
+        loader, _, touched = offloaded_loader()
+        synchronous = touched.get()
+        assert loader.stats.repository_fetches == 1
+        loader, _, staged = offloaded_loader()
+        loader.prefetch([staged])
+        assert loader.prefetch_wait(timeout=30.0)
+        prefetched = staged.get()
+        loader.stop_prefetch()
+        assert loader.stats.prefetch_hits == 1
+        assert staged.name == touched.name
+        assert routines_equal(synchronous, prefetched)
+        for routine in (synchronous, prefetched):
+            assert all(type(block.instrs) is list
+                       for block in routine.blocks)
+            assert type(routine.annotations) is dict

@@ -245,9 +245,10 @@ class TestRunnerContract:
     def test_a_reply_without_the_pass_schedule_still_decodes(self):
         """Executions, skips and capped routines ride in an optional
         key: a worker that predates the scheduled pipeline sends none,
-        ``WIRE_VERSION`` did not move, and the rest of its statistics
-        fold as before."""
-        assert WIRE_VERSION == 3
+        and the rest of its statistics fold as before.  The key never
+        moved ``WIRE_VERSION``: v4 is the NAIM field list of the shared
+        context, which replies do not carry."""
+        assert WIRE_VERSION == 4
         dispatcher = ReversedTransport()
         result = build(app_sources(seed=26), dispatcher=dispatcher,
                        hlo_jobs=2, hlo_partitions=2)

@@ -1,21 +1,26 @@
 """Property tests for the dual IL codecs and zero-copy pack decode.
 
 The batched codec in :mod:`repro.naim.compaction` exists purely for
-speed; the reference :class:`Writer`/:class:`Reader` codec is the
-format specification.  The invariants:
+speed; the per-field codec in ``tests/naim/reference_codec.py`` (on
+:class:`Writer`/:class:`Reader`) is the format specification.  The
+invariants:
 
 * for ANY routine -- every opcode, annotations of both kinds, empty
   blocks, no blocks at all -- the batched encoder emits bytes
   identical to the reference encoder;
-* both decoders (plus the lazy and interned variants, from ``bytes``
-  or ``memoryview`` input) rebuild structurally identical routines,
-  and re-compacting what they built reproduces the original bytes;
+* both decoders (the batched one also interned and from ``memoryview``
+  input) rebuild structurally identical routines whose blocks hold
+  plain lists, and re-compacting what they built reproduces the
+  original bytes;
 * a ``memoryview`` handed out by a zero-copy repository fetch stays
   valid across segment compaction (retired mmaps are pinned until the
   view is released).
 """
 
 from __future__ import annotations
+
+import os
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,17 +34,22 @@ from repro.naim.compaction import (
     _OPCODE_INDEX,
     _OPCODE_LIST,
     compact_routine,
-    compact_routine_reference,
     compact_symtab,
-    compact_symtab_reference,
     routines_equal,
     uncompact_routine,
-    uncompact_routine_reference,
     uncompact_symtab,
-    uncompact_symtab_reference,
 )
 from repro.naim.intern import InternPool
 from repro.naim.repository import Repository
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "naim"))
+
+from reference_codec import (  # noqa: E402
+    compact_routine_reference,
+    compact_symtab_reference,
+    uncompact_routine_reference,
+    uncompact_symtab_reference,
+)
 
 REGS = st.integers(min_value=0, max_value=500)
 OPT_REGS = st.one_of(st.none(), REGS)
@@ -126,20 +136,21 @@ def test_codecs_byte_identical_and_roundtrip(routine):
 
     decoded_reference = uncompact_routine_reference(reference, symtab)
     decoded_batched = uncompact_routine(batched, symtab)
-    intern = InternPool()
-    decoded_lazy = uncompact_routine(
-        memoryview(batched), symtab, intern=intern, lazy=True
+    decoded_interned = uncompact_routine(
+        memoryview(batched), symtab, intern=InternPool()
     )
     assert routines_equal(decoded_reference, routine)
     assert routines_equal(decoded_batched, routine)
-    assert routines_equal(decoded_lazy, routine)
-    assert dict(decoded_lazy.annotations) == {
+    assert routines_equal(decoded_interned, routine)
+    assert all(type(block.instrs) is list
+               for block in decoded_interned.blocks)
+    assert decoded_interned.annotations == {
         key: value for key, value in routine.annotations.items()
         if isinstance(value, (int, str))
     }
-    # Re-compacting any decode (lazy included) reproduces the bytes.
+    # Re-compacting any decode reproduces the bytes.
     assert compact_routine(decoded_reference, symtab) == reference
-    assert compact_routine(decoded_lazy, symtab) == reference
+    assert compact_routine(decoded_interned, symtab) == reference
     assert compact_routine_reference(decoded_batched, symtab) == reference
 
 
