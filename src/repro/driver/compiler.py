@@ -364,7 +364,9 @@ class Compiler:
                     routine.derived.drop()
 
             with _Timer(result.timings, "interface_check"):
-                result.interface_problems = check_interfaces(il_objects)
+                result.interface_problems = check_interfaces(
+                    il_objects, options.hlo.checked
+                )
                 if result.interface_problems and options.checked:
                     raise LinkError(
                         "interface mismatches: %s"
@@ -469,7 +471,7 @@ class Compiler:
             )
         if options.hlo.checked:
             for obj in il_objects:
-                obj.verify_il_unchanged()
+                obj.summary(checked=True)
 
     def _link_time_cmo(
         self,
@@ -514,6 +516,7 @@ class Compiler:
                 incr_session = incr_state.begin_link(
                     [obj.summary() for obj in cmo_objects],
                     options_fingerprint(options),
+                    checked=options.hlo.checked,
                 )
 
         externally_callable: Set[str] = set()

@@ -29,11 +29,11 @@ from ..incr.summary import (
     compute_module_keys,
     extract_routine_facts,
 )
-from ..incr.state import decode_wpa_blob
 from ..ir.callgraph import CallGraph, CallGraphNode
 from ..ir.module import Module
 from ..ir.program import Program
 from ..ir.routine import Routine
+from ..memo import Memo
 from ..naim.config import NaimConfig, NaimLevel
 from ..naim.loader import Loader
 from ..naim.memory import (
@@ -299,16 +299,6 @@ class HloResult:
         )
 
 
-class WpaReuseMismatchError(RuntimeError):
-    """A checked link applied a stored WPA outcome that a fresh decision
-    over the same inputs does not reproduce."""
-
-
-class AppliedWpaMismatchError(RuntimeError):
-    """A checked link found the applied WPA state the incremental state
-    kept different from applying the stored outcome again."""
-
-
 def _summary_cost(facts_by_name: Dict[str, RoutineFacts]) -> int:
     return sum(routine_facts_bytes(facts) for facts in facts_by_name.values())
 
@@ -387,38 +377,40 @@ class AppliedWpa:
         applied.inline_stats = inline_stats
         return applied
 
-    def differences(self, other: "AppliedWpa") -> List[str]:
-        """The fields in which ``other`` differs from this one."""
-
-        def views(applied):
-            return [
+    def fields(self) -> Dict[str, object]:
+        """Every field in comparable form (the memo's field function)."""
+        return {
+            "outcome": self.outcome.to_dict(),
+            "summary cost": self.summary_cost,
+            "keep set": self.keep,
+            "facts": [facts.to_dict() for facts in self.facts.values()],
+            "views": [
                 (name, None if view is None else (
                     view.is_static_estimate, view.block_counts,
                     view.edge_counts))
-                for name, view in applied.views.items()
-            ]
-
-        def modref(applied):
-            return [
+                for name, view in self.views.items()
+            ],
+            "modref": [
                 (name, info.unknown, info.has_calls, sorted(info.mod),
                  sorted(info.ref))
-                for name, info in applied.modref.info.items()
-            ]
-
-        fields = {
-            "outcome": lambda a: a.outcome.to_dict(),
-            "summary cost": lambda a: a.summary_cost,
-            "keep set": lambda a: a.keep,
-            "facts": lambda a: [f.to_dict() for f in a.facts.values()],
-            "views": views,
-            "modref": modref,
-            "plan": lambda a: a.plan.to_dict(),
-            "clones": lambda a: a.clones,
-            "inline stats": lambda a: a.inline_stats.to_dict(),
-            "pass stats": lambda a: a.counts,
+                for name, info in self.modref.info.items()
+            ],
+            "plan": self.plan.to_dict(),
+            "clones": self.clones,
+            "inline stats": self.inline_stats.to_dict(),
+            "pass stats": self.counts,
         }
-        return [name for name, read in fields.items()
-                if read(self) != read(other)]
+
+
+def _decision_fields(decided) -> Dict[str, object]:
+    """What a link's WPA hands on, from ``(HloResult, reuse keys)``:
+    the outcome's fields, the pass counters and each reuse key."""
+    result, keys = decided
+    fields = dict(sorted(result.outcome().to_dict().items()))
+    fields["pass stats"] = result.ctx.stats.counts
+    fields.update(("reuse key of " + name, key)
+                  for name, key in sorted(keys.items()))
+    return fields
 
 
 class HighLevelOptimizer:
@@ -527,7 +519,7 @@ class HighLevelOptimizer:
             all_loaded = False
             if use_cache and not incr.first_build \
                     and module.name not in changed:
-                loaded, reason = incr.load_facts(module.name, options.checked)
+                loaded, reason = incr.load_facts(module.name)
                 if loaded is None:
                     events.append({
                         "event": "summary-fallback",
@@ -775,12 +767,10 @@ class HighLevelOptimizer:
 
         ``facts_by_name`` holds every routine's pristine facts, the
         ``resident`` ones the state's own (read here, copied before they
-        are applied to).  The state keeps the last link's
-        :class:`AppliedWpa` under the outcome bytes it was derived from,
-        and a link that applies the same bytes takes it as it is, unless
-        one of its modules fell back on a scan (``fell_back``); a
-        checked link derives it again beside and raises
-        :class:`AppliedWpaMismatchError` on any difference.
+        are applied to).  The :class:`AppliedWpa` is a memo of the
+        incremental state under the outcome bytes it was derived from
+        (the key of the parsed outcome's memo); a link one of whose
+        modules fell back on a scan (``fell_back``) derives it afresh.
         """
         incr = self.incr_session
         program = self.program
@@ -797,49 +787,32 @@ class HighLevelOptimizer:
         )
         if data is None:
             return None
-        kept = incr.kept_wpa(fell_back)
-        if kept is not None:
-            if self.options.checked:
-                self._verify_applied(kept, facts_by_name, resident)
-            return kept
+        state = incr.state
+        if fell_back:
+            state.applied_wpa.clear()
+        applied = state.applied_wpa.get(
+            state.stored_wpa.key, self._apply_outcome, data, facts_by_name,
+            resident, checked=self.options.checked,
+        )
+        if applied is None:
+            incr.reject_wpa()
+        return applied
+
+    def _apply_outcome(self, data: dict,
+                       facts_by_name: Dict[str, RoutineFacts],
+                       resident: List[str]) -> Optional["AppliedWpa"]:
+        """Apply the stored outcome ``data`` to ``facts_by_name``, the
+        ``resident`` ones copied first; None when it does not parse."""
         try:
             outcome = WpaOutcome.from_dict(data)
         except Exception:
-            incr.reject_wpa()
             return None
         summary_cost = _summary_cost(facts_by_name)
         for name in resident:
             facts_by_name[name] = facts_by_name[name].copy()
-        applied = AppliedWpa.derive(outcome, facts_by_name, summary_cost,
-                                    program.symtab, set(program.modules))
-        incr.keep_wpa(applied)
-        return applied
-
-    def _verify_applied(
-        self,
-        kept: "AppliedWpa",
-        facts_by_name: Dict[str, RoutineFacts],
-        resident: List[str],
-    ) -> None:
-        """Apply the stored outcome again, to copies of this link's
-        facts, and compare with what the state kept (checked links)."""
-        _header, data = decode_wpa_blob(self.incr_session.wpa_blob)
-        borrowed = set(resident)
-        facts = {
-            name: item.copy() if name in borrowed else item
-            for name, item in facts_by_name.items()
-        }
         program = self.program
-        fresh = AppliedWpa.derive(
-            WpaOutcome.from_dict(data), facts, _summary_cost(facts),
-            program.symtab, set(program.modules),
-        )
-        differences = kept.differences(fresh)
-        if differences:
-            raise AppliedWpaMismatchError(
-                "the resident applied WPA state differs from applying the "
-                "stored outcome again: " + ", ".join(differences)
-            )
+        return AppliedWpa.derive(outcome, facts_by_name, summary_cost,
+                                 program.symtab, set(program.modules))
 
     def _reference(self, program: Program) -> "HighLevelOptimizer":
         """A deciding optimizer over a view of ``program`` as it is now
@@ -861,33 +834,21 @@ class HighLevelOptimizer:
         keys: Dict[str, str],
         orig_hashes: Dict[str, str],
     ) -> None:
-        """Decide again beside the applied outcome; raise
-        :class:`WpaReuseMismatchError` on any difference in what the WPA
-        hands on: the outcome, the pass counters, a reuse key."""
-        decided = reference._run_wpa(selected_routines)
-        decided_keys, _consumed = compute_module_keys(
-            decided.unit, decided.ctx, decided.thin_facts, orig_hashes,
-            decided.plan, decided.selected, set(decided.clones),
-            self.incr_session.options_fp,
-        )
-        applied = result.outcome().to_dict()
-        expected = decided.outcome().to_dict()
-        differences = [
-            field for field in sorted(expected)
-            if applied[field] != expected[field]
-        ]
-        if result.ctx.stats.counts != decided.ctx.stats.counts:
-            differences.append("pass stats")
-        differences.extend(
-            "reuse key of %s" % name
-            for name in sorted(set(keys) | set(decided_keys))
-            if keys.get(name) != decided_keys.get(name)
-        )
-        if differences:
-            raise WpaReuseMismatchError(
-                "the stored WPA outcome differs from a fresh decision: "
-                + ", ".join(differences)
-            )
+        """Decide again beside the applied outcome: the stored outcome
+        is a memo of deciding under the WPA inputs digest, and its
+        fields are what the WPA hands on (:func:`_decision_fields`)."""
+
+        def decide():
+            decided = reference._run_wpa(selected_routines)
+            return decided, compute_module_keys(
+                decided.unit, decided.ctx, decided.thin_facts, orig_hashes,
+                decided.plan, decided.selected, set(decided.clones),
+                self.incr_session.options_fp,
+            )[0]
+
+        memo = Memo("wpa outcome", _decision_fields)
+        memo.keep(self.incr_session.wpa_inputs["digest"], (result, keys))
+        memo.verify(decide)
 
     def run_scalar_phase(
         self,

@@ -12,9 +12,9 @@ link; this package adds the WHOPR-style incremental layer on top:
   session the drivers thread through HLO and codegen.
 
 Division of labor: the cheap whole-program analyses (scan, IPCP,
-cloning, inlining) re-run on every build -- they *are* the thin link
--- while the expensive per-module phases (scalar pipeline + LLO
-codegen) are skipped for every module whose reuse key is unchanged.
+cloning, inlining) decide only when their inputs changed, else apply
+the stored outcome; the expensive per-module phases (scalar pipeline +
+LLO codegen) are skipped for every module whose reuse key is unchanged.
 Because the key covers everything those phases can observe, the
 incremental output is byte-identical to a clean build
 (:func:`repro.linker.objects.encode_executable` is the witness).

@@ -11,9 +11,9 @@ builds, stored in a NAIM :class:`~repro.naim.repository.Repository`
 * the last link's WPA outcome, under a digest of everything that WPA
   read (a link with the same digest applies it instead of deciding).
 
-Beside the repository the state keeps, per reuse key, the machine
-routines it last encoded or decoded: a blob is content-keyed, so a
-warm process never decodes the same key twice.
+Beside the repository the state keeps what it derived from it, each
+value a :class:`~repro.memo.Memo` under the exact input it came from: a
+warm process derives nothing twice, a checked link derives all again.
 
 :class:`IncrLinkSession` is the scratchpad for one link: the compiler
 driver opens it with the current module set, the HLO driver records
@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
+from operator import methodcaller
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..linker.objects import (
     decode_machine_routines,
     encode_machine_routines,
 )
+from ..memo import Memo, MemoMismatchError, Memos
 from ..naim.repository import Repository
 from ..sched.artifacts import PIPELINE_EPOCH
 from .depgraph import (
@@ -90,11 +93,6 @@ def decode_wpa_blob(data: bytes) -> Tuple[dict, dict]:
     return header, json.loads(body.decode("utf-8"))
 
 
-class ResidentFactsMismatchError(RuntimeError):
-    """A checked link parsed a ``summ`` blob again and got other facts
-    than the state kept from parsing the same bytes."""
-
-
 def _parse_facts(blob: bytes, fingerprint: str) -> Optional[List[RoutineFacts]]:
     """The facts of one ``summ`` blob; None when it was written for
     another format or fingerprint; raises on damage."""
@@ -109,18 +107,20 @@ def _parse_facts(blob: bytes, fingerprint: str) -> Optional[List[RoutineFacts]]:
     return [RoutineFacts.from_dict(item) for item in routines]
 
 
-def _verify_resident(module_name: str, resident: List[RoutineFacts],
-                     blob: bytes, fingerprint: str) -> None:
-    """Parse ``blob`` again and compare with the resident facts
-    (checked links)."""
-    parsed = _parse_facts(blob, fingerprint)
-    if parsed is None or [item.to_dict() for item in resident] != [
-        item.to_dict() for item in parsed
-    ]:
-        raise ResidentFactsMismatchError(
-            "the resident facts of %s differ from its summ blob"
-            % module_name
-        )
+def _facts_fields(facts: Optional[List[RoutineFacts]]) -> dict:
+    return {item.name: item.to_dict() for item in facts or ()}
+
+
+def _machine_fields(machines: list) -> dict:
+    return {machine.name: encode_machine_routines([machine])
+            for machine in machines}
+
+
+_dump_sorted = partial(json.dumps, sort_keys=True)
+
+
+def _dump_deps(deps: CrossModuleDeps) -> str:
+    return json.dumps(deps.to_list())
 
 
 class IncrLinkReport:
@@ -168,9 +168,12 @@ class IncrLinkReport:
 class IncrLinkSession:
     """Mutable per-link record threaded through the CMO pipeline."""
 
-    def __init__(self, state: "IncrementalState", options_fp: str) -> None:
+    def __init__(self, state: "IncrementalState", options_fp: str,
+                 checked: bool = False) -> None:
         self.state = state
         self.options_fp = options_fp
+        #: ``HloOptions.checked``: derive every memo this link hits again.
+        self.checked = checked
         #: Current build's summaries (module name -> ModuleSummary) and
         #: their fingerprints, hashed once when the link opens.
         self.summaries: Dict[str, ModuleSummary] = {}
@@ -211,8 +214,6 @@ class IncrLinkSession:
         #: A deciding link's outcome (``WpaOutcome.to_dict``), stored
         #: at commit under ``wpa_inputs``.
         self.wpa_outcome: Optional[dict] = None
-        #: The ``wpa/outcome`` bytes this link reuses (None: it decides).
-        self.wpa_blob: Optional[bytes] = None
 
     # -- Thin-WPA facts cache -------------------------------------------------------
 
@@ -221,7 +222,7 @@ class IncrLinkSession:
         self.module_facts[module_name] = facts_dicts
         self.facts_digests[module_name] = facts_digest(facts_dicts)
 
-    def load_facts(self, module_name: str, checked: bool = False):
+    def load_facts(self, module_name: str):
         """Cached facts for a module, verified against its fingerprint.
 
         Returns ``(facts, None)`` -- one :class:`RoutineFacts` per
@@ -235,11 +236,9 @@ class IncrLinkSession:
         sizes or call edges into the whole-program decisions; a payload
         that parses as JSON but not as facts is corrupt like any other.
 
-        The blob is fetched on every call; its parse is not repeated:
-        the state keeps each module's parsed facts with the bytes and
-        fingerprint they came from, and hands them out while both are
-        equal.  ``checked`` parses again beside that and raises
-        :class:`ResidentFactsMismatchError` on any difference.
+        The blob is fetched on every call; its parse is a memo
+        (``IncrementalState.parsed_facts``) under the fingerprint and
+        the bytes.
         """
         fingerprint = self.fingerprints.get(module_name)
         state = self.state
@@ -247,23 +246,19 @@ class IncrLinkSession:
             _FACTS_KIND, module_name
         ):
             return None, "missing"
-        resident = state.parsed_facts.get(module_name)
         try:
             blob = bytes(state.repository.fetch(_FACTS_KIND, module_name))
-            if resident is not None and resident[:2] == (fingerprint, blob):
-                facts = resident[2]
-            else:
-                resident = None
-                facts = _parse_facts(blob, fingerprint)
-                if facts is None:
-                    return None, "fingerprint-mismatch"
-                state.parsed_facts[module_name] = (fingerprint, blob, facts)
+            facts = state.parsed_facts.memo(module_name).get(
+                (fingerprint, blob), _parse_facts, blob, fingerprint,
+                checked=self.checked,
+            )
+        except MemoMismatchError:
+            raise
         except Exception:
-            state.parsed_facts.pop(module_name, None)
             state.repository.discard(_FACTS_KIND, module_name)
             return None, "corrupt"
-        if resident is not None and checked:
-            _verify_resident(module_name, facts, blob, fingerprint)
+        if facts is None:
+            return None, "fingerprint-mismatch"
         return facts, None
 
     # -- Stored WPA outcome ---------------------------------------------------------
@@ -291,7 +286,7 @@ class IncrLinkSession:
         damaged raises a ``wpa-outcome-fallback`` event.
         """
         state = self.state
-        blob, header, outcome, problem = state.load_wpa()
+        header, outcome, problem = state.load_wpa(self.checked)
         if problem is not None and state.wpa_digest is not None:
             self.events.append({
                 "event": "wpa-outcome-fallback", "reason": problem,
@@ -331,7 +326,6 @@ class IncrLinkSession:
             self.wpa_reason = problem
         elif vouched and digest == header["digest"]:
             self.wpa = "reused"
-            self.wpa_blob = blob
             return outcome
         else:
             self.wpa_reason = _why_inputs_differ(header, self.wpa_inputs)
@@ -345,24 +339,6 @@ class IncrLinkSession:
         })
         self.wpa = "decided"
         self.wpa_reason = "corrupt"
-        self.wpa_blob = None
-
-    def kept_wpa(self, fell_back: bool):
-        """The applied WPA state the last link kept
-        (:class:`~repro.hlo.driver.AppliedWpa`), when this link applies
-        the very ``wpa/outcome`` bytes it was derived from and
-        ``fell_back`` is false (every module's facts came from its
-        ``summ`` blob or from scanning an edited module); else None."""
-        kept = self.state.applied_wpa
-        if (kept is None or fell_back or self.wpa_blob is None
-                or kept[0] != self.wpa_blob):
-            return None
-        return kept[1]
-
-    def keep_wpa(self, applied) -> None:
-        """Keep what this link derived from applying its stored outcome,
-        for the next link that applies the same bytes."""
-        self.state.applied_wpa = (self.wpa_blob, applied)
 
     def record_wpa(self, outcome: dict) -> None:
         """A deciding link's outcome, stored at commit."""
@@ -473,7 +449,7 @@ class IncrLinkSession:
         self.cached_machines = {}
         committed = self.state.module_keys
         for module_name, key in module_keys.items():
-            machines, reason = self.state.load_machines(key)
+            machines, reason = self.state.load_machines(key, self.checked)
             if machines is None:
                 if reason == "corrupt" or committed.get(module_name) == key:
                     self.events.append({
@@ -530,28 +506,20 @@ class IncrementalState:
         #: left its outcome in the ``wpa`` blob (None: no blob vouched).
         self.wpa_digest: Optional[str] = None
         self.last_report: Optional[IncrLinkReport] = None
-        #: reuse key -> the machine routines of that ``mach`` blob, as
-        #: last encoded or decoded.  Shared between links and with the
-        #: images built from them: machine routines are immutable.
-        self._machines: Dict[str, list] = {}
-        #: module -> (fingerprint, ``summ`` blob bytes, the facts parsed
-        #: from them), for the blobs ``load_facts`` parsed.  Read, never
-        #: mutated: a link that mutates facts copies them.
-        self.parsed_facts: Dict[str, Tuple[str, bytes, List[RoutineFacts]]] = {}
-        #: (``wpa/outcome`` bytes, header, outcome) of the last blob
-        #: :meth:`load_wpa` parsed.
-        self._wpa_parsed: Optional[Tuple[bytes, dict, dict]] = None
-        #: (``wpa/outcome`` bytes, the
-        #: :class:`~repro.hlo.driver.AppliedWpa` the last link that
-        #: applied them derived); None after a link that decided.
-        self.applied_wpa: Optional[Tuple[bytes, object]] = None
-        #: The index text last loaded or stored (a link that changes
-        #: nothing in it stores nothing), and the encoded pieces it was
-        #: assembled from: module -> (summary fingerprint, JSON text),
-        #: and (the dependency edges, their JSON text).
-        self._index_text: Optional[bytes] = None
-        self._summary_texts: Dict[str, Tuple[str, str]] = {}
-        self._deps_text: Optional[Tuple[frozenset, str]] = None
+        # The memos, shared with every link that hits them, so nothing
+        # may mutate a value (a link copies the facts it edits): the
+        # machine routines per reuse key; each module's ``summ`` facts
+        # under (fingerprint, bytes); the ``wpa/outcome`` parse and the
+        # ``AppliedWpa`` applying it gave, under its bytes; the index
+        # text the repository holds, and its pieces: each summary's text
+        # under its fingerprint, the edges' under their set.
+        self.machines = Memos("machine routines", _machine_fields)
+        self.parsed_facts = Memos("summ facts", _facts_fields)
+        self.stored_wpa = Memo("stored wpa outcome")
+        self.applied_wpa = Memo("applied wpa", methodcaller("fields"))
+        self.index_text = Memo("index text")
+        self.summary_texts = Memos("summary text")
+        self.deps_text = Memo("deps text")
         if directory is not None:
             self.repository.reindex()
         self._load_index()
@@ -583,35 +551,26 @@ class IncrementalState:
         self.options_fp = data.get("options_fp", "")
         # An index written before the stored WPA outcome vouches for none.
         self.wpa_digest = data.get("wpa")
-        self._index_text = text
+        self.index_text.keep(text, text)
 
-    def _save_index(self) -> None:
+    def _save_index(self, checked: bool) -> None:
         """Store the index, unless it is the text the repository holds."""
-        text = self.index_bytes()
-        if text == self._index_text and self.repository.contains(
-            _INDEX_KIND, _INDEX_NAME
-        ):
-            return
-        self.repository.store(_INDEX_KIND, _INDEX_NAME, text)
-        self._index_text = text
+        if not self.repository.contains(_INDEX_KIND, _INDEX_NAME):
+            self.index_text.clear()
+        text = self.index_bytes(checked)
+        self.index_text.get(text, self._store_index, text)
 
-    def index_bytes(self) -> bytes:
+    def _store_index(self, text: bytes) -> bytes:
+        self.repository.store(_INDEX_KIND, _INDEX_NAME, text)
+        return text
+
+    def index_bytes(self, checked: bool = False) -> bytes:
         """The index as ``json.dumps(index, sort_keys=True)`` would
         write it, encoding only the module summaries whose fingerprint
         moved, and the dependency edges when they changed, since the
         last call; the rest is text that call made."""
-        texts: Dict[str, Tuple[str, str]] = {}
-        for name in sorted(self.summaries):
-            fingerprint = self.summary_fingerprints[name]
-            text = self._summary_texts.get(name)
-            if text is None or text[0] != fingerprint:
-                text = (fingerprint,
-                        json.dumps(self.summaries[name], sort_keys=True))
-            texts[name] = text
-        self._summary_texts = texts
-        edges = self.deps.edges_set()
-        if self._deps_text is None or self._deps_text[0] != edges:
-            self._deps_text = (edges, json.dumps(self.deps.to_list()))
+        texts = self.summary_texts
+        texts.retain(self.summaries)
 
         def join(open_, items, close):
             return open_ + ", ".join(items) + close
@@ -621,12 +580,16 @@ class IncrementalState:
             "format": json.dumps(SUMMARY_FORMAT),
             "options_fp": json.dumps(self.options_fp),
             "summaries": join("{", (
-                "%s: %s" % (json.dumps(name), text)
-                for name, (_fingerprint, text) in texts.items()
+                "%s: %s" % (json.dumps(name), texts.memo(name).get(
+                    self.summary_fingerprints[name], _dump_sorted,
+                    self.summaries[name], checked=checked,
+                ))
+                for name in sorted(self.summaries)
             ), "}"),
             "summary_fingerprints": json.dumps(self.summary_fingerprints,
                                                sort_keys=True),
-            "deps": self._deps_text[1],
+            "deps": self.deps_text.get(self.deps.edges_set(), _dump_deps,
+                                       self.deps, checked=checked),
             "module_keys": json.dumps(self.module_keys, sort_keys=True),
             "wpa": json.dumps(self.wpa_digest),
         }
@@ -636,29 +599,29 @@ class IncrementalState:
 
     # -- The stored WPA outcome ------------------------------------------------------
 
-    def load_wpa(self):
-        """``(blob, header, outcome, None)``, or ``(None, None, None,
-        reason)`` -- reason in {"missing", "corrupt"}; a corrupt blob is
-        dropped.  The blob is fetched on every call and parsed only when
-        its bytes differ from the last ones parsed (header and outcome
-        are shared with that call: read them, do not mutate them)."""
+    def load_wpa(self, checked: bool = False):
+        """``(header, outcome, None)``, or ``(None, None, reason)`` --
+        reason in {"missing", "corrupt"}; a corrupt blob is dropped.  The
+        blob is fetched on every call; its parse is the memo
+        ``stored_wpa`` under the bytes (header and outcome are shared
+        with every link that parsed the same bytes: do not mutate them)."""
         if not self.repository.contains(_WPA_KIND, _WPA_NAME):
-            return None, None, None, "missing"
+            return None, None, "missing"
         try:
             blob = bytes(self.repository.fetch(_WPA_KIND, _WPA_NAME))
-            parsed = self._wpa_parsed
-            if parsed is None or parsed[0] != blob:
-                parsed = (blob,) + decode_wpa_blob(blob)
-                self._wpa_parsed = parsed
+            header, outcome = self.stored_wpa.get(
+                blob, decode_wpa_blob, blob, checked=checked
+            )
+        except MemoMismatchError:
+            raise
         except Exception:
-            self._wpa_parsed = None
             self.repository.discard(_WPA_KIND, _WPA_NAME)
-            return None, None, None, "corrupt"
-        return parsed + (None,)
+            return None, None, "corrupt"
+        return header, outcome, None
 
     # -- Machine-code blobs -----------------------------------------------------------
 
-    def load_machines(self, key: str):
+    def load_machines(self, key: str, checked: bool = False):
         """The machine routines cached under ``key``.
 
         Returns ``(machines, None)``, or ``(None, reason)`` -- reason in
@@ -669,25 +632,30 @@ class IncrementalState:
         if its routines are still resident here.
         """
         if not self.repository.contains(_MACHINE_KIND, key):
-            self._machines.pop(key, None)
+            self.machines.pop(key, None)
             return None, "missing"
-        machines = self._machines.get(key)
-        if machines is None:
-            try:
-                machines = decode_machine_routines(
-                    self.repository.fetch(_MACHINE_KIND, key)
-                )
-            except Exception:
-                self.repository.discard(_MACHINE_KIND, key)
-                return None, "corrupt"
-            self._machines[key] = machines
+        try:
+            machines = self.machines.memo(key).get(
+                key, self._decode_machines, key, checked=checked
+            )
+        except MemoMismatchError:
+            raise
+        except Exception:
+            self.machines.pop(key, None)
+            self.repository.discard(_MACHINE_KIND, key)
+            return None, "corrupt"
         return machines, None
+
+    def _decode_machines(self, key: str) -> list:
+        return decode_machine_routines(
+            self.repository.fetch(_MACHINE_KIND, key)
+        )
 
     def store_machines(self, key: str, machines: list) -> None:
         self.repository.store(
             _MACHINE_KIND, key, encode_machine_routines(machines)
         )
-        self._machines[key] = machines
+        self.machines.memo(key).keep(key, machines)
 
     # -- Session lifecycle ------------------------------------------------------------
 
@@ -699,10 +667,12 @@ class IncrementalState:
         for one link describe that link only."""
         self.repository.reset_counters()
 
-    def begin_link(self, summaries, options_fp: str) -> IncrLinkSession:
+    def begin_link(self, summaries, options_fp: str,
+                   checked: bool = False) -> IncrLinkSession:
         """Open a session for one link of the modules ``summaries``
-        (:class:`ModuleSummary`, one per CMO module) describe."""
-        session = IncrLinkSession(self, options_fp)
+        (:class:`ModuleSummary`, one per CMO module) describe;
+        ``checked`` derives every memo it hits again."""
+        session = IncrLinkSession(self, options_fp, checked)
         session.summaries = {
             summary.module_name: summary for summary in summaries
         }
@@ -754,10 +724,7 @@ class IncrementalState:
         for name in self.repository.names(_FACTS_KIND):
             if name not in session.summaries:
                 self.repository.discard(_FACTS_KIND, name)
-        self.parsed_facts = {
-            name: parsed for name, parsed in self.parsed_facts.items()
-            if name in session.summaries and name not in session.module_facts
-        }
+        self.parsed_facts.retain(session.summaries)
 
         # The WPA outcome: a deciding link leaves its own, a reusing one
         # leaves the blob it applied, any other (a link with a profile
@@ -771,8 +738,6 @@ class IncrementalState:
         elif session.wpa != "reused":
             self.repository.discard(_WPA_KIND, _WPA_NAME)
             self.wpa_digest = None
-        if session.wpa != "reused":
-            self.applied_wpa = None
 
         # Equal fingerprints mean equal serialized summaries.
         previous_fps = self.summary_fingerprints
@@ -786,7 +751,7 @@ class IncrementalState:
         self.deps = session.deps
         self.module_keys = dict(session.module_keys)
         self.options_fp = session.options_fp
-        self._save_index()
+        self._save_index(session.checked)
         self._prune_machines()
 
         report = IncrLinkReport()
@@ -816,10 +781,7 @@ class IncrementalState:
         for name in self.repository.names(_MACHINE_KIND):
             if name not in live:
                 self.repository.discard(_MACHINE_KIND, name)
-        self._machines = {
-            key: machines for key, machines in self._machines.items()
-            if key in live
-        }
+        self.machines.retain(live)
         self.repository.maybe_compact()
 
     def close(self) -> None:

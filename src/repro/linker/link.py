@@ -37,7 +37,8 @@ def check_duplicate_symbols(
         seen_globals[var.name] = var.defining_module
 
 
-def check_interfaces(objects: List[ObjectFile]) -> List[str]:
+def check_interfaces(objects: List[ObjectFile],
+                     checked: bool = False) -> List[str]:
     """The link-time interface checker the paper advocates (§6.3).
 
     Compares every call site of the IL ``objects`` against the callee's
@@ -46,11 +47,11 @@ def check_interfaces(objects: List[ObjectFile]) -> List[str]:
     callee no IL object defines is skipped: unresolved symbols are
     reported elsewhere.  Each object computes its sites and arities once
     (:meth:`ObjectFile.interface`), so a relink costs a dict lookup per
-    site and walks no IL.
+    site and walks no IL; ``checked`` walks each object again.
     """
     arity: Dict[str, int] = {}
     for obj in objects:
-        arity.update(obj.interface()[0])
+        arity.update(obj.interface(checked)[0])
     problems: List[str] = []
     for obj in objects:
         for caller, callee, nargs in obj.interface()[1]:
@@ -78,12 +79,11 @@ def build_image(
     ordered ones, in input order.  ``machine_routines`` are read, never
     written: ``image.code`` holds their own ``MInstr`` objects except at
     :meth:`~repro.vm.image.MachineRoutine.reloc_sites`, where it holds
-    relocated copies.  Those copies are kept on the routine
-    (``MachineRoutine.linked``) with the relocation environment they were
-    made for, and the next image that places the routine in an equal
-    environment shares them: nothing may edit ``image.code``.
-    ``checked`` relocates a memoized routine again beside the memo and
-    raises :class:`LinkError` on any difference.
+    relocated copies.  Those copies are a memo on the routine
+    (``MachineRoutine.linked``) under the relocation environment they
+    were made for, and the next image that places the routine in an
+    equal environment shares them: nothing may edit ``image.code``.
+    ``checked`` relocates a memoized routine again beside the memo.
     """
     check_duplicate_symbols(machine_routines, global_vars)
     by_name = {routine.name: routine for routine in machine_routines}
@@ -159,10 +159,10 @@ def _linked(
 
     Relocation reads the routine's base and, per symbolic site, the
     callee's base or the global's address (and, for LDX/STX, its size):
-    that is the environment.  An equal environment relocates equally,
-    so the copies the last link made for it are reused; any other one
-    relocates afresh (and raises what relocation raises) and replaces
-    the memo.
+    that is the environment, the key of the routine's memo.  An equal
+    environment relocates equally, so the copies the last link made for
+    it are reused; any other one relocates afresh (and raises what
+    relocation raises) and replaces them.
     """
     calls, data, sized = routine.reloc_symbols()
     env = (
@@ -171,14 +171,8 @@ def _linked(
         *map(image.data_addr.get, data),
         *map(image.data_size.get, sized),
     )
-    memo = routine.linked
-    if memo is not None and memo[0] == env:
-        if checked:
-            _verify_memo(routine, memo[1], base_of, image)
-        return memo[1]
-    instrs = _relocated(routine, base_of, image)
-    routine.linked = (env, instrs)
-    return instrs
+    return routine.linked.get(env, _relocated, routine, base_of, image,
+                              checked=checked)
 
 
 def _relocated(
@@ -194,29 +188,6 @@ def _relocated(
         _relocate(instr, base, base_of, image, name, base + index)
         instrs[index] = instr
     return instrs
-
-
-def _verify_memo(
-    routine: MachineRoutine,
-    kept: List[MInstr],
-    base_of: Dict[str, int],
-    image: Executable,
-) -> None:
-    """Relocate ``routine`` again and compare with the memo (checked)."""
-    fresh = _relocated(routine, base_of, image)
-    if len(kept) != len(fresh) or any(
-        old is not new and _fields(old) != _fields(new)
-        for old, new in zip(kept, fresh)
-    ):
-        raise LinkError(
-            "the relocated code of %s differs from a fresh relocation "
-            "in the same environment" % routine.name
-        )
-
-
-def _fields(instr: MInstr) -> tuple:
-    return (instr.op, instr.subop, instr.rd, instr.rs1, instr.rs2,
-            instr.imm, instr.imm2, instr.sym, instr.target)
 
 
 def _relocate(

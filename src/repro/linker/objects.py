@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..ir.module import Module
 from ..ir.routine import Routine
 from ..ir.symbols import GlobalVar, ProgramSymbolTable
+from ..memo import Memo
 from ..naim.compaction import (
     OPCODE_WIRE_INDEX,
     OPCODE_WIRE_LIST,
@@ -50,6 +51,28 @@ _SUBOP_FIELD = {op.value: i + 1 for op, i in OPCODE_WIRE_INDEX.items()}
 
 KIND_CODE = "code"
 KIND_IL = "il"
+
+
+def _summarize(module: Module):
+    from ..incr.summary import ModuleSummary  # incr imports us
+
+    return ModuleSummary.from_module(module)
+
+
+def _summary_fields(summary) -> Dict[str, str]:
+    return {"fingerprint": summary.fingerprint()}
+
+
+def _walk_interface(module: Module):
+    arities: Dict[str, int] = {}
+    sites: List[Tuple[str, str, int]] = []
+    for routine in module.routine_list():
+        name = routine.name
+        arities[name] = routine.n_params
+        for block in routine.blocks:
+            for _, instr in block.calls():
+                sites.append((name, instr.sym, len(instr.args)))
+    return arities, tuple(sites)
 
 
 class LinkError(Exception):
@@ -88,10 +111,10 @@ class ObjectFile:
         self.source_lines = source_lines
         #: Human-readable note of how this object was compiled.
         self.opt_summary = opt_summary
-        self._summary = None
-        self._interface: Optional[
-            Tuple[Dict[str, int], Tuple[Tuple[str, str, int], ...]]
-        ] = None
+        # Memos under ``il_module``, which links only borrow.
+        self._summary = Memo("object summary " + module_name,
+                             _summary_fields)
+        self._interface = Memo("object interface " + module_name)
 
     # -- Symbol queries -----------------------------------------------------------
 
@@ -110,20 +133,18 @@ class ObjectFile:
     def external_references(self) -> Set[str]:
         return set(self.referenced_routines) | set(self.referenced_globals)
 
-    def summary(self):
+    def summary(self, checked: bool = False):
         """The IL module's :class:`~repro.incr.summary.ModuleSummary`,
         computed once per object: links borrow ``il_module``'s bodies
         and copy the ones they edit, so an object the build engine
-        reuses is never hashed again."""
-        if self._summary is None:
-            from ..incr.summary import ModuleSummary  # incr imports us
-
-            assert self.il_module is not None
-            self._summary = ModuleSummary.from_module(self.il_module)
-        return self._summary
+        reuses is never hashed again.  ``checked`` hashes it again: a
+        link that edited a borrowed body in place would poison every
+        later link of this object."""
+        return self._summary.get(self.il_module, _summarize,
+                                 self.il_module, checked=checked)
 
     def interface(
-        self,
+        self, checked: bool = False,
     ) -> Tuple[Dict[str, int], Tuple[Tuple[str, str, int], ...]]:
         """What the link-time interface check reads of the IL module:
         each routine's parameter count, and every call site as
@@ -132,34 +153,8 @@ class ObjectFile:
         :meth:`summary`, so a cold build hashes nothing for it); like the
         summary it stays valid because links only borrow ``il_module``.
         """
-        if self._interface is None:
-            assert self.il_module is not None
-            arities: Dict[str, int] = {}
-            sites: List[Tuple[str, str, int]] = []
-            for routine in self.il_module.routine_list():
-                name = routine.name
-                arities[name] = routine.n_params
-                for block in routine.blocks:
-                    for _, instr in block.calls():
-                        sites.append((name, instr.sym, len(instr.args)))
-            self._interface = (arities, tuple(sites))
-        return self._interface
-
-    def verify_il_unchanged(self) -> None:
-        """Re-hash ``il_module`` against :meth:`summary` (checked links).
-
-        A link that edited a borrowed body in place would poison every
-        later link of this object: its summary is never computed again.
-        """
-        from ..incr.summary import ModuleSummary
-
-        assert self.il_module is not None
-        fresh = ModuleSummary.from_module(self.il_module).fingerprint()
-        if fresh != self.summary().fingerprint():
-            raise LinkError(
-                "the IL of object %s changed under a link that only "
-                "borrowed it" % self.module_name
-            )
+        return self._interface.get(self.il_module, _walk_interface,
+                                   self.il_module, checked=checked)
 
     # -- Construction helpers --------------------------------------------------------
 

@@ -4,9 +4,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..memo import Memo
 from .isa import RELOCATED_OPS, MInstr, MOp
 
 _CALL, _LDG, _STG, _LDX, _STX = MOp.CALL, MOp.LDG, MOp.STG, MOp.LDX, MOp.STX
+
+
+def _instr_fields(instrs: List[MInstr]) -> Dict[str, tuple]:
+    return {
+        "instr %d" % index: (instr.op, instr.subop, instr.rd, instr.rs1,
+                             instr.rs2, instr.imm, instr.imm2, instr.sym,
+                             instr.target)
+        for index, instr in enumerate(instrs)
+    }
 
 
 class MachineRoutine:
@@ -23,11 +33,10 @@ class MachineRoutine:
     its ``MInstr`` objects, so nothing may edit ``instrs`` or an
     instruction in it afterwards.
 
-    ``linked`` is the linker's memo, not part of the routine: the
-    relocation environment of the last link that placed it and the
-    instruction list that link relocated against it (see
-    :func:`repro.linker.link.build_image`).  It is replaced as one
-    tuple, so a concurrent link reads an environment with its own list.
+    ``linked`` is the linker's :class:`~repro.memo.Memo`, not part of
+    the routine: the instruction list the last link that placed it
+    relocated, under that link's relocation environment (see
+    :func:`repro.linker.link.build_image`).
     """
 
     __slots__ = ("name", "instrs", "n_params", "frame_size", "source_module",
@@ -48,7 +57,7 @@ class MachineRoutine:
         self.source_module = source_module
         self._reloc_sites: Optional[Tuple[int, ...]] = None
         self._reloc_symbols: Optional[Tuple[Tuple[str, ...], ...]] = None
-        self.linked: Optional[Tuple[tuple, List[MInstr]]] = None
+        self.linked = Memo("relocated code " + name, _instr_fields)
 
     def reloc_sites(self) -> Tuple[int, ...]:
         """Indices of the instructions the linker rewrites

@@ -30,10 +30,10 @@ from repro.hlo.options import HloOptions
 from repro.incr.summary import ModuleSummary
 from repro.linker.objects import (
     KIND_IL,
-    LinkError,
     encode_executable,
     encode_machine_routines,
 )
+from repro.memo import MemoMismatchError
 from repro.naim.config import NaimConfig, NaimLevel
 from repro.part.procexec import processes_supported
 from repro.synth import WorkloadConfig, generate
@@ -68,14 +68,14 @@ def assert_objects_pristine(result, sources):
         rehashed = ModuleSummary.from_module(obj.il_module).fingerprint()
         assert rehashed == expected[obj.module_name], obj.module_name
         assert obj.summary().fingerprint() == rehashed
-        obj.verify_il_unchanged()
+        obj.summary(checked=True)
 
 
 def assert_resident_machines_match_blobs(state):
-    assert state._machines
-    for key, machines in state._machines.items():
+    assert state.machines
+    for key, memo in state.machines.items():
         stored = bytes(state.repository.fetch("mach", key))
-        assert encode_machine_routines(machines) == stored, key
+        assert encode_machine_routines(memo.value) == stored, key
 
 
 # -- Cold builds, every execution shape ---------------------------------------
@@ -265,5 +265,5 @@ def test_a_checked_link_reports_a_mutated_borrowed_body(monkeypatch):
     compiler = Compiler(CompilerOptions(
         opt_level=4, hlo=HloOptions(checked=True),
     ))
-    with pytest.raises(LinkError, match="only borrowed"):
+    with pytest.raises(MemoMismatchError, match="object summary"):
         compiler.build(sources)

@@ -31,7 +31,6 @@ import repro.driver.compiler as compiler_module
 import repro.hlo.driver as hlo_driver
 import repro.incr.state as incr_state
 import repro.ir.callgraph as callgraph
-import repro.linker.link as link
 import repro.naim.loader as loader_module
 from repro.driver.build import BuildEngine
 from repro.driver.compiler import Compiler
@@ -41,7 +40,8 @@ from repro.hlo.profile_view import ProfileView
 from repro.hlo.thin import WpaOutcome
 from repro.incr.summary import ModuleSummary, RoutineFacts
 from repro.ir.routine import Routine
-from repro.linker.objects import ObjectFile, encode_executable
+from repro.linker.objects import encode_executable
+from repro.memo import Memo
 from repro.naim.pools import KIND_IR
 from repro.vm.isa import RELOCATED_OPS, MInstr
 from repro.synth import WorkloadConfig, generate
@@ -58,10 +58,11 @@ class Counter:
         return self.fn(*args, **kwargs)
 
 
-def uncounted_list(monkeypatch, owner, name, recorded):
-    """Wrap ``owner.name`` so that what it appends to ``recorded`` while
-    it runs is taken out again (the extra work of a checked link)."""
-    real = getattr(owner, name)
+def uncounted_list(monkeypatch, recorded):
+    """Wrap :meth:`Memo.verify` so that what it appends to ``recorded``
+    while it runs is taken out again (the extra work of a checked link:
+    every memo it hits is derived again, to compare)."""
+    real = Memo.verify
 
     def wrapper(*args, **kwargs):
         before = len(recorded)
@@ -70,13 +71,13 @@ def uncounted_list(monkeypatch, owner, name, recorded):
         finally:
             del recorded[before:]
 
-    monkeypatch.setattr(owner, name, wrapper)
+    monkeypatch.setattr(Memo, "verify", wrapper)
 
 
-def uncounted(monkeypatch, owner, name, counters):
-    """Wrap ``owner.name`` so that calls the ``counters`` see while it
-    runs are not counted (the extra work of a checked link)."""
-    real = getattr(owner, name)
+def uncounted(monkeypatch, counters):
+    """Wrap :meth:`Memo.verify` so that calls the ``counters`` see while
+    it runs are not counted (the extra work of a checked link)."""
+    real = Memo.verify
 
     def wrapper(*args, **kwargs):
         before = [counter.calls for counter in counters]
@@ -86,7 +87,7 @@ def uncounted(monkeypatch, owner, name, counters):
             for counter, calls in zip(counters, before):
                 counter.calls = calls
 
-    monkeypatch.setattr(owner, name, wrapper)
+    monkeypatch.setattr(Memo, "verify", wrapper)
 
 
 @pytest.fixture
@@ -111,6 +112,8 @@ def test_an_edit_decodes_no_cached_machine_code(warm, monkeypatch):
     engine, sources, _victim = warm
     decode = Counter(incr_state.decode_machine_routines)
     monkeypatch.setattr(incr_state, "decode_machine_routines", decode)
+    # A checked link decodes every blob it kept again, to compare.
+    uncounted(monkeypatch, [decode])
     result, report = engine.build(sources)
     assert report.cmo_reused and report.cmo_reoptimized
     assert decode.calls == 0
@@ -125,7 +128,7 @@ def test_an_edit_summarises_only_the_recompiled_object(warm, monkeypatch):
     summarise = Counter(ModuleSummary.from_module)
     monkeypatch.setattr(ModuleSummary, "from_module", staticmethod(summarise))
     # A checked link re-hashes every object it borrowed, by design.
-    uncounted(monkeypatch, ObjectFile, "verify_il_unchanged", [summarise])
+    uncounted(monkeypatch, [summarise])
     result, report = engine.build(sources)
     assert report.recompiled == [victim]
     assert summarise.calls == 1
@@ -213,15 +216,13 @@ def _relocation_environment(routine, image):
 
 def _watch_linked_routines(monkeypatch):
     """Record each routine the next link places, with the environment
-    its relocation memo was made for (None: no memo)."""
+    its relocation memo was made for (a sentinel: never linked)."""
     placed = []
     real_build_image = compiler_module.build_image
 
     def build_image(machine_routines, *args, **kwargs):
-        placed.extend(
-            (routine, routine.linked and routine.linked[0])
-            for routine in machine_routines
-        )
+        placed.extend((routine, routine.linked.key)
+                      for routine in machine_routines)
         return real_build_image(machine_routines, *args, **kwargs)
 
     monkeypatch.setattr(compiler_module, "build_image", build_image)
@@ -238,7 +239,7 @@ def _count_copies(monkeypatch):
 
     monkeypatch.setattr(MInstr, "copy", copy)
     # A checked link relocates every memoized routine again, to compare.
-    uncounted_list(monkeypatch, link, "_verify_memo", copied)
+    uncounted_list(monkeypatch, copied)
     return copied
 
 
@@ -305,12 +306,7 @@ def _count_applied_wpa_work(monkeypatch, engine):
         return real_store(kind, name, data)
 
     monkeypatch.setattr(repository, "store", store)
-    extras = [
-        (hlo_driver.HighLevelOptimizer, "_verify_applied"),
-        (hlo_driver.HighLevelOptimizer, "_check_reuse"),
-        (loader_module, "_verify_size"),
-        (ObjectFile, "verify_il_unchanged"),
-    ]
+    extras = [(Memo, "verify"), (loader_module, "_verify_size")]
     for owner, name in extras:
         real = getattr(owner, name)
 
@@ -344,7 +340,7 @@ def test_a_no_op_rebuild_copies_parses_and_walks_nothing(warm, monkeypatch):
     walks = Counter(BasicBlock.calls)
     monkeypatch.setattr(BasicBlock, "calls", lambda *args: walks(*args))
     # A checked link parses every resident blob again, to compare.
-    uncounted(monkeypatch, incr_state, "_verify_resident", [parse])
+    uncounted(monkeypatch, [parse, walks])
     counters, walked, stored = _count_applied_wpa_work(monkeypatch, engine)
     result, report = engine.build(sources)
     assert report.recompiled == [] and report.cmo_reoptimized == []
@@ -369,13 +365,14 @@ def test_a_fact_preserving_edit_copies_facts_and_views_of_the_replay_scope_only(
     scope) is copied, nothing else; and only the edited module's index
     entries change."""
     engine, sources, victim = warm
-    encoded = dict(engine.incr_state._summary_texts)
+    texts = engine.incr_state.summary_texts
+    encoded = {name: memo.value for name, memo in texts.items()}
     counters, walked, stored = _count_applied_wpa_work(monkeypatch, engine)
     result, report = engine.build(sources)
     assert result.incr_report.wpa == "reused"
     assert report.recompiled == [victim]
-    assert [name for name, text in engine.incr_state._summary_texts.items()
-            if text is not encoded.get(name)] == [victim]
+    assert [name for name, memo in texts.items()
+            if memo.value is not encoded.get(name)] == [victim]
     hlo = result.hlo_result
     scope = hlo.plan.replay_scope(hlo.compiled_routines())
     assert scope, "the edit compiles nothing: the guard guards nothing"
@@ -429,14 +426,14 @@ def test_a_link_parses_only_the_summ_blob_the_last_link_rewrote(
         return real_from_dict(data)
 
     monkeypatch.setattr(RoutineFacts, "from_dict", staticmethod(from_dict))
-    uncounted_list(monkeypatch, incr_state, "_verify_resident", parsed)
+    uncounted_list(monkeypatch, parsed)
     for edited, rewrote in ((other, victim), (None, other)):
         del parsed[:]
         result, report = engine.build(sources)
         assert result.incr_report.changed_modules == (
             [edited] if edited else []
         )
-        expected = len(engine.incr_state.parsed_facts[rewrote][2])
+        expected = len(engine.incr_state.parsed_facts[rewrote].value)
         assert parsed == [rewrote] * expected
         assert encode_executable(result.executable) == _clean_image(sources)
 
@@ -513,9 +510,7 @@ def test_facts_are_serialised_for_scanned_modules_only(
     monkeypatch.setattr(RoutineFacts, "to_dict", to_dict)
     # A checked link compares resident facts with a fresh parse, and the
     # resident applied WPA state with a fresh application.
-    uncounted_list(monkeypatch, incr_state, "_verify_resident", serialised)
-    uncounted_list(monkeypatch, hlo_driver.HighLevelOptimizer,
-                   "_verify_applied", serialised)
+    uncounted_list(monkeypatch, serialised)
     stored = []
     real_store = repository.store
 
@@ -592,8 +587,7 @@ def test_a_fact_preserving_edit_decides_nothing(warm, monkeypatch):
     monkeypatch.setattr(hlo_driver, "compute_module_keys",
                         compute_module_keys)
     # A checked link also decides, to compare: that is not this link's.
-    uncounted(monkeypatch, hlo_driver.HighLevelOptimizer, "_check_reuse",
-              list(counters.values()) + [keys])
+    uncounted(monkeypatch, list(counters.values()) + [keys])
     repository = engine.incr_state.repository
     stored = []
     real_store = repository.store

@@ -1,33 +1,37 @@
 """Resident state must not hide damage.
 
-Between links a warm :class:`BuildEngine` keeps the facts it parsed
-from each ``summ`` blob, what applying the stored WPA outcome gave,
-each machine routine's relocated copies and each object's interface
-table.  Each row damages or changes what one of them was made from, on
-one warm engine, and expects the link to notice: a structured event or
-error, and the image (or the error) a cold build of the same sources
-gives.  The pack repository under a state dir checks every entry's
-frame CRC on fetch, so a flipped byte that would still decode is
-noticed too.
+Between links a warm :class:`BuildEngine` keeps, each as a
+:class:`~repro.memo.Memo` under the exact input it came from, the facts
+it parsed from each ``summ`` blob, the parsed and the applied WPA
+outcome, the decoded machine routines, each machine routine's relocated
+copies, each object's summary and interface table, and the encoded
+pieces of the index.  One table checks every memo: a link with equal
+inputs hands out the kept value, a link whose input moved derives it
+again, and a checked link finds a tampered value.  The other rows damage
+or change what a memo was made from, on one warm engine, and expect the
+link to notice: a structured event or error, and the image (or the
+error) a cold build of the same sources gives.  The pack repository
+under a state dir checks every entry's frame CRC on fetch, so a flipped
+byte that would still decode is noticed too.
 """
 
 from __future__ import annotations
 
 import glob
+import json
 import os
 import re
 
 import pytest
 
-import repro.linker.link as link
 from repro.driver import train
 from repro.driver.build import BuildEngine, BuildError
 from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
-from repro.hlo.driver import AppliedWpaMismatchError
 from repro.hlo.options import HloOptions
-from repro.incr.state import ResidentFactsMismatchError
+from repro.incr.depgraph import KIND_INLINE
 from repro.linker.objects import LinkError, encode_executable
+from repro.memo import Memo, MemoMismatchError
 from repro.naim.packfile import FLAG_COMPRESSED
 from repro.naim.repository import RepositoryError
 from repro.synth import WorkloadConfig, generate
@@ -49,10 +53,10 @@ def _cold(sources):
     return Compiler(OPTIONS).build(sources)
 
 
-def _warm_engine(sources, **kwargs):
+def _warm_engine(sources, options=OPTIONS, **kwargs):
     """An engine that has linked ``sources`` twice: every ``summ`` blob
     is parsed and resident, every routine has its relocated copies."""
-    engine = BuildEngine(OPTIONS, incremental=True, **kwargs)
+    engine = BuildEngine(options, incremental=True, **kwargs)
     engine.build(sources)
     engine.build(sources)
     return engine
@@ -115,15 +119,15 @@ def test_lengthening_a_routine_moves_every_base_after_it(
         return real_copy(self)
 
     monkeypatch.setattr(MInstr, "copy", copy)
-    real_verify = link._verify_memo
+    real_verify = Memo.verify
 
-    def verify_memo(*args):
+    def verify(*args):
         # A checked link relocates every reused routine again, to compare.
         before = len(copied)
         real_verify(*args)
         del copied[before:]
 
-    monkeypatch.setattr(link, "_verify_memo", verify_memo)
+    monkeypatch.setattr(Memo, "verify", verify)
     result, _report = engine.build(edited)
     image = result.executable
     moved = [meta for meta in image.routine_meta.values()
@@ -207,12 +211,11 @@ def test_a_link_that_merges_blocks_leaves_the_resident_views_alone(
         dispatch_count=40, input_size=16, seed=11,
     )).sources)
     engine = _warm_engine(sources)
-    resident = dict(engine.incr_state.parsed_facts)
-    applied = engine.incr_state.applied_wpa[1]
+    resident = [memo.value for memo in engine.incr_state.parsed_facts.values()]
+    applied = engine.incr_state.applied_wpa.value
 
     def views():
-        kept = [facts.view for _fp, _blob, parsed in resident.values()
-                for facts in parsed]
+        kept = [facts.view for parsed in resident for facts in parsed]
         kept += [facts.view for facts in applied.facts.values()]
         kept += list(applied.views.values())
         return {
@@ -233,7 +236,7 @@ def test_a_link_that_merges_blocks_leaves_the_resident_views_alone(
     sources["m3"] = bump(sources["m3"])
     result, report = engine.build(sources)
     assert "m2" in report.cmo_reoptimized, "no resident module re-optimized"
-    assert engine.incr_state.applied_wpa[1] is applied
+    assert engine.incr_state.applied_wpa.value is applied
     assert set(merged) & {name for _id, name in before}, (
         "no resident view was merged into"
     )
@@ -243,40 +246,269 @@ def test_a_link_that_merges_blocks_leaves_the_resident_views_alone(
     )
 
 
-def test_a_checked_link_catches_a_tampered_memo():
-    """With ``HloOptions.checked`` every link parses and relocates again
-    beside what it kept and raises on any difference."""
-    sources = _sources()
-    options = CompilerOptions(opt_level=4, hlo=HloOptions(checked=True))
-    engine = BuildEngine(options, incremental=True)
-    engine.build(sources)
-    engine.build(sources)
+# -- One table over every memo --------------------------------------------
+#
+# Each row names a memo of a warm engine and one case: a link with equal
+# inputs hands out the kept value (``hit``); a link whose input moved
+# derives it again and links the cold image; a checked link finds the
+# kept value tampered with and raises ``MemoMismatchError`` naming the
+# memo and the field, and links the cold image once it is restored.
+
+
+def _target(sources):
+    return sorted(name for name in sources if name != "main")[0]
+
+
+def _summ_facts(engine, sources):
+    return engine.incr_state.parsed_facts[_target(sources)]
+
+
+def _stored_wpa(engine, _sources):
+    return engine.incr_state.stored_wpa
+
+
+def _applied_wpa(engine, _sources):
+    return engine.incr_state.applied_wpa
+
+
+def _machine_routines(engine, sources):
     state = engine.incr_state
+    return state.machines[state.module_keys[_target(sources)]]
 
-    target = sorted(name for name in sources if name != "main")[0]
-    facts = state.parsed_facts[target][2][0]
+
+def _relocated_code(engine, sources):
+    """The memo of the first resident routine, by name, outside the
+    target module that calls another one."""
+    return min(
+        (machine for memo in engine.incr_state.machines.values()
+         for machine in memo.value
+         if machine.source_module != _target(sources)
+         and machine.reloc_symbols()[0]),
+        key=lambda machine: machine.name,
+    ).linked
+
+
+def _object_summary(engine, sources):
+    return engine._cache[_target(sources)][1]._summary
+
+
+def _object_interface(engine, sources):
+    return engine._cache[_target(sources)][1]._interface
+
+
+def _summary_text(engine, sources):
+    return engine.incr_state.summary_texts[_target(sources)]
+
+
+def _deps_text(engine, _sources):
+    return engine.incr_state.deps_text
+
+
+def _index_text(engine, _sources):
+    return engine.incr_state.index_text
+
+
+# What moves a memo's input: each returns the sources to link next.
+
+def _reformat_the_summ_blob(engine, sources):
+    repository = engine.incr_state.repository
+    data = json.loads(bytes(repository.fetch("summ", _target(sources))))
+    repository.store("summ", _target(sources),
+                     json.dumps(data, indent=1).encode("utf-8"))
+    return sources
+
+
+def _reformat_the_wpa_header(engine, sources):
+    repository = engine.incr_state.repository
+    head, _newline, body = bytes(
+        repository.fetch("wpa", "outcome")
+    ).partition(b"\n")
+    repository.store("wpa", "outcome", json.dumps(
+        json.loads(head), separators=(",", ":")
+    ).encode("utf-8") + b"\n" + body)
+    return sources
+
+
+def _discard_the_mach_blob(engine, sources):
+    state = engine.incr_state
+    state.repository.discard("mach", state.module_keys[_target(sources)])
+    return sources
+
+
+def _lengthen_the_first_module(_engine, sources):
+    edited = dict(sources)
+    edited[_target(sources)] = add_statement(sources[_target(sources)])
+    return edited
+
+
+def _edit_the_target(_engine, sources):
+    edited = dict(sources)
+    edited[_target(sources)] = bump(sources[_target(sources)])
+    return edited
+
+
+def _add_a_dependency_edge(engine, sources):
+    # Committed edges the link does not record again are carried forward.
+    engine.incr_state.deps.add("main", _target(sources), KIND_INLINE,
+                               item="added")
+    return sources
+
+
+# What tampers with a kept value: each returns (undo, the field a
+# checked link names).
+
+def _tamper_facts(memo):
+    facts = memo.value[0]
     facts.instr_count += 1
-    with pytest.raises(BuildError) as caught:
-        engine.build(sources)
-    assert isinstance(caught.value.failures["link"],
-                      ResidentFactsMismatchError)
-    facts.instr_count -= 1
 
-    routine = next(
-        machine for machines in state._machines.values()
-        for machine in machines
-        if machine.linked is not None and machine.reloc_symbols()[0]
+    def undo():
+        facts.instr_count -= 1
+
+    return undo, facts.name
+
+
+def _tamper_wpa_outcome(memo):
+    stats = memo.value[1]["inline_stats"]
+    stats["rejected_size"] += 1
+
+    def undo():
+        stats["rejected_size"] -= 1
+
+    return undo, "value"
+
+
+def _tamper_applied_facts(memo):
+    facts = next(iter(memo.value.facts.values()))
+    facts.instr_count += 1
+
+    def undo():
+        facts.instr_count -= 1
+
+    return undo, "facts"
+
+
+def _tamper_an_instruction(memo):
+    """Edit one ``LDS`` immediate of a resident routine in place."""
+    machine, instr = next(
+        (machine, instr) for machine in memo.value
+        for instr in machine.instrs if instr.op is MOp.LDS
     )
-    kept = routine.linked[1]
-    site = next(index for index in routine.reloc_sites()
-                if kept[index].op is MOp.CALL)
-    kept[site] = kept[site].copy()
+    instr.imm += 1
+
+    def undo():
+        instr.imm -= 1
+
+    return undo, machine.name
+
+
+def _tamper_a_relocated_call(memo):
+    kept = memo.value
+    site = next(index for index, instr in enumerate(kept)
+                if instr.op is MOp.CALL)
+    original = kept[site]
+    kept[site] = original.copy()
     kept[site].imm += 1
-    with pytest.raises(BuildError) as caught:
-        engine.build(sources)
-    failure = caught.value.failures["link"]
-    assert isinstance(failure, LinkError)
-    assert routine.name in str(failure)
+
+    def undo():
+        kept[site] = original
+
+    return undo, "instr %d" % site
+
+
+def _tamper_a_body_hash(memo):
+    hashes = memo.value.body_hashes
+    name = sorted(hashes)[0]
+    original = hashes[name]
+    hashes[name] = "0" * len(original)
+
+    def undo():
+        hashes[name] = original
+
+    return undo, "fingerprint"
+
+
+def _tamper_a_call_site(memo):
+    """Change one call site's argument count: the link would report an
+    interface problem the IL does not have."""
+    original = memo.value
+    arities, sites = original
+    caller, callee, nargs = sites[0]
+    memo.keep(memo.key, (arities, ((caller, callee, nargs + 1),) + sites[1:]))
+
+    def undo():
+        memo.keep(memo.key, original)
+
+    return undo, "value"
+
+
+def _tamper_a_text(memo):
+    original = memo.value
+    memo.keep(memo.key, original + " ")
+
+    def undo():
+        memo.keep(memo.key, original)
+
+    return undo, "value"
+
+
+_MEMOS = [
+    ("summ-facts", _summ_facts, _reformat_the_summ_blob, _tamper_facts),
+    ("stored-wpa-outcome", _stored_wpa, _reformat_the_wpa_header,
+     _tamper_wpa_outcome),
+    ("applied-wpa", _applied_wpa, _reformat_the_wpa_header,
+     _tamper_applied_facts),
+    ("machine-routines", _machine_routines, _discard_the_mach_blob,
+     _tamper_an_instruction),
+    ("relocated-code", _relocated_code, _lengthen_the_first_module,
+     _tamper_a_relocated_call),
+    ("object-summary", _object_summary, _edit_the_target,
+     _tamper_a_body_hash),
+    ("object-interface", _object_interface, _edit_the_target,
+     _tamper_a_call_site),
+    ("summary-text", _summary_text, _edit_the_target, _tamper_a_text),
+    ("deps-text", _deps_text, _add_a_dependency_edge, _tamper_a_text),
+    # The index text is its own key: nothing derives it again.
+    ("index-text", _index_text, _edit_the_target, None),
+]
+
+
+def _rows():
+    for label, find, change, tamper in _MEMOS:
+        yield pytest.param(find, "hit", None, id=label + "-hit")
+        yield pytest.param(find, "input", change, id=label + "-input")
+        if tamper is not None:
+            yield pytest.param(find, "tampered", tamper,
+                               id=label + "-tampered")
+
+
+@pytest.mark.parametrize("find, case, action", list(_rows()))
+def test_a_memo_serves_only_its_input(find, case, action):
+    sources = _sources()
+    options = OPTIONS
+    if case == "tampered":
+        options = CompilerOptions(opt_level=4, hlo=HloOptions(checked=True))
+    engine = _warm_engine(sources, options)
+    memo = find(engine, sources)
+    kept = memo.value
+    assert kept is not None
+    if case == "hit":
+        result = engine.build(sources)[0]
+        assert find(engine, sources).value is kept
+    elif case == "input":
+        sources = action(engine, sources)
+        result = engine.build(sources)[0]
+        assert find(engine, sources).value is not kept
+    else:
+        undo, field = action(memo)
+        with pytest.raises(BuildError) as caught:
+            engine.build(sources)
+        failure = caught.value.failures["link"]
+        assert isinstance(failure, MemoMismatchError)
+        assert failure.memo == memo.name
+        assert field in failure.fields
+        undo()
+        result = engine.build(sources)[0]
+    assert _image(result) == _image(Compiler(options).build(sources))
 
 
 # -- The applied WPA state -------------------------------------------------
@@ -366,38 +598,22 @@ def test_the_applied_wpa_state_is_dropped_when_its_inputs_move(
     state_dir = str(tmp_path / "state")
     engine = _warm_engine(sources, state_dir=state_dir)
     state = engine.incr_state
-    assert state.applied_wpa is not None
-    kept = state.applied_wpa[1]
+    kept, blob = state.applied_wpa.value, state.applied_wpa.key
+    assert kept is not None
     # Kept: a link that applies the same outcome takes it as it is.
     result = engine.build(sources)[0]
-    assert state.applied_wpa[1] is kept
+    assert state.applied_wpa.value is kept
     assert result.hlo_result.thin_facts is kept.facts
 
     result, cold, wpa = change(engine, sources, state_dir)
     assert result.incr_report.describe_wpa() == wpa
-    assert state.applied_wpa is None or state.applied_wpa[1] is not kept
+    # Still kept only under the bytes it was derived from.
+    assert state.applied_wpa.value is not kept or (
+        state.applied_wpa.key == blob
+    )
     assert result.hlo_result.thin_facts is not kept.facts
     assert _image(result) == _image(cold)
     state.close()
-
-
-def test_a_checked_link_catches_a_tampered_applied_wpa_state():
-    sources = _sources()
-    options = CompilerOptions(opt_level=4, hlo=HloOptions(checked=True))
-    engine = BuildEngine(options, incremental=True)
-    engine.build(sources)
-    engine.build(sources)
-    kept = engine.incr_state.applied_wpa[1]
-    facts = next(iter(kept.facts.values()))
-    facts.instr_count += 1
-    with pytest.raises(BuildError) as caught:
-        engine.build(sources)
-    failure = caught.value.failures["link"]
-    assert isinstance(failure, AppliedWpaMismatchError)
-    assert "facts" in str(failure)
-    facts.instr_count -= 1
-    result, _report = engine.build(sources)
-    assert _image(result) == _image(Compiler(options).build(sources))
 
 
 # -- Frame CRCs ------------------------------------------------------------

@@ -23,10 +23,10 @@ import repro.hlo.driver as hlo_driver
 from repro.driver.build import BuildEngine, BuildError
 from repro.driver.compiler import Compiler, train
 from repro.driver.options import CompilerOptions
-from repro.hlo.driver import WpaReuseMismatchError
 from repro.hlo.options import HloOptions
 from repro.linker.objects import encode_executable
 from repro.llo.driver import LloOptions
+from repro.memo import MemoMismatchError
 from repro.naim.config import NaimConfig
 from repro.part.wire import encode_shared_context
 from repro.synth import WorkloadConfig, generate
@@ -152,7 +152,9 @@ def test_a_checked_link_decides_beside_the_stored_outcome():
                      json.dumps(header).encode("utf-8") + b"\n" + body)
     with pytest.raises(BuildError, match="inline_stats") as caught:
         engine.build(sources)
-    assert isinstance(caught.value.__cause__, WpaReuseMismatchError)
+    failure = caught.value.__cause__
+    assert isinstance(failure, MemoMismatchError)
+    assert failure.memo == "wpa outcome"
 
 
 def test_the_partition_context_does_not_depend_on_reuse(monkeypatch):
