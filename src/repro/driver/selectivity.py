@@ -41,12 +41,6 @@ class SelectivityPlan:
             return 0.0
         return self.selected_lines / self.total_lines
 
-    @property
-    def site_fraction(self) -> float:
-        if self.total_sites == 0:
-            return 0.0
-        return self.selected_sites / self.total_sites
-
     def __repr__(self) -> str:
         return (
             "<SelectivityPlan %.0f%%: %d/%d sites, %d modules, "

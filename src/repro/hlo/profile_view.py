@@ -81,11 +81,6 @@ class ProfileView:
     def entry_count(self, routine: Routine) -> int:
         return self.count(routine.entry.label)
 
-    def hottest_blocks(self, limit: int = 5):
-        return sorted(
-            self.block_counts.items(), key=lambda item: (-item[1], item[0])
-        )[:limit]
-
     # -- Maintenance by transforms -----------------------------------------------
 
     def rename_block(self, old: str, new: str) -> None:

@@ -19,7 +19,7 @@ table; no global PIDs -- a private symbol table scopes the encoding).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.module import Module
 from ..ir.routine import Routine
@@ -129,9 +129,6 @@ class ObjectFile:
             assert self.il_module is not None
             return list(self.il_module.symtab.globals.values())
         return list(self.globals_list)
-
-    def external_references(self) -> Set[str]:
-        return set(self.referenced_routines) | set(self.referenced_globals)
 
     def summary(self, checked: bool = False):
         """The IL module's :class:`~repro.incr.summary.ModuleSummary`,

@@ -754,24 +754,9 @@ class Repository:
         """Raw (uncompressed) size of one pool."""
         return self._known.get((kind, name), 0)
 
-    def packed_size(self, kind: str, name: str) -> int:
-        """On-disk payload size (compressed when the flag is set)."""
-        located = self._located.get((kind, name))
-        if located is not None:
-            return located[1].stored_len
-        return self._known.get((kind, name), 0)
-
     def total_bytes(self) -> int:
         """Total raw bytes of live pools."""
         return sum(self._known.values())
-
-    def packed_bytes(self) -> int:
-        """Total on-disk bytes of live pool payloads."""
-        total = 0
-        for key, size in self._known.items():
-            located = self._located.get(key)
-            total += located[1].stored_len if located is not None else size
-        return total
 
     def mapped_bytes(self) -> int:
         """Bytes currently memory-mapped from sealed segments."""

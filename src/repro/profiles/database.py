@@ -87,15 +87,6 @@ class RoutineProfile:
         """Executions of the routine (its entry block's count)."""
         return self.block_counts.get(self.entry_label, 0)
 
-    def block_count(self, label: str) -> int:
-        return self.block_counts.get(label, 0)
-
-    def edge_count(self, from_label: str, to_label: str) -> int:
-        return self.edge_counts.get((from_label, to_label), 0)
-
-    def call_count(self, block_label: str, instr_index: int, callee: str) -> int:
-        return self.call_counts.get((block_label, instr_index, callee), 0)
-
     def total_block_weight(self) -> int:
         return sum(self.block_counts.values())
 

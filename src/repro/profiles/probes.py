@@ -78,9 +78,6 @@ class ProbeTable:
         self.probes.append(ProbeInfo(probe_id, routine, kind, key))
         return probe_id
 
-    def probes_for(self, routine: str) -> List[ProbeInfo]:
-        return [p for p in self.probes if p.routine == routine]
-
     def __len__(self) -> int:
         return len(self.probes)
 

@@ -207,11 +207,6 @@ class ArtifactCache:
         with self._lock:
             return self._total_bytes
 
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/store/evict counters (entries survive)."""
-        with self._lock:
-            self.stats.reset()
-
     def stats_snapshot(self) -> CacheStats:
         """A consistent copy of the counters (for delta reporting)."""
         with self._lock:

@@ -68,9 +68,6 @@ class WorkloadConfig:
         self.seed = seed
         self.scale_note = scale_note
 
-    def total_routines(self) -> int:
-        return self.n_modules * self.routines_per_module
-
     def scaled(self, factor: float, name: Optional[str] = None) -> "WorkloadConfig":
         """A copy with module count scaled by ``factor``."""
         clone = WorkloadConfig(name or self.name)
