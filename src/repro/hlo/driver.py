@@ -22,7 +22,7 @@ The :class:`CmoUnit` is the authoritative container during optimization
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..incr.summary import (
     RoutineFacts,
@@ -211,10 +211,6 @@ class HloResult:
         self.plan = WpaPlan()
         #: module -> routines dead-function elimination removed.
         self.removal_log: Dict[str, List[str]] = {}
-        #: Routine name -> RoutineFacts (final, post-decision state;
-        #: read-only: a link that applied a stored WPA outcome shares
-        #: them with the incremental state).
-        self.thin_facts: Dict[str, RoutineFacts] = {}
         #: ``ctx.views`` holds the incremental state's view objects
         #: (:class:`AppliedWpa`): phase 5 copies the ones it edits.
         self.views_shared = False
@@ -461,7 +457,7 @@ class HighLevelOptimizer:
         phase 5 -- either via :meth:`run_scalar_phase` or a partitioned
         parallel backend -- and ``materialize`` is deferred with it.
         """
-        result = self._run_wpa(selected_routines)
+        result = self._decide(selected_routines)[0]
         if run_scalar:
             self.run_scalar_phase(result, materialize=materialize)
         return result
@@ -472,18 +468,26 @@ class HighLevelOptimizer:
         timings[key] = timings.get(key, 0.0) + (now - since)
         return now
 
-    def _run_wpa(
+    def _decide(
         self, selected_routines: Optional[Set[str]]
-    ) -> HloResult:
-        """WPA: phases 0-4.5, decided from routine facts alone.
+    ) -> Tuple[HloResult, Dict[str, RoutineFacts]]:
+        """WPA: phases 0-4.5, decided from routine facts alone; the
+        result and the post-decision facts it read.
 
-        Every cross-module decision is made against the summary graph;
-        the body mutations the decisions imply are recorded on a
+        Every cross-module decision is made against the summary graph
+        (the facts and the call graph built from them); the body
+        mutations the decisions imply are recorded on a
         :class:`WpaPlan` and replayed at phase-5 start (serially, or
         inside each partition worker).  Bodies are retired to
         compact/offloaded state right after the one extraction scan,
-        so the whole-program peak is bounded by summaries plus the
+        so the WPA peak is bounded by summaries, call graph and the
         loader working set, independent of program size.
+
+        The summary graph dies with the WPA: LTRANS reads bodies, the
+        plan, views and mod/ref, never facts or a call graph, so once
+        the last reader (reuse keys, the checked reference) is done
+        its ``summaries`` and ``callgraph`` charges end, and nothing
+        the returned :class:`HloResult` reaches holds either.
 
         With an incremental session and no profile, a link whose WPA
         inputs hash to the digest of the last committed link applies
@@ -740,7 +744,6 @@ class HighLevelOptimizer:
         )
         result.plan = plan
         result.removal_log = removal_log
-        result.thin_facts = facts_by_name
         result.views_shared = applied is not None
         result.events = events
         result.peak_bytes = accountant.peak
@@ -753,7 +756,9 @@ class HighLevelOptimizer:
                               orig_hashes)
         if use_cache and applied is None:
             incr.record_wpa(result.outcome().to_dict())
-        return result
+        accountant.set_usage("global", "summaries", 0)
+        accountant.set_usage("global", "callgraph", 0)
+        return result, facts_by_name
 
     def _applied_outcome(
         self,
@@ -839,9 +844,9 @@ class HighLevelOptimizer:
         fields are what the WPA hands on (:func:`_decision_fields`)."""
 
         def decide():
-            decided = reference._run_wpa(selected_routines)
+            decided, facts_by_name = reference._decide(selected_routines)
             return decided, compute_module_keys(
-                decided.unit, decided.ctx, decided.thin_facts, orig_hashes,
+                decided.unit, decided.ctx, facts_by_name, orig_hashes,
                 decided.plan, decided.selected, set(decided.clones),
                 self.incr_session.options_fp,
             )[0]

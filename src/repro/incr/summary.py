@@ -453,9 +453,12 @@ class RoutineFacts:
     """Everything the whole-program phases need to know about a routine
     without holding its body."""
 
+    # ``__weakref__``: a link's facts must die with its WPA, and weak
+    # references are how that lifetime is checked.
     __slots__ = ("name", "module", "n_params", "exported", "instr_count",
                  "probe_count", "ret_count", "sites", "rets",
-                 "referenced_globals", "mod", "ref", "has_calls", "view")
+                 "referenced_globals", "mod", "ref", "has_calls", "view",
+                 "__weakref__")
 
     def __init__(self, name: str, module: str, n_params: int,
                  exported: bool) -> None:

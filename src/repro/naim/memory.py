@@ -94,7 +94,7 @@ def program_symtab_bytes(symtab: "ProgramSymbolTable") -> int:
 
 
 def callgraph_bytes(callgraph: "CallGraph") -> int:
-    """Modeled bytes of the always-resident call graph."""
+    """Modeled bytes of the call graph, resident while the WPA decides."""
     sites = sum(len(node.call_sites) for node in callgraph.nodes.values())
     return (
         len(callgraph.nodes) * CostTable.CALLGRAPH_NODE
@@ -105,9 +105,10 @@ def callgraph_bytes(callgraph: "CallGraph") -> int:
 def routine_facts_bytes(facts) -> int:
     """Modeled bytes of one routine's WPA summary record.
 
-    This is what bounds the coordinator's peak: the whole-program
-    phases keep only these (plus the always-resident globals), never
-    expanded bodies.
+    This is what bounds the WPA's peak: the whole-program phases keep
+    only these, the call graph over them and the program symbol table,
+    never expanded bodies.  All but the symbol table die with the WPA;
+    LTRANS is charged the symbol table and its body working set.
     """
     n_args = sum(len(site.args) for site in facts.sites)
     return (
@@ -132,7 +133,8 @@ def llo_working_bytes(n_instr: int) -> int:
 class MemoryAccountant:
     """Tracks modeled resident bytes by (category, name).
 
-    Categories in use: ``global`` (program symtab, call graph),
+    Categories in use: ``global`` (program symtab for the whole link;
+    summaries and call graph while the WPA decides),
     ``ir`` (routine pools), ``symtab`` (module symbol-table pools),
     ``llo`` (code-generator working set), ``misc``.
     """
@@ -225,6 +227,10 @@ class MemoryAccountant:
     @property
     def current(self) -> int:
         return self._total
+
+    def usage(self, category: str, name: str) -> int:
+        """Bytes charged to ``(category, name)``; 0 when none are."""
+        return self._usage.get((category, name), 0)
 
     def category_total(self, category: str) -> int:
         return sum(

@@ -199,9 +199,11 @@ class PartitionRunner:
                 )
             self._fold(result, decode_outcome(partition, payload))
         # Workers replayed their plan slices: phase 5 must not replay
-        # again.
+        # again.  Their peaks are folded in, so the link's peak is the
+        # HLO peak, as the serial phase 5 reports it.
         self.hlo_result.mark_plan_replayed()
         self.hlo_result.record_pass_stats()
+        self.hlo_result.peak_bytes = self.hlo_result.accountant.peak
         return result
 
     def _ship(self, name: str, release: bool) -> Dict:

@@ -28,6 +28,7 @@ from repro.driver import train
 from repro.driver.build import BuildEngine, BuildError
 from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
+from repro.hlo.driver import HighLevelOptimizer
 from repro.hlo.options import HloOptions
 from repro.incr.depgraph import KIND_INLINE
 from repro.linker.objects import LinkError, encode_executable
@@ -589,7 +590,7 @@ def _delete_a_routine(engine, sources, _state_dir):
     pytest.param(_delete_a_routine, id="routine-deleted"),
 ])
 def test_the_applied_wpa_state_is_dropped_when_its_inputs_move(
-        tmp_path, change):
+        tmp_path, monkeypatch, change):
     """A link that does not apply the very outcome the kept state was
     derived from, to facts that all came from their ``summ`` blobs or
     an edited module's scan, does not use it: it decides, or applies
@@ -600,10 +601,27 @@ def test_the_applied_wpa_state_is_dropped_when_its_inputs_move(
     state = engine.incr_state
     kept, blob = state.applied_wpa.value, state.applied_wpa.key
     assert kept is not None
+    # The facts each WPA read, beside the result it returned: the cold
+    # builds and a checked link's reference decide too, so a link's own
+    # facts are the ones recorded with its ``hlo_result``.
+    read = []
+    decide = HighLevelOptimizer._decide
+
+    def recorded(self, selected_routines):
+        hlo_result, facts_by_name = decide(self, selected_routines)
+        read.append((hlo_result, facts_by_name))
+        return hlo_result, facts_by_name
+
+    def facts_of(result):
+        (facts_by_name,) = [facts for hlo_result, facts in read
+                            if hlo_result is result.hlo_result]
+        return facts_by_name
+
+    monkeypatch.setattr(HighLevelOptimizer, "_decide", recorded)
     # Kept: a link that applies the same outcome takes it as it is.
     result = engine.build(sources)[0]
     assert state.applied_wpa.value is kept
-    assert result.hlo_result.thin_facts is kept.facts
+    assert facts_of(result) is kept.facts
 
     result, cold, wpa = change(engine, sources, state_dir)
     assert result.incr_report.describe_wpa() == wpa
@@ -611,7 +629,7 @@ def test_the_applied_wpa_state_is_dropped_when_its_inputs_move(
     assert state.applied_wpa.value is not kept or (
         state.applied_wpa.key == blob
     )
-    assert result.hlo_result.thin_facts is not kept.facts
+    assert facts_of(result) is not kept.facts
     assert _image(result) == _image(cold)
     state.close()
 

@@ -163,18 +163,18 @@ def test_the_partition_context_does_not_depend_on_reuse(monkeypatch):
     options = CompilerOptions(opt_level=4)
     engine, sources, _victim = _warm_engine(options)
     contexts = []
-    real_run_wpa = hlo_driver.HighLevelOptimizer._run_wpa
+    real_decide = hlo_driver.HighLevelOptimizer._decide
 
-    def run_wpa(self, selected_routines):
-        result = real_run_wpa(self, selected_routines)
+    def decide(self, selected_routines):
+        result, facts_by_name = real_decide(self, selected_routines)
         if self.incr_session is not None:
             contexts.append(encode_shared_context(
                 result, LloOptions(2), NaimConfig(),
                 result.unit.routine_names(),
             ))
-        return result
+        return result, facts_by_name
 
-    monkeypatch.setattr(hlo_driver.HighLevelOptimizer, "_run_wpa", run_wpa)
+    monkeypatch.setattr(hlo_driver.HighLevelOptimizer, "_decide", decide)
     result, _report = engine.build(sources)
     assert result.incr_report.wpa == "reused"
     engine.incr_state.repository.discard("wpa", "outcome")
