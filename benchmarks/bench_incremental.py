@@ -116,10 +116,6 @@ def run_bench(quick=False):
         % (len(report.cmo_reused), len(report.cmo_reoptimized),
            100.0 * fraction, 100.0 * MAX_REOPT_FRACTION),
         "  summary-changed: %s" % (", ".join(incr.changed_modules) or "-"),
-        "  predicted dirty: %d module(s)" % len(incr.predicted_dirty),
-        "  dependency edges: %s"
-        % (", ".join("%s=%d" % kv for kv in sorted(incr.edge_counts.items()))
-           or "-"),
         "  outputs byte-identical to clean build: yes",
     ]
     return "\n".join(lines)

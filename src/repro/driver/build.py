@@ -44,8 +44,7 @@ class RebuildReport:
     step (frontend + fat-object emission).  Under incremental CMO the
     ``cmo_*`` fields additionally track the link-time optimization
     step: which CMO modules re-ran the scalar pipeline + codegen vs
-    splicing cached machine code, and which the dependency graph
-    predicted would be dirty.
+    splicing cached machine code.
     """
 
     def __init__(self) -> None:
@@ -54,7 +53,6 @@ class RebuildReport:
         self.removed: List[str] = []
         self.cmo_reused: List[str] = []
         self.cmo_reoptimized: List[str] = []
-        self.cmo_predicted_dirty: List[str] = []
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RebuildReport):
@@ -301,9 +299,6 @@ class BuildEngine:
         if result.incr_report is not None:
             report.cmo_reused = list(result.incr_report.reused)
             report.cmo_reoptimized = list(result.incr_report.reoptimized)
-            report.cmo_predicted_dirty = list(
-                result.incr_report.predicted_dirty
-            )
         for _obj, accountant, llo_stats in compiled:
             result.merge_codegen(accountant, llo_stats)
         return result, report

@@ -640,7 +640,7 @@ class HighLevelOptimizer:
         # entry bindings; the facts mutate the way the bodies would).
         if applied is None:
             plan = WpaPlan()
-            bound = publish_interprocedural_facts(
+            publish_interprocedural_facts(
                 ctx,
                 all_names,
                 facts_by_name,
@@ -651,8 +651,6 @@ class HighLevelOptimizer:
                     self.externally_visible_globals
                 ),
             )
-            if incr is not None and bound:
-                incr.record_ipcp_edges(bound, callgraph, unit.routine_module)
         else:
             plan = applied.plan
             ctx.readonly_globals = applied.outcome.readonly_globals
@@ -677,6 +675,9 @@ class HighLevelOptimizer:
         else:
             clones = list(applied.clones)
             register_clones(ctx, unit, clones, facts_by_name)
+        # The clones' symbols are in the table now.
+        accountant.set_usage("global", "program_symtab",
+                             program_symtab_bytes(symtab))
         accountant.mark("cloned")
         tick = self._lap(timings, "wpa.clone", tick)
 
@@ -708,11 +709,9 @@ class HighLevelOptimizer:
             for summary in incr.summaries.values():
                 orig_hashes.update(summary.body_hashes)
             rekeyed: Optional[Set[str]] = None
-            if applied is None:
-                incr.record_inline_edges(inline_stats, unit.routine_module)
-            else:
+            if applied is not None:
                 rekeyed = incr.rekeyed_modules(unit, plan)
-            keys, consumed = compute_module_keys(
+            keys = compute_module_keys(
                 unit,
                 ctx,
                 facts_by_name,
@@ -727,7 +726,6 @@ class HighLevelOptimizer:
                 keys = incr.carry_forward(
                     keys, dict.fromkeys(unit.routine_module.values())
                 )
-            incr.record_consumption(consumed, unit.routine_module, symtab)
             reused_modules = incr.decide_reuse(keys)
             events.extend(incr.events)
             accountant.mark("summarized")
@@ -849,7 +847,7 @@ class HighLevelOptimizer:
                 decided.unit, decided.ctx, facts_by_name, orig_hashes,
                 decided.plan, decided.selected, set(decided.clones),
                 self.incr_session.options_fp,
-            )[0]
+            )
 
         memo = Memo("wpa outcome", _decision_fields)
         memo.keep(self.incr_session.wpa_inputs["digest"], (result, keys))

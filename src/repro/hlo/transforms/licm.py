@@ -44,8 +44,10 @@ def _loop_definitions(routine: Routine, loop: Loop) -> Dict[int, int]:
 
 def _loop_may_write(routine: Routine, loop: Loop, ctx: OptContext,
                     sym: str) -> bool:
-    """Can anything in the loop store to global ``sym``?"""
-    for label in loop.body:
+    """Can anything in the loop store to global ``sym``?  Blocks in
+    label order: the answer stops at the first writer, so the mod/ref
+    queries made must not hang on the set's hash order."""
+    for label in sorted(loop.body):
         for instr in routine.block(label).instrs:
             op = instr.op
             if op in (Opcode.STOREG, Opcode.STOREE) and instr.sym == sym:
@@ -139,7 +141,7 @@ class LoopInvariantCodeMotion(RoutinePass):
         # _prune_for_pressure): a loop without one has nothing to hoist.
         if not any(
             instr.op in _EXPENSIVE_COST
-            for label in loop.body
+            for label in sorted(loop.body)
             for instr in routine.block(label).instrs
         ):
             return False

@@ -5,9 +5,7 @@ link; this package adds the WHOPR-style incremental layer on top:
 
 * :mod:`summary` -- per-module content fingerprints (source-level
   summaries, and exact post-inline reuse keys);
-* :mod:`depgraph` -- the recorded cross-module dependency edge set
-  (what each module actually consumed from other modules' summaries);
-* :mod:`state` -- persistence of summaries, edges, keys, and cached
+* :mod:`state` -- persistence of summaries, keys, and cached
   per-module codegen blobs in a NAIM repository, plus the per-link
   session the drivers thread through HLO and codegen.
 
@@ -20,7 +18,6 @@ incremental output is byte-identical to a clean build
 (:func:`repro.linker.objects.encode_executable` is the witness).
 """
 
-from .depgraph import CrossModuleDeps, DepEdge
 from .state import IncrementalState, IncrLinkReport, IncrLinkSession
 from .summary import (
     ModuleSummary,
@@ -31,8 +28,6 @@ from .summary import (
 )
 
 __all__ = [
-    "CrossModuleDeps",
-    "DepEdge",
     "IncrementalState",
     "IncrLinkReport",
     "IncrLinkSession",

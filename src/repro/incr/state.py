@@ -5,7 +5,6 @@ builds, stored in a NAIM :class:`~repro.naim.repository.Repository`
 (in-memory, or on disk next to the artifact cache):
 
 * the previous build's :class:`ModuleSummary` per CMO module,
-* the recorded :class:`CrossModuleDeps` edge set,
 * each module's post-inline reuse key,
 * one cached codegen blob (machine routines) per reuse key, and
 * the last link's WPA outcome, under a digest of everything that WPA
@@ -16,10 +15,10 @@ value a :class:`~repro.memo.Memo` under the exact input it came from: a
 warm process derives nothing twice, a checked link derives all again.
 
 :class:`IncrLinkSession` is the scratchpad for one link: the compiler
-driver opens it with the current module set, the HLO driver records
-consumption edges and decides reuse against the cached blobs, the
-codegen loop splices cached/fresh machine routines, and ``commit``
-atomically replaces the persistent state and prunes stale blobs.
+driver opens it with the current module set, the HLO driver decides
+reuse against the cached blobs, the codegen loop splices cached/fresh
+machine routines, and ``commit`` atomically replaces the persistent
+state and prunes stale blobs.
 """
 
 from __future__ import annotations
@@ -37,13 +36,6 @@ from ..linker.objects import (
 from ..memo import Memo, MemoMismatchError, Memos
 from ..naim.repository import Repository
 from ..sched.artifacts import PIPELINE_EPOCH
-from .depgraph import (
-    KIND_FACT,
-    KIND_GLOBAL,
-    KIND_INLINE,
-    KIND_IPCP,
-    CrossModuleDeps,
-)
 from .summary import SUMMARY_FORMAT, ModuleSummary, RoutineFacts
 
 _INDEX_KIND = "incr"
@@ -119,10 +111,6 @@ def _machine_fields(machines: list) -> dict:
 _dump_sorted = partial(json.dumps, sort_keys=True)
 
 
-def _dump_deps(deps: CrossModuleDeps) -> str:
-    return json.dumps(deps.to_list())
-
-
 class IncrLinkReport:
     """What one incremental link did, for humans and benchmarks."""
 
@@ -130,14 +118,10 @@ class IncrLinkReport:
         self.first_build = False
         #: Modules whose source-level summary changed since last build.
         self.changed_modules: List[str] = []
-        #: Dep-graph prediction of what would need re-optimization.
-        self.predicted_dirty: List[str] = []
         #: Modules whose cached codegen was spliced in unchanged.
         self.reused: List[str] = []
         #: Modules that went through the scalar pipeline + LLO again.
         self.reoptimized: List[str] = []
-        #: Dependency-edge counts by kind, as recorded this build.
-        self.edge_counts: Dict[str, int] = {}
         #: Routines dropped by dead-function elimination, per module.
         self.dfe_removed: Dict[str, List[str]] = {}
         #: "reused": the WPA applied the stored outcome; "decided": it
@@ -157,9 +141,9 @@ class IncrLinkReport:
 
     def __repr__(self) -> str:
         return ("<IncrLinkReport reused=%d reoptimized=%d changed=%r "
-                "predicted=%r wpa=%s%s>") % (
+                "wpa=%s%s>") % (
             len(self.reused), len(self.reoptimized),
-            self.changed_modules, self.predicted_dirty,
+            self.changed_modules,
             self.describe_wpa(),
             " first-build" if self.first_build else "",
         )
@@ -179,10 +163,7 @@ class IncrLinkSession:
         self.summaries: Dict[str, ModuleSummary] = {}
         self.fingerprints: Dict[str, str] = {}
         self.changed_modules: List[str] = []
-        self.predicted_dirty: List[str] = []
         self.first_build = False
-        #: Edges recorded while HLO runs.
-        self.deps = CrossModuleDeps()
         #: Post-inline reuse key per module.
         self.module_keys: Dict[str, str] = {}
         #: Modules whose cached codegen will be spliced in.
@@ -371,63 +352,14 @@ class IncrLinkSession:
     def carry_forward(self, fresh_keys: Dict[str, str],
                       module_order: Iterable[str]) -> Dict[str, str]:
         """A reusing link's keys: ``fresh_keys`` for the modules it
-        re-keyed, the committed key for every other one; and the
-        committed dependency edges, less the fact and global edges of
-        the re-keyed modules (their consumption is recorded again)."""
+        re-keyed, the committed key for every other one."""
         committed = self.state.module_keys
-        self.deps = self.state.deps.without(
-            set(fresh_keys), (KIND_FACT, KIND_GLOBAL)
-        )
         return {
             name: fresh_keys[name] if name in fresh_keys else committed[name]
             for name in module_order
         }
 
     # -- Recording hooks (called from the HLO driver) ------------------------------
-
-    def record_inline_edges(self, inline_stats, routine_module) -> None:
-        """Inlines performed: caller's module consumed callee's body."""
-        for caller, callee in inline_stats.performed_list:
-            caller_module = routine_module.get(caller)
-            callee_module = routine_module.get(callee)
-            if caller_module and callee_module:
-                self.deps.add(caller_module, callee_module, KIND_INLINE,
-                              item=callee)
-
-    def record_ipcp_edges(self, bound: Dict[str, int], callgraph,
-                          routine_module) -> None:
-        """Constants propagated: callee's module consumed caller facts."""
-        for routine_name in bound:
-            consumer = routine_module.get(routine_name)
-            node = callgraph.nodes.get(routine_name)
-            if consumer is None or node is None:
-                continue
-            for caller in node.caller_names:
-                producer = routine_module.get(caller)
-                if producer:
-                    self.deps.add(consumer, producer, KIND_IPCP,
-                                  item=routine_name)
-
-    def record_consumption(self, consumed, routine_module, symtab) -> None:
-        """Fact-slice edges from the reuse-key computation.
-
-        ``consumed`` maps module -> :class:`ConsumedFacts`; callee
-        facts (mod/ref, constant returns) and foreign globals
-        (readonly promotion, initializers) become edges to the
-        producing module.
-        """
-        for module_name, facts in consumed.items():
-            for callee in sorted(facts.callees):
-                producer = routine_module.get(callee)
-                if producer:
-                    self.deps.add(module_name, producer, KIND_FACT,
-                                  item=callee)
-            for global_name in sorted(facts.globals):
-                if symtab.has_global(global_name):
-                    producer = symtab.lookup_global(global_name).defining_module
-                    if producer:
-                        self.deps.add(module_name, producer, KIND_GLOBAL,
-                                      item=global_name)
 
     def record_dfe(self, removed_by_module: Dict[str, List[str]]) -> None:
         self.dfe_removed = dict(removed_by_module)
@@ -499,7 +431,6 @@ class IncrementalState:
         #: fingerprint of each (all ``begin_link`` compares).
         self.summaries: Dict[str, dict] = {}
         self.summary_fingerprints: Dict[str, str] = {}
-        self.deps = CrossModuleDeps()
         self.module_keys: Dict[str, str] = {}
         self.options_fp = ""
         #: The WPA-inputs digest of the last committed link, when it
@@ -511,15 +442,14 @@ class IncrementalState:
         # machine routines per reuse key; each module's ``summ`` facts
         # under (fingerprint, bytes); the ``wpa/outcome`` parse and the
         # ``AppliedWpa`` applying it gave, under its bytes; the index
-        # text the repository holds, and its pieces: each summary's text
-        # under its fingerprint, the edges' under their set.
+        # text the repository holds, and each summary's text under its
+        # fingerprint.
         self.machines = Memos("machine routines", _machine_fields)
         self.parsed_facts = Memos("summ facts", _facts_fields)
         self.stored_wpa = Memo("stored wpa outcome")
         self.applied_wpa = Memo("applied wpa", methodcaller("fields"))
         self.index_text = Memo("index text")
         self.summary_texts = Memos("summary text")
-        self.deps_text = Memo("deps text")
         if directory is not None:
             self.repository.reindex()
         self._load_index()
@@ -546,7 +476,8 @@ class IncrementalState:
             or ModuleSummary.from_dict(summary).fingerprint()
             for name, summary in self.summaries.items()
         }
-        self.deps = CrossModuleDeps.from_list(data.get("deps", []))
+        # An index written before the dependency edges were dropped
+        # still has a "deps" key: nothing reads it.
         self.module_keys = data.get("module_keys", {})
         self.options_fp = data.get("options_fp", "")
         # An index written before the stored WPA outcome vouches for none.
@@ -567,8 +498,7 @@ class IncrementalState:
     def index_bytes(self, checked: bool = False) -> bytes:
         """The index as ``json.dumps(index, sort_keys=True)`` would
         write it, encoding only the module summaries whose fingerprint
-        moved, and the dependency edges when they changed, since the
-        last call; the rest is text that call made."""
+        moved since the last call; the rest is text that call made."""
         texts = self.summary_texts
         texts.retain(self.summaries)
 
@@ -588,8 +518,6 @@ class IncrementalState:
             ), "}"),
             "summary_fingerprints": json.dumps(self.summary_fingerprints,
                                                sort_keys=True),
-            "deps": self.deps_text.get(self.deps.edges_set(), _dump_deps,
-                                       self.deps, checked=checked),
             "module_keys": json.dumps(self.module_keys, sort_keys=True),
             "wpa": json.dumps(self.wpa_digest),
         }
@@ -688,17 +616,7 @@ class IncrementalState:
             name for name, fingerprint in session.fingerprints.items()
             if previous_fps.get(name) != fingerprint
         ]
-        dropped = [
-            name for name in previous_fps if name not in session.summaries
-        ]
         session.changed_modules = sorted(changed)
-        if session.first_build:
-            session.predicted_dirty = sorted(session.summaries)
-        else:
-            dirty = self.deps.dirty_modules(changed + dropped)
-            session.predicted_dirty = sorted(
-                dirty & set(session.summaries)
-            )
         return session
 
     def commit(self, session: IncrLinkSession) -> IncrLinkReport:
@@ -748,7 +666,6 @@ class IncrementalState:
             for name, summary in session.summaries.items()
         }
         self.summary_fingerprints = dict(fingerprints)
-        self.deps = session.deps
         self.module_keys = dict(session.module_keys)
         self.options_fp = session.options_fp
         self._save_index(session.checked)
@@ -757,13 +674,11 @@ class IncrementalState:
         report = IncrLinkReport()
         report.first_build = session.first_build
         report.changed_modules = session.changed_modules
-        report.predicted_dirty = session.predicted_dirty
         report.reused = sorted(session.reused_modules)
         report.reoptimized = sorted(
             name for name in session.module_keys
             if name not in session.reused_modules
         )
-        report.edge_counts = session.deps.by_kind()
         report.dfe_removed = session.dfe_removed
         report.wpa = session.wpa
         report.wpa_reason = session.wpa_reason
@@ -788,7 +703,7 @@ class IncrementalState:
         self.repository.close()
 
     def __repr__(self) -> str:
-        return "<IncrementalState %d modules, %d deps, %d cached blobs>" % (
-            len(self.summaries), len(self.deps),
+        return "<IncrementalState %d modules, %d cached blobs>" % (
+            len(self.summaries),
             len(self.repository.names(_MACHINE_KIND)),
         )

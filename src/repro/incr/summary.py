@@ -6,8 +6,7 @@ Two layers of fingerprinting drive the incremental engine:
   module before HLO runs: exported routine signatures, body hashes of
   every (potentially inlinable) routine, and global-variable shapes.
   Comparing them against the previous build's summaries yields the
-  *changed* module set, which the dependency graph turns into a
-  cheap prediction of what will need re-optimization.
+  *changed* module set the link report names.
 
 * **Reuse keys** (:func:`compute_module_keys`) are exact per-module
   fingerprints taken *after* the whole-program phases (DFE, IPCP,
@@ -197,17 +196,6 @@ class ModuleSummary:
         )
 
 
-class ConsumedFacts:
-    """The foreign facts one module's downstream phases can observe."""
-
-    def __init__(self, module_name: str) -> None:
-        self.module_name = module_name
-        #: Callee names referenced from this module's post-inline bodies.
-        self.callees: Set[str] = set()
-        #: Global names referenced from this module's post-inline bodies.
-        self.globals: Set[str] = set()
-
-
 def compute_module_keys(
     unit,
     ctx,
@@ -218,15 +206,14 @@ def compute_module_keys(
     clones: Set[str],
     options_fp: str,
     modules: Optional[Set[str]] = None,
-) -> Tuple[Dict[str, str], Dict[str, ConsumedFacts]]:
+) -> Dict[str, str]:
     """Exact per-module reuse keys over the post-WPA program state.
 
     ``unit`` is the HLO :class:`~repro.hlo.driver.CmoUnit`, ``ctx`` the
     :class:`~repro.hlo.passes.OptContext` carrying the published
     interprocedural facts, ``plan`` the recorded
-    :class:`~repro.hlo.thin.WpaPlan`.  Returns ``(keys, consumed)``:
-    the reuse key and the consumed-fact record for every module in the
-    unit (or in ``modules``, when given).
+    :class:`~repro.hlo.thin.WpaPlan`.  Returns the reuse key of every
+    module in the unit (or in ``modules``, when given).
 
     Each routine gets an *evolution hash* E(r) covering everything that
     determines its post-replay body and profile view: the original body
@@ -326,7 +313,6 @@ def compute_module_keys(
     in_unit = unit.routine_module
 
     keys: Dict[str, str] = {}
-    consumed: Dict[str, "ConsumedFacts"] = {}
     for module_name, names in routines_of.items():
         digest = hashlib.sha256()
         # The "thin|" prefix is frozen key bytes: existing state dirs
@@ -334,7 +320,9 @@ def compute_module_keys(
         digest.update(("thin|v%d|" % SUMMARY_FORMAT).encode("utf-8"))
         digest.update(options_fp.encode("utf-8"))
         digest.update(("|%s|" % module_name).encode("utf-8"))
-        facts = ConsumedFacts(module_name)
+        # The foreign facts this module's post-inline bodies can observe.
+        callees: Set[str] = set()
+        globals_: Set[str] = set()
         for name in names:
             optimized = name in selected or name in clones
             digest.update(
@@ -342,9 +330,9 @@ def compute_module_keys(
                 .encode("utf-8")
             )
             sub_callees, sub_globals = residual(name)
-            facts.callees.update(sub_callees)
-            facts.globals.update(sub_globals)
-        for callee in sorted(facts.callees):
+            callees.update(sub_callees)
+            globals_.update(sub_globals)
+        for callee in sorted(callees):
             modref = (
                 modref_fingerprint(ctx.modref.for_routine(callee))
                 if ctx.modref is not None else "-"
@@ -355,7 +343,7 @@ def compute_module_keys(
                     int(callee in in_unit),
                 )).encode("utf-8")
             )
-        for global_name in sorted(facts.globals):
+        for global_name in sorted(globals_):
             readonly = global_name in ctx.readonly_globals
             if ctx.symtab.has_global(global_name):
                 var = ctx.symtab.lookup_global(global_name)
@@ -367,8 +355,7 @@ def compute_module_keys(
                 .encode("utf-8")
             )
         keys[module_name] = digest.hexdigest()
-        consumed[module_name] = facts
-    return keys, consumed
+    return keys
 
 
 # -- Per-routine facts (what WPA decides from) ------------------------------

@@ -208,14 +208,6 @@ class Repository:
         self._mapped_bytes = 0
         #: Retired segment mappings actually closed (view-release).
         self.retired_releases = 0
-        #: Content-mutation counter: bumped on every store that writes
-        #: new bytes and every discard, *not* on identical re-store
-        #: skips or segment compaction (both content-preserving).  A
-        #: stable epoch therefore certifies "logical contents
-        #: unchanged", which is what the shared-context blob cache
-        #: (:func:`repro.part.wire.build_context_blob`) keys on.  It
-        #: is never reset by :meth:`reset_counters`.
-        self.epoch = 0
 
     def reset_counters(self) -> None:
         """Zero the operation counters without touching stored pools.
@@ -362,7 +354,6 @@ class Repository:
                 self.bytes_written += len(data)
                 self._known[key] = len(data)
                 self._mem[key] = data
-                self.epoch += 1
             return
         stored, flags = packfile.encode_payload(
             data, self.compress_level, self.compress_min_bytes
@@ -398,7 +389,6 @@ class Repository:
             self._known[key] = len(data)
             self.stores += 1
             self.bytes_written += entry.frame_len
-            self.epoch += 1
             self._maybe_roll()
 
     def fetch(self, kind: str, name: str):
@@ -490,7 +480,6 @@ class Repository:
                 return False
             del self._known[key]
             self._mem.pop(key, None)
-            self.epoch += 1
             if not self._in_memory:
                 self._kill_entry(key)
                 segment = self._active_segment()

@@ -54,8 +54,8 @@ from .partition import Partition
 from .wire import (
     ContextCache,
     PartitionOutcome,
-    build_context_blob,
     decode_outcome,
+    encode_shared_context,
     run_wire_job,
 )
 
@@ -172,10 +172,8 @@ class PartitionRunner:
         # compacted: compaction interns symbols on demand, and the
         # workers rebuild the symtab from the shipped PID order, so the
         # snapshot must come last to cover every reference in the
-        # compact IR.  build_context_blob caches the canonical bytes on
-        # the link repository, so warm rebuilds of an unchanged program
-        # skip the re-encode.
-        context_key = self.transport.put_blob(build_context_blob(
+        # compact IR.
+        context_key = self.transport.put_blob(encode_shared_context(
             self.hlo_result, self.llo_options, self.naim_config,
             self.scalar_set,
         ))

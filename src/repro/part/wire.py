@@ -240,86 +240,6 @@ def encode_shared_context(hlo_result, llo_options: LloOptions,
     ).encode("utf-8")
 
 
-def _context_fingerprint(hlo_result, llo_options: LloOptions,
-                         naim_config: NaimConfig, scalar_names) -> int:
-    """A fast structural hash of everything the context blob encodes.
-
-    Traverses the same data :func:`encode_shared_context` serializes
-    but skips the (dominant) JSON string building, so a cache keyed on
-    it is sound: any change that would alter the blob changes the
-    fingerprint.  Process-local only (``hash`` is salted per process),
-    which matches the cache's lifetime."""
-    ctx = hlo_result.ctx
-    symtab = ctx.symtab
-    acc = hash(("wire", WIRE_VERSION))
-
-    def mix(value):
-        return hash((acc, value))
-
-    for var in symtab.globals.values():
-        acc = mix((var.name, var.size, tuple(var.init),
-                   var.defining_module, bool(var.exported)))
-    acc = mix(tuple(symtab.routines.items()))
-    acc = mix(tuple(symtab._name_by_pid))
-    acc = mix(tuple(sorted(ctx.options.__dict__.items())))
-    acc = mix((llo_options.opt_level, llo_options.use_profile,
-               llo_options.schedule_window))
-    acc = mix(tuple(sorted(_naim_payload(naim_config).items())))
-    if ctx.modref is not None:
-        for name, info in ctx.modref.info.items():
-            acc = mix((name, tuple(sorted(info.mod)),
-                       tuple(sorted(info.ref)),
-                       bool(info.unknown), bool(info.has_calls)))
-    for name, view in ctx.views.items():
-        acc = mix((name, tuple(sorted(view.block_counts.items())),
-                   tuple(sorted(view.edge_counts.items())),
-                   bool(view.is_static_estimate), bool(view.stale)))
-    acc = mix(tuple(sorted(ctx.readonly_globals)))
-    acc = mix(tuple(sorted(ctx.const_returns.items())))
-    acc = mix(tuple(sorted(scalar_names)))
-    # Lockstep with the blob's "plan" field: a pending replay plan is
-    # part of the context, so its content must move the fingerprint.
-    plan_payload = _plan_payload(hlo_result)
-    if plan_payload is None:
-        acc = mix(None)
-    else:
-        acc = mix(json.dumps(plan_payload, sort_keys=True,
-                             separators=(",", ":")))
-    return acc
-
-
-def build_context_blob(hlo_result, llo_options: LloOptions,
-                       naim_config: NaimConfig, scalar_names) -> bytes:
-    """Shared-context blob, cached on the link repository.
-
-    Both the farm coordinator and the local process backend encode the
-    same canonical blob; warm rebuilds of an unchanged program would
-    re-serialize identical bytes every link.  The cache lives on the
-    link repository object and is keyed by its mutation ``epoch``
-    (bumped only on real content changes, never on identical re-store
-    skips) plus a structural fingerprint of the context -- the epoch
-    invalidates cheaply on repository writes, the fingerprint covers
-    context changes that never touch the repository (e.g. profile or
-    option changes on an in-memory link repo)."""
-    repository = hlo_result.loader.repository
-    epoch = getattr(repository, "epoch", None)
-    fingerprint = _context_fingerprint(
-        hlo_result, llo_options, naim_config, scalar_names
-    )
-    cached = getattr(repository, "_context_blob_cache", None)
-    if cached is not None and cached[0] == epoch and \
-            cached[1] == fingerprint:
-        return cached[2]
-    blob = encode_shared_context(
-        hlo_result, llo_options, naim_config, scalar_names
-    )
-    try:
-        repository._context_blob_cache = (epoch, fingerprint, blob)
-    except AttributeError:  # pragma: no cover - slotted/readonly repo
-        pass
-    return blob
-
-
 class SharedJobContext:
     """A decoded shared context, reusable across a worker's jobs.
 

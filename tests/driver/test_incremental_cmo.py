@@ -9,11 +9,15 @@ and code generation.
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.driver.build import BuildEngine
 from repro.driver.compiler import Compiler, train
 from repro.driver.options import CompilerOptions
+from repro.incr.state import IncrementalState
 from repro.linker.objects import encode_executable
 
 #: Three modules with cross-module inlining, globals and constants --
@@ -110,7 +114,6 @@ class TestNoopRebuild:
             encode_executable(first.executable)
         )
         assert second.incr_report.changed_modules == []
-        assert second.incr_report.predicted_dirty == []
 
 
 class TestSingleModuleEdit:
@@ -124,12 +127,11 @@ class TestSingleModuleEdit:
         assert "table" in report.cmo_reused
         assert encode_executable(result.executable) == clean_image(edited)
 
-    def test_edited_module_is_predicted_dirty(self):
+    def test_edited_module_is_changed(self):
         engine = incremental_engine()
         engine.build(CALC_SOURCES)
         result, _ = engine.build(edited_calc())
         assert result.incr_report.changed_modules == ["math"]
-        assert "math" in result.incr_report.predicted_dirty
 
     def test_rebuilt_image_runs(self):
         engine = incremental_engine()
@@ -177,6 +179,41 @@ class TestStateDir:
         assert "math" in report.cmo_reoptimized
         assert report.cmo_reused
         assert encode_executable(result.executable) == clean_image(edited)
+
+    def test_an_index_with_dependency_edges_loads_warm(self, tmp_path):
+        """An index written when the state still kept per-module
+        dependency edges carries a ``deps`` list: it loads warm, and
+        the next link commits an index without it."""
+        state_dir = str(tmp_path / "state")
+        BuildEngine(CompilerOptions(opt_level=4),
+                    state_dir=state_dir).build(CALC_SOURCES)
+        state = IncrementalState(directory=os.path.join(state_dir,
+                                                        "incr-cmo"))
+        index = json.loads(bytes(state.repository.fetch("incr", "index")))
+        assert "deps" not in index
+        index["deps"] = [
+            ["main", "math", "inline", "scale"],
+            ["main", "table", "fact", "store_result"],
+            ["main", "table", "global", "writes"],
+        ]
+        state.repository.store("incr", "index", json.dumps(
+            index, sort_keys=True).encode("utf-8"))
+        state.close()
+
+        engine = BuildEngine(CompilerOptions(opt_level=4),
+                             state_dir=state_dir)
+        edited = dict(CALC_SOURCES)
+        edited["table"] = edited["table"].replace("i % 8]", "i % 7]")
+        result, report = engine.build(edited)
+        assert not result.incr_report.first_build
+        assert result.incr_report.describe_wpa() == "reused"
+        assert report.cmo_reused
+        assert encode_executable(result.executable) == clean_image(edited)
+        stored = json.loads(bytes(
+            engine.incr_state.repository.fetch("incr", "index")
+        ))
+        assert "deps" not in stored
+        assert stored["module_keys"] == engine.incr_state.module_keys
 
 
 class TestOptionsInvalidation:

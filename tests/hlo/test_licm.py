@@ -1,5 +1,11 @@
 """Unit tests for loop-invariant code motion."""
 
+import json
+import os
+import subprocess
+import sys
+
+import repro
 from repro.frontend import compile_sources
 from repro.hlo.analysis.modref import ModRefAnalysis
 from repro.hlo.options import HloOptions
@@ -230,3 +236,50 @@ func main() { return f(4, 2); }
         ]
         assert Opcode.MUL not in inner_ops
         assert run_program(program).value == reference
+
+
+#: Builds one synthetic program at +O4 and prints how many mod/ref
+#: queries were made and a digest of the image.
+_COUNT_QUERIES = """
+import hashlib, json
+from repro.driver.compiler import Compiler
+from repro.driver.options import CompilerOptions
+from repro.hlo.analysis.modref import ModRefAnalysis
+from repro.linker.objects import encode_executable
+from repro.synth import WorkloadConfig, generate
+
+queries = [0]
+for_routine = ModRefAnalysis.for_routine
+
+def counted(self, name):
+    queries[0] += 1
+    return for_routine(self, name)
+
+ModRefAnalysis.for_routine = counted
+app = generate(WorkloadConfig("licm", n_modules=6, routines_per_module=4,
+                              n_features=3, dispatch_count=50,
+                              input_size=8, seed=7))
+build = Compiler(CompilerOptions(opt_level=4)).build(app.sources)
+print(json.dumps([queries[0], hashlib.sha256(
+    encode_executable(build.executable)).hexdigest()]))
+"""
+
+
+class TestTheHashSeed:
+    def test_licm_queries_do_not_depend_on_it(self):
+        """A loop body is a set of labels: walked in hash order, the
+        first global writer LICM finds, and so the mod/ref queries it
+        makes before it, changed with ``PYTHONHASHSEED`` (28 to 36 on
+        this program).  The image never did."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        runs = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", _COUNT_QUERIES], env=env,
+                check=True, capture_output=True, text=True,
+            ).stdout
+            runs.add(tuple(json.loads(out)))
+        assert len(runs) == 1, sorted(runs)

@@ -7,8 +7,9 @@ plan, views and mod/ref.  So when phase 5 starts -- serially in
 accountant charges neither ``summaries`` nor ``callgraph``, and no facts
 or call graph of the link are alive.  An incremental link that applies
 the stored outcome keeps its facts where they already live, in the
-state's ``applied_wpa`` memo, uncharged.  The HLO peak a build reports
-is its link accountant's peak, partitioned or not.
+state's ``applied_wpa`` memo, uncharged.  The program symbol table, the
+clones' symbols included, is charged at its size.  The HLO peak a build
+reports is its link accountant's peak, partitioned or not.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.driver.options import CompilerOptions
 from repro.frontend import compile_sources
 from repro.incr.summary import RoutineFacts
 from repro.naim.config import NaimConfig, NaimLevel
+from repro.naim.memory import program_symtab_bytes
 from repro.part.runner import PartitionRunner
 from repro.synth import WorkloadConfig, generate
 
@@ -54,11 +56,13 @@ def _summary_graph_charge(hlo_result):
 class Watch:
     """Weak references to every facts object and call graph a link
     makes, and what of them was alive and charged at each LTRANS
-    entry: ``(entry, how many were alive, summary graph charge)``."""
+    entry: ``(entry, how many were alive, summary graph charge)``; and
+    the symbol table's ``(charge, size)`` there."""
 
     def __init__(self) -> None:
         self.refs = []
         self.entries = []
+        self.symtabs = []
 
     def add(self, obj) -> None:
         self.refs.append(weakref.ref(obj))
@@ -70,6 +74,10 @@ class Watch:
     def enter(self, entry, hlo_result) -> None:
         self.entries.append((entry, len(self.live()),
                              _summary_graph_charge(hlo_result)))
+        self.symtabs.append((
+            hlo_result.accountant.usage("global", "program_symtab"),
+            program_symtab_bytes(hlo_result.program.symtab),
+        ))
 
 
 @pytest.fixture
@@ -117,6 +125,15 @@ def test_ltrans_starts_without_the_summary_graph(watch, shape):
     assert len(watch.refs) > len(build.hlo_result.unit.routine_names())
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_ltrans_starts_with_the_clones_symbols_charged(watch, shape):
+    build = Compiler(CompilerOptions(opt_level=4, naim=OFFLOAD, **shape)) \
+        .build(_sources(4))
+    assert build.hlo_result.clones
+    [(charged, size)] = watch.symtabs
+    assert charged == size
+
+
 def test_optimize_returns_without_the_summary_graph(watch):
     program = compile_sources(_sources(4))
     result = hlo_driver.HighLevelOptimizer(program).optimize()
@@ -135,7 +152,7 @@ def test_an_applied_outcome_keeps_its_facts_in_the_state(watch):
     kept = state.applied_wpa.value
     assert kept is not None
     facts = kept.facts
-    del watch.refs[:], watch.entries[:]
+    del watch.refs[:], watch.entries[:], watch.symtabs[:]
 
     result, _report = engine.build(sources)
     assert result.incr_report.wpa == "reused"
@@ -143,6 +160,9 @@ def test_an_applied_outcome_keeps_its_facts_in_the_state(watch):
     # facts are kept as they were.
     assert watch.entries == [("run_scalar_phase", 0, 0)]
     assert state.applied_wpa.value is kept and kept.facts is facts
+    # Registering the stored clones charges their symbols too.
+    [(charged, size)] = watch.symtabs
+    assert charged == size
 
 
 @pytest.mark.parametrize("shape", SHAPES)

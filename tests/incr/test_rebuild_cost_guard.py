@@ -404,7 +404,6 @@ def test_the_index_is_the_text_json_would_write(warm):
         "options_fp": state.options_fp,
         "summaries": state.summaries,
         "summary_fingerprints": state.summary_fingerprints,
-        "deps": state.deps.to_list(),
         "module_keys": state.module_keys,
         "wpa": state.wpa_digest,
     }

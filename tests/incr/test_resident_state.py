@@ -30,7 +30,6 @@ from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
 from repro.hlo.driver import HighLevelOptimizer
 from repro.hlo.options import HloOptions
-from repro.incr.depgraph import KIND_INLINE
 from repro.linker.objects import LinkError, encode_executable
 from repro.memo import Memo, MemoMismatchError
 from repro.naim.packfile import FLAG_COMPRESSED
@@ -301,10 +300,6 @@ def _summary_text(engine, sources):
     return engine.incr_state.summary_texts[_target(sources)]
 
 
-def _deps_text(engine, _sources):
-    return engine.incr_state.deps_text
-
-
 def _index_text(engine, _sources):
     return engine.incr_state.index_text
 
@@ -346,13 +341,6 @@ def _edit_the_target(_engine, sources):
     edited = dict(sources)
     edited[_target(sources)] = bump(sources[_target(sources)])
     return edited
-
-
-def _add_a_dependency_edge(engine, sources):
-    # Committed edges the link does not record again are carried forward.
-    engine.incr_state.deps.add("main", _target(sources), KIND_INLINE,
-                               item="added")
-    return sources
 
 
 # What tampers with a kept value: each returns (undo, the field a
@@ -467,7 +455,6 @@ _MEMOS = [
     ("object-interface", _object_interface, _edit_the_target,
      _tamper_a_call_site),
     ("summary-text", _summary_text, _edit_the_target, _tamper_a_text),
-    ("deps-text", _deps_text, _add_a_dependency_edge, _tamper_a_text),
     # The index text is its own key: nothing derives it again.
     ("index-text", _index_text, _edit_the_target, None),
 ]

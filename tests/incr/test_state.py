@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 
 from repro.frontend import compile_source
-from repro.incr.depgraph import KIND_INLINE
 from repro.incr.state import IncrementalState
 from repro.incr.summary import SUMMARY_FORMAT, ModuleSummary
 from repro.llo.driver import LowLevelOptimizer
@@ -33,11 +32,10 @@ def _machines():
 
 
 def _committed_state(directory=None):
-    """A state with one committed link: summaries, an edge, one blob."""
+    """A state with one committed link: summaries, keys, one blob."""
     state = IncrementalState(directory=directory)
     session = state.begin_link(_summaries(), "opts-fp")
     assert session.first_build
-    session.deps.add("beta", "alpha", KIND_INLINE, item="one")
     session.module_keys = {"alpha": "key-alpha", "beta": "key-beta"}
     session.fresh_machines = {"alpha": _machines(), "beta": []}
     state.commit(session)
@@ -45,22 +43,15 @@ def _committed_state(directory=None):
 
 
 class TestSessionLifecycle:
-    def test_first_build_predicts_everything_dirty(self):
+    def test_changed_modules_are_the_moved_summaries(self):
         state = IncrementalState()
         session = state.begin_link(_summaries(), "opts-fp")
         assert session.first_build
-        assert session.predicted_dirty == sorted(MODULES)
         assert session.changed_modules == sorted(MODULES)
-
-    def test_unchanged_rebuild_predicts_nothing(self):
         state = _committed_state()
         session = state.begin_link(_summaries(), "opts-fp")
         assert not session.first_build
         assert session.changed_modules == []
-        assert session.predicted_dirty == []
-
-    def test_edit_propagates_along_edges(self):
-        state = _committed_state()
         edited = [
             ModuleSummary.from_module(compile_source(text, name))
             for name, text in (
@@ -68,16 +59,14 @@ class TestSessionLifecycle:
                 ("beta", MODULES["beta"]),
             )
         ]
-        session = state.begin_link(edited, "opts-fp")
-        assert session.changed_modules == ["alpha"]
-        # beta inlined alpha's routine, so it is predicted dirty too.
-        assert session.predicted_dirty == ["alpha", "beta"]
+        assert state.begin_link(edited, "opts-fp").changed_modules == [
+            "alpha"
+        ]
 
     def test_options_change_forces_first_build(self):
         state = _committed_state()
         session = state.begin_link(_summaries(), "other-fp")
         assert session.first_build
-        assert session.predicted_dirty == sorted(MODULES)
 
     def test_report_contents(self):
         state = IncrementalState()
@@ -142,7 +131,6 @@ class TestPersistence:
         assert reloaded.module_keys == {
             "alpha": "key-alpha", "beta": "key-beta"
         }
-        assert reloaded.deps.dirty_modules(["alpha"]) == {"alpha", "beta"}
         assert reloaded.options_fp == "opts-fp"
         assert reloaded.load_machines("key-alpha")[0] is not None
 

@@ -12,17 +12,13 @@ import pytest
 from repro.driver.compiler import Compiler, train
 from repro.driver.options import CompilerOptions
 from repro.linker.objects import encode_executable
-from repro.naim.config import NaimConfig
 from repro.part import Partition
 from repro.part.runner import InProcessTransport, RemoteDispatchError
-from repro.llo.driver import LloOptions
 from repro.part.wire import (
     WIRE_VERSION,
     WireError,
-    build_context_blob,
     decode_outcome,
     decode_shared_context,
-    encode_shared_context,
 )
 from repro.synth import WorkloadConfig, generate
 
@@ -138,59 +134,6 @@ class TestSharedContext:
     def test_garbage_rejected(self, data):
         with pytest.raises(WireError):
             decode_shared_context(data)
-
-
-class TestContextBlobCache:
-    """One ``build_context_blob`` serves the farm and process paths;
-    its cache must hit on warm re-encodes of an unchanged program and
-    miss on any repository or context change."""
-
-    def _built(self, seed=31):
-        return build(app_sources(seed=seed), hlo_jobs=2)
-
-    def test_warm_reencode_returns_cached_bytes(self):
-        built = self._built()
-        llo = LloOptions(opt_level=2)
-        first = build_context_blob(built.hlo_result, llo, NaimConfig(), [])
-        second = build_context_blob(built.hlo_result, llo, NaimConfig(), [])
-        assert second is first
-        assert first == encode_shared_context(
-            built.hlo_result, llo, NaimConfig(), []
-        )
-
-    def test_repository_mutation_invalidates(self):
-        built = self._built()
-        llo = LloOptions(opt_level=2)
-        first = build_context_blob(built.hlo_result, llo, NaimConfig(), [])
-        repository = built.hlo_result.loader.repository
-        epoch = repository.epoch
-        repository.store("ir", "cache-poke", b"\x00" * 8)
-        assert repository.epoch > epoch  # content mutation bumps it
-        second = build_context_blob(built.hlo_result, llo, NaimConfig(), [])
-        assert second is not first
-        assert second == first  # same program -> same canonical bytes
-
-    def test_context_change_invalidates_without_repository_write(self):
-        # The epoch alone cannot see option/scalar changes on a repo
-        # nobody writes to; the structural fingerprint must.
-        built = self._built()
-        llo = LloOptions(opt_level=2)
-        plain = build_context_blob(built.hlo_result, llo, NaimConfig(), [])
-        scalared = build_context_blob(built.hlo_result, llo,
-                                      NaimConfig(), ["alpha"])
-        assert scalared != plain
-        hot = build_context_blob(
-            built.hlo_result, LloOptions(opt_level=1), NaimConfig(), []
-        )
-        assert hot != plain
-
-    def test_discard_bumps_epoch(self):
-        built = self._built()
-        repository = built.hlo_result.loader.repository
-        repository.store("ir", "doomed", b"\x01" * 8)
-        epoch = repository.epoch
-        assert repository.discard("ir", "doomed")
-        assert repository.epoch > epoch
 
 
 class TestRunnerContract:
