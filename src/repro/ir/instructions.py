@@ -19,10 +19,11 @@ the virtual machine -- they must all agree):
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 _MASK64 = (1 << 64) - 1
 _SIGN64 = 1 << 63
+_MIN64 = -_SIGN64
 
 
 def wrap64(value: int) -> int:
@@ -143,42 +144,75 @@ COMMUTATIVE_OPS = frozenset(
 )
 
 
+def _fold_add(a: int, b: int) -> int:
+    value = a + b
+    return value if _MIN64 <= value < _SIGN64 else wrap64(value)
+
+
+def _fold_sub(a: int, b: int) -> int:
+    value = a - b
+    return value if _MIN64 <= value < _SIGN64 else wrap64(value)
+
+
+def _fold_mul(a: int, b: int) -> int:
+    value = a * b
+    return value if _MIN64 <= value < _SIGN64 else wrap64(value)
+
+
+def _fold_and(a: int, b: int) -> int:
+    value = a & b
+    return value if _MIN64 <= value < _SIGN64 else wrap64(value)
+
+
+def _fold_or(a: int, b: int) -> int:
+    value = a | b
+    return value if _MIN64 <= value < _SIGN64 else wrap64(value)
+
+
+def _fold_xor(a: int, b: int) -> int:
+    value = a ^ b
+    return value if _MIN64 <= value < _SIGN64 else wrap64(value)
+
+
+def _fold_shl(a: int, b: int) -> int:
+    return wrap64(a << (b & 63))
+
+
+def _fold_shr(a: int, b: int) -> int:
+    # Arithmetic shift right on the signed value.
+    return wrap64(a >> (b & 63))
+
+
+#: One fold per binary opcode, ``dst <- fold(a, b)``: the single source
+#: of truth for binary arithmetic.  :func:`fold_binary` reads it, and the
+#: virtual machine indexes it by an instruction's subop.  The in-range
+#: tests only skip :func:`wrap64` where it would return its argument.
+BINARY_FOLDS: Dict[Opcode, Callable[[int, int], int]] = {
+    Opcode.ADD: _fold_add,
+    Opcode.SUB: _fold_sub,
+    Opcode.MUL: _fold_mul,
+    Opcode.DIV: sdiv64,
+    Opcode.MOD: smod64,
+    Opcode.AND: _fold_and,
+    Opcode.OR: _fold_or,
+    Opcode.XOR: _fold_xor,
+    Opcode.SHL: _fold_shl,
+    Opcode.SHR: _fold_shr,
+    Opcode.EQ: lambda a, b: 1 if a == b else 0,
+    Opcode.NE: lambda a, b: 1 if a != b else 0,
+    Opcode.LT: lambda a, b: 1 if a < b else 0,
+    Opcode.LE: lambda a, b: 1 if a <= b else 0,
+    Opcode.GT: lambda a, b: 1 if a > b else 0,
+    Opcode.GE: lambda a, b: 1 if a >= b else 0,
+}
+
+
 def fold_binary(op: Opcode, a: int, b: int) -> int:
-    """Constant-fold a binary op; the single source of truth for semantics."""
-    if op is Opcode.ADD:
-        return wrap64(a + b)
-    if op is Opcode.SUB:
-        return wrap64(a - b)
-    if op is Opcode.MUL:
-        return wrap64(a * b)
-    if op is Opcode.DIV:
-        return sdiv64(a, b)
-    if op is Opcode.MOD:
-        return smod64(a, b)
-    if op is Opcode.AND:
-        return wrap64(a & b)
-    if op is Opcode.OR:
-        return wrap64(a | b)
-    if op is Opcode.XOR:
-        return wrap64(a ^ b)
-    if op is Opcode.SHL:
-        return wrap64(a << (b & 63))
-    if op is Opcode.SHR:
-        # Arithmetic shift right on the signed value.
-        return wrap64(a >> (b & 63))
-    if op is Opcode.EQ:
-        return 1 if a == b else 0
-    if op is Opcode.NE:
-        return 1 if a != b else 0
-    if op is Opcode.LT:
-        return 1 if a < b else 0
-    if op is Opcode.LE:
-        return 1 if a <= b else 0
-    if op is Opcode.GT:
-        return 1 if a > b else 0
-    if op is Opcode.GE:
-        return 1 if a >= b else 0
-    raise ValueError("not a binary opcode: %s" % op)
+    """Constant-fold a binary op (through :data:`BINARY_FOLDS`)."""
+    fold = BINARY_FOLDS.get(op)
+    if fold is None:
+        raise ValueError("not a binary opcode: %s" % op)
+    return fold(a, b)
 
 
 def fold_unary(op: Opcode, a: int) -> int:

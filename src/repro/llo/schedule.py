@@ -47,9 +47,9 @@ def _independent(a: MInstr, b: MInstr) -> bool:
     # Register dependences.
     a_def = defined_reg(a)
     b_def = defined_reg(b)
-    if a_def is not None and (b_def == a_def or a_def in set(b.reads())):
+    if a_def is not None and (b_def == a_def or a_def in b.reads()):
         return False
-    if b_def is not None and b_def in set(a.reads()):
+    if b_def is not None and b_def in a.reads():
         return False
     return True
 
@@ -62,14 +62,14 @@ def schedule_block(block: LirBlock, window: int = 8) -> int:
     while index < len(instrs) - 1:
         load = instrs[index]
         consumer = instrs[index + 1]
-        if load.op in _LOADS and load.rd in set(consumer.reads()):
+        if load.op in _LOADS and load.rd in consumer.reads():
             hoisted = False
             limit = min(len(instrs), index + 2 + window)
             for j in range(index + 2, limit):
                 candidate = instrs[j]
                 # The candidate must not itself consume the load result
                 # (that would just move the stall).
-                if load.rd in set(candidate.reads()):
+                if load.rd in candidate.reads():
                     continue
                 movable = all(
                     _independent(candidate, instrs[k])

@@ -24,7 +24,7 @@ traffic (documented substitution, DESIGN.md §2).
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..ir.instructions import Opcode
 
@@ -115,12 +115,13 @@ class MInstr:
         clone.target = self.target
         return clone
 
-    def reads(self):
-        """Registers read by this instruction."""
-        if self.rs1 is not None:
-            yield self.rs1
-        if self.rs2 is not None:
-            yield self.rs2
+    def reads(self) -> Tuple[int, ...]:
+        """Registers read by this instruction, ``rs1`` before ``rs2``."""
+        rs1 = self.rs1
+        rs2 = self.rs2
+        if rs2 is None:
+            return () if rs1 is None else (rs1,)
+        return (rs2,) if rs1 is None else (rs1, rs2)
 
     def __repr__(self) -> str:
         fields = []

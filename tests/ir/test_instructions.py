@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ir.instructions import (
+    BINARY_FOLDS,
     BINARY_OPS,
     COMMUTATIVE_OPS,
     Instr,
@@ -76,12 +77,73 @@ class TestFolding:
         assert fold_unary(Opcode.MOV, 9) == 9
 
     def test_fold_binary_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            fold_binary(Opcode.CONST, 1, 2)
+        for op in set(Opcode) - BINARY_OPS:
+            with pytest.raises(ValueError, match="not a binary opcode"):
+                fold_binary(op, 1, 2)
 
     def test_commutative_ops_commute(self):
         for op in COMMUTATIVE_OPS:
             assert fold_binary(op, 13, -7) == fold_binary(op, -7, 13)
+
+
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
+
+
+class TestFoldTable:
+    def test_one_fold_per_binary_opcode(self):
+        assert set(BINARY_FOLDS) == BINARY_OPS
+
+    @pytest.mark.parametrize(
+        "op,a,b,expected",
+        [
+            (Opcode.DIV, INT64_MIN, -1, INT64_MIN),
+            (Opcode.MOD, INT64_MIN, -1, 0),
+            (Opcode.MUL, INT64_MIN, -1, INT64_MIN),
+            (Opcode.SUB, 0, INT64_MIN, INT64_MIN),
+            (Opcode.ADD, INT64_MAX, 1, INT64_MIN),
+            (Opcode.DIV, 7, 0, 0),
+            (Opcode.DIV, INT64_MIN, 0, 0),
+            (Opcode.MOD, 7, 0, 0),
+            (Opcode.MOD, -7, 0, 0),
+            (Opcode.SHL, 1, 64, 1),
+            (Opcode.SHL, 1, 127, INT64_MIN),
+            (Opcode.SHL, -1, 200, -(2**8)),
+            (Opcode.SHR, INT64_MIN, 64, INT64_MIN),
+            (Opcode.SHR, INT64_MIN, 127, -1),
+            (Opcode.SHR, INT64_MAX, 65, 2**62 - 1),
+            (Opcode.AND, -1, INT64_MIN, INT64_MIN),
+            (Opcode.OR, 2**64, 1, 1),
+            (Opcode.XOR, INT64_MAX, -1, INT64_MIN),
+        ],
+    )
+    def test_fold_binary_and_the_table_agree_on_edges(self, op, a, b, expected):
+        assert fold_binary(op, a, b) == BINARY_FOLDS[op](a, b) == expected
+
+    def test_every_fold_wraps_like_the_plain_operator(self):
+        spec = {
+            Opcode.ADD: lambda a, b: wrap64(a + b),
+            Opcode.SUB: lambda a, b: wrap64(a - b),
+            Opcode.MUL: lambda a, b: wrap64(a * b),
+            Opcode.DIV: sdiv64,
+            Opcode.MOD: smod64,
+            Opcode.AND: lambda a, b: wrap64(a & b),
+            Opcode.OR: lambda a, b: wrap64(a | b),
+            Opcode.XOR: lambda a, b: wrap64(a ^ b),
+            Opcode.SHL: lambda a, b: wrap64(a << (b & 63)),
+            Opcode.SHR: lambda a, b: wrap64(a >> (b & 63)),
+            Opcode.EQ: lambda a, b: int(a == b),
+            Opcode.NE: lambda a, b: int(a != b),
+            Opcode.LT: lambda a, b: int(a < b),
+            Opcode.LE: lambda a, b: int(a <= b),
+            Opcode.GT: lambda a, b: int(a > b),
+            Opcode.GE: lambda a, b: int(a >= b),
+        }
+        edges = (0, 1, -1, 63, 64, 65, INT64_MIN, INT64_MAX, 2**64 + 3)
+        for op, fold in BINARY_FOLDS.items():
+            for a in edges:
+                for b in edges:
+                    assert fold(a, b) == fold_binary(op, a, b) == spec[op](a, b)
 
 
 class TestInstr:

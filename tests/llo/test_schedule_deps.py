@@ -38,6 +38,13 @@ class TestIndependence:
         writer = ldi(1, 9)
         assert not _independent(reader, writer)
 
+    def test_reads_is_a_tuple_in_operand_order(self):
+        assert add(3, 2, 1).reads() == (2, 1)
+        assert add(3, 4, 4).reads() == (4, 4)
+        assert stg(5, "g").reads() == (5,)
+        assert ldi(1, 7).reads() == ()
+        assert MInstr(MOp.STX, rs2=6, sym="a").reads() == (6,)
+
     def test_disjoint_registers_independent(self):
         assert _independent(ldi(1, 5), ldi(2, 6))
 

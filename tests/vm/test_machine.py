@@ -8,7 +8,7 @@ from repro.linker.link import build_image
 from repro.vm.cost import CostModel
 from repro.vm.image import MachineRoutine
 from repro.vm.isa import REG_RV, MInstr, MOp
-from repro.vm.machine import MachineError, run_image
+from repro.vm.machine import Machine, MachineError, run_image
 
 
 def routine(name, instrs, n_params=0, frame_size=None):
@@ -183,6 +183,37 @@ class TestCalls:
         )
         with pytest.raises(MachineError, match="interface mismatch"):
             run_image(image)
+
+    def test_arguments_staged_before_a_trap_do_not_reach_the_next_run(self):
+        # ``f`` stages three outgoing arguments, then traps before its
+        # call; a second run must start from an empty staging area.
+        var = GlobalVar("a", size=2, defining_module="test")
+        staging = routine(
+            "f",
+            [
+                MInstr(MOp.LDI, rd=1, imm=9),
+                MInstr(MOp.ARG, rs1=1, imm=0),
+                MInstr(MOp.ARG, rs1=1, imm=1),
+                MInstr(MOp.ARG, rs1=1, imm=2),
+                MInstr(MOp.LDX, rd=REG_RV, rs1=1, sym="a"),
+                MInstr(MOp.RET),
+            ],
+            n_params=1,
+        )
+        image = simple_main(
+            [
+                MInstr(MOp.LDI, rd=1, imm=1),
+                MInstr(MOp.ARG, rs1=1, imm=0),
+                MInstr(MOp.CALL, sym="f"),
+                MInstr(MOp.RET),
+            ],
+            global_vars=[var],
+            extra=[staging],
+        )
+        machine = Machine(image)
+        for _ in range(2):
+            with pytest.raises(MachineError, match="array load out of range"):
+                machine.run()
 
     def test_stack_overflow(self):
         loop = routine(
