@@ -559,9 +559,7 @@ class Compiler:
             ):
                 selected = result.plan.selected_routines
             hlo_result = hlo.optimize(
-                selected_routines=selected,
-                materialize=False,
-                run_scalar=False,
+                selected_routines=selected, run_scalar=False
             )
         result.hlo_result = hlo_result
         wpa_events = len(hlo_result.events)
@@ -570,12 +568,12 @@ class Compiler:
         llo_options = LloOptions(2, use_profile=profile_db is not None)
         compiled: Dict[str, MachineRoutine] = {}
         if not partitioned:
-            # The serial reference: one fused scalar + codegen loop,
-            # its seconds split between the two phases it interleaves.
+            # The LTRANS body in the link process, its seconds split
+            # between the two phases it interleaves.
             llo = LowLevelOptimizer(llo_options, accountant)
             start = time.perf_counter()
             compiled = hlo.run_scalar_phase(
-                hlo_result, materialize=False, codegen=llo.compile_routine
+                hlo_result, codegen=llo.compile_routine
             )
             elapsed = time.perf_counter() - start
             scalar_seconds = hlo_result.phase_seconds["scalar"]
@@ -684,7 +682,9 @@ class Compiler:
                     machine = cached[module_name].get(name)
                     if machine is not None:
                         machines.append(machine)
-                    unit.release_spent(name)
+                    handle = unit.handle(name)
+                    if handle is not None:  # an unreplayed clone has none
+                        unit.release_spent(handle)
                     continue
                 machine = compiled.get(name)
                 if machine is None:

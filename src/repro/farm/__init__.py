@@ -14,9 +14,9 @@ deduplicate farm-wide and any worker can run any partition.
 Every connection authenticates with a shared secret (:mod:`
 .transport`); clients reach the farm with ``python -m repro.driver
 build --farm HOST:PORT``.  Farm images are byte-identical to
-single-daemon and cold-CLI images -- the worker-side execution loop
-is the same code path, mirrored across the wire (:mod:`repro.part.
-wire`).
+single-daemon and cold-CLI images -- a worker runs the LTRANS body
+a serial link runs (:func:`repro.hlo.driver.run_ltrans`), reached
+through :mod:`repro.part.wire`.
 """
 
 from .client import FarmClient

@@ -22,7 +22,7 @@ The :class:`CmoUnit` is the authoritative container during optimization
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, List, Optional, Set, Tuple
 
 from ..incr.summary import (
     RoutineFacts,
@@ -86,6 +86,52 @@ def standard_pipeline() -> PassPipeline:
     )
 
 
+def run_ltrans(loader: Loader, handles: Dict[str, Optional[Handle]],
+               names: List[str], scalar_set: AbstractSet[str],
+               ctx: OptContext, codegen: Optional[Callable],
+               retire: Callable[[Handle], None]) -> Dict[str, object]:
+    """The LTRANS body, after plan replay: the serial link
+    (:meth:`HighLevelOptimizer.run_scalar_phase`) and every partition
+    worker (:func:`repro.part.wire.execute_partition_job`) run it on
+    their own loader, so their machine code agrees by construction.
+
+    Each of ``names`` is touched once, optimized while pinned if
+    ``scalar_set`` names it, then compiled while still expanded and
+    ``retire``-d (a spent body is never encoded back) -- or, without
+    ``codegen``, left to the lazy unloader.  Returns routine name ->
+    what ``codegen`` returned.
+    """
+    loader.phase = "scalar"
+    pipeline = standard_pipeline()
+    machines: Dict[str, object] = {}
+    try:
+        for index, name in enumerate(names):
+            # One routine ahead (the first two at the start), so that
+            # repository fetch + decode overlaps this one's work.
+            ahead = names[index + 1:index + 2] if index else names[:2]
+            loader.prefetch(
+                handles[other] for other in ahead
+                if handles.get(other) is not None
+            )
+            handle = handles.get(name)
+            routine = handle.get() if handle is not None else None
+            if routine is None:
+                continue
+            if name in scalar_set:
+                loader.pin(handle)
+                pipeline.run_routine(routine, ctx)
+                loader.unpin(handle)
+                loader.reaccount(handle)
+            if codegen is None:
+                handle.request_unload()
+                continue
+            machines[name] = codegen(routine, ctx.views.get(name))
+            retire(handle)
+    finally:
+        loader.stop_prefetch()
+    return machines
+
+
 class CmoUnit:
     """The set of routines being cross-module optimized, behind handles."""
 
@@ -123,7 +169,7 @@ class CmoUnit:
     def routine_names(self) -> List[str]:
         return list(self.routine_handles)
 
-    def release_spent(self, name: str) -> None:
+    def release_spent(self, handle: Handle) -> None:
         """Retire a routine's body: its machine code exists (or is
         reused), and nothing reads the IL again.
 
@@ -133,9 +179,6 @@ class CmoUnit:
         this is a plain unload request -- nothing was going to be
         encoded, and a small link keeps what it always kept.
         """
-        handle = self.routine_handles.get(name)
-        if handle is None:
-            return
         if self.loader.effective_level() is NaimLevel.OFF:
             handle.request_unload()
         else:
@@ -444,10 +487,10 @@ class HighLevelOptimizer:
     def optimize(
         self,
         selected_routines: Optional[Set[str]] = None,
-        materialize: bool = True,
         run_scalar: bool = True,
     ) -> HloResult:
-        """Run the full HLO phase sequence.
+        """Run the full HLO phase sequence and materialize the
+        optimized unit into the program.
 
         ``selected_routines`` is the fine-grained selectivity set: only
         these are inlined into and scalar-optimized; None means all.
@@ -455,11 +498,11 @@ class HighLevelOptimizer:
         ``run_scalar=False`` stops after the serial whole-program
         phases (the WPA half of a WHOPR-style split): the caller owns
         phase 5 -- either via :meth:`run_scalar_phase` or a partitioned
-        parallel backend -- and ``materialize`` is deferred with it.
+        parallel backend.
         """
         result = self._decide(selected_routines)[0]
         if run_scalar:
-            self.run_scalar_phase(result, materialize=materialize)
+            self.run_scalar_phase(result)
         return result
 
     @staticmethod
@@ -856,33 +899,25 @@ class HighLevelOptimizer:
     def run_scalar_phase(
         self,
         result: HloResult,
-        materialize: bool = True,
         codegen: Optional[
             Callable[[Routine, Optional[ProfileView]], object]
         ] = None,
     ) -> Dict[str, object]:
-        """Phase 5: run the scalar pipeline over the worklist, serially.
+        """Phase 5 in the link process: replay, then :func:`run_ltrans`.
 
-        This is the reference (LTRANS) half of the phase split; the
-        partitioned backend in :mod:`repro.part` must match its output
-        byte for byte.  Registered bodies are borrowed (the linker
-        registers its objects' IL), so the replay scope -- everything
-        replay, the passes and codegen will edit -- is privatised first,
-        bodies and (when :attr:`HloResult.views_shared`) profile views;
-        bodies of reused modules outside it stay as the frontend left
-        them, and stay the caller's: nothing compiles them.
+        Registered bodies are borrowed (the linker registers its
+        objects' IL), so the replay scope -- everything replay, the
+        passes and codegen will edit -- is privatised first, bodies and
+        (when :attr:`HloResult.views_shared`) profile views; bodies of
+        reused modules outside it stay as the frontend left them, and
+        stay the caller's: nothing compiles them.
 
         With ``codegen`` (``LowLevelOptimizer.compile_routine``) the
-        loop is fused per routine, in the order
-        :func:`repro.part.wire.execute_partition_job` uses: each of
-        :meth:`HloResult.compiled_routines` is touched once, optimized
-        if the worklist names it, compiled while still expanded, and
-        retired (:meth:`CmoUnit.release_spent`) -- a spent body is
-        never encoded back.  Returns
-        routine name -> what ``codegen`` returned (empty without one);
-        ``phase_seconds["scalar"]`` leaves the callback's seconds out.
-        A unit compiled this way cannot be materialized once NAIM has
-        engaged.
+        body runs over :meth:`HloResult.compiled_routines` and retires
+        each with :meth:`CmoUnit.release_spent`; without one it runs
+        over the worklist and the unit is materialized into the program.
+        Returns what :func:`run_ltrans` does; ``phase_seconds["scalar"]``
+        leaves the callback's seconds out.
         """
         clock = time.perf_counter
         start = clock()
@@ -908,45 +943,27 @@ class HighLevelOptimizer:
             )
             result.mark_plan_replayed()
             result.phase_seconds["scalar.replay"] = clock() - start
-        loader.phase = "scalar"
-        pipeline = standard_pipeline()
         worklist = result.scalar_worklist()
-        scalar = set(worklist)
-        names = worklist if codegen is None else result.compiled_routines()
-        handles = [unit.handle(name) for name in names]
-        # Prefetch the next routine while this one is optimized, so
-        # repository fetch + decode of offloaded pools overlaps with
-        # scalar optimization instead of stalling it.
-        loader.prefetch(handle for handle in handles[:1] if handle is not None)
-        machines: Dict[str, object] = {}
         codegen_seconds = 0.0
-        for index, (name, handle) in enumerate(zip(names, handles)):
-            loader.prefetch(
-                ahead for ahead in handles[index + 1:index + 2]
-                if ahead is not None
-            )
-            routine = handle.get() if handle is not None else None
-            if routine is None:
-                continue
-            if name in scalar:
-                loader.pin(handle)
-                pipeline.run_routine(routine, ctx)
-                loader.unpin(handle)
-                loader.reaccount(handle)
-            if codegen is None:
-                handle.request_unload()
-                continue
+
+        def timed(routine, view):
+            nonlocal codegen_seconds
             tick = clock()
-            machines[name] = codegen(routine, ctx.views.get(name))
+            machine = codegen(routine, view)
             codegen_seconds += clock() - tick
-            unit.release_spent(name)
-        loader.stop_prefetch()
+            return machine
+
+        machines = run_ltrans(
+            loader, unit.routine_handles,
+            worklist if codegen is None else result.compiled_routines(),
+            set(worklist), ctx, codegen and timed, unit.release_spent,
+        )
         loader.accountant.mark("optimized")
 
         result.peak_bytes = loader.accountant.peak
         result.phase_seconds["scalar"] = clock() - start - codegen_seconds
         result.record_pass_stats()
-        if materialize:
+        if codegen is None:
             unit.materialize(result.program)
         return machines
 

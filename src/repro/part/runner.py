@@ -16,25 +16,25 @@ Three exist: :class:`InProcessTransport` below (the link process
 itself, one job after another), :class:`~repro.part.procexec.
 ProcessTransport` (local worker processes over a shared-memory blob)
 and the farm's :class:`~repro.farm.coordinator.FarmDispatcher`.  All
-three execute the same function on the same bytes, so they agree by
-construction; the serial driver loop is the independent reference.
+three execute the same function on the same bytes, and that function
+runs the LTRANS body the serial link runs
+(:func:`~repro.hlo.driver.run_ltrans`), so they agree by construction.
 
 Determinism: the scalar passes only mutate their own routine (plus the
 per-routine view and pass counters), and LLO compiles one routine at a
-time from that routine and its view alone, so fusing scalar + codegen
-per routine inside a partition produces exactly the machine code the
-serial two-loop driver does.  Outcomes carry machine routines keyed by
-name; the caller splices them in canonical unit order, and all stats
-(loader, accountant, pass counters, LLO) are folded back in partition
-index order -- so every observable number is independent of which
-worker finished first, and the image is byte-identical to the serial
-build.
+time from that routine and its view alone, so splitting the routines
+into partitions does not change any routine's machine code.  Outcomes
+carry machine routines keyed by name; the caller splices them in
+canonical unit order, and all stats (loader, accountant, pass counters,
+LLO) are folded back in partition index order -- so every observable
+number is independent of which worker finished first, and the image is
+byte-identical to the serial build.
 
 Ownership transfer: the runner releases each local pool from the link
 loader *before* dispatch (offloaded pools stay fetchable in the shared
 repository).  Nothing comes back but machine code and statistics: a
-compiled body is spent, so after a partitioned run -- as after the
-serial loop -- ``HloResult.unit`` lists names and holds no bodies.
+compiled body is spent, so after a partitioned run -- as after a
+serial one -- ``HloResult.unit`` lists names and holds no bodies.
 """
 
 from __future__ import annotations

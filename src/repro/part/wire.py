@@ -21,13 +21,13 @@ from primitives that already round-trip deterministically:
   back in partition index order, so every observable number is
   independent of which host ran what.
 
-:func:`execute_partition_job` is the one partition body in the tree:
-private loader over an overlay, prefetch window, plan replay, pin /
-scalar / codegen / release per routine, package.  Every transport (link
-process, worker processes, farm workers) reaches it through
-:func:`run_wire_job`, so partitioned images agree with each other by
-construction; the serial driver loop stays separate as the reference
-they are all compared against.
+:func:`execute_partition_job` is the worker adapter of the one LTRANS
+body, :func:`~repro.hlo.driver.run_ltrans`: private loader over an
+overlay, plan replay, then the body's prefetch / pin / scalar / codegen
+/ release per routine, then package.  Every transport (link process,
+worker processes, farm workers) reaches it through :func:`run_wire_job`,
+and the serial link runs the same body in-process, so partitioned and
+serial images agree by construction.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..hlo.analysis.modref import ModRefAnalysis, ModRefInfo
-from ..hlo.driver import standard_pipeline
+from ..hlo.driver import run_ltrans
 from ..hlo.options import HloOptions
 from ..hlo.thin import WpaPlan, replay_plan
 from ..hlo.passes import OptContext, PassStats
@@ -453,15 +453,14 @@ def run_wire_job(job: Dict, store, contexts: ContextCache) -> Dict:
 
 def execute_partition_job(shared: SharedJobContext, job: Dict,
                           repository) -> Dict:
-    """Run one partition: adopt, replay, scalar + codegen, package.
+    """Run one partition: adopt, replay, :func:`~repro.hlo.driver.
+    run_ltrans`, package -- the worker adapter of the LTRANS body.
 
     ``repository`` supplies every routine's compact IR under
     ``(KIND_IR, name)`` (see :class:`~repro.naim.remote.
-    CasBackedRepository`).  The per-routine pin / scalar / codegen /
-    release sequence is the serial driver's
-    (:meth:`~repro.hlo.driver.HighLevelOptimizer.run_scalar_phase`)
-    -- hence byte-identical machine code -- and like it leaves no
-    body behind: the reply carries machine code and statistics."""
+    CasBackedRepository`).  The worker's loader dies with the job and
+    leaves no body behind: the reply carries machine code and
+    statistics."""
     index = job["index"]
     names: List[str] = [entry["name"] for entry in job["routines"]]
     worker_loader = Loader(
@@ -486,11 +485,6 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
             handles[entry["name"]] = worker_loader.adopt_routine(
                 entry["name"], offloaded=True
             )
-    # Prefetch one routine ahead of the loop below, as the serial
-    # scalar phase does: the first one now, overlapping the replay.
-    worker_loader.prefetch(
-        handles[name] for name in names[:1] if name in handles
-    )
 
     ctx = OptContext(shared.symtab, shared.hlo_options, shared.modref)
     ctx.views = shared.fresh_views()
@@ -510,35 +504,18 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
             if handle is not None:
                 worker_loader.release(handle)
 
-    worker_loader.phase = "scalar"
     llo = LowLevelOptimizer(shared.llo_options, worker_loader.accountant)
-    pipeline = standard_pipeline()
-    machines: List = []
-
-    for position, name in enumerate(names):
-        worker_loader.prefetch(
-            handles[other] for other in names[position + 1:position + 2]
-            if other in handles
-        )
-        handle = handles.get(name)
-        if handle is None:
-            continue
-        routine = handle.get()
-        if routine is None:
-            continue
-        if name in shared.scalar_set:
-            worker_loader.pin(handle)
-            pipeline.run_routine(routine, ctx)
-            worker_loader.unpin(handle)
-            worker_loader.reaccount(handle)
-        machines.append(llo.compile_routine(routine, ctx.views.get(name)))
-        worker_loader.release_spent(handle)
-    worker_loader.stop_prefetch()
+    machines = run_ltrans(
+        worker_loader, handles, names, shared.scalar_set, ctx,
+        llo.compile_routine, worker_loader.release_spent,
+    )
     worker_loader.accountant.mark("ltrans:p%d" % index)
 
     return {
         "index": index,
-        "machines_b64": encode_bytes(encode_machine_routines(machines)),
+        "machines_b64": encode_bytes(
+            encode_machine_routines(list(machines.values()))
+        ),
         "loader_stats": worker_loader.stats.as_dict(),
         "accountant": _accountant_payload(worker_loader.accountant),
         "llo_stats": {

@@ -6,13 +6,17 @@ resulting images must be byte-identical to the serial build's.
 """
 
 import json
+import threading
 
 import pytest
 
 from repro.driver.compiler import Compiler, train
 from repro.driver.options import CompilerOptions
 from repro.linker.objects import encode_executable
-from repro.part import Partition
+from repro.llo.driver import LowLevelOptimizer
+from repro.naim.compaction import CompactionError
+from repro.naim.config import NaimConfig, NaimLevel
+from repro.part import Partition, wire
 from repro.part.runner import InProcessTransport, RemoteDispatchError
 from repro.part.wire import (
     WIRE_VERSION,
@@ -211,3 +215,53 @@ class TestRunnerContract:
             sum(outcome["pass_schedule"]["runs"].values())
             for outcome in dispatcher.outcomes
         )
+
+
+class CorruptingTransport(ReversedTransport):
+    """Overwrites the first partition's first shipped body blob."""
+
+    def dispatch(self, jobs):
+        job = min(jobs, key=lambda job: job["index"])
+        entry = next(entry for entry in job["routines"] if "pool" in entry)
+        self.blobs[entry["pool"]] = b"\xff" * 8
+        return super().dispatch(jobs)
+
+
+def live_prefetch_threads():
+    return {thread for thread in threading.enumerate()
+            if thread.name == "naim-prefetch" and thread.is_alive()}
+
+
+class FailingCodegen(LowLevelOptimizer):
+    """Fails the first routine compiled while a prefetch thread that
+    was not running at ``before`` is alive."""
+
+    before = frozenset()
+
+    def compile_routine(self, routine, view=None):
+        if live_prefetch_threads() - self.before:
+            raise RuntimeError("codegen failed")
+        return super().compile_routine(routine, view)
+
+
+class TestFailedJob:
+    """A failed job raises its error and leaves no prefetch thread
+    behind: a farm or pool worker serves on after a failed job, and a
+    parked thread would keep the job's repository alive."""
+
+    def test_a_damaged_body_stops_its_prefetch_thread(self):
+        before = live_prefetch_threads()
+        with pytest.raises(CompactionError):
+            build(app_sources(seed=28), dispatcher=CorruptingTransport(),
+                  hlo_jobs=2, hlo_partitions=3)
+        assert live_prefetch_threads() <= before
+
+    def test_a_failed_codegen_stops_its_prefetch_thread(self, monkeypatch):
+        before = live_prefetch_threads()
+        monkeypatch.setattr(FailingCodegen, "before", before)
+        monkeypatch.setattr(wire, "LowLevelOptimizer", FailingCodegen)
+        with pytest.raises(RuntimeError, match="codegen failed"):
+            build(app_sources(seed=28), dispatcher=ReversedTransport(),
+                  hlo_jobs=2, hlo_partitions=3,
+                  naim=NaimConfig.pinned(NaimLevel.OFFLOAD))
+        assert live_prefetch_threads() <= before

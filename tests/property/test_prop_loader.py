@@ -113,7 +113,7 @@ def bodies_after_each_phase(sources, naim_config):
 
     hlo_driver.replay_plan = replay_then_snapshot
     try:
-        hlo.run_scalar_phase(result, materialize=False)
+        hlo.run_scalar_phase(result)
     finally:
         hlo_driver.replay_plan = real_replay
     snapshots.append(held_bodies(loader))

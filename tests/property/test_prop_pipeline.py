@@ -13,6 +13,7 @@ from repro.driver.compiler import Compiler, train
 from repro.driver.options import CompilerOptions
 from repro.frontend import compile_sources
 from repro.interp import run_program
+from repro.naim.config import NaimConfig, NaimLevel
 from repro.synth import WorkloadConfig, generate
 
 _SETTINGS = dict(
@@ -59,10 +60,23 @@ def test_o0_matches_interpreter(seed):
     assert build.run(inputs=inputs).value == expected
 
 
-@given(seed=st.integers(min_value=0, max_value=10**6))
+#: How the LTRANS body is dispatched: in the link process, over three
+#: in-process partitions, and in the link process with NAIM offloading
+#: every pool it can.
+LTRANS_SHAPES = {
+    "serial": {},
+    "partitions": {"hlo_partitions": 3},
+    "offload": {"naim": NaimConfig.pinned(NaimLevel.OFFLOAD)},
+}
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    shape=st.sampled_from(sorted(LTRANS_SHAPES)),
+)
 @settings(deadline=None, max_examples=8,
           suppress_health_check=[HealthCheck.too_slow])
-def test_cmo_pbo_matches_interpreter(seed):
+def test_cmo_pbo_matches_interpreter(seed, shape):
     app = small_app(seed)
     train_inputs = app.make_input(seed=seed + 1)
     bench_inputs = app.make_input(seed=seed + 2)
@@ -71,7 +85,7 @@ def test_cmo_pbo_matches_interpreter(seed):
     ).value
     profile = train(app.sources, [train_inputs])
     build = Compiler(
-        CompilerOptions(opt_level=4, pbo=True)
+        CompilerOptions(opt_level=4, pbo=True, **LTRANS_SHAPES[shape])
     ).build(app.sources, profile_db=profile)
     assert build.run(inputs=bench_inputs).value == expected
 
