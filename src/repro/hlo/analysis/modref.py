@@ -24,7 +24,7 @@ from ...ir.routine import Routine
 class ModRefInfo:
     """Per-routine global usage facts."""
 
-    __slots__ = ("mod", "ref", "unknown", "has_calls")
+    __slots__ = ("mod", "ref", "unknown")
 
     def __init__(self) -> None:
         #: Globals possibly written.
@@ -33,7 +33,6 @@ class ModRefInfo:
         self.ref: Set[str] = set()
         #: True when effects cannot be bounded (unknown callee).
         self.unknown = False
-        self.has_calls = False
 
     def writes(self, sym: str) -> bool:
         return self.unknown or sym in self.mod
@@ -59,8 +58,6 @@ def direct_modref(routine: Routine) -> ModRefInfo:
             info.ref.add(instr.sym)
         elif instr.op in (Opcode.STOREG, Opcode.STOREE):
             info.mod.add(instr.sym)
-        elif instr.op is Opcode.CALL:
-            info.has_calls = True
     return info
 
 
@@ -117,7 +114,6 @@ class ModRefAnalysis:
             for name in component:
                 info = direct[name]
                 merged = ModRefInfo()
-                merged.has_calls = info.has_calls
                 merged.unknown = unknown
                 # Nothing reads the sets of an unbounded routine; it
                 # keeps its own direct ones, whatever the visit order.

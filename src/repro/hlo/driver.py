@@ -3,16 +3,19 @@
 Orchestrates one CMO compilation: every routine is scanned once into
 :class:`~repro.incr.summary.RoutineFacts` ("a minimum amount of
 analysis ... to ensure that all information available about data
-accesses is known", §5) and its pool retired to the NAIM loader; DFE,
-IPCP, cloning and inlining then decide from the facts alone, recording
-the body mutations they imply on a :class:`~repro.hlo.thin.WpaPlan`
-(or, in an incremental link whose WPA inputs equal the last link's,
-apply that link's stored :class:`~repro.hlo.thin.WpaOutcome`).
-Phase 5 replays the plan onto the real bodies and runs the scalar
-pipeline over the *selected* routines while everything else stays
-unloaded; given a code generator it compiles each routine while its
-body is still expanded and retires the pool, so that where NAIM is
-engaged a finished unit lists names and holds no bodies.
+accesses is known", §5) and its pool retired to the NAIM loader.  The
+WPA's answer is one value, an :class:`AppliedWpa`: a deciding link
+computes it from the facts alone (:meth:`AppliedWpa.decide`: DFE,
+IPCP, cloning and inlining, the body mutations they imply recorded on
+a :class:`~repro.hlo.thin.WpaPlan`); an incremental link whose WPA
+inputs equal the last link's derives the same value from that link's
+stored :class:`~repro.hlo.thin.WpaOutcome` (:meth:`AppliedWpa.derive`).
+Either way the link applies it once.  Phase 5 replays the plan onto
+the real bodies and runs the scalar pipeline over the *selected*
+routines while everything else stays unloaded; given a code generator
+it compiles each routine while its body is still expanded and retires
+the pool, so that where NAIM is engaged a finished unit lists names
+and holds no bodies.
 
 The :class:`CmoUnit` is the authoritative container during optimization
 -- global objects (program symbol table, call graph) hold only
@@ -54,7 +57,6 @@ from .thin import WpaOutcome, WpaPlan, replay_plan
 from .transforms.branch_elim import BranchElimination
 from .transforms.clone import (
     CloneDecision,
-    apply_clones,
     clone_facts,
     plan_clones,
     register_clones,
@@ -86,7 +88,7 @@ def standard_pipeline() -> PassPipeline:
     )
 
 
-def run_ltrans(loader: Loader, handles: Dict[str, Optional[Handle]],
+def run_ltrans(loader: Loader, handles: Dict[str, Handle],
                names: List[str], scalar_set: AbstractSet[str],
                ctx: OptContext, codegen: Optional[Callable],
                retire: Callable[[Handle], None]) -> Dict[str, object]:
@@ -137,9 +139,12 @@ class CmoUnit:
 
     def __init__(self, loader: Loader) -> None:
         self.loader = loader
+        #: routine name -> handle, for every routine with a body (a WPA
+        #: clone has one once replay creates it).
         self.routine_handles: Dict[str, Handle] = {}
         self.symtab_handles: Dict[str, Handle] = {}
-        #: routine name -> defining module (stable ordering preserved).
+        #: routine name -> defining module, clones included: the unit's
+        #: canonical name order.
         self.routine_module: Dict[str, str] = {}
 
     # -- Registration ------------------------------------------------------------
@@ -167,7 +172,7 @@ class CmoUnit:
         return self.routine_handles.get(name)
 
     def routine_names(self) -> List[str]:
-        return list(self.routine_handles)
+        return list(self.routine_module)
 
     def release_spent(self, handle: Handle) -> None:
         """Retire a routine's body: its machine code exists (or is
@@ -184,24 +189,12 @@ class CmoUnit:
         else:
             self.loader.release_spent(handle)
 
-    def build_callgraph(
-        self, facts_by_name: Dict[str, RoutineFacts]
-    ) -> CallGraph:
-        """The call graph over the unit's routines, from their facts."""
-        graph = CallGraph()
-        names = self.routine_names()
-        for name in names:
-            graph.nodes[name] = CallGraphNode(name, self.routine_module[name])
-        for name in names:
-            for site in facts_by_name[name].sites:
-                graph.add_site(name, site.block_label, site.index, site.callee)
-        return graph
-
     def materialize(self, program: Program) -> Program:
         """Write optimized routines back into the Program's modules."""
-        for name, handle in self.routine_handles.items():
-            module = program.modules.get(self.routine_module[name])
-            if module is None:
+        for name, module_name in self.routine_module.items():
+            module = program.modules.get(module_name)
+            handle = self.routine_handles.get(name)
+            if module is None or handle is None:
                 continue
             routine = handle.get()
             module.routines[name] = routine
@@ -342,6 +335,29 @@ def _summary_cost(facts_by_name: Dict[str, RoutineFacts]) -> int:
     return sum(routine_facts_bytes(facts) for facts in facts_by_name.values())
 
 
+def _lap(timings: Dict[str, float], key: str, since: float) -> float:
+    now = time.perf_counter()
+    timings[key] = timings.get(key, 0.0) + (now - since)
+    return now
+
+
+def build_callgraph(facts_by_name: Dict[str, RoutineFacts]) -> CallGraph:
+    """The WPA's call graph, from facts in unit order: a node per
+    routine, its sites in facts order, each weighted by the count of
+    its block in the caller's profile view."""
+    graph = CallGraph()
+    for name, facts in facts_by_name.items():
+        graph.nodes[name] = CallGraphNode(name, facts.module)
+    for name, facts in facts_by_name.items():
+        for site in facts.sites:
+            graph.add_site(name, site.block_label, site.index, site.callee)
+        view = facts.view
+        if view is not None:
+            for site in graph.nodes[name].call_sites:
+                site.weight = view.count(site.block_label)
+    return graph
+
+
 def _views_and_modref(facts_by_name: Dict[str, RoutineFacts]):
     """Each routine's initial profile view, and the whole-program
     mod/ref solved from the facts' direct sets and call edges."""
@@ -352,7 +368,6 @@ def _views_and_modref(facts_by_name: Dict[str, RoutineFacts]):
         info = ModRefInfo()
         info.mod = set(facts.mod)
         info.ref = set(facts.ref)
-        info.has_calls = facts.has_calls
         direct[name] = info
         callees[name] = facts.callees()
         views[name] = facts.view
@@ -360,61 +375,155 @@ def _views_and_modref(facts_by_name: Dict[str, RoutineFacts]):
 
 
 class AppliedWpa:
-    """What applying one stored :class:`WpaOutcome` to a program's
-    pristine facts gives, apart from this link's program and unit: the
-    dead-function keep set, the post-apply facts (clones included), the
-    views and mod/ref the scalar phase reads, the plan, the clone names,
-    the inliner's counters and the pass-stat counts applying bumped.
+    """The WPA's answer, apart from this link's program and unit: the
+    outcome, the dead-function keep set, the post-decision facts (clones
+    included), the views and mod/ref the scalar phase reads, the plan,
+    the clone names, the inliner's counters and the pass-stat counts
+    the decisions bumped.
 
-    The incremental state keeps one between links under the outcome
-    bytes it was derived from (equal bytes and equal WPA inputs give an
-    equal one).  It is shared, so nothing may mutate it: the facts,
-    mod/ref, plan and counters are only read after the WPA, and the
-    views the replay and the scalar passes edit are copied at the
-    replay scope first (:meth:`HighLevelOptimizer.run_scalar_phase`).
+    A deciding link computes it from the facts (:meth:`decide`); a link
+    whose WPA inputs equal a stored outcome's derives an equal one from
+    that outcome (:meth:`derive`).  The incremental state keeps a
+    derived one between links under the outcome bytes it came from.  It
+    may be shared, so nothing may mutate it: the facts, mod/ref, plan
+    and counters are only read after the WPA, and the views the replay
+    and the scalar passes edit are copied at the replay scope first
+    (:meth:`HighLevelOptimizer.run_scalar_phase`).
     """
 
     __slots__ = ("outcome", "summary_cost", "keep", "facts", "views",
                  "modref", "plan", "clones", "inline_stats", "counts")
 
+    def __init__(self, outcome: WpaOutcome, summary_cost: int,
+                 keep: Optional[Set[str]],
+                 facts_by_name: Dict[str, RoutineFacts], ctx: OptContext,
+                 plan: WpaPlan, clones: List[str],
+                 inline_stats: InlineStats) -> None:
+        self.outcome = outcome
+        self.summary_cost = summary_cost
+        self.keep = keep
+        self.facts = facts_by_name
+        self.views = ctx.views
+        self.modref = ctx.modref
+        self.plan = plan
+        self.clones = clones
+        self.inline_stats = inline_stats
+        self.counts = dict(ctx.stats.counts)
+
+    @staticmethod
+    def decide(
+        facts_by_name: Dict[str, RoutineFacts],
+        keep: Optional[Set[str]],
+        summary_cost: int,
+        symtab,
+        options: HloOptions,
+        selected: AbstractSet[str],
+        has_profiles: bool,
+        externally_callable: AbstractSet[str],
+        externally_visible_globals: AbstractSet[str],
+        accountant: MemoryAccountant,
+        timings: Dict[str, float],
+    ) -> "AppliedWpa":
+        """The decision procedure, from ``facts_by_name`` (pristine
+        facts in unit order, mutated and kept) alone: drop the routines
+        ``keep`` leaves out, then views and mod/ref, the call graph,
+        IPCP, cloning (the graph rebuilt when clones exist) and the
+        inline plan over ``selected`` and the clones.
+
+        The call graph is charged to ``accountant`` while it lives and
+        each phase is lapped into ``timings`` (``wpa.callgraph``,
+        ``wpa.ipcp``, ``wpa.clone``, ``wpa.inline``); no loader, unit
+        or body is read.
+        """
+        tick = time.perf_counter()
+        removed: Dict[str, List[str]] = {}
+        if keep is not None:
+            for name in [name for name in facts_by_name if name not in keep]:
+                removed.setdefault(facts_by_name.pop(name).module,
+                                   []).append(name)
+        ctx = OptContext(symtab, options)
+        ctx.views, ctx.modref = _views_and_modref(facts_by_name)
+        names = list(facts_by_name)
+        callgraph = build_callgraph(facts_by_name)
+        accountant.set_usage("global", "callgraph",
+                             callgraph_bytes(callgraph))
+        tick = _lap(timings, "wpa.callgraph", tick)
+
+        # Phase 2: interprocedural constant facts (the plan records the
+        # entry bindings; the facts mutate the way the bodies will).
+        plan = WpaPlan()
+        publish_interprocedural_facts(
+            ctx, names, facts_by_name, symtab.all_global_names(), plan,
+            externally_callable=frozenset(externally_callable),
+            externally_visible_globals=frozenset(externally_visible_globals),
+        )
+        accountant.mark("ipcp")
+        tick = _lap(timings, "wpa.ipcp", tick)
+
+        # Phase 3: cloning (the plan records each clone and retarget).
+        decisions = plan_clones(
+            ctx, [name for name in names if name in selected], facts_by_name
+        )
+        clones = clone_facts(ctx, decisions, facts_by_name, plan)
+        if clones:
+            callgraph = build_callgraph(facts_by_name)
+            accountant.set_usage("global", "callgraph",
+                                 callgraph_bytes(callgraph))
+        accountant.mark("cloned")
+        tick = _lap(timings, "wpa.clone", tick)
+
+        # Phase 4: the inline plan.
+        inline_stats = InlineEngine(
+            ctx, callgraph, facts_by_name, has_profiles=has_profiles,
+            plan=plan,
+        ).run(sorted(set(selected) | set(clones)))
+        accountant.mark("inlined")
+        _lap(timings, "wpa.inline", tick)
+        outcome = WpaOutcome(plan, removed, ctx.const_returns,
+                             ctx.readonly_globals, inline_stats)
+        return AppliedWpa(outcome, summary_cost, keep if removed else None,
+                          facts_by_name, ctx, plan, clones, inline_stats)
+
     @staticmethod
     def derive(outcome: WpaOutcome, facts_by_name: Dict[str, RoutineFacts],
-               summary_cost: int, symtab, modules: Set[str]) -> "AppliedWpa":
+               summary_cost: int, symtab) -> "AppliedWpa":
         """Apply ``outcome`` to ``facts_by_name`` (pristine facts in
-        unit order, mutated and kept) through the apply code a deciding
-        link runs after deciding; ``modules`` are the program's."""
-        applied = AppliedWpa()
-        applied.outcome = outcome
-        applied.summary_cost = summary_cost
-        applied.keep = None
+        unit order, mutated and kept) through the code :meth:`decide`
+        records its decisions with."""
+        keep = None
         if outcome.removed:
-            applied.keep = set(facts_by_name).difference(
-                *outcome.removed.values()
-            )
+            keep = set(facts_by_name).difference(*outcome.removed.values())
             for name in list(facts_by_name):
-                if name not in applied.keep:
+                if name not in keep:
                     del facts_by_name[name]
-        ctx = OptContext(symtab)  # its views, mod/ref and stats are kept
+        ctx = OptContext(symtab)
         ctx.views, ctx.modref = _views_and_modref(facts_by_name)
         plan = WpaPlan()
         apply_param_bindings(ctx, facts_by_name, outcome.plan.bindings, plan)
-        applied.counts = dict(ctx.stats.counts)
-        applied.clones = clone_facts(
+        clones = clone_facts(
             ctx,
             [CloneDecision(op.origin, op.bindings, op.retargets, 0)
              for op in outcome.plan.clones],
-            facts_by_name, plan, modules,
+            facts_by_name, plan,
         )
         inline_stats = InlineStats()
         apply_splices(facts_by_name, outcome.plan.splices, plan,
                       inline_stats)
         inline_stats.take_verdicts(outcome.inline_stats)
-        applied.facts = facts_by_name
-        applied.views = ctx.views
-        applied.modref = ctx.modref
-        applied.plan = plan
-        applied.inline_stats = inline_stats
-        return applied
+        return AppliedWpa(outcome, summary_cost, keep, facts_by_name, ctx,
+                          plan, clones, inline_stats)
+
+    def context(self, symtab, options: HloOptions) -> OptContext:
+        """A link's context on this answer: its views (a new dict of the
+        same view objects), mod/ref, published constants and pass
+        counts."""
+        ctx = OptContext(symtab, options, self.modref)
+        ctx.views = dict(self.views)
+        ctx.readonly_globals = self.outcome.readonly_globals
+        ctx.const_returns = self.outcome.const_returns
+        for name, count in self.counts.items():
+            ctx.stats.bump(name, count)
+        return ctx
 
     def fields(self) -> Dict[str, object]:
         """Every field in comparable form (the memo's field function)."""
@@ -430,8 +539,7 @@ class AppliedWpa:
                 for name, view in self.views.items()
             ],
             "modref": [
-                (name, info.unknown, info.has_calls, sorted(info.mod),
-                 sorted(info.ref))
+                (name, info.unknown, sorted(info.mod), sorted(info.ref))
                 for name, info in self.modref.info.items()
             ],
             "plan": self.plan.to_dict(),
@@ -505,40 +613,32 @@ class HighLevelOptimizer:
             self.run_scalar_phase(result)
         return result
 
-    @staticmethod
-    def _lap(timings: Dict[str, float], key: str, since: float) -> float:
-        now = time.perf_counter()
-        timings[key] = timings.get(key, 0.0) + (now - since)
-        return now
-
     def _decide(
         self, selected_routines: Optional[Set[str]]
     ) -> Tuple[HloResult, Dict[str, RoutineFacts]]:
-        """WPA: phases 0-4.5, decided from routine facts alone; the
-        result and the post-decision facts it read.
+        """WPA: phases 0-4.5; the result and the post-decision facts.
 
-        Every cross-module decision is made against the summary graph
-        (the facts and the call graph built from them); the body
-        mutations the decisions imply are recorded on a
-        :class:`WpaPlan` and replayed at phase-5 start (serially, or
-        inside each partition worker).  Bodies are retired to
-        compact/offloaded state right after the one extraction scan,
-        so the WPA peak is bounded by summaries, call graph and the
-        loader working set, independent of program size.
+        One straight line: scan the facts; take the answer from the
+        incremental session's stored outcome where one applies
+        (:meth:`_applied_outcome`); take its keep set, or compute it;
+        run dead-function elimination on the program; register every
+        pool and retire it; decide from the facts alone
+        (:meth:`AppliedWpa.decide`) when no stored answer applied; take
+        the link's context from the answer, register its clones and
+        derive the reuse keys.  Both sources give equal answers, so
+        past the decision only the work a stored answer saves depends
+        on which one ran: the reuse keys of modules the edit does not
+        reach are carried forward, and the shared views are copied
+        before replay edits them.
 
-        The summary graph dies with the WPA: LTRANS reads bodies, the
-        plan, views and mod/ref, never facts or a call graph, so once
-        the last reader (reuse keys, the checked reference) is done
-        its ``summaries`` and ``callgraph`` charges end, and nothing
-        the returned :class:`HloResult` reaches holds either.
-
-        With an incremental session and no profile, a link whose WPA
-        inputs hash to the digest of the last committed link applies
-        that link's stored outcome instead (:meth:`_applied_outcome`)
-        and builds no call graph: it takes the facts, mod/ref, clones,
-        plan and inline counters applying it gives, and does per link
-        only what edits this link's program and unit (dead-function
-        elimination, registration, clone symbols).
+        Bodies are retired to compact/offloaded state right after the
+        one extraction scan, so the WPA peak is bounded by summaries,
+        call graph and the loader working set, independent of program
+        size.  The summary graph dies with the WPA: LTRANS reads bodies,
+        the plan, views and mod/ref, never facts or a call graph, so
+        once the last reader (reuse keys, the checked reference) is done
+        its ``summaries`` and ``callgraph`` charges end, and nothing the
+        returned :class:`HloResult` reaches holds either.
         """
         program = self.program
         options = self.options
@@ -591,49 +691,42 @@ class HighLevelOptimizer:
                     module.name,
                     [facts_by_name[r.name].to_dict() for r in routines],
                 )
-        tick = self._lap(timings, "wpa.scan", tick)
+        tick = _lap(timings, "wpa.scan", tick)
 
-        # Where the facts cache serves, so may the last link's outcome:
-        # equal WPA inputs decide equally, so phases 0-4 apply what is
-        # stored instead of deciding (``applied`` is None: decide).
-        applied: Optional[AppliedWpa] = None
-        reference: Optional[HighLevelOptimizer] = None
+        # The answer's source: where the facts cache serves, so may the
+        # last link's outcome -- equal WPA inputs decide equally.
+        stored: Optional[AppliedWpa] = None
         if use_cache:
-            applied = self._applied_outcome(
+            stored = self._applied_outcome(
                 facts_by_name, resident, selected_routines, bool(events)
             )
-            if applied is not None and options.checked:
-                reference = self._reference(program)
-            tick = self._lap(timings, "wpa.summarize", tick)
+            tick = _lap(timings, "wpa.summarize", tick)
         elif incr is not None:
             incr.wpa_reason = "profile"
-        if applied is None:
+        reference: Optional[HighLevelOptimizer] = None
+        keep: Optional[Set[str]] = None
+        if stored is None:
             for name in resident:
                 facts_by_name[name] = facts_by_name[name].copy()
             summary_cost = _summary_cost(facts_by_name)
+            if options.dead_function_elim_enabled \
+                    and not self.externally_callable:
+                keep = reachable_routines(facts_by_name)
         else:
-            facts_by_name = applied.facts
-            summary_cost = applied.summary_cost
+            summary_cost, keep = stored.summary_cost, stored.keep
+            if options.checked:
+                reference = self._reference(program)
 
-        # Phase 0: DFE with the keep set computed on the facts graph.
+        # Phase 0: DFE with the answer's keep set.
         removed: List[str] = []
         removal_log: Dict[str, List[str]] = {}
-        keep: Optional[Set[str]] = None
-        if applied is not None:
-            keep = applied.keep
-        elif options.dead_function_elim_enabled \
-                and not self.externally_callable:
-            keep = reachable_routines(facts_by_name)
         if keep is not None:
             removed = eliminate_dead_functions(
                 program, keep, removal_log=removal_log
             )
-            if applied is None:
-                for name in removed:
-                    facts_by_name.pop(name, None)
             if incr is not None and removal_log:
                 incr.record_dfe(removal_log)
-        tick = self._lap(timings, "wpa.dfe", tick)
+        tick = _lap(timings, "wpa.dfe", tick)
 
         symtab = program.symtab
         loader = Loader(
@@ -641,7 +734,6 @@ class HighLevelOptimizer:
             checked=options.checked,
         )
         unit = CmoUnit(loader)
-        ctx = OptContext(symtab, options)
         accountant = loader.accountant
         accountant.set_usage("global", "program_symtab",
                              program_symtab_bytes(symtab))
@@ -658,87 +750,35 @@ class HighLevelOptimizer:
             for routine in module.routine_list():
                 loader.evict(unit.add_routine(routine))
             unit.symtab_handles[module.name].request_unload()
-        if applied is None:
-            ctx.views, ctx.modref = _views_and_modref(facts_by_name)
-        else:
-            ctx.views = dict(applied.views)
-            ctx.modref = applied.modref
         accountant.mark("scanned")
-
+        tick = _lap(timings, "wpa.callgraph", tick)
         all_names = unit.routine_names()
-        callgraph: Optional[CallGraph] = None
-        if applied is None:
-            callgraph = unit.build_callgraph(facts_by_name)
-            accountant.set_usage("global", "callgraph",
-                                 callgraph_bytes(callgraph))
-            self._attach_view_weights(callgraph, ctx)
-        tick = self._lap(timings, "wpa.callgraph", tick)
-
         if selected_routines is None:
             selected = set(all_names)
         else:
             selected = set(selected_routines) & set(all_names)
 
-        # Phase 2: interprocedural constant facts (plan records the
-        # entry bindings; the facts mutate the way the bodies would).
-        if applied is None:
-            plan = WpaPlan()
-            publish_interprocedural_facts(
-                ctx,
-                all_names,
-                facts_by_name,
-                symtab.all_global_names(),
-                plan,
-                externally_callable=frozenset(self.externally_callable),
-                externally_visible_globals=frozenset(
-                    self.externally_visible_globals
-                ),
+        # Phases 2-4, when no stored answer applies.
+        answer = stored
+        if answer is None:
+            answer = AppliedWpa.decide(
+                facts_by_name, keep, summary_cost, symtab, options,
+                selected, self.profile_db is not None,
+                self.externally_callable, self.externally_visible_globals,
+                accountant, timings,
             )
-        else:
-            plan = applied.plan
-            ctx.readonly_globals = applied.outcome.readonly_globals
-            ctx.const_returns = applied.outcome.const_returns
-            for name, count in applied.counts.items():
-                ctx.stats.bump(name, count)
-        accountant.mark("ipcp")
-        tick = self._lap(timings, "wpa.ipcp", tick)
-
-        # Phase 3: cloning (plan + placeholder handles + retargets).
-        if applied is None:
-            caller_order = [name for name in all_names if name in selected]
-            decisions = plan_clones(ctx, caller_order, facts_by_name)
-            clones = apply_clones(
-                ctx, unit, program, decisions, facts_by_name, plan
-            )
-            if clones:
-                callgraph = unit.build_callgraph(facts_by_name)
-                self._attach_view_weights(callgraph, ctx)
-                accountant.set_usage("global", "callgraph",
-                                     callgraph_bytes(callgraph))
-        else:
-            clones = list(applied.clones)
-            register_clones(ctx, unit, clones, facts_by_name)
+            if use_cache:
+                incr.record_wpa(answer.outcome.to_dict())
+            tick = time.perf_counter()
+        facts_by_name = answer.facts
+        plan = answer.plan
+        clones = list(answer.clones)
+        ctx = answer.context(symtab, options)
+        register_clones(ctx, unit, clones, facts_by_name)
         # The clones' symbols are in the table now.
         accountant.set_usage("global", "program_symtab",
                              program_symtab_bytes(symtab))
-        accountant.mark("cloned")
-        tick = self._lap(timings, "wpa.clone", tick)
-
-        # Phase 4: the inline plan.
-        if applied is None:
-            engine = InlineEngine(
-                ctx,
-                callgraph,
-                facts_by_name,
-                has_profiles=self.profile_db is not None,
-                plan=plan,
-            )
-            inline_order = sorted(selected | set(clones))
-            inline_stats = engine.run(inline_order)
-        else:
-            inline_stats = applied.inline_stats
-        accountant.mark("inlined")
-        tick = self._lap(timings, "wpa.inline", tick)
+        tick = _lap(timings, "wpa.clone", tick)
 
         # Phase 4.5 (incremental only): reuse keys.  Evolution hashes
         # over (original body hash, bindings, retargets, ordered
@@ -751,41 +791,31 @@ class HighLevelOptimizer:
         if incr is not None:
             for summary in incr.summaries.values():
                 orig_hashes.update(summary.body_hashes)
-            rekeyed: Optional[Set[str]] = None
-            if applied is not None:
-                rekeyed = incr.rekeyed_modules(unit, plan)
-            keys = compute_module_keys(
-                unit,
-                ctx,
-                facts_by_name,
-                orig_hashes,
-                plan,
-                selected,
-                set(clones),
-                incr.options_fp,
-                modules=rekeyed,
+            keys = incr.carry_forward(
+                compute_module_keys(
+                    unit, ctx, facts_by_name, orig_hashes, plan, selected,
+                    set(clones), incr.options_fp,
+                    modules=incr.rekeyed_modules(unit, plan),
+                ),
+                dict.fromkeys(unit.routine_module.values()),
             )
-            if applied is not None:
-                keys = incr.carry_forward(
-                    keys, dict.fromkeys(unit.routine_module.values())
-                )
             reused_modules = incr.decide_reuse(keys)
             events.extend(incr.events)
             accountant.mark("summarized")
-            tick = self._lap(timings, "wpa.summarize", tick)
+            tick = _lap(timings, "wpa.summarize", tick)
 
         result = HloResult(
             program=program,
             unit=unit,
             ctx=ctx,
-            inline_stats=inline_stats,
+            inline_stats=answer.inline_stats,
             selected=selected,
             removed_functions=removed,
             clones=clones,
         )
         result.plan = plan
         result.removal_log = removal_log
-        result.views_shared = applied is not None
+        result.views_shared = stored is not None
         result.events = events
         result.peak_bytes = accountant.peak
         result.wpa_peak_bytes = accountant.peak
@@ -795,8 +825,6 @@ class HighLevelOptimizer:
         if reference is not None:
             self._check_reuse(reference, selected_routines, result, keys,
                               orig_hashes)
-        if use_cache and applied is None:
-            incr.record_wpa(result.outcome().to_dict())
         accountant.set_usage("global", "summaries", 0)
         accountant.set_usage("global", "callgraph", 0)
         return result, facts_by_name
@@ -856,9 +884,8 @@ class HighLevelOptimizer:
         summary_cost = _summary_cost(facts_by_name)
         for name in resident:
             facts_by_name[name] = facts_by_name[name].copy()
-        program = self.program
         return AppliedWpa.derive(outcome, facts_by_name, summary_cost,
-                                 program.symtab, set(program.modules))
+                                 self.program.symtab)
 
     def _reference(self, program: Program) -> "HighLevelOptimizer":
         """A deciding optimizer over a view of ``program`` as it is now
@@ -975,12 +1002,3 @@ class HighLevelOptimizer:
             if profile is not None and profile.block_counts:
                 return ProfileView.from_profile(profile)
         return ProfileView.static_estimate(routine)
-
-    def _attach_view_weights(self, callgraph: CallGraph, ctx: OptContext) -> None:
-        """Weight every call site by its block's view count."""
-        for node in callgraph.nodes.values():
-            view = ctx.views.get(node.name)
-            if view is None:
-                continue
-            for site in node.call_sites:
-                site.weight = view.count(site.block_label)

@@ -22,25 +22,20 @@ class HloOptions:
         inline_caller_max_instrs: int = 1500,
         inline_routine_growth_factor: float = 3.0,
         inline_program_growth_factor: float = 2.2,
-        inline_hot_site_fraction: float = 0.7,
         inline_min_site_weight: int = 1,
         inline_operation_limit: Optional[int] = None,
         inline_schedule_by_module_pair: bool = True,
         inject_inline_bug_after: Optional[int] = None,
         # -- Cloning -------------------------------------------------------
         clone_enabled: bool = True,
-        clone_callee_max_instrs: int = 60,
-        clone_min_const_args: int = 1,
         # -- Scalar passes ---------------------------------------------------
         constprop_enabled: bool = True,
         licm_enabled: bool = True,
-        licm_max_exported: int = 4,
         dce_enabled: bool = True,
         branch_elim_enabled: bool = True,
         simplify_enabled: bool = True,
         ipcp_enabled: bool = True,
         dead_function_elim_enabled: bool = True,
-        readonly_global_promotion: bool = True,
         # -- Pipeline ----------------------------------------------------------
         max_pass_iterations: int = 4,
         checked: bool = False,
@@ -50,9 +45,6 @@ class HloOptions:
         self.inline_caller_max_instrs = inline_caller_max_instrs
         self.inline_routine_growth_factor = inline_routine_growth_factor
         self.inline_program_growth_factor = inline_program_growth_factor
-        #: Fraction of total dynamic call weight the inliner tries to
-        #: cover when profiles are present (hot-site selection).
-        self.inline_hot_site_fraction = inline_hot_site_fraction
         self.inline_min_site_weight = inline_min_site_weight
         #: Hard cap on the number of inline operations (bug triage,
         #: paper §6.3 "controllable operation limits").
@@ -64,20 +56,14 @@ class HloOptions:
         self.inject_inline_bug_after = inject_inline_bug_after
 
         self.clone_enabled = clone_enabled
-        self.clone_callee_max_instrs = clone_callee_max_instrs
-        self.clone_min_const_args = clone_min_const_args
 
         self.constprop_enabled = constprop_enabled
         self.licm_enabled = licm_enabled
-        #: Cap on loop-carried values LICM may create per loop (register
-        #: pressure guard; recomputing cheap ops beats spilling).
-        self.licm_max_exported = licm_max_exported
         self.dce_enabled = dce_enabled
         self.branch_elim_enabled = branch_elim_enabled
         self.simplify_enabled = simplify_enabled
         self.ipcp_enabled = ipcp_enabled
         self.dead_function_elim_enabled = dead_function_elim_enabled
-        self.readonly_global_promotion = readonly_global_promotion
 
         self.max_pass_iterations = max_pass_iterations
         #: Debug builds: verify the IR and the derived data each pass

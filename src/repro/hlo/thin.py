@@ -202,8 +202,8 @@ def replay_plan(
 ) -> None:
     """Apply the recorded mutations to the real bodies in ``scope``.
 
-    ``handles`` maps routine name -> NAIM loader :class:`Handle` (None
-    for a clone whose body does not exist yet); created clones are
+    ``handles`` maps routine name -> NAIM loader :class:`Handle` (a
+    clone whose body does not exist yet has none); created clones are
     adopted into it.  ``scope`` is :meth:`WpaPlan.replay_scope` of what
     the caller will compile: serially every routine of a module whose
     codegen is not reused, in a partition worker its locals (the job

@@ -1,7 +1,7 @@
 """HLO transformation phases."""
 
 from .branch_elim import BranchElimination
-from .clone import CloneDecision, apply_clones, make_clone, plan_clones
+from .clone import CloneDecision, make_clone, plan_clones
 from .constprop import ConstantPropagation
 from .dce import DeadCodeElimination
 from .dfe import eliminate_dead_functions, reachable_routines
@@ -19,7 +19,6 @@ from .simplify import SimplifyCfg
 __all__ = [
     "BranchElimination",
     "CloneDecision",
-    "apply_clones",
     "make_clone",
     "plan_clones",
     "ConstantPropagation",

@@ -29,6 +29,10 @@ from .ipcp import apply_param_constants
 
 #: Most clones one link may create.
 MAX_CLONES = 64
+#: Largest callee (in instructions) worth a specialized copy.
+CLONE_CALLEE_MAX_INSTRS = 60
+#: Fewest literal arguments a site must pass to be cloned for.
+CLONE_MIN_CONST_ARGS = 1
 
 
 class CloneDecision:
@@ -80,8 +84,7 @@ def plan_clones(
     facts_by_name: Dict[str, RoutineFacts],
 ) -> List[CloneDecision]:
     """Group call sites by (callee, constant signature) worth cloning."""
-    options = ctx.options
-    if not options.clone_enabled:
+    if not ctx.options.clone_enabled:
         return []
     groups: Dict[Tuple[str, tuple], CloneDecision] = {}
     total_sites: Dict[str, int] = {}
@@ -97,14 +100,14 @@ def plan_clones(
             callee = facts_by_name.get(site.callee)
             if callee is None or callee.n_params == 0:
                 continue
-            if callee.instr_count > options.clone_callee_max_instrs:
+            if callee.instr_count > CLONE_CALLEE_MAX_INSTRS:
                 continue
             bindings = tuple(
                 (param_index, value)
                 for param_index, (_reg, value, _hd) in enumerate(site.args)
                 if value is not None
             )
-            if len(bindings) < options.clone_min_const_args:
+            if len(bindings) < CLONE_MIN_CONST_ARGS:
                 continue
             key = (site.callee, bindings)
             weight = view.count(site.block_label) if view is not None else 0
@@ -140,30 +143,11 @@ def make_clone(callee: Routine, bindings, clone_name: str) -> Routine:
     return clone
 
 
-def apply_clones(
-    ctx: OptContext,
-    unit,
-    program,
-    decisions: List[CloneDecision],
-    facts_by_name: Dict[str, RoutineFacts],
-    plan,
-) -> List[str]:
-    """Create the clones' facts and retarget their call sites
-    (:func:`clone_facts`), then give them symbols and unit slots
-    (:func:`register_clones`).  Returns the clone names, in creation
-    order."""
-    created = clone_facts(ctx, decisions, facts_by_name, plan,
-                          set(program.modules))
-    register_clones(ctx, unit, created, facts_by_name)
-    return created
-
-
 def clone_facts(
     ctx: OptContext,
     decisions: List[CloneDecision],
     facts_by_name: Dict[str, RoutineFacts],
     plan,
-    modules,
 ) -> List[str]:
     """The facts half of cloning: each clone's facts, profile view and
     mod/ref copy, and the retargets of its sites.
@@ -171,9 +155,8 @@ def clone_facts(
     The body work (copying the origin, retargeting call instructions)
     is appended to ``plan.clones`` for replay.  A clone's facts are
     copied from the origin's *current* facts, so retargets applied to
-    the origin by earlier decisions in this loop are inherited.  A
-    callee outside ``modules`` is not cloned.  Returns the clone names,
-    in creation order.
+    the origin by earlier decisions in this loop are inherited.
+    Returns the clone names, in creation order.
     """
     created: List[str] = []
     serial = 0
@@ -181,7 +164,7 @@ def clone_facts(
         if len(created) >= MAX_CLONES:
             break
         callee = facts_by_name.get(decision.callee)
-        if callee is None or callee.module not in modules:
+        if callee is None:
             continue
         clone_name = "%s::cl%d" % (decision.callee, serial)
         serial += 1
@@ -229,9 +212,9 @@ def register_clones(
     clones: List[str],
     facts_by_name: Dict[str, RoutineFacts],
 ) -> None:
-    """The link's half of cloning: each clone's symbol-table entries, a
-    placeholder handle that keeps it in the unit's canonical name order
-    (replay registers the real body in its place), and its pass-stat
+    """The link's half of cloning: each clone's symbol-table entries,
+    its place in the unit's canonical name order (``routine_module``;
+    replay adopts its body into ``routine_handles``), and its pass-stat
     bump."""
     for clone_name in clones:
         module_name = facts_by_name[clone_name].module
@@ -239,6 +222,5 @@ def register_clones(
         symtab_obj.add_routine(clone_name)
         ctx.symtab.define_routine(clone_name, module_name)
         unit.symtab_handles[module_name].request_unload()
-        unit.routine_handles[clone_name] = None
         unit.routine_module[clone_name] = module_name
         ctx.stats.bump("clone")

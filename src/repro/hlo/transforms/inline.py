@@ -44,6 +44,11 @@ from ...ir.routine import Routine
 from ..passes import OptContext
 from ..profile_view import ProfileView
 
+#: Fraction of total dynamic call weight the inliner tries to cover
+#: when profiles are present (hot-site selection).
+HOT_SITE_FRACTION = 0.7
+
+
 class InlineStats:
     """Observable inliner activity."""
 
@@ -405,7 +410,7 @@ class InlineEngine:
         total = sum(weights)
         if total == 0:
             return 1
-        budget = total * self.ctx.options.inline_hot_site_fraction
+        budget = total * HOT_SITE_FRACTION
         running = 0
         cutoff = weights[0] if weights else 1
         for weight in weights:

@@ -148,7 +148,7 @@ def publish_interprocedural_facts(
     if not ctx.options.ipcp_enabled:
         return {}
 
-    if ctx.options.readonly_global_promotion and ctx.modref is not None:
+    if ctx.modref is not None:
         ctx.readonly_globals = (
             ctx.modref.never_written_globals(all_global_names)
             - set(externally_visible_globals)

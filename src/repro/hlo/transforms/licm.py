@@ -31,6 +31,10 @@ from ..passes import EVERY_KIND, OptContext, RoutinePass
 
 _PURE_OPS = BINARY_OPS | {Opcode.CONST, Opcode.MOV, Opcode.NEG, Opcode.NOT}
 
+#: Cap on loop-carried values LICM may create per loop (register
+#: pressure guard; recomputing cheap ops beats spilling).
+MAX_EXPORTED = 4
+
 
 def _loop_definitions(routine: Routine, loop: Loop) -> Dict[int, int]:
     """Map register -> number of definitions inside the loop."""
@@ -184,7 +188,7 @@ class LoopInvariantCodeMotion(RoutinePass):
                     planned = True
 
         invariant_defs = self._prune_for_pressure(
-            routine, loop, ctx, invariant_defs
+            routine, loop, invariant_defs
         )
         if not invariant_defs:
             return False
@@ -230,7 +234,6 @@ class LoopInvariantCodeMotion(RoutinePass):
         self,
         routine: Routine,
         loop: Loop,
-        ctx: OptContext,
         invariant_defs: List[Tuple[str, int]],
     ) -> List[Tuple[str, int]]:
         """Keep only hoists that pay for their register pressure.
@@ -258,8 +261,7 @@ class LoopInvariantCodeMotion(RoutinePass):
              if instr.op in _EXPENSIVE_COST),
             key=lambda pos: (-_EXPENSIVE_COST[by_pos[pos].op], pos),
         )
-        max_exported = ctx.options.licm_max_exported
-        roots = roots[:max_exported]
+        roots = roots[:MAX_EXPORTED]
         if not roots:
             return []
 

@@ -325,12 +325,15 @@ class IncrLinkSession:
         """A deciding link's outcome, stored at commit."""
         self.wpa_outcome = outcome
 
-    def rekeyed_modules(self, unit, plan) -> Set[str]:
-        """Modules whose reuse key a reusing link must derive again: the
-        ones holding a routine whose body hash changed, or that splices
-        or clones one (transitively, per the plan), and any the last
-        link committed no key for.  Every other key is the committed
-        one: the inputs it hashes are equal."""
+    def rekeyed_modules(self, unit, plan) -> Optional[Set[str]]:
+        """Modules whose reuse key this link must derive again: every
+        one (None) when it decided its WPA; when it reused the stored
+        outcome, the ones holding a routine whose body hash changed, or
+        that splices or clones one (transitively, per the plan), and
+        any the last link committed no key for.  Every other key is the
+        committed one: the inputs it hashes are equal."""
+        if self.wpa != "reused":
+            return None
         previous = self.state.summaries
         edited: Set[str] = set()
         for module_name in self.changed_modules:
@@ -351,8 +354,9 @@ class IncrLinkSession:
 
     def carry_forward(self, fresh_keys: Dict[str, str],
                       module_order: Iterable[str]) -> Dict[str, str]:
-        """A reusing link's keys: ``fresh_keys`` for the modules it
-        re-keyed, the committed key for every other one."""
+        """This link's keys, in ``module_order``: ``fresh_keys`` for the
+        modules it re-keyed (:meth:`rekeyed_modules`), the committed key
+        for every other one."""
         committed = self.state.module_keys
         return {
             name: fresh_keys[name] if name in fresh_keys else committed[name]

@@ -444,7 +444,7 @@ class RoutineFacts:
     # references are how that lifetime is checked.
     __slots__ = ("name", "module", "n_params", "exported", "instr_count",
                  "probe_count", "ret_count", "sites", "rets",
-                 "referenced_globals", "mod", "ref", "has_calls", "view",
+                 "referenced_globals", "mod", "ref", "view",
                  "__weakref__")
 
     def __init__(self, name: str, module: str, n_params: int,
@@ -469,7 +469,6 @@ class RoutineFacts:
         #: Direct mod/ref (globals written / read by own instructions).
         self.mod: Set[str] = set()
         self.ref: Set[str] = set()
-        self.has_calls = False
         #: Initial profile view (measured or static estimate); the WPA
         #: phases read it, they never evolve it -- view evolution happens
         #: at plan replay.
@@ -502,7 +501,6 @@ class RoutineFacts:
         dup.referenced_globals = list(self.referenced_globals)
         dup.mod = set(self.mod)
         dup.ref = set(self.ref)
-        dup.has_calls = self.has_calls
         dup.view = None if self.view is None else self.view.copy()
         return dup
 
@@ -523,7 +521,6 @@ class RoutineFacts:
             "globals": list(self.referenced_globals),
             "mod": sorted(self.mod),
             "ref": sorted(self.ref),
-            "has_calls": int(self.has_calls),
             "view": None if view is None else {
                 "static": int(view.is_static_estimate),
                 "blocks": dict(view.block_counts),
@@ -544,7 +541,6 @@ class RoutineFacts:
         facts.referenced_globals = list(data["globals"])
         facts.mod = set(data["mod"])
         facts.ref = set(data["ref"])
-        facts.has_calls = bool(data["has_calls"])
         view = data.get("view")
         if view is not None:
             from ..hlo.profile_view import ProfileView
@@ -581,7 +577,6 @@ def extract_routine_facts(routine: Routine, view=None) -> RoutineFacts:
             if op is Opcode.PROBE:
                 facts.probe_count += 1
             elif op is Opcode.CALL:
-                facts.has_calls = True
                 facts.sites.append(SiteFacts(
                     block.label, index, instr.sym, in_entry,
                     instr.dst is not None,

@@ -155,7 +155,6 @@ def _modref_payload(modref: Optional[ModRefAnalysis]) -> Optional[Dict]:
             "mod": sorted(info.mod),
             "ref": sorted(info.ref),
             "unknown": bool(info.unknown),
-            "has_calls": bool(info.has_calls),
         }
         for name, info in modref.info.items()
     }
@@ -170,7 +169,6 @@ def _decode_modref(payload: Optional[Dict]) -> Optional[ModRefAnalysis]:
         info.mod = set(entry.get("mod", ()))
         info.ref = set(entry.get("ref", ()))
         info.unknown = bool(entry.get("unknown"))
-        info.has_calls = bool(entry.get("has_calls"))
         analysis.info[name] = info
     return analysis
 

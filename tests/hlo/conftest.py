@@ -9,7 +9,7 @@ import pytest
 
 from repro.frontend import compile_sources
 from repro.hlo.analysis.modref import ModRefAnalysis
-from repro.hlo.driver import CmoUnit
+from repro.hlo.driver import CmoUnit, build_callgraph
 from repro.hlo.options import HloOptions
 from repro.hlo.passes import OptContext
 from repro.hlo.profile_view import ProfileView
@@ -42,7 +42,7 @@ class WpaHarness:
 
     def callgraph(self, weight):
         """The facts call graph with every site given ``weight``."""
-        graph = self.unit.build_callgraph(self.facts)
+        graph = build_callgraph(self.facts)
         for site in graph.all_sites():
             site.weight = weight
         return graph

@@ -42,7 +42,6 @@ def round_robin_modref(
         merged.mod = set(info.mod)
         merged.ref = set(info.ref)
         merged.unknown = info.unknown
-        merged.has_calls = info.has_calls
         solved[name] = merged
 
     changed = True

@@ -47,7 +47,6 @@ def call_graphs(draw):
         info.mod = set(draw(st.lists(st.sampled_from(_GLOBALS), max_size=2)))
         info.ref = set(draw(st.lists(st.sampled_from(_GLOBALS), max_size=2)))
         info.unknown = draw(st.integers(min_value=0, max_value=9)) == 0
-        info.has_calls = bool(callees[name])
         direct[name] = info
     return callees, direct
 
@@ -92,7 +91,6 @@ def assert_modref_agrees(callees, direct):
     for name, info in expected.items():
         ours = solved[name]
         assert ours.unknown == info.unknown, name
-        assert ours.has_calls == info.has_calls, name
         if info.unknown:
             # The sweep left whatever it had merged so far; the SCC
             # solver leaves the routine's own direct sets.
@@ -135,7 +133,6 @@ def _facts_graph(seed, drop_module=None):
             info = ModRefInfo()
             info.mod = set(facts.mod)
             info.ref = set(facts.ref)
-            info.has_calls = facts.has_calls
             direct[routine.name] = info
             callees[routine.name] = facts.callees()
     return callees, direct
@@ -164,7 +161,6 @@ def test_the_graph_the_old_search_gave_up_on():
     for i, name in enumerate(names):
         info = ModRefInfo()
         info.mod = {"g%d" % (i % 7)}
-        info.has_calls = bool(callees[name])
         direct[name] = info
     graph = _graph_of(callees)
     assert not any(graph.is_recursive(name) for name in names)

@@ -1,8 +1,15 @@
-"""Tests for clone creation and application (plan, apply, replay)."""
+"""Tests for clone creation and application (plan, facts, register,
+replay)."""
 
 from repro.frontend import compile_sources
+from repro.hlo.driver import HighLevelOptimizer
 from repro.hlo.transforms import clone as clone_transform
-from repro.hlo.transforms.clone import apply_clones, make_clone, plan_clones
+from repro.hlo.transforms.clone import (
+    clone_facts,
+    make_clone,
+    plan_clones,
+    register_clones,
+)
 from repro.interp import run_program
 from repro.ir import Opcode, assert_valid_program
 
@@ -44,10 +51,9 @@ class TestApplyClones:
     def decide(self, wpa):
         harness = wpa(SOURCES)
         decisions = plan_clones(harness.ctx, harness.names, harness.facts)
-        created = apply_clones(
-            harness.ctx, harness.unit, harness.program, decisions,
-            harness.facts, harness.plan,
-        )
+        created = clone_facts(harness.ctx, decisions, harness.facts,
+                              harness.plan)
+        register_clones(harness.ctx, harness.unit, created, harness.facts)
         return harness, decisions, created
 
     def test_end_to_end(self, wpa):
@@ -69,3 +75,22 @@ class TestApplyClones:
         assert decisions
         assert created == []
         assert harness.plan.is_empty()
+
+
+def test_a_clone_has_a_handle_only_once_replay_made_its_body():
+    """The WPA records a clone in the unit's name order, not among its
+    handles: every handle the unit holds after the WPA is a real one,
+    replay adds each clone's, and the clones land in the program in
+    the unit's order."""
+    program = compile_sources(SOURCES)
+    hlo = HighLevelOptimizer(program)
+    result = hlo.optimize(run_scalar=False)
+    unit = result.unit
+    assert result.clones
+    assert None not in unit.routine_handles.values()
+    assert set(result.clones).isdisjoint(unit.routine_handles)
+    assert unit.routine_names()[-len(result.clones):] == result.clones
+    hlo.run_scalar_phase(result)
+    assert set(result.clones) <= set(unit.routine_handles)
+    assert list(program.modules["m"].routines)[-len(result.clones):] \
+        == result.clones

@@ -30,7 +30,7 @@ class TestDirect:
     def test_pure(self):
         program = compile_sources(SOURCES)
         info = direct_modref(program.routine("pure_add"))
-        assert not info.mod and not info.ref and not info.has_calls
+        assert not info.mod and not info.ref
 
     def test_read_only(self):
         program = compile_sources(SOURCES)

@@ -84,7 +84,7 @@ class Watch:
 def watch(monkeypatch):
     watch = Watch()
     real_init = RoutineFacts.__init__
-    real_build = hlo_driver.CmoUnit.build_callgraph
+    real_build = hlo_driver.build_callgraph
     real_scalar = hlo_driver.HighLevelOptimizer.run_scalar_phase
     real_run = PartitionRunner.run
 
@@ -92,8 +92,8 @@ def watch(monkeypatch):
         real_init(self, *args, **kwargs)
         watch.add(self)
 
-    def build_callgraph(unit, facts_by_name):
-        graph = real_build(unit, facts_by_name)
+    def build_callgraph(facts_by_name):
+        graph = real_build(facts_by_name)
         watch.add(graph)
         return graph
 
@@ -106,8 +106,7 @@ def watch(monkeypatch):
         return real_run(self, partitions)
 
     monkeypatch.setattr(RoutineFacts, "__init__", init)
-    monkeypatch.setattr(hlo_driver.CmoUnit, "build_callgraph",
-                        build_callgraph)
+    monkeypatch.setattr(hlo_driver, "build_callgraph", build_callgraph)
     monkeypatch.setattr(hlo_driver.HighLevelOptimizer, "run_scalar_phase",
                         run_scalar_phase)
     monkeypatch.setattr(PartitionRunner, "run", run)

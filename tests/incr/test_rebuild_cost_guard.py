@@ -176,21 +176,20 @@ def test_one_callgraph_build_costs_one_scc_pass(warm, monkeypatch):
     sources[victim] = bump_call_argument(sources[victim])
     condense = Counter(callgraph.strongly_connected_components)
     monkeypatch.setattr(callgraph, "strongly_connected_components", condense)
-    build = Counter(hlo_driver.CmoUnit.build_callgraph)
+    build = Counter(hlo_driver.build_callgraph)
     read = []  # the facts each build reads (the WPA's, to the last)
 
-    def build_callgraph(unit, facts_by_name):
+    def build_callgraph(facts_by_name):
         read.append(facts_by_name)
-        return build(unit, facts_by_name)
+        return build(facts_by_name)
 
-    monkeypatch.setattr(hlo_driver.CmoUnit, "build_callgraph",
-                        build_callgraph)
+    monkeypatch.setattr(hlo_driver, "build_callgraph", build_callgraph)
     result, _report = engine.build(sources)
     assert result.incr_report.wpa == "decided"
     assert result.hlo_result.inline_stats.performed
     assert 1 <= condense.calls <= build.calls
 
-    graph = result.hlo_result.unit.build_callgraph(read[-1])
+    graph = hlo_driver.build_callgraph(read[-1])
     condense.calls = 0
     for _ in range(2):
         for name in graph.nodes:
@@ -478,7 +477,7 @@ def _damage_bit_flip(repository, module):
 def _damage_drop_a_field(repository, module):
     # Still JSON, still the right format and fingerprint: not facts.
     data = json.loads(bytes(repository.fetch("summ", module)))
-    del data["routines"][0]["has_calls"]
+    del data["routines"][0]["instrs"]
     repository.store("summ", module, json.dumps(data).encode("utf-8"))
 
 
@@ -577,9 +576,9 @@ def test_a_fact_preserving_edit_decides_nothing(warm, monkeypatch):
     counters["InlineEngine.run"] = Counter(InlineEngine.run)
     monkeypatch.setattr(InlineEngine, "run",
                         lambda *args: counters["InlineEngine.run"](*args))
-    counters["build_callgraph"] = Counter(hlo_driver.CmoUnit.build_callgraph)
-    monkeypatch.setattr(hlo_driver.CmoUnit, "build_callgraph",
-                        lambda *args: counters["build_callgraph"](*args))
+    counters["build_callgraph"] = Counter(hlo_driver.build_callgraph)
+    monkeypatch.setattr(hlo_driver, "build_callgraph",
+                        counters["build_callgraph"])
     keyed = []
     keys = Counter(hlo_driver.compute_module_keys)
 

@@ -12,6 +12,7 @@ does not depend on which of the two it did.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 
@@ -23,11 +24,14 @@ import repro.hlo.driver as hlo_driver
 from repro.driver.build import BuildEngine, BuildError
 from repro.driver.compiler import Compiler, train
 from repro.driver.options import CompilerOptions
+from repro.hlo.driver import AppliedWpa
 from repro.hlo.options import HloOptions
 from repro.linker.objects import encode_executable
 from repro.llo.driver import LloOptions
 from repro.memo import MemoMismatchError
 from repro.naim.config import NaimConfig
+from repro.naim.loader import Loader
+from repro.naim.memory import MemoryAccountant
 from repro.part.wire import encode_shared_context
 from repro.synth import WorkloadConfig, generate
 from synth_edits import (
@@ -206,3 +210,63 @@ def test_a_profiled_link_leaves_no_outcome_behind():
                 if event.get("event") == "wpa-outcome-fallback"]
     assert _image(result) == _clean_image(options, sources)
 
+
+
+#: Link shape -> (options, whether the link trains a profile first).
+ANSWER_SHAPES = {
+    "O4": (CompilerOptions(opt_level=4), False),
+    "O4+P": (CompilerOptions(opt_level=4, pbo=True), True),
+    "coarse": (CompilerOptions(opt_level=4, pbo=True,
+                               selectivity_percent=20), True),
+}
+
+
+def _no_construction(*_args, **_kwargs):
+    raise AssertionError("the decision constructed a loader or a unit")
+
+
+@given(seed=st.integers(0, 10**6),
+       shape=st.sampled_from(sorted(ANSWER_SHAPES)))
+@settings(deadline=None, max_examples=12,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_deciding_and_deriving_give_the_same_answer(seed, shape):
+    """The deciding link's answer is what applying its own outcome to
+    the pristine facts gives, field by field, with and without a
+    profile and under coarse selectivity; and the decision procedure
+    runs on facts alone: deciding again with no loader and no unit
+    gives the same answer once more."""
+    options, trained = ANSWER_SHAPES[shape]
+    sources = dict(_app(seed % 97).sources)
+    profile_db = train(sources, [None]) if trained else None
+    real_decide = AppliedWpa.decide
+    seen = []
+
+    def decide(facts_by_name, keep, summary_cost, symtab, *args):
+        pristine = [{name: facts.copy()
+                     for name, facts in facts_by_name.items()}
+                    for _ in range(2)]
+        answer = real_decide(facts_by_name, keep, summary_cost, symtab,
+                             *args)
+        # Replay edits the views in place: compare what the WPA handed on.
+        fields = copy.deepcopy(answer.fields())
+        derived = AppliedWpa.derive(answer.outcome, pristine[0],
+                                    summary_cost, symtab)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Loader, "__init__", _no_construction)
+            patch.setattr(hlo_driver.CmoUnit, "__init__", _no_construction)
+            alone = real_decide(pristine[1], keep, summary_cost, symtab,
+                                *args[:-2], MemoryAccountant(), {})
+        externally_callable = args[-4]
+        seen.append((externally_callable, fields, derived.fields(),
+                     alone.fields()))
+        return answer
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AppliedWpa, "decide", staticmethod(decide))
+        Compiler(options).build(sources, profile_db=profile_db)
+    [(externally_callable, fields, derived, alone)] = seen
+    assert bool(externally_callable) == (shape == "coarse")
+    assert list(derived) == list(alone) == list(fields)
+    for name, value in fields.items():
+        assert derived[name] == value, name
+        assert alone[name] == value, name
