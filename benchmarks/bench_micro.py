@@ -18,7 +18,9 @@ from repro.frontend import compile_sources
 from repro.hlo.analysis.modref import ModRefAnalysis
 from repro.hlo.driver import standard_pipeline
 from repro.hlo.passes import OptContext
+from repro.hlo.profile_view import ProfileView
 from repro.interp import run_program
+from repro.llo.driver import LloOptions, LowLevelOptimizer
 from repro.naim import Loader, NaimConfig, NaimLevel, Repository
 from repro.naim.compaction import compact_routine, uncompact_routine
 from repro.naim.intern import InternPool
@@ -53,6 +55,21 @@ def profile(app):
 
 def test_frontend_throughput(benchmark, app):
     benchmark(lambda: compile_sources(app.sources))
+
+
+def test_llo_throughput(benchmark, program):
+    """The code generator over every routine of the program at ``+O2``
+    with profile-guided allocation and layout (static estimates)."""
+    routines = program.all_routines()
+    views = [ProfileView.static_estimate(routine) for routine in routines]
+
+    def compile_all():
+        llo = LowLevelOptimizer(LloOptions(opt_level=2, use_profile=True))
+        for routine, view in zip(routines, views):
+            llo.compile_routine(routine, view)
+        return llo.stats.instructions
+
+    assert benchmark(compile_all) > 0
 
 
 def test_compaction_round_trip(benchmark, program):

@@ -31,7 +31,7 @@ class NumberExpr(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: int, line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.value = value
 
 
@@ -41,7 +41,7 @@ class NameExpr(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str, line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.name = name
 
 
@@ -51,7 +51,7 @@ class IndexExpr(Expr):
     __slots__ = ("name", "index")
 
     def __init__(self, name: str, index: Expr, line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.name = name
         self.index = index
 
@@ -62,7 +62,7 @@ class UnaryExpr(Expr):
     __slots__ = ("op", "operand")
 
     def __init__(self, op: str, operand: Expr, line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.op = op
         self.operand = operand
 
@@ -77,7 +77,7 @@ class BinaryExpr(Expr):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr, line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.op = op
         self.left = left
         self.right = right
@@ -87,7 +87,7 @@ class CallExpr(Expr):
     __slots__ = ("callee", "args")
 
     def __init__(self, callee: str, args: Sequence[Expr], line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.callee = callee
         self.args = list(args)
 
@@ -105,7 +105,7 @@ class VarDecl(Stmt):
     __slots__ = ("name", "init")
 
     def __init__(self, name: str, init: Expr, line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.name = name
         self.init = init
 
@@ -116,7 +116,7 @@ class Assign(Stmt):
     __slots__ = ("name", "value")
 
     def __init__(self, name: str, value: Expr, line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.name = name
         self.value = value
 
@@ -127,7 +127,7 @@ class StoreElem(Stmt):
     __slots__ = ("name", "index", "value")
 
     def __init__(self, name: str, index: Expr, value: Expr, line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.name = name
         self.index = index
         self.value = value
@@ -139,7 +139,7 @@ class ExprStmt(Stmt):
     __slots__ = ("expr",)
 
     def __init__(self, expr: Expr, line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.expr = expr
 
 
@@ -153,7 +153,7 @@ class IfStmt(Stmt):
         else_body: Optional[List[Stmt]],
         line: int,
     ) -> None:
-        super().__init__(line)
+        self.line = line
         self.cond = cond
         self.then_body = then_body
         self.else_body = else_body
@@ -163,7 +163,7 @@ class WhileStmt(Stmt):
     __slots__ = ("cond", "body")
 
     def __init__(self, cond: Expr, body: List[Stmt], line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.cond = cond
         self.body = body
 
@@ -181,7 +181,7 @@ class ForStmt(Stmt):
         body: List[Stmt],
         line: int,
     ) -> None:
-        super().__init__(line)
+        self.line = line
         self.init = init
         self.cond = cond
         self.step = step
@@ -192,7 +192,7 @@ class ReturnStmt(Stmt):
     __slots__ = ("value",)
 
     def __init__(self, value: Optional[Expr], line: int) -> None:
-        super().__init__(line)
+        self.line = line
         self.value = value
 
 
@@ -212,7 +212,7 @@ class GlobalDecl(Node):
         exported: bool,
         line: int,
     ) -> None:
-        super().__init__(line)
+        self.line = line
         self.name = name
         self.size = size
         self.init = init
@@ -231,7 +231,7 @@ class FuncDecl(Node):
         line: int,
         end_line: int,
     ) -> None:
-        super().__init__(line)
+        self.line = line
         self.name = name
         self.params = params
         self.body = body

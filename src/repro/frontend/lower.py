@@ -76,17 +76,33 @@ class _FuncLowering:
 
     def lower_expr(self, expr: ast.Expr) -> int:
         builder = self.builder
-        if isinstance(expr, ast.NumberExpr):
-            return builder.const(expr.value)
-        if isinstance(expr, ast.NameExpr):
+        kind = type(expr)
+        if kind is ast.NameExpr:
             reg = self.local_regs.get(expr.name)
             if reg is not None:
                 return reg
             return builder.load_global(self.global_symbol(expr.name))
-        if isinstance(expr, ast.IndexExpr):
+        if kind is ast.NumberExpr:
+            return builder.const(expr.value)
+        if kind is ast.BinaryExpr:
+            opcode = _BINOP_BY_TEXT.get(expr.op)
+            if opcode is None:
+                if expr.op in ("&&", "||"):
+                    return self._lower_short_circuit(expr)
+                raise SemanticError("unknown binary operator %r" % expr.op)
+            left = self.lower_expr(expr.left)
+            right = self.lower_expr(expr.right)
+            return builder.binop(opcode, left, right)
+        if kind is ast.CallExpr:
+            lower = self.lower_expr
+            args = [lower(arg) for arg in expr.args]
+            result = builder.call(self.callee_symbol(expr.callee), args)
+            assert result is not None
+            return result
+        if kind is ast.IndexExpr:
             index = self.lower_expr(expr.index)
             return builder.load_elem(self.global_symbol(expr.name), index)
-        if isinstance(expr, ast.UnaryExpr):
+        if kind is ast.UnaryExpr:
             operand = self.lower_expr(expr.operand)
             if expr.op == "-":
                 return builder.unop(Opcode.NEG, operand)
@@ -96,20 +112,6 @@ class _FuncLowering:
                 zero = builder.const(0)
                 return builder.binop(Opcode.EQ, operand, zero)
             raise SemanticError("unknown unary operator %r" % expr.op)
-        if isinstance(expr, ast.BinaryExpr):
-            if expr.op in ("&&", "||"):
-                return self._lower_short_circuit(expr)
-            opcode = _BINOP_BY_TEXT.get(expr.op)
-            if opcode is None:
-                raise SemanticError("unknown binary operator %r" % expr.op)
-            left = self.lower_expr(expr.left)
-            right = self.lower_expr(expr.right)
-            return builder.binop(opcode, left, right)
-        if isinstance(expr, ast.CallExpr):
-            args = [self.lower_expr(arg) for arg in expr.args]
-            result = builder.call(self.callee_symbol(expr.callee), args)
-            assert result is not None
-            return result
         raise SemanticError("unknown expression node %r" % type(expr).__name__)
 
     def _lower_short_circuit(self, expr: ast.BinaryExpr) -> int:
@@ -145,38 +147,40 @@ class _FuncLowering:
     # -- Statements -----------------------------------------------------------------
 
     def lower_stmts(self, stmts: List[ast.Stmt]) -> None:
+        is_terminated = self.builder.is_terminated
         for stmt in stmts:
-            if self.builder.is_terminated():
+            if is_terminated():
                 return  # unreachable code after return
             self.lower_stmt(stmt)
 
     def lower_stmt(self, stmt: ast.Stmt) -> None:
         builder = self.builder
-        if isinstance(stmt, ast.VarDecl):
+        kind = type(stmt)
+        if kind is ast.VarDecl:
             value = self.lower_expr(stmt.init)
             reg = self.routine.new_reg()
             builder.mov(value, dst=reg)
             self.local_regs[stmt.name] = reg
-        elif isinstance(stmt, ast.Assign):
+        elif kind is ast.Assign:
             value = self.lower_expr(stmt.value)
             reg = self.local_regs.get(stmt.name)
             if reg is not None:
                 builder.mov(value, dst=reg)
             else:
                 builder.store_global(self.global_symbol(stmt.name), value)
-        elif isinstance(stmt, ast.StoreElem):
+        elif kind is ast.StoreElem:
             index = self.lower_expr(stmt.index)
             value = self.lower_expr(stmt.value)
             builder.store_elem(self.global_symbol(stmt.name), index, value)
-        elif isinstance(stmt, ast.ExprStmt):
+        elif kind is ast.ExprStmt:
             self.lower_expr(stmt.expr)
-        elif isinstance(stmt, ast.IfStmt):
+        elif kind is ast.IfStmt:
             self._lower_if(stmt)
-        elif isinstance(stmt, ast.WhileStmt):
+        elif kind is ast.WhileStmt:
             self._lower_while(stmt)
-        elif isinstance(stmt, ast.ForStmt):
+        elif kind is ast.ForStmt:
             self._lower_for(stmt)
-        elif isinstance(stmt, ast.ReturnStmt):
+        elif kind is ast.ReturnStmt:
             value = self.lower_expr(stmt.value) if stmt.value is not None else None
             builder.ret(value)
         else:

@@ -58,24 +58,37 @@ from ..ir.module import Module
 from ..ir.routine import Routine
 from .errors import FrontendError
 
-_DOT_OPS = {
-    ".GT.": Opcode.GT,
-    ".GE.": Opcode.GE,
-    ".LT.": Opcode.LT,
-    ".LE.": Opcode.LE,
-    ".EQ.": Opcode.EQ,
-    ".NE.": Opcode.NE,
+#: Binary operator -> (binding power, opcode), loosest first:
+#: ``.OR.`` | ``.AND.`` | comparisons | ``+ -`` | ``* /``.
+_BINARY = {
+    ".OR.": (1, Opcode.OR),
+    ".AND.": (2, Opcode.AND),
+    ".GT.": (3, Opcode.GT),
+    ".GE.": (3, Opcode.GE),
+    ".LT.": (3, Opcode.LT),
+    ".LE.": (3, Opcode.LE),
+    ".EQ.": (3, Opcode.EQ),
+    ".NE.": (3, Opcode.NE),
+    "+": (4, Opcode.ADD),
+    "-": (4, Opcode.SUB),
+    "*": (5, Opcode.MUL),
+    "/": (5, Opcode.DIV),
 }
+#: The comparisons' power: they do not chain (``a .LT. b .LT. c`` is
+#: an error), and take no operand that holds a looser operator.
+_COMPARE = 3
+#: Past every binary operator: what an operand that holds none has.
+_TIGHTEST = 6
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<dotop>\.(?:GT|GE|LT|LE|EQ|NE|AND|OR|NOT)\.)"
-    r"|(?P<num>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/(),=])"
-    r")",
-    re.IGNORECASE,
+_EXPR_TOKEN = (
+    r"\.(?:GT|GE|LT|LE|EQ|NE|AND|OR|NOT)\."
+    r"|\d+"
+    r"|[A-Za-z_][A-Za-z0-9_]*"
+    r"|[-+*/(),=]"
 )
+_TOKEN_RE = re.compile(_EXPR_TOKEN, re.IGNORECASE)
+#: The longest prefix of an expression made of blank-separated tokens.
+_TOKENS_PREFIX_RE = re.compile(r"(?:\s*(?:%s))*" % _EXPR_TOKEN, re.IGNORECASE)
 
 
 class _Line:
@@ -95,177 +108,143 @@ def _strip_lines(source: str) -> List[_Line]:
     return lines
 
 
-def _tokenize_expr(text: str, line_no: int) -> List[Tuple[str, str]]:
-    tokens: List[Tuple[str, str]] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None or match.end() == position:
-            remainder = text[position:].strip()
-            if not remainder:
-                break
+def _tokenize_expr(text: str, line_no: int) -> List[str]:
+    """The expression's token texts, ending with the EOF text ``""``:
+    an operator ``.XX.`` in upper case, a name in lower case."""
+    end = _TOKENS_PREFIX_RE.match(text).end()
+    if end != len(text):
+        remainder = text[end:].strip()
+        if remainder:
             raise FrontendError(
                 "mfl line %d: cannot tokenize %r" % (line_no, remainder)
             )
-        position = match.end()
-        if match.group("dotop"):
-            tokens.append(("dotop", match.group("dotop").upper()))
-        elif match.group("num"):
-            tokens.append(("num", match.group("num")))
-        elif match.group("name"):
-            tokens.append(("name", match.group("name").lower()))
-        else:
-            tokens.append(("op", match.group("op")))
-    tokens.append(("eof", ""))
+    tokens = [
+        token.upper() if token[0] == "." else token.lower()
+        for token in _TOKEN_RE.findall(text)
+    ]
+    tokens.append("")
     return tokens
+
+
+#: First characters of the tokens that are not names (EOF has none).
+_NOT_NAME_START = frozenset("-+*/(),=.0123456789")
 
 
 class _ExprParser:
     """Precedence-climbing parser producing IL through a builder.
 
-    Grammar (loosest first): .OR. | .AND. | comparisons | additive |
-    multiplicative | unary | primary.
+    Operators bind by :data:`_BINARY`, left-associative; unary ``-``
+    and ``.NOT.`` bind tighter than any binary operator.  IL is emitted
+    as operands complete, left operand first.
     """
 
     def __init__(self, lowering: "_MflFunctionLowering",
-                 tokens: List[Tuple[str, str]], line_no: int) -> None:
+                 tokens: List[str], line_no: int) -> None:
         self.lowering = lowering
+        self.builder = lowering.builder
         self.tokens = tokens
         self.position = 0
         self.line_no = line_no
 
-    # -- Token helpers ------------------------------------------------------
-
-    def peek(self) -> Tuple[str, str]:
-        return self.tokens[self.position]
-
-    def advance(self) -> Tuple[str, str]:
-        token = self.tokens[self.position]
-        if token[0] != "eof":
-            self.position += 1
-        return token
-
     def expect_op(self, op: str) -> None:
-        kind, text = self.advance()
-        if kind != "op" or text != op:
+        text = self.tokens[self.position]
+        if text:
+            self.position += 1
+        if text != op:
             raise FrontendError(
                 "mfl line %d: expected %r, found %r"
                 % (self.line_no, op, text)
             )
 
-    def at_end(self) -> bool:
-        return self.peek()[0] == "eof"
-
-    # -- Grammar ----------------------------------------------------------------
-
     def parse(self) -> int:
-        value = self.or_expr()
-        if not self.at_end():
+        value = self.expr(0)
+        if self.tokens[self.position]:
             raise FrontendError(
                 "mfl line %d: trailing tokens after expression"
                 % self.line_no
             )
         return value
 
-    def or_expr(self) -> int:
-        left = self.and_expr()
-        while self.peek() == ("dotop", ".OR."):
-            self.advance()
-            right = self.and_expr()
-            left = self._boolify_or(left, right)
-        return left
+    def expr(self, min_power: int) -> int:
+        """A unary chain and a primary, then the binary operators at
+        least as tight as ``min_power`` after it."""
+        tokens = self.tokens
+        builder = self.builder
+        pos = self.position
+        text = tokens[pos]
+        prefixes = None
+        while text == "-" or text == ".NOT.":
+            if prefixes is None:
+                prefixes = []
+            prefixes.append(text)
+            pos += 1
+            text = tokens[pos]
 
-    def and_expr(self) -> int:
-        left = self.compare_expr()
-        while self.peek() == ("dotop", ".AND."):
-            self.advance()
-            right = self.compare_expr()
-            left = self._boolify_and(left, right)
-        return left
-
-    def compare_expr(self) -> int:
-        left = self.additive()
-        kind, text = self.peek()
-        if kind == "dotop" and text in _DOT_OPS:
-            self.advance()
-            right = self.additive()
-            return self.lowering.builder.binop(_DOT_OPS[text], left, right)
-        return left
-
-    def additive(self) -> int:
-        left = self.multiplicative()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            _, op = self.advance()
-            right = self.multiplicative()
-            opcode = Opcode.ADD if op == "+" else Opcode.SUB
-            left = self.lowering.builder.binop(opcode, left, right)
-        return left
-
-    def multiplicative(self) -> int:
-        left = self.unary()
-        while self.peek() in (("op", "*"), ("op", "/")):
-            _, op = self.advance()
-            right = self.unary()
-            opcode = Opcode.MUL if op == "*" else Opcode.DIV
-            left = self.lowering.builder.binop(opcode, left, right)
-        return left
-
-    def unary(self) -> int:
-        if self.peek() == ("op", "-"):
-            self.advance()
-            return self.lowering.builder.unop(Opcode.NEG, self.unary())
-        if self.peek() == ("dotop", ".NOT."):
-            self.advance()
-            operand = self.unary()
-            zero = self.lowering.builder.const(0)
-            return self.lowering.builder.binop(Opcode.EQ, operand, zero)
-        return self.primary()
-
-    def primary(self) -> int:
-        kind, text = self.advance()
-        builder = self.lowering.builder
-        if kind == "num":
-            return builder.const(int(text))
-        if kind == "op" and text == "(":
-            value = self.or_expr()
+        if text:
+            pos += 1
+        first = text[:1]
+        if first.isdigit():
+            left = builder.const(int(text))
+        elif text == "(":
+            self.position = pos
+            left = self.expr(0)
             self.expect_op(")")
-            return value
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                self.advance()
+            pos = self.position
+        elif text and first not in _NOT_NAME_START:
+            if tokens[pos] == "(":
+                pos += 1
                 arguments: List[int] = []
-                if self.peek() != ("op", ")"):
+                if tokens[pos] != ")":
                     while True:
-                        arguments.append(self.or_expr())
-                        if self.peek() == ("op", ","):
-                            self.advance()
-                            continue
-                        break
+                        self.position = pos
+                        arguments.append(self.expr(0))
+                        pos = self.position
+                        if tokens[pos] != ",":
+                            break
+                        pos += 1
+                self.position = pos
                 self.expect_op(")")
-                return self.lowering.name_with_args(
+                pos = self.position
+                left = self.lowering.name_with_args(
                     text, arguments, self.line_no
                 )
-            return self.lowering.name_value(text, self.line_no)
-        raise FrontendError(
-            "mfl line %d: unexpected token %r" % (self.line_no, text)
-        )
+            else:
+                left = self.lowering.name_value(text, self.line_no)
+        else:
+            raise FrontendError(
+                "mfl line %d: unexpected token %r" % (self.line_no, text)
+            )
 
-    # -- Logical helpers (MFL booleans are 0/1 ints; no short circuit,
-    #    matching FORTRAN-77's unspecified evaluation order) ----------------
+        if prefixes is not None:
+            for op in reversed(prefixes):
+                if op == "-":
+                    left = builder.unop(Opcode.NEG, left)
+                else:
+                    zero = builder.const(0)
+                    left = builder.binop(Opcode.EQ, left, zero)
 
-    def _boolify_and(self, a: int, b: int) -> int:
-        builder = self.lowering.builder
-        zero = builder.const(0)
-        left = builder.binop(Opcode.NE, a, zero)
-        right = builder.binop(Opcode.NE, b, zero)
-        return builder.binop(Opcode.AND, left, right)
-
-    def _boolify_or(self, a: int, b: int) -> int:
-        builder = self.lowering.builder
-        zero = builder.const(0)
-        left = builder.binop(Opcode.NE, a, zero)
-        right = builder.binop(Opcode.NE, b, zero)
-        return builder.binop(Opcode.OR, left, right)
+        loosest = _TIGHTEST
+        while True:
+            entry = _BINARY.get(tokens[pos])
+            if entry is None:
+                break
+            power, opcode = entry
+            if power < min_power or (power == _COMPARE and loosest <= _COMPARE):
+                break
+            self.position = pos + 1
+            right = self.expr(power + 1)
+            pos = self.position
+            if power < _COMPARE:
+                # MFL logicals are 0/1 ints with no short circuit,
+                # matching FORTRAN-77's unspecified evaluation order.
+                zero = builder.const(0)
+                left = builder.binop(Opcode.NE, left, zero)
+                right = builder.binop(Opcode.NE, right, zero)
+            left = builder.binop(opcode, left, right)
+            if power < loosest:
+                loosest = power
+        self.position = pos
+        return left
 
 
 class _MflFunctionLowering:

@@ -1,4 +1,10 @@
-"""Recursive-descent parser for MLL."""
+"""Recursive-descent parser for MLL.
+
+The parser reads the lexer's two flat lists (token texts and line
+numbers) by index; a token is recognised by its text, so checking for
+``(`` is ``texts[pos] == "("``.  A column is computed only for an error
+message.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ from typing import List, Optional
 
 from . import ast
 from .errors import FrontendError
-from .lexer import TokKind, Token, tokenize
+from .lexer import KEYWORDS, OPERATORS, column, scan
 
 #: Binary operator precedence, loosest binding first.
 _PRECEDENCE = [
@@ -27,290 +33,322 @@ _BINDING_POWER = {
     op: power for power, ops in enumerate(_PRECEDENCE) for op in ops
 }
 
+_UNARY_OPS = ("-", "!", "~")
+
+#: Texts that are not a name or a number: operators, keywords and EOF.
+_NOT_OPERAND = OPERATORS | KEYWORDS | {""}
+
 
 class Parser:
     """Parses one MLL source file into a :class:`ModuleAST`."""
 
     def __init__(self, source: str, module_name: str) -> None:
-        self.tokens = tokenize(source)
+        self.source = source
+        self.texts, self.lines = scan(source)
         self.pos = 0
         self.module_name = module_name
         self.total_lines = source.count("\n") + (0 if source.endswith("\n") else 1)
 
     # -- Token helpers --------------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not TokKind.EOF:
-            self.pos += 1
-        return token
-
-    def error(self, message: str) -> FrontendError:
-        token = self.current
+    def error(self, message: str, pos: Optional[int] = None) -> FrontendError:
+        """The error at token ``pos`` (default: the current token)."""
+        if pos is None:
+            pos = self.pos
         return FrontendError(
             "%s:%d:%d: %s (at %r)"
-            % (self.module_name, token.line, token.col, message, token.text)
+            % (self.module_name, self.lines[pos],
+               column(self.source, self.lines, pos), message, self.texts[pos])
         )
 
-    def expect_op(self, text: str) -> Token:
-        if not self.current.is_op(text):
+    def expect(self, text: str) -> int:
+        """Consume ``text`` (an operator or keyword); return its line."""
+        pos = self.pos
+        if self.texts[pos] != text:
+            if text in KEYWORDS:
+                raise self.error("expected keyword %r" % text)
             raise self.error("expected %r" % text)
-        return self.advance()
+        self.pos = pos + 1
+        return self.lines[pos]
 
-    def expect_kw(self, text: str) -> Token:
-        if not self.current.is_kw(text):
-            raise self.error("expected keyword %r" % text)
-        return self.advance()
-
-    def expect_ident(self) -> Token:
-        if self.current.kind is not TokKind.IDENT:
+    def expect_ident(self) -> str:
+        pos = self.pos
+        text = self.texts[pos]
+        if text in _NOT_OPERAND or text[0].isdigit():
             raise self.error("expected identifier")
-        return self.advance()
+        self.pos = pos + 1
+        return text
 
-    def accept_op(self, text: str) -> bool:
-        if self.current.is_op(text):
-            self.advance()
+    def accept(self, text: str) -> bool:
+        if self.texts[self.pos] == text:
+            self.pos += 1
             return True
         return False
+
+    def _advance_number(self, message: str) -> int:
+        """Consume the current token, which must be a number; past a
+        token that is not one, the error names the token after it."""
+        pos = self.pos
+        text = self.texts[pos]
+        if text:
+            self.pos = pos + 1
+        if text in _NOT_OPERAND or not text[0].isdigit():
+            raise self.error(message)
+        return int(text)
 
     # -- Top level -------------------------------------------------------------
 
     def parse_module(self) -> ast.ModuleAST:
         module = ast.ModuleAST(self.module_name)
         module.total_lines = self.total_lines
-        while self.current.kind is not TokKind.EOF:
+        texts = self.texts
+        while texts[self.pos]:
             exported = True
-            if self.current.is_kw("static"):
-                self.advance()
+            if texts[self.pos] == "static":
+                self.pos += 1
                 exported = False
-            if self.current.is_kw("global"):
+            text = texts[self.pos]
+            if text == "global":
                 module.globals.append(self._parse_global(exported))
-            elif self.current.is_kw("func"):
+            elif text == "func":
                 module.funcs.append(self._parse_func(exported))
             else:
                 raise self.error("expected 'global' or 'func' at top level")
         return module
 
     def _parse_global(self, exported: bool) -> ast.GlobalDecl:
-        line = self.current.line
-        self.expect_kw("global")
-        name = self.expect_ident().text
+        line = self.expect("global")
+        name = self.expect_ident()
         size = 1
         init: List[int] = []
-        if self.accept_op("["):
-            size_tok = self.advance()
-            if size_tok.kind is not TokKind.NUMBER:
-                raise self.error("array size must be a literal")
-            size = int(size_tok.text)
-            self.expect_op("]")
-        if self.accept_op("="):
-            if self.accept_op("{"):
-                while not self.current.is_op("}"):
+        if self.accept("["):
+            size = self._advance_number("array size must be a literal")
+            self.expect("]")
+        if self.accept("="):
+            if self.accept("{"):
+                while self.texts[self.pos] != "}":
                     init.append(self._parse_int_literal())
-                    if not self.accept_op(","):
+                    if not self.accept(","):
                         break
-                self.expect_op("}")
+                self.expect("}")
             else:
                 init.append(self._parse_int_literal())
-        self.expect_op(";")
+        self.expect(";")
         if len(init) > size:
             raise self.error("too many initializers for %s[%d]" % (name, size))
         init.extend([0] * (size - len(init)))
         return ast.GlobalDecl(name, size, init, exported, line)
 
     def _parse_int_literal(self) -> int:
-        negative = self.accept_op("-")
-        token = self.advance()
-        if token.kind is not TokKind.NUMBER:
-            raise self.error("expected integer literal")
-        value = int(token.text)
+        negative = self.accept("-")
+        value = self._advance_number("expected integer literal")
         return -value if negative else value
 
     def _parse_func(self, exported: bool) -> ast.FuncDecl:
-        line = self.current.line
-        self.expect_kw("func")
-        name = self.expect_ident().text
-        self.expect_op("(")
+        line = self.expect("func")
+        name = self.expect_ident()
+        self.expect("(")
         params: List[str] = []
-        if not self.current.is_op(")"):
+        if self.texts[self.pos] != ")":
             while True:
-                params.append(self.expect_ident().text)
-                if not self.accept_op(","):
+                params.append(self.expect_ident())
+                if not self.accept(","):
                     break
-        self.expect_op(")")
+        self.expect(")")
         body = self._parse_block()
-        end_line = self.tokens[self.pos - 1].line
+        end_line = self.lines[self.pos - 1]
         return ast.FuncDecl(name, params, body, exported, line, end_line)
 
     # -- Statements ---------------------------------------------------------------
 
     def _parse_block(self) -> List[ast.Stmt]:
-        self.expect_op("{")
+        self.expect("{")
         body: List[ast.Stmt] = []
-        while not self.current.is_op("}"):
+        texts = self.texts
+        while texts[self.pos] != "}":
             body.append(self._parse_stmt())
-        self.expect_op("}")
+        self.pos += 1
         return body
 
     def _parse_stmt(self) -> ast.Stmt:
-        token = self.current
-        if token.is_kw("var"):
+        text = self.texts[self.pos]
+        if text == "var":
             return self._parse_var_decl()
-        if token.is_kw("if"):
+        if text == "if":
             return self._parse_if()
-        if token.is_kw("while"):
+        if text == "while":
             return self._parse_while()
-        if token.is_kw("for"):
+        if text == "for":
             return self._parse_for()
-        if token.is_kw("return"):
+        if text == "return":
             return self._parse_return()
         return self._parse_simple_stmt(require_semi=True)
 
     def _parse_var_decl(self) -> ast.VarDecl:
-        line = self.expect_kw("var").line
-        name = self.expect_ident().text
-        self.expect_op("=")
+        line = self.expect("var")
+        name = self.expect_ident()
+        self.expect("=")
         init = self._parse_expr()
-        self.expect_op(";")
+        self.expect(";")
         return ast.VarDecl(name, init, line)
 
     def _parse_if(self) -> ast.IfStmt:
-        line = self.expect_kw("if").line
-        self.expect_op("(")
+        line = self.expect("if")
+        self.expect("(")
         cond = self._parse_expr()
-        self.expect_op(")")
+        self.expect(")")
         then_body = self._parse_block()
         else_body: Optional[List[ast.Stmt]] = None
-        if self.current.is_kw("else"):
-            self.advance()
-            if self.current.is_kw("if"):
+        if self.texts[self.pos] == "else":
+            self.pos += 1
+            if self.texts[self.pos] == "if":
                 else_body = [self._parse_if()]
             else:
                 else_body = self._parse_block()
         return ast.IfStmt(cond, then_body, else_body, line)
 
     def _parse_while(self) -> ast.WhileStmt:
-        line = self.expect_kw("while").line
-        self.expect_op("(")
+        line = self.expect("while")
+        self.expect("(")
         cond = self._parse_expr()
-        self.expect_op(")")
+        self.expect(")")
         body = self._parse_block()
         return ast.WhileStmt(cond, body, line)
 
     def _parse_for(self) -> ast.ForStmt:
-        line = self.expect_kw("for").line
-        self.expect_op("(")
+        line = self.expect("for")
+        self.expect("(")
+        texts = self.texts
         init: Optional[ast.Stmt] = None
-        if not self.current.is_op(";"):
-            if self.current.is_kw("var"):
+        if texts[self.pos] != ";":
+            if texts[self.pos] == "var":
                 init = self._parse_var_decl()
             else:
                 init = self._parse_simple_stmt(require_semi=True)
         else:
-            self.expect_op(";")
+            self.pos += 1
         cond = self._parse_expr()
-        self.expect_op(";")
+        self.expect(";")
         step: Optional[ast.Stmt] = None
-        if not self.current.is_op(")"):
+        if texts[self.pos] != ")":
             step = self._parse_simple_stmt(require_semi=False)
-        self.expect_op(")")
+        self.expect(")")
         body = self._parse_block()
         return ast.ForStmt(init, cond, step, body, line)
 
     def _parse_return(self) -> ast.ReturnStmt:
-        line = self.expect_kw("return").line
+        line = self.expect("return")
         value: Optional[ast.Expr] = None
-        if not self.current.is_op(";"):
+        if self.texts[self.pos] != ";":
             value = self._parse_expr()
-        self.expect_op(";")
+        self.expect(";")
         return ast.ReturnStmt(value, line)
 
     def _parse_simple_stmt(self, require_semi: bool) -> ast.Stmt:
         """Assignment, array store or expression statement."""
-        token = self.current
+        texts = self.texts
+        pos = self.pos
+        name = texts[pos]
+        line = self.lines[pos]
         stmt: ast.Stmt
-        if token.kind is TokKind.IDENT:
-            next_token = self.tokens[self.pos + 1]
-            if next_token.is_op("="):
-                name = self.advance().text
-                self.advance()  # '='
-                value = self._parse_expr()
-                stmt = ast.Assign(name, value, token.line)
-            elif next_token.is_op("["):
-                saved = self.pos
-                name = self.advance().text
-                self.advance()  # '['
-                index = self._parse_expr()
-                self.expect_op("]")
-                if self.accept_op("="):
-                    value = self._parse_expr()
-                    stmt = ast.StoreElem(name, index, value, token.line)
-                else:
-                    self.pos = saved
-                    stmt = ast.ExprStmt(self._parse_expr(), token.line)
+        if name in _NOT_OPERAND or name[0].isdigit():
+            stmt = ast.ExprStmt(self._parse_expr(), line)
+        elif texts[pos + 1] == "=":
+            self.pos = pos + 2
+            stmt = ast.Assign(name, self._parse_expr(), line)
+        elif texts[pos + 1] == "[":
+            self.pos = pos + 2
+            index = self._parse_expr()
+            self.expect("]")
+            if self.accept("="):
+                stmt = ast.StoreElem(name, index, self._parse_expr(), line)
             else:
-                stmt = ast.ExprStmt(self._parse_expr(), token.line)
+                self.pos = pos
+                stmt = ast.ExprStmt(self._parse_expr(), line)
         else:
-            stmt = ast.ExprStmt(self._parse_expr(), token.line)
+            stmt = ast.ExprStmt(self._parse_expr(), line)
         if require_semi:
-            self.expect_op(";")
+            self.expect(";")
         return stmt
 
     # -- Expressions ------------------------------------------------------------
 
     def _parse_expr(self, min_power: int = 0) -> ast.Expr:
-        """Precedence climbing: operators at least as tight as
-        ``min_power``, left-associative."""
-        left = self._parse_unary()
-        while True:
-            token = self.current
-            if token.kind is not TokKind.OP:
-                return left
-            power = _BINDING_POWER.get(token.text)
-            if power is None or power < min_power:
-                return left
-            self.advance()
-            right = self._parse_expr(power + 1)
-            left = ast.BinaryExpr(token.text, left, right, token.line)
+        """Precedence climbing: a unary chain and a primary, then the
+        binary operators at least as tight as ``min_power``,
+        left-associative."""
+        texts = self.texts
+        lines = self.lines
+        pos = self.pos
+        text = texts[pos]
+        prefixes = None
+        while text in _UNARY_OPS:
+            if prefixes is None:
+                prefixes = []
+            prefixes.append((text, lines[pos]))
+            pos += 1
+            text = texts[pos]
 
-    def _parse_unary(self) -> ast.Expr:
-        token = self.current
-        if token.kind is TokKind.OP and token.text in ("-", "!", "~"):
-            self.advance()
-            operand = self._parse_unary()
-            return ast.UnaryExpr(token.text, operand, token.line)
-        return self._parse_primary()
-
-    def _parse_primary(self) -> ast.Expr:
-        token = self.current
-        if token.kind is TokKind.NUMBER:
-            self.advance()
-            return ast.NumberExpr(int(token.text), token.line)
-        if token.kind is TokKind.IDENT:
-            name = self.advance().text
-            if self.accept_op("("):
+        if text in _NOT_OPERAND:
+            if text != "(":
+                self.pos = pos
+                raise self.error("expected expression")
+            self.pos = pos + 1
+            left = self._parse_expr()
+            pos = self.pos
+            if texts[pos] != ")":
+                raise self.error("expected ')'")
+            pos += 1
+        elif text[0].isdigit():
+            left = ast.NumberExpr(int(text), lines[pos])
+            pos += 1
+        else:
+            line = lines[pos]
+            after = texts[pos + 1]
+            if after == "(":
+                pos += 2
                 args: List[ast.Expr] = []
-                if not self.current.is_op(")"):
+                if texts[pos] != ")":
                     while True:
+                        self.pos = pos
                         args.append(self._parse_expr())
-                        if not self.accept_op(","):
+                        pos = self.pos
+                        if texts[pos] != ",":
                             break
-                self.expect_op(")")
-                return ast.CallExpr(name, args, token.line)
-            if self.accept_op("["):
+                        pos += 1
+                if texts[pos] != ")":
+                    self.pos = pos
+                    raise self.error("expected ')'")
+                left = ast.CallExpr(text, args, line)
+                pos += 1
+            elif after == "[":
+                self.pos = pos + 2
                 index = self._parse_expr()
-                self.expect_op("]")
-                return ast.IndexExpr(name, index, token.line)
-            return ast.NameExpr(name, token.line)
-        if self.accept_op("("):
-            expr = self._parse_expr()
-            self.expect_op(")")
-            return expr
-        raise self.error("expected expression")
+                pos = self.pos
+                if texts[pos] != "]":
+                    raise self.error("expected ']'")
+                left = ast.IndexExpr(text, index, line)
+                pos += 1
+            else:
+                left = ast.NameExpr(text, line)
+                pos += 1
+
+        if prefixes is not None:
+            for op, line in reversed(prefixes):
+                left = ast.UnaryExpr(op, left, line)
+
+        power_of = _BINDING_POWER.get
+        while True:
+            text = texts[pos]
+            power = power_of(text)
+            if power is None or power < min_power:
+                self.pos = pos
+                return left
+            line = lines[pos]
+            self.pos = pos + 1
+            right = self._parse_expr(power + 1)
+            pos = self.pos
+            left = ast.BinaryExpr(text, left, right, line)
 
 
 def parse_source(source: str, module_name: str) -> ast.ModuleAST:

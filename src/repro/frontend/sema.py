@@ -49,9 +49,8 @@ class ModuleInfo:
 
 
 def _check_expr(expr: ast.Expr, locals_: Set[str], info: ModuleInfo) -> None:
-    if isinstance(expr, ast.NumberExpr):
-        return
-    if isinstance(expr, ast.NameExpr):
+    kind = type(expr)
+    if kind is ast.NameExpr:
         if expr.name in locals_:
             return
         decl = info.global_decls.get(expr.name)
@@ -61,28 +60,13 @@ def _check_expr(expr: ast.Expr, locals_: Set[str], info: ModuleInfo) -> None:
                 % (info.module.name, expr.line, expr.name)
             )
         return  # extern global reference, resolved at link time
-    if isinstance(expr, ast.IndexExpr):
-        if expr.name in locals_:
-            raise SemanticError(
-                "%s:%d: local %r indexed like an array"
-                % (info.module.name, expr.line, expr.name)
-            )
-        decl = info.global_decls.get(expr.name)
-        if decl is not None and decl.size == 1:
-            raise SemanticError(
-                "%s:%d: scalar %r indexed like an array"
-                % (info.module.name, expr.line, expr.name)
-            )
-        _check_expr(expr.index, locals_, info)
+    if kind is ast.NumberExpr:
         return
-    if isinstance(expr, ast.UnaryExpr):
-        _check_expr(expr.operand, locals_, info)
-        return
-    if isinstance(expr, ast.BinaryExpr):
+    if kind is ast.BinaryExpr:
         _check_expr(expr.left, locals_, info)
         _check_expr(expr.right, locals_, info)
         return
-    if isinstance(expr, ast.CallExpr):
+    if kind is ast.CallExpr:
         if expr.callee in locals_:
             raise SemanticError(
                 "%s:%d: local %r called like a function"
@@ -103,6 +87,23 @@ def _check_expr(expr: ast.Expr, locals_: Set[str], info: ModuleInfo) -> None:
         for arg in expr.args:
             _check_expr(arg, locals_, info)
         return
+    if kind is ast.IndexExpr:
+        if expr.name in locals_:
+            raise SemanticError(
+                "%s:%d: local %r indexed like an array"
+                % (info.module.name, expr.line, expr.name)
+            )
+        decl = info.global_decls.get(expr.name)
+        if decl is not None and decl.size == 1:
+            raise SemanticError(
+                "%s:%d: scalar %r indexed like an array"
+                % (info.module.name, expr.line, expr.name)
+            )
+        _check_expr(expr.index, locals_, info)
+        return
+    if kind is ast.UnaryExpr:
+        _check_expr(expr.operand, locals_, info)
+        return
     raise SemanticError("unknown expression node %r" % type(expr).__name__)
 
 
@@ -110,7 +111,8 @@ def _check_stmts(
     stmts: List[ast.Stmt], locals_: Set[str], info: ModuleInfo
 ) -> None:
     for stmt in stmts:
-        if isinstance(stmt, ast.VarDecl):
+        kind = type(stmt)
+        if kind is ast.VarDecl:
             if stmt.name in locals_:
                 raise SemanticError(
                     "%s:%d: redeclaration of local %r"
@@ -118,7 +120,7 @@ def _check_stmts(
                 )
             _check_expr(stmt.init, locals_, info)
             locals_.add(stmt.name)
-        elif isinstance(stmt, ast.Assign):
+        elif kind is ast.Assign:
             _check_expr(stmt.value, locals_, info)
             if stmt.name not in locals_:
                 decl = info.global_decls.get(stmt.name)
@@ -127,7 +129,7 @@ def _check_stmts(
                         "%s:%d: array %r assigned like a scalar"
                         % (info.module.name, stmt.line, stmt.name)
                     )
-        elif isinstance(stmt, ast.StoreElem):
+        elif kind is ast.StoreElem:
             decl = info.global_decls.get(stmt.name)
             if decl is not None and decl.size == 1:
                 raise SemanticError(
@@ -141,24 +143,24 @@ def _check_stmts(
                 )
             _check_expr(stmt.index, locals_, info)
             _check_expr(stmt.value, locals_, info)
-        elif isinstance(stmt, ast.ExprStmt):
+        elif kind is ast.ExprStmt:
             _check_expr(stmt.expr, locals_, info)
-        elif isinstance(stmt, ast.IfStmt):
+        elif kind is ast.IfStmt:
             _check_expr(stmt.cond, locals_, info)
             _check_stmts(stmt.then_body, locals_, info)
             if stmt.else_body is not None:
                 _check_stmts(stmt.else_body, locals_, info)
-        elif isinstance(stmt, ast.WhileStmt):
+        elif kind is ast.WhileStmt:
             _check_expr(stmt.cond, locals_, info)
             _check_stmts(stmt.body, locals_, info)
-        elif isinstance(stmt, ast.ForStmt):
+        elif kind is ast.ForStmt:
             if stmt.init is not None:
                 _check_stmts([stmt.init], locals_, info)
             _check_expr(stmt.cond, locals_, info)
             if stmt.step is not None:
                 _check_stmts([stmt.step], locals_, info)
             _check_stmts(stmt.body, locals_, info)
-        elif isinstance(stmt, ast.ReturnStmt):
+        elif kind is ast.ReturnStmt:
             if stmt.value is not None:
                 _check_expr(stmt.value, locals_, info)
         else:

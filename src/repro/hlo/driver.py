@@ -247,9 +247,6 @@ class HloResult:
         self.plan = WpaPlan()
         #: module -> routines dead-function elimination removed.
         self.removal_log: Dict[str, List[str]] = {}
-        #: ``ctx.views`` holds the incremental state's view objects
-        #: (:class:`AppliedWpa`): phase 5 copies the ones it edits.
-        self.views_shared = False
         #: Structured events (summary-cache and machine-blob fallbacks,
         #: scalar pipelines that hit the iteration cap).
         self.events: List[Dict[str, object]] = []
@@ -628,8 +625,8 @@ class HighLevelOptimizer:
         derive the reuse keys.  Both sources give equal answers, so
         past the decision only the work a stored answer saves depends
         on which one ran: the reuse keys of modules the edit does not
-        reach are carried forward, and the shared views are copied
-        before replay edits them.
+        reach are carried forward.  Either way the answer's views are
+        copied before replay edits them (:meth:`run_scalar_phase`).
 
         Bodies are retired to compact/offloaded state right after the
         one extraction scan, so the WPA peak is bounded by summaries,
@@ -815,7 +812,6 @@ class HighLevelOptimizer:
         )
         result.plan = plan
         result.removal_log = removal_log
-        result.views_shared = stored is not None
         result.events = events
         result.peak_bytes = accountant.peak
         result.wpa_peak_bytes = accountant.peak
@@ -933,9 +929,10 @@ class HighLevelOptimizer:
         """Phase 5 in the link process: replay, then :func:`run_ltrans`.
 
         Registered bodies are borrowed (the linker registers its
-        objects' IL), so the replay scope -- everything replay, the
-        passes and codegen will edit -- is privatised first, bodies and
-        (when :attr:`HloResult.views_shared`) profile views; bodies of
+        objects' IL), and the profile views are the answer's
+        (:class:`AppliedWpa`, whose views are the decision's facts'),
+        so the replay scope -- everything replay, the passes and codegen
+        will edit -- is privatised first, bodies and views; bodies of
         reused modules outside it stay as the frontend left them, and
         stay the caller's: nothing compiles them.
 
@@ -962,8 +959,9 @@ class HighLevelOptimizer:
                 handle = unit.handle(name)
                 if handle is not None:
                     loader.privatize(handle)
-                if result.views_shared and views.get(name) is not None:
-                    views[name] = views[name].copy()
+                view = views.get(name)
+                if view is not None:
+                    views[name] = view.copy()
             replay_plan(
                 result.plan, scope,
                 loader, unit.routine_handles, ctx.views, self.options,

@@ -269,8 +269,8 @@ class Instr:
         self.b = b
         self.imm = imm
         self.sym = sym
-        self.args = tuple(args)
-        self.targets = tuple(targets)
+        self.args = args if type(args) is tuple else tuple(args)
+        self.targets = targets if type(targets) is tuple else tuple(targets)
 
     # -- Structural queries -------------------------------------------------
 

@@ -10,6 +10,12 @@ from .errors import IRError
 from .instructions import Instr, Opcode
 
 
+_CALL = Opcode.CALL
+_GLOBAL_ACCESS_OPS = frozenset(
+    {Opcode.LOADG, Opcode.STOREG, Opcode.LOADE, Opcode.STOREE}
+)
+
+
 @derived_analysis("block_map", cfg_shaped=True)
 def _block_map(routine: "Routine") -> Dict[str, BasicBlock]:
     return {block.label: block for block in routine.blocks}
@@ -159,8 +165,11 @@ class Routine:
     def callees(self) -> List[str]:
         """Distinct callee names, in first-occurrence order."""
         seen: Dict[str, None] = {}
-        for _, _, callee in self.call_sites():
-            seen.setdefault(callee)
+        for block in self.blocks:
+            for instr in block.instrs:
+                if instr.op is _CALL:
+                    assert instr.sym is not None
+                    seen[instr.sym] = None
         return list(seen)
 
     def instr_count(self) -> int:
@@ -181,10 +190,11 @@ class Routine:
     def referenced_globals(self) -> List[str]:
         """Distinct global symbols touched, in first-occurrence order."""
         seen: Dict[str, None] = {}
-        for _, _, instr in self.iter_instrs():
-            if instr.op in (Opcode.LOADG, Opcode.STOREG, Opcode.LOADE, Opcode.STOREE):
-                assert instr.sym is not None
-                seen.setdefault(instr.sym)
+        for block in self.blocks:
+            for instr in block.instrs:
+                if instr.op in _GLOBAL_ACCESS_OPS:
+                    assert instr.sym is not None
+                    seen[instr.sym] = None
         return list(seen)
 
     def qualified_name(self) -> str:

@@ -164,18 +164,19 @@ class ObjectFile:
         module: Module, source_fingerprint: str = ""
     ) -> "ObjectFile":
         referenced_routines = module.external_callees()
-        defined_globals = set(module.symtab.globals)
-        referenced_globals: List[str] = []
+        defined_globals = module.symtab.globals
+        # Distinct undefined globals in first-occurrence order.
+        referenced: Dict[str, None] = {}
         for routine in module.routine_list():
             for sym in routine.referenced_globals():
-                if sym not in defined_globals and sym not in referenced_globals:
-                    referenced_globals.append(sym)
+                if sym not in defined_globals:
+                    referenced[sym] = None
         return ObjectFile(
             module.name,
             KIND_IL,
             il_module=module,
             referenced_routines=referenced_routines,
-            referenced_globals=referenced_globals,
+            referenced_globals=list(referenced),
             source_fingerprint=source_fingerprint,
             source_lines=module.source_lines,
             opt_summary="il",
@@ -189,28 +190,27 @@ class ObjectFile:
         opt_summary: str = "",
     ) -> "ObjectFile":
         defined = {routine.name for routine in machine_routines}
-        defined_globals = set(module.symtab.globals)
-        referenced_routines: List[str] = []
-        referenced_globals: List[str] = []
+        defined_globals = module.symtab.globals
+        # Distinct undefined symbols in first-occurrence order.
+        referenced_routines: Dict[str, None] = {}
+        referenced_globals: Dict[str, None] = {}
         for machine in machine_routines:
             for instr in machine.instrs:
-                if instr.op is MOp.CALL and instr.sym is not None:
-                    if instr.sym not in defined and (
-                        instr.sym not in referenced_routines
-                    ):
-                        referenced_routines.append(instr.sym)
-                elif instr.sym is not None:
-                    if instr.sym not in defined_globals and (
-                        instr.sym not in referenced_globals
-                    ):
-                        referenced_globals.append(instr.sym)
+                sym = instr.sym
+                if sym is None:
+                    continue
+                if instr.op is MOp.CALL:
+                    if sym not in defined:
+                        referenced_routines[sym] = None
+                elif sym not in defined_globals:
+                    referenced_globals[sym] = None
         return ObjectFile(
             module.name,
             KIND_CODE,
             machine_routines=machine_routines,
             globals_list=list(module.symtab.globals.values()),
-            referenced_routines=referenced_routines,
-            referenced_globals=referenced_globals,
+            referenced_routines=list(referenced_routines),
+            referenced_globals=list(referenced_globals),
             source_fingerprint=source_fingerprint,
             source_lines=module.source_lines,
             opt_summary=opt_summary,

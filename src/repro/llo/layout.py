@@ -38,14 +38,15 @@ def order_blocks(
     entry = labels[0]
 
     # Collect weighted CFG edges.
+    edge = view.edge
     edges: List[Tuple[int, str, str]] = []
     for block in lir.blocks:
         term = block.terminator
         if term is None:
             continue
+        label = block.label
         for succ in term.successors():
-            weight = view.edge(block.label, succ)
-            edges.append((weight, block.label, succ))
+            edges.append((edge(label, succ), label, succ))
     # Heaviest first; deterministic tiebreak.
     edges.sort(key=lambda e: (-e[0], e[1], e[2]))
 
@@ -96,13 +97,15 @@ def emit_routine(
     offsets: Dict[str, int] = {}
     pending: List[Tuple[int, str]] = []  # (instr index, target label)
 
+    movr = MOp.MOVR
     for position, label in enumerate(order):
         block = blocks[label]
         offsets[label] = len(instrs)
-        for instr in block.instrs:
-            if instr.op is MOp.MOVR and instr.rd == instr.rs1:
-                continue  # peephole: trivial move
-            instrs.append(instr)
+        # Peephole: drop trivial moves.
+        instrs += [
+            instr for instr in block.instrs
+            if instr.op is not movr or instr.rd != instr.rs1
+        ]
         term = block.terminator
         next_label = order[position + 1] if position + 1 < len(order) else None
         if term is None:

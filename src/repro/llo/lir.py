@@ -15,13 +15,13 @@ from ..vm.isa import MInstr, MOp
 
 #: Opcodes whose ``rd`` is written.  For ``CALL`` it is the virtual
 #: destination of the return value (the machine leaves it in R0).
-_DEFINING_OPS = (MOp.LDI, MOp.MOVR, MOp.ALU3, MOp.ALU2, MOp.LDG, MOp.LDX,
-                 MOp.LDS, MOp.CALL)
+DEFINING_OPS = (MOp.LDI, MOp.MOVR, MOp.ALU3, MOp.ALU2, MOp.LDG, MOp.LDX,
+                MOp.LDS, MOp.CALL)
 
 
 def defined_reg(instr: MInstr) -> Optional[int]:
     """The register ``instr`` writes, if any."""
-    return instr.rd if instr.op in _DEFINING_OPS else None
+    return instr.rd if instr.op in DEFINING_OPS else None
 
 
 class Terminator:

@@ -20,94 +20,97 @@ from ..vm.isa import MInstr, MOp
 from .lir import LirBlock, LirRoutine, Terminator
 
 
+_CONST, _MOV, _LOADG, _LOADE = Opcode.CONST, Opcode.MOV, Opcode.LOADG, Opcode.LOADE
+_STOREG, _STOREE, _CALL, _PROBE = (Opcode.STOREG, Opcode.STOREE, Opcode.CALL,
+                                   Opcode.PROBE)
+_RET, _BR, _JMP, _NEG, _NOT = (Opcode.RET, Opcode.BR, Opcode.JMP, Opcode.NEG,
+                               Opcode.NOT)
+_LDI, _MOVR, _ALU3, _ALU2 = MOp.LDI, MOp.MOVR, MOp.ALU3, MOp.ALU2
+_LDG, _STG, _LDX, _STX = MOp.LDG, MOp.STG, MOp.LDX, MOp.STX
+_LDS, _ARG, _MCALL, _MPROBE = MOp.LDS, MOp.ARG, MOp.CALL, MOp.PROBE
+
+
 class LoweringError(Exception):
     """Raised on IL constructs the code generator cannot lower."""
 
 
 def lower_routine(routine: Routine) -> LirRoutine:
-    """Translate one IL routine into LIR."""
+    """Translate one IL routine into LIR.
+
+    One walk over the instructions, dispatching on the opcode, lowers
+    every block and notes which parameters are read; the entry block
+    then starts by loading those from their frame slots.
+    """
     lir = LirRoutine(
         routine.name,
         routine.module_name,
         routine.n_params,
         routine.next_reg,
     )
-
-    used_params = _used_params(routine)
-
+    n_params = routine.n_params
+    used_params: Set[int] = set()
+    binary_ops = BINARY_OPS
     for il_block in routine.blocks:
         block = LirBlock(il_block.label)
         lir.blocks.append(block)
-        if il_block is routine.blocks[0]:
-            # Materialize incoming parameters from their frame slots.
-            for param in sorted(used_params):
-                block.instrs.append(
-                    MInstr(MOp.LDS, rd=param, imm=param)
-                )
+        append = block.instrs.append
         for instr in il_block.instrs:
-            _lower_instr(instr, block)
+            op = instr.op
+            a = instr.a
+            if a is not None and a < n_params:
+                used_params.add(a)
+            if op in binary_ops:
+                b = instr.b
+                if b < n_params:
+                    used_params.add(b)
+                append(MInstr(_ALU3, op, instr.dst, a, b))
+            elif op is _CONST:
+                append(MInstr(_LDI, None, instr.dst, None, None, instr.imm))
+            elif op is _MOV:
+                append(MInstr(_MOVR, None, instr.dst, a))
+            elif op is _LOADG:
+                append(MInstr(_LDG, None, instr.dst, None, None, None, None,
+                              instr.sym))
+            elif op is _CALL:
+                for arg_index, arg_reg in enumerate(instr.args):
+                    if arg_reg < n_params:
+                        used_params.add(arg_reg)
+                    append(MInstr(_ARG, None, None, arg_reg, None, arg_index))
+                append(MInstr(_MCALL, None, instr.dst, None, None, None, None,
+                              instr.sym))
+            elif op is _BR:
+                targets = instr.targets
+                block.terminator = Terminator("br", a, targets[0], targets[1])
+            elif op is _JMP:
+                block.terminator = Terminator("jmp", None, instr.targets[0])
+            elif op is _RET:
+                block.terminator = Terminator("ret", a)
+            elif op is _LOADE:
+                append(MInstr(_LDX, None, instr.dst, a, None, None, None,
+                              instr.sym))
+            elif op is _STOREG:
+                append(MInstr(_STG, None, None, a, None, None, None, instr.sym))
+            elif op is _STOREE:
+                b = instr.b
+                if b < n_params:
+                    used_params.add(b)
+                append(MInstr(_STX, None, None, a, b, None, None, instr.sym))
+            elif op is _NEG or op is _NOT:
+                append(MInstr(_ALU2, op, instr.dst, a))
+            elif op is _PROBE:
+                append(MInstr(_MPROBE, None, None, None, None, instr.imm))
+            else:  # pragma: no cover
+                raise LoweringError("unlowerable opcode %s" % op)
         if block.terminator is None:
             raise LoweringError(
                 "block %s of %s has no terminator" % (il_block.label,
                                                       routine.name)
             )
+    if used_params:
+        # Materialize incoming parameters from their frame slots.
+        lir.blocks[0].instrs[:0] = [
+            MInstr(_LDS, None, param, None, None, param)
+            for param in sorted(used_params)
+        ]
     return lir
 
-
-def _used_params(routine: Routine) -> Set[int]:
-    used: Set[int] = set()
-    params = set(range(routine.n_params))
-    for _, _, instr in routine.iter_instrs():
-        for reg in instr.uses():
-            if reg in params:
-                used.add(reg)
-    return used
-
-
-def _lower_instr(instr, block: LirBlock) -> None:
-    op = instr.op
-    if op is Opcode.CONST:
-        block.instrs.append(MInstr(MOp.LDI, rd=instr.dst, imm=instr.imm))
-    elif op is Opcode.MOV:
-        block.instrs.append(MInstr(MOp.MOVR, rd=instr.dst, rs1=instr.a))
-    elif op in BINARY_OPS:
-        block.instrs.append(
-            MInstr(MOp.ALU3, subop=op, rd=instr.dst, rs1=instr.a, rs2=instr.b)
-        )
-    elif op in (Opcode.NEG, Opcode.NOT):
-        block.instrs.append(
-            MInstr(MOp.ALU2, subop=op, rd=instr.dst, rs1=instr.a)
-        )
-    elif op is Opcode.LOADG:
-        block.instrs.append(MInstr(MOp.LDG, rd=instr.dst, sym=instr.sym))
-    elif op is Opcode.STOREG:
-        block.instrs.append(MInstr(MOp.STG, rs1=instr.a, sym=instr.sym))
-    elif op is Opcode.LOADE:
-        block.instrs.append(
-            MInstr(MOp.LDX, rd=instr.dst, rs1=instr.a, sym=instr.sym)
-        )
-    elif op is Opcode.STOREE:
-        block.instrs.append(
-            MInstr(MOp.STX, rs1=instr.a, rs2=instr.b, sym=instr.sym)
-        )
-    elif op is Opcode.CALL:
-        for arg_index, arg_reg in enumerate(instr.args):
-            block.instrs.append(
-                MInstr(MOp.ARG, rs1=arg_reg, imm=arg_index)
-            )
-        block.instrs.append(MInstr(MOp.CALL, rd=instr.dst, sym=instr.sym))
-    elif op is Opcode.PROBE:
-        block.instrs.append(MInstr(MOp.PROBE, imm=instr.imm))
-    elif op is Opcode.RET:
-        block.terminator = Terminator("ret", reg=instr.a)
-    elif op is Opcode.BR:
-        block.terminator = Terminator(
-            "br",
-            reg=instr.a,
-            true_label=instr.targets[0],
-            false_label=instr.targets[1],
-        )
-    elif op is Opcode.JMP:
-        block.terminator = Terminator("jmp", true_label=instr.targets[0])
-    else:  # pragma: no cover
-        raise LoweringError("unlowerable opcode %s" % op)

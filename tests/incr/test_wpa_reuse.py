@@ -247,7 +247,7 @@ def test_deciding_and_deriving_give_the_same_answer(seed, shape):
                     for _ in range(2)]
         answer = real_decide(facts_by_name, keep, summary_cost, symtab,
                              *args)
-        # Replay edits the views in place: compare what the WPA handed on.
+        # Compare what the WPA handed on, as it handed it on.
         fields = copy.deepcopy(answer.fields())
         derived = AppliedWpa.derive(answer.outcome, pristine[0],
                                     summary_cost, symtab)
