@@ -65,3 +65,39 @@ class TestErrors:
         with pytest.raises(FrontendError) as exc:
             tokenize("ab\n@")
         assert "2:" in str(exc.value)
+
+
+class TestCharacterClasses:
+    """Digits and names are what :meth:`str.isdigit`, :meth:`str.isalpha`
+    and :meth:`str.isalnum` say, beyond ASCII too."""
+
+    def test_a_digit_run_takes_every_digit(self):
+        # "²" is a digit but not a decimal one: it joins the number,
+        # and parsing the literal fails later.
+        assert kinds("1² ٣4") == [
+            (TokKind.NUMBER, "1²"),
+            (TokKind.NUMBER, "٣4"),
+        ]
+
+    def test_names_take_letters_and_numerals(self):
+        assert kinds("é1 x½ 9ab") == [
+            (TokKind.IDENT, "é1"),
+            (TokKind.IDENT, "x½"),
+            (TokKind.NUMBER, "9"),
+            (TokKind.IDENT, "ab"),
+        ]
+
+    def test_a_numeral_that_is_no_letter_starts_no_token(self):
+        with pytest.raises(FrontendError) as exc:
+            tokenize("a\n  ½")
+        assert str(exc.value) == "lex error at 2:3: unexpected character '½'"
+
+
+class TestColumns:
+    def test_eof_column_leaves_a_trailing_comment_out(self):
+        tokens = tokenize("a \t// note")
+        assert (tokens[-1].line, tokens[-1].col) == (1, 4)
+
+    def test_a_carriage_return_takes_a_column(self):
+        tokens = tokenize("a\r b")
+        assert tokens[1].col == 4
