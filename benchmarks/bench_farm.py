@@ -16,7 +16,7 @@ Every image from every scenario is asserted byte-identical to the
 cold CLI's ``--emit-image`` output -- distribution must never change
 the bits.  A final recovery scenario SIGKILLs a worker that holds an
 in-flight partition and requires the build to finish anyway through
-the coordinator's re-queue (visible as ``steal.requeues`` in status).
+the coordinator's re-queue (visible as ``queue.requeues`` in status).
 
 Run standalone (``python benchmarks/bench_farm.py [--quick]``) or via
 ``pytest benchmarks/bench_farm.py -s``.
@@ -250,7 +250,7 @@ def _recovery_scenario(workdir, options, reference):
         client = FarmClient(endpoint, token=TOKEN)
         deadline = time.time() + 120
         while time.time() < deadline:
-            if client.status()["steal"]["inflight"] >= 1:
+            if client.status()["queue"]["inflight"] >= 1:
                 victim_holds_job.set()
                 break
             time.sleep(0.01)
@@ -267,7 +267,7 @@ def _recovery_scenario(workdir, options, reference):
             assert not builder.is_alive(), "build never finished"
             assert "error" not in outcome, outcome.get("error")
             assert outcome["result"]["image"] == reference
-            requeues = client.status()["steal"]["requeues"]
+            requeues = client.status()["queue"]["requeues"]
             assert requeues >= 1, (
                 "killed worker's partition was not re-queued"
             )

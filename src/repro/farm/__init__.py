@@ -5,11 +5,12 @@ machine's cores; the farm scales the LTRANS half across machines.
 One **coordinator** (:mod:`.coordinator`) speaks the existing build
 protocol to clients over TCP, runs the serial WPA phase itself, and
 dispatches the resulting partitions to connected **workers**
-(:mod:`.worker`) through a work-stealing queue
-(:class:`repro.sched.StealQueue`).  Partition inputs and results
-travel through a shared **content-addressed store** (:mod:`.store`)
-backed by the coordinator's pack-file repository, so warm rebuilds
-deduplicate farm-wide and any worker can run any partition.
+(:mod:`.worker`) through one pull queue that hands out the heaviest
+pending partition first (:class:`repro.sched.TaskQueue`).  Partition
+inputs and results travel through a shared **content-addressed
+store** (:mod:`.store`) kept in the coordinator's pack-file
+repository, so a warm rebuild writes nothing new and any worker can
+run any partition.
 
 Every connection authenticates with a shared secret (:mod:`
 .transport`); clients reach the farm with ``python -m repro.driver

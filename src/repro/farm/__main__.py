@@ -75,12 +75,12 @@ def cmd_status(args: argparse.Namespace) -> int:
         print("no coordinator on %s (%s)" % (args.connect, exc))
         return 1
     workers = status.get("workers", [])
-    steal = status.get("steal", {})
+    queue = status.get("queue", {})
     print("coordinator pid %s on %s: %d builds served, %d worker "
-          "slot(s), %d job(s) done, %d stolen%s"
+          "slot(s), %d job(s) done%s"
           % (status.get("pid"), status.get("endpoint"),
              status.get("builds_served", 0), len(workers),
-             steal.get("completed", 0), steal.get("steals", 0),
+             queue.get("completed", 0),
              " [draining]" if status.get("draining") else ""))
     profiles = status.get("profiles") or {}
     for name, feed in sorted((profiles.get("feeds") or {}).items()):

@@ -12,19 +12,19 @@ connection speaks:
   across hosts for free: the gate neither knows nor cares where a
   connection came from.
 * ``worker`` -- a coordinator-driven job loop.  The connection
-  registers with the work-stealing queue (:class:`~repro.sched.
-  StealQueue`); the coordinator pushes one partition job at a time
-  and reads one reply.  A broken connection unregisters the worker,
-  which re-queues its queued *and* in-flight partitions (bounded by
-  the retry cap) -- a killed worker mid-partition costs a retry, not
-  the build.
-* ``store`` -- repository ops against the shared pack-file store
-  (:class:`~repro.naim.remote.RepositoryServer`).
+  registers with the pull queue (:class:`~repro.sched.TaskQueue`);
+  the coordinator pushes it the heaviest pending partition, one job
+  at a time, and reads one reply.  A broken connection unregisters
+  the worker, which re-queues its in-flight partition (bounded by the
+  retry cap) -- a killed worker mid-partition costs a retry, not the
+  build.
+* ``store`` -- blob requests against the shared content-addressed
+  store (:func:`~repro.farm.store.serve_store`).
 
 Builds run the WPA phase on the coordinator; when the partitioned
 LTRANS phase starts, the session's compiler hands partitions to
 :class:`FarmDispatcher`, which publishes inputs to the store, submits
-tasks to the steal queue, and folds worker outcomes back in partition
+tasks to the pull queue, and folds worker outcomes back in partition
 index order.  With no workers connected the dispatcher reports not
 ready and the build runs its partitions locally -- a farm of zero
 workers degrades to the single-process daemon.
@@ -43,13 +43,12 @@ import time
 from typing import Dict, List, Optional
 
 from ..driver.compiler import CompileSession
-from ..naim.remote import RepositoryServer
 from ..naim.repository import Repository
-from ..sched.steal import StealQueue, StealTask
+from ..sched.tasks import Task, TaskQueue
 from ..serve.daemon import BuildDaemon, DaemonStartupError, _pid_alive
 from ..serve.protocol import ProtocolError, read_message, write_message
 from ..serve.state import WarmState
-from .store import CAS_KIND, cas_key
+from .store import CasStore, serve_store
 from .transport import (
     ROLE_CLIENT,
     ROLE_STORE,
@@ -80,13 +79,13 @@ class FarmDispatcher:
 
     The :class:`~repro.part.runner.PartitionRunner` transport
     (``put_blob`` / ``dispatch``) on top of the coordinator's local
-    pack store and steal queue, plus the ``ready()`` the compiler's
+    CAS store and pull queue, plus the ``ready()`` the compiler's
     ``partition_dispatcher`` hook asks before using it."""
 
-    def __init__(self, queue: StealQueue, repository: Repository,
+    def __init__(self, queue: TaskQueue, store: CasStore,
                  job_timeout: float = 600.0) -> None:
         self.queue = queue
-        self.repository = repository
+        self.store = store
         self.job_timeout = job_timeout
         self._batch_serial = itertools.count(1)
         self.batches = 0
@@ -97,17 +96,13 @@ class FarmDispatcher:
     def ready(self) -> bool:
         return self.queue.worker_count() > 0
 
-    # -- Store access (local: the coordinator owns the repository) --------------
+    # -- Store access (local: the coordinator owns the store) -------------------
 
     def put_blob(self, data: bytes) -> str:
-        key = cas_key(data)
-        if not self.repository.contains(CAS_KIND, key):
-            self.repository.store(CAS_KIND, key, data)
-        return key
+        return self.store.put(data)
 
     def get_blob(self, key: str) -> bytes:
-        # Snapshot zero-copy views; callers json-decode and cache this.
-        return bytes(self.repository.fetch(CAS_KIND, key))
+        return self.store.get(key)
 
     # -- Dispatch ---------------------------------------------------------------
 
@@ -120,7 +115,7 @@ class FarmDispatcher:
         failed build."""
         batch = next(self._batch_serial)
         tasks = [
-            StealTask(
+            Task(
                 "b%d:p%d" % (batch, job["index"]),
                 job,
                 weight=max(1, int(job.get("weight", 1))),
@@ -174,12 +169,13 @@ class FarmCoordinator(BuildDaemon):
         self.host = host
         self.port = port
         self.token = token if token is not None else ensure_token(root)
-        self.steal_queue = StealQueue(retry_limit=retry_limit)
+        self.task_queue = TaskQueue(retry_limit=retry_limit)
         self.store_repo = Repository(
             directory=os.path.join(root, "store")
         )
+        self.store = CasStore(self.store_repo)
         self.dispatcher = FarmDispatcher(
-            self.steal_queue, self.store_repo, job_timeout=job_timeout
+            self.task_queue, self.store, job_timeout=job_timeout
         )
         self.workers: Dict[str, Dict] = {}
         self._workers_lock = threading.Lock()
@@ -280,7 +276,7 @@ class FarmCoordinator(BuildDaemon):
                 elif role == ROLE_STORE:
                     self.store_connections += 1
                     conn.settimeout(None)
-                    RepositoryServer(self.store_repo).serve(stream)
+                    serve_store(stream, self.store)
                 elif role == ROLE_WORKER:
                     conn.settimeout(None)
                     self._serve_worker(stream, hello)
@@ -304,7 +300,7 @@ class FarmCoordinator(BuildDaemon):
     def _serve_worker(self, stream, hello: Dict) -> None:
         label = str(hello.get("label") or "worker")
         worker_id = "w%d:%s" % (next(self._worker_serial), label)
-        self.steal_queue.register_worker(worker_id)
+        self.task_queue.register_worker(worker_id)
         with self._workers_lock:
             self.workers[worker_id] = {
                 "label": label,
@@ -320,9 +316,9 @@ class FarmCoordinator(BuildDaemon):
                 if self._stopped.is_set():
                     write_message(stream, {"op": "shutdown"})
                     return
-                task = self.steal_queue.next_for(worker_id, timeout=0.5)
+                task = self.task_queue.next_for(worker_id, timeout=0.5)
                 if task is None:
-                    if not self.steal_queue.is_registered(worker_id):
+                    if not self.task_queue.is_registered(worker_id):
                         return  # queue closed (drain) or kicked
                     if time.monotonic() - last_send >= PING_INTERVAL:
                         write_message(stream, {"op": "ping"})
@@ -338,13 +334,13 @@ class FarmCoordinator(BuildDaemon):
                 if reply is None:
                     raise OSError("worker closed mid-task")
                 if reply.get("ok"):
-                    self.steal_queue.complete(
+                    self.task_queue.complete(
                         worker_id, task.task_id, reply
                     )
                     with self._workers_lock:
                         self.workers[worker_id]["jobs_done"] += 1
                 else:
-                    self.steal_queue.fail(
+                    self.task_queue.fail(
                         worker_id, task.task_id,
                         str(reply.get("error", "worker error")),
                     )
@@ -353,14 +349,14 @@ class FarmCoordinator(BuildDaemon):
         except (OSError, ValueError, ProtocolError):
             pass
         finally:
-            self.steal_queue.unregister_worker(worker_id)
+            self.task_queue.unregister_worker(worker_id)
             with self._workers_lock:
                 self.workers.pop(worker_id, None)
 
     # -- Lifecycle ---------------------------------------------------------------
 
     def _drain(self) -> None:
-        self.steal_queue.close()
+        self.task_queue.close()
         super()._drain()
         self.store_repo.close()
 
@@ -374,7 +370,7 @@ class FarmCoordinator(BuildDaemon):
                 dict(info, id=worker_id)
                 for worker_id, info in sorted(self.workers.items())
             ]
-        status["steal"] = self.steal_queue.stats()
+        status["queue"] = self.task_queue.stats()
         status["store"] = {
             "entries": len(self.store_repo),
             "io": self.store_repo.io_stats(),

@@ -4,13 +4,13 @@ The wire format is the serve protocol's length-bounded NDJSON framing
 (:mod:`repro.serve.protocol`), generalized from a UNIX socket to TCP
 plus one **hello** exchange before anything else:
 
-* connector -> listener: ``{"farm": 1, "role": ..., "token": ...}``
+* connector -> listener: ``{"farm": 2, "role": ..., "token": ...}``
 * listener -> connector: ``{"ok": true, "role": ...}`` or
   ``{"ok": false, "error": ...}`` followed by a close.
 
 Roles are ``client`` (one build request, the existing protocol),
 ``worker`` (a job loop driven by the coordinator) and ``store``
-(repository requests against the shared artifact store).  Tokens are
+(blob requests against the shared content-addressed store).  Tokens are
 compared with :func:`hmac.compare_digest`; the default token is
 generated once per coordinator root and readable only by its owner,
 so same-user-same-host setups (tests, CI, the benchmark) need no
@@ -37,8 +37,9 @@ from ..serve.protocol import (
     write_message,
 )
 
-#: Farm handshake version.
-FARM_VERSION = 1
+#: Farm handshake version; 2 speaks the hash-keyed store ops of
+#: :mod:`repro.farm.store`.
+FARM_VERSION = 2
 
 #: Connection roles.
 ROLE_CLIENT = "client"

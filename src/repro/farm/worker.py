@@ -1,11 +1,12 @@
 """The farm worker daemon: N job slots against one coordinator.
 
 A :class:`FarmWorker` opens one **worker** connection per job slot
-(``--jobs 4`` = four slots), so the coordinator's work-stealing queue
-sees per-slot load and a multi-core worker host is just N workers
-that happen to share a process -- plus one **store** connection per
-slot for artifact traffic, kept separate so a long blob fetch never
-stalls the job command stream.
+(``--jobs 4`` = four slots), so the coordinator's pull queue hands
+each slot one job at a time and a multi-core worker host is just N
+workers that happen to share a process -- plus one **store**
+connection per slot for blob traffic (a :class:`~repro.farm.store.
+StoreClient`), kept separate so a long blob fetch never stalls the
+job command stream.
 
 Each slot loops: read a command, run the partition
 (:func:`repro.part.wire.run_wire_job` -- the same executor every
@@ -32,7 +33,6 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from ..naim.remote import RemoteRepository, RemoteRepositoryError
 from ..part.wire import ContextCache, job_pool_keys, run_wire_job
 from ..serve.protocol import ProtocolError, read_message, write_message
 from .store import StoreClient
@@ -111,8 +111,7 @@ class FarmWorker:
         while not self._stop.is_set():
             try:
                 self._serve_one_connection(slot)
-            except (OSError, AuthError, ValueError,
-                    ProtocolError, RemoteRepositoryError):
+            except (OSError, AuthError, ValueError, ProtocolError):
                 pass
             if self._stop.is_set():
                 return
@@ -136,7 +135,7 @@ class FarmWorker:
                 if self._stop.is_set():
                     return
                 self._conns[slot] = [conn, store_conn]
-            store = StoreClient(RemoteRepository(store_stream))
+            store = StoreClient(store_stream)
             while not self._stop.is_set():
                 message = read_message(stream)
                 if message is None:

@@ -22,10 +22,8 @@ Storage:
 * in-memory (``in_memory=True``) -- a dict, backing unit tests and
   the partition workers' private overlays.
 
-Directories written before the pack format hold one
-``<kind>__<name>.pool`` file per pool; :meth:`Repository.reindex`
-migrates those into the active segment and unlinks them, so no read or
-write path knows they exist.
+Only ``seg-NNNNN.pack`` files are the repository's; :meth:`Repository.
+reindex` leaves every other file in the directory alone.
 """
 
 from __future__ import annotations
@@ -238,42 +236,6 @@ class Repository:
         else:
             os.makedirs(self._directory, exist_ok=True)
         return self._directory
-
-    @staticmethod
-    def _unescape(text: str) -> str:
-        """Decode a legacy filename part: ``_xxxx`` (four hex digits)
-        stands for one character, everything else for itself."""
-        out = []
-        position = 0
-        while position < len(text):
-            ch = text[position]
-            if ch != "_":
-                out.append(ch)
-                position += 1
-                continue
-            code = text[position + 1 : position + 5]
-            if len(code) != 4:
-                raise ValueError("truncated escape in %r" % text)
-            out.append(chr(int(code, 16)))
-            position += 5
-        return "".join(out)
-
-    @classmethod
-    def _parse_filename(cls, filename: str) -> Optional[Tuple[str, str]]:
-        """``<kind>__<name>.pool`` -> (kind, name); None for foreign
-        files."""
-        if not filename.endswith(".pool"):
-            return None
-        stem = filename[: -len(".pool")]
-        # Escaped text never contains "__" (every "_" is followed by a
-        # hex digit), so the first occurrence is the separator.
-        kind_part, separator, name_part = stem.partition("__")
-        if not separator:
-            return None
-        try:
-            return cls._unescape(kind_part), cls._unescape(name_part)
-        except ValueError:
-            return None
 
     def _segment_path(self, segment_id: int) -> str:
         return os.path.join(
@@ -505,14 +467,7 @@ class Repository:
         CRC-verified prefix.  Damage descriptions are collected in
         ``reindex_errors``; with ``strict=True`` any damage raises
         :class:`RepositoryError` instead.  Returns the number of
-        indexed pools.
-
-        Legacy ``<kind>__<name>.pool`` files are migrated: each one
-        whose key no pack entry holds is stored into the active
-        segment, then unlinked (a key the pack already holds wins and
-        the stale file is just unlinked).  A crash between the append
-        and the unlink leaves both, which the next reindex resolves the
-        same way.
+        indexed pools.  Files that are not segments are left alone.
         """
         if self._in_memory or self._directory is None:
             return len(self._known)
@@ -521,27 +476,12 @@ class Repository:
         with self._lock:
             self.reindex_errors = []
             segment_ids = []
-            pool_files = []
-            for entry in sorted(os.listdir(self._directory)):
+            for entry in os.listdir(self._directory):
                 match = _SEGMENT_RE.match(entry)
                 if match:
                     segment_ids.append(int(match.group(1)))
-                elif entry.endswith(".pool"):
-                    pool_files.append(entry)
             for segment_id in sorted(segment_ids):
                 self._reindex_segment(segment_id)
-        for entry in pool_files:
-            key = self._parse_filename(entry)
-            if key is None:
-                continue
-            path = os.path.join(self._directory, entry)
-            try:
-                if key not in self._located:
-                    with open(path, "rb") as handle:
-                        self.store(key[0], key[1], handle.read())
-                os.unlink(path)
-            except OSError as exc:
-                self.reindex_errors.append("%s: %s" % (entry, exc))
         if strict and self.reindex_errors:
             raise RepositoryError(
                 "repository index rebuild found damage: "

@@ -125,7 +125,7 @@ _contexts = ContextCache()
 
 class _BlobStore:
     """The ``get_blob``/``get_blobs`` surface
-    :class:`~repro.naim.remote.CasBackedRepository` wants, served from
+    :class:`~repro.part.wire.CasBackedRepository` wants, served from
     one attached blob."""
 
     def __init__(self, blob: AttachedBlob) -> None:

@@ -36,7 +36,7 @@ import json
 import sys
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..hlo.analysis.modref import ModRefAnalysis, ModRefInfo
 from ..hlo.driver import run_ltrans
@@ -56,7 +56,6 @@ from ..naim.config import NaimConfig, NaimLevel
 from ..naim.loader import Loader, LoaderStats
 from ..naim.memory import MemoryAccountant
 from ..naim.pools import KIND_IR
-from ..naim.remote import CasBackedRepository
 from ..naim.repository import OverlayRepository
 from ..serve.protocol import decode_bytes, encode_bytes
 from ..vm.image import MachineRoutine
@@ -438,6 +437,45 @@ def job_pool_keys(job: Dict) -> Dict[Tuple[str, str], str]:
     }
 
 
+class CasBackedRepository:
+    """NAIM ``(kind, name)`` reads resolved through a CAS mapping.
+
+    A partition job names its input pools by routine name but ships
+    them as content-addressed blobs; this adapter lets the worker's
+    loader (and prefetch pipeline) fetch by name while the bytes come
+    from the blob store under their content hash.  Read-only by
+    design: workers publish results as new blobs, never mutate
+    inputs."""
+
+    def __init__(self, store, mapping: Dict[Tuple[str, str], str]) -> None:
+        self._store = store
+        self._mapping = dict(mapping)
+
+    def fetch(self, kind: str, name: str) -> bytes:
+        key = self._mapping.get((kind, name))
+        if key is None:
+            raise KeyError("no %s pool %r in partition inputs"
+                           % (kind, name))
+        return self._store.get_blob(key)
+
+    def fetch_many(
+        self, keys: Iterable[Tuple[str, str]]
+    ) -> Dict[Tuple[str, str], bytes]:
+        wanted = [(key, self._mapping.get(key)) for key in keys]
+        hashes = [h for _, h in wanted if h is not None]
+        blobs = self._store.get_blobs(hashes)
+        return {
+            key: blobs[h]
+            for key, h in wanted if h is not None and h in blobs
+        }
+
+    def contains(self, kind: str, name: str) -> bool:
+        return (kind, name) in self._mapping
+
+    def stored_size(self, kind: str, name: str) -> int:
+        return len(self.fetch(kind, name))
+
+
 def run_wire_job(job: Dict, store, contexts: ContextCache) -> Dict:
     """Execute one job descriptor against a blob store.
 
@@ -455,10 +493,9 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
     run_ltrans`, package -- the worker adapter of the LTRANS body.
 
     ``repository`` supplies every routine's compact IR under
-    ``(KIND_IR, name)`` (see :class:`~repro.naim.remote.
-    CasBackedRepository`).  The worker's loader dies with the job and
-    leaves no body behind: the reply carries machine code and
-    statistics."""
+    ``(KIND_IR, name)`` (see :class:`CasBackedRepository`).  The
+    worker's loader dies with the job and leaves no body behind: the
+    reply carries machine code and statistics."""
     index = job["index"]
     names: List[str] = [entry["name"] for entry in job["routines"]]
     worker_loader = Loader(

@@ -7,12 +7,12 @@ around it is a content-addressed artifact cache shared across build
 engines, structured build events that export as Chrome
 ``trace_event`` JSON, and the process-level parallelism the partitioned
 link-time backend uses: a persistent worker-process pool (``procpool``)
-and the farm's work-stealing queue (``steal``).
+and the farm's heaviest-first pull queue (``tasks``).
 """
 
 from .artifacts import PIPELINE_EPOCH, ArtifactCache, CacheStats
 from .events import BuildEvent, EventLog
-from .steal import StealQueue, StealTask, TaskFailure
+from .tasks import Task, TaskFailure, TaskQueue
 
 __all__ = [
     "PIPELINE_EPOCH",
@@ -20,7 +20,7 @@ __all__ = [
     "CacheStats",
     "BuildEvent",
     "EventLog",
-    "StealQueue",
-    "StealTask",
+    "Task",
     "TaskFailure",
+    "TaskQueue",
 ]

@@ -20,8 +20,8 @@ Design points:
   SIGKILL, segfault in an extension) surfaces as EOF on its pipe; the
   task is re-queued with its attempt count bumped, bounded by
   ``retry_limit`` exactly like the farm's
-  :class:`~repro.sched.steal.StealQueue` -- exhaustion raises the
-  same :class:`~repro.sched.steal.TaskFailure`.  A replacement worker
+  :class:`~repro.sched.tasks.TaskQueue` -- exhaustion raises the
+  same :class:`~repro.sched.tasks.TaskFailure`.  A replacement worker
   is spawned while work remains.
 * **Warm reuse.**  The pool survives between batches: the daemon
   keeps one across requests so warm builds skip process spawn (and
@@ -47,7 +47,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .events import BuildEvent, EventLog
-from .steal import TaskFailure
+from .tasks import Task, TaskFailure
 
 #: First message on every worker pipe (carries the worker's pid);
 #: consumed by the parent to measure ready latency.
@@ -113,16 +113,6 @@ def _worker_main(conn, worker_fn) -> None:
             return
 
 
-class _Task:
-    __slots__ = ("task_id", "payload", "weight", "attempts")
-
-    def __init__(self, task_id: str, payload, weight: int) -> None:
-        self.task_id = task_id
-        self.payload = payload
-        self.weight = weight
-        self.attempts = 0
-
-
 class _Worker:
     __slots__ = ("lane", "process", "conn", "task", "sent_us",
                  "started_at", "ready_seen", "last_used")
@@ -131,7 +121,7 @@ class _Worker:
         self.lane = lane
         self.process = process
         self.conn = conn
-        self.task: Optional[_Task] = None
+        self.task: Optional[Task] = None
         self.sent_us = 0
         self.started_at = time.perf_counter()
         self.ready_seen = False
@@ -246,7 +236,7 @@ class ProcessWorkerPool:
         eligible = self._workers[:target]
 
         pending = deque(sorted(
-            (_Task(tid, payload, weight) for tid, payload, weight in tasks),
+            (Task(tid, payload, weight) for tid, payload, weight in tasks),
             key=lambda task: -task.weight,
         ))
         results: Dict[str, object] = {}
@@ -347,7 +337,7 @@ class ProcessWorkerPool:
             self._workers.append(replacement)
             eligible.append(replacement)
 
-    def _retire_or_requeue(self, task: _Task, pending, reason: str,
+    def _retire_or_requeue(self, task: Task, pending, reason: str,
                            requeue_front: bool = False) -> None:
         task.attempts += 1
         if task.attempts > self.retry_limit:

@@ -301,49 +301,3 @@ class TestRecovery:
         reader = Repository(directory=str(tmp_path))
         assert reader.reindex() == 20
         assert any("header" in err for err in reader.reindex_errors)
-
-
-class TestLegacyMigration:
-    """``reindex`` moves pre-pack ``<kind>__<name>.pool`` files into
-    the pack and unlinks them; nothing else ever opens one.  (Unparseable
-    ones are left alone: test_repository.py, foreign files.)"""
-
-    def _write(self, tmp_path, filename, data):
-        with open(os.path.join(str(tmp_path), filename), "wb") as handle:
-            handle.write(data)
-
-    def _pool_files(self, tmp_path):
-        return sorted(n for n in os.listdir(str(tmp_path))
-                      if n.endswith(".pool"))
-
-    def test_pool_files_migrate_into_the_pack(self, tmp_path):
-        self._write(tmp_path, "ir__old_003a_003afn.pool", b"legacy bytes")
-        self._write(tmp_path, "mach__deadbeef.pool", b"blob")
-
-        repo = Repository(directory=str(tmp_path))
-        assert repo.reindex() == 2
-        assert self._pool_files(tmp_path) == []
-        assert repo.fetch("ir", "old::fn") == b"legacy bytes"
-        # New stores land in the same segments.
-        repo.store("ir", "new::fn", b"pack bytes")
-        repo.close()
-
-        reopened = Repository(directory=str(tmp_path))
-        assert reopened.reindex() == 3
-        assert reopened.fetch("ir", "old::fn") == b"legacy bytes"
-        assert reopened.fetch("mach", "deadbeef") == b"blob"
-        assert reopened.fetch("ir", "new::fn") == b"pack bytes"
-        reopened.close()
-
-    def test_pack_entry_wins_over_stale_pool_file(self, tmp_path):
-        # Also the state a crash between append and unlink leaves.
-        writer = Repository(directory=str(tmp_path))
-        writer.store("ir", "f", b"pack copy")
-        writer.close()
-        self._write(tmp_path, "ir__f.pool", b"stale copy")
-
-        repo = Repository(directory=str(tmp_path))
-        assert repo.reindex() == 1
-        assert repo.fetch("ir", "f") == b"pack copy"
-        assert self._pool_files(tmp_path) == []
-        assert repo.stores == 0  # nothing was appended

@@ -7,8 +7,8 @@ import pytest
 from repro.naim.repository import Repository
 
 
-def write_pool_file(directory, filename, data):
-    """A legacy one-file-per-pool entry, as pre-pack versions wrote it."""
+def write_foreign_file(directory, filename, data):
+    """A file the repository did not write."""
     with open(os.path.join(str(directory), filename), "wb") as handle:
         handle.write(data)
 
@@ -89,32 +89,6 @@ class TestOnDisk:
         assert repo.fetch("ir", "a::b::cl0") == b"clone"
 
 
-class TestLegacyFilenames:
-    """Adopting the pre-pack one-file-per-pool names: every character
-    outside ``[A-Za-z0-9.-]`` was written as ``_xxxx`` (hex)."""
-
-    @pytest.mark.parametrize("filename, key", [
-        ("ir__plain.pool", ("ir", "plain")),
-        # ``x:``, ``x_c`` and ``x c`` were three files: three pools.
-        ("ir__x_003a.pool", ("ir", "x:")),
-        ("ir__x_005fc.pool", ("ir", "x_c")),
-        ("ir__x_0020c.pool", ("ir", "x c")),
-        # The kind/name separator can't be forged from name text.
-        ("a_005fb__c.pool", ("a_b", "c")),
-        ("a__b_005fc.pool", ("a", "b_c")),
-        ("ir__a_003a_003ab_003a_003acl0.pool", ("ir", "a::b::cl0")),
-        ("ir__m_002fn_005co.pool", ("ir", "m/n\\o")),
-        ("ir___005f_005f.pool", ("ir", "__")),
-        ("ir__caf_00e9.pool", ("ir", "café")),
-        ("ir__.pool", ("ir", "")),
-        ("ir__x_00.pool", None),  # truncated escape
-        ("README.pool", None),  # no kind/name separator
-        ("ir__x.pack", None),
-    ])
-    def test_parse_filename(self, filename, key):
-        assert Repository._parse_filename(filename) == key
-
-
 class TestDiscardAndReindex:
     def test_discard(self, tmp_path):
         repo = Repository(directory=str(tmp_path))
@@ -126,19 +100,6 @@ class TestDiscardAndReindex:
         assert repo.reclaimable_bytes > 0
         assert repo.dead_entries == 1
         assert not repo.discard("ir", "f")  # second discard is a no-op
-
-    def test_discard_of_migrated_pool_stays_discarded(self, tmp_path):
-        write_pool_file(tmp_path, "ir__f.pool", b"data")
-        repo = Repository(directory=str(tmp_path))
-        repo.reindex()
-        assert repo.discard("ir", "f")
-        assert not repo.contains("ir", "f")
-        assert not repo.discard("ir", "f")
-        repo.close()
-        # No .pool file is left behind to resurrect it on reopen.
-        assert os.listdir(str(tmp_path)) == ["seg-00000.pack"]
-        reopened = Repository(directory=str(tmp_path))
-        assert reopened.reindex() == 0
 
     def test_discard_in_memory(self):
         repo = Repository(in_memory=True)
@@ -160,12 +121,21 @@ class TestDiscardAndReindex:
 
     def test_reindex_leaves_foreign_files_alone(self, tmp_path):
         foreign = ["README.pool", "ir__x_00.pool", "notes.txt"]
-        for name in foreign:  # no separator, truncated escape, not a pool
-            write_pool_file(tmp_path, name, b"not ours")
+        for name in foreign:
+            write_foreign_file(tmp_path, name, b"not ours")
         repo = Repository(directory=str(tmp_path))
         assert repo.reindex() == 0
         assert len(repo) == 0 and not repo.reindex_errors
         assert sorted(os.listdir(str(tmp_path))) == foreign
+
+    def test_a_pre_pack_pool_file_is_a_foreign_file(self, tmp_path):
+        # The one-file-per-pool layout from before the pack format is
+        # not read: such a directory relinks from scratch.
+        write_foreign_file(tmp_path, "ir__f.pool", b"data")
+        repo = Repository(directory=str(tmp_path))
+        assert repo.reindex(strict=True) == 0
+        assert not repo.contains("ir", "f") and not repo.reindex_errors
+        assert os.listdir(str(tmp_path)) == ["ir__f.pool"]
 
 
 class TestFetchMany:

@@ -22,7 +22,7 @@ from repro.sched.procpool import (
     default_start_method,
     processes_available,
 )
-from repro.sched.steal import TaskFailure
+from repro.sched.tasks import TaskFailure
 
 
 def _double(payload):
