@@ -1,10 +1,23 @@
 """Unit tests for the profile database."""
 
+import json
 import os
 
+import pytest
+
+from repro.driver.compiler import train
 from repro.frontend import compile_sources
 from repro.interp import run_program
-from repro.profiles import ProfileDatabase, instrument_program
+from repro.profiles import (
+    ProfileDatabase,
+    ProfileFormatError,
+    instrument_program,
+)
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    os.pardir, "fixtures", "golden_profiles.json",
+)
 
 SOURCES = {
     "m": """
@@ -82,10 +95,6 @@ class TestMergeAndPersistence:
         assert len(loaded) == len(database)
 
     def test_bad_version_rejected(self):
-        import json
-
-        import pytest
-
         payload = json.dumps({"version": 99, "routines": {}})
         with pytest.raises(ValueError):
             ProfileDatabase.from_json(payload)
@@ -102,3 +111,79 @@ class TestFiltering:
             f in surviving and t in surviving
             for f, t in filtered.edge_counts
         )
+
+
+class TestFormatVersioning:
+    def test_version_1_files_migrate(self):
+        modern = json.loads(collect().to_json())
+        legacy = {
+            "version": 1,
+            "run_count": modern["run_count"],
+            "routines": {
+                name: {
+                    key: value
+                    for key, value in entry.items()
+                    if key not in ("last_epoch", "stale")
+                }
+                for name, entry in modern["routines"].items()
+            },
+        }
+        database = ProfileDatabase.from_json(json.dumps(legacy))
+        assert database.epoch == 0
+        for profile in database.routines.values():
+            assert profile.last_epoch == 0
+            assert not profile.stale
+        # Saving rewrites it as the current version.
+        assert json.loads(database.to_json())["version"] == 2
+
+    def test_unknown_version_raises_structured_error(self):
+        with pytest.raises(ProfileFormatError) as info:
+            ProfileDatabase.from_json(
+                json.dumps({"version": 99, "routines": {}})
+            )
+        assert info.value.found == 99
+        assert info.value.expected == 2
+
+    def test_missing_version_rejected(self):
+        with pytest.raises(ProfileFormatError) as info:
+            ProfileDatabase.from_json(json.dumps({"routines": {}}))
+        assert info.value.found is None
+
+    def test_garbage_rejected(self):
+        with pytest.raises(ProfileFormatError):
+            ProfileDatabase.from_json("{not json")
+        with pytest.raises(ProfileFormatError):
+            ProfileDatabase.from_json(json.dumps([1, 2, 3]))
+
+
+class TestGoldenFormat:
+    """``tests/fixtures/golden_profiles.json`` freezes the version-2 text.
+
+    ``trained`` is ``train`` over the fixture's sources with
+    ``training_runs`` runs; ``streamed`` carries a non-zero ``epoch``, a
+    decay of 0.25, fractional counts, ``last_epoch`` 3 and one ``stale``
+    routine.  A file in either shape must load and save back to the very
+    same bytes, and training must still write the trained text.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN_PATH, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("row", ["trained", "streamed"])
+    def test_loads_and_saves_the_same_bytes(self, golden, row):
+        text = golden[row]
+        assert ProfileDatabase.from_json(text).to_json() == text
+
+    def test_streamed_fields_survive_loading(self, golden):
+        database = ProfileDatabase.from_json(golden["streamed"])
+        assert database.epoch == 4
+        assert database.decay == 0.25
+        assert database.routines["tick"].stale
+        assert database.routines["tick"].last_epoch == 3
+        assert not database.routines["main"].stale
+
+    def test_training_writes_the_golden_text(self, golden):
+        database = train(golden["sources"], [None] * golden["training_runs"])
+        assert database.to_json() == golden["trained"]
