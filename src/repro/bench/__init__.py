@@ -9,7 +9,6 @@ from .figures import (
     run_figure6,
     run_history,
     run_naim_ablation,
-    run_profile_loop,
     run_stale_profiles,
 )
 from .tables import Table, fmt_mb, speedup
@@ -23,7 +22,6 @@ __all__ = [
     "run_figure6",
     "run_history",
     "run_naim_ablation",
-    "run_profile_loop",
     "run_stale_profiles",
     "Table",
     "fmt_mb",

@@ -578,17 +578,6 @@ def run_stale_profiles(scale: float = 0.5) -> FigureResult:
     return FigureResult("stale_profiles", table, {"series": series})
 
 
-def run_profile_loop(scale: float = 1.0, **kwargs):
-    """Closed-loop profile service vs static baselines (streaming Fig. 6).
-
-    Implemented in :mod:`repro.bench.profile_loop`; imported lazily
-    because that module itself builds on :class:`FigureResult`.
-    """
-    from .profile_loop import run_profile_loop as run
-
-    return run(scale=scale, **kwargs)
-
-
 #: Registry for the CLI and the EXPERIMENTS.md builder.
 
 FIGURES = {
@@ -599,5 +588,4 @@ FIGURES = {
     "figure6": run_figure6,
     "history": run_history,
     "ablation_naim": run_naim_ablation,
-    "profile_loop": run_profile_loop,
 }

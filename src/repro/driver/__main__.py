@@ -99,12 +99,9 @@ def _daemon_build(args: argparse.Namespace, sources: Dict[str, str],
 
 def cmd_build(args: argparse.Namespace) -> int:
     sources = _read_sources(args.files)
-    if args.selectivity is not None and not (
-        args.profile_path or args.profile_feed
-    ):
+    if args.selectivity is not None and not args.profile_path:
         print("--selectivity %g ignored: coarse-grained selection needs "
-              "a profile (-P or --profile-feed)" % args.selectivity,
-              file=sys.stderr)
+              "a profile (-P)" % args.selectivity, file=sys.stderr)
 
     if args.farm:
         # An explicit endpoint is a promise, not a hint: a farm the
@@ -143,15 +140,6 @@ def cmd_build(args: argparse.Namespace) -> int:
             except DaemonError as exc:
                 print("daemon: %s; building in-process" % exc,
                       file=sys.stderr)
-
-    if args.profile_feed:
-        # Feeds live in a daemon's warm state; a cold in-process build
-        # has no database or controller to join, so say so and build
-        # without one rather than failing the compile.
-        print("--profile-feed %s ignored: no daemon answered, feeds "
-              "need --daemon or --farm" % args.profile_feed,
-              file=sys.stderr)
-        args.profile_feed = None
 
     # The same parse a daemon or coordinator applies to the request it
     # receives, so the three cannot configure a build differently.

@@ -245,7 +245,6 @@ class BuildEngine:
         self,
         sources: Dict[str, str],
         profile_db: Optional[ProfileDatabase] = None,
-        selectivity_percent: Optional[float] = None,
     ) -> Tuple[BuildResult, RebuildReport]:
         """Recompile what changed, relink, return both artifacts.
 
@@ -292,7 +291,6 @@ class BuildEngine:
                     profile_db,
                     incr_state=self.incr_state,
                     events=self.events,
-                    selectivity_percent=selectivity_percent,
                 )
         except Exception as exc:
             raise BuildError({"link": exc}, [], report) from exc

@@ -246,7 +246,6 @@ class Compiler:
         sources: Sources,
         profile_db: Optional[ProfileDatabase] = None,
         events: Optional[EventLog] = None,
-        selectivity_percent: Optional[float] = None,
     ) -> BuildResult:
         """Frontend + compile + link in one call.
 
@@ -289,9 +288,7 @@ class Compiler:
                 result.objects.append(obj)
                 result.merge_codegen(accountant, stats)
         with events.span("link", "link"):
-            self.link_into(result.objects, profile_db, result,
-                           events=events,
-                           selectivity_percent=selectivity_percent)
+            self.link_into(result.objects, profile_db, result, events=events)
         return result
 
     def link(
@@ -300,7 +297,6 @@ class Compiler:
         profile_db: Optional[ProfileDatabase] = None,
         incr_state=None,
         events: Optional[EventLog] = None,
-        selectivity_percent: Optional[float] = None,
     ) -> BuildResult:
         """Link previously compiled objects (the `ld` step).
 
@@ -314,8 +310,7 @@ class Compiler:
         result.objects = list(objects)
         result.source_lines = sum(o.source_lines for o in objects)
         self.link_into(objects, profile_db, result, incr_state=incr_state,
-                       events=events,
-                       selectivity_percent=selectivity_percent)
+                       events=events)
         return result
 
     # -- The link pipeline -------------------------------------------------------------
@@ -327,16 +322,10 @@ class Compiler:
         result: BuildResult,
         incr_state=None,
         events: Optional[EventLog] = None,
-        selectivity_percent: Optional[float] = None,
     ) -> None:
         options = self.options
         accountant = result.accountant
         use_db = profile_db if options.pbo else None
-        # Per-build override: the daemon's selectivity controller moves the
-        # threshold between builds of one warm session without perturbing
-        # the session's options (and hence its identity and caches).
-        if selectivity_percent is None:
-            selectivity_percent = options.selectivity_percent
 
         il_objects = [o for o in objects if o.kind == KIND_IL]
         code_objects = [o for o in objects if o.kind != KIND_IL]
@@ -375,7 +364,7 @@ class Compiler:
 
             with _Timer(result.timings, "selectivity"):
                 result.plan = plan_selectivity(
-                    selectivity_percent if use_db else None,
+                    options.selectivity_percent if use_db else None,
                     il_modules,
                     use_db,
                     multi_layer=options.multi_layer,
@@ -402,7 +391,6 @@ class Compiler:
                         ],
                         incr_state=incr_state,
                         events=events,
-                        selectivity_percent=selectivity_percent,
                     )
                 )
 
@@ -483,7 +471,6 @@ class Compiler:
         cmo_objects: List[ObjectFile],
         incr_state=None,
         events: Optional[EventLog] = None,
-        selectivity_percent: Optional[float] = None,
     ) -> List[MachineRoutine]:
         """Route the CMO module set through HLO, then LLO each routine.
 
@@ -554,7 +541,7 @@ class Compiler:
             )
             selected: Optional[Set[str]] = None
             if result.plan is not None and (
-                selectivity_percent is not None
+                options.selectivity_percent is not None
                 and profile_db is not None
             ):
                 selected = result.plan.selected_routines
@@ -879,8 +866,7 @@ class CompileSession:
 
     def build(self, sources: Dict[str, str],
               profile_db: Optional[ProfileDatabase] = None,
-              profile_hot: bool = False,
-              selectivity_percent: Optional[float] = None):
+              profile_hot: bool = False):
         """Run one build; returns ``(result, report, stats)``.
 
         ``report`` is a :class:`~repro.driver.build.RebuildReport` when
@@ -890,11 +876,6 @@ class CompileSession:
         flat report lands in ``stats.hot_profile`` (profiling overhead
         makes ``stats.seconds`` incomparable to unprofiled builds; the
         build output itself is unaffected).
-
-        ``selectivity_percent`` overrides the session options' threshold
-        for this build only — the daemon's selectivity controller uses it
-        to move the hotness cutoff between builds while keeping the warm
-        session (and its incremental state) intact.
         """
         with self._lock:
             stats = SessionBuildStats()
@@ -914,14 +895,12 @@ class CompileSession:
             try:
                 if self.engine is not None:
                     result, report = self.engine.build(
-                        sources, profile_db=profile_db,
-                        selectivity_percent=selectivity_percent,
+                        sources, profile_db=profile_db
                     )
                 else:
                     result = self.compiler.build(
                         sources, profile_db=profile_db,
                         events=self.events,
-                        selectivity_percent=selectivity_percent,
                     )
                     report = None
             finally:

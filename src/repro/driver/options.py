@@ -199,8 +199,7 @@ BUILD_KNOBS = (
     Knob("profile_path", ("-P",), str, _path, None, False,
          "profile database to use (+P)", "DB.json"),
     Knob("selectivity", ("--selectivity",), float, _percent, None, True,
-         "coarse-grained selectivity percentage (needs -P or "
-         "--profile-feed)", "PCT"),
+         "coarse-grained selectivity percentage (needs -P)", "PCT"),
     Knob("checked", ("--checked",), bool, _boolean, False, True,
          "fail the build on interface mismatches"),
     Knob("hlo_jobs", ("--hlo-jobs",), int, at_least_one, 1, True,
@@ -221,12 +220,6 @@ BUILD_KNOBS = (
     Knob("state_dir", ("--state-dir",), str, _path, None, True,
          "persist incremental state (objects, summaries, codegen "
          "cache) in DIR across runs; implies --incremental", "DIR"),
-    Knob("profile_feed", ("--profile-feed",), str, _text, None, False,
-         "join the daemon's named continuous-profile feed: the build "
-         "uses the feed's live decayed database and the selectivity "
-         "controller's current threshold, and registers the project "
-         "for ingest-triggered re-optimization (needs --daemon or "
-         "--farm)", "NAME"),
     Knob("profile_hot", ("--profile-hot",), bool, _boolean, False, False,
          "profile the compiler's own hot paths during the build "
          "(cProfile; slower, output unchanged) and print a flat report"),
@@ -286,11 +279,7 @@ class BuildConfig(namedtuple("_BuildConfig",
 
     @property
     def pbo(self) -> bool:
-        # A feed build is a PBO build from day one, even while the
-        # feed's database is still empty: the session's identity (and
-        # its incremental fingerprints) must not flip when the first
-        # profile batch arrives.
-        return self.profile_path is not None or self.profile_feed is not None
+        return self.profile_path is not None
 
     def compiler_options(self) -> CompilerOptions:
         return CompilerOptions(

@@ -15,7 +15,7 @@ everything else is scanned for global-usage facts and left unloaded.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.module import Module
 from ..profiles.database import ProfileDatabase
@@ -116,34 +116,6 @@ def plan_selectivity(
     if multi_layer:
         _assign_layers(plan, modules, profile_db)
     return plan
-
-
-def cmo_module_set(
-    profile_db: Optional[ProfileDatabase],
-    percent: Optional[float],
-    routine_module: Mapping[str, str],
-) -> Set[str]:
-    """The coarse CMO module set a build at ``percent`` would choose.
-
-    Profile-only variant of :func:`plan_selectivity` for callers that
-    have no parsed modules at hand — the daemon's selectivity controller
-    uses it to predict which modules would cross the hotness threshold
-    before deciding whether a re-optimization is worth triggering.  Uses
-    the same ranking and retention rule as the real plan, so the
-    prediction matches the build exactly for modules known to
-    ``routine_module``.
-    """
-    if percent is None or profile_db is None:
-        return set(routine_module.values())
-    sites = _ranked_sites(profile_db)
-    keep = int(math.ceil(len(sites) * percent / 100.0))
-    modules: Set[str] = set()
-    for caller, _block, _index, callee, _weight in sites[:keep]:
-        for name in (caller, callee):
-            owner = routine_module.get(name)
-            if owner is not None:
-                modules.add(owner)
-    return modules
 
 
 def _assign_layers(

@@ -82,46 +82,7 @@ def cmd_status(args: argparse.Namespace) -> int:
              status.get("builds_served", 0), len(workers),
              queue.get("completed", 0),
              " [draining]" if status.get("draining") else ""))
-    profiles = status.get("profiles") or {}
-    for name, feed in sorted((profiles.get("feeds") or {}).items()):
-        decision = feed.get("last_decision") or {}
-        print("feed %s: %d batches (%d samples), epoch %d, "
-              "%d reopts, controller %s@%s"
-              % (name, feed.get("batches", 0), feed.get("samples", 0),
-                 feed.get("epoch", 0), feed.get("reoptimizations", 0),
-                 decision.get("mode", "idle"),
-                 decision.get("percent", "-")))
     print(json.dumps(status, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_ingest(args: argparse.Namespace) -> int:
-    with open(args.batches, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, list):
-        print("batch file must hold a JSON list of batch objects",
-              file=sys.stderr)
-        return 2
-    client = _client(args)
-    try:
-        result = client.profile_ingest({
-            "feed": args.feed,
-            "batches": payload,
-            "reoptimize": not args.no_reoptimize,
-        }, timeout=args.timeout)
-    except DaemonError as exc:
-        print("ingest failed: %s" % exc, file=sys.stderr)
-        return 1
-    decision = result.get("decision") or {}
-    print("feed %s: accepted %d batch(es) (%d duplicate), epoch %d, "
-          "rebuilt: %s"
-          % (result.get("feed"), result.get("accepted", 0),
-             result.get("duplicates", 0), result.get("epoch", 0),
-             "yes" if result.get("rebuilt") else "no"))
-    if decision:
-        print("controller: %s -> %s%% (%s)"
-              % (decision.get("mode"), decision.get("percent"),
-                 decision.get("reason")))
     return 0
 
 
@@ -192,23 +153,6 @@ def main(argv=None) -> int:
     )
     _add_connect(status)
     status.set_defaults(func=cmd_status)
-
-    ingest = subparsers.add_parser(
-        "ingest", help="feed fleet profile batches to a coordinator"
-    )
-    _add_connect(ingest)
-    ingest.add_argument(
-        "batches",
-        help="JSON file holding a list of batch objects "
-             "(see `python -m repro.profserve simulate`)",
-    )
-    ingest.add_argument("--feed", required=True, metavar="NAME",
-                        help="profile feed to merge into")
-    ingest.add_argument("--no-reoptimize", action="store_true",
-                        help="merge only; suppress any rebuild")
-    ingest.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS")
-    ingest.set_defaults(func=cmd_ingest)
 
     stop = subparsers.add_parser(
         "stop", help="drain and stop a running coordinator"

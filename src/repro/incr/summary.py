@@ -99,8 +99,8 @@ def options_fingerprint(options) -> str:
     # move changes which routines are *selected*, and that membership is
     # already captured per module by the ``optimized`` flag and profile
     # views in the reuse keys.  Hashing the raw percent would force a
-    # full first_build every time the daemon's controller nudges the
-    # knob, defeating incremental re-optimization.
+    # full first_build whenever a state dir is relinked at another
+    # ``--selectivity``, though only the modules that crossed it moved.
     described = " ".join(
         part for part in options.describe().split()
         if not part.startswith("sel=")

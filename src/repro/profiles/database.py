@@ -18,34 +18,9 @@ _FORMAT_VERSION = 2
 #: Versions ``from_json`` understands; older ones are migrated on load.
 _SUPPORTED_VERSIONS = (1, 2)
 
-#: Default per-epoch decay factor for streamed databases.  A power of two
-#: keeps aging IEEE-exact: scaling integer counts by ``0.5 ** k`` never
-#: rounds, so interleaved batch merges commute bit-for-bit (see
-#: ``merge_delta``).
+#: The ``decay`` a new database records (a version-2 field, loaded and
+#: saved unchanged).
 DEFAULT_DECAY = 0.5
-
-#: Routines whose total block weight decays below this are dropped by
-#: ``age_to`` — they have not been sampled for so long that their counts
-#: carry no signal.
-_PRUNE_FLOOR = 2.0 ** -20
-
-#: Snapshot count resolution (power of two, see ``normalized_snapshot``).
-_SNAPSHOT_RESOLUTION = 4096
-
-
-def _quantize(count: float, reference: float) -> int:
-    """Map ``count`` onto ``0..resolution`` relative to ``reference``.
-
-    ``count / reference`` is invariant when both are scaled by the same
-    power of two, which is exactly what uniform decay does — so snapshots
-    do not drift as a database ages without new samples.  Non-zero counts
-    never quantize to zero (a cold-but-live call site must stay ranked
-    above a dead one).
-    """
-    if count <= 0 or reference <= 0:
-        return 0
-    return max(1, int(round(count / reference * _SNAPSHOT_RESOLUTION)))
-
 
 class ProfileFormatError(ValueError):
     """A profile database file has an unknown or malformed format.
@@ -79,7 +54,8 @@ class RoutineProfile:
         self.call_counts: Dict[Tuple[str, int, str], int] = {}
         #: True when correlation degraded this profile (structure changed).
         self.stale = False
-        #: Ingest epoch of the freshest sample merged in (0 = offline).
+        #: Epoch of the freshest sample in a version-2 file (0 = offline);
+        #: loaded and saved unchanged.
         self.last_epoch = 0
 
     @property
@@ -108,24 +84,13 @@ class RoutineProfile:
         }
         return copy
 
-    def merge(self, other: "RoutineProfile", weight: float = 1) -> None:
+    def merge(self, other: "RoutineProfile") -> None:
         for label, count in other.block_counts.items():
-            self.block_counts[label] = (
-                self.block_counts.get(label, 0) + count * weight
-            )
+            self.block_counts[label] = self.block_counts.get(label, 0) + count
         for key, count in other.edge_counts.items():
-            self.edge_counts[key] = self.edge_counts.get(key, 0) + count * weight
+            self.edge_counts[key] = self.edge_counts.get(key, 0) + count
         for key, count in other.call_counts.items():
-            self.call_counts[key] = self.call_counts.get(key, 0) + count * weight
-
-    def scale(self, factor: float) -> None:
-        """Multiply every count by ``factor`` (exponential-decay aging)."""
-        for label in self.block_counts:
-            self.block_counts[label] *= factor
-        for key in self.edge_counts:
-            self.edge_counts[key] *= factor
-        for key in self.call_counts:
-            self.call_counts[key] *= factor
+            self.call_counts[key] = self.call_counts.get(key, 0) + count
 
     def __repr__(self) -> str:
         return "<RoutineProfile %s entry=%d blocks=%d%s>" % (
@@ -143,10 +108,9 @@ class ProfileDatabase:
         self.routines: Dict[str, RoutineProfile] = {}
         #: How many training runs were merged in.
         self.run_count = 0
-        #: Current ingest epoch (0 = offline database, never streamed to).
+        #: ``epoch`` and ``decay`` of a version-2 file, loaded and saved
+        #: unchanged (0 = an offline database).
         self.epoch = 0
-        #: Per-epoch decay factor applied by :meth:`age_to`.  ``1.0``
-        #: disables aging and keeps every count integral.
         self.decay = decay
 
     # -- Collection ------------------------------------------------------------
@@ -198,112 +162,6 @@ class ProfileDatabase:
             else:
                 mine.merge(profile)
         self.run_count += other.run_count
-
-    # -- Streaming merges (continuous profile service) -------------------------
-    #
-    # Fleet batches arrive tagged with an ingest epoch.  Aging scales every
-    # count by ``decay ** elapsed_epochs``; a delta sampled at an older epoch
-    # is merged with the matching residual weight.  Because the default decay
-    # is a power of two and raw probe counts are integers, every contribution
-    # is an exact dyadic float, so merging the same set of batches in any
-    # interleaving yields a bit-identical database (tested via ``to_json``
-    # equality) as long as counts stay within float's 53-bit significand.
-
-    def age_to(self, epoch: int) -> int:
-        """Advance to ``epoch``, decaying all counts.  Returns routines pruned.
-
-        Routines whose total block weight decays below a floor are removed
-        entirely — they have not been sampled for many epochs and would
-        otherwise linger as near-zero noise in selectivity ranking.
-        """
-        if epoch <= self.epoch:
-            return 0
-        factor = self.decay ** (epoch - self.epoch)
-        self.epoch = epoch
-        if factor == 1:
-            return 0
-        pruned = []
-        for name, profile in self.routines.items():
-            profile.scale(factor)
-            if profile.total_block_weight() < _PRUNE_FLOOR:
-                pruned.append(name)
-        for name in pruned:
-            del self.routines[name]
-        return len(pruned)
-
-    def merge_delta(self, delta: RoutineProfile, epoch: int) -> str:
-        """Merge one routine's sampled delta observed at ``epoch``.
-
-        Returns ``"created"``, ``"merged"``, or ``"stale"``.  A checksum
-        mismatch marks the resident profile stale and discards the delta
-        (the fleet is running a drifted binary; mixing counts across
-        structures would poison PBO).  Deltas older than the database's
-        epoch are merged at their decayed residual weight, which is what
-        makes merge order irrelevant.
-        """
-        if epoch > self.epoch:
-            self.age_to(epoch)
-        weight = self.decay ** (self.epoch - epoch)
-        mine = self.routines.get(delta.name)
-        if mine is None:
-            fresh = RoutineProfile(delta.name, delta.checksum, delta.entry_label)
-            fresh.merge(delta, weight)
-            fresh.last_epoch = epoch
-            self.routines[delta.name] = fresh
-            return "created"
-        if mine.checksum != delta.checksum:
-            mine.stale = True
-            return "stale"
-        mine.merge(delta, weight)
-        mine.last_epoch = max(mine.last_epoch, epoch)
-        mine.stale = False
-        return "merged"
-
-    def stale_routines(self) -> List[str]:
-        return sorted(
-            name for name, profile in self.routines.items() if profile.stale
-        )
-
-    def normalized_snapshot(self) -> "ProfileDatabase":
-        """Fixed-resolution integer snapshot for feeding a build.
-
-        Counts are rescaled to integers — block/edge counts relative to
-        each routine's hottest block, call counts relative to the hottest
-        call site in the database — so the snapshot is invariant under
-        uniform decay: aging a database without new samples produces the
-        *same* snapshot, keeping rebuilds byte-identical until fresh
-        profile data actually changes the picture.  Stale routines are
-        excluded (correlation would reject them anyway).
-        """
-        snapshot = ProfileDatabase(decay=self.decay)
-        snapshot.run_count = 1
-        max_call = 0.0
-        for profile in self.routines.values():
-            if profile.stale:
-                continue
-            for count in profile.call_counts.values():
-                if count > max_call:
-                    max_call = count
-        for name in sorted(self.routines):
-            profile = self.routines[name]
-            if profile.stale:
-                continue
-            copy = RoutineProfile(name, profile.checksum, profile.entry_label)
-            max_block = max(profile.block_counts.values(), default=0)
-            copy.block_counts = {
-                label: _quantize(count, max_block)
-                for label, count in profile.block_counts.items()
-            }
-            copy.edge_counts = {
-                key: _quantize(count, max_block)
-                for key, count in profile.edge_counts.items()
-            }
-            copy.call_counts = {
-                key: _quantize(count, max_call)
-                for key, count in profile.call_counts.items()
-            }
-            snapshot.routines[name] = copy
-        return snapshot
 
     # -- Queries -----------------------------------------------------------------
 
@@ -365,9 +223,9 @@ class ProfileDatabase:
     def from_json(text: str) -> "ProfileDatabase":
         """Parse a database, migrating version-1 files transparently.
 
-        Version 1 predates the streaming pipeline: it lacks
-        ``epoch``/``decay`` and per-routine ``last_epoch``/``stale``, all
-        of which default to the offline state (epoch 0, nothing stale).
+        Version 1 lacks ``epoch``/``decay`` and per-routine
+        ``last_epoch``/``stale``, all of which default to the offline
+        state (epoch 0, nothing stale).
         Saving a migrated database rewrites it as version 2.  Anything
         else raises :class:`ProfileFormatError`.
         """

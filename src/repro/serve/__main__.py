@@ -4,7 +4,6 @@
 
     python -m repro.serve start            # spawn a daemon, wait for it
     python -m repro.serve status           # one-line + JSON status
-    python -m repro.serve ingest batches.json --feed app
     python -m repro.serve stop             # graceful drain + exit
     python -m repro.serve run              # serve in the foreground
 
@@ -166,69 +165,7 @@ def cmd_status(args: argparse.Namespace) -> int:
              admission.get("max_sessions", 0),
              admission.get("rejected", 0),
              " [draining]" if status.get("draining") else ""))
-    profiles = status.get("profiles") or {}
-    for name, feed in sorted((profiles.get("feeds") or {}).items()):
-        decision = feed.get("last_decision") or {}
-        print("feed %s: %d batches (%d samples), epoch %d, "
-              "%d routines (%d stale, %d decayed), %d reopts, "
-              "controller %s@%s"
-              % (name, feed.get("batches", 0), feed.get("samples", 0),
-                 feed.get("epoch", 0), feed.get("routines", 0),
-                 feed.get("routines_stale", 0),
-                 feed.get("routines_decayed", 0),
-                 feed.get("reoptimizations", 0),
-                 decision.get("mode", "idle"),
-                 decision.get("percent", "-")))
     print(json.dumps(status, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_ingest(args: argparse.Namespace) -> int:
-    with open(args.batches, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, list):
-        print("batch file must hold a JSON list of batch objects",
-              file=sys.stderr)
-        return 2
-    client = _client(args)
-    options = {
-        "feed": args.feed,
-        "batches": payload,
-        "reoptimize": not args.no_reoptimize,
-    }
-    try:
-        result = client.profile_ingest(options, timeout=args.timeout)
-    except DaemonError as exc:
-        print("ingest failed: %s" % exc, file=sys.stderr)
-        return 1
-    decision = result.get("decision") or {}
-    print("feed %s: accepted %d batch(es) (%d duplicate), epoch %d, "
-          "%d routines (+%d new, %d stale)"
-          % (result.get("feed"), result.get("accepted", 0),
-             result.get("duplicates", 0), result.get("epoch", 0),
-             result.get("routines", 0), result.get("created", 0),
-             result.get("stale", 0)))
-    if decision:
-        print("controller: %s -> %s%% (%s)"
-              % (decision.get("mode"), decision.get("percent"),
-                 decision.get("reason")))
-    if result.get("rebuilt"):
-        print("rebuilt: %d reoptimized, %d reused module(s)"
-              % (len(result.get("reoptimized", [])),
-                 len(result.get("reused", []))))
-        if args.emit_image:
-            from .protocol import decode_bytes
-            image = decode_bytes(result.get("image_b64", ""))
-            with open(args.emit_image, "wb") as handle:
-                handle.write(image)
-            print("wrote %d-byte image to %s"
-                  % (len(image), args.emit_image))
-    else:
-        print("rebuilt: no")
-    if args.json:
-        result = dict(result)
-        result.pop("image_b64", None)
-        print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 
@@ -272,38 +209,6 @@ def main(argv=None) -> int:
     )
     _add_paths(status_parser)
     status_parser.set_defaults(func=cmd_status)
-
-    ingest_parser = subparsers.add_parser(
-        "ingest",
-        help="feed fleet profile batches to a running daemon",
-    )
-    _add_paths(ingest_parser)
-    ingest_parser.add_argument(
-        "batches",
-        help="JSON file holding a list of batch objects "
-             "(see `python -m repro.profserve simulate`)",
-    )
-    ingest_parser.add_argument(
-        "--feed", required=True, metavar="NAME",
-        help="profile feed to merge into (matches the build's "
-             "--profile-feed)",
-    )
-    ingest_parser.add_argument(
-        "--no-reoptimize", action="store_true",
-        help="merge only; suppress any controller-triggered rebuild",
-    )
-    ingest_parser.add_argument(
-        "--emit-image", default=None, metavar="PATH",
-        help="write the rebuilt image here when a rebuild happened",
-    )
-    ingest_parser.add_argument(
-        "--json", action="store_true",
-        help="also dump the full ingest result as JSON",
-    )
-    ingest_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-    )
-    ingest_parser.set_defaults(func=cmd_ingest)
 
     args = parser.parse_args(argv)
     return args.func(args)

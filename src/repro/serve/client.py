@@ -22,7 +22,6 @@ from .protocol import (
     OP_BUILD,
     OP_OBJDUMP,
     OP_PING,
-    OP_PROFILE_INGEST,
     OP_SHUTDOWN,
     OP_STATUS,
     OP_TRAIN,
@@ -171,13 +170,6 @@ class DaemonClient:
     def train(self, options: Dict,
               timeout: Optional[float] = None) -> Dict:
         return self.request(OP_TRAIN, options, timeout=timeout)
-
-    def profile_ingest(self, options: Dict,
-                       timeout: Optional[float] = None) -> Dict:
-        """Feed profile batches; returns ingest stats and, when the
-        selectivity controller triggered a re-optimization, the rebuilt
-        image (``image_b64``) plus the reused/reoptimized module lists."""
-        return self.request(OP_PROFILE_INGEST, options, timeout=timeout)
 
     def objdump(self, options: Dict,
                 timeout: Optional[float] = None) -> Dict:

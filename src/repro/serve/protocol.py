@@ -36,15 +36,13 @@ MAX_LINE_BYTES = 256 * 1024 * 1024
 OP_BUILD = "build"
 OP_TRAIN = "train"
 OP_OBJDUMP = "objdump"
-OP_PROFILE_INGEST = "profile-ingest"
 OP_STATUS = "status"
 OP_PING = "ping"
 OP_SHUTDOWN = "shutdown"
 
 #: Ops that run as admitted build sessions (vs control-plane ops that
-#: answer immediately).  ``profile-ingest`` is a session op because a
-#: controller decision may trigger a re-optimizing build.
-SESSION_OPS = (OP_BUILD, OP_TRAIN, OP_OBJDUMP, OP_PROFILE_INGEST)
+#: answer immediately).
+SESSION_OPS = (OP_BUILD, OP_TRAIN, OP_OBJDUMP)
 
 # -- Error codes -------------------------------------------------------------------
 

@@ -35,38 +35,17 @@ from ..frontend import compile_source, detect_language
 from ..ir.printer import format_module
 from ..linker.objects import encode_executable
 from ..profiles.database import ProfileDatabase
-from ..profserve.batch import IngestError, decode_batches
-from ..profserve.controller import SelectivityController
-from ..profserve.service import ProfileService, RegisteredProject
 from ..sched.artifacts import ArtifactCache
 from .protocol import (
     ERR_BAD_REQUEST,
     ERR_FAILED,
     OP_BUILD,
     OP_OBJDUMP,
-    OP_PROFILE_INGEST,
     OP_TRAIN,
     encode_bytes,
 )
 
 _BOOT_MARKER = "daemon.boot.json"
-
-
-def _routine_module_of(result) -> Dict[str, str]:
-    """routine name -> owning module, from a build's IL objects."""
-    mapping: Dict[str, str] = {}
-    for obj in result.objects:
-        il_module = getattr(obj, "il_module", None)
-        if il_module is not None:
-            for name in il_module.routines:
-                mapping[name] = il_module.name
-    return mapping
-
-
-def _cmo_modules_of(result) -> set:
-    if result.plan is None:
-        return set()
-    return set(result.plan.cmo_modules)
 
 
 class RequestError(Exception):
@@ -128,9 +107,6 @@ class WarmState:
         self.builds_served = 0
         #: Pack-segment bytes reclaimed by between-requests compaction.
         self.repo_bytes_reclaimed = 0
-        #: Continuous profile feeds (live databases + controllers); the
-        #: ``profile-ingest`` op and ``profile_feed`` builds live here.
-        self.profiles = ProfileService()
         self._write_marker()
 
     # -- Boot marker -------------------------------------------------------------
@@ -206,8 +182,6 @@ class WarmState:
             return self._execute_train(options)
         if op == OP_OBJDUMP:
             return self._execute_objdump(options)
-        if op == OP_PROFILE_INGEST:
-            return self._execute_profile_ingest(options, progress)
         raise RequestError(ERR_BAD_REQUEST, "unknown session op %r" % op)
 
     def _execute_build(self, options: Dict, progress) -> Dict:
@@ -225,17 +199,6 @@ class WarmState:
                     ERR_BAD_REQUEST,
                     "unreadable profile %r: %s" % (config.profile_path, exc),
                 )
-        feed = None
-        selectivity_override = None
-        if config.profile_feed is not None:
-            feed = self._feed_for(config)
-            snapshot = feed.snapshot()
-            if snapshot is not None:
-                # Live fleet data outranks any on-disk training profile,
-                # and the controller's threshold rides along per build so
-                # the warm session's own options stay untouched.
-                profile_db = snapshot
-                selectivity_override = feed.controller.current
         session = self.session_for(config)
         if progress is not None:
             progress("building", warm_builds=session.builds)
@@ -243,7 +206,6 @@ class WarmState:
             result, report, stats = session.build(
                 sources, profile_db=profile_db,
                 profile_hot=config.profile_hot,
-                selectivity_percent=selectivity_override,
             )
         except RequestError:
             raise
@@ -258,35 +220,11 @@ class WarmState:
             incremental=session.incremental,
         )
         image = encode_executable(result.executable)
-        response = {
+        return {
             "summary": summary,
             "image_b64": encode_bytes(image),
             "stats": stats.as_dict(),
         }
-        if feed is not None:
-            feed.register(RegisteredProject(
-                sources=dict(sources),
-                session=session,
-                routine_module=_routine_module_of(result),
-                cmo_modules=_cmo_modules_of(result),
-                deployed_percent=selectivity_override,
-                options={"describe": session.options.describe()},
-            ))
-            response["profile_feed"] = {
-                "feed": feed.name,
-                "selectivity": selectivity_override,
-                "epoch": feed.database.epoch,
-            }
-        return response
-
-    def _feed_for(self, config: BuildConfig):
-        """The feed a build registers with, configured on first touch."""
-        controller = None
-        if config.selectivity is not None:
-            controller = SelectivityController(
-                initial_percent=float(config.selectivity)
-            )
-        return self.profiles.feed(config.profile_feed, controller=controller)
 
     def _housekeep(self, session: CompileSession) -> None:
         # Between-requests housekeeping: fold dead pack-segment frames
@@ -302,74 +240,6 @@ class WarmState:
             pool = self._process_pool
         if pool is not None:
             pool.reap_idle()
-
-    def _execute_profile_ingest(self, options: Dict, progress) -> Dict:
-        """Merge fleet batches; re-optimize if the controller says so.
-
-        The rebuild runs on the feed's registered warm session with the
-        live database's normalized snapshot and the controller's
-        threshold as a per-build override — the PR-2 incremental
-        machinery then recompiles only the modules whose reuse keys
-        (selection membership, profile views, inlined bodies) actually
-        moved, exactly like an edit would.
-        """
-        feed_name = _require(options, "feed", str, "a feed name")
-        payload = _require(options, "batches", list, "a list of batches")
-        try:
-            batches = decode_batches(payload)
-            feed = self.profiles.feed(feed_name)
-        except IngestError as exc:
-            raise RequestError(ERR_BAD_REQUEST, str(exc))
-        ingest = feed.ingest(batches)
-        response: Dict = {"feed": feed_name, "rebuilt": False}
-        response.update(ingest)
-        snapshot = feed.snapshot()
-        decision = feed.decide(snapshot)
-        if decision is None:
-            response["decision"] = None
-            return response
-        response["decision"] = decision.as_dict()
-        project = feed.project
-        want_rebuild = (
-            decision.reoptimize
-            and bool(options.get("reoptimize", True))
-            and project is not None
-            and snapshot is not None
-        )
-        if not want_rebuild:
-            return response
-        if progress is not None:
-            progress("reoptimizing", percent=decision.percent,
-                     newly_hot=len(decision.newly_hot),
-                     newly_cold=len(decision.newly_cold))
-        session = project.session
-        try:
-            result, report, stats = session.build(
-                project.sources, profile_db=snapshot,
-                selectivity_percent=decision.percent,
-            )
-        except Exception as exc:
-            raise RequestError(
-                ERR_FAILED, "%s: %s" % (type(exc).__name__, exc)
-            )
-        self.builds_served += 1
-        self._housekeep(session)
-        project.routine_module = _routine_module_of(result)
-        feed.record_deploy(
-            decision.percent, _cmo_modules_of(result), reoptimized=True
-        )
-        response.update({
-            "rebuilt": True,
-            "summary": build_summary(
-                session.options, len(project.sources), result,
-                report=report, incremental=session.incremental,
-            ),
-            "image_b64": encode_bytes(encode_executable(result.executable)),
-            "reoptimized": list(result.cmo_reoptimized_modules or []),
-            "reused": list(result.cmo_reused_modules or []),
-            "stats": stats.as_dict(),
-        })
-        return response
 
     def _execute_train(self, options: Dict) -> Dict:
         from ..driver.compiler import train as train_profile
@@ -427,7 +297,6 @@ class WarmState:
             pool = self._process_pool
         return {
             "process_pool": pool.stats() if pool is not None else None,
-            "profiles": self.profiles.status(),
             "root": self.root,
             "uptime_seconds": time.time() - self.started_at,
             "recovered": self.recovered,

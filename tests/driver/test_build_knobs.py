@@ -27,7 +27,6 @@ SAMPLES = {
     "hlo_backend": (["--hlo-backend", "processes"], "processes", "auto", 1),
     "incremental": (["--incremental"], True, False, "false"),
     "state_dir": (["--state-dir", "/s/a"], "/s/a", "/s/b", 7),
-    "profile_feed": (["--profile-feed", "app"], "app", "other", 7),
     "profile_hot": (["--profile-hot"], True, False, "no"),
 }
 
@@ -76,4 +75,11 @@ def test_using_a_profile_at_all_is_session_scoped():
     # one is used may not (it flips +P and the incremental fingerprints).
     plain = parse_build_request({}).session_key()
     assert parse_build_request({"profile_path": "/p/a"}).session_key() != plain
-    assert parse_build_request({"profile_feed": "app"}).session_key() != plain
+
+
+def test_a_removed_knob_is_refused_by_name():
+    # A client built when ``--profile-feed`` still existed sends a key
+    # the table no longer has: a ValueError naming it, not a build
+    # that silently drops it.
+    with pytest.raises(ValueError, match="'profile_feed'"):
+        parse_build_request({"profile_feed": "app"})

@@ -41,19 +41,6 @@ class TestBuild:
         assert "build +O2" in out
         assert "run: value=" in out
 
-    def test_profile_feed_needs_a_daemon(self, source_files, capsys,
-                                         monkeypatch, tmp_path):
-        # Point the daemon discovery at an empty root: no daemon
-        # answers, so the feed is ignored with a warning and the build
-        # still succeeds in-process.
-        monkeypatch.setenv("REPRO_SERVE_ROOT", str(tmp_path / "no-daemon"))
-        assert main(
-            ["build"] + source_files + ["-O", "4", "--profile-feed", "app"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "--profile-feed app ignored" in captured.err
-        assert "build +O4" in captured.out
-
     def test_o4_build(self, source_files, capsys):
         assert main(["build"] + source_files + ["-O", "4", "--run"]) == 0
         out = capsys.readouterr().out

@@ -24,6 +24,7 @@ from repro.serve.protocol import (
     ERR_DRAINING,
     ERR_LINE_TOO_LONG,
     ERR_TIMEOUT,
+    OP_PING,
     make_request,
     read_message,
     write_message,
@@ -246,6 +247,18 @@ class TestControlPlane:
             client.build(options)
         assert excinfo.value.code == ERR_BAD_REQUEST
         assert pattern in str(excinfo.value)
+
+    def test_a_removed_option_is_refused_and_the_daemon_answers_on(
+            self, served, calc_sources):
+        # A client from before ``--profile-feed`` left: a structured
+        # refusal naming the key, and the next request is served.
+        _, client = served
+        with pytest.raises(DaemonError) as excinfo:
+            client.build({"sources": calc_sources, "opt_level": 4,
+                          "profile_feed": "app"})
+        assert excinfo.value.code == ERR_BAD_REQUEST
+        assert "'profile_feed'" in str(excinfo.value)
+        assert client.request(OP_PING)["pong"] is True
 
     def test_malformed_request_line_rejected(self, served):
         daemon, _ = served

@@ -134,6 +134,9 @@ class TestEnvelopes:
         (lambda m: m.pop("id"), "id"),
         (lambda m: m.update(op="explode"), "unknown op"),
         (lambda m: m.update(options=[1]), "options"),
+        # An op a previous release served and this one does not.
+        pytest.param(lambda m: m.update(op="profile-ingest"), "unknown op",
+                     id="removed-op"),
     ])
     def test_validate_rejects_malformed(self, mutate, pattern):
         message = make_request("build")
