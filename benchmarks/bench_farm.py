@@ -1,20 +1,24 @@
-"""Compile farm: cold CLI vs warm daemon vs 2- and 4-worker farms.
+"""Build server: cold CLI vs a coordinator with 0, 2 and 4 workers.
 
-Measures what distributing the LTRANS phase buys under client
-pressure.  Four throughput scenarios over the same synthetic +O4
-``--hlo-jobs 2`` workload, each hammered by >= 12 concurrent clients:
+Measures what keeping compile state warm, and distributing the LTRANS
+phase, buy under client pressure.  Four throughput scenarios over the
+same synthetic +O4 ``--hlo-jobs 2`` workload, each hammered by >= 12
+concurrent clients:
 
 * **cold CLI** -- a fresh ``python -m repro.driver build`` subprocess
   per build (baseline; start-up + cold caches every time);
-* **warm daemon** -- one single-process build daemon over its UNIX
-  socket (PR-4's amortization, no farm);
-* **farm, 2 workers** / **farm, 4 workers** -- a coordinator over TCP
+* **farm, 0 workers** -- one ``python -m repro.farm coordinator`` with
+  no workers attached: warm sessions, partitions in its own process
+  pool;
+* **farm, 2 workers** / **farm, 4 workers** -- the same coordinator
   with worker daemons executing the partitions, all separate
   processes.
 
 Every image from every scenario is asserted byte-identical to the
 cold CLI's ``--emit-image`` output -- distribution must never change
-the bits.  A final recovery scenario SIGKILLs a worker that holds an
+the bits -- and the zero-worker coordinator's mean serial build
+latency must beat the cold CLI's: warm sessions earn their keep or the
+bench fails.  A final recovery scenario SIGKILLs a worker that holds an
 in-flight partition and requires the build to finish anyway through
 the coordinator's re-queue (visible as ``queue.requeues`` in status).
 
@@ -38,7 +42,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import save_json, save_result
 
 from repro.farm.client import FarmClient
-from repro.serve.client import DaemonClient
 from repro.synth import WorkloadConfig, generate
 
 REPO_SRC = os.path.join(
@@ -97,18 +100,6 @@ def _wait_available(client, process, what, timeout=30.0):
         time.sleep(0.05)
     process.terminate()
     raise RuntimeError("%s did not come up in %.0fs" % (what, timeout))
-
-
-def _start_daemon(root, socket_path):
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "run",
-         "--root", root, "--socket", socket_path,
-         "--max-sessions", "4", "--queue-depth", "16"],
-        env=_cli_env(), stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    _wait_available(DaemonClient(socket_path), process, "daemon")
-    return process
 
 
 def _start_coordinator(root):
@@ -294,18 +285,25 @@ def run_bench(quick=False):
         cold_mean = sum(cold_times) / len(cold_times)
         cold_rps = 1.0 / cold_mean
 
-        # Warm single-process daemon under the same client pressure.
-        socket_path = os.path.join(workdir, "d.sock")
-        daemon = _start_daemon(os.path.join(workdir, "droot"),
-                               socket_path)
-        try:
-            DaemonClient(socket_path).build(options)  # warm the caches
-            daemon_rps = _hammer(
-                lambda: DaemonClient(socket_path),
+        # Zero workers: the coordinator builds on its warm sessions.
+        with _farm(workdir, "f0", 0) as endpoint:
+            client = FarmClient(endpoint, token=TOKEN)
+            assert client.build(options)["image"] == reference  # warm up
+            warm_times = []
+            for _ in range(n_cold):
+                start = time.perf_counter()
+                result = client.build(options)
+                warm_times.append(time.perf_counter() - start)
+                assert result["image"] == reference
+            farm0_rps = _hammer(
+                lambda: FarmClient(endpoint, token=TOKEN),
                 options, reference, builds_per_client,
             )
-        finally:
-            _stop(daemon)
+        warm_mean = sum(warm_times) / len(warm_times)
+        assert warm_mean < cold_mean, (
+            "warm build on a 0-worker coordinator (%.3fs) not faster "
+            "than the cold CLI (%.3fs)" % (warm_mean, cold_mean)
+        )
 
         farm2_rps = _farm_rps(workdir, "f2", 2, options, reference,
                               builds_per_client)
@@ -324,15 +322,16 @@ def run_bench(quick=False):
         "",
         "  %-30s %8.2f builds/s  (%.3fs mean of %d, serial)" % (
             "cold CLI", cold_rps, cold_mean, n_cold),
-        "  %-30s %8.2f builds/s  (%d concurrent clients)" % (
-            "warm daemon", daemon_rps, N_CLIENTS),
+        "  %-30s %8.2f builds/s  (%d concurrent clients; "
+        "%.3fs mean of %d, serial)" % (
+            "farm, 0 workers", farm0_rps, N_CLIENTS, warm_mean, n_cold),
         "  %-30s %8.2f builds/s  (%d concurrent clients)" % (
             "farm, 2 workers", farm2_rps, N_CLIENTS),
         "  %-30s %8.2f builds/s  (%d concurrent clients)" % (
             "farm, 4 workers", farm4_rps, N_CLIENTS),
         "",
         "  images byte-identical to cold CLI: yes (all %d builds)"
-        % (total_builds * 3 + 1),
+        % (total_builds * 3 + n_cold + 2),
         "  SIGKILLed worker mid-partition: build finished after %d "
         "re-queue(s)" % requeues,
     ]
@@ -342,7 +341,8 @@ def run_bench(quick=False):
         "concurrent_clients": N_CLIENTS,
         "builds_per_client": builds_per_client,
         "cold_cli_builds_per_second": cold_rps,
-        "warm_daemon_builds_per_second": daemon_rps,
+        "farm0_builds_per_second": farm0_rps,
+        "farm0_serial_mean_seconds": warm_mean,
         "farm2_builds_per_second": farm2_rps,
         "farm4_builds_per_second": farm4_rps,
         "byte_identical": True,

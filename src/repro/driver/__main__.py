@@ -15,13 +15,12 @@ Subcommands:
 Module names derive from file stems; a file named ``main.mll`` (or any
 module defining ``main``) provides the entry point.
 
-``build --daemon`` routes the request to a running build daemon
-(:mod:`repro.serve`) over its UNIX socket, falling back to in-process
-compilation when none is running; output is identical either way.
-``build --farm HOST:PORT`` routes it to a compile-farm coordinator
-(:mod:`repro.farm`) over authenticated TCP instead -- an explicit
-endpoint, so an unreachable farm fails the build rather than falling
-back silently.  Images are byte-identical down every path.
+``build --farm HOST:PORT`` routes the build to a running coordinator
+(:mod:`repro.farm`) over authenticated TCP, where it runs on a warm
+session -- on the coordinator alone, or with its LTRANS partitions on
+attached workers.  The endpoint is explicit, so an unreachable
+coordinator fails the build rather than falling back silently.
+Images are byte-identical either way.
 """
 
 from __future__ import annotations
@@ -74,19 +73,28 @@ def _print_run(result) -> None:
              result.calls))
 
 
-def _daemon_build(args: argparse.Namespace, sources: Dict[str, str],
-                  client) -> int:
-    """One build via a daemon or farm coordinator that is listening."""
+def _farm_build(args: argparse.Namespace, sources: Dict[str, str]) -> int:
+    """One build on the coordinator at ``--farm``."""
+    from ..farm import FarmClient, FarmError
+    from ..farm.coordinator import default_farm_root
+    from ..farm.transport import resolve_token
     from ..linker.objects import decode_executable
     from ..vm.machine import run_image
 
-    result = client.build(build_request(args, sources))
+    if args.trace_out:
+        print("--trace-out %s ignored: a --farm build runs on the "
+              "coordinator, the trace lives server-side"
+              % args.trace_out, file=sys.stderr)
+    client = FarmClient(
+        args.farm,
+        token=resolve_token(args.farm_token, root=default_farm_root()),
+    )
+    try:
+        result = client.build(build_request(args, sources))
+    except FarmError as exc:
+        print("farm: %s" % exc, file=sys.stderr)
+        return 1
     _print_summary(result["summary"])
-    hot = (result.get("stats") or {}).get("hot_profile")
-    if hot:
-        from ..bench.profile_hooks import render_hot_report
-        for line in render_hot_report(hot):
-            print(line)
     image = result["image"]
     if args.emit_image:
         with open(args.emit_image, "wb") as handle:
@@ -104,61 +112,20 @@ def cmd_build(args: argparse.Namespace) -> int:
               "a profile (-P)" % args.selectivity, file=sys.stderr)
 
     if args.farm:
-        # An explicit endpoint is a promise, not a hint: a farm the
-        # user named but cannot be reached is an error, never a silent
-        # in-process fallback (unlike --daemon, which is opportunistic).
-        from ..farm import FarmClient
-        from ..farm.coordinator import default_farm_root
-        from ..farm.transport import resolve_token
-        from ..serve.client import DaemonError
+        return _farm_build(args, sources)
 
-        if args.trace_out:
-            print("--trace-out %s ignored: a --farm build runs on the "
-                  "coordinator, the trace lives server-side"
-                  % args.trace_out, file=sys.stderr)
-        client = FarmClient(
-            args.farm,
-            token=resolve_token(args.farm_token,
-                                root=default_farm_root()),
-        )
-        try:
-            return _daemon_build(args, sources, client)
-        except DaemonError as exc:
-            print("farm: %s" % exc, file=sys.stderr)
-            return 1
-
-    if args.daemon and not args.trace_out:
-        # Transparent daemon path: only taken when a daemon answers;
-        # anything else falls through to the in-process build below.
-        # (--trace-out stays in-process: the trace lives server-side.)
-        from ..serve.client import DaemonClient, DaemonError
-
-        client = DaemonClient.from_env()
-        if client.available():
-            try:
-                return _daemon_build(args, sources, client)
-            except DaemonError as exc:
-                print("daemon: %s; building in-process" % exc,
-                      file=sys.stderr)
-
-    # The same parse a daemon or coordinator applies to the request it
-    # receives, so the three cannot configure a build differently.
+    # The same parse the coordinator applies to the request it
+    # receives, so the two cannot configure a build differently.
     config = parse_build_request(build_request(args, sources))
     profile_db = None
     if config.profile_path:
         profile_db = ProfileDatabase.load(config.profile_path)
     session = CompileSession.from_config(config)
-    build, report, _stats = session.build(
-        sources, profile_db=profile_db, profile_hot=config.profile_hot,
-    )
+    build, report, _ = session.build(sources, profile_db=profile_db)
     _print_summary(build_summary(
         session.options, len(sources), build, report=report,
         incremental=session.incremental,
     ))
-    if _stats.hot_profile:
-        from ..bench.profile_hooks import render_hot_report
-        for line in render_hot_report(_stats.hot_profile):
-            print(line)
     if args.emit_image:
         from ..linker.objects import encode_executable
 
@@ -227,14 +194,10 @@ def main(argv=None) -> int:
              "(canonical bytes; byte-compare serial vs parallel builds)",
     )
     build_parser.add_argument(
-        "--daemon", action="store_true",
-        help="build via a running repro.serve daemon (warm caches); "
-             "falls back to in-process compilation if none is running",
-    )
-    build_parser.add_argument(
         "--farm", default=None, metavar="HOST:PORT",
-        help="build via a repro.farm coordinator over TCP "
-             "(fails, never falls back, when it cannot be reached)",
+        help="build on a running repro.farm coordinator over TCP "
+             "(warm sessions; fails, never falls back, when it cannot "
+             "be reached)",
     )
     build_parser.add_argument(
         "--farm-token", default=None, metavar="SECRET",

@@ -152,7 +152,7 @@ class Compiler:
         #: otherwise partitions execute locally, so a farm with zero
         #: workers still serves builds.
         self.partition_dispatcher = None
-        #: When set (by the daemon's warm state), the process LTRANS
+        #: When set (by the coordinator's warm state), the process LTRANS
         #: backend runs its partition batches on this persistent
         #: :class:`~repro.sched.procpool.ProcessWorkerPool` instead of
         #: spawning an ephemeral pool per build.
@@ -747,8 +747,6 @@ class SessionBuildStats:
         self.n_spans = 0
         #: Wall-clock seconds per build phase.
         self.phase_seconds: Dict[str, float] = {}
-        #: Flat hot-path report (``build --profile-hot``), else None.
-        self.hot_profile: Optional[Dict[str, object]] = None
         #: How many builds this session had served before this one.
         self.warm_builds_before = 0
 
@@ -774,7 +772,6 @@ class SessionBuildStats:
             "peak_bytes": self.peak_bytes,
             "n_spans": self.n_spans,
             "phase_seconds": dict(self.phase_seconds),
-            "hot_profile": self.hot_profile,
             "warm_builds_before": self.warm_builds_before,
         }
 
@@ -793,8 +790,8 @@ class CompileSession:
     incremental builds) the :class:`~repro.driver.build.BuildEngine`
     with its object cache and :class:`~repro.incr.IncrementalState`.
     The cold CLI creates a throwaway session per invocation; the build
-    daemon keeps sessions warm across requests and projects.  Both go
-    through :meth:`build`, which is how daemon builds stay
+    coordinator keeps sessions warm across requests and projects.  Both
+    go through :meth:`build`, which is how coordinator builds stay
     byte-identical to cold CLI builds at every ``hlo_jobs`` /
     ``incremental`` setting.
 
@@ -811,7 +808,7 @@ class CompileSession:
     because other sessions may be using the cache concurrently.
 
     Builds on one session are serialized by an internal lock --
-    concurrent daemon requests against the same project queue here
+    concurrent coordinator requests against the same project queue here
     rather than corrupting shared engine state.
     """
 
@@ -849,7 +846,7 @@ class CompileSession:
     @classmethod
     def from_config(cls, config, **kwargs) -> "CompileSession":
         """The session a :class:`~.options.BuildConfig` asks for -- the
-        one constructor behind the cold CLI, the daemon and the farm."""
+        one constructor behind the cold CLI and the coordinator."""
         return cls(config.compiler_options(),
                    incremental=config.incremental,
                    state_dir=config.state_dir, **kwargs)
@@ -865,17 +862,11 @@ class CompileSession:
     # -- Building ----------------------------------------------------------------------
 
     def build(self, sources: Dict[str, str],
-              profile_db: Optional[ProfileDatabase] = None,
-              profile_hot: bool = False):
+              profile_db: Optional[ProfileDatabase] = None):
         """Run one build; returns ``(result, report, stats)``.
 
         ``report`` is a :class:`~repro.driver.build.RebuildReport` when
-        the session runs on an engine, else None.  With
-        ``profile_hot=True`` the build runs under
-        :class:`~repro.bench.profile_hooks.HotPathProfiler` and the
-        flat report lands in ``stats.hot_profile`` (profiling overhead
-        makes ``stats.seconds`` incomparable to unprofiled builds; the
-        build output itself is unaffected).
+        the session runs on an engine, else None.
         """
         with self._lock:
             stats = SessionBuildStats()
@@ -885,30 +876,17 @@ class CompileSession:
                 self.artifact_cache.stats_snapshot()
                 if self.artifact_cache is not None else None
             )
-            profiler = None
-            if profile_hot:
-                from ..bench.profile_hooks import HotPathProfiler
-                profiler = HotPathProfiler()
             start = time.perf_counter()
-            if profiler is not None:
-                profiler.start()
-            try:
-                if self.engine is not None:
-                    result, report = self.engine.build(
-                        sources, profile_db=profile_db
-                    )
-                else:
-                    result = self.compiler.build(
-                        sources, profile_db=profile_db,
-                        events=self.events,
-                    )
-                    report = None
-            finally:
-                if profiler is not None:
-                    profiler.stop()
+            if self.engine is not None:
+                result, report = self.engine.build(
+                    sources, profile_db=profile_db
+                )
+            else:
+                result = self.compiler.build(
+                    sources, profile_db=profile_db, events=self.events,
+                )
+                report = None
             stats.seconds = time.perf_counter() - start
-            if profiler is not None:
-                stats.hot_profile = profiler.report()
             self.builds += 1
             self._collect_stats(stats, result, cache_before)
             return result, report, stats
@@ -939,15 +917,15 @@ class CompileSession:
         stats.phase_seconds = dict(result.timings.phases)
         if result.hlo_result is not None:
             # Per-pass WPA splits ("hlo.wpa.inline", ...) alongside the
-            # coarse build phases, so `build --profile-hot` and the
-            # bench harnesses can attribute thin-link time.
+            # coarse build phases, so the bench harnesses can attribute
+            # thin-link time.
             for key, value in result.hlo_result.phase_seconds.items():
                 stats.phase_seconds["hlo." + key] = value
 
     def compact_repositories(self) -> int:
         """Compact session-owned pack repositories; returns bytes freed.
 
-        Cheap when nothing is reclaimable -- the daemon calls this
+        Cheap when nothing is reclaimable -- the coordinator calls this
         between requests so dead frames from pruned incremental blobs
         don't accumulate across a long-lived process.
         """

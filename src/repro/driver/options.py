@@ -11,7 +11,7 @@ HP-UX flag   Here
 ===========  =====================================================
 
 Every ``build`` setting that reaches the compiler is declared once, as
-a row of :data:`BUILD_KNOBS`: the row is the CLI flag, the daemon/farm
+a row of :data:`BUILD_KNOBS`: the row is the CLI flag, the coordinator
 request key and its validation, a :class:`BuildConfig` field and (when
 ``session`` is set) a term of the warm-session key.
 """
@@ -220,9 +220,6 @@ BUILD_KNOBS = (
     Knob("state_dir", ("--state-dir",), str, _path, None, True,
          "persist incremental state (objects, summaries, codegen "
          "cache) in DIR across runs; implies --incremental", "DIR"),
-    Knob("profile_hot", ("--profile-hot",), bool, _boolean, False, False,
-         "profile the compiler's own hot paths during the build "
-         "(cProfile; slower, output unchanged) and print a flat report"),
 )
 
 
@@ -259,7 +256,7 @@ def build_request(args: argparse.Namespace,
     """Request options for one ``build`` invocation.
 
     Sources travel by value; paths were made absolute when the flags
-    were parsed, so they mean the same file to a daemon whose working
+    were parsed, so they mean the same file to a coordinator whose working
     directory differs.  Knobs left at their default are omitted."""
     request: Dict = {"sources": sources}
     for knob in BUILD_KNOBS:
@@ -272,7 +269,7 @@ def build_request(args: argparse.Namespace,
 class BuildConfig(namedtuple("_BuildConfig",
                              [knob.key for knob in BUILD_KNOBS])):
     """One validated build request: a value for every :data:`BUILD_KNOBS`
-    row.  The cold CLI, the daemon and the farm coordinator all derive
+    row.  The cold CLI and the coordinator both derive
     their :class:`CompilerOptions` and session from this one object."""
 
     __slots__ = ()

@@ -1,12 +1,12 @@
 """Build-report assembly and rendering.
 
-The CLI and the build daemon must print the same thing for the same
-build: ``python -m repro.driver build --daemon`` is only transparent
-if its output is indistinguishable from the in-process path.  Both
-paths therefore reduce a finished build to one JSON-safe *summary*
-dict -- locally from the :class:`~repro.driver.compiler.BuildResult`,
-remotely assembled by the daemon and shipped over the wire -- and
-render it through :func:`render_build_summary`.
+The CLI prints the same thing for the same build whether it ran in
+process or on a coordinator (``python -m repro.driver build --farm
+HOST:PORT``).  Both paths therefore reduce a finished build to one
+JSON-safe *summary* dict -- locally from the
+:class:`~repro.driver.compiler.BuildResult`, remotely assembled by the
+coordinator and shipped over the wire -- and render it through
+:func:`render_build_summary`.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def render_build_summary(
 ) -> Tuple[List[str], List[str]]:
     """Summary dict -> (stdout lines, stderr lines).
 
-    The exact line shapes the CLI has always printed; the daemon
-    client renders the identical text from the shipped dict.
+    The exact line shapes the CLI has always printed; a ``--farm``
+    build renders the identical text from the shipped dict.
     """
     out: List[str] = []
     err: List[str] = []

@@ -1,4 +1,4 @@
-"""repro-farm: run and manage a distributed compile farm.
+"""repro-farm: run and manage the build server and its farm.
 
 ::
 
@@ -11,7 +11,10 @@ The coordinator writes its shared secret to ``<root>/farm.token``
 (0600) on first start; same-user-same-host workers and clients pick
 it up automatically, remote ones pass ``--token`` or set
 ``$REPRO_FARM_TOKEN``.  Builds go through the normal driver:
-``python -m repro.driver build --farm HOST:PORT ...``.
+``python -m repro.driver build --farm HOST:PORT ...``.  A coordinator
+with no workers attached is a warm build server: it keeps sessions,
+caches and an LTRANS process pool resident and runs every build
+itself.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ import argparse
 import json
 import sys
 
-from .client import FarmClient
+from .client import FarmClient, FarmError
 from .coordinator import DEFAULT_PORT, default_farm_root, run_coordinator
 from .transport import parse_endpoint, resolve_token
-from ..serve.client import DaemonError
 
 
 def _add_connect(parser: argparse.ArgumentParser) -> None:
@@ -71,7 +73,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     client = _client(args)
     try:
         status = client.status()
-    except DaemonError as exc:
+    except FarmError as exc:
         print("no coordinator on %s (%s)" % (args.connect, exc))
         return 1
     workers = status.get("workers", [])
@@ -90,7 +92,7 @@ def cmd_stop(args: argparse.Namespace) -> int:
     client = _client(args)
     try:
         client.shutdown()
-    except DaemonError as exc:
+    except FarmError as exc:
         print("no coordinator on %s (%s)" % (args.connect, exc))
         return 1
     print("coordinator on %s draining" % args.connect)

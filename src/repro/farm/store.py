@@ -20,7 +20,7 @@ the farm-wide deduplication.
   its hash before it is cached or returned.
 
 Binary payloads travel base64-encoded under ``_b64`` keys, exactly
-like build images do (:mod:`repro.serve.protocol`).
+like build images do (:mod:`.protocol`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Iterable
 
-from ..serve.protocol import (
+from .protocol import (
     ProtocolError,
     decode_bytes,
     encode_bytes,

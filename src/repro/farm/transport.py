@@ -1,8 +1,8 @@
 """Farm transport: authenticated NDJSON over TCP.
 
-The wire format is the serve protocol's length-bounded NDJSON framing
-(:mod:`repro.serve.protocol`), generalized from a UNIX socket to TCP
-plus one **hello** exchange before anything else:
+The wire format is the build protocol's length-bounded NDJSON framing
+(:mod:`.protocol`) over TCP, with one **hello** exchange before
+anything else:
 
 * connector -> listener: ``{"farm": 2, "role": ..., "token": ...}``
 * listener -> connector: ``{"ok": true, "role": ...}`` or
@@ -30,12 +30,7 @@ import secrets
 import socket
 from typing import Dict, Optional, Tuple
 
-from ..serve.protocol import (
-    MAX_LINE_BYTES,
-    ProtocolError,
-    read_message,
-    write_message,
-)
+from .protocol import ProtocolError, read_message, write_message
 
 #: Farm handshake version; 2 speaks the hash-keyed store ops of
 #: :mod:`repro.farm.store`.

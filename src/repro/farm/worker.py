@@ -34,7 +34,7 @@ import time
 from typing import Dict, List, Optional
 
 from ..part.wire import ContextCache, job_pool_keys, run_wire_job
-from ..serve.protocol import ProtocolError, read_message, write_message
+from .protocol import ProtocolError, read_message, write_message
 from .store import StoreClient
 from .transport import ROLE_STORE, ROLE_WORKER, AuthError, connect
 

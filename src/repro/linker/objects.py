@@ -450,7 +450,7 @@ def encode_executable(executable) -> bytes:
 def decode_executable(data: bytes) -> Executable:
     """Inverse of :func:`encode_executable`.
 
-    The build daemon ships linked images to its clients as encoded
+    The coordinator ships linked images to its clients as encoded
     bytes; decoding reconstructs everything the VM needs to run them
     (probe bookkeeping is not carried -- instrumented builds stay
     in-process).

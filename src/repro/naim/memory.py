@@ -180,7 +180,7 @@ class MemoryAccountant:
     def reset_counters(self) -> None:
         """Per-build reset: drop the peak to the current total and
         forget recorded samples.  Live usage entries are kept -- state
-        that is genuinely still resident (a warm daemon's caches) must
+        that is genuinely still resident (a warm coordinator's caches) must
         keep being accounted."""
         self.peak = self._total
         self.samples = []

@@ -210,7 +210,7 @@ class Repository:
     def reset_counters(self) -> None:
         """Zero the operation counters without touching stored pools.
 
-        A long-lived repository (incremental state, build daemon)
+        A long-lived repository (incremental state, build server)
         serves many builds from one process; per-build stats are only
         meaningful if each build starts from zero.  Gauges describing
         state (reclaimable bytes, mapped bytes) are *not* reset.
@@ -550,7 +550,7 @@ class Repository:
                       min_bytes: int = 64 * 1024) -> int:
         """Compact when enough dead bytes accumulated; returns reclaimed.
 
-        The incremental pruner and the daemon's between-requests hook
+        The incremental pruner and the coordinator's between-requests hook
         call this: cheap to call, only rewrites when at least
         ``min_bytes`` *and* ``min_fraction`` of the stored bytes are
         dead.

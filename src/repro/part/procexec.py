@@ -13,12 +13,12 @@ PartitionRunner` transport for that:
   memory, tempfile+mmap fallback) and runs the jobs on a
   :class:`~repro.sched.procpool.ProcessWorkerPool` -- either an
   ephemeral pool (cold CLI) or a persistent one injected by the
-  daemon's warm state.
+  coordinator's warm state.
 
 :func:`run_partition_job` is the worker-process body: attach the blob
 (cached per process per blob) and hand the job to
 :func:`~repro.part.wire.run_wire_job` with a per-process decoded-context
-cache, so a warm daemon pool skips symtab reconstruction exactly like
+cache, so a warm coordinator pool skips symtab reconstruction exactly like
 a farm worker.
 """
 

@@ -32,6 +32,7 @@ serial images agree by construction.
 
 from __future__ import annotations
 
+import base64
 import json
 import sys
 import threading
@@ -57,7 +58,6 @@ from ..naim.loader import Loader, LoaderStats
 from ..naim.memory import MemoryAccountant
 from ..naim.pools import KIND_IR
 from ..naim.repository import OverlayRepository
-from ..serve.protocol import decode_bytes, encode_bytes
 from ..vm.image import MachineRoutine
 from .partition import Partition
 
@@ -291,7 +291,7 @@ def decode_shared_context(data: bytes) -> SharedJobContext:
     return SharedJobContext(payload)
 
 
-#: Decoded shared contexts an executor keeps: a persistent daemon pool
+#: Decoded shared contexts an executor keeps: a coordinator's process pool
 #: or farm worker decodes each program state once, however many
 #: partitions and builds it serves.
 CONTEXT_CACHE_ENTRIES = 4
@@ -394,7 +394,7 @@ def decode_outcome(partition: Partition, payload: Dict) -> PartitionOutcome:
         if payload["index"] != partition.index:
             raise ValueError("reply is for partition %r" % payload["index"])
         machines = decode_machine_routines(
-            decode_bytes(payload["machines_b64"])
+            base64.b64decode(payload["machines_b64"])
         )
     except (KeyError, TypeError, AttributeError, ValueError,
             CompactionError, LinkError) as exc:
@@ -548,9 +548,9 @@ def execute_partition_job(shared: SharedJobContext, job: Dict,
 
     return {
         "index": index,
-        "machines_b64": encode_bytes(
+        "machines_b64": base64.b64encode(
             encode_machine_routines(list(machines.values()))
-        ),
+        ).decode("ascii"),
         "loader_stats": worker_loader.stats.as_dict(),
         "accountant": _accountant_payload(worker_loader.accountant),
         "llo_stats": {

@@ -25,7 +25,7 @@ DEFAULT_DECAY = 0.5
 class ProfileFormatError(ValueError):
     """A profile database file has an unknown or malformed format.
 
-    Carries the offending version so callers (CLI, daemon) can report
+    Carries the offending version so callers (CLI, coordinator) can report
     it without string-parsing the message.
     """
 

@@ -53,7 +53,7 @@ class CacheStats:
     def delta(self, since: "CacheStats") -> "CacheStats":
         """Activity since an earlier :meth:`snapshot` of this object.
 
-        Daemon sessions share one cache; each request reports the
+        The coordinator's sessions share one cache; each request reports the
         delta over its own build instead of resetting shared counters
         under concurrent readers."""
         out = CacheStats()

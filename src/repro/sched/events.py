@@ -12,7 +12,7 @@ events with wall-clock spans.  The log exports two ways:
   slowest tasks, cache hits.
 
 Timestamps are ``perf_counter`` microseconds relative to the log's
-creation; appends are lock-protected because daemon builds log from
+creation; appends are lock-protected because coordinator builds log from
 their request threads.
 """
 

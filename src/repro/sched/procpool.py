@@ -23,12 +23,12 @@ Design points:
   :class:`~repro.sched.tasks.TaskQueue` -- exhaustion raises the
   same :class:`~repro.sched.tasks.TaskFailure`.  A replacement worker
   is spawned while work remains.
-* **Warm reuse.**  The pool survives between batches: the daemon
+* **Warm reuse.**  The pool survives between batches: the coordinator
   keeps one across requests so warm builds skip process spawn (and
   the workers' decoded-context caches stay hot).  :meth:`reap_idle`
   retires workers that have sat idle, and :meth:`close` drains the
   pool (stop sentinel, join, escalating to terminate/kill) -- the
-  daemon calls it from its SIGTERM path.
+  coordinator calls it from its SIGTERM path.
 * **Observability.**  Per-task spans land in the caller's
   :class:`~repro.sched.events.EventLog` on one lane per worker
   (send-to-completion wall clock, measured by the parent), and the
@@ -353,7 +353,7 @@ class ProcessWorkerPool:
 
     def reap_idle(self, idle_seconds: Optional[float] = None) -> int:
         """Retire workers idle for at least ``idle_seconds``; returns
-        how many were reaped.  The daemon calls this between requests
+        how many were reaped.  The coordinator calls this between requests
         so a burst of parallel builds doesn't pin worker processes
         forever."""
         limit = self.idle_seconds if idle_seconds is None else idle_seconds

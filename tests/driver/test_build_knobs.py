@@ -27,7 +27,6 @@ SAMPLES = {
     "hlo_backend": (["--hlo-backend", "processes"], "processes", "auto", 1),
     "incremental": (["--incremental"], True, False, "false"),
     "state_dir": (["--state-dir", "/s/a"], "/s/a", "/s/b", 7),
-    "profile_hot": (["--profile-hot"], True, False, "no"),
 }
 
 
@@ -43,7 +42,7 @@ def test_defaults_are_omitted_from_the_request():
     assert defaults == parse_build_request({})
     for knob in BUILD_KNOBS:
         assert getattr(defaults, knob.key) == knob.default
-        # JSON null means "not set", as in docs/serve.md's example.
+        # JSON null means "not set", as in docs/farm.md's example.
         assert parse_build_request({knob.key: None}) == defaults
 
 
@@ -78,8 +77,9 @@ def test_using_a_profile_at_all_is_session_scoped():
 
 
 def test_a_removed_knob_is_refused_by_name():
-    # A client built when ``--profile-feed`` still existed sends a key
-    # the table no longer has: a ValueError naming it, not a build
-    # that silently drops it.
-    with pytest.raises(ValueError, match="'profile_feed'"):
-        parse_build_request({"profile_feed": "app"})
+    # A client built when ``--profile-feed`` or ``--profile-hot`` still
+    # existed sends a key the table no longer has: a ValueError naming
+    # it, not a build that silently drops it.
+    for key, value in (("profile_feed", "app"), ("profile_hot", True)):
+        with pytest.raises(ValueError, match="'%s'" % key):
+            parse_build_request({key: value})

@@ -90,6 +90,11 @@ class TestBuild:
         ["--prefetch-depth", "2"],
         # Removed with the compile-task thread pool.
         ["-j", "2"],
+        # Removed with the second build server: ``--farm HOST:PORT`` is
+        # the one remote path.
+        ["--daemon"],
+        # Removed for ``python -m cProfile -m repro.driver build``.
+        ["--profile-hot"],
     ])
     def test_rejected_value_is_a_usage_error(self, source_files, capsys,
                                              flags):
@@ -99,6 +104,7 @@ class TestBuild:
         error_lines = [line for line in capsys.readouterr().err.splitlines()
                        if not line.startswith(("usage:", " "))]
         assert len(error_lines) == 1 and "error:" in error_lines[0]
+        assert flags[0] in error_lines[0]
 
     def test_selectivity_without_a_profile_says_it_is_ignored(
             self, source_files, capsys):

@@ -1,6 +1,6 @@
 """CompileSession: one process, many builds, no state leaking.
 
-This is the daemon's contract in miniature: a session reused across
+This is the coordinator's contract in miniature: a session reused across
 consecutive builds must produce the same bytes as a fresh cold build,
 keep its incremental state (repository + overlay) alive between
 builds, report per-build (not cumulative) statistics, and degrade a

@@ -16,15 +16,14 @@ import pytest
 
 from repro.driver.compiler import Compiler, CompileSession
 from repro.driver.options import CompilerOptions
-from repro.farm.client import FarmClient
+from repro.farm.client import FarmClient, FarmError
 from repro.farm.coordinator import FarmCoordinator
+from repro.farm.protocol import ERR_BAD_REQUEST, read_message
 from repro.farm.transport import ROLE_WORKER, connect
 from repro.farm.worker import FarmWorker
 from repro.linker.objects import encode_executable
 from repro.part.procexec import processes_supported
 from repro.sched.events import EventLog
-from repro.serve.client import DaemonError
-from repro.serve.protocol import ERR_BAD_REQUEST, read_message
 from repro.synth import WorkloadConfig, generate
 
 TOKEN = "farm-test-secret"
@@ -205,7 +204,7 @@ class TestTransportsAgree:
 
 
 class TestBadOptions:
-    # The coordinator shares the daemon's request parser; the full
+    # With workers attached the request parser is the same; the full
     # matrix is tests/serve/test_daemon.py::test_bad_build_options_rejected.
     @pytest.mark.parametrize("option, value", [
         ("wpa_mode", "materialize"),  # unknown key (stale client)
@@ -214,7 +213,7 @@ class TestBadOptions:
     ])
     def test_bad_build_option_refused_by_name(self, farm, option, value):
         coordinator, _ = farm
-        with pytest.raises(DaemonError, match="'%s'" % option) as excinfo:
+        with pytest.raises(FarmError, match="'%s'" % option) as excinfo:
             farm_client(coordinator).build({
                 "sources": farm_sources(), "opt_level": 4, option: value,
             })
@@ -237,7 +236,7 @@ class TestAuth:
         coordinator, _ = farm
         failures_before = coordinator.auth_failures
         client = farm_client(coordinator, token="wrong-secret")
-        with pytest.raises(DaemonError, match="refused"):
+        with pytest.raises(FarmError, match="refused"):
             client.build({"sources": {"m": "func main() { return 1; }"},
                           "opt_level": 0})
         # The refusal answer is written before the counter bumps.
@@ -291,7 +290,7 @@ class TestWorkerFailure:
                         "sources": sources, "opt_level": 4,
                         "hlo_jobs": 2,
                     })
-                except DaemonError as exc:  # pragma: no cover
+                except FarmError as exc:  # pragma: no cover
                     outcome["error"] = exc
 
             builder = threading.Thread(target=build, daemon=True)
@@ -330,10 +329,10 @@ class TestWorkerFailure:
                 "error": "poisoned",
             }
             client = farm_client(coordinator)
-            with pytest.raises(DaemonError, match="poisoned"):
+            with pytest.raises(FarmError, match="poisoned"):
                 client.build({"sources": sources, "opt_level": 4,
                               "hlo_jobs": 2})
-            # The daemon survived the failed build.
+            # The coordinator survived the failed build.
             assert client.available()
 
 

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.farm.protocol import read_message, write_message
 from repro.farm.store import (
     CAS_KIND,
     CasStore,
@@ -16,7 +17,6 @@ from repro.farm.store import (
 from repro.naim.pools import KIND_IR
 from repro.naim.repository import Repository
 from repro.part.wire import CasBackedRepository
-from repro.serve.protocol import read_message, write_message
 
 
 @pytest.fixture()

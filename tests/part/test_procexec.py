@@ -6,7 +6,7 @@ across all three transports lives in tests/farm/test_farm.py, next to
 the farm fixture).  On top of that the process transport must clamp
 oversubscribed job counts (announcing it once on the event log),
 survive a worker SIGKILLed mid-partition, reuse an injected persistent
-pool the way the daemon's warm state does, and say so when it was
+pool the way the coordinator's warm state does, and say so when it was
 asked for but cannot run.
 """
 

@@ -1,11 +1,11 @@
-"""AdmissionGate: the daemon's concurrency and queue bounds."""
+"""AdmissionGate: the coordinator's concurrency and queue bounds."""
 
 import threading
 import time
 
 import pytest
 
-from repro.serve.daemon import AdmissionGate
+from repro.farm.coordinator import AdmissionGate
 
 
 class TestBounds:

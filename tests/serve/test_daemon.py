@@ -1,24 +1,25 @@
-"""Daemon end-to-end: byte-identity, admission, lifecycle, recovery.
+"""The warm build server end to end: a coordinator with zero workers.
 
-The daemon runs in a thread inside the test process (the protocol
-neither knows nor cares), which keeps these fast enough for tier 1;
-the CI ``serve-smoke`` job covers the real subprocess + signal path.
+Byte-identity, admission, disconnects, the control plane, the
+process pool, lifecycle and recovery.  The coordinator runs in a
+thread inside the test process on an ephemeral TCP port and is
+reached through the one client, hello included, which keeps these
+fast enough for tier 1; the CI ``farm-smoke`` job covers the real
+subprocess + signal path.
 """
 
 import contextlib
 import os
 import socket
 import threading
-import time
 
 import pytest
 
 from repro.driver.compiler import CompileSession
 from repro.driver.options import CompilerOptions
-from repro.linker.objects import encode_executable
-from repro.serve.client import DaemonClient, DaemonError
-from repro.serve.daemon import BuildDaemon, DaemonStartupError
-from repro.serve.protocol import (
+from repro.farm.client import FarmClient, FarmError
+from repro.farm.coordinator import DaemonStartupError, FarmCoordinator
+from repro.farm.protocol import (
     ERR_BAD_REQUEST,
     ERR_BUSY,
     ERR_DRAINING,
@@ -29,30 +30,42 @@ from repro.serve.protocol import (
     read_message,
     write_message,
 )
+from repro.farm.transport import ROLE_CLIENT, connect
+from repro.linker.objects import encode_executable
+
+TOKEN = "warm-server-secret"
+
+
+def coordinator_at(root, **kwargs):
+    return FarmCoordinator(host="127.0.0.1", port=0, state_root=str(root),
+                           token=TOKEN, **kwargs)
 
 
 @contextlib.contextmanager
-def running_daemon(root, **kwargs):
-    daemon = BuildDaemon(
-        socket_path=os.path.join(str(root), "daemon.sock"),
-        state_root=str(root), **kwargs
-    )
-    daemon.bind()
-    thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+def running_server(root, **kwargs):
+    """A zero-worker coordinator serving in a thread, and its client."""
+    server = coordinator_at(root, **kwargs)
+    server.bind()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield daemon, DaemonClient(daemon.socket_path)
+        yield server, FarmClient(server.endpoint, token=TOKEN)
     finally:
-        daemon.request_shutdown()
+        server.request_shutdown()
         thread.join(timeout=30.0)
-        assert not thread.is_alive(), "daemon failed to drain"
+        assert not thread.is_alive(), "coordinator failed to drain"
+
+
+def raw_stream(server):
+    """An authenticated client connection, for hand-written lines."""
+    return connect("127.0.0.1", server.port, ROLE_CLIENT, TOKEN)
 
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
-    """One shared warm daemon for the read-mostly tests."""
+    """One shared warm coordinator for the read-mostly tests."""
     root = tmp_path_factory.mktemp("served")
-    with running_daemon(root, max_sessions=2, queue_depth=2) as pair:
+    with running_server(root, max_sessions=2, queue_depth=2) as pair:
         yield pair
 
 
@@ -73,7 +86,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("incremental", [False, True])
     def test_warm_build_matches_cold_cli(self, served, tmp_path,
                                          calc_sources, builds, incremental):
-        daemon, client = served
+        server, client = served
         options = {"sources": calc_sources, "opt_level": 4}
         if incremental:
             options["state_dir"] = str(tmp_path / "warm")
@@ -119,7 +132,7 @@ class TestConcurrency:
                 results[slot] = client.build(
                     {"sources": calc_sources, "opt_level": 4}
                 )
-            except DaemonError as exc:  # pragma: no cover - diagnostic
+            except FarmError as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
         threads = [threading.Thread(target=build, args=(i,))
@@ -132,17 +145,17 @@ class TestConcurrency:
         assert results[0]["image"] == results[1]["image"]
 
     def test_busy_rejection_past_queue(self, tmp_path, calc_sources):
-        with running_daemon(tmp_path, max_sessions=1,
-                            queue_depth=0) as (daemon, client):
-            assert daemon.gate.try_acquire() is not None  # occupy
+        with running_server(tmp_path, max_sessions=1,
+                            queue_depth=0) as (server, client):
+            assert server.gate.try_acquire() is not None  # occupy
             try:
-                with pytest.raises(DaemonError) as excinfo:
+                with pytest.raises(FarmError) as excinfo:
                     client.build(
                         {"sources": calc_sources, "opt_level": 0}
                     )
                 assert excinfo.value.code == ERR_BUSY
             finally:
-                daemon.gate.release()
+                server.gate.release()
 
     def test_request_timeout_reported(self, tmp_path):
         from repro.synth import WorkloadConfig, generate
@@ -153,31 +166,29 @@ class TestConcurrency:
             "slow", n_modules=12, routines_per_module=8, n_features=3,
             dispatch_count=60, input_size=12, seed=11,
         ))
-        with running_daemon(
+        with running_server(
             tmp_path, request_timeout=0.001, heartbeat_seconds=0.001,
-        ) as (daemon, client):
-            with pytest.raises(DaemonError) as excinfo:
+        ) as (server, client):
+            with pytest.raises(FarmError) as excinfo:
                 client.build({"sources": app.sources, "opt_level": 4})
             assert excinfo.value.code == ERR_TIMEOUT
-            assert daemon.timeouts == 1
+            assert server.timeouts == 1
 
 
 class TestDisconnect:
     def test_survives_client_vanishing_mid_build(self, tmp_path,
                                                  calc_sources):
-        with running_daemon(
+        with running_server(
             tmp_path, max_sessions=1, queue_depth=1,
             heartbeat_seconds=0.02,
-        ) as (daemon, client):
-            conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            conn.connect(daemon.socket_path)
-            stream = conn.makefile("rwb")
+        ) as (server, client):
+            conn, stream = raw_stream(server)
             write_message(stream, make_request(
                 "build", {"sources": calc_sources, "opt_level": 4}
             ))
             assert read_message(stream)["event"] == "progress"
             conn.close()  # vanish mid-build
-            # The daemon keeps serving: the abandoned build's slot is
+            # The server keeps serving: the abandoned build's slot is
             # released when its worker finishes, so this admits.
             result = client.build(
                 {"sources": calc_sources, "opt_level": 4}
@@ -201,19 +212,6 @@ class TestControlPlane:
         assert isinstance(status["sessions"], list)
         assert status["artifact_cache"]["entries"] >= 0
 
-    def test_objdump_op(self, served):
-        _, client = served
-        result = client.objdump(
-            {"sources": {"m": "func f(x) { return x + 1; }"}}
-        )
-        assert "f" in result["il"]["m"]
-
-    def test_train_op(self, served, calc_sources):
-        _, client = served
-        result = client.train({"sources": calc_sources, "runs": 1})
-        assert result["profile_json"]
-        assert result["hottest"]
-
     @pytest.mark.parametrize("options, pattern", [
         ({}, "sources"),
         ({"sources": {}}, "empty"),
@@ -233,6 +231,7 @@ class TestControlPlane:
         # is not a path (it used to open that file descriptor).
         ({"sources": {"m": "x"}, "checked": "no"}, "'checked'"),
         ({"sources": {"m": "x"}, "incremental": "false"}, "'incremental'"),
+        # A knob since removed: refused by name.
         ({"sources": {"m": "x"}, "profile_hot": "no"}, "'profile_hot'"),
         ({"sources": {"m": "x"}, "hlo_jobs": True}, "'hlo_jobs'"),
         ({"sources": {"m": "x"}, "opt_level": 4.0}, "'opt_level'"),
@@ -243,7 +242,7 @@ class TestControlPlane:
     ])
     def test_bad_build_options_rejected(self, served, options, pattern):
         _, client = served
-        with pytest.raises(DaemonError) as excinfo:
+        with pytest.raises(FarmError) as excinfo:
             client.build(options)
         assert excinfo.value.code == ERR_BAD_REQUEST
         assert pattern in str(excinfo.value)
@@ -253,19 +252,29 @@ class TestControlPlane:
         # A client from before ``--profile-feed`` left: a structured
         # refusal naming the key, and the next request is served.
         _, client = served
-        with pytest.raises(DaemonError) as excinfo:
+        with pytest.raises(FarmError) as excinfo:
             client.build({"sources": calc_sources, "opt_level": 4,
                           "profile_feed": "app"})
         assert excinfo.value.code == ERR_BAD_REQUEST
         assert "'profile_feed'" in str(excinfo.value)
         assert client.request(OP_PING)["pong"] is True
 
+    @pytest.mark.parametrize("op", ["train", "objdump"])
+    def test_a_removed_op_is_refused_and_the_server_answers_on(
+            self, served, op):
+        # A client from when the server also trained and dumped IL:
+        # those run in the client's own process now.
+        _, client = served
+        with pytest.raises(FarmError) as excinfo:
+            client.request(op, {"sources": {"m": "func f(x) { return x; }"}})
+        assert excinfo.value.code == ERR_BAD_REQUEST
+        assert "unknown op" in str(excinfo.value)
+        assert client.request(OP_PING)["pong"] is True
+
     def test_malformed_request_line_rejected(self, served):
-        daemon, _ = served
-        conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        conn.connect(daemon.socket_path)
+        server, _ = served
+        conn, stream = raw_stream(server)
         try:
-            stream = conn.makefile("rwb")
             stream.write(b'{"v": 1, "id": "x", "op": "explode"}\n')
             stream.flush()
             answer = read_message(stream)
@@ -278,12 +287,12 @@ class TestControlPlane:
                                                     monkeypatch):
         # A request past the line limit gets a structured LineTooLong
         # answer (previously: silent drop and a bare disconnect).
-        daemon, _ = served
-        monkeypatch.setattr("repro.serve.protocol.MAX_LINE_BYTES", 1024)
-        conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        conn.connect(daemon.socket_path)
+        server, _ = served
+        # The hello has a fixed limit of its own; the request line after
+        # it meets the protocol-wide one.
+        monkeypatch.setattr("repro.farm.protocol.MAX_LINE_BYTES", 1024)
+        conn, stream = raw_stream(server)
         try:
-            stream = conn.makefile("rwb")
             stream.write(b'{"v": 1, "id": "big", "op": "ping", "pad": "'
                          + b"x" * 4096 + b'"}\n')
             stream.flush()
@@ -296,7 +305,7 @@ class TestControlPlane:
 
 
 class TestProcessPool:
-    """The daemon keeps ONE LTRANS worker-process pool across builds:
+    """The server keeps ONE LTRANS worker-process pool across builds:
     warm parallel builds skip process spawn, stay byte-identical to
     the cold path, and the drain path tears the pool down."""
 
@@ -305,7 +314,7 @@ class TestProcessPool:
                 "partitions": 4, "hlo_backend": "processes"}
 
     def test_warm_builds_share_one_pool(self, tmp_path, calc_sources):
-        with running_daemon(tmp_path) as (daemon, client):
+        with running_server(tmp_path) as (server, client):
             first = client.build(self._options(calc_sources))
             assert first["summary"]["hlo_backend"] == "processes"
             stats = client.status()["process_pool"]
@@ -321,99 +330,104 @@ class TestProcessPool:
 
     def test_warm_pool_build_matches_cold_cli(self, tmp_path,
                                               calc_sources):
-        with running_daemon(tmp_path) as (_, client):
+        with running_server(tmp_path) as (_, client):
             warm = client.build(self._options(calc_sources))
         assert warm["image"] == cold_image(calc_sources)
 
     def test_in_process_build_skips_the_pool(self, tmp_path,
                                              calc_sources):
-        with running_daemon(tmp_path) as (_, client):
+        with running_server(tmp_path) as (_, client):
             options = dict(self._options(calc_sources),
                            hlo_jobs=1, hlo_backend="auto")
             result = client.build(options)
             assert result["summary"]["hlo_backend"] == "in-process"
             assert result["image"] == cold_image(calc_sources)
-            # The daemon offers its pool; one effective worker never
+            # The server offers its pool; one effective worker never
             # spawns into it.
             pool = client.status()["process_pool"]
             assert pool["spawned"] == 0 and pool["tasks_done"] == 0
 
     def test_drain_closes_the_pool(self, tmp_path, calc_sources):
-        with running_daemon(tmp_path) as (daemon, client):
+        with running_server(tmp_path) as (server, client):
             client.build(self._options(calc_sources))
-            pool = daemon.state._process_pool
+            pool = server.state._process_pool
             assert pool is not None
-        # running_daemon's exit drained the daemon.
+        # running_server's exit drained the coordinator.
         assert pool.closed
         assert pool.worker_pids() == []
 
 
 class TestLifecycle:
     def test_drain_rejects_new_sessions(self, tmp_path, calc_sources):
-        with running_daemon(tmp_path) as (daemon, client):
-            daemon._draining.set()
-            with pytest.raises(DaemonError) as excinfo:
+        with running_server(tmp_path) as (server, client):
+            server._draining.set()
+            with pytest.raises(FarmError) as excinfo:
                 client.build({"sources": calc_sources, "opt_level": 0})
             assert excinfo.value.code == ERR_DRAINING
 
     def test_shutdown_removes_socket_and_pidfile(self, tmp_path):
-        daemon = BuildDaemon(
-            socket_path=str(tmp_path / "daemon.sock"),
-            state_root=str(tmp_path),
-        )
-        daemon.bind()
-        thread = threading.Thread(target=daemon.serve_forever,
+        # The listening socket's address lives in the port file.
+        server = coordinator_at(tmp_path)
+        server.bind()
+        thread = threading.Thread(target=server.serve_forever,
                                   daemon=True)
         thread.start()
-        client = DaemonClient(daemon.socket_path)
+        with open(server.port_file) as handle:
+            assert handle.read().strip() == server.endpoint
+        with open(server.pidfile) as handle:
+            assert int(handle.read()) == os.getpid()
+        client = FarmClient(server.endpoint, token=TOKEN)
         assert client.available()
         client.shutdown()
         thread.join(timeout=30.0)
         assert not thread.is_alive()
-        assert not os.path.exists(daemon.socket_path)
-        assert not os.path.exists(daemon.pidfile)
+        assert not os.path.exists(server.port_file)
+        assert not os.path.exists(server.pidfile)
         assert not client.available()
 
     def test_stale_socket_and_pidfile_reclaimed(self, tmp_path):
-        socket_path = str(tmp_path / "daemon.sock")
-        # A dead daemon left both behind (no listener answers).
-        leftover = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        leftover.bind(socket_path)
-        leftover.close()  # socket file remains, nobody accepts
+        # A dead coordinator left both behind: a port file naming an
+        # endpoint nobody accepts on, and a pidfile.
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.bind(("127.0.0.1", 0))
+        dead_port = probe.getsockname()[1]
+        probe.close()
+        with open(str(tmp_path / "coordinator.port"), "w") as handle:
+            handle.write("127.0.0.1:%d\n" % dead_port)
         with open(str(tmp_path / "daemon.pid"), "w") as handle:
             handle.write("999999999\n")  # certainly-dead pid
-        daemon = BuildDaemon(socket_path=socket_path,
-                             state_root=str(tmp_path))
-        daemon.bind()  # reclaims instead of failing
-        thread = threading.Thread(target=daemon.serve_forever,
+        server = coordinator_at(tmp_path)
+        server.bind()  # reclaims instead of failing
+        thread = threading.Thread(target=server.serve_forever,
                                   daemon=True)
         thread.start()
-        assert DaemonClient(socket_path).available()
-        daemon.request_shutdown()
+        assert FarmClient(server.endpoint, token=TOKEN).available()
+        with open(server.port_file) as handle:
+            assert handle.read().strip() == server.endpoint
+        server.request_shutdown()
         thread.join(timeout=30.0)
 
     def test_live_daemon_not_stolen(self, tmp_path):
-        with running_daemon(tmp_path) as (daemon, _):
-            rival = BuildDaemon(socket_path=daemon.socket_path,
-                                state_root=str(tmp_path))
+        with running_server(tmp_path) as (server, _):
+            rival = coordinator_at(tmp_path)
             with pytest.raises(DaemonStartupError, match="already"):
                 rival.bind()
 
     def test_unclean_shutdown_flagged_on_restart(self, tmp_path):
         root = tmp_path / "state"
-        with running_daemon(root) as (daemon, client):
+        with running_server(root) as (server, client):
             # Simulate a crash: put the boot marker back after the
             # drain removes it (the drain is this context's exit).
-            marker = daemon.state._marker_path()
+            marker = server.state._marker_path()
         with open(marker, "w") as handle:
             handle.write("{}")
-        with running_daemon(root) as (daemon, client):
-            assert daemon.state.recovered
+        with running_server(root) as (server, client):
+            assert server.state.recovered
             assert client.status()["recovered"] is True
 
     def test_recovers_corrupt_pack_state_after_crash(self, tmp_path,
                                                      calc_sources):
-        """Boot-marker path with damaged repository state: a daemon
+        """Boot-marker path with damaged repository state: a coordinator
         restarted after a crash that mangled the incremental pack
         segments must still serve a correct (byte-identical) build."""
         root = tmp_path / "state"
@@ -441,8 +455,8 @@ class TestLifecycle:
                   "w") as handle:
             handle.write("{}")
 
-        with running_daemon(root) as (daemon, client):
-            assert daemon.state.recovered
+        with running_server(root) as (server, client):
+            assert server.state.recovered
             warm = client.build({
                 "sources": calc_sources, "opt_level": 4,
                 "state_dir": state_dir,

@@ -1,11 +1,11 @@
-"""Wire protocol: framing, envelopes, and their failure modes."""
+"""Build protocol: framing, envelopes, and their failure modes."""
 
 import io
 import json
 
 import pytest
 
-from repro.serve.protocol import (
+from repro.farm.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     LineTooLongError,
@@ -65,19 +65,19 @@ class TestFraming:
             read_message(io.BytesIO(b"[1, 2]\n"))
 
     def test_oversized_line_rejected(self, monkeypatch):
-        monkeypatch.setattr("repro.serve.protocol.MAX_LINE_BYTES", 64)
+        monkeypatch.setattr("repro.farm.protocol.MAX_LINE_BYTES", 64)
         with pytest.raises(ProtocolError, match="exceeds"):
             read_message(io.BytesIO(b'{"pad": "%s"}\n' % (b"x" * 100)))
 
     def test_oversized_outgoing_rejected(self, monkeypatch):
-        monkeypatch.setattr("repro.serve.protocol.MAX_LINE_BYTES", 64)
+        monkeypatch.setattr("repro.farm.protocol.MAX_LINE_BYTES", 64)
         with pytest.raises(ProtocolError, match="exceeds"):
             write_message(io.BytesIO(), {"pad": "y" * 100})
 
 
 class TestLineTooLong:
     def test_carries_limit_as_typed_error(self, monkeypatch):
-        monkeypatch.setattr("repro.serve.protocol.MAX_LINE_BYTES", 64)
+        monkeypatch.setattr("repro.farm.protocol.MAX_LINE_BYTES", 64)
         with pytest.raises(LineTooLongError) as excinfo:
             read_message(io.BytesIO(b'{"pad": "%s"}\n' % (b"x" * 100)))
         assert excinfo.value.limit == 64
@@ -137,6 +137,11 @@ class TestEnvelopes:
         # An op a previous release served and this one does not.
         pytest.param(lambda m: m.update(op="profile-ingest"), "unknown op",
                      id="removed-op"),
+        # Ops that run in the client's own process now.
+        pytest.param(lambda m: m.update(op="train"), "unknown op",
+                     id="removed-train-op"),
+        pytest.param(lambda m: m.update(op="objdump"), "unknown op",
+                     id="removed-objdump-op"),
     ])
     def test_validate_rejects_malformed(self, mutate, pattern):
         message = make_request("build")
