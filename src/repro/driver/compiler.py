@@ -479,7 +479,7 @@ class Compiler:
         ``incr_state``, the objects' module summaries (hashed once per
         object, not per link) are compared before HLO, consumption is
         recorded during it, and codegen splices cached machine routines
-        (in unit order, so layout is unchanged) for every module whose
+        (in unit order, so layout is unchanged) for every routine whose
         reuse key hit.
 
         With ``hlo_jobs > 1`` (or an explicit ``hlo_partitions``), the
@@ -658,26 +658,34 @@ class Compiler:
             )
 
             machines: List[MachineRoutine] = []
+            # Each reoptimized module's machine routines, its new blob.
             fresh_by_module: Dict[str, List[MachineRoutine]] = {}
+            reoptimized = (
+                incr_session.reoptimized_modules
+                if incr_session is not None else ()
+            )
             # One pass in unit order: cached and fresh routines splice
             # into the same positions a clean build would give them, so
             # layout (and hence the image bytes) is unaffected by reuse
-            # and by partitioning.
+            # and by partitioning.  A reused routine has a pool only
+            # when replay read it: that one is spent now.
+            routine_module = unit.routine_module
             for name in unit.routine_names():
-                module_name = unit.routine_module.get(name, "")
-                if module_name in cached:
-                    machine = cached[module_name].get(name)
-                    if machine is not None:
-                        machines.append(machine)
+                machine = cached.get(name)
+                if machine is not None:
                     handle = unit.handle(name)
-                    if handle is not None:  # an unreplayed clone has none
+                    if handle is not None:
                         unit.release_spent(handle)
-                    continue
-                machine = compiled.get(name)
-                if machine is None:
-                    continue
+                else:
+                    machine = compiled.get(name)
+                    if machine is None:
+                        continue
                 machines.append(machine)
-                fresh_by_module.setdefault(module_name, []).append(machine)
+                module_name = routine_module[name]
+                if module_name in reoptimized:
+                    fresh_by_module.setdefault(module_name, []).append(
+                        machine
+                    )
 
         if incr_session is not None:
             incr_session.fresh_machines = fresh_by_module

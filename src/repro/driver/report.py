@@ -54,6 +54,9 @@ def build_summary(
     if build.incr_report is not None:
         summary["cmo_reused"] = len(build.incr_report.reused)
         summary["cmo_reoptimized"] = len(build.incr_report.reoptimized)
+        summary["cmo_compiled_routines"] = len(
+            build.incr_report.compiled_routines
+        )
         summary["cmo_changed"] = list(build.incr_report.changed_modules)
         summary["cmo_wpa"] = build.incr_report.describe_wpa()
     if build.plan is not None and options.selectivity_percent is not None:
@@ -97,6 +100,10 @@ def render_build_summary(
                 % (summary["cmo_reused"], summary["cmo_reoptimized"],
                    ", ".join(summary.get("cmo_changed", [])) or "-")
             )
+            if "cmo_compiled_routines" in summary:
+                line += ", %d routines compiled" % (
+                    summary["cmo_compiled_routines"]
+                )
             if "cmo_wpa" in summary:
                 line += "; wpa %s" % summary["cmo_wpa"]
             out.append(line)

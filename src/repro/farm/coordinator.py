@@ -268,11 +268,13 @@ class FarmCoordinator:
                  retry_limit: int = 2,
                  job_timeout: float = 600.0) -> None:
         self.state_root = os.path.abspath(state_root or default_farm_root())
-        os.makedirs(self.state_root, exist_ok=True)
         self.host = host
         self.port = port
         self.port_file = os.path.join(self.state_root, "coordinator.port")
         self.pidfile = os.path.join(self.state_root, "daemon.pid")
+        # A live predecessor keeps its root: fail before touching it.
+        self._reclaim_stale()
+        os.makedirs(self.state_root, exist_ok=True)
         self.token = (token if token is not None
                       else ensure_token(self.state_root))
         self.gate = AdmissionGate(max_sessions, queue_depth)
@@ -285,11 +287,15 @@ class FarmCoordinator:
         self.store_repo = Repository(
             directory=os.path.join(self.state_root, "store")
         )
-        self.store = CasStore(self.store_repo)
-        self.dispatcher = FarmDispatcher(
-            self.task_queue, self.store, job_timeout=job_timeout
-        )
-        self.state = WarmState(self.state_root, self.dispatcher)
+        try:
+            self.store = CasStore(self.store_repo)
+            self.dispatcher = FarmDispatcher(
+                self.task_queue, self.store, job_timeout=job_timeout
+            )
+            self.state = WarmState(self.state_root, self.dispatcher)
+        except BaseException:
+            self.store_repo.close()
+            raise
         self.requests_served = 0
         self.disconnects = 0
         self.timeouts = 0
@@ -431,6 +437,11 @@ class FarmCoordinator:
                 os.unlink(owned)
             except OSError:
                 pass
+        self.close()
+
+    def close(self) -> None:
+        """Release what the constructor opened: the warm state (its
+        sessions, process pool and boot marker) and the store."""
         self.state.close()
         self.store_repo.close()
 
@@ -706,6 +717,7 @@ def run_coordinator(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                     request_timeout: Optional[float] = None,
                     retry_limit: int = 2, log=None) -> int:
     """Foreground entry point for ``python -m repro.farm coordinator``."""
+    coordinator = None
     try:
         coordinator = FarmCoordinator(
             host=host, port=port, state_root=state_root, token=token,
@@ -714,6 +726,8 @@ def run_coordinator(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
         )
         coordinator.bind()
     except DaemonStartupError as exc:
+        if coordinator is not None:
+            coordinator.close()
         print("repro-farm: %s" % exc, file=log or sys.stderr)
         return 1
     coordinator.install_signal_handlers()

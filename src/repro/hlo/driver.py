@@ -29,7 +29,7 @@ from typing import AbstractSet, Callable, Dict, List, Optional, Set, Tuple
 
 from ..incr.summary import (
     RoutineFacts,
-    compute_module_keys,
+    compute_routine_keys,
     extract_routine_facts,
 )
 from ..ir.callgraph import CallGraph, CallGraphNode
@@ -227,9 +227,9 @@ class HloResult:
         self.clones = clones
         #: Peak modeled bytes observed during the HLO phase.
         self.peak_bytes = 0
-        #: Modules whose scalar pipeline + codegen are served from the
+        #: Routines whose scalar pipeline + codegen are served from the
         #: incremental cache (empty without an incremental session).
-        self.reused_modules: Set[str] = set()
+        self.reused_routines: Set[str] = set()
         #: Wall-clock seconds per driver phase ("wpa" = serial
         #: whole-program phases 0-4.5, "scalar" = phase 5 when run
         #: serially by :meth:`HighLevelOptimizer.run_scalar_phase`,
@@ -284,20 +284,18 @@ class HloResult:
             })
 
     def compiled_routines(self) -> List[str]:
-        """Routines codegen will compile, in canonical unit order: all
-        of every module whose cached codegen is not reused (the whole
-        unit without an incremental session)."""
-        routine_module = self.unit.routine_module
-        return [
-            name for name in self.unit.routine_names()
-            if routine_module.get(name) not in self.reused_modules
-        ]
+        """Routines codegen will compile, in canonical unit order: each
+        one whose cached machine code is not reused (the whole unit
+        without an incremental session)."""
+        reused = self.reused_routines
+        return [name for name in self.unit.routine_names()
+                if name not in reused]
 
     def scalar_worklist(self) -> List[str]:
         """Routines phase 5 must process, in canonical unit order.
 
         Selectivity (unselected non-clones) and incremental reuse
-        (modules with cached codegen) are already applied; this is the
+        (routines with cached codegen) are already applied; this is the
         exact work a partitioned backend has to cover, and the order
         downstream splicing must preserve.
         """
@@ -624,9 +622,15 @@ class HighLevelOptimizer:
         the link's context from the answer, register its clones and
         derive the reuse keys.  Both sources give equal answers, so
         past the decision only the work a stored answer saves depends
-        on which one ran: the reuse keys of modules the edit does not
+        on which one ran: the reuse keys of routines the edit does not
         reach are carried forward.  Either way the answer's views are
         copied before replay edits them (:meth:`run_scalar_phase`).
+
+        A link that may reuse machine code (an incremental session past
+        its first build) registers no routine pool before it knows what
+        it compiles: then it registers the replay scope of that
+        (:meth:`~repro.hlo.thin.WpaPlan.replay_scope`), and a routine
+        outside the scope is a name in the unit and nothing else.
 
         Bodies are retired to compact/offloaded state right after the
         one extraction scan, so the WPA peak is bounded by summaries,
@@ -739,13 +743,18 @@ class HighLevelOptimizer:
         # Phase 1: register every pool, then retire it immediately --
         # the facts already hold everything the decisions read, so
         # nothing keeps bodies expanded and the WPA working set stays
-        # flat in the number of routine bodies.
+        # flat in the number of routine bodies.  A link that may reuse
+        # code only lists the names here (phase 4.5 registers).
+        may_reuse = incr is not None and not incr.first_build
         for module in program.module_list():
             unit.symtab_handles[module.name] = loader.register_symtab(
                 module.symtab
             )
             for routine in module.routine_list():
-                loader.evict(unit.add_routine(routine))
+                if may_reuse:
+                    unit.routine_module[routine.name] = module.name
+                else:
+                    loader.evict(unit.add_routine(routine))
             unit.symtab_handles[module.name].request_unload()
         accountant.mark("scanned")
         tick = _lap(timings, "wpa.callgraph", tick)
@@ -781,23 +790,31 @@ class HighLevelOptimizer:
         # over (original body hash, bindings, retargets, ordered
         # splices) determine each post-replay body exactly.  A link
         # that applied the stored outcome derives them only for the
-        # modules the edit reaches; the rest keep their committed keys.
-        reused_modules: Set[str] = set()
-        keys: Dict[str, str] = {}
+        # routines the edit reaches; the rest keep their committed keys.
+        # Then the pools of what replay reads, when phase 1 left them.
+        reused: Set[str] = set()
         orig_hashes: Dict[str, str] = {}
         if incr is not None:
             for summary in incr.summaries.values():
                 orig_hashes.update(summary.body_hashes)
-            keys = incr.carry_forward(
-                compute_module_keys(
+            reused = incr.decide_reuse(
+                compute_routine_keys(
                     unit, ctx, facts_by_name, orig_hashes, plan, selected,
                     set(clones), incr.options_fp,
-                    modules=incr.rekeyed_modules(unit, plan),
+                    routines=incr.rekeyed_routines(unit, plan),
                 ),
-                dict.fromkeys(unit.routine_module.values()),
+                unit.routine_module,
             )
-            reused_modules = incr.decide_reuse(keys)
             events.extend(incr.events)
+            if may_reuse:
+                scope = plan.replay_scope(
+                    [name for name in unit.routine_module
+                     if name not in reused]
+                )
+                for module in program.module_list():
+                    for routine in module.routine_list():
+                        if routine.name in scope:
+                            loader.evict(unit.add_routine(routine))
             accountant.mark("summarized")
             tick = _lap(timings, "wpa.summarize", tick)
 
@@ -815,11 +832,11 @@ class HighLevelOptimizer:
         result.events = events
         result.peak_bytes = accountant.peak
         result.wpa_peak_bytes = accountant.peak
-        result.reused_modules = reused_modules
+        result.reused_routines = reused
         result.phase_seconds.update(timings)
         result.phase_seconds["wpa"] = time.perf_counter() - wpa_start
         if reference is not None:
-            self._check_reuse(reference, selected_routines, result, keys,
+            self._check_reuse(reference, selected_routines, result,
                               orig_hashes)
         accountant.set_usage("global", "summaries", 0)
         accountant.set_usage("global", "callgraph", 0)
@@ -900,23 +917,26 @@ class HighLevelOptimizer:
         reference: "HighLevelOptimizer",
         selected_routines: Optional[Set[str]],
         result: HloResult,
-        keys: Dict[str, str],
         orig_hashes: Dict[str, str],
     ) -> None:
         """Decide again beside the applied outcome: the stored outcome
         is a memo of deciding under the WPA inputs digest, and its
-        fields are what the WPA hands on (:func:`_decision_fields`)."""
+        fields are what the WPA hands on (:func:`_decision_fields`),
+        every routine's reuse key included."""
+        incr = self.incr_session
 
         def decide():
             decided, facts_by_name = reference._decide(selected_routines)
-            return decided, compute_module_keys(
+            return decided, compute_routine_keys(
                 decided.unit, decided.ctx, facts_by_name, orig_hashes,
                 decided.plan, decided.selected, set(decided.clones),
-                self.incr_session.options_fp,
+                incr.options_fp,
             )
 
+        keys = {name: key for routine_keys in incr.routine_keys.values()
+                for name, key in routine_keys.items()}
         memo = Memo("wpa outcome", _decision_fields)
-        memo.keep(self.incr_session.wpa_inputs["digest"], (result, keys))
+        memo.keep(incr.wpa_inputs["digest"], (result, keys))
         memo.verify(decide)
 
     def run_scalar_phase(
@@ -933,7 +953,7 @@ class HighLevelOptimizer:
         (:class:`AppliedWpa`, whose views are the decision's facts'),
         so the replay scope -- everything replay, the passes and codegen
         will edit -- is privatised first, bodies and views; bodies of
-        reused modules outside it stay as the frontend left them, and
+        reused routines outside it stay as the frontend left them, and
         stay the caller's: nothing compiles them.
 
         With ``codegen`` (``LowLevelOptimizer.compile_routine``) the
@@ -951,7 +971,7 @@ class HighLevelOptimizer:
         if result.pending_plan is not None:
             # Materialize the WPA decisions onto the real bodies before
             # any scalar work touches them.  Codegen compiles every
-            # routine of a module that is not reused, selected or not.
+            # routine that is not reused, selected or not.
             loader.phase = "replay"
             scope = result.plan.replay_scope(result.compiled_routines())
             views = ctx.views

@@ -124,6 +124,26 @@ class WpaPlan:
 
         return need
 
+    def readers_closure(self, names) -> Set[str]:
+        """``names`` and every routine whose replay reads one of them,
+        transitively: the callers that splice a callee and the clones of
+        an origin.  The routines whose :meth:`import_closure` meets
+        ``names``, found by walking the plan's edges backwards from
+        ``names`` instead of closing every routine forwards."""
+        readers: Dict[str, List[str]] = {}
+        for op in self.splices:
+            readers.setdefault(op.callee, []).append(op.caller)
+        for op in self.clones:
+            readers.setdefault(op.origin, []).append(op.clone)
+        closure: Set[str] = set()
+        stack = list(names)
+        while stack:
+            name = stack.pop()
+            if name not in closure:
+                closure.add(name)
+                stack.extend(readers.get(name, ()))
+        return closure
+
     def replay_scope(self, routines) -> Set[str]:
         """The one replay-scope rule: the routines that will be compiled,
         closed under :meth:`import_closure`.

@@ -5,8 +5,9 @@ builds, stored in a NAIM :class:`~repro.naim.repository.Repository`
 (in-memory, or on disk next to the artifact cache):
 
 * the previous build's :class:`ModuleSummary` per CMO module,
-* each module's post-inline reuse key,
-* one cached codegen blob (machine routines) per reuse key, and
+* each routine's post-inline reuse key, by module,
+* one cached codegen blob per module (its machine routines), named by
+  a digest of the module's routine keys, and
 * the last link's WPA outcome, under a digest of everything that WPA
   read (a link with the same digest applies it instead of deciding).
 
@@ -16,9 +17,9 @@ warm process derives nothing twice, a checked link derives all again.
 
 :class:`IncrLinkSession` is the scratchpad for one link: the compiler
 driver opens it with the current module set, the HLO driver decides
-reuse against the cached blobs, the codegen loop splices cached/fresh
-machine routines, and ``commit`` atomically replaces the persistent
-state and prunes stale blobs.
+reuse per routine against the cached blobs, the codegen loop splices
+cached/fresh machine routines, and ``commit`` atomically replaces the
+persistent state and prunes stale blobs.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ def _digest(*parts: str) -> str:
         digest.update(part.encode("utf-8"))
         digest.update(b"\x00")
     return digest.hexdigest()[:16]
+
+
+def module_blob_key(module_name: str, routine_keys: Dict[str, str]) -> str:
+    """The name of the ``mach`` blob holding the machine routines whose
+    reuse keys ``routine_keys`` (routine name -> key) gives."""
+    return _digest(module_name, *(
+        "%s=%s" % item for item in sorted(routine_keys.items())
+    ))
 
 
 def facts_digest(facts_dicts: List[dict]) -> str:
@@ -120,8 +129,11 @@ class IncrLinkReport:
         self.changed_modules: List[str] = []
         #: Modules whose cached codegen was spliced in unchanged.
         self.reused: List[str] = []
-        #: Modules that went through the scalar pipeline + LLO again.
+        #: Modules one or more of whose routines went through the scalar
+        #: pipeline + LLO again.
         self.reoptimized: List[str] = []
+        #: Those routines, sorted.
+        self.compiled_routines: List[str] = []
         #: Routines dropped by dead-function elimination, per module.
         self.dfe_removed: Dict[str, List[str]] = {}
         #: "reused": the WPA applied the stored outcome; "decided": it
@@ -140,10 +152,10 @@ class IncrLinkReport:
         return self.wpa
 
     def __repr__(self) -> str:
-        return ("<IncrLinkReport reused=%d reoptimized=%d changed=%r "
-                "wpa=%s%s>") % (
+        return ("<IncrLinkReport reused=%d reoptimized=%d compiled=%d "
+                "changed=%r wpa=%s%s>") % (
             len(self.reused), len(self.reoptimized),
-            self.changed_modules,
+            len(self.compiled_routines), self.changed_modules,
             self.describe_wpa(),
             " first-build" if self.first_build else "",
         )
@@ -164,13 +176,18 @@ class IncrLinkSession:
         self.fingerprints: Dict[str, str] = {}
         self.changed_modules: List[str] = []
         self.first_build = False
-        #: Post-inline reuse key per module.
+        #: module -> routine name -> post-inline reuse key, unit order.
+        self.routine_keys: Dict[str, Dict[str, str]] = {}
+        #: module -> :func:`module_blob_key` of its routine keys.
         self.module_keys: Dict[str, str] = {}
-        #: Modules whose cached codegen will be spliced in.
-        self.reused_modules: Set[str] = set()
-        #: module -> routine name -> MachineRoutine (decoded cache hits).
-        self.cached_machines: Dict[str, Dict[str, object]] = {}
-        #: module -> machine routines in unit order (fresh codegen).
+        #: Routines whose cached machine code will be spliced in.
+        self.reused_routines: Set[str] = set()
+        #: Modules holding a routine that is compiled again.
+        self.reoptimized_modules: Set[str] = set()
+        #: routine name -> MachineRoutine (decoded cache hits).
+        self.cached_machines: Dict[str, object] = {}
+        #: module -> all its machine routines in unit order, cached and
+        #: fresh, for each reoptimized module (its new blob).
         self.fresh_machines: Dict[str, List[object]] = {}
         self.dfe_removed: Dict[str, List[str]] = {}
         #: module -> pristine extraction-time facts dicts (thin WPA), for
@@ -325,12 +342,13 @@ class IncrLinkSession:
         """A deciding link's outcome, stored at commit."""
         self.wpa_outcome = outcome
 
-    def rekeyed_modules(self, unit, plan) -> Optional[Set[str]]:
-        """Modules whose reuse key this link must derive again: every
+    def rekeyed_routines(self, unit, plan) -> Optional[Set[str]]:
+        """Routines whose reuse key this link must derive again: every
         one (None) when it decided its WPA; when it reused the stored
-        outcome, the ones holding a routine whose body hash changed, or
-        that splices or clones one (transitively, per the plan), and
-        any the last link committed no key for.  Every other key is the
+        outcome, the ones whose body hash changed, every routine whose
+        replay reads one of those (transitively, per the plan:
+        :meth:`~repro.hlo.thin.WpaPlan.readers_closure`), and any the
+        last link committed no key for.  Every other key is the
         committed one: the inputs it hashes are equal."""
         if self.wpa != "reused":
             return None
@@ -341,27 +359,17 @@ class IncrLinkSession:
             for name, value in self.summaries[module_name].body_hashes.items():
                 if before.get(name) != value:
                     edited.add(name)
-        committed = self.state.module_keys
-        need = plan.import_closure()
-        rekeyed: Set[str] = set()
-        for name, module_name in unit.routine_module.items():
-            if module_name in rekeyed:
-                continue
-            if (module_name not in committed or name in edited
-                    or not edited.isdisjoint(need(name))):
-                rekeyed.add(module_name)
+        routine_module = unit.routine_module
+        committed = self.state.routine_keys
+        empty: Dict[str, str] = {}
+        # An edited routine dead-function elimination removed has no key.
+        rekeyed = {name for name in plan.readers_closure(edited)
+                   if name in routine_module}
+        rekeyed.update(
+            name for name, module_name in routine_module.items()
+            if name not in committed.get(module_name, empty)
+        )
         return rekeyed
-
-    def carry_forward(self, fresh_keys: Dict[str, str],
-                      module_order: Iterable[str]) -> Dict[str, str]:
-        """This link's keys, in ``module_order``: ``fresh_keys`` for the
-        modules it re-keyed (:meth:`rekeyed_modules`), the committed key
-        for every other one."""
-        committed = self.state.module_keys
-        return {
-            name: fresh_keys[name] if name in fresh_keys else committed[name]
-            for name in module_order
-        }
 
     # -- Recording hooks (called from the HLO driver) ------------------------------
 
@@ -370,36 +378,68 @@ class IncrLinkSession:
 
     # -- Reuse decision -------------------------------------------------------------
 
-    def decide_reuse(self, module_keys: Dict[str, str]) -> Set[str]:
-        """Modules whose cached codegen blob matches the exact key.
+    def decide_reuse(self, fresh_keys: Dict[str, str],
+                     routine_module: Dict[str, str]) -> Set[str]:
+        """Routines whose cached machine code matches the exact key.
 
-        The machine routines are in hand *now*: a module is only reused
-        once they are, so a corrupt or missing blob degrades to a fresh
-        compile instead of a broken skip.  A key the previous link
-        committed for the same module must still have its blob; when it
-        does not, or does not decode, a ``machine-blob-fallback`` event
-        says so (a new key without a blob is an ordinary miss).
+        ``fresh_keys`` holds the keys this link derived (every routine's,
+        or :meth:`rekeyed_routines`'); every other routine of
+        ``routine_module`` (name -> module, unit order) keeps its
+        committed key.  A routine is reused when its key equals the
+        committed one and its machine routine is in hand *now*, from its
+        module's committed blob: a corrupt or missing blob degrades to a
+        fresh compile instead of a broken skip, and says so with a
+        ``machine-blob-fallback`` event (the index promised it).
         """
-        self.module_keys = dict(module_keys)
-        self.reused_modules = set()
+        state = self.state
+        committed = state.routine_keys
+        committed_blobs = state.module_keys
+        keys: Dict[str, Dict[str, str]] = {}
+        for name, module_name in routine_module.items():
+            key = fresh_keys.get(name)
+            if key is None:
+                key = committed[module_name][name]
+            keys.setdefault(module_name, {})[name] = key
+        self.routine_keys = keys
+        self.module_keys = {}
+        self.reused_routines = set()
+        self.reoptimized_modules = set()
         self.cached_machines = {}
-        committed = self.state.module_keys
-        for module_name, key in module_keys.items():
-            machines, reason = self.state.load_machines(key, self.checked)
-            if machines is None:
-                if reason == "corrupt" or committed.get(module_name) == key:
+        empty: Dict[str, str] = {}
+        for module_name, routine_keys in keys.items():
+            before = committed.get(module_name, empty)
+            if routine_keys == before:
+                self.module_keys[module_name] = committed_blobs[module_name]
+                hits = list(routine_keys)
+            else:
+                self.module_keys[module_name] = module_blob_key(
+                    module_name, routine_keys
+                )
+                hits = [name for name, key in routine_keys.items()
+                        if before.get(name) == key]
+            machines = None
+            if hits:
+                blob_key = committed_blobs[module_name]
+                machines, reason = state.load_machines(blob_key, self.checked)
+                if machines is None:
                     self.events.append({
                         "event": "machine-blob-fallback",
                         "module": module_name,
-                        "key": key,
+                        "key": blob_key,
                         "reason": reason,
                     })
-                continue
-            self.reused_modules.add(module_name)
-            self.cached_machines[module_name] = {
-                machine.name: machine for machine in machines
-            }
-        return self.reused_modules
+            found = 0
+            if machines is not None:
+                by_name = {machine.name: machine for machine in machines}
+                for name in hits:
+                    machine = by_name.get(name)
+                    if machine is not None:
+                        self.cached_machines[name] = machine
+                        self.reused_routines.add(name)
+                        found += 1
+            if found < len(routine_keys):
+                self.reoptimized_modules.add(module_name)
+        return self.reused_routines
 
 
 def _why_inputs_differ(header: dict, inputs: dict) -> str:
@@ -435,6 +475,9 @@ class IncrementalState:
         #: fingerprint of each (all ``begin_link`` compares).
         self.summaries: Dict[str, dict] = {}
         self.summary_fingerprints: Dict[str, str] = {}
+        #: module -> routine -> reuse key, and module -> the name of the
+        #: blob holding those routines' machine code (derived).
+        self.routine_keys: Dict[str, Dict[str, str]] = {}
         self.module_keys: Dict[str, str] = {}
         self.options_fp = ""
         #: The WPA-inputs digest of the last committed link, when it
@@ -447,13 +490,15 @@ class IncrementalState:
         # under (fingerprint, bytes); the ``wpa/outcome`` parse and the
         # ``AppliedWpa`` applying it gave, under its bytes; the index
         # text the repository holds, and each summary's text under its
-        # fingerprint.
+        # fingerprint, and each module's routine keys as text under its
+        # blob key.
         self.machines = Memos("machine routines", _machine_fields)
         self.parsed_facts = Memos("summ facts", _facts_fields)
         self.stored_wpa = Memo("stored wpa outcome")
         self.applied_wpa = Memo("applied wpa", methodcaller("fields"))
         self.index_text = Memo("index text")
         self.summary_texts = Memos("summary text")
+        self.key_texts = Memos("routine keys text")
         if directory is not None:
             self.repository.reindex()
         self._load_index()
@@ -482,7 +527,11 @@ class IncrementalState:
         }
         # An index written before the dependency edges were dropped
         # still has a "deps" key: nothing reads it.
-        self.module_keys = data.get("module_keys", {})
+        self.routine_keys = data.get("routine_keys", {})
+        self.module_keys = {
+            name: module_blob_key(name, keys)
+            for name, keys in self.routine_keys.items()
+        }
         self.options_fp = data.get("options_fp", "")
         # An index written before the stored WPA outcome vouches for none.
         self.wpa_digest = data.get("wpa")
@@ -505,6 +554,8 @@ class IncrementalState:
         moved since the last call; the rest is text that call made."""
         texts = self.summary_texts
         texts.retain(self.summaries)
+        key_texts = self.key_texts
+        key_texts.retain(self.routine_keys)
 
         def join(open_, items, close):
             return open_ + ", ".join(items) + close
@@ -522,7 +573,13 @@ class IncrementalState:
             ), "}"),
             "summary_fingerprints": json.dumps(self.summary_fingerprints,
                                                sort_keys=True),
-            "module_keys": json.dumps(self.module_keys, sort_keys=True),
+            "routine_keys": join("{", (
+                "%s: %s" % (json.dumps(name), key_texts.memo(name).get(
+                    self.module_keys[name], _dump_sorted,
+                    self.routine_keys[name], checked=checked,
+                ))
+                for name in sorted(self.routine_keys)
+            ), "}"),
             "wpa": json.dumps(self.wpa_digest),
         }
         return join("{", (
@@ -626,9 +683,7 @@ class IncrementalState:
     def commit(self, session: IncrLinkSession) -> IncrLinkReport:
         """Persist the session's outcome; returns the link report."""
         for module_name, machines in session.fresh_machines.items():
-            key = session.module_keys.get(module_name)
-            if key is not None:
-                self.store_machines(key, machines)
+            self.store_machines(session.module_keys[module_name], machines)
 
         fingerprints = session.fingerprints
         for module_name, facts_dicts in session.module_facts.items():
@@ -670,7 +725,8 @@ class IncrementalState:
             for name, summary in session.summaries.items()
         }
         self.summary_fingerprints = dict(fingerprints)
-        self.module_keys = dict(session.module_keys)
+        self.routine_keys = session.routine_keys
+        self.module_keys = session.module_keys
         self.options_fp = session.options_fp
         self._save_index(session.checked)
         self._prune_machines()
@@ -678,10 +734,14 @@ class IncrementalState:
         report = IncrLinkReport()
         report.first_build = session.first_build
         report.changed_modules = session.changed_modules
-        report.reused = sorted(session.reused_modules)
-        report.reoptimized = sorted(
-            name for name in session.module_keys
-            if name not in session.reused_modules
+        report.reused = sorted(
+            name for name in session.routine_keys
+            if name not in session.reoptimized_modules
+        )
+        report.reoptimized = sorted(session.reoptimized_modules)
+        report.compiled_routines = sorted(
+            name for keys in session.routine_keys.values() for name in keys
+            if name not in session.reused_routines
         )
         report.dfe_removed = session.dfe_removed
         report.wpa = session.wpa
@@ -690,7 +750,7 @@ class IncrementalState:
         return report
 
     def _prune_machines(self) -> None:
-        """Drop codegen blobs no current module key references.
+        """Drop codegen blobs no current module blob key names.
 
         On pack segments a discard only tombstones the frame; once
         enough dead bytes accumulate, fold them out so the on-disk

@@ -8,16 +8,16 @@ Two layers of fingerprinting drive the incremental engine:
   Comparing them against the previous build's summaries yields the
   *changed* module set the link report names.
 
-* **Reuse keys** (:func:`compute_module_keys`) are exact per-module
+* **Reuse keys** (:func:`compute_routine_keys`) are exact per-routine
   fingerprints taken *after* the whole-program phases (DFE, IPCP,
   cloning, inlining) but before the scalar pipeline and code
   generation.  The key covers everything those two expensive phases
-  can observe about a module -- what determines each post-replay
-  routine body, profile views, selectivity membership, and the
-  interprocedural fact slice (callee mod/ref + constant returns,
-  readonly globals and their initializers).  Equal key therefore
-  implies byte-identical machine code, so cached codegen output can
-  be spliced in unchanged.  This is the WHOPR-style split: the cheap
+  can observe about a routine -- what determines its post-replay body,
+  its profile view, its selectivity membership, and the
+  interprocedural fact slice it reads (callee mod/ref + constant
+  returns, readonly globals and their initializers).  Equal key
+  therefore implies byte-identical machine code, so the cached machine
+  routine can be spliced in unchanged.  This is the WHOPR-style split: the cheap
   "thin link" analysis re-runs every build; only per-module
   optimization and codegen are skipped.
 
@@ -29,7 +29,7 @@ the only body -> facts view.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..ir.instructions import Opcode
 from ..ir.module import Module
@@ -39,7 +39,7 @@ from ..naim.compaction import compact_routine
 from ..sched.artifacts import PIPELINE_EPOCH
 
 #: Bump when the summary/key wire format itself changes.
-SUMMARY_FORMAT = 2
+SUMMARY_FORMAT = 3
 
 
 def _hexdigest(data: bytes) -> str:
@@ -196,7 +196,7 @@ class ModuleSummary:
         )
 
 
-def compute_module_keys(
+def compute_routine_keys(
     unit,
     ctx,
     facts_by_name: Dict[str, RoutineFacts],
@@ -205,15 +205,15 @@ def compute_module_keys(
     selected: Set[str],
     clones: Set[str],
     options_fp: str,
-    modules: Optional[Set[str]] = None,
+    routines: Optional[Iterable[str]] = None,
 ) -> Dict[str, str]:
-    """Exact per-module reuse keys over the post-WPA program state.
+    """Exact per-routine reuse keys over the post-WPA program state.
 
     ``unit`` is the HLO :class:`~repro.hlo.driver.CmoUnit`, ``ctx`` the
     :class:`~repro.hlo.passes.OptContext` carrying the published
     interprocedural facts, ``plan`` the recorded
     :class:`~repro.hlo.thin.WpaPlan`.  Returns the reuse key of every
-    module in the unit (or in ``modules``, when given).
+    routine of the unit (or of ``routines``, when given), in that order.
 
     Each routine gets an *evolution hash* E(r) covering everything that
     determines its post-replay body and profile view: the original body
@@ -227,8 +227,8 @@ def compute_module_keys(
     routine body, its profile view, ``ctx.modref`` / ``ctx.const_returns``
     facts about its callees, and ``ctx.readonly_globals`` plus global
     initializers for its referenced globals.  All of those are hashed
-    here, so key equality implies the downstream phases would produce
-    identical output.
+    into the routine's key, so key equality implies the downstream
+    phases would produce identical machine code for it.
     """
     bindings_of = {name: binds for name, binds in plan.bindings}
     splices_of: Dict[str, list] = {}
@@ -305,33 +305,18 @@ def compute_module_keys(
         residual_memo[name] = (callees, globals_)
         return residual_memo[name]
 
-    routines_of: Dict[str, List[str]] = {}
-    for name in unit.routine_names():
-        module_name = unit.routine_module[name]
-        if modules is None or module_name in modules:
-            routines_of.setdefault(module_name, []).append(name)
     in_unit = unit.routine_module
-
+    prefix = ("thin|v%d|%s" % (SUMMARY_FORMAT, options_fp)).encode("utf-8")
     keys: Dict[str, str] = {}
-    for module_name, names in routines_of.items():
-        digest = hashlib.sha256()
-        # The "thin|" prefix is frozen key bytes: existing state dirs
-        # stay warm.
-        digest.update(("thin|v%d|" % SUMMARY_FORMAT).encode("utf-8"))
-        digest.update(options_fp.encode("utf-8"))
-        digest.update(("|%s|" % module_name).encode("utf-8"))
-        # The foreign facts this module's post-inline bodies can observe.
-        callees: Set[str] = set()
-        globals_: Set[str] = set()
-        for name in names:
-            optimized = name in selected or name in clones
-            digest.update(
-                ("r:%s/%d=%s;" % (name, int(optimized), evolution(name)))
-                .encode("utf-8")
-            )
-            sub_callees, sub_globals = residual(name)
-            callees.update(sub_callees)
-            globals_.update(sub_globals)
+    for name in in_unit if routines is None else routines:
+        optimized = name in selected or name in clones
+        digest = hashlib.sha256(prefix)
+        digest.update(
+            ("|%s|r:%s/%d=%s;" % (in_unit[name], name, int(optimized),
+                                  evolution(name))).encode("utf-8")
+        )
+        # The foreign facts this routine's post-inline body can observe.
+        callees, globals_ = residual(name)
         for callee in sorted(callees):
             modref = (
                 modref_fingerprint(ctx.modref.for_routine(callee))
@@ -354,7 +339,7 @@ def compute_module_keys(
                 ("g:%s/%d/%s;" % (global_name, int(readonly), shape))
                 .encode("utf-8")
             )
-        keys[module_name] = digest.hexdigest()
+        keys[name] = digest.hexdigest()[:32]
     return keys
 
 

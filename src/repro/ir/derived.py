@@ -64,7 +64,7 @@ class DerivedCache:
     """
 
     __slots__ = ("_cfg", "_instr", "recompute_count", "invalidate_count",
-                 "mutations")
+                 "mutations", "labels")
 
     def __init__(self) -> None:
         self._cfg: Dict[str, Any] = {}
@@ -76,6 +76,11 @@ class DerivedCache:
         #: Number of invalidation calls, whether or not anything was
         #: cached: the routine was (or may have been) mutated that often.
         self.mutations = 0
+        #: The block labels in use, as :meth:`Routine.new_block` left
+        #: them (None: not known).  Kept apart from the registered
+        #: results, so it is neither sized nor verified; any mutation
+        #: but an instruction rewrite drops it like the CFG-shaped ones.
+        self.labels = None
 
     def get(
         self, key: str, compute: Callable[[], Any], cfg_shaped: bool = False
@@ -90,6 +95,7 @@ class DerivedCache:
     def invalidate(self) -> None:
         """Drop every derived result (on CFG mutation or unload)."""
         self.mutations += 1
+        self.labels = None
         if self._cfg or self._instr:
             self.invalidate_count += 1
             self._cfg.clear()
@@ -98,6 +104,7 @@ class DerivedCache:
     def drop(self) -> None:
         """Drop every derived result of a body that did not change (a
         link handing a borrowed body back): no mutation is signalled."""
+        self.labels = None
         if self._cfg or self._instr:
             self.invalidate_count += 1
             self._cfg.clear()

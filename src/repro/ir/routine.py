@@ -93,16 +93,27 @@ class Routine:
         return self.blocks[0]
 
     def new_block(self, hint: str = "bb") -> BasicBlock:
-        """Create, append and return a fresh uniquely-labelled block."""
-        existing = {block.label for block in self.blocks}
+        """Create, append and return a fresh uniquely-labelled block:
+        ``<hint><n>``, the first free ``n`` from the block count on.
+
+        The labels in use survive from one call to the next
+        (:attr:`DerivedCache.labels`) until another mutation drops
+        them, so a run of calls -- a frontend lowering a routine --
+        checks each label once instead of collecting them all again."""
+        derived = self.derived
+        labels = derived.labels
+        if labels is None:
+            labels = {block.label for block in self.blocks}
         index = len(self.blocks)
         label = "%s%d" % (hint, index)
-        while label in existing:
+        while label in labels:
             index += 1
             label = "%s%d" % (hint, index)
         block = BasicBlock(label)
         self.blocks.append(block)
         self.invalidate()
+        labels.add(label)
+        derived.labels = labels
         return block
 
     def block(self, label: str) -> BasicBlock:

@@ -5,8 +5,9 @@ profile weight, keeping modules that inlining tied together in the
 same partition where balance allows (a balanced min-cut heuristic in
 the spirit of GCC's WHOPR ``lto-partition``):
 
-1. every non-reused module gets a weight -- the summed profile-view
-   block counts of its routines plus a fixed per-routine cost, all
+1. every module with a routine to compile gets a weight -- the summed
+   profile-view block counts of those routines plus a fixed
+   per-routine cost, all
    derived from data the serial phases already hold, so no pool is
    loaded to plan the split;
 2. inline affinity edges (the per-module-pair inline counts recorded
@@ -61,12 +62,13 @@ class Partition:
 
 
 def module_weights(hlo_result: "HloResult") -> Dict[str, int]:
-    """Profile weight per non-reused module, from views alone."""
+    """Profile weight per module of the routines it compiles, from views
+    alone."""
     views = hlo_result.ctx.views
     weights: Dict[str, int] = {}
-    for name in hlo_result.unit.routine_names():
+    for name in hlo_result.compiled_routines():
         module = hlo_result.unit.routine_module.get(name)
-        if module is None or module in hlo_result.reused_modules:
+        if module is None:
             continue
         weight = ROUTINE_BASE_WEIGHT
         view = views.get(name)
@@ -102,7 +104,7 @@ def partition_unit(hlo_result: "HloResult",
                    n_partitions: int) -> List[Partition]:
     """Split the unit into at most ``n_partitions`` balanced partitions.
 
-    Reused (incremental-cache) modules are excluded -- they have no
+    Reused (incremental-cache) routines are excluded -- they have no
     LTRANS work.  Empty partitions are dropped, so fewer than
     ``n_partitions`` may come back for small programs.
     """
@@ -161,6 +163,7 @@ def partition_unit(hlo_result: "HloResult",
 
     # Materialize, preserving canonical unit order inside each
     # partition and dropping empty bins.
+    compiled = hlo_result.compiled_routines()
     partitions: List[Partition] = []
     for index in range(n_partitions):
         if not bin_modules[index]:
@@ -168,7 +171,7 @@ def partition_unit(hlo_result: "HloResult",
         members = set(bin_modules[index])
         routines = [
             name
-            for name in hlo_result.unit.routine_names()
+            for name in compiled
             if hlo_result.unit.routine_module.get(name) in members
         ]
         partitions.append(

@@ -213,7 +213,7 @@ class TestStateDir:
             engine.incr_state.repository.fetch("incr", "index")
         ))
         assert "deps" not in stored
-        assert stored["module_keys"] == engine.incr_state.module_keys
+        assert stored["routine_keys"] == engine.incr_state.routine_keys
 
 
 class TestOptionsInvalidation:

@@ -24,8 +24,13 @@ solution per link, a walk per body, an index store per link).
 from __future__ import annotations
 
 import json
+import random
+import re
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.driver.compiler as compiler_module
 import repro.hlo.driver as hlo_driver
@@ -37,14 +42,18 @@ from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
 from repro.hlo.analysis.modref import ModRefAnalysis
 from repro.hlo.profile_view import ProfileView
-from repro.hlo.thin import WpaOutcome
+from repro.hlo.thin import WpaOutcome, WpaPlan
+from repro.hlo.transforms.clone import CloneOp
+from repro.hlo.transforms.inline import SpliceOp
+from repro.incr.state import IncrementalState, IncrLinkSession
 from repro.incr.summary import ModuleSummary, RoutineFacts
 from repro.ir.routine import Routine
 from repro.linker.objects import encode_executable
 from repro.memo import Memo
 from repro.naim.pools import KIND_IR
 from repro.vm.isa import RELOCATED_OPS, MInstr
-from repro.synth import WorkloadConfig, generate
+from repro.synth import WorkloadConfig, full_suite, generate
+import reference_rekey
 from synth_edits import bump, bump_call_argument
 
 
@@ -157,7 +166,7 @@ def test_replay_expands_nothing_outside_the_import_closure(warm, monkeypatch):
     monkeypatch.setattr(hlo_driver, "replay_plan", watched_replay)
     result, _report = engine.build(sources)
     hlo = result.hlo_result
-    assert hlo.reused_modules
+    assert hlo.reused_routines
     compiled = set(hlo.compiled_routines())
     need = hlo.plan.import_closure()
     closure = set().union(*(need(name) for name in compiled))
@@ -403,7 +412,7 @@ def test_the_index_is_the_text_json_would_write(warm):
         "options_fp": state.options_fp,
         "summaries": state.summaries,
         "summary_fingerprints": state.summary_fingerprints,
-        "module_keys": state.module_keys,
+        "routine_keys": state.routine_keys,
         "wpa": state.wpa_digest,
     }
     expected = json.dumps(index, sort_keys=True).encode("utf-8")
@@ -453,7 +462,7 @@ def test_object_il_is_copied_only_inside_the_replay_scope(warm, monkeypatch):
     monkeypatch.setattr(Routine, "copy", copy)
     result, _report = engine.build(sources)
     hlo = result.hlo_result
-    assert hlo.reused_modules
+    assert hlo.reused_routines
     scope = hlo.plan.replay_scope(hlo.compiled_routines())
     assert privatised, "nothing was privatised: the guard guards nothing"
     assert len(privatised) == len(set(privatised)) <= len(scope)
@@ -558,7 +567,7 @@ def test_begin_link_parses_no_stored_summary(warm, monkeypatch):
 def test_a_fact_preserving_edit_decides_nothing(warm, monkeypatch):
     """The edit leaves every routine's facts as they were: the link
     applies the stored WPA outcome, so no decision procedure runs, only
-    the modules the edit reaches are keyed again, and no outcome is
+    the routines the edit reaches are keyed again, and no outcome is
     stored (the one in the repository is this link's)."""
     import repro.hlo.transforms.ipcp as ipcp
     from repro.hlo.transforms.inline import InlineEngine
@@ -580,14 +589,14 @@ def test_a_fact_preserving_edit_decides_nothing(warm, monkeypatch):
     monkeypatch.setattr(hlo_driver, "build_callgraph",
                         counters["build_callgraph"])
     keyed = []
-    keys = Counter(hlo_driver.compute_module_keys)
+    keys = Counter(hlo_driver.compute_routine_keys)
 
-    def compute_module_keys(*args, **kwargs):
-        keyed.append(kwargs.get("modules"))
+    def compute_routine_keys(*args, **kwargs):
+        keyed.append(kwargs.get("routines"))
         return keys(*args, **kwargs)
 
-    monkeypatch.setattr(hlo_driver, "compute_module_keys",
-                        compute_module_keys)
+    monkeypatch.setattr(hlo_driver, "compute_routine_keys",
+                        compute_routine_keys)
     # A checked link also decides, to compare: that is not this link's.
     uncounted(monkeypatch, list(counters.values()) + [keys])
     repository = engine.incr_state.repository
@@ -605,7 +614,11 @@ def test_a_fact_preserving_edit_decides_nothing(warm, monkeypatch):
         dict.fromkeys(counters, 0)
     )
     assert keys.calls == 1
-    assert keyed[0] == set(report.cmo_reoptimized)
+    assert keyed[0] == set(result.hlo_result.compiled_routines())
+    routine_module = result.hlo_result.unit.routine_module
+    assert {routine_module[name] for name in keyed[0]} == (
+        set(report.cmo_reoptimized)
+    )
     assert report.cmo_reused
     assert "wpa" not in stored
     assert encode_executable(result.executable) == _clean_image(sources)
@@ -676,3 +689,164 @@ def test_a_lost_or_damaged_wpa_outcome_is_decided_again(
     assert report.cmo_reoptimized == []
     assert not [e for e in result.hlo_result.events
                 if e.get("event") == "wpa-outcome-fallback"]
+
+
+# -- Work proportional to the routines an edit reaches -------------------------
+
+_CONSTANT = re.compile(r"\* (\d+) \+")
+
+
+def _edit_loop_edit(sources, rng):
+    """One edit of ``edit_loop``'s stream (benchmarks/perf/workloads.py):
+    bump one multiplier constant in one non-``main`` module."""
+    name = rng.choice(sorted(n for n in sources if n != "main"))
+    text = sources[name]
+    site = rng.choice(list(_CONSTANT.finditer(text)))
+    sources[name] = "%s%d%s" % (text[:site.start(1)],
+                                int(site.group(1)) + 1, text[site.end(1):])
+
+
+def test_an_edit_stream_compiles_the_routines_its_edits_reach():
+    """Over ``edit_loop``'s program and its seed-1 stream of 40 edits
+    (after the two set-up edits), each relink compiles the edited
+    routines and every routine whose replay reads one -- splicers and
+    clones, transitively -- and nothing else: 81 routines, where
+    compiling every routine of each module that holds one compiles 520.
+    (86 with the edited routines dead-function elimination removed.)"""
+    app = generate(full_suite()["mcad1_like"].scaled(0.6))
+    sources = dict(app.sources)
+    engine = BuildEngine(CompilerOptions(opt_level=4), incremental=True)
+    engine.build(sources)
+    rng = random.Random(0)
+    for _ in range(2):
+        _edit_loop_edit(sources, rng)
+        engine.build(sources)
+    rng = random.Random(7919 + 1)
+    compiled = 0
+    for _ in range(40):
+        before = {name: summary["body_hashes"]
+                  for name, summary in engine.incr_state.summaries.items()}
+        _edit_loop_edit(sources, rng)
+        result, _report = engine.build(sources)
+        edited = {
+            routine
+            for name, summary in engine.incr_state.summaries.items()
+            for routine, value in summary["body_hashes"].items()
+            if before[name].get(routine) != value
+        }
+        hlo = result.hlo_result
+        reached = hlo.plan.readers_closure(edited) & set(
+            hlo.unit.routine_module
+        )
+        assert set(hlo.compiled_routines()) == reached
+        assert result.incr_report.compiled_routines == sorted(reached)
+        compiled += len(reached)
+    assert compiled <= 86
+    assert encode_executable(result.executable) == _clean_image(sources)
+
+
+def test_a_no_op_relink_makes_no_routine_pool(warm, monkeypatch):
+    """A relink that compiles nothing creates, evicts and releases no
+    routine pool: the unit lists every name and holds no handle."""
+    engine, sources, _victim = warm
+    engine.build(sources)
+    made = []
+
+    def counted(owner, name, label):
+        real = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            handle = args[0] if args else None
+            pool = getattr(handle, "pool", None)
+            if pool is None or pool.kind == KIND_IR:
+                made.append(label)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(loader_module.Loader, "register_routine", "create")
+    counted(loader_module.Loader, "adopt_routine", "create")
+    counted(loader_module.Loader, "evict", "evict")
+    counted(hlo_driver.CmoUnit, "release_spent", "release")
+    # A checked link decides again beside this one, on its own loader.
+    uncounted_list(monkeypatch, made)
+    result, report = engine.build(sources)
+    assert report.cmo_reoptimized == []
+    assert made == []
+    assert result.incr_report.compiled_routines == []
+    unit = result.hlo_result.unit
+    assert unit.routine_names() and unit.routine_handles == {}
+    assert encode_executable(result.executable) == _clean_image(sources)
+
+
+@st.composite
+def _reusing_links(draw):
+    """A reusing link's rekey inputs: a unit (originals and clones over a
+    few modules), an acyclic plan over it (a splice's caller and a
+    clone come after what they read), the edited bodies -- one of them,
+    perhaps, of a routine dead-function elimination removed -- and the
+    routines the last link committed no key for."""
+    plan = WpaPlan()
+    routine_module = {}
+    originals = []
+    for index, step in enumerate(draw(st.lists(
+        st.one_of(st.none(), st.integers(0, 99)), min_size=1, max_size=14,
+    ))):
+        if step is None or not routine_module:
+            name = "r%d" % index
+            routine_module[name] = "m%d" % draw(st.integers(0, 3))
+            originals.append(name)
+        else:
+            names = list(routine_module)
+            origin = names[step % len(names)]
+            name = "c%d" % index
+            plan.clones.append(CloneOp(name, origin, (), []))
+            routine_module[name] = routine_module[origin]
+    names = list(routine_module)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, len(names) - 1),
+                                        st.integers(0, len(names) - 1)),
+                              max_size=20)):
+        if a != b:
+            plan.splices.append(
+                SpliceOp(names[max(a, b)], names[min(a, b)], 1)
+            )
+    edited = draw(st.sets(st.sampled_from(originals)))
+    dead = draw(st.booleans())
+    unkeyed = draw(st.sets(st.sampled_from(names)))
+
+    state = IncrementalState()
+    session = IncrLinkSession(state, "fp")
+    session.wpa = "reused"
+    modules = sorted(set(routine_module.values()))
+    for module_name in modules:
+        body_hashes = {name: "old" for name in originals
+                       if routine_module[name] == module_name}
+        if dead and module_name == modules[0]:
+            body_hashes["dead"] = "old"
+            edited = edited | {"dead"}
+        summary = ModuleSummary(module_name)
+        summary.body_hashes = {name: "new" if name in edited else value
+                               for name, value in body_hashes.items()}
+        session.summaries[module_name] = summary
+        state.summaries[module_name] = {"body_hashes": body_hashes}
+        state.routine_keys[module_name] = {
+            name: "key" for name in names
+            if routine_module[name] == module_name and name not in unkeyed
+        }
+    session.changed_modules = [
+        module_name for module_name in modules
+        if set(session.summaries[module_name].body_hashes) & edited
+    ]
+    return session, SimpleNamespace(routine_module=routine_module), plan
+
+
+@given(_reusing_links())
+@settings(max_examples=200, deadline=None)
+def test_the_reverse_closure_rekeys_what_the_forward_rule_did(link):
+    """Walking the plan's edges backwards from the edited routines gives
+    the routines the forward rule found by closing every routine of the
+    unit (``reference_rekey``)."""
+    session, unit, plan = link
+    assert session.rekeyed_routines(unit, plan) == (
+        reference_rekey.rekeyed_routines(session, unit, plan)
+    )

@@ -300,6 +300,10 @@ def _summary_text(engine, sources):
     return engine.incr_state.summary_texts[_target(sources)]
 
 
+def _routine_keys_text(engine, sources):
+    return engine.incr_state.key_texts[_target(sources)]
+
+
 def _index_text(engine, _sources):
     return engine.incr_state.index_text
 
@@ -455,6 +459,8 @@ _MEMOS = [
     ("object-interface", _object_interface, _edit_the_target,
      _tamper_a_call_site),
     ("summary-text", _summary_text, _edit_the_target, _tamper_a_text),
+    ("routine-keys-text", _routine_keys_text, _edit_the_target,
+     _tamper_a_text),
     # The index text is its own key: nothing derives it again.
     ("index-text", _index_text, _edit_the_target, None),
 ]

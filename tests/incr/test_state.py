@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.frontend import compile_source
-from repro.incr.state import IncrementalState
+from repro.incr.state import IncrementalState, module_blob_key
 from repro.incr.summary import SUMMARY_FORMAT, ModuleSummary
 from repro.llo.driver import LowLevelOptimizer
 from repro.sched.artifacts import PIPELINE_EPOCH
@@ -31,12 +31,18 @@ def _machines():
     ]
 
 
+#: Each routine's module, in unit order, and its reuse key.
+ROUTINE_MODULE = {"one": "alpha", "two": "beta", "main": "beta"}
+KEYS = {"one": "key-one", "two": "key-two", "main": "key-main"}
+
+
 def _committed_state(directory=None):
-    """A state with one committed link: summaries, keys, one blob."""
+    """A state with one committed link: summaries, keys, one blob per
+    module (alpha's holds ``one``, beta's nothing)."""
     state = IncrementalState(directory=directory)
     session = state.begin_link(_summaries(), "opts-fp")
     assert session.first_build
-    session.module_keys = {"alpha": "key-alpha", "beta": "key-beta"}
+    assert session.decide_reuse(KEYS, ROUTINE_MODULE) == set()
     session.fresh_machines = {"alpha": _machines(), "beta": []}
     state.commit(session)
     return state
@@ -69,15 +75,20 @@ class TestSessionLifecycle:
         assert session.first_build
 
     def test_report_contents(self):
-        state = IncrementalState()
+        state = _committed_state()
         session = state.begin_link(_summaries(), "opts-fp")
-        session.module_keys = {"alpha": "ka", "beta": "kb"}
-        session.reused_modules = {"alpha"}
+        # ``two`` has a new key; ``main``'s is committed, but beta's
+        # blob holds no routine to reuse.
+        reused = session.decide_reuse(dict(KEYS, two="key-two-new"),
+                                      ROUTINE_MODULE)
+        assert reused == {"one"}
+        assert session.reoptimized_modules == {"beta"}
         session.fresh_machines = {"beta": []}
         report = state.commit(session)
         assert report.reused == ["alpha"]
         assert report.reoptimized == ["beta"]
-        assert report.first_build
+        assert report.compiled_routines == ["main", "two"]
+        assert not report.first_build
         assert report.reuse_fraction() == 0.5
 
 
@@ -116,10 +127,10 @@ class TestMachineBlobs:
         state = _committed_state()
         state.store_machines("stale-key", _machines())
         session = state.begin_link(_summaries(), "opts-fp")
-        session.module_keys = {"alpha": "key-alpha", "beta": "key-beta"}
+        assert session.decide_reuse(KEYS, ROUTINE_MODULE) == {"one"}
         state.commit(session)
         assert state.load_machines("stale-key") == (None, "missing")
-        assert state.load_machines("key-alpha")[0] is not None
+        assert state.load_machines(state.module_keys["alpha"])[0] is not None
 
 
 class TestPersistence:
@@ -128,11 +139,18 @@ class TestPersistence:
         _committed_state(directory=directory).close()
         reloaded = IncrementalState(directory=directory)
         assert set(reloaded.summaries) == set(MODULES)
+        assert reloaded.routine_keys == {
+            "alpha": {"one": "key-one"},
+            "beta": {"two": "key-two", "main": "key-main"},
+        }
         assert reloaded.module_keys == {
-            "alpha": "key-alpha", "beta": "key-beta"
+            name: module_blob_key(name, keys)
+            for name, keys in reloaded.routine_keys.items()
         }
         assert reloaded.options_fp == "opts-fp"
-        assert reloaded.load_machines("key-alpha")[0] is not None
+        assert reloaded.load_machines(
+            reloaded.module_keys["alpha"]
+        )[0] is not None
 
     def test_index_without_fingerprints_stays_warm(self, tmp_path):
         """What the index looked like before fingerprints were kept

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.ir.routine as routine_module
+from repro.ir.basic_block import BasicBlock
 from repro.ir.builder import IRBuilder
 from repro.ir.errors import IRError
 from repro.ir.instructions import Opcode
@@ -53,6 +55,44 @@ class TestStructure:
         routine = Routine("r")
         labels = {routine.new_block("x").label for _ in range(10)}
         assert len(labels) == 10
+
+    def test_new_block_skips_labels_in_use(self):
+        """The first free ``<hint><n>`` from the block count on, whether
+        the taken label came from an earlier call or from a block added
+        by another mutation."""
+        routine = Routine("r")
+        assert routine.new_block("x").label == "x0"
+        routine.blocks.append(BasicBlock("x2"))
+        routine.invalidate()
+        assert routine.new_block("x").label == "x3"
+        assert routine.new_block("x").label == "x4"
+        routine.remove_blocks({"x0"})
+        assert routine.new_block("x").label == "x5"
+        assert routine.new_block("y").label == "y4"
+
+    def test_new_block_label_work_is_linear(self, monkeypatch):
+        """A routine built block by block reads each label a bounded
+        number of times: the check for a free label is O(1) per call."""
+        reads = []
+
+        class CountingBlock(BasicBlock):
+            __slots__ = ("_label",)
+
+            @property
+            def label(self):
+                reads.append(1)
+                return self._label
+
+            @label.setter
+            def label(self, value):
+                self._label = value
+
+        monkeypatch.setattr(routine_module, "BasicBlock", CountingBlock)
+        routine = Routine("r")
+        for _ in range(2000):
+            routine.new_block("b")
+        assert routine.block_labels() == ["b%d" % i for i in range(2000)]
+        assert len(reads) <= 2 * 2000
 
     def test_block_lookup(self):
         routine = make_diamond()

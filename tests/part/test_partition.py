@@ -39,7 +39,9 @@ def stub_result(module_routines, weights=None, pairs=None, reused=()):
         unit=unit,
         ctx=SimpleNamespace(views=views),
         inline_stats=SimpleNamespace(module_pairs=dict(pairs or {})),
-        reused_modules=set(reused),
+        compiled_routines=lambda: [
+            name for name in names if routine_module[name] not in reused
+        ],
         pending_plan=None,
     )
 

@@ -141,7 +141,8 @@ class TestUnitAfterRun:
         so where NAIM is engaged no loop hands it back: the unit still
         lists every name, but no pool holds a body and no handle
         answers -- least of all with the stale pre-scalar bytes the
-        repository may still hold."""
+        repository may still hold.  A reused routine that replay does
+        not read never had a pool: it is a name and nothing else."""
         if shape == "processes" and not processes_supported():
             pytest.skip("no multiprocessing here")
         hlo_result = SHAPES[shape](app_sources(), naim=_offload()).hlo_result
@@ -151,14 +152,19 @@ class TestUnitAfterRun:
             pool for pool in hlo_result.loader.pools()
             if pool.kind == KIND_IR
         ]
+        scope = hlo_result.plan.replay_scope(hlo_result.compiled_routines())
+        untouched = hlo_result.reused_routines - scope
+        assert bool(untouched) == (shape == "incremental")
         released = 0
         for name in unit.routine_names():
             if unit.handle(name) is None:
-                # A clone the link loader never held: its body existed
-                # only in the worker that replayed it, or (its module
-                # being reused) not at all.
-                assert name in hlo_result.clones and shape != "serial"
+                # A clone the link loader never held (its body existed
+                # only in the worker that replayed it), or a reused
+                # routine outside the replay scope.
+                assert (name in hlo_result.clones and shape != "serial"
+                        or name in untouched)
                 continue
+            assert name not in untouched
             with pytest.raises(ReleasedPoolError) as raised:
                 unit.routine(name)
             assert raised.value.name == name

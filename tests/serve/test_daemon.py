@@ -408,10 +408,18 @@ class TestLifecycle:
         thread.join(timeout=30.0)
 
     def test_live_daemon_not_stolen(self, tmp_path):
-        with running_server(tmp_path) as (server, _):
-            rival = coordinator_at(tmp_path)
-            with pytest.raises(DaemonStartupError, match="already"):
-                rival.bind()
+        """A second coordinator on a served root fails before it touches
+        the root: the first one's boot marker is its own, and it still
+        answers."""
+        with running_server(tmp_path) as (server, client):
+            marker = server.state._marker_path()
+            with open(marker, "rb") as handle:
+                before = handle.read()
+            with pytest.raises(DaemonStartupError, match="already serves"):
+                coordinator_at(tmp_path).bind()
+            with open(marker, "rb") as handle:
+                assert handle.read() == before
+            assert client.status()["endpoint"] == server.endpoint
 
     def test_unclean_shutdown_flagged_on_restart(self, tmp_path):
         root = tmp_path / "state"
