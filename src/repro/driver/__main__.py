@@ -17,7 +17,7 @@ module defining ``main``) provides the entry point.
 
 ``build --farm HOST:PORT`` routes the build to a running coordinator
 (:mod:`repro.farm`) over authenticated TCP, where it runs on a warm
-session -- on the coordinator alone, or with its LTRANS partitions on
+build engine -- on the coordinator alone, or with its LTRANS partitions on
 attached workers.  The endpoint is explicit, so an unreachable
 coordinator fails the build rather than falling back silently.
 Images are byte-identical either way.
@@ -32,7 +32,8 @@ from typing import Dict, List
 
 from ..frontend import compile_source, detect_language
 from ..ir.printer import format_module
-from .compiler import CompileSession, train as train_profile
+from .build import BuildEngine, BuildError
+from .compiler import train as train_profile
 from .options import (
     add_build_flags,
     at_least_one,
@@ -120,11 +121,21 @@ def cmd_build(args: argparse.Namespace) -> int:
     profile_db = None
     if config.profile_path:
         profile_db = ProfileDatabase.load(config.profile_path)
-    session = CompileSession.from_config(config)
-    build, report, _ = session.build(sources, profile_db=profile_db)
+    engine = BuildEngine(
+        config.compiler_options(), incremental=config.incremental,
+        state_dir=config.state_dir,
+    )
+    try:
+        build, report = engine.build(sources, profile_db=profile_db)
+    except BuildError as exc:
+        for step, failure in exc.failures.items():
+            print("error: %s: %s" % (step, failure), file=sys.stderr)
+        return 1
+    finally:
+        engine.close()
     _print_summary(build_summary(
-        session.options, len(sources), build, report=report,
-        incremental=session.incremental,
+        engine.compiler.options, len(sources), build, report=report,
+        incremental=config.incremental,
     ))
     if args.emit_image:
         from ..linker.objects import encode_executable
@@ -134,8 +145,8 @@ def cmd_build(args: argparse.Namespace) -> int:
             handle.write(data)
         print("image: %d bytes -> %s" % (len(data), args.emit_image))
     if args.trace_out:
-        session.events.write_chrome_trace(args.trace_out)
-        print("trace: %d events -> %s" % (len(session.events.events),
+        engine.events.write_chrome_trace(args.trace_out)
+        print("trace: %d events -> %s" % (len(engine.events.events),
                                           args.trace_out))
     if args.run:
         _print_run(build.run())
@@ -196,7 +207,7 @@ def main(argv=None) -> int:
     build_parser.add_argument(
         "--farm", default=None, metavar="HOST:PORT",
         help="build on a running repro.farm coordinator over TCP "
-             "(warm sessions; fails, never falls back, when it cannot "
+             "(warm build engines; fails, never falls back, when it cannot "
              "be reached)",
     )
     build_parser.add_argument(

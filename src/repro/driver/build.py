@@ -14,17 +14,21 @@ database ("the disadvantage is that no persistent program library is
 available to minimize re-compilation").
 
 A build is a loop: compile each module in source order, collecting
-failures instead of stopping at the first, then link.  A shared
-:class:`~repro.sched.ArtifactCache` memoizes compiled objects by
-content -- ``hash(module, language, options, source)`` -- across
-engine instances, generalizing the per-engine fingerprint dict, and
-every step emits trace events into the engine's
+failures instead of stopping at the first, then link.  It is the one
+build loop of the CLI and the build coordinator; ``Compiler.build`` is
+the library's one-shot build.  Objects are reused at two levels: the
+engine's own fingerprint dict answers "did *this engine* already
+compile this source?", and a shared :class:`~repro.sched.ArtifactCache`
+answers "has *anyone with the same inputs* compiled it?" --
+``hash(module, language, options, source)`` -- across engine instances
+and processes.  Every step emits trace events into the engine's
 :class:`~repro.sched.EventLog`.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from typing import Dict, List, Optional, Tuple
 
@@ -33,7 +37,7 @@ from ..naim.memory import MemoryAccountant
 from ..profiles.database import ProfileDatabase
 from ..sched.artifacts import ArtifactCache
 from ..sched.events import EventLog
-from .compiler import BuildResult, Compiler
+from .compiler import BuildResult, BuildTimings, Compiler, _Timer
 from .options import CompilerOptions
 
 
@@ -106,13 +110,18 @@ class BuildEngine:
     content-addressed object store.
 
     ``incremental=True`` turns on summary-based incremental CMO: the
-    link records per-module summaries, dependency edges and codegen
-    blobs in an :class:`~repro.incr.IncrementalState`, so editing one
-    module re-optimizes only the modules whose consumed cross-module
-    facts changed -- byte-identical to a clean build.  ``state_dir``
+    link records per-module summaries and per-routine codegen in an
+    :class:`~repro.incr.IncrementalState`, so editing one module
+    recompiles only the routines whose consumed cross-module facts
+    changed -- byte-identical to a clean build.  ``state_dir``
     persists that state (plus objects, unless ``object_dir`` is given)
     across processes; without it the state lives in memory for the
     engine's lifetime.
+
+    One engine may serve many builds in one process (the coordinator
+    keeps one per build configuration): builds are serialized by
+    :attr:`lock`, and each starts by resetting the per-build counters
+    of the state that outlives it (event log, incremental repository).
     """
 
     def __init__(
@@ -120,7 +129,6 @@ class BuildEngine:
         options: Optional[CompilerOptions] = None,
         object_dir: Optional[str] = None,
         artifact_cache: Optional[ArtifactCache] = None,
-        events: Optional[EventLog] = None,
         incremental: bool = False,
         state_dir: Optional[str] = None,
     ) -> None:
@@ -130,6 +138,7 @@ class BuildEngine:
                 object_dir = os.path.join(state_dir, "objects")
         self.compiler = Compiler(options or CompilerOptions(opt_level=4))
         self.object_dir = object_dir
+        self.state_dir = state_dir
         self.artifact_cache = artifact_cache
         self.incr_state = None
         if incremental or state_dir is not None:
@@ -139,7 +148,12 @@ class BuildEngine:
                 directory=os.path.join(state_dir, "incr-cmo")
                 if state_dir is not None else None
             )
-        self.events = events if events is not None else EventLog()
+        self.events = EventLog()
+        #: Builds completed by this engine.
+        self.builds = 0
+        #: Held by every build; a caller reading per-build counters
+        #: after one holds it across both (it is reentrant).
+        self.lock = threading.RLock()
         #: module name -> (fingerprint, object).
         self._cache: Dict[str, Tuple[str, ObjectFile]] = {}
         if object_dir is not None:
@@ -199,12 +213,14 @@ class BuildEngine:
         name: str,
         text: str,
         profile_db: Optional[ProfileDatabase],
+        timings: BuildTimings,
     ) -> Tuple[ObjectFile, str, Optional[MemoryAccountant], object]:
         """Produce ``name``'s object, via caches when possible.
 
         Returns ``(object, how, accountant, llo_stats)`` where ``how``
         is "reused" (fingerprint match), "cache" (artifact-cache hit)
-        or "recompiled".
+        or "recompiled".  A recompiled module's frontend and object
+        compile are timed into ``timings`` and traced as spans.
         """
         fingerprint = ObjectFile.fingerprint(text)
         cached = self._cache.get(name)
@@ -228,15 +244,21 @@ class BuildEngine:
                     self._store(obj)
                     return obj, "cache", None, None
 
-        module = self.compiler.frontend(name, text)
-        accountant = MemoryAccountant()
-        obj, llo_stats = self.compiler.compile_object_with_stats(
-            module, profile_db, fingerprint=fingerprint,
-            accountant=accountant,
-        )
-        self._store(obj)
-        if art_key is not None:
-            self.artifact_cache.put(art_key, obj.to_bytes())
+        with _Timer(timings, "frontend"), self.events.span(
+            "frontend:%s" % name, "frontend"
+        ):
+            module = self.compiler.frontend(name, text)
+        with _Timer(timings, "compile"), self.events.span(
+            "compile:%s" % name, "compile"
+        ):
+            accountant = MemoryAccountant()
+            obj, llo_stats = self.compiler.compile_object_with_stats(
+                module, profile_db, fingerprint=fingerprint,
+                accountant=accountant,
+            )
+            self._store(obj)
+            if art_key is not None:
+                self.artifact_cache.put(art_key, obj.to_bytes())
         return obj, "recompiled", accountant, llo_stats
 
     # -- Building ------------------------------------------------------------------
@@ -251,52 +273,81 @@ class BuildEngine:
         Raises :class:`BuildError` if any module fails to compile; all
         sibling modules still run first, so the error carries every
         module's diagnostic, not just the first.
-
-        Counters on state that outlives one build (the incremental
-        repository) are zeroed here, so two builds in one process each
-        report their own numbers instead of a running total.
         """
-        if self.incr_state is not None:
-            self.incr_state.reset_counters()
-        report = RebuildReport()
+        with self.lock:
+            self.events.clear()
+            if self.incr_state is not None:
+                self.incr_state.reset_counters()
+            outcome = self._build(sources, profile_db)
+            self.builds += 1
+            return outcome
 
+    def _build(
+        self,
+        sources: Dict[str, str],
+        profile_db: Optional[ProfileDatabase],
+    ) -> Tuple[BuildResult, RebuildReport]:
+        report = RebuildReport()
         for stale in [name for name in self._cache if name not in sources]:
             self._drop(stale)
             report.removed.append(stale)
 
+        result = BuildResult()
+        result.options_used = self.compiler.options.describe()
         failures: Dict[str, Exception] = {}
-        compiled = []
         for name, text in sources.items():
-            step = "compile:%s" % name
             try:
-                with self.events.span(step, "compile"):
-                    obj, how, accountant, llo_stats = self._compile_module(
-                        name, text, profile_db
-                    )
+                obj, how, accountant, llo_stats = self._compile_module(
+                    name, text, profile_db, result.timings
+                )
             except Exception as exc:  # collected: siblings still compile
-                failures[step] = exc
+                failures["compile:%s" % name] = exc
                 continue
-            compiled.append((obj, accountant, llo_stats))
+            result.objects.append(obj)
+            result.merge_codegen(accountant, llo_stats)
             if how == "recompiled":
                 report.recompiled.append(name)
             else:
                 report.reused.append(name)
         if failures:
             raise BuildError(failures, ["link"], report)
+        result.source_lines = sum(obj.source_lines for obj in result.objects)
 
         try:
             with self.events.span("link", "link"):
-                result = self.compiler.link(
-                    [obj for obj, _accountant, _stats in compiled],
-                    profile_db,
-                    incr_state=self.incr_state,
-                    events=self.events,
+                self.compiler.link_into(
+                    result.objects, profile_db, result,
+                    incr_state=self.incr_state, events=self.events,
                 )
         except Exception as exc:
             raise BuildError({"link": exc}, [], report) from exc
         if result.incr_report is not None:
             report.cmo_reused = list(result.incr_report.reused)
             report.cmo_reoptimized = list(result.incr_report.reoptimized)
-        for _obj, accountant, llo_stats in compiled:
-            result.merge_codegen(accountant, llo_stats)
         return result, report
+
+    # -- Long-lived state ----------------------------------------------------------
+
+    def compact_repositories(self) -> int:
+        """Compact the incremental repository; returns bytes freed.
+
+        Cheap when nothing is reclaimable -- the coordinator calls this
+        between requests so dead frames from pruned incremental blobs
+        don't accumulate across a long-lived process.
+        """
+        if self.incr_state is None:
+            return 0
+        with self.lock:
+            return self.incr_state.repository.maybe_compact()
+
+    def close(self) -> None:
+        """Release persistent state (the incremental repository)."""
+        if self.incr_state is not None:
+            self.incr_state.close()
+
+    def __repr__(self) -> str:
+        return "<BuildEngine %s%s builds=%d>" % (
+            self.compiler.options.describe(),
+            " incremental" if self.incr_state is not None else "",
+            self.builds,
+        )

@@ -9,7 +9,6 @@ final layout.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
@@ -100,10 +99,6 @@ class BuildResult:
         #: Incremental-CMO outcome (an :class:`repro.incr.IncrLinkReport`)
         #: when the link ran with an IncrementalState; None otherwise.
         self.incr_report = None
-        #: CMO modules whose codegen came from the incremental cache.
-        self.cmo_reused_modules: List[str] = []
-        #: CMO modules re-optimized (scalar pipeline + LLO) this link.
-        self.cmo_reoptimized_modules: List[str] = []
         #: Partitioned-LTRANS execution facts (backend, effective
         #: worker count, spawn cost, blob size) when the link ran the
         #: partitioned backend; None otherwise.  Purely observational
@@ -690,8 +685,6 @@ class Compiler:
         if incr_session is not None:
             incr_session.fresh_machines = fresh_by_module
             result.incr_report = incr_state.commit(incr_session)
-            result.cmo_reused_modules = result.incr_report.reused
-            result.cmo_reoptimized_modules = result.incr_report.reoptimized
         return machines
 
     # -- Instrumented builds (+I) -----------------------------------------------------
@@ -719,243 +712,6 @@ class Compiler:
             result.executable = build_image(
                 machines, global_vars, probe_table=result.probe_table
             )
-
-
-# -- Sessions (warm-state builds) ----------------------------------------------------
-
-
-class SessionBuildStats:
-    """Per-build observability for one :class:`CompileSession` build.
-
-    Everything here is scoped to exactly one build even when the
-    session (and its caches, repositories and event log) is warm and
-    has served many earlier builds in the same process.
-    """
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        #: Shared artifact-cache activity during this build (delta).
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_stores = 0
-        #: Incremental-repository traffic during this build.
-        self.repo_fetches = 0
-        self.repo_stores = 0
-        self.repo_bytes_read = 0
-        self.repo_bytes_written = 0
-        #: Dead pack-segment bytes awaiting compaction at build end.
-        self.repo_reclaimable_bytes = 0
-        #: NAIM loader activity of the link (evictions = compactions).
-        self.loader_evictions = 0
-        self.loader_offloads = 0
-        self.loader_cache_hits = 0
-        #: Modeled peak memory of the build.
-        self.peak_bytes = 0
-        #: Task spans recorded in the session event log.
-        self.n_spans = 0
-        #: Wall-clock seconds per build phase.
-        self.phase_seconds: Dict[str, float] = {}
-        #: How many builds this session had served before this one.
-        self.warm_builds_before = 0
-
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "seconds": self.seconds,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_stores": self.cache_stores,
-            "cache_hit_rate": self.cache_hit_rate(),
-            "repo_fetches": self.repo_fetches,
-            "repo_stores": self.repo_stores,
-            "repo_bytes_read": self.repo_bytes_read,
-            "repo_bytes_written": self.repo_bytes_written,
-            "repo_reclaimable_bytes": self.repo_reclaimable_bytes,
-            "loader_evictions": self.loader_evictions,
-            "loader_offloads": self.loader_offloads,
-            "loader_cache_hits": self.loader_cache_hits,
-            "peak_bytes": self.peak_bytes,
-            "n_spans": self.n_spans,
-            "phase_seconds": dict(self.phase_seconds),
-            "warm_builds_before": self.warm_builds_before,
-        }
-
-    def __repr__(self) -> str:
-        return "<SessionBuildStats %.3fs cache %d/%d warm=%d>" % (
-            self.seconds, self.cache_hits,
-            self.cache_hits + self.cache_misses, self.warm_builds_before,
-        )
-
-
-class CompileSession:
-    """A reusable, process-resident build entry point.
-
-    One session pins down everything that makes two builds comparable
-    -- the :class:`CompilerOptions` and (for
-    incremental builds) the :class:`~repro.driver.build.BuildEngine`
-    with its object cache and :class:`~repro.incr.IncrementalState`.
-    The cold CLI creates a throwaway session per invocation; the build
-    coordinator keeps sessions warm across requests and projects.  Both
-    go through :meth:`build`, which is how coordinator builds stay
-    byte-identical to cold CLI builds at every ``hlo_jobs`` /
-    ``incremental`` setting.
-
-    ``warm=True`` routes even non-incremental builds through a
-    :class:`BuildEngine`, so repeat builds reuse fingerprint-matched
-    objects and the shared ``artifact_cache`` instead of re-running
-    frontends (output bytes are identical either way -- objects are
-    content-addressed).
-
-    Every build starts by resetting per-build mutable counters on the
-    session's long-lived state (event log, incremental repository), so
-    stats never leak between builds sharing one process; shared
-    artifact-cache counters are reported as before/after deltas
-    because other sessions may be using the cache concurrently.
-
-    Builds on one session are serialized by an internal lock --
-    concurrent coordinator requests against the same project queue here
-    rather than corrupting shared engine state.
-    """
-
-    def __init__(
-        self,
-        options: Optional[CompilerOptions] = None,
-        incremental: bool = False,
-        state_dir: Optional[str] = None,
-        artifact_cache=None,
-        warm: bool = False,
-    ) -> None:
-        self.options = options or CompilerOptions()
-        self.incremental = bool(incremental or state_dir is not None)
-        self.state_dir = state_dir
-        self.artifact_cache = artifact_cache
-        self.warm = warm
-        self.events = EventLog()
-        #: Builds completed on this session (warm-state reuse count).
-        self.builds = 0
-        self._lock = threading.Lock()
-        self.engine = None
-        self.compiler = Compiler(self.options)
-        if self.incremental or warm:
-            from .build import BuildEngine  # local: build.py imports us
-
-            self.engine = BuildEngine(
-                self.options,
-                artifact_cache=artifact_cache,
-                events=self.events,
-                incremental=self.incremental,
-                state_dir=state_dir,
-            )
-            self.compiler = self.engine.compiler
-
-    @classmethod
-    def from_config(cls, config, **kwargs) -> "CompileSession":
-        """The session a :class:`~.options.BuildConfig` asks for -- the
-        one constructor behind the cold CLI and the coordinator."""
-        return cls(config.compiler_options(),
-                   incremental=config.incremental,
-                   state_dir=config.state_dir, **kwargs)
-
-    # -- Per-build hygiene -----------------------------------------------------------
-
-    def reset_build_counters(self) -> None:
-        """Zero every per-build mutable counter on session-owned state."""
-        self.events.clear()
-        if self.engine is not None and self.engine.incr_state is not None:
-            self.engine.incr_state.reset_counters()
-
-    # -- Building ----------------------------------------------------------------------
-
-    def build(self, sources: Dict[str, str],
-              profile_db: Optional[ProfileDatabase] = None):
-        """Run one build; returns ``(result, report, stats)``.
-
-        ``report`` is a :class:`~repro.driver.build.RebuildReport` when
-        the session runs on an engine, else None.
-        """
-        with self._lock:
-            stats = SessionBuildStats()
-            stats.warm_builds_before = self.builds
-            self.reset_build_counters()
-            cache_before = (
-                self.artifact_cache.stats_snapshot()
-                if self.artifact_cache is not None else None
-            )
-            start = time.perf_counter()
-            if self.engine is not None:
-                result, report = self.engine.build(
-                    sources, profile_db=profile_db
-                )
-            else:
-                result = self.compiler.build(
-                    sources, profile_db=profile_db, events=self.events,
-                )
-                report = None
-            stats.seconds = time.perf_counter() - start
-            self.builds += 1
-            self._collect_stats(stats, result, cache_before)
-            return result, report, stats
-
-    def _collect_stats(self, stats: SessionBuildStats, result: BuildResult,
-                       cache_before) -> None:
-        if cache_before is not None:
-            delta = self.artifact_cache.stats_snapshot().delta(cache_before)
-            stats.cache_hits = delta.hits
-            stats.cache_misses = delta.misses
-            stats.cache_stores = delta.stores
-        if self.engine is not None and self.engine.incr_state is not None:
-            repo = self.engine.incr_state.repository
-            stats.repo_fetches = repo.fetches
-            stats.repo_stores = repo.stores
-            stats.repo_bytes_read = repo.bytes_read
-            stats.repo_bytes_written = repo.bytes_written
-            stats.repo_reclaimable_bytes = getattr(
-                repo, "reclaimable_bytes", 0
-            )
-        if result.hlo_result is not None:
-            loader_stats = result.hlo_result.loader.stats
-            stats.loader_evictions = loader_stats.compactions
-            stats.loader_offloads = loader_stats.offloads
-            stats.loader_cache_hits = loader_stats.cache_hits
-        stats.peak_bytes = result.accountant.peak
-        stats.n_spans = len(self.events.spans())
-        stats.phase_seconds = dict(result.timings.phases)
-        if result.hlo_result is not None:
-            # Per-pass WPA splits ("hlo.wpa.inline", ...) alongside the
-            # coarse build phases, so the bench harnesses can attribute
-            # thin-link time.
-            for key, value in result.hlo_result.phase_seconds.items():
-                stats.phase_seconds["hlo." + key] = value
-
-    def compact_repositories(self) -> int:
-        """Compact session-owned pack repositories; returns bytes freed.
-
-        Cheap when nothing is reclaimable -- the coordinator calls this
-        between requests so dead frames from pruned incremental blobs
-        don't accumulate across a long-lived process.
-        """
-        if self.engine is None or self.engine.incr_state is None:
-            return 0
-        repository = self.engine.incr_state.repository
-        compact = getattr(repository, "maybe_compact", None)
-        if compact is None:
-            return 0
-        with self._lock:
-            return compact()
-
-    def close(self) -> None:
-        """Release persistent session state (incremental repository)."""
-        if self.engine is not None and self.engine.incr_state is not None:
-            self.engine.incr_state.close()
-
-    def __repr__(self) -> str:
-        return "<CompileSession %s%s builds=%d>" % (
-            self.options.describe(),
-            " incremental" if self.incremental else "", self.builds,
-        )
 
 
 # -- Training convenience -----------------------------------------------------------

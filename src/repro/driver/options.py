@@ -179,7 +179,7 @@ class Knob(NamedTuple):
     kind: type  # bool = a store_true flag; else CLI text -> kind(text)
     valid: Callable
     default: object
-    session: bool  # do requests differing here need distinct sessions?
+    session: bool  # do requests differing here need distinct engines?
     help: str
     metavar: Optional[str] = None
 
@@ -269,8 +269,8 @@ def build_request(args: argparse.Namespace,
 class BuildConfig(namedtuple("_BuildConfig",
                              [knob.key for knob in BUILD_KNOBS])):
     """One validated build request: a value for every :data:`BUILD_KNOBS`
-    row.  The cold CLI and the coordinator both derive
-    their :class:`CompilerOptions` and session from this one object."""
+    row.  The cold CLI and the coordinator both derive their
+    :class:`CompilerOptions` and build engine from this one object."""
 
     __slots__ = ()
 
@@ -290,7 +290,7 @@ class BuildConfig(namedtuple("_BuildConfig",
         )
 
     def session_key(self) -> Tuple:
-        """Equal for two requests exactly when one warm session can
+        """Equal for two requests exactly when one warm engine can
         serve both: *which* profile is used may change between builds,
         *whether* one is used may not."""
         return (self.pbo,) + tuple(

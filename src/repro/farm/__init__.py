@@ -1,9 +1,9 @@
-"""The build server: warm sessions, and a compile farm over TCP.
+"""The build server: warm build engines, and a compile farm over TCP.
 
 One **coordinator** (:mod:`.coordinator`) speaks the build protocol
 (:mod:`.protocol`) to clients over TCP and keeps compile state
 resident between requests (:mod:`.state`): the artifact cache, one
-warm :class:`~repro.driver.CompileSession` per build configuration,
+warm :class:`~repro.driver.BuildEngine` per build configuration,
 and an LTRANS process pool.  With no workers attached it runs every
 build itself.  When **workers** (:mod:`.worker`) attach, it runs the
 serial WPA phase and dispatches the resulting partitions through one

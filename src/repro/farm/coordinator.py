@@ -1,4 +1,4 @@
-"""The build server: warm sessions, and a farm when workers attach.
+"""The build server: warm build engines, and a farm when workers attach.
 
 One :class:`FarmCoordinator` owns a :class:`~.state.WarmState` and
 listens on TCP, with an authentication hello in front of every
@@ -21,7 +21,7 @@ connection speaks:
   store (:func:`~repro.farm.store.serve_store`).
 
 Builds run the WPA phase on the coordinator; when the partitioned
-LTRANS phase starts, the session's compiler hands partitions to
+LTRANS phase starts, the engine's compiler hands partitions to
 :class:`FarmDispatcher`, which publishes inputs to the store, submits
 tasks to the pull queue, and folds worker outcomes back in partition
 index order.  With no workers connected the dispatcher reports not
@@ -441,7 +441,7 @@ class FarmCoordinator:
 
     def close(self) -> None:
         """Release what the constructor opened: the warm state (its
-        sessions, process pool and boot marker) and the store."""
+        engines, process pool and boot marker) and the store."""
         self.state.close()
         self.store_repo.close()
 

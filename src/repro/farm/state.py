@@ -7,17 +7,16 @@ open instead:
 
 * one shared, disk-backed :class:`~repro.sched.ArtifactCache` for
   object compiles across every project;
-* one :class:`~repro.driver.compiler.CompileSession` per distinct
-  (options, incremental, state dir) configuration -- each owns a
-  :class:`~repro.driver.build.BuildEngine` whose object fingerprint
-  cache, :class:`~repro.incr.IncrementalState` and NAIM repository
-  index stay loaded between requests;
+* one :class:`~repro.driver.build.BuildEngine` per distinct
+  (options, incremental, state dir) configuration, whose object
+  fingerprint cache, :class:`~repro.incr.IncrementalState` and NAIM
+  repository index stay loaded between requests;
 * one persistent LTRANS process pool, and the coordinator's partition
-  dispatcher, which every session's compiler is handed: with farm
+  dispatcher, which every engine's compiler is handed: with farm
   workers connected the partitions go to them, with none they run in
   the pool.
 
-Sessions are created lazily on first request and re-validate their
+Engines are created lazily on first request and re-validate their
 state directories then (the incremental state tolerates corrupt or
 version-skewed indexes by degrading to a first build).  A boot marker
 records unclean shutdowns so a restarted coordinator can report that
@@ -32,12 +31,13 @@ import threading
 import time
 from typing import Dict, Tuple
 
-from ..driver.compiler import CompileSession
+from ..driver.build import BuildEngine
+from ..driver.compiler import BuildResult
 from ..driver.options import BuildConfig, parse_build_request
 from ..driver.report import build_summary
 from ..linker.objects import encode_executable
 from ..profiles.database import ProfileDatabase
-from ..sched.artifacts import ArtifactCache
+from ..sched.artifacts import ArtifactCache, CacheStats
 from .protocol import (
     ERR_BAD_REQUEST,
     ERR_FAILED,
@@ -72,6 +72,52 @@ def _sources_from(options: Dict) -> Dict[str, str]:
     return sources
 
 
+def build_stats(engine: BuildEngine, result: BuildResult, seconds: float,
+                cache_delta: CacheStats,
+                builds_before: int) -> Dict[str, object]:
+    """The reply's per-build ``stats``, read under the engine's lock.
+
+    Artifact-cache counters are deltas (other engines share the
+    cache); the engine zeroed its own counters when the build began.
+    """
+    stats: Dict[str, object] = {
+        "seconds": seconds,
+        "cache_hits": cache_delta.hits,
+        "cache_misses": cache_delta.misses,
+        "cache_stores": cache_delta.stores,
+        "cache_hit_rate": cache_delta.hit_rate(),
+        "repo_fetches": 0,
+        "repo_stores": 0,
+        "repo_bytes_read": 0,
+        "repo_bytes_written": 0,
+        "repo_reclaimable_bytes": 0,
+        "loader_evictions": 0,
+        "loader_offloads": 0,
+        "loader_cache_hits": 0,
+        "peak_bytes": result.accountant.peak,
+        "n_spans": len(engine.events.spans()),
+        "phase_seconds": dict(result.timings.phases),
+        "warm_builds_before": builds_before,
+    }
+    if engine.incr_state is not None:
+        repo = engine.incr_state.repository
+        stats["repo_fetches"] = repo.fetches
+        stats["repo_stores"] = repo.stores
+        stats["repo_bytes_read"] = repo.bytes_read
+        stats["repo_bytes_written"] = repo.bytes_written
+        stats["repo_reclaimable_bytes"] = repo.reclaimable_bytes
+    if result.hlo_result is not None:
+        loader = result.hlo_result.loader.stats
+        stats["loader_evictions"] = loader.compactions
+        stats["loader_offloads"] = loader.offloads
+        stats["loader_cache_hits"] = loader.cache_hits
+        # Per-pass WPA splits ("hlo.wpa.inline", ...) beside the coarse
+        # build phases, so the bench harnesses can attribute link time.
+        for key, value in result.hlo_result.phase_seconds.items():
+            stats["phase_seconds"]["hlo." + key] = value
+    return stats
+
+
 class WarmState:
     """Long-lived build state shared by every request."""
 
@@ -80,7 +126,7 @@ class WarmState:
         self.root = os.path.abspath(root)
         os.makedirs(self.root, exist_ok=True)
         #: The coordinator's :class:`~.coordinator.FarmDispatcher`;
-        #: every session's compiler asks it whether workers are ready.
+        #: every engine's compiler asks it whether workers are ready.
         self.dispatcher = dispatcher
         #: True when the previous coordinator died without a clean close
         #: (boot marker still present): persistent state was re-read
@@ -90,16 +136,17 @@ class WarmState:
             max_bytes=cache_bytes,
             directory=os.path.join(self.root, "artifacts"),
         )
-        self._sessions: Dict[Tuple, CompileSession] = {}
+        self._engines: Dict[Tuple, BuildEngine] = {}
         self._lock = threading.Lock()
-        #: One persistent LTRANS process pool shared by every session:
+        #: One persistent LTRANS process pool shared by every engine:
         #: warm builds reuse the worker processes (and their decoded
         #: shared-context caches) instead of re-spawning per build.
-        #: Created lazily on first session; idle workers are reaped
+        #: Created lazily on first engine; idle workers are reaped
         #: between requests and :meth:`close` drains the pool.
         self._process_pool = None
         self._pool_lock = threading.Lock()
         self.started_at = time.time()
+        #: Engines created and reused; ``status`` calls them sessions.
         self.sessions_created = 0
         self.session_reuses = 0
         self.builds_served = 0
@@ -117,26 +164,33 @@ class WarmState:
             json.dump({"pid": os.getpid(), "started_at": self.started_at},
                       handle)
 
-    # -- Sessions ----------------------------------------------------------------
+    # -- Engines -----------------------------------------------------------------
 
-    def session_for(self, config: BuildConfig) -> CompileSession:
-        """The warm session serving this build configuration.
+    def engine_for(self, config: BuildConfig) -> BuildEngine:
+        """The warm engine serving this build configuration.
 
-        Distinct configurations get distinct sessions (a session pins
-        its options); repeat requests with the same
-        configuration reuse the existing one -- that reuse is what
-        makes a build through the coordinator warm.
+        Distinct configurations get distinct engines (an engine pins
+        its options); repeat requests with the same configuration reuse
+        the existing one -- that reuse is what makes a build through
+        the coordinator warm.
         """
         key = config.session_key()
         with self._lock:
-            session = self._sessions.get(key)
-            if session is not None:
+            engine = self._engines.get(key)
+            if engine is not None:
                 self.session_reuses += 1
-                return session
-            session = self._make_session(config)
-            self._sessions[key] = session
+                return engine
+            engine = BuildEngine(
+                config.compiler_options(), incremental=config.incremental,
+                state_dir=config.state_dir,
+                artifact_cache=self.artifact_cache,
+            )
+            if engine.compiler.options.use_partitioned_hlo:
+                engine.compiler.process_pool = self.process_pool()
+            engine.compiler.partition_dispatcher = self.dispatcher
+            self._engines[key] = engine
             self.sessions_created += 1
-            return session
+            return engine
 
     def process_pool(self):
         """The shared LTRANS worker-process pool (lazily created;
@@ -154,15 +208,6 @@ class WarmState:
 
                 self._process_pool = ProcessWorkerPool(run_partition_job)
             return self._process_pool
-
-    def _make_session(self, config: BuildConfig) -> CompileSession:
-        session = CompileSession.from_config(
-            config, artifact_cache=self.artifact_cache, warm=True
-        )
-        if session.options.use_partitioned_hlo:
-            session.compiler.process_pool = self.process_pool()
-        session.compiler.partition_dispatcher = self.dispatcher
-        return session
 
     # -- Request execution ---------------------------------------------------------
 
@@ -192,38 +237,43 @@ class WarmState:
                     ERR_BAD_REQUEST,
                     "unreadable profile %r: %s" % (config.profile_path, exc),
                 )
-        session = self.session_for(config)
+        engine = self.engine_for(config)
         if progress is not None:
-            progress("building", warm_builds=session.builds)
-        try:
-            result, report, stats = session.build(
-                sources, profile_db=profile_db
-            )
-        except RequestError:
-            raise
-        except Exception as exc:
-            raise RequestError(
-                ERR_FAILED, "%s: %s" % (type(exc).__name__, exc)
+            progress("building", warm_builds=engine.builds)
+        with engine.lock:
+            builds_before = engine.builds
+            cache_before = self.artifact_cache.stats_snapshot()
+            start = time.perf_counter()
+            try:
+                result, report = engine.build(sources, profile_db=profile_db)
+            except Exception as exc:
+                raise RequestError(
+                    ERR_FAILED, "%s: %s" % (type(exc).__name__, exc)
+                )
+            stats = build_stats(
+                engine, result, time.perf_counter() - start,
+                self.artifact_cache.stats_snapshot().delta(cache_before),
+                builds_before,
             )
         self.builds_served += 1
-        self._housekeep(session)
+        self._housekeep(engine)
         summary = build_summary(
-            session.options, len(sources), result, report=report,
-            incremental=session.incremental,
+            engine.compiler.options, len(sources), result, report=report,
+            incremental=config.incremental,
         )
         image = encode_executable(result.executable)
         return {
             "summary": summary,
             "image_b64": encode_bytes(image),
-            "stats": stats.as_dict(),
+            "stats": stats,
         }
 
-    def _housekeep(self, session: CompileSession) -> None:
+    def _housekeep(self, engine: BuildEngine) -> None:
         # Between-requests housekeeping: fold dead pack-segment frames
         # (pruned incremental blobs, superseded pools) back into live
         # segments while the coordinator is otherwise idle.  Threshold-gated,
         # so most requests pay nothing.
-        reclaimed = session.compact_repositories()
+        reclaimed = engine.compact_repositories()
         if reclaimed:
             self.repo_bytes_reclaimed += reclaimed
         # Same idea for LTRANS worker processes: a parallel-build burst
@@ -239,12 +289,12 @@ class WarmState:
         with self._lock:
             sessions = [
                 {
-                    "options": session.options.describe(),
-                    "incremental": session.incremental,
-                    "state_dir": session.state_dir,
-                    "builds": session.builds,
+                    "options": engine.compiler.options.describe(),
+                    "incremental": engine.incr_state is not None,
+                    "state_dir": engine.state_dir,
+                    "builds": engine.builds,
                 }
-                for session in self._sessions.values()
+                for engine in self._engines.values()
             ]
         cache_stats = self.artifact_cache.stats_snapshot()
         with self._pool_lock:
@@ -269,12 +319,12 @@ class WarmState:
     # -- Lifecycle --------------------------------------------------------------------
 
     def close(self) -> None:
-        """Clean shutdown: release sessions and drop the boot marker."""
+        """Clean shutdown: release engines and drop the boot marker."""
         with self._lock:
-            sessions = list(self._sessions.values())
-            self._sessions.clear()
-        for session in sessions:
-            session.close()
+            engines = list(self._engines.values())
+            self._engines.clear()
+        for engine in engines:
+            engine.close()
         with self._pool_lock:
             pool = self._process_pool
             self._process_pool = None
@@ -286,6 +336,6 @@ class WarmState:
             pass
 
     def __repr__(self) -> str:
-        return "<WarmState %s: %d sessions, %d builds>" % (
-            self.root, len(self._sessions), self.builds_served,
+        return "<WarmState %s: %d engines, %d builds>" % (
+            self.root, len(self._engines), self.builds_served,
         )

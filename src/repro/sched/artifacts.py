@@ -2,12 +2,14 @@
 
 Keys are ``sha256(epoch, module, language, options, source)``: any
 input that could change the compiled object participates -- including
-the pipeline version epoch -- so a hit is always safe to reuse -- across :class:`~repro.driver.build.BuildEngine` instances,
-across processes (with ``directory=``), and across differently-named
-workspaces.  This subsumes the engine's old per-instance fingerprint
-dict: the fingerprint dict answered "did *this engine* already compile
-this module?", the artifact cache answers "has *anyone with the same
-inputs* compiled it?".
+the pipeline version epoch -- so a hit is always safe to reuse, across
+:class:`~repro.driver.build.BuildEngine` instances, across processes
+(with ``directory=``), and across differently-named workspaces.
+
+It is the second of two levels of object reuse.  Each engine first
+looks in its own fingerprint dict, which answers "did *this engine*
+already compile this source?"; only on a miss does it ask this cache,
+which answers "has *anyone with the same inputs* compiled it?".
 
 Values are opaque bytes (serialized :class:`ObjectFile`s in practice).
 The cache is size-bounded with LRU eviction and keeps hit/miss/evict

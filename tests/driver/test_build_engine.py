@@ -308,6 +308,19 @@ class TestTracing:
         (error,) = [e for e in log.events if e.category == "error"]
         assert error.name == "error:frontend:broken"
 
+    def test_engine_times_and_traces_its_compile_loop(self, calc_sources):
+        engine = BuildEngine(CompilerOptions(opt_level=4))
+        result, _ = engine.build(calc_sources)
+        assert {"frontend", "compile"} <= set(result.timings.phases)
+        names = [event.name for event in engine.events.spans()]
+        for module in calc_sources:
+            assert "frontend:%s" % module in names
+            assert "compile:%s" % module in names
+        # A no-op rebuild compiles nothing, so it times no frontend.
+        result, _ = engine.build(calc_sources)
+        assert "frontend" not in result.timings.phases
+        assert [event.name for event in engine.events.spans()] == ["link"]
+
     def test_summary_readable(self, app):
         engine = BuildEngine(CompilerOptions(opt_level=4))
         engine.build(app.sources)

@@ -137,6 +137,29 @@ class TestBuild:
             main(["build", str(a), str(b)])
 
 
+class TestSourceErrors:
+    @pytest.mark.parametrize("state_dir", [False, True])
+    def test_a_source_error_is_a_diagnostic(self, source_files, tmp_path,
+                                            capsys, state_dir):
+        bad = tmp_path / "bad.mll"
+        bad.write_text("func broken( {")
+        argv = ["build", str(bad)] + source_files + ["-O", "4"]
+        if state_dir:
+            argv += ["--state-dir", str(tmp_path / "state")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: compile:bad: bad:1:14: expected identifier (at '{')"
+        ]
+
+    def test_a_link_error_is_a_diagnostic(self, source_files, capsys):
+        assert main(["build", source_files[0]]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: link: undefined entry routine 'main'"
+        ]
+
+
 class TestTrainFlow:
     def test_train_then_pbo_build(self, source_files, tmp_path, capsys):
         db_path = str(tmp_path / "prof.json")

@@ -1,99 +1,116 @@
-"""CompileSession: one process, many builds, no state leaking.
+"""One BuildEngine, many builds, no state leaking.
 
-This is the coordinator's contract in miniature: a session reused across
-consecutive builds must produce the same bytes as a fresh cold build,
-keep its incremental state (repository + overlay) alive between
-builds, report per-build (not cumulative) statistics, and degrade a
-corrupted state directory to a correct first build.
+This is the coordinator's contract in miniature: an engine reused across
+consecutive builds must produce the same bytes as a one-shot
+``Compiler.build``, keep its incremental state (repository + overlay)
+alive between builds, report per-build (not cumulative) counters, and
+degrade a corrupted state directory to a correct first build.
 """
 
 import os
 
 import pytest
 
-from repro.driver.compiler import CompileSession, SessionBuildStats
+from repro.driver.build import BuildEngine, RebuildReport
+from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
+from repro.farm.protocol import OP_BUILD
+from repro.farm.state import WarmState
 from repro.linker.objects import encode_executable
-from repro.sched import ArtifactCache
 
 
-def fresh_image(sources, opt_level=4, **session_kwargs):
-    session = CompileSession(CompilerOptions(opt_level=opt_level),
-                             **session_kwargs)
-    result, _, _ = session.build(sources)
-    session.close()
+def fresh_image(sources, opt_level=4):
+    result = Compiler(CompilerOptions(opt_level=opt_level)).build(sources)
     return encode_executable(result.executable)
 
 
 class TestSessionBasics:
     def test_build_returns_result_report_stats(self, calc_sources,
                                                calc_reference):
-        session = CompileSession(CompilerOptions(opt_level=4))
-        result, report, stats = session.build(calc_sources)
+        engine = BuildEngine(CompilerOptions(opt_level=4))
+        result, report = engine.build(calc_sources)
         assert result.run().value == calc_reference
-        assert report is None  # plain compiler path has no report
-        assert isinstance(stats, SessionBuildStats)
-        assert stats.seconds > 0
-        assert stats.phase_seconds  # O4 runs HLO phases
+        assert isinstance(report, RebuildReport)
+        assert sorted(report.recompiled) == sorted(calc_sources)
+        assert result.timings.total() > 0
+        assert result.timings.phases  # O4 runs HLO phases
 
     def test_state_dir_implies_incremental(self, tmp_path):
-        session = CompileSession(state_dir=str(tmp_path / "s"))
-        assert session.incremental
+        engine = BuildEngine(state_dir=str(tmp_path / "s"))
+        assert engine.incr_state is not None
 
     def test_close_is_idempotent(self, tmp_path, calc_sources):
-        session = CompileSession(CompilerOptions(opt_level=4),
-                                 state_dir=str(tmp_path / "s"))
-        session.build(calc_sources)
-        session.close()
-        session.close()
+        engine = BuildEngine(CompilerOptions(opt_level=4),
+                             state_dir=str(tmp_path / "s"))
+        engine.build(calc_sources)
+        engine.close()
+        engine.close()
 
 
 class TestCounterHygiene:
-    """Satellite: per-build mutable counters must reset per build."""
+    """Per-build mutable counters must reset per build."""
 
     def test_span_counts_do_not_accumulate(self, calc_sources):
-        session = CompileSession(CompilerOptions(opt_level=4))
-        _, _, first = session.build(calc_sources)
-        _, _, second = session.build(calc_sources)
+        engine = BuildEngine(CompilerOptions(opt_level=4))
+        engine.build(calc_sources)
+        first = len(engine.events.spans())
+        assert engine.builds == 1
+        # Every module edited, so the second build does the same work.
+        engine.build({name: text + "\n"
+                      for name, text in calc_sources.items()})
         # Without the per-build EventLog reset the second build would
         # report twice the spans.
-        assert second.n_spans == first.n_spans
-        assert second.warm_builds_before == 1
+        assert len(engine.events.spans()) == first
+        assert engine.builds == 2
 
     def test_incremental_repo_counters_are_per_build(self, tmp_path,
                                                      calc_sources):
-        session = CompileSession(
+        engine = BuildEngine(
             CompilerOptions(opt_level=4),
             state_dir=str(tmp_path / "incr"),
         )
-        _, _, first = session.build(calc_sources)
-        _, _, second = session.build(calc_sources)
-        assert first.repo_stores > 0  # first build populates the repo
+        engine.build(calc_sources)
+        first = engine.incr_state.repository.stores
+        engine.build(calc_sources)
+        second = engine.incr_state.repository.stores
+        assert first > 0  # first build populates the repo
         # The second build reuses everything, so a cumulative counter
         # would show >= first's stores; a per-build one shows almost
         # none (just the committed index).
-        assert second.repo_stores < first.repo_stores
+        assert second < first
 
-    def test_artifact_cache_stats_are_deltas(self, calc_sources):
-        cache = ArtifactCache()
-        session = CompileSession(CompilerOptions(opt_level=4),
-                                 artifact_cache=cache, warm=True)
-        _, _, first = session.build(calc_sources)
-        assert first.cache_hits == 0
-        fresh = CompileSession(CompilerOptions(opt_level=4),
-                               artifact_cache=cache, warm=True)
-        _, _, warm = fresh.build(calc_sources)
-        assert warm.cache_hits == len(calc_sources)
-        # The shared cache's own counters were never reset.
-        assert cache.stats.stores >= len(calc_sources)
+    def test_artifact_cache_stats_are_deltas(self, tmp_path, calc_sources):
+        state = WarmState(str(tmp_path / "root"), dispatcher=None)
+        try:
+            first = state.execute(
+                OP_BUILD, {"sources": calc_sources, "opt_level": 4}
+            )["stats"]
+            assert first["cache_hits"] == 0
+            assert first["warm_builds_before"] == 0
+            # Another configuration is another engine, over the same
+            # shared cache and the same object keys.
+            fresh = state.execute(
+                OP_BUILD,
+                {"sources": calc_sources, "opt_level": 4, "checked": True},
+            )["stats"]
+            assert fresh["cache_hits"] == len(calc_sources)
+            assert fresh["cache_misses"] == 0
+            assert fresh["warm_builds_before"] == 0
+            again = state.execute(
+                OP_BUILD, {"sources": calc_sources, "opt_level": 4}
+            )["stats"]
+            assert again["warm_builds_before"] == 1
+            # The shared cache's own counters were never reset.
+            assert state.artifact_cache.stats.stores >= len(calc_sources)
+        finally:
+            state.close()
 
 
 class TestWarmReuse:
     def test_warm_session_reuses_everything(self, calc_sources):
-        session = CompileSession(CompilerOptions(opt_level=4),
-                                 warm=True)
-        first, _, _ = session.build(calc_sources)
-        second, report, _ = session.build(calc_sources)
+        engine = BuildEngine(CompilerOptions(opt_level=4))
+        first, _ = engine.build(calc_sources)
+        second, report = engine.build(calc_sources)
         assert report.recompiled == []
         assert sorted(report.reused) == sorted(calc_sources)
         assert encode_executable(second.executable) == (
@@ -102,38 +119,38 @@ class TestWarmReuse:
 
     @pytest.mark.parametrize("builds", [1, 2])
     def test_warm_build_matches_cold(self, calc_sources, builds):
-        session = CompileSession(CompilerOptions(opt_level=4), warm=True)
+        engine = BuildEngine(CompilerOptions(opt_level=4))
         for _ in range(builds):
-            result, _, _ = session.build(calc_sources)
+            result, _ = engine.build(calc_sources)
         assert encode_executable(result.executable) == (
             fresh_image(calc_sources)
         )
 
 
 class TestIncrementalReuse:
-    """Satellite: OverlayRepository + IncrementalState across builds."""
+    """OverlayRepository + IncrementalState across builds."""
 
     def test_state_object_persists_across_builds(self, tmp_path,
                                                  calc_sources):
-        session = CompileSession(
+        engine = BuildEngine(
             CompilerOptions(opt_level=4, hlo_jobs=2),
             state_dir=str(tmp_path / "incr"),
         )
-        state_before = session.engine.incr_state
-        session.build(calc_sources)
-        session.build(calc_sources)
-        assert session.engine.incr_state is state_before
+        state_before = engine.incr_state
+        engine.build(calc_sources)
+        engine.build(calc_sources)
+        assert engine.incr_state is state_before
 
     def test_second_build_reuses_cmo_codegen(self, tmp_path,
                                              calc_sources,
                                              calc_reference):
-        session = CompileSession(
+        engine = BuildEngine(
             CompilerOptions(opt_level=4, hlo_jobs=2),
             state_dir=str(tmp_path / "incr"),
         )
-        first, _, _ = session.build(calc_sources)
+        first, _ = engine.build(calc_sources)
         assert first.incr_report.first_build
-        second, _, _ = session.build(calc_sources)
+        second, _ = engine.build(calc_sources)
         assert not second.incr_report.first_build
         assert sorted(second.incr_report.reused) == sorted(calc_sources)
         assert second.run().value == calc_reference
@@ -143,14 +160,14 @@ class TestIncrementalReuse:
 
     def test_edit_recompiles_only_consumers(self, tmp_path,
                                             calc_sources):
-        session = CompileSession(
+        engine = BuildEngine(
             CompilerOptions(opt_level=4),
             state_dir=str(tmp_path / "incr"),
         )
-        session.build(calc_sources)
+        engine.build(calc_sources)
         edited = dict(calc_sources)
         edited["table"] = calc_sources["table"].replace("% 8", "% 4")
-        result, _, _ = session.build(edited)
+        result, _ = engine.build(edited)
         report = result.incr_report
         assert "table" in report.reoptimized
         assert report.reused  # untouched modules kept their codegen
@@ -162,8 +179,8 @@ class TestIncrementalReuse:
     def test_corrupted_state_dir_recovers(self, tmp_path, calc_sources,
                                           calc_reference):
         state_dir = str(tmp_path / "incr")
-        warmup = CompileSession(CompilerOptions(opt_level=4),
-                                state_dir=state_dir)
+        warmup = BuildEngine(CompilerOptions(opt_level=4),
+                             state_dir=state_dir)
         warmup.build(calc_sources)
         warmup.close()
         # Trash every persisted file: index and codegen blobs alike.
@@ -171,16 +188,16 @@ class TestIncrementalReuse:
             for filename in filenames:
                 with open(os.path.join(dirpath, filename), "wb") as f:
                     f.write(b"\xff\x00 not valid state")
-        session = CompileSession(CompilerOptions(opt_level=4),
-                                 state_dir=state_dir)
-        result, _, _ = session.build(calc_sources)
+        engine = BuildEngine(CompilerOptions(opt_level=4),
+                             state_dir=state_dir)
+        result, _ = engine.build(calc_sources)
         assert result.incr_report.first_build  # degraded, not crashed
         assert result.run().value == calc_reference
         assert encode_executable(result.executable) == (
             fresh_image(calc_sources)
         )
         # And the rebuilt state is healthy again.
-        again, _, _ = session.build(calc_sources)
+        again, _ = engine.build(calc_sources)
         assert not again.incr_report.first_build
 
 

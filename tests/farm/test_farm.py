@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from repro.driver.compiler import Compiler, CompileSession
+from repro.driver.build import BuildEngine
+from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
 from repro.farm.client import FarmClient, FarmError
 from repro.farm.coordinator import FarmCoordinator
@@ -43,12 +44,12 @@ def farm_sources(seed=31):
 
 
 def cold_image(sources, hlo_jobs=1, incremental=False, state_dir=None):
-    session = CompileSession(
+    engine = BuildEngine(
         CompilerOptions(opt_level=4, hlo_jobs=hlo_jobs),
         incremental=incremental, state_dir=state_dir,
     )
-    result, _, _ = session.build(sources)
-    session.close()
+    result, _ = engine.build(sources)
+    engine.close()
     return encode_executable(result.executable)
 
 

@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.driver.compiler import CompileSession
+from repro.driver.build import BuildEngine
 from repro.driver.options import CompilerOptions
 from repro.farm.client import FarmClient, FarmError
 from repro.farm.coordinator import DaemonStartupError, FarmCoordinator
@@ -70,14 +70,14 @@ def served(tmp_path_factory):
 
 
 def cold_image(sources, incremental=False, state_dir=None):
-    """The reference: an in-process build through the same session
-    entry point the CLI uses."""
-    session = CompileSession(
+    """The reference: an in-process build through the same engine the
+    CLI uses."""
+    engine = BuildEngine(
         CompilerOptions(opt_level=4),
         incremental=incremental, state_dir=state_dir,
     )
-    result, _, _ = session.build(sources)
-    session.close()
+    result, _ = engine.build(sources)
+    engine.close()
     return encode_executable(result.executable)
 
 
