@@ -46,38 +46,30 @@ class RebuildReport:
 
     ``recompiled``/``reused``/``removed`` track the make-level object
     step (frontend + fat-object emission).  Under incremental CMO the
-    ``cmo_*`` fields additionally track the link-time optimization
-    step: which CMO modules re-ran the scalar pipeline + codegen vs
-    splicing cached machine code.
+    link-time step's reuse (which CMO modules re-ran the scalar
+    pipeline + codegen vs splicing cached machine code) is the
+    result's ``incr_report``.
     """
 
     def __init__(self) -> None:
         self.recompiled: List[str] = []
         self.reused: List[str] = []
         self.removed: List[str] = []
-        self.cmo_reused: List[str] = []
-        self.cmo_reoptimized: List[str] = []
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RebuildReport):
             return NotImplemented
         return (self.recompiled == other.recompiled
                 and self.reused == other.reused
-                and self.removed == other.removed
-                and self.cmo_reused == other.cmo_reused
-                and self.cmo_reoptimized == other.cmo_reoptimized)
+                and self.removed == other.removed)
 
     def __repr__(self) -> str:
-        text = "<RebuildReport recompiled=%d %r reused=%d %r removed=%d %r" % (
-            len(self.recompiled), self.recompiled,
-            len(self.reused), self.reused,
-            len(self.removed), self.removed,
+        return (
+            "<RebuildReport recompiled=%d %r reused=%d %r removed=%d %r>"
+            % (len(self.recompiled), self.recompiled,
+               len(self.reused), self.reused,
+               len(self.removed), self.removed)
         )
-        if self.cmo_reused or self.cmo_reoptimized:
-            text += " cmo_reused=%d cmo_reoptimized=%d" % (
-                len(self.cmo_reused), len(self.cmo_reoptimized)
-            )
-        return text + ">"
 
 
 class BuildError(Exception):
@@ -321,9 +313,6 @@ class BuildEngine:
                 )
         except Exception as exc:
             raise BuildError({"link": exc}, [], report) from exc
-        if result.incr_report is not None:
-            report.cmo_reused = list(result.incr_report.reused)
-            report.cmo_reoptimized = list(result.incr_report.reoptimized)
         return result, report
 
     # -- Long-lived state ----------------------------------------------------------

@@ -49,6 +49,7 @@ admission slot is released when the worker finishes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -61,7 +62,8 @@ import time
 from typing import Dict, List, Optional
 
 from ..naim.repository import Repository
-from ..sched.tasks import Task, TaskQueue
+from ..part.runner import queue_jobs
+from ..sched.tasks import TaskQueue
 from .protocol import (
     ERR_BAD_REQUEST,
     ERR_BUSY,
@@ -230,28 +232,18 @@ class FarmDispatcher:
         returns the decoded outcome payloads.  Raises on exhausted
         retries or timeout; the session layer reports that as a
         failed build."""
-        batch = next(self._batch_serial)
-        tasks = [
-            Task(
-                "b%d:p%d" % (batch, job["index"]),
-                job,
-                weight=max(1, int(job.get("weight", 1))),
-            )
-            for job in jobs
-        ]
         self.batches += 1
-        self.jobs_dispatched += len(tasks)
-        self.queue.submit(tasks)
-        replies = self.queue.wait(
-            [task.task_id for task in tasks], timeout=self.job_timeout
+        self.jobs_dispatched += len(jobs)
+        replies = queue_jobs(
+            jobs, functools.partial(self.queue.run_batch,
+                                    timeout=self.job_timeout),
+            prefix="b%d:" % next(self._batch_serial),
         )
-        outcomes = []
-        for task in tasks:
-            reply = replies[task.task_id]
-            outcome = json.loads(self.get_blob(reply["outcome_key"]))
-            outcome["pass_seconds"] = reply.get("pass_seconds", {})
-            outcomes.append(outcome)
-        return outcomes
+        return [
+            dict(json.loads(self.get_blob(reply["outcome_key"])),
+                 pass_seconds=reply.get("pass_seconds", {}))
+            for reply in replies
+        ]
 
 
 class FarmCoordinator:

@@ -13,7 +13,10 @@ PartitionRunner` transport for that:
   memory, tempfile+mmap fallback) and runs the jobs on a
   :class:`~repro.sched.procpool.ProcessWorkerPool` -- either an
   ephemeral pool (cold CLI) or a persistent one injected by the
-  coordinator's warm state.
+  coordinator's warm state.  The pool runs the batch on a
+  :class:`~repro.sched.tasks.TaskQueue`, the farm's dispatch order and
+  retry rule, through the dispatch the farm shares
+  (:func:`~repro.part.runner.queue_jobs`).
 
 :func:`run_partition_job` is the worker-process body: attach the blob
 (cached per process per blob) and hand the job to
@@ -24,6 +27,7 @@ a farm worker.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import signal
@@ -33,6 +37,7 @@ from typing import Dict, List, Optional
 from ..sched.events import EventLog
 from ..sched.procpool import ProcessWorkerPool, processes_available
 from .blob import AttachedBlob, _ref_key, attach_blob, publish_sections
+from .runner import queue_jobs
 from .wire import ContextCache, run_wire_job
 
 #: Test hook: when this environment variable names an existing file,
@@ -40,6 +45,9 @@ from .wire import ContextCache, run_wire_job
 #: SIGKILLs itself mid-batch -- exercising the crash re-queue path in
 #: end-to-end builds.  Unset in normal operation.
 KILL_MARKER_ENV = "REPRO_TEST_LTRANS_KILL"
+
+#: Pool counters a dispatch reports as the deltas it caused.
+_POOL_COSTS = ("spawn_seconds", "crashes", "requeues")
 
 
 def processes_supported() -> bool:
@@ -55,13 +63,11 @@ class ProcessTransport:
         jobs: int = 1,
         events: Optional[EventLog] = None,
         pool: Optional[ProcessWorkerPool] = None,
-        retry_limit: int = 2,
     ) -> None:
         self.jobs = max(1, jobs)
         self.events = events
         self._sections: "OrderedDict[str, bytes]" = OrderedDict()
         self._pool = pool
-        self.retry_limit = retry_limit
         self._stats: Dict[str, object] = {}
 
     def stats(self) -> Dict[str, object]:
@@ -76,42 +82,26 @@ class ProcessTransport:
 
     def dispatch(self, jobs: List[Dict]) -> List[Dict]:
         publication = publish_sections(self._sections)
-        pool = self._pool
-        if pool is None:
-            pool = ProcessWorkerPool(run_partition_job,
-                                     retry_limit=self.retry_limit)
-        kill_marker = os.environ.get(KILL_MARKER_ENV)
-        ref = publication.ref()
-        tasks = []
-        for job in jobs:
-            payload = {"blob": ref, "job": job}
-            if kill_marker:
-                payload["kill_marker"] = kill_marker
-            tasks.append((
-                "ltrans:p%d" % job["index"], payload,
-                int(job.get("weight", 1)),
-            ))
-        spawn_before = pool.spawn_seconds
-        crashes_before = pool.crashes
-        requeues_before = pool.requeues
+        pool = self._pool or ProcessWorkerPool(run_partition_job)
+        shared = {"blob": publication.ref()}
+        if os.environ.get(KILL_MARKER_ENV):
+            shared["kill_marker"] = os.environ[KILL_MARKER_ENV]
+        before = {key: getattr(pool, key) for key in _POOL_COSTS}
         try:
-            results = pool.run_batch(
-                tasks, jobs=self.jobs, events=self.events,
-                category="ltrans",
+            return queue_jobs(
+                jobs, functools.partial(pool.run_batch, jobs=self.jobs,
+                                        events=self.events),
+                payload=lambda job: dict(shared, job=job),
             )
         finally:
-            self._stats = {
-                "blob_bytes": publication.size,
-                "spawn_seconds": pool.spawn_seconds - spawn_before,
-                "workers": min(self.jobs, len(tasks)),
-                "crashes": pool.crashes - crashes_before,
-                "requeues": pool.requeues - requeues_before,
-            }
+            self._stats = {"blob_bytes": publication.size,
+                           "workers": min(self.jobs, len(jobs))}
+            for key in _POOL_COSTS:
+                self._stats[key] = getattr(pool, key) - before[key]
             publication.close()
             self._sections.clear()
             if pool is not self._pool:
                 pool.close()
-        return [results["ltrans:p%d" % job["index"]] for job in jobs]
 
 
 # -- Worker-process side -----------------------------------------------------------

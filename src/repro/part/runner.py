@@ -12,6 +12,11 @@ with
   :func:`~repro.part.wire.run_wire_job` somewhere and return one
   outcome payload per job, in any order.
 
+The two transports that run jobs elsewhere share one dispatch,
+:func:`queue_jobs`: each job becomes a task weighted by its partition,
+and a :class:`~repro.sched.tasks.TaskQueue` hands the heaviest to
+whichever worker asks next.
+
 Three exist: :class:`InProcessTransport` below (the link process
 itself, one job after another), :class:`~repro.part.procexec.
 ProcessTransport` (local worker processes over a shared-memory blob)
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..hlo.driver import HloResult
 from ..llo.driver import LloOptions, LloStats
@@ -68,6 +73,19 @@ def _span(events: Optional[EventLog], name: str, category: str):
     if events is None:
         return contextlib.nullcontext()
     return events.span(name, category=category)
+
+
+def queue_jobs(jobs: List[Dict], run_batch, prefix: str = "ltrans:",
+               payload: Callable[[Dict], object] = lambda job: job) -> List:
+    """Run partition jobs as ``<prefix>p<index>`` tasks weighted by
+    their partition through ``run_batch(tasks) -> {task_id: result}``
+    (a process pool's or the farm queue's); returns the results.  The
+    runner folds them by index, so their order does not matter."""
+    return list(run_batch([
+        ("%sp%d" % (prefix, job["index"]), payload(job),
+         max(1, int(job.get("weight", 1))))
+        for job in jobs
+    ]).values())
 
 
 class InProcessTransport:

@@ -6,8 +6,9 @@ A build is a loop over its modules (see
 around it is a content-addressed artifact cache shared across build
 engines, structured build events that export as Chrome
 ``trace_event`` JSON, and the process-level parallelism the partitioned
-link-time backend uses: a persistent worker-process pool (``procpool``)
-and the farm's heaviest-first pull queue (``tasks``).
+link-time backend uses: the heaviest-first pull queue (``tasks``) that
+every LTRANS job goes through, and a persistent worker-process pool
+(``procpool``) that runs each batch on one.
 """
 
 from .artifacts import PIPELINE_EPOCH, ArtifactCache, CacheStats

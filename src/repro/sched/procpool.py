@@ -16,13 +16,17 @@ Design points:
   The default start method is ``fork`` where the platform offers it
   (cheapest; Linux), falling back to ``spawn`` -- and the protocol
   works identically under both, which the test suite pins.
+* **One queue.**  Each batch runs on a :class:`~repro.sched.tasks.
+  TaskQueue`: every lane (one worker process) registers as a queue
+  worker and is handed the heaviest pending task, ties by id -- the
+  farm's dispatch order and retry rule, written once in the queue.
 * **Crash containment.**  A worker that dies mid-task (OOM kill,
   SIGKILL, segfault in an extension) surfaces as EOF on its pipe; the
-  task is re-queued with its attempt count bumped, bounded by
-  ``retry_limit`` exactly like the farm's
-  :class:`~repro.sched.tasks.TaskQueue` -- exhaustion raises the
-  same :class:`~repro.sched.tasks.TaskFailure`.  A replacement worker
-  is spawned while work remains.
+  queue charges the task one attempt and puts it back on the pending
+  list, where it is handed out by weight again.  A task past
+  ``retry_limit`` fails the batch with
+  :class:`~repro.sched.tasks.TaskFailure`.  A replacement worker
+  takes the dead lane while work remains.
 * **Warm reuse.**  The pool survives between batches: the coordinator
   keeps one across requests so warm builds skip process spawn (and
   the workers' decoded-context caches stay hot).  :meth:`reap_idle`
@@ -43,11 +47,10 @@ import multiprocessing.connection
 import os
 import threading
 import time
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .events import BuildEvent, EventLog
-from .tasks import Task, TaskFailure
+from .tasks import Task, TaskQueue
 
 #: First message on every worker pipe (carries the worker's pid);
 #: consumed by the parent to measure ready latency.
@@ -115,7 +118,7 @@ def _worker_main(conn, worker_fn) -> None:
 
 class _Worker:
     __slots__ = ("lane", "process", "conn", "task", "sent_us",
-                 "started_at", "ready_seen", "last_used")
+                 "started_at", "last_used")
 
     def __init__(self, lane: int, process, conn) -> None:
         self.lane = lane
@@ -124,7 +127,6 @@ class _Worker:
         self.task: Optional[Task] = None
         self.sent_us = 0
         self.started_at = time.perf_counter()
-        self.ready_seen = False
         self.last_used = time.monotonic()
 
 
@@ -173,9 +175,14 @@ class ProcessWorkerPool:
         process.start()
         child_conn.close()
         self.spawned += 1
+        self._workers.append(worker)
         return worker
 
     def _stop_worker(self, worker: _Worker, timeout: float = 2.0) -> None:
+        """Take ``worker`` out of the pool and stop it: stop sentinel,
+        join, escalating to terminate/kill."""
+        if worker in self._workers:
+            self._workers.remove(worker)
         try:
             worker.conn.send(None)
         except (OSError, BrokenPipeError, ValueError):
@@ -192,19 +199,6 @@ class ProcessWorkerPool:
             worker.process.kill()
             worker.process.join(1.0)
 
-    def _discard_crashed(self, worker: _Worker) -> None:
-        """Drop a worker whose pipe broke; never blocks long."""
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.process.join(1.0)
-        if worker.process.is_alive():  # pragma: no cover
-            worker.process.kill()
-            worker.process.join(1.0)
-        if worker in self._workers:
-            self._workers.remove(worker)
-
     # -- Batch execution ---------------------------------------------------------
 
     def run_batch(
@@ -217,137 +211,109 @@ class ProcessWorkerPool:
         """Run ``(task_id, payload, weight)`` tasks on up to ``jobs``
         workers; returns ``{task_id: result}``.
 
-        Heaviest-first dispatch (the same greedy LPT bound the thread
-        executor and the farm queue rely on).  Raises
-        :class:`TaskFailure` when any task exhausts its retry budget;
-        one batch runs at a time (the pool lock serializes callers).
+        The batch runs through a :class:`~repro.sched.tasks.TaskQueue`
+        with one registered worker per lane, so its dispatch order and
+        retry budget are the queue's.  Raises :class:`~repro.sched.
+        tasks.TaskFailure` when any task exhausts its retry budget; one
+        batch runs at a time (the pool lock serializes callers).
         """
         if not tasks:
             return {}
         with self._lock:
             if self.closed:
                 raise RuntimeError("pool is closed")
-            return self._run_batch_locked(tasks, jobs, events, category)
-
-    def _run_batch_locked(self, tasks, jobs, events, category):
-        target = max(1, min(int(jobs), len(tasks)))
-        while len(self._workers) < target:
-            self._workers.append(self._spawn())
-        eligible = self._workers[:target]
-
-        pending = deque(sorted(
-            (Task(tid, payload, weight) for tid, payload, weight in tasks),
-            key=lambda task: -task.weight,
-        ))
-        results: Dict[str, object] = {}
-        expected = len(tasks)
-        try:
-            while len(results) < expected:
-                self._assign(eligible, pending, events)
-                busy = [w for w in eligible if w.task is not None]
-                if not busy:
-                    if pending:
-                        # Every eligible worker crashed and could not
-                        # be replaced; surface the head task.
-                        task = pending[0]
-                        raise TaskFailure(
-                            task.task_id, task.attempts + 1,
-                            "no live worker processes",
-                        )
-                    break
-                ready = multiprocessing.connection.wait(
-                    [w.conn for w in busy], timeout=1.0
-                )
-                for conn in ready:
-                    worker = next(w for w in busy if w.conn is conn)
-                    self._drain_one(worker, eligible, pending, results,
-                                    events, category)
-            return results
-        except BaseException:
-            # A failed batch leaves in-flight workers in an unknown
-            # protocol state; drop them so the next batch starts clean.
-            for worker in list(self._workers):
-                if worker.task is not None:
-                    self._discard_crashed(worker)
-            raise
-
-    def _assign(self, eligible: List[_Worker], pending,
-                events: Optional[EventLog]) -> None:
-        for worker in eligible:
-            if not pending:
-                return
-            if worker.task is not None:
-                continue
-            task = pending.popleft()
-            worker.task = task
-            worker.sent_us = events.now_us() if events is not None else 0
+            target = max(1, min(int(jobs), len(tasks)))
+            queue = TaskQueue(self.retry_limit)
+            queue.submit([Task(*task) for task in tasks])
+            lanes: List[_Worker] = []
             try:
-                worker.conn.send((task.task_id, task.payload))
-            except (OSError, BrokenPipeError, ValueError):
-                self._on_crash(worker, eligible, pending)
+                while not queue.failed:
+                    self._staff(queue, lanes, target)
+                    for worker in list(lanes):
+                        if worker.task is None:
+                            self._send(queue, lanes, worker, events)
+                    busy = [w for w in lanes if w.task is not None]
+                    if not busy:
+                        break
+                    ready = multiprocessing.connection.wait(
+                        [w.conn for w in busy], timeout=1.0
+                    )
+                    for worker in busy:
+                        if worker.conn in ready:
+                            self._receive(queue, lanes, worker, events,
+                                          category)
+                return queue.wait([task[0] for task in tasks], timeout=0)
+            except BaseException:
+                # A failed batch leaves in-flight workers in an unknown
+                # protocol state; drop them so the next batch starts
+                # clean.
+                for worker in lanes:
+                    if worker.task is not None:
+                        self._stop_worker(worker, timeout=1.0)
+                raise
+            finally:
+                self.tasks_done += queue.completed
+                self.tasks_failed += queue.failed
+                self.requeues += queue.requeues
 
-    def _drain_one(self, worker: _Worker, eligible: List[_Worker],
-                   pending, results: Dict[str, object],
-                   events: Optional[EventLog], category: str) -> None:
+    def _staff(self, queue: TaskQueue, lanes: List[_Worker],
+               target: int) -> None:
+        """Register ``target`` lanes on the queue: idle pool workers
+        first, then fresh spawns (which also replace dead lanes)."""
+        while len(lanes) < target:
+            worker = next((w for w in self._workers if w not in lanes),
+                          None) or self._spawn()
+            lanes.append(worker)
+            queue.register_worker(str(worker.lane))
+
+    def _send(self, queue: TaskQueue, lanes: List[_Worker],
+              worker: _Worker, events: Optional[EventLog]) -> None:
+        worker.task = queue.next_for(str(worker.lane), timeout=0)
+        if worker.task is None:
+            return
+        worker.sent_us = events.now_us() if events is not None else 0
+        try:
+            worker.conn.send((worker.task.task_id, worker.task.payload))
+        except (OSError, BrokenPipeError, ValueError):
+            self._on_crash(queue, lanes, worker)
+
+    def _receive(self, queue: TaskQueue, lanes: List[_Worker],
+                 worker: _Worker, events: Optional[EventLog],
+                 category: str) -> None:
         try:
             message = worker.conn.recv()
         except (EOFError, OSError):
-            self._on_crash(worker, eligible, pending)
+            self._on_crash(queue, lanes, worker)
             return
-        if isinstance(message, tuple) and message and message[0] == _READY:
-            if not worker.ready_seen:
-                worker.ready_seen = True
-                self.spawn_seconds += time.perf_counter() - worker.started_at
+        if message[0] == _READY:
+            self.spawn_seconds += time.perf_counter() - worker.started_at
             return
         task_id, ok, payload = message
-        task = worker.task
         worker.task = None
         worker.last_used = time.monotonic()
-        if task is None or task.task_id != task_id:  # pragma: no cover
-            # Protocol skew (should be impossible); drop the worker.
-            self._discard_crashed(worker)
-            if worker in eligible:
-                eligible.remove(worker)
+        if not ok:
+            queue.fail(str(worker.lane), task_id, str(payload))
             return
-        if ok:
-            results[task_id] = payload
-            self.tasks_done += 1
-            if events is not None:
-                now = events.now_us()
-                events.append(BuildEvent(
-                    task_id, category, "span", worker.sent_us,
-                    now - worker.sent_us, worker.lane,
-                ))
-        else:
-            self._retire_or_requeue(task, pending, str(payload))
+        queue.complete(str(worker.lane), task_id, payload)
+        if events is not None:
+            now = events.now_us()
+            events.append(BuildEvent(
+                task_id, category, "span", worker.sent_us,
+                now - worker.sent_us, worker.lane,
+            ))
 
-    def _on_crash(self, worker: _Worker, eligible: List[_Worker],
-                  pending) -> None:
+    def _on_crash(self, queue: TaskQueue, lanes: List[_Worker],
+                  worker: _Worker) -> None:
+        """A dead pipe fails its task one attempt and takes the lane off
+        the queue; :meth:`_staff` registers a replacement."""
         self.crashes += 1
-        task = worker.task
-        worker.task = None
-        self._discard_crashed(worker)
-        if worker in eligible:
-            eligible.remove(worker)
-        if task is not None:
-            self._retire_or_requeue(task, pending,
-                                    "worker process died", requeue_front=True)
-        if pending or any(w.task is not None for w in eligible):
-            replacement = self._spawn()
-            self._workers.append(replacement)
-            eligible.append(replacement)
-
-    def _retire_or_requeue(self, task: Task, pending, reason: str,
-                           requeue_front: bool = False) -> None:
-        task.attempts += 1
-        if task.attempts > self.retry_limit:
-            self.tasks_failed += 1
-            raise TaskFailure(task.task_id, task.attempts, reason)
-        self.requeues += 1
-        if requeue_front:
-            pending.appendleft(task)
-        else:
-            pending.append(task)
+        if worker.task is not None:
+            queue.fail(str(worker.lane), worker.task.task_id,
+                       "worker process died")
+            worker.task = None
+        queue.unregister_worker(str(worker.lane))
+        lanes.remove(worker)
+        self._stop_worker(worker, timeout=1.0)
 
     # -- Housekeeping ------------------------------------------------------------
 
@@ -373,10 +339,10 @@ class ProcessWorkerPool:
                     if w.process.pid is not None]
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
-            workers = len(self._workers)
+        # Lock-free: a batch holds the pool lock for its whole run, and
+        # the coordinator's ``status`` must not wait for a build.
         return {
-            "workers": workers,
+            "workers": len(self._workers),
             "start_method": self.start_method,
             "spawned": self.spawned,
             "spawn_seconds": self.spawn_seconds,

@@ -1,22 +1,27 @@
-"""The farm's dispatch queue: one pending list, heaviest task first.
+"""The LTRANS dispatch queue: one pending list, heaviest task first.
 
-The coordinator owns one :class:`TaskQueue`; each worker connection
-registers under a worker id and pulls tasks through :meth:`next_for`.
-A connection holds at most one job at a time, so handing the heaviest
-pending task (ties broken by id) to whichever worker asks next is the
-longest-processing-time-first list schedule -- the same greedy bound
-the local process pool relies on.  Nothing is placed ahead of time, so
-a worker that registers after :meth:`~TaskQueue.submit` gets work at
-once and a slow one never holds a backlog.
+Every job that runs outside the link process goes through a
+:class:`TaskQueue`.  The farm coordinator owns one, and each worker
+connection registers under a worker id; the local process pool
+(:mod:`repro.sched.procpool`) runs each batch on one of its own, with
+one registered worker per worker process.  Workers pull tasks through
+:meth:`~TaskQueue.next_for`.  A worker holds at most one task at a
+time, so handing the heaviest pending task (ties broken by id) to
+whichever worker asks next is the longest-processing-time-first list
+schedule.  Nothing is placed ahead of time, so a worker that registers
+after :meth:`~TaskQueue.submit` gets work at once and a slow one never
+holds a backlog.
 
 A **failed or disconnected** worker's in-flight task goes back on the
-pending list with its attempt count bumped; a task that exceeds
-``retry_limit`` attempts fails the whole batch (the waiter gets
-:class:`TaskFailure`) instead of cycling forever.
+pending list charged one attempt, and is handed out by weight again,
+not at the front.  A task that exceeds ``retry_limit`` attempts fails
+the whole batch (the waiter gets :class:`TaskFailure`) instead of
+cycling forever.
 
-The queue is transport-agnostic: it never touches a socket.  Workers
-here are *connections* -- a worker daemon with ``--jobs 4`` registers
-four of them.
+The queue is transport-agnostic: it never touches a socket or a pipe.
+Workers here are *lanes* -- a farm worker daemon with ``--jobs 4``
+registers four connections, a pool batch with ``jobs=4`` four
+processes.
 """
 
 from __future__ import annotations
@@ -140,6 +145,15 @@ class TaskQueue:
                 if remaining is not None and remaining <= 0:
                     return None
                 self._cond.wait(timeout=remaining)
+
+    def run_batch(self, tasks: Sequence[Tuple[str, object, int]],
+                  timeout: Optional[float] = None) -> Dict[str, object]:
+        """Submit ``(task_id, payload, weight)`` tasks for the
+        registered workers and :meth:`wait` for them; the call shape of
+        :meth:`~repro.sched.procpool.ProcessWorkerPool.run_batch`, so
+        :func:`~repro.part.runner.queue_jobs` drives either."""
+        self.submit([Task(*task) for task in tasks])
+        return self.wait([task[0] for task in tasks], timeout=timeout)
 
     # -- Completion ------------------------------------------------------------------
 

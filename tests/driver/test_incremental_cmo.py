@@ -91,25 +91,25 @@ def edited_calc():
 class TestFirstBuild:
     def test_byte_identical_to_clean(self):
         engine = incremental_engine()
-        result, report = engine.build(CALC_SOURCES)
+        result, _ = engine.build(CALC_SOURCES)
         assert encode_executable(result.executable) == (
             clean_image(CALC_SOURCES)
         )
         assert result.incr_report is not None
         assert result.incr_report.first_build
         # Nothing to reuse yet: every CMO module went through codegen.
-        assert report.cmo_reused == []
-        assert sorted(report.cmo_reoptimized) == report.cmo_reoptimized
-        assert report.cmo_reoptimized
+        assert result.incr_report.reused == []
+        reoptimized = result.incr_report.reoptimized
+        assert reoptimized and sorted(reoptimized) == reoptimized
 
 
 class TestNoopRebuild:
     def test_everything_reused(self):
         engine = incremental_engine()
         first, _ = engine.build(CALC_SOURCES)
-        second, report = engine.build(CALC_SOURCES)
-        assert report.cmo_reoptimized == []
-        assert set(report.cmo_reused) == set(CALC_SOURCES)
+        second, _ = engine.build(CALC_SOURCES)
+        assert second.incr_report.reoptimized == []
+        assert set(second.incr_report.reused) == set(CALC_SOURCES)
         assert encode_executable(second.executable) == (
             encode_executable(first.executable)
         )
@@ -121,10 +121,10 @@ class TestSingleModuleEdit:
         engine = incremental_engine()
         engine.build(CALC_SOURCES)
         edited = edited_calc()
-        result, report = engine.build(edited)
-        assert "math" in report.cmo_reoptimized
+        result, _ = engine.build(edited)
+        assert "math" in result.incr_report.reoptimized
         # table neither inlines from math nor reads its facts.
-        assert "table" in report.cmo_reused
+        assert "table" in result.incr_report.reused
         assert encode_executable(result.executable) == clean_image(edited)
 
     def test_edited_module_is_changed(self):
@@ -163,7 +163,7 @@ class TestStateDir:
                                     state_dir=state_dir)
         second, report = second_engine.build(CALC_SOURCES)
         assert report.reused == list(CALC_SOURCES)  # objects reused too
-        assert report.cmo_reoptimized == []
+        assert second.incr_report.reoptimized == []
         assert encode_executable(second.executable) == (
             encode_executable(first.executable)
         )
@@ -175,9 +175,9 @@ class TestStateDir:
         engine = BuildEngine(CompilerOptions(opt_level=4),
                              state_dir=state_dir)
         edited = edited_calc()
-        result, report = engine.build(edited)
-        assert "math" in report.cmo_reoptimized
-        assert report.cmo_reused
+        result, _ = engine.build(edited)
+        assert "math" in result.incr_report.reoptimized
+        assert result.incr_report.reused
         assert encode_executable(result.executable) == clean_image(edited)
 
     def test_an_index_with_dependency_edges_loads_warm(self, tmp_path):
@@ -204,10 +204,10 @@ class TestStateDir:
                              state_dir=state_dir)
         edited = dict(CALC_SOURCES)
         edited["table"] = edited["table"].replace("i % 8]", "i % 7]")
-        result, report = engine.build(edited)
+        result, _ = engine.build(edited)
         assert not result.incr_report.first_build
         assert result.incr_report.describe_wpa() == "reused"
-        assert report.cmo_reused
+        assert result.incr_report.reused
         assert encode_executable(result.executable) == clean_image(edited)
         stored = json.loads(bytes(
             engine.incr_state.repository.fetch("incr", "index")
@@ -224,9 +224,9 @@ class TestOptionsInvalidation:
         profile = train(CALC_SOURCES, [None])
         engine = BuildEngine(CompilerOptions(opt_level=4, pbo=True),
                              state_dir=state_dir)
-        result, report = engine.build(CALC_SOURCES, profile_db=profile)
+        result, _ = engine.build(CALC_SOURCES, profile_db=profile)
         assert result.incr_report.first_build
-        assert report.cmo_reused == []
+        assert result.incr_report.reused == []
         assert encode_executable(result.executable) == (
             clean_image(CALC_SOURCES, profile_db=profile, pbo=True)
         )
@@ -238,12 +238,12 @@ class TestProfileBasedBuilds:
         engine = BuildEngine(CompilerOptions(opt_level=4, pbo=True),
                              incremental=True)
         engine.build(CALC_SOURCES, profile_db=profile)
-        second, report = engine.build(CALC_SOURCES, profile_db=profile)
-        assert report.cmo_reoptimized == []
+        second, _ = engine.build(CALC_SOURCES, profile_db=profile)
+        assert second.incr_report.reoptimized == []
 
         edited = edited_calc()
-        result, report = engine.build(edited, profile_db=profile)
-        assert "math" in report.cmo_reoptimized
+        result, _ = engine.build(edited, profile_db=profile)
+        assert "math" in result.incr_report.reoptimized
         assert encode_executable(result.executable) == (
             clean_image(edited, profile_db=profile, pbo=True)
         )
@@ -256,9 +256,8 @@ class TestLowerOptLevels:
         engine must behave exactly like a plain one."""
         engine = BuildEngine(CompilerOptions(opt_level=level),
                              incremental=True)
-        result, report = engine.build(CALC_SOURCES)
+        result, _ = engine.build(CALC_SOURCES)
         assert result.incr_report is None
-        assert report.cmo_reused == [] and report.cmo_reoptimized == []
         clean = Compiler(CompilerOptions(opt_level=level)).build(
             CALC_SOURCES
         )

@@ -146,16 +146,16 @@ def test_noop_rebuild_and_one_module_edit():
     sources = dict(_app().sources)
     engine = BuildEngine(CompilerOptions(opt_level=4), incremental=True)
     _warm_check(engine, sources)
-    _result, report = _warm_check(engine, sources)
-    assert report.cmo_reoptimized == []
+    result, _ = _warm_check(engine, sources)
+    assert result.incr_report.reoptimized == []
     victim = sorted(name for name in sources if name != "main")[2]
     sources[victim] = bump(sources[victim])
-    _result, report = _warm_check(engine, sources)
-    assert report.cmo_reused and report.cmo_reoptimized
+    result, _ = _warm_check(engine, sources)
+    assert result.incr_report.reused and result.incr_report.reoptimized
     # And once more without an edit: the edit's link borrowed every
     # reused module's bodies.
-    _result, report = _warm_check(engine, sources)
-    assert report.cmo_reoptimized == []
+    result, _ = _warm_check(engine, sources)
+    assert result.incr_report.reoptimized == []
 
 
 @given(edits=st.lists(
@@ -192,16 +192,16 @@ def test_modeled_memory_does_not_depend_on_what_earlier_links_left(tmp_path):
                     os.path.join(scanned_dir, "objects"))
 
     scanned = BuildEngine(options, state_dir=scanned_dir)
-    _result, report = scanned.build(sources)  # objects reused, all scanned
-    assert report.recompiled == [] and not report.cmo_reused
+    result, report = scanned.build(sources)  # objects reused, all scanned
+    assert report.recompiled == [] and not result.incr_report.reused
     scanned.incr_state.repository.flush()
     shutil.copytree(scanned_dir, fresh_dir)
 
     sources[victim] = bump(sources[victim])
     scanned_result, _report = scanned.build(sources)
     fresh = BuildEngine(options, state_dir=fresh_dir)
-    fresh_result, report = fresh.build(sources)
-    assert report.cmo_reused
+    fresh_result, _ = fresh.build(sources)
+    assert fresh_result.incr_report.reused
     assert scanned_result.accountant.peak == fresh_result.accountant.peak
     assert _image(scanned_result) == _image(fresh_result)
     scanned.incr_state.close()
@@ -230,9 +230,9 @@ def test_a_state_dir_from_before_this_format_addition_is_reused_warm(tmp_path):
 
     sources[victim] = bump(sources[victim])
     engine = BuildEngine(options, incremental=True, state_dir=state_dir)
-    result, report = engine.build(sources)
-    assert report.cmo_reoptimized == [victim]
-    assert len(report.cmo_reused) == len(sources) - 1
+    result, _ = engine.build(sources)
+    assert result.incr_report.reoptimized == [victim]
+    assert len(result.incr_report.reused) == len(sources) - 1
     assert _image(result) == _image(Compiler(options).build(sources))
     # Nothing promised an outcome: an ordinary miss, no fallback event.
     assert result.incr_report.describe_wpa() == "decided (missing)"
@@ -245,9 +245,9 @@ def test_a_state_dir_from_before_this_format_addition_is_reused_warm(tmp_path):
     assert index["wpa"]
 
     sources[victim] = bump(sources[victim])
-    result, report = engine.build(sources)
+    result, _ = engine.build(sources)
     assert result.incr_report.wpa == "reused"
-    assert report.cmo_reoptimized == [victim]
+    assert result.incr_report.reoptimized == [victim]
     assert _image(result) == _image(Compiler(options).build(sources))
     engine.incr_state.close()
 

@@ -188,9 +188,13 @@ class TestIncrementalReuse:
             for filename in filenames:
                 with open(os.path.join(dirpath, filename), "wb") as f:
                     f.write(b"\xff\x00 not valid state")
-        engine = BuildEngine(CompilerOptions(opt_level=4),
-                             state_dir=state_dir)
-        result, _ = engine.build(calc_sources)
+        # Each of the three trashed objects is reported, then rebuilt.
+        with pytest.warns(UserWarning,
+                          match="skipping unreadable object") as caught:
+            engine = BuildEngine(CompilerOptions(opt_level=4),
+                                 state_dir=state_dir)
+            result, _ = engine.build(calc_sources)
+        assert len(caught) == len(calc_sources)
         assert result.incr_report.first_build  # degraded, not crashed
         assert result.run().value == calc_reference
         assert encode_executable(result.executable) == (

@@ -79,8 +79,9 @@ def test_damaged_blob_between_two_builds(tmp_path, fault, reason,
     warm = BuildEngine(OPTIONS, incremental=True, state_dir=state_dir)
     warm.build(sources)
     sources[victim] = bump(sources[victim])
-    _result, report = warm.build(sources)
-    target = next(name for name in report.cmo_reused if name != victim)
+    result, _ = warm.build(sources)
+    target = next(name for name in result.incr_report.reused
+                  if name != victim)
     key = warm.incr_state.module_keys[target]
 
     fault(warm.incr_state.repository, key)
@@ -96,31 +97,31 @@ def test_damaged_blob_between_two_builds(tmp_path, fault, reason,
     # A cold process has to read the blob: it says so, recompiles the
     # module and links the same image.
     cold = BuildEngine(OPTIONS, incremental=True, state_dir=cold_dir)
-    result, report = cold.build(sources)
+    result, _ = cold.build(sources)
     assert _fallbacks(result) == [expected_event]
-    assert target in report.cmo_reoptimized
+    assert target in result.incr_report.reoptimized
     assert _image(result) == clean
     logged = [event.args for event in cold.events.events
               if event.name == "machine-blob-fallback"]
     assert logged == [expected_event]
     # The recompile re-stored the blob: the state healed itself.
-    result, report = cold.build(sources)
+    result, _ = cold.build(sources)
     assert not _fallbacks(result)
-    assert report.cmo_reoptimized == []
+    assert result.incr_report.reoptimized == []
     assert _image(result) == clean
     cold.incr_state.close()
 
     # The warm process holds the decoded routines; it only falls back
     # when the repository no longer has the key at all, or when it is
     # checked: a checked link decodes every blob it kept again.
-    result, report = warm.build(sources)
+    result, _ = warm.build(sources)
     assert _image(result) == clean
     if warm_notices or OPTIONS.hlo.checked:
         assert _fallbacks(result) == [expected_event]
-        assert target in report.cmo_reoptimized
+        assert target in result.incr_report.reoptimized
     else:
         assert not _fallbacks(result)
-        assert target in report.cmo_reused
+        assert target in result.incr_report.reused
     warm.incr_state.close()
 
 
@@ -131,8 +132,8 @@ def test_a_new_key_without_a_blob_is_not_a_fault(tmp_path):
                          state_dir=str(tmp_path / "state"))
     engine.build(sources)
     sources[victim] = bump(sources[victim])
-    result, report = engine.build(sources)
-    assert victim in report.cmo_reoptimized
+    result, _ = engine.build(sources)
+    assert victim in result.incr_report.reoptimized
     assert not _fallbacks(result)
     engine.incr_state.close()
 
@@ -152,8 +153,8 @@ def test_warm_cold_and_clean_agree_after_eight_edits(tmp_path):
     warm.incr_state.close()
 
     cold = BuildEngine(OPTIONS, incremental=True, state_dir=state_dir)
-    result, report = cold.build(sources)
-    assert report.cmo_reoptimized == []
+    result, _ = cold.build(sources)
+    assert result.incr_report.reoptimized == []
     assert not _fallbacks(result)
     cold.incr_state.close()
     assert warm_image == _image(result) == _clean_image(sources)
@@ -188,10 +189,11 @@ def test_linking_never_mutates_the_resident_routines():
     before = _snapshot(_resident(state))
     assert before
     sources[victim] = bump(sources[victim])
-    result, report = engine.build(sources)
+    result, _ = engine.build(sources)
     result.run(inputs=app.make_input(seed=1))
     after = _snapshot(_resident(state))
-    reused_keys = [state.module_keys[name] for name in report.cmo_reused]
+    reused_keys = [state.module_keys[name]
+                   for name in result.incr_report.reused]
     assert reused_keys
     for key in reused_keys:
         assert after[key] == before[key]

@@ -123,8 +123,8 @@ def test_an_edit_decodes_no_cached_machine_code(warm, monkeypatch):
     monkeypatch.setattr(incr_state, "decode_machine_routines", decode)
     # A checked link decodes every blob it kept again, to compare.
     uncounted(monkeypatch, [decode])
-    result, report = engine.build(sources)
-    assert report.cmo_reused and report.cmo_reoptimized
+    result, _ = engine.build(sources)
+    assert result.incr_report.reused and result.incr_report.reoptimized
     assert decode.calls == 0
     clean = Compiler(CompilerOptions(opt_level=4)).build(sources)
     assert encode_executable(result.executable) == (
@@ -262,8 +262,8 @@ def test_the_linker_copies_relocation_sites_only(warm, monkeypatch):
     engine, sources, _victim = warm
     placed = _watch_linked_routines(monkeypatch)
     copied = _count_copies(monkeypatch)
-    result, report = engine.build(sources)
-    assert report.cmo_reused
+    result, _ = engine.build(sources)
+    assert result.incr_report.reused
     image = result.executable
     # The startup stub's call is the linker's own: patched, not copied.
     sites = sum(1 for instr in image.code[1:] if instr.op in RELOCATED_OPS)
@@ -355,7 +355,7 @@ def test_a_no_op_rebuild_copies_parses_and_walks_nothing(warm, monkeypatch):
     uncounted(monkeypatch, [parse, walks])
     counters, walked, stored = _count_applied_wpa_work(monkeypatch, engine)
     result, report = engine.build(sources)
-    assert report.recompiled == [] and report.cmo_reoptimized == []
+    assert report.recompiled == [] and result.incr_report.reoptimized == []
     assert result.incr_report.wpa == "reused"
     assert (len(copied), parse.calls, walks.calls) == (0, 0, 0)
     assert {label: counter.calls for label, counter in counters.items()} == (
@@ -545,9 +545,9 @@ def test_facts_are_serialised_for_scanned_modules_only(
 
     # The next link finds every blob in place again.
     del serialised[:]
-    result, report = engine.build(sources)
+    result, _ = engine.build(sources)
     assert not serialised
-    assert report.cmo_reoptimized == []
+    assert result.incr_report.reoptimized == []
     assert not [event for event in result.hlo_result.events
                 if event.get("event") == "summary-fallback"]
 
@@ -608,7 +608,7 @@ def test_a_fact_preserving_edit_decides_nothing(warm, monkeypatch):
         return real_store(kind, name, data)
 
     monkeypatch.setattr(repository, "store", store)
-    result, report = engine.build(sources)
+    result, _ = engine.build(sources)
     assert result.incr_report.wpa == "reused"
     assert {label: counter.calls for label, counter in counters.items()} == (
         dict.fromkeys(counters, 0)
@@ -617,9 +617,9 @@ def test_a_fact_preserving_edit_decides_nothing(warm, monkeypatch):
     assert keyed[0] == set(result.hlo_result.compiled_routines())
     routine_module = result.hlo_result.unit.routine_module
     assert {routine_module[name] for name in keyed[0]} == (
-        set(report.cmo_reoptimized)
+        set(result.incr_report.reoptimized)
     )
-    assert report.cmo_reused
+    assert result.incr_report.reused
     assert "wpa" not in stored
     assert encode_executable(result.executable) == _clean_image(sources)
 
@@ -673,20 +673,20 @@ def test_a_lost_or_damaged_wpa_outcome_is_decided_again(
     engine, sources, _victim = warm
     repository = engine.incr_state.repository
     damage(repository)
-    result, report = engine.build(sources)
+    result, _ = engine.build(sources)
     assert result.incr_report.wpa == "decided"
     assert result.incr_report.wpa_reason == reason
     fallbacks = [e for e in result.hlo_result.events
                  if e.get("event") == "wpa-outcome-fallback"]
     assert fallbacks == ([{"event": "wpa-outcome-fallback",
                            "reason": reason}] if event else [])
-    assert report.cmo_reused
+    assert result.incr_report.reused
     assert encode_executable(result.executable) == _clean_image(sources)
     assert repository.contains("wpa", "outcome")
 
-    result, report = engine.build(sources)
+    result, _ = engine.build(sources)
     assert result.incr_report.wpa == "reused"
-    assert report.cmo_reoptimized == []
+    assert result.incr_report.reoptimized == []
     assert not [e for e in result.hlo_result.events
                 if e.get("event") == "wpa-outcome-fallback"]
 
@@ -770,8 +770,8 @@ def test_a_no_op_relink_makes_no_routine_pool(warm, monkeypatch):
     counted(hlo_driver.CmoUnit, "release_spent", "release")
     # A checked link decides again beside this one, on its own loader.
     uncounted_list(monkeypatch, made)
-    result, report = engine.build(sources)
-    assert report.cmo_reoptimized == []
+    result, _ = engine.build(sources)
+    assert result.incr_report.reoptimized == []
     assert made == []
     assert result.incr_report.compiled_routines == []
     unit = result.hlo_result.unit

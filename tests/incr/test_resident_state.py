@@ -234,8 +234,10 @@ def test_a_link_that_merges_blocks_leaves_the_resident_views_alone(
 
     monkeypatch.setattr(ProfileView, "merge_blocks", merge_blocks)
     sources["m3"] = bump(sources["m3"])
-    result, report = engine.build(sources)
-    assert "m2" in report.cmo_reoptimized, "no resident module re-optimized"
+    result, _ = engine.build(sources)
+    assert "m2" in result.incr_report.reoptimized, (
+        "no resident module re-optimized"
+    )
     assert engine.incr_state.applied_wpa.value is applied
     assert set(merged) & {name for _id, name in before}, (
         "no resident view was merged into"
@@ -697,9 +699,9 @@ def test_a_flipped_byte_in_an_uncompressed_mach_entry_is_corrupt(tmp_path):
     reopened = BuildEngine(OPTIONS, incremental=True, state_dir=state_dir)
     with pytest.raises(RepositoryError, match="CRC"):
         reopened.incr_state.repository.fetch("mach", key)
-    result, report = reopened.build(sources)
+    result, _ = reopened.build(sources)
     assert {"event": "machine-blob-fallback", "module": module,
             "key": key, "reason": "corrupt"} in result.hlo_result.events
-    assert module in report.cmo_reoptimized
+    assert module in result.incr_report.reoptimized
     assert _image(result) == _image(_cold(sources))
     reopened.incr_state.close()

@@ -117,8 +117,8 @@ def _incremental_rebuild(sources, **option_kwargs):
         r"\* (\d+) \+", lambda m: "* %d +" % (int(m.group(1)) + 1),
         edited[victim], count=1,
     )
-    result, report = engine.build(edited)
-    assert report.cmo_reused and report.cmo_reoptimized
+    result, _ = engine.build(edited)
+    assert result.incr_report.reused and result.incr_report.reoptimized
     return result
 
 

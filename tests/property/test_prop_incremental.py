@@ -92,26 +92,27 @@ def test_single_module_edit_matches_clean_build(seed, victim):
     edited = dict(app.sources)
     edited[edited_name] = edited_source
 
-    result, report = engine.build(edited)
+    result, _ = engine.build(edited)
     _clean_build, image = clean_image(edited)
     assert encode_executable(result.executable) == image
     # Either the edited module re-optimized, or the edit hit code the
     # whole-program phases discard (dead routine), in which case exact
     # reuse keys legitimately keep everything -- and the image proves
     # it by matching the original build bit for bit.
-    assert edited_name in report.cmo_reoptimized or image == original_image
+    incr = result.incr_report
+    assert edited_name in incr.reoptimized or image == original_image
     assert result.incr_report.changed_modules == [edited_name]
 
     # Untouched modules outside the dirty closure kept their codegen.
-    # The edited module itself may appear in cmo_reused in the
+    # The edited module itself may appear in incr_report.reused in the
     # dead-code case above (its post-inline key did not change).
-    assert set(report.cmo_reused).isdisjoint(set(report.cmo_reoptimized))
+    assert set(incr.reused).isdisjoint(set(incr.reoptimized))
     if image != original_image:
-        assert edited_name not in report.cmo_reused
+        assert edited_name not in incr.reused
 
     # A no-op rebuild of the edited program reuses everything.
-    again, report2 = engine.build(edited)
-    assert report2.cmo_reoptimized == []
+    again, _ = engine.build(edited)
+    assert again.incr_report.reoptimized == []
     assert encode_executable(again.executable) == image
 
 

@@ -67,7 +67,7 @@ def test_parallel_composes_with_incremental(seed):
     app = small_app(seed)
     serial_engine = BuildEngine(CompilerOptions(opt_level=4),
                                 incremental=True)
-    serial, serial_report = serial_engine.build(app.sources)
+    serial, _ = serial_engine.build(app.sources)
     reference = encode_executable(serial.executable)
 
     for backend, shapes in BACKENDS.items():
@@ -76,15 +76,16 @@ def test_parallel_composes_with_incremental(seed):
                 CompilerOptions(opt_level=4, **shape),
                 incremental=True,
             )
-            build, report = engine.build(app.sources)
+            build, _ = engine.build(app.sources)
             assert encode_executable(build.executable) == reference
             # The knob must not leak into reuse decisions either.
-            assert report.cmo_reused == serial_report.cmo_reused
-            assert report.cmo_reoptimized == serial_report.cmo_reoptimized
+            assert build.incr_report.reused == serial.incr_report.reused
+            assert (build.incr_report.reoptimized
+                    == serial.incr_report.reoptimized)
 
             # A no-op parallel rebuild still reuses everything.
-            again, report2 = engine.build(app.sources)
-            assert report2.cmo_reoptimized == []
+            again, _ = engine.build(app.sources)
+            assert again.incr_report.reoptimized == []
             assert encode_executable(again.executable) == reference
 
 
@@ -106,8 +107,8 @@ def test_summary_wpa_composes_with_incremental(seed):
     cold, _report = engine.build(app.sources)
     assert encode_executable(cold.executable) == reference
 
-    warm, warm_report = engine.build(app.sources)
-    assert warm_report.cmo_reoptimized == []
+    warm, _ = engine.build(app.sources)
+    assert warm.incr_report.reoptimized == []
     assert encode_executable(warm.executable) == reference
 
     # Touch one module; the changed module re-extracts its facts, the

@@ -11,6 +11,8 @@ Worker functions live at module level so the same suite passes under
 
 import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -56,6 +58,13 @@ def _fail_if_marker(payload):
     return payload["value"]
 
 
+def _mark_then_sleep(payload):
+    """Create the marker file, then sleep: a batch known to be running."""
+    open(payload["marker"], "w").close()
+    time.sleep(payload["seconds"])
+    return payload["seconds"]
+
+
 def _tasks(n, weight=1):
     return [("t%d" % i, i, weight) for i in range(n)]
 
@@ -93,6 +102,45 @@ class TestBasics:
     def test_bad_retry_limit_rejected(self):
         with pytest.raises(ValueError):
             ProcessWorkerPool(_double, retry_limit=-1)
+
+
+def _run_order(log):
+    """Task ids in the order their spans started."""
+    return [e.name for e in sorted(log.spans("ltrans"),
+                                   key=lambda e: e.ts_us)]
+
+
+class TestDispatchOrder:
+    """One worker makes the dispatch order observable: it must be the
+    TaskQueue's, heaviest first and then by task id."""
+
+    def test_heaviest_first_then_by_task_id(self):
+        log = EventLog()
+        with ProcessWorkerPool(_double) as pool:
+            pool.run_batch(
+                [("t3", 3, 2), ("t1", 1, 2), ("t4", 4, 5), ("t0", 0, 1),
+                 ("t2", 2, 2)],
+                jobs=1, events=log,
+            )
+        assert _run_order(log) == ["t4", "t1", "t2", "t3", "t0"]
+
+    def test_a_failed_task_is_handed_out_by_weight_again(self, tmp_path):
+        # "b" fails once; back on the pending list it still outweighs
+        # "c", so it runs again before "c" rather than last.
+        marker = tmp_path / "fail-b-once"
+        marker.write_text("x")
+        unclaimed = str(tmp_path / "no-marker")
+        log = EventLog()
+        with ProcessWorkerPool(_fail_if_marker, retry_limit=1) as pool:
+            results = pool.run_batch(
+                [("c", {"marker": unclaimed, "value": 3}, 1),
+                 ("b", {"marker": str(marker), "value": 2}, 3),
+                 ("a", {"marker": unclaimed, "value": 1}, 5)],
+                jobs=1, events=log,
+            )
+            assert pool.requeues == 1
+        assert results == {"a": 1, "b": 2, "c": 3}
+        assert _run_order(log) == ["a", "b", "c"]
 
 
 class TestWarmReuse:
@@ -196,6 +244,23 @@ class TestObservability:
         )
         assert {e.worker for e in spans} <= {0, 1}
         assert all(e.dur_us >= 0 for e in spans)
+
+    def test_stats_does_not_wait_for_a_running_batch(self, tmp_path):
+        marker = tmp_path / "batch-running"
+        with ProcessWorkerPool(_mark_then_sleep) as pool:
+            batch = threading.Thread(target=pool.run_batch, args=(
+                [("slow", {"marker": str(marker), "seconds": 3.0}, 1)],
+            ))
+            batch.start()
+            deadline = time.monotonic() + 30.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert marker.exists()
+            start = time.monotonic()
+            assert pool.stats()["workers"] == 1
+            assert time.monotonic() - start < 1.0
+            batch.join(30.0)
+            assert not batch.is_alive()
 
     def test_stats_shape(self):
         with ProcessWorkerPool(_double) as pool:

@@ -125,6 +125,24 @@ class TestCompletion:
         with pytest.raises(TaskFailure, match="closed"):
             queue.wait(["t1"], timeout=1.0)
 
+    def test_run_batch_submits_and_waits(self):
+        queue = TaskQueue()
+        queue.register_worker("a")
+
+        def serve():
+            for _ in range(2):
+                task = queue.next_for("a", timeout=10.0)
+                queue.complete("a", task.task_id, task.payload * 2)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        results = queue.run_batch([("t1", 1, 1), ("t2", 2, 5)],
+                                  timeout=10.0)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert results == {"t1": 2, "t2": 4}
+        assert queue.stats()["submitted"] == 2
+
 
 class TestFailure:
     def test_failed_task_requeues(self):
